@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race bench benchjson bench-diff serve-bench soak dist-soak fuzz cover
+.PHONY: check fmt vet lint build test bench-module race bench benchjson bench-diff serve-bench soak dist-soak fuzz cover
 
-check: fmt vet lint build test race
+check: fmt vet lint build test bench-module race
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -37,12 +37,22 @@ build:
 test:
 	$(GO) test ./...
 
+# The repository benchmark (bench/, BENCHMARK.json) is a Go module of its
+# own importing edgealloc/internal/... through a replace, so ./... above
+# never compiles it. Vet it and run its ~4 s self-test here, so a change
+# to the types it drives (core.Options, StepDiag, ShardHost, WarmState,
+# the serve API) breaks tier-1 and not the next benchmark run.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
+
 # The experiment engine runs (case, rep, algorithm) units on a worker
 # pool; every test runs under the race detector to keep it honest. The
-# detector slows the solver-heavy packages ~10x, so give each package
-# more than the 10m default before go test declares a hang.
+# detector slows the solver-heavy packages 10-17x (internal/core takes
+# ~30 min on a 2-vCPU container), so give each package far more than the
+# 10m default before go test declares a hang.
 race:
-	$(GO) test -race -timeout 30m ./...
+	$(GO) test -race -timeout 60m ./...
 
 # Differential fuzzing against the paper-conformance oracle (DESIGN.md
 # §8). Each target runs for FUZZTIME on top of the committed seed corpora

@@ -36,7 +36,7 @@ func BenchmarkP2SlotWarmStart(b *testing.B) {
 	prob := &alm.Problem{
 		Obj: obj, N: in.I * in.J,
 		Lower: make([]float64, in.I*in.J),
-		Cons:  p2Constraints(in, 1),
+		Cons:  p2Constraints(in),
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -64,7 +64,7 @@ func BenchmarkP2SlotColdStart(b *testing.B) {
 	prob := &alm.Problem{
 		Obj: obj, N: in.I * in.J,
 		Lower: make([]float64, in.I*in.J),
-		Cons:  p2Constraints(in, 1),
+		Cons:  p2Constraints(in),
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

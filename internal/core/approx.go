@@ -18,6 +18,20 @@
 // (Theorem 2). The ALM solver also returns the dual multipliers θ', ρ' of
 // the demand and complement-capacity rows, from which a per-run lower
 // bound on the offline optimum is certified (see certificate.go).
+//
+// P2 is one program and the package evaluates it through one type:
+// p2Objective (objective.go) over a cloud-major CSR layout, whose per-row
+// loops live in entropy.go. The solve paths differ only in the data they
+// bind to it. The single-program loop (sparse.go) solves, prices pruned
+// pairs, and gates frozen users until a round changes nothing: the
+// default path is the identity layout (nothing pruned, nobody frozen, one
+// round), Options.Candidates a ragged layout, Options.Incremental an
+// active mask (incremental.go). Options.Shards is a different algorithm —
+// sharing-ADMM over blocks that are the same objective bound to a column
+// range (shard.go), optionally hosted on RPC workers (shardhost.go) — and
+// keeps its own driver built from the same bind, pricing pass and gate.
+// Step (this file) binds the slot, calls the driver, and records the
+// decision, the duals, and the driver's diagnostics.
 package core
 
 import (
@@ -28,8 +42,6 @@ import (
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
-	"edgealloc/internal/solver/fista"
-	"edgealloc/internal/solver/par"
 	"edgealloc/internal/solver/transport"
 	"edgealloc/internal/telemetry"
 )
@@ -46,7 +58,7 @@ type Options struct {
 	Solver alm.Options
 	// DenseRows switches P2's constraints to the generic sparse-row
 	// reference path (p2Constraints) instead of the structured group-sum
-	// kernel (p2Groups). The dense complement rows cost O(I²·J) per
+	// kernel (singleState.buildRows). The dense complement rows cost O(I²·J) per
 	// Lagrangian evaluation versus O(I·J) structured; the option exists
 	// for the structured-vs-dense property tests and the before/after
 	// scaling benchmarks.
@@ -211,15 +223,14 @@ type OnlineApprox struct {
 	// Per-instance caches, lazily built on the first Step: P2's constraint
 	// geometry and the objective's entropy constants are slot-independent,
 	// and the ALM workspace makes repeated Step calls allocation-free in
-	// the solver hot path. prevBuf backs prev across slots, userTot is the
-	// repair scratch, and thetaBuf/rhoBuf/nuBuf back the per-slot dual
-	// records, so steady-state Step allocates only the decision it returns.
-	cons     []alm.Constraint
-	groups   *alm.Groups
-	lower    []float64
-	sparse   *sparseState
-	shrd     *shardState
+	// the solver hot path. obj is the identity-layout objective holding the
+	// slot's dense data; exactly one of single and shrd is the solve state.
+	// prevBuf backs prev across slots, userTot is the repair scratch, and
+	// thetaBuf/rhoBuf/nuBuf back the per-slot dual records, so steady-state
+	// Step allocates only the decision it returns.
 	obj      *p2Objective
+	single   *singleState
+	shrd     *shardState
 	prob     alm.Problem
 	ws       alm.Workspace
 	prevBuf  []float64
@@ -324,132 +335,47 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	o.obj.bind(in, t, o.prev)
 
 	solveStart := time.Now()
-	var statsBefore SparseStats
-	if o.sparse != nil {
-		statsBefore = o.sparse.stats
-	}
-	var shardBefore ShardStats
+	var xSrc, duals []float64
+	var diag StepDiag
+	var err error
 	if o.shrd != nil {
-		shardBefore = o.shrd.stats
-	}
-	var res *alm.Result
-	var xSrc []float64
-	if o.shrd != nil {
-		r, xd, err := o.solveShard(ctx, t)
-		if err != nil {
-			return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
-		}
-		res, xSrc = r, xd
-	} else if o.sparse != nil {
-		r, xd, err := o.solveSparse(ctx, t)
-		if err != nil {
-			return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
-		}
-		res, xSrc = r, xd
+		xSrc, duals, diag, err = o.solveShard(ctx, t)
 	} else {
-		o.prob = alm.Problem{
-			Obj:    o.obj,
-			N:      in.I * in.J,
-			Lower:  o.lower,
-			Cons:   o.cons,
-			Groups: o.groups,
-		}
-		sopts := o.opts.Solver
-		sopts.Workspace = &o.ws
-		sopts.Ctx = ctx
-		sopts.WarmX = o.prev.X
-		if t == 0 && allZero(o.prev.X) {
-			// From the formal model's x_{·,·,0} = 0 every complement-capacity
-			// row starts violated by the full Λ−C_i, and the penalty pushes
-			// the entire allocation upward before the demand duals settle,
-			// which can leave an over-allocated (capacity-violating) point.
-			// Starting from any demand-tight feasible point — the slot's
-			// static-cost transportation optimum — avoids that regime
-			// entirely; Theorem 1 then keeps every later slot feasible.
-			if warm, err := feasibleWarmStart(in, t); err == nil {
-				sopts.WarmX = warm
-			}
-		}
-		if o.warmDuals != nil {
-			sopts.WarmDuals = o.warmDuals
-		}
-		r, err := alm.Solve(&o.prob, sopts)
-		if err != nil {
-			return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
-		}
-		res, xSrc = r, r.X
+		xSrc, duals, diag, err = o.solveSingle(ctx, t)
 	}
+	if err != nil {
+		return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
+	}
+	diag.Slot, diag.Seconds = t, time.Since(solveStart).Seconds()
 
-	solveSeconds := time.Since(solveStart).Seconds()
-
-	// res.X/res.Duals alias the workspace (and the sparse path's dense
-	// scatter aliases its scratch); copy the decision out before the next
-	// Step overwrites them.
+	// xSrc and duals alias solver scratch; copy the decision out before
+	// the next Step overwrites them.
 	x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), xSrc...)}
 	repair(in, x, o.userTot)
 
 	copy(o.prevBuf, x.X)
 	if o.dualsBuf == nil {
-		o.dualsBuf = make([]float64, len(res.Duals))
+		o.dualsBuf = make([]float64, len(duals))
 	}
-	copy(o.dualsBuf, res.Duals)
+	copy(o.dualsBuf, duals)
 	o.warmDuals = o.dualsBuf
 	o.schedule = append(o.schedule, x)
 	theta := o.thetaBuf[t*in.J : (t+1)*in.J]
-	copy(theta, res.Duals[:in.J])
+	copy(theta, duals[:in.J])
 	rho := o.rhoBuf[t*in.I : (t+1)*in.I]
-	copy(rho, res.Duals[in.J:in.J+in.I])
+	copy(rho, duals[in.J:in.J+in.I])
 	nu := o.nuBuf[t*in.I : (t+1)*in.I]
-	copy(nu, res.Duals[in.J+in.I:in.J+2*in.I])
+	copy(nu, duals[in.J+in.I:in.J+2*in.I])
 	o.thetas = append(o.thetas, theta)
 	o.rhos = append(o.rhos, rho)
 	o.nus = append(o.nus, nu)
 
-	o.lastDiag = StepDiag{
-		Slot:      t,
-		Seconds:   solveSeconds,
-		Outer:     res.Outer,
-		Inner:     res.InnerIters,
-		Converged: res.Converged,
-	}
-	switch {
-	case o.shrd != nil:
-		d := &o.lastDiag
-		s := o.shrd.stats
-		d.CandRounds = s.Rounds - shardBefore.Rounds
-		d.CandExpanded = s.Expanded - shardBefore.Expanded
-		d.CandNNZ = s.FinalNNZ
-		d.ShardIters = s.CoordIters - shardBefore.CoordIters
-		d.ShardResidual = s.MaxResidual
-		d.ShardMaxSeconds = s.MaxSeconds
-		d.FrozenUsers = s.Frozen - shardBefore.Frozen
-		d.ReadmittedUsers = s.Readmitted - shardBefore.Readmitted
-		for _, b := range o.shrd.blocks {
-			h, m := b.obj.logCacheTotals()
-			d.LogCacheHits += h
-			d.LogCacheMisses += m
-		}
-	case o.sparse != nil:
-		d := &o.lastDiag
-		s := o.sparse.stats
-		// The sparse result reports the final round only; the stats deltas
-		// cover every expansion round of the slot.
-		d.Outer = s.OuterIters - statsBefore.OuterIters
-		d.Inner = s.InnerIters - statsBefore.InnerIters
-		d.CandRounds = s.Rounds - statsBefore.Rounds
-		d.CandExpanded = s.Expanded - statsBefore.Expanded
-		d.CandNNZ = s.FinalNNZ
-		d.FrozenUsers = s.Frozen - statsBefore.Frozen
-		d.ReadmittedUsers = s.Readmitted - statsBefore.Readmitted
-		d.LogCacheHits, d.LogCacheMisses = o.sparse.obj.logCacheTotals()
-	default:
-		o.lastDiag.LogCacheHits, o.lastDiag.LogCacheMisses = o.obj.logCacheTotals()
-	}
+	o.lastDiag = diag
 	if m := o.opts.Metrics; m != nil {
-		d := o.lastDiag
+		d := &o.lastDiag
 		m.ObserveStep(d.Seconds, d.Outer, d.Inner, d.Converged)
 		m.ObserveLogCache(d.LogCacheHits, d.LogCacheMisses)
-		if o.sparse != nil || o.shrd != nil {
+		if o.opts.Candidates > 0 || o.opts.Incremental || o.shrd != nil {
 			m.ObserveCandidates(d.CandRounds, d.CandExpanded, d.CandNNZ)
 		}
 		if o.shrd != nil {
@@ -479,22 +405,12 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	if o.obj != nil {
 		return
 	}
-	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2)
+	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
 	o.obj.workers = o.opts.Solver.Workers
-	if o.opts.FastMath {
-		o.obj.enableFast(o.opts.FastMathF32)
-	}
-	switch {
-	case o.opts.Shards > 0:
+	if o.opts.Shards > 0 {
 		o.initShard(in)
-	case o.opts.Candidates > 0 || o.opts.Incremental:
-		o.initSparse(in)
-	case o.opts.DenseRows:
-		o.cons = p2Constraints(in, 0)
-		o.lower = make([]float64, in.I*in.J)
-	default:
-		o.groups = p2Groups(in)
-		o.lower = make([]float64, in.I*in.J)
+	} else {
+		o.initSingle(in)
 	}
 	o.prevBuf = make([]float64, in.I*in.J)
 	copy(o.prevBuf, o.prev.X)
@@ -556,8 +472,7 @@ func (o *OnlineApprox) Schedule() model.Schedule { return o.schedule }
 // instances; see DESIGN.md). The explicit rows restore the evidently
 // intended feasibility; where the paper's claim does hold they bind only
 // where the complement rows bind and change nothing.
-func p2Constraints(in *model.Instance, t int) []alm.Constraint {
-	_ = t // constraint geometry is slot-independent; kept for clarity
+func p2Constraints(in *model.Instance) []alm.Constraint {
 	nI, nJ := in.I, in.J
 	cons := make([]alm.Constraint, 0, nJ+2*nI)
 	for j := 0; j < nJ; j++ {
@@ -600,284 +515,6 @@ func p2Constraints(in *model.Instance, t int) []alm.Constraint {
 	return cons
 }
 
-// p2Groups builds the same rows as p2Constraints in structured group-sum
-// form: demand rows are per-user column sums, the complement rows are the
-// grid total minus one cloud's row sum, and the capacity rows are negated
-// cloud row sums. Row order (demand, complement, capacity) matches
-// p2Constraints exactly, so the dual layout consumed by the certificate
-// (θ' then ρ' then ν') is unchanged.
-func p2Groups(in *model.Instance) *alm.Groups {
-	nI, nJ := in.I, in.J
-	rows := make([]alm.GroupRow, 0, nJ+2*nI)
-	for j := 0; j < nJ; j++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
-	}
-	lambda := in.TotalWorkload()
-	for i := 0; i < nI; i++ {
-		rhs := lambda - in.Capacity[i]
-		if rhs < 0 {
-			rhs = 0
-		}
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupComplement, Index: i, RHS: rhs})
-	}
-	for i := 0; i < nI; i++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -in.Capacity[i]})
-	}
-	return &alm.Groups{I: nI, J: nJ, Blocks: 1, Rows: rows}
-}
-
-// evalParGrain is the minimum number of variables per worker before
-// p2Objective.Eval goes parallel; tests shrink it to exercise the
-// parallel path on small instances. The objective costs several
-// transcendental calls per variable (log for the entropy terms, exp
-// inside the softplus), so a few thousand variables already amortize a
-// goroutine handoff.
-var evalParGrain = 4096
-
-// p2Objective evaluates P2's objective and gradient. Rows (clouds) are
-// independent, so Eval blocks them over a bounded worker pool when
-// workers > 1 and the instance is large enough; per-row partial values
-// land in rowF and reduce in row order, keeping the result byte-identical
-// for any worker count.
-type p2Objective struct {
-	nI, nJ  int
-	coef    []float64 // weighted static coefficients (I×J)
-	prev    []float64 // x'_{ij}
-	prevTot []float64 // X'_i
-	rcFac   []float64 // wRc·c_i/η_i per cloud
-	mgFac   []float64 // wMg·b_i/τ_ij per (i,j)
-	eps1    float64
-	eps2    float64
-	workers int
-
-	rowF []float64 // per-cloud partial objective values
-
-	// hitRow/missRow count per-cloud log-cache outcomes; per-row slots
-	// keep the counting race-free and deterministic under the parallel
-	// evaluation path, exactly like rowF. bind resets them each slot.
-	hitRow  []int64
-	missRow []int64
-
-	// Fast-math tier (Options.FastMath): fast selects the batch-kernel
-	// evaluation path, invDen holds the per-slot reciprocals
-	// 1/(x'_{ij}+ε₂) and ratio is the row-sliced log scratch. The *32
-	// pair replaces invDen/ratio under Options.FastMathF32. The exact
-	// path leaves all of these nil.
-	fast     bool
-	invDen   []float64
-	ratio    []float64
-	invDen32 []float32
-	ratio32  []float32
-
-	// lastNum/lastLg2 memoize the migration-term log per variable: the
-	// solver evaluates the objective thousands of times per slot, and late
-	// in a solve most entries are static across evaluations (converged, or
-	// clipped at the zero bound while x'_{ij} ≠ 0), so their log argument
-	// repeats exactly. The cache stores the argument and the math.Log
-	// result it produced, making reuse bitwise identical to recomputation;
-	// bind invalidates it (the denominator changes with x'). Each entry is
-	// only touched by the evaluation of its own cloud row, so the parallel
-	// path stays race-free and deterministic.
-	lastNum []float64
-	lastLg2 []float64
-}
-
-var _ fista.Objective = (*p2Objective)(nil)
-
-// newP2ObjectiveConst computes the slot-independent constants of P2's
-// objective — the entropy scale factors η_i and τ_ij of the paper — once
-// per (instance, ε) pair. bind attaches the per-slot state.
-func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64) *p2Objective {
-	o := &p2Objective{
-		nI:      in.I,
-		nJ:      in.J,
-		coef:    make([]float64, in.I*in.J),
-		prevTot: make([]float64, in.I),
-		rcFac:   make([]float64, in.I),
-		mgFac:   make([]float64, in.I*in.J),
-		eps1:    eps1,
-		eps2:    eps2,
-		rowF:    make([]float64, in.I),
-		hitRow:  make([]int64, in.I),
-		missRow: make([]int64, in.I),
-		lastNum: make([]float64, in.I*in.J),
-		lastLg2: make([]float64, in.I*in.J),
-	}
-	for i := 0; i < in.I; i++ {
-		eta := math.Log1p(in.Capacity[i] / eps1)
-		o.rcFac[i] = in.WRc * in.ReconfPrice[i] / eta
-		b := in.WMg * (in.MigOutPrice[i] + in.MigInPrice[i])
-		for j := 0; j < in.J; j++ {
-			tau := math.Log1p(in.Workload[j] / eps2)
-			o.mgFac[i*in.J+j] = b / tau
-		}
-	}
-	return o
-}
-
-// enableFast switches the objective onto the batch-kernel path
-// (Options.FastMath), allocating the reciprocal and ratio scratch in the
-// requested storage width. Call before the first bind.
-func (o *p2Objective) enableFast(f32 bool) {
-	o.fast = true
-	if f32 {
-		o.invDen32 = make([]float32, o.nI*o.nJ)
-		o.ratio32 = make([]float32, o.nI*o.nJ)
-		return
-	}
-	o.invDen = make([]float64, o.nI*o.nJ)
-	o.ratio = make([]float64, o.nI*o.nJ)
-}
-
-// bind points the objective at slot t's prices and the previous decision,
-// reusing the cached buffers.
-func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
-	in.StaticCoeffInto(t, o.coef)
-	o.prev = prev.X
-	prev.CloudTotalsInto(o.prevTot)
-	if o.fast {
-		// The fast path divides once per slot here instead of once per
-		// element per evaluation; the memo cache is unused.
-		if o.invDen32 != nil {
-			entropyInvDen32(o.invDen32, o.prev, o.eps2)
-		} else {
-			entropyInvDen(o.invDen, o.prev, o.eps2)
-		}
-	} else {
-		for k := range o.lastNum {
-			o.lastNum[k] = math.NaN() // never equal: invalidate the log cache
-		}
-	}
-	for i := range o.hitRow {
-		o.hitRow[i] = 0
-		o.missRow[i] = 0
-	}
-}
-
-// logCacheTotals sums the per-row cache counters accumulated since the
-// last bind.
-func (o *p2Objective) logCacheTotals() (hits, misses int64) {
-	for i := range o.hitRow {
-		hits += o.hitRow[i]
-		misses += o.missRow[i]
-	}
-	return hits, misses
-}
-
-func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 float64) *p2Objective {
-	o := newP2ObjectiveConst(in, eps1, eps2)
-	o.bind(in, t, prev)
-	return o
-}
-
-// Eval implements fista.Objective.
-func (o *p2Objective) Eval(x, grad []float64) float64 {
-	if w := par.Bound(o.workers, o.nI*o.nJ, evalParGrain); w <= 1 {
-		// Closure-free serial path: Eval runs thousands of times per
-		// Step, and a closure handed to par.Ranges escapes (it may be
-		// launched on goroutines), costing one heap allocation per call.
-		o.evalRows(x, grad, 0, o.nI)
-	} else {
-		par.Ranges(w, o.nI, func(lo, hi int) { o.evalRows(x, grad, lo, hi) })
-	}
-	f := 0.0
-	for _, v := range o.rowF {
-		f += v
-	}
-	return f
-}
-
-// evalRows evaluates cloud rows [lo, hi) into rowF.
-func (o *p2Objective) evalRows(x, grad []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		o.rowF[i] = o.evalRow(i, x, grad)
-	}
-}
-
-// evalRow computes cloud i's slice of the objective and gradient: the
-// reconfiguration regularizer on the cloud total plus the static and
-// migration terms of the row's (i, j) pairs. Rows touch disjoint state.
-// The element loop is duplicated for the gradient and value-only cases
-// (FISTA's backtracking trials are value-only) so neither pays the other's
-// per-element branch, with the row slices hoisted for bounds-check
-// elimination.
-func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
-	if o.fast {
-		return o.evalRowFast(i, x, grad)
-	}
-	base := i * o.nJ
-	row := x[base : base+o.nJ]
-	coef := o.coef[base : base+o.nJ]
-	prev := o.prev[base : base+o.nJ]
-	mgFac := o.mgFac[base : base+o.nJ]
-	// Migration regularizer per (cloud, user). Most variables sit where
-	// the iterate equals the previous decision (typically both at the zero
-	// bound: a user is served by few clouds), making the ratio exactly 1
-	// and the log exactly 0 — skipping the division and math.Log there is
-	// bitwise identical and removes the transcendental cost from the
-	// (i, j) pairs that carry no flow. The term-by-term loops live in
-	// entropy.go, shared with the packed candidate-set path.
-	lastNum := o.lastNum[base : base+o.nJ]
-	lastLg2 := o.lastLg2[base : base+o.nJ]
-	if grad == nil {
-		// Value-only evaluation (a FISTA backtracking trial): the cloud
-		// total feeds only the reconfiguration term, so it is accumulated
-		// alongside the element terms in a single pass and the
-		// reconfiguration regularizer is added at the end.
-		s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
-		o.hitRow[i] += hits
-		o.missRow[i] += misses
-		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-		return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-	}
-	s := 0.0
-	for _, v := range row {
-		s += v
-	}
-	// Reconfiguration regularizer on the cloud total.
-	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-	f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-	f, hits, misses := entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2,
-		grad[base:base+o.nJ], o.eps2, f, o.rcFac[i]*lg)
-	o.hitRow[i] += hits
-	o.missRow[i] += misses
-	return f
-}
-
-// evalRowFast is evalRow on the batch-kernel tier (Options.FastMath):
-// one fused sum+gather pass, one in-place batch log over the row, one
-// accumulation pass. See entropy.go for the tier's accuracy contract.
-func (o *p2Objective) evalRowFast(i int, x, grad []float64) float64 {
-	base := i * o.nJ
-	row := x[base : base+o.nJ]
-	coef := o.coef[base : base+o.nJ]
-	mgFac := o.mgFac[base : base+o.nJ]
-	if o.ratio32 != nil {
-		ratio := o.ratio32[base : base+o.nJ]
-		s := entropyRatioPass32(row, o.invDen32[base:base+o.nJ], ratio, o.eps2)
-		logBatch32(ratio, ratio)
-		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-		if grad == nil {
-			f := entropyFastValue32(row, coef, mgFac, ratio, o.eps2)
-			return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-		}
-		f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-		return entropyFastGrad32(row, coef, mgFac, ratio,
-			grad[base:base+o.nJ], o.eps2, f, o.rcFac[i]*lg)
-	}
-	ratio := o.ratio[base : base+o.nJ]
-	s := entropyRatioPass(row, o.invDen[base:base+o.nJ], ratio, o.eps2)
-	logBatch(ratio, ratio)
-	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-	if grad == nil {
-		f := entropyFastValue(row, coef, mgFac, ratio, o.eps2)
-		return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-	}
-	f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-	return entropyFastGrad(row, coef, mgFac, ratio,
-		grad[base:base+o.nJ], o.eps2, f, o.rcFac[i]*lg)
-}
-
 // repair clips negative round-off and tops up any marginally under-served
 // user on its attached cloud so that downstream feasibility checks with
 // tight tolerances pass. The adjustments are on the order of the solver
@@ -914,6 +551,23 @@ func allZero(v []float64) bool {
 		}
 	}
 	return true
+}
+
+// warmPoint returns the dense point slot t's solve starts from: the
+// previous decision, except from the formal model's x_{·,·,0} = 0. There
+// every complement-capacity row starts violated by the full Λ−C_i, and
+// the penalty pushes the entire allocation upward before the demand duals
+// settle, which can leave an over-allocated (capacity-violating) point.
+// Starting from any demand-tight feasible point — the slot's static-cost
+// transportation optimum — avoids that regime entirely; Theorem 1 then
+// keeps every later slot feasible.
+func (o *OnlineApprox) warmPoint(t int) []float64 {
+	if t == 0 && allZero(o.prev.X) {
+		if warm, err := feasibleWarmStart(o.inst, t); err == nil {
+			return warm
+		}
+	}
+	return o.prev.X
 }
 
 // feasibleWarmStart returns the slot's static-cost transportation optimum,

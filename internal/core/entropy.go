@@ -6,11 +6,10 @@ import (
 	"edgealloc/internal/numkernel"
 )
 
-// This file holds the per-row entropy kernels shared by the dense
-// (p2Objective) and candidate-set (p2SparseObjective) evaluation paths.
-// Both objectives slice their state down to flat per-cloud-row views, so
-// one set of helpers serves the contiguous I×J layout and the packed CSR
-// layout alike, and the fast-math tier has a single integration point.
+// This file holds the per-row entropy kernels of p2Objective.evalRow, its
+// only caller. The objective slices its packed state down to flat
+// per-cloud-row views, so the loops here know nothing of layouts, and the
+// fast-math tier has a single integration point.
 //
 // Two tiers:
 //
@@ -26,7 +25,7 @@ import (
 //     replaces the per-element divide, log call, and memo-cache traffic
 //     with two branch-free passes around one batch log: pass one fuses
 //     the row sum with gathering ratio[k] = (x_k+ε₂)·invDen[k] (invDen
-//     precomputed once per slot from the fixed x'), the batch kernel
+//     precomputed by p2Objective.prepare from the fixed x'), the batch kernel
 //     logs the whole row in place, and pass two accumulates the
 //     objective (and gradient) from the logs. Each operation is within
 //     1e-12 relative of the exact tier; end-to-end cost agreement is
@@ -156,24 +155,7 @@ func entropyFastGrad32(row, coef, mgFac []float64, lg2 []float32, g []float64, e
 	return f
 }
 
-// entropyInvDen fills invDen[j] = 1/(prev[j]+ε₂), the per-slot constant
-// the fast tier's ratio pass multiplies by instead of dividing per
-// element per evaluation.
-func entropyInvDen(invDen, prev []float64, eps2 float64) {
-	for j, p := range prev {
-		invDen[j] = 1 / (p + eps2)
-	}
-}
-
-// entropyInvDen32 is entropyInvDen for the float32 storage tier (the
-// division stays in float64; only the store narrows).
-func entropyInvDen32(invDen []float32, prev []float64, eps2 float64) {
-	for j, p := range prev {
-		invDen[j] = float32(1 / (p + eps2))
-	}
-}
-
-// logBatch and logBatch32 re-export the kernels so the objective files
-// depend on this single integration point.
+// logBatch and logBatch32 re-export the kernels so the objective depends
+// on this single integration point.
 func logBatch(dst, src []float64)   { numkernel.LogBatch(dst, src) }
 func logBatch32(dst, src []float32) { numkernel.LogBatch32(dst, src) }

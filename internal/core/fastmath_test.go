@@ -9,6 +9,14 @@ import (
 	"edgealloc/internal/telemetry"
 )
 
+// allTiersFastOpts is the full tier product at certification budgets:
+// two shards, candidate sets, the incremental gate at 1e-9, fast-math.
+func allTiersFastOpts() Options {
+	o := shardTestOpts(2)
+	o.Candidates, o.Incremental, o.IncrementalTol, o.FastMath = 2, true, 1e-9, true
+	return o
+}
+
 // TestFastMathMatchesExactSmallInstances is the cost-agreement property
 // of the batch-kernel tier: on random small instances solved ultra-tight,
 // the FastMath schedule must match the exact schedule's P2 objective to
@@ -19,20 +27,32 @@ import (
 // term dominant.
 func TestFastMathMatchesExactSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
+	// The incremental rows pin against the dense exact solve, like the
+	// incremental tier's own property tests; the sharded row runs the
+	// whole tier product, on the first trials only (its ultra-tight
+	// coordination costs seconds per instance).
+	rows := []struct {
+		name     string
+		trials   int
+		ref, alt Options
+	}{
+		{"dense", 8, Options{Solver: ultraTightOpts()}, Options{Solver: ultraTightOpts(), FastMath: true}},
+		{"candidate", 8, Options{Solver: ultraTightOpts(), Candidates: 2},
+			Options{Solver: ultraTightOpts(), Candidates: 2, FastMath: true}},
+		{"candidate+incremental", 8, Options{Solver: ultraTightOpts()},
+			Options{Solver: ultraTightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true}},
+		{"shard+candidate+incremental", 2, Options{Solver: ultraTightOpts()}, allTiersFastOpts()},
+	}
 	for trial := 0; trial < 8; trial++ {
 		in := smallRandomInstance(rng)
-		ref := Options{Solver: ultraTightOpts()}
-		fast := Options{Solver: ultraTightOpts(), FastMath: true}
-		for s, gap := range coupledPathGaps(t, in, ref, fast) {
-			if gap > 1e-8 {
-				t.Errorf("trial %d slot %d: dense fastmath gap %.3e > 1e-8", trial, s, gap)
+		for _, row := range rows {
+			if trial >= row.trials {
+				continue
 			}
-		}
-		refC := Options{Solver: ultraTightOpts(), Candidates: 2}
-		fastC := Options{Solver: ultraTightOpts(), Candidates: 2, FastMath: true}
-		for s, gap := range coupledPathGaps(t, in, refC, fastC) {
-			if gap > 1e-8 {
-				t.Errorf("trial %d slot %d: candidate fastmath gap %.3e > 1e-8", trial, s, gap)
+			for s, gap := range coupledPathGaps(t, in, row.ref, row.alt) {
+				if gap > 1e-8 {
+					t.Errorf("trial %d slot %d: %s fastmath gap %.3e > 1e-8", trial, s, row.name, gap)
+				}
 			}
 		}
 	}
@@ -45,20 +65,23 @@ func TestFastMathMatchesExactSmallInstances(t *testing.T) {
 // cost stays well inside 1e-5.
 func TestFastMathF32MatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
+	rows := []struct {
+		name     string
+		ref, alt Options
+	}{
+		{"dense", Options{Solver: ultraTightOpts()}, Options{Solver: ultraTightOpts(), FastMathF32: true}},
+		{"candidate", Options{Solver: ultraTightOpts(), Candidates: 2},
+			Options{Solver: ultraTightOpts(), Candidates: 2, FastMathF32: true}},
+		{"candidate+incremental", Options{Solver: ultraTightOpts()},
+			Options{Solver: ultraTightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMathF32: true}},
+	}
 	for trial := 0; trial < 6; trial++ {
 		in := smallRandomInstance(rng)
-		ref := Options{Solver: ultraTightOpts()}
-		fast := Options{Solver: ultraTightOpts(), FastMathF32: true}
-		for s, gap := range coupledPathGaps(t, in, ref, fast) {
-			if gap > 1e-5 {
-				t.Errorf("trial %d slot %d: dense f32 gap %.3e > 1e-5", trial, s, gap)
-			}
-		}
-		refC := Options{Solver: ultraTightOpts(), Candidates: 2}
-		fastC := Options{Solver: ultraTightOpts(), Candidates: 2, FastMathF32: true}
-		for s, gap := range coupledPathGaps(t, in, refC, fastC) {
-			if gap > 1e-5 {
-				t.Errorf("trial %d slot %d: candidate f32 gap %.3e > 1e-5", trial, s, gap)
+		for _, row := range rows {
+			for s, gap := range coupledPathGaps(t, in, row.ref, row.alt) {
+				if gap > 1e-5 {
+					t.Errorf("trial %d slot %d: %s f32 gap %.3e > 1e-5", trial, s, row.name, gap)
+				}
 			}
 		}
 	}
@@ -73,6 +96,12 @@ func TestFastMathConformance(t *testing.T) {
 		{Solver: tightOpts(), FastMath: true},
 		{Solver: tightOpts(), Candidates: 2, FastMath: true},
 		{Solver: tightOpts(), FastMathF32: true},
+		{Solver: tightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true},
+		{Solver: tightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMathF32: true},
+		// The whole tier product, at the table's solver budget and a
+		// coordination budget that converges on this instance.
+		{Solver: tightOpts(), Shards: 2, ShardMaxIters: 100, ShardPrimalTol: 1e-8, ShardDualTol: 1e-7,
+			Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true},
 	} {
 		in := conform.GenInstance(conform.GenConfig{Seed: 11, I: 4, J: 6, T: 4})
 		alg := NewOnlineApprox(in, opts)
@@ -93,7 +122,8 @@ func TestFastMathConformance(t *testing.T) {
 			RatioBound:     alg.CompetitiveRatioBound(),
 		}
 		if rep := conform.Check(in, sched, diag, conform.Options{}); !rep.OK() {
-			t.Fatalf("candidates=%d f32=%v: %v", opts.Candidates, opts.FastMathF32, rep.Err())
+			t.Fatalf("candidates=%d incremental=%v shards=%d f32=%v: %v",
+				opts.Candidates, opts.Incremental, opts.Shards, opts.FastMathF32, rep.Err())
 		}
 	}
 }

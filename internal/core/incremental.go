@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 
 	"edgealloc/internal/model"
@@ -29,7 +28,7 @@ import (
 //     program (sparse.go) with the frozen flow folded into the
 //     constants: each cloud's complement/capacity RHS drops by the flow
 //     its frozen users carry, and the reconfiguration regularizer sees
-//     X_i = A_i + F_i through p2SparseObjective.totOff, where A_i is
+//     X_i = A_i + F_i through p2Objective.totOff, where A_i is
 //     the active (variable) part and F_i the frozen offset. Frozen
 //     demand rows are exactly satisfied by construction (x' is
 //     post-repair), so they leave the program entirely and the dual
@@ -64,381 +63,122 @@ import (
 // chain is intact.
 // Only optimality rests on the gate, degrading gracefully with
 // IncrementalTol exactly as pricing does with CandidateTol.
-type incrState struct {
-	lambda float64 // Λ = Σ_j λ_j, for the complement-row RHS
+//
+// All of this is data for the one solve loop in sparse.go: the active
+// mask, the frozen per-cloud flow, and the rows below.
 
-	active  []bool // user j re-solves this slot
-	actList []int  // ascending active users; demand row p is actList[p]
-
-	frozenTot []float64 // F_i: per-cloud flow carried by frozen users
-	base      []float64 // per-cloud gradient term shared by gate and pricing
-
-	rows   []alm.GroupRow // reduced rows: active demand + complement + capacity
-	groups alm.Groups
-
-	// Committed warm duals of the last successful slot, and the working
-	// copies a slot mutates. Committing only on success keeps a cancelled
-	// Step retryable, like the sharded path's thetaWarm protocol.
-	haveWarm  bool
-	thetaFull []float64 // per-user demand duals (J)
-	thetaWork []float64
-	rhoNu     []float64 // [ρ | ν] (2I)
-	rhoNuWork []float64
-	warmDuals []float64 // reduced-layout gather scratch
-
-	duals []float64 // assembled full [θ | ρ | ν] returned to Step
-	res   alm.Result
-}
-
-func newIncrState(in *model.Instance) *incrState {
-	ic := &incrState{
-		lambda:    in.TotalWorkload(),
-		active:    make([]bool, in.J),
-		actList:   make([]int, 0, in.J),
-		frozenTot: make([]float64, in.I),
-		base:      make([]float64, in.I),
-		rows:      make([]alm.GroupRow, 0, in.J+2*in.I),
-		thetaFull: make([]float64, in.J),
-		thetaWork: make([]float64, in.J),
-		rhoNu:     make([]float64, 2*in.I),
-		rhoNuWork: make([]float64, 2*in.I),
-		duals:     make([]float64, in.J+2*in.I),
-	}
-	ic.groups = alm.Groups{I: in.I, J: in.J, Blocks: 1}
-	return ic
-}
-
-// solveIncremental runs slot t's delta-driven solve: detect the per-user
-// delta, solve the active users' reduced program, and gate every frozen
-// column, re-admitting violators until a round certifies. Result layout
-// and lifetime match solveSparse.
-func (o *OnlineApprox) solveIncremental(ctx context.Context, t int) (*alm.Result, []float64, error) {
-	in, s := o.inst, o.sparse
-	ic := s.incr
+// buildRows recomputes the active list, the frozen per-cloud flow (from
+// the carried decision prev), and P2's structured rows from the current
+// activity flags: demand Σ_i x_ij ≥ λ_j for every active user, the
+// paper's complement-capacity rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ for
+// every cloud, and the explicit capacity rows Σ_j x_ij ≤ C_i (see
+// p2Constraints, whose row order this mirrors: the dual layout is θ' then
+// ρ' then ν', with frozen demand rows deleted). Frozen flow moves to the
+// right-hand sides; with everyone active they are p2Constraints' exactly.
+func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	nI, nJ := in.I, in.J
-
-	for j := 0; j < nJ; j++ {
-		ic.active[j] = t == 0 || !ic.haveWarm || in.Attach[t][j] != in.Attach[t-1][j]
-	}
-
-	warmDense := o.prev.X
-	if t == 0 && allZero(o.prev.X) {
-		if warm, err := feasibleWarmStart(in, t); err == nil {
-			warmDense = warm
+	s.actList = s.actList[:0]
+	for j, a := range s.active {
+		if a {
+			s.actList = append(s.actList, j)
 		}
 	}
-
-	// Seed the active users' candidate sets: nearest clouds plus the warm
-	// point's support (frozen users have no variables, so AddSupport's
-	// dense sweep is replaced by an active-only scan).
-	s.builder.Reset()
-	for j := 0; j < nJ; j++ {
-		if ic.active[j] {
-			s.builder.AddUserSet(j, s.nearest[in.Attach[t][j]])
-		}
-	}
-	for i := 0; i < nI; i++ {
-		base := i * nJ
-		for j := 0; j < nJ; j++ {
-			if ic.active[j] && warmDense[base+j] != 0 {
-				s.builder.Add(i, j)
-			}
-		}
-	}
-	s.builder.Build(&s.cand)
-	ic.rebuildRows(in, o.prev.X)
-
-	for i := range s.obj.hitRow {
-		s.obj.hitRow[i] = 0
-		s.obj.missRow[i] = 0
-	}
-	copy(ic.thetaWork, ic.thetaFull)
-	copy(ic.rhoNuWork, ic.rhoNu)
-
-	sopts := o.opts.Solver
-	sopts.Workspace = &o.ws
-	sopts.Ctx = ctx
-
-	readmittedSlot := 0
-	var res *alm.Result
-	for {
-		nAct := len(ic.actList)
-		nnz := s.cand.NNZ()
-		if nAct > 0 {
-			s.stats.Rounds++
-			o.bindSparse(warmDense)
-			s.obj.totOff = nil
-			if nAct < nJ {
-				s.obj.totOff = ic.frozenTot
-			}
-			ic.groups.RowPtr, ic.groups.Cols = s.cand.RowPtr, s.cand.Cols
-			o.prob = alm.Problem{
-				Obj:    s.obj,
-				N:      nnz,
-				Lower:  s.lower[:nnz],
-				Groups: &ic.groups,
-			}
-			sopts.WarmX = s.warm[:nnz]
-			sopts.WarmDuals = nil
-			if ic.haveWarm {
-				sopts.WarmDuals = ic.gatherWarmDuals(nI)
-			}
-			r, err := alm.Solve(&o.prob, sopts)
-			if err != nil {
-				s.obj.totOff = nil
-				return nil, nil, err
-			}
-			res = r
-			s.stats.InnerIters += r.InnerIters
-			s.stats.OuterIters += r.Outer
-			for p, j := range ic.actList {
-				ic.thetaWork[j] = r.Duals[p]
-			}
-			copy(ic.rhoNuWork, r.Duals[nAct:nAct+2*nI])
-			// Dense image: frozen columns carry the previous decision —
-			// active users' off-candidate entries were zero there — and
-			// the candidate entries take the packed solution.
-			copy(s.xDense, o.prev.X)
-			for i := 0; i < nI; i++ {
-				base := i * nJ
-				for k := s.cand.RowPtr[i]; k < s.cand.RowPtr[i+1]; k++ {
-					s.xDense[base+s.cand.Cols[k]] = r.X[k]
-				}
-			}
-		} else {
-			// Every user is frozen: there is no program to solve. Gate the
-			// carried decision at the committed prices; any violation
-			// re-enters the loop with a nonempty active set.
-			res = nil
-			copy(s.xDense, o.prev.X)
-		}
-		rho := ic.rhoNuWork[:nI]
-		nu := ic.rhoNuWork[nI : 2*nI]
-
-		eps1 := o.opts.Epsilon1
-		for i := 0; i < nI; i++ {
-			tot := ic.frozenTot[i]
-			if res != nil {
-				for _, v := range res.X[s.cand.RowPtr[i]:s.cand.RowPtr[i+1]] {
-					tot += v
-				}
-			}
-			s.rcln[i] = o.obj.rcFac[i] * math.Log((tot+eps1)/(o.obj.prevTot[i]+eps1))
-		}
-		rhoSum := 0.0
-		for _, v := range rho {
-			rhoSum += v
-		}
-		for i := 0; i < nI; i++ {
-			ic.base[i] = s.rcln[i] - (rhoSum - rho[i]) + nu[i]
-		}
-
-		added := o.priceActive()
-		readmitted := 0
-		if nAct < nJ {
-			// The gate runs on the duals the solve produced whether or not
-			// the bounded budget flagged convergence — the same stance the
-			// pricing pass takes with CandidateTol: under a deployment
-			// budget the duals carry penalty-scaled noise and the relative
-			// tolerance is what absorbs it, while under the converged
-			// budgets of the property tests the gate is exact. Re-admitting
-			// the world on a budget-capped solve would turn every slot into
-			// a full re-solve and defeat the tier.
-			readmitted = o.gateFrozen(t)
-		}
-		if added == 0 && readmitted == 0 {
-			s.stats.Slots++
-			s.stats.FinalNNZ = nnz
-			s.stats.Frozen += nJ - nAct
-			s.stats.Readmitted += readmittedSlot
-			break
-		}
-		s.stats.Expanded += added
-		readmittedSlot += readmitted
-		if readmitted > 0 {
-			ic.rebuildRows(in, o.prev.X)
-		}
-		s.builder.Build(&s.cand)
-		warmDense = s.xDense
-	}
-	s.obj.totOff = nil
-
-	// Commit the slot's duals as the next slot's warm start and assemble
-	// the full [θ | ρ | ν] layout the dual record, the certificate, and
-	// the conformance oracle consume. Frozen users carry the gate's
-	// θ_j = max(0, min_i g_ij), the embedded KKT multiplier.
-	copy(ic.thetaFull, ic.thetaWork)
-	copy(ic.rhoNu, ic.rhoNuWork)
-	ic.haveWarm = true
-	copy(ic.duals[:nJ], ic.thetaWork)
-	copy(ic.duals[nJ:], ic.rhoNuWork)
-	ic.res = alm.Result{Duals: ic.duals, Converged: true}
-	if res != nil {
-		ic.res.X = res.X
-		ic.res.Objective = res.Objective
-		ic.res.MaxViolation = res.MaxViolation
-		ic.res.Outer = res.Outer
-		ic.res.InnerIters = res.InnerIters
-		ic.res.Converged = res.Converged
-	}
-	return &ic.res, s.xDense, nil
-}
-
-// rebuildRows recomputes the active list, the frozen per-cloud flow, and
-// the reduced row set from the current activity flags. Row order (active
-// demand ascending, complement, capacity) mirrors p2Groups, so the
-// reduced dual layout is the full layout with frozen demand rows
-// deleted.
-func (ic *incrState) rebuildRows(in *model.Instance, prev []float64) {
-	nI, nJ := in.I, in.J
-	ic.actList = ic.actList[:0]
-	for j := 0; j < nJ; j++ {
-		if ic.active[j] {
-			ic.actList = append(ic.actList, j)
-		}
-	}
-	for i := 0; i < nI; i++ {
-		ic.frozenTot[i] = 0
-	}
-	if len(ic.actList) < nJ {
+	clear(s.frozenTot)
+	if len(s.actList) < nJ {
 		for i := 0; i < nI; i++ {
 			base := i * nJ
-			s := 0.0
+			f := 0.0
 			for j := 0; j < nJ; j++ {
-				if !ic.active[j] {
-					s += prev[base+j]
+				if !s.active[j] {
+					f += prev[base+j]
 				}
 			}
-			ic.frozenTot[i] = s
+			s.frozenTot[i] = f
 		}
 	}
-	ic.rows = ic.rows[:0]
-	for _, j := range ic.actList {
-		ic.rows = append(ic.rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
+	s.rows = s.rows[:0]
+	for _, j := range s.actList {
+		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
 	}
 	frozenSum := 0.0
-	for _, v := range ic.frozenTot {
+	for _, v := range s.frozenTot {
 		frozenSum += v
 	}
 	for i := 0; i < nI; i++ {
-		rhs := ic.lambda - in.Capacity[i]
+		rhs := s.lambda - in.Capacity[i]
 		if rhs < 0 {
 			rhs = 0
 		}
 		// Frozen flow on clouds k ≠ i already serves part of the
 		// complement requirement; a negative residual is a row that can
 		// never bind.
-		ic.rows = append(ic.rows, alm.GroupRow{Kind: alm.GroupComplement, Index: i,
-			RHS: rhs - (frozenSum - ic.frozenTot[i])})
+		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupComplement, Index: i,
+			RHS: rhs - (frozenSum - s.frozenTot[i])})
 	}
 	for i := 0; i < nI; i++ {
-		rhs := in.Capacity[i] - ic.frozenTot[i]
+		rhs := in.Capacity[i] - s.frozenTot[i]
 		if rhs < 0 {
 			// Carried round-off may graze C_i; never demand negative
 			// active flow.
 			rhs = 0
 		}
-		ic.rows = append(ic.rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -rhs})
+		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -rhs})
 	}
-	ic.groups.Rows = ic.rows
+	s.groups.Rows = s.rows
 }
 
-// gatherWarmDuals packs the working duals into the reduced layout
-// (active demand rows in actList order, then ρ, then ν).
-func (ic *incrState) gatherWarmDuals(nI int) []float64 {
-	n := len(ic.actList) + 2*nI
-	ic.warmDuals = growFloats(ic.warmDuals, n)
-	for p, j := range ic.actList {
-		ic.warmDuals[p] = ic.thetaWork[j]
-	}
-	copy(ic.warmDuals[len(ic.actList):n], ic.rhoNuWork)
-	return ic.warmDuals[:n]
-}
-
-// priceActive is the pricing pass of priceAndExpand restricted to the
-// active users (frozen users are certified by the gate instead, whose
-// test over all I clouds subsumes candidate bookkeeping for them).
-func (o *OnlineApprox) priceActive() int {
-	in, s := o.inst, o.sparse
-	ic := s.incr
-	nI, nJ := in.I, in.J
-	tol := o.opts.CandidateTol
-	added := 0
-	for i := 0; i < nI; i++ {
-		row := o.obj.coef[i*nJ : (i+1)*nJ]
-		base := ic.base[i]
-		for _, j := range ic.actList {
-			if s.builder.Contains(i, j) {
-				continue
-			}
-			c := row[j]
-			if c+base-ic.thetaWork[j] < -tol*(1+math.Abs(c)) {
-				s.builder.Add(i, j)
-				added++
-			}
-		}
-	}
-	return added
-}
-
-// gateFrozen certifies every frozen column against the current
-// multipliers (see the KKT derivation in the file comment), re-admitting
-// violators and recording the certified columns' demand duals. It
-// returns the number of users re-admitted.
+// gateFrozen certifies every frozen column against the round's
+// multipliers, recording the certified columns' demand duals. A violator
+// joins the active set with its candidate pairs seeded (nearest clouds
+// plus carryover support); its demand row re-enters warm at the θ already
+// in the working duals — the committed value, or the gate's estimate from
+// an earlier round. It returns the number of users re-admitted.
 func (o *OnlineApprox) gateFrozen(t int) int {
-	in, s := o.inst, o.sparse
-	ic := s.incr
-	nI, nJ := in.I, in.J
-	tol := o.opts.IncrementalTol
+	s := o.single
 	readmitted := 0
-	for j := 0; j < nJ; j++ {
-		if ic.active[j] {
+	for j, act := range s.active {
+		if act {
 			continue
 		}
-		aMin := math.Inf(1)
-		for i := 0; i < nI; i++ {
-			if g := o.obj.coef[i*nJ+j] + ic.base[i]; g < aMin {
-				aMin = g
-			}
-		}
-		viol := false
-		for i := 0; i < nI; i++ {
-			d := i*nJ + j
-			if o.prev.X[d] <= 0 {
-				continue
-			}
-			c := o.obj.coef[d]
-			g := c + ic.base[i]
-			sc := tol * (1 + math.Abs(c))
-			if g-aMin > sc || g < -sc {
-				viol = true
-				break
-			}
-		}
+		theta, viol := o.obj.gateColumn(j, s.base, o.opts.IncrementalTol)
 		if viol {
-			o.readmitUser(t, j)
+			s.active[j] = true
+			o.seedUser(t, j, o.prev.X)
 			readmitted++
-		} else if aMin > 0 {
-			ic.thetaWork[j] = aMin
 		} else {
-			ic.thetaWork[j] = 0
+			s.duals[j] = theta
 		}
 	}
 	return readmitted
 }
 
-// readmitUser moves frozen user j into the active set and seeds its
-// candidate pairs (nearest clouds plus carryover support). Its demand
-// row re-enters warm at the θ already in thetaWork — the committed
-// value, or the gate's estimate from the round that thawed it.
-func (o *OnlineApprox) readmitUser(t, j int) {
-	in, s := o.inst, o.sparse
-	s.incr.active[j] = true
-	s.builder.AddUserSet(j, s.nearest[in.Attach[t][j]])
-	nJ := in.J
-	for i := 0; i < in.I; i++ {
-		if o.prev.X[i*nJ+j] != 0 {
-			s.builder.Add(i, j)
+// gateColumn is the freeze gate's per-column KKT test (see the file
+// comment) on user j's carried column of the dense slot data, with base
+// from kktBase: every support pair must sit within tol (relative per
+// pair) of the column minimum min_i g_ij, and not below −tol. It returns
+// the column's embedded demand dual θ_j = max(0, min_i g_ij) and whether
+// the test failed.
+func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta float64, violated bool) {
+	aMin := math.Inf(1)
+	for i := 0; i < d.nI; i++ {
+		if g := d.coef[i*d.nJ+j] + base[i]; g < aMin {
+			aMin = g
 		}
 	}
+	for i := 0; i < d.nI; i++ {
+		k := i*d.nJ + j
+		if d.prev[k] <= 0 {
+			continue
+		}
+		c := d.coef[k]
+		g := c + base[i]
+		sc := tol * (1 + math.Abs(c))
+		if g-aMin > sc || g < -sc {
+			return 0, true
+		}
+	}
+	if aMin > 0 {
+		return aMin, false
+	}
+	return 0, false
 }

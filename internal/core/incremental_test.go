@@ -75,6 +75,42 @@ func TestIncrementalMatchesFullAcrossChurn(t *testing.T) {
 	}
 }
 
+// TestIncrementalFirstSlotBitEqualsCandidatePath pins the one solve loop:
+// on a slot with no committed predecessor every user is active, so the
+// incremental tier runs exactly the plain candidate path's program, round
+// for round — including the expansion rounds, which must resume from the
+// previous round's multipliers rather than restart from zero.
+func TestIncrementalFirstSlotBitEqualsCandidatePath(t *testing.T) {
+	for _, seed := range []int64{3, 13, 41} {
+		in, _, err := scenario.Rome(scenario.Config{Users: 12, Horizon: 2, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fast := range []bool{false, true} {
+			plain := NewOnlineApprox(in, Options{Candidates: 3, FastMath: fast})
+			incr := NewOnlineApprox(in, Options{Candidates: 3, FastMath: fast, Incremental: true})
+			xp, err := plain.Step(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xi, err := incr.Step(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := plain.LastStepDiag().CandRounds; r < 2 {
+				t.Fatalf("seed %d: slot 0 certified in %d round; the test needs an expansion round", seed, r)
+			}
+			if dp, di := plain.LastStepDiag(), incr.LastStepDiag(); dp.CandRounds != di.CandRounds || dp.Inner != di.Inner {
+				t.Errorf("seed %d fast=%v: %d rounds / %d inner plain vs %d / %d incremental",
+					seed, fast, dp.CandRounds, dp.Inner, di.CandRounds, di.Inner)
+			}
+			if !allocsEqual(xp, xi) {
+				t.Errorf("seed %d fast=%v: slot-0 decisions differ bitwise", seed, fast)
+			}
+		}
+	}
+}
+
 // TestIncrementalStationaryFreezes pins the point of the tier: on a
 // slot-stationary instance (0% churn, flat prices) the carried decision
 // reaches its regularized fixed point within a couple of slots, after

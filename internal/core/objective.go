@@ -1,0 +1,392 @@
+package core
+
+import (
+	"math"
+
+	"edgealloc/internal/model"
+	"edgealloc/internal/solver/alm"
+	"edgealloc/internal/solver/fista"
+	"edgealloc/internal/solver/par"
+)
+
+// evalParGrain is the minimum number of variables per worker before
+// p2Objective.Eval goes parallel; tests shrink it to exercise the
+// parallel path on small instances. The objective costs several
+// transcendental calls per variable (log for the entropy terms, exp
+// inside the softplus), so a few thousand variables already amortize a
+// goroutine handoff.
+var evalParGrain = 4096
+
+// p2Objective is the one evaluator of P2's objective and gradient. Its
+// variables live in a cloud-major CSR layout: cloud i's variables occupy
+// x[rowPtr[i]:rowPtr[i+1]], with the per-variable constants (static
+// coefficient, previous decision, migration factor) packed alongside.
+// Every solve path is this type under a different layout:
+//
+//   - the identity layout (rowPtr[i] = i·J, packed arrays aliasing the
+//     dense slot data, no gather) is the default dense program, and
+//     doubles as the dense slot data the other layouts gather from;
+//   - a ragged candidate layout over all users, or over a slot's active
+//     users only, is the candidate-set / incremental program;
+//   - a ragged layout over one shard's column range — gathered locally or
+//     received as a shardrpc.BlockSpec — is a shard block.
+//
+// The static and migration terms of a kept pair are the same whatever the
+// layout; a pruned pair contributes exactly nothing, which is its true
+// contribution at x = 0 because carryover pairs are never pruned. The
+// only variation is the per-cloud total term, selected by which fields
+// are bound: the reconfiguration entropy on X_i (+ the flow totOff_i of
+// users frozen outside the program) for a single program, or the
+// consensus penalty (ρ/2)(X_i − target_i)² once a shard block's Solve has
+// set target.
+//
+// Cloud rows are independent, so Eval blocks them over a bounded worker
+// pool when workers > 1 and the program is large enough; per-row partial
+// values land in rowF and reduce in row order, keeping the result byte-
+// identical for any worker count.
+type p2Objective struct {
+	nI, nJ int   // clouds, and users (columns) of the layout
+	rowPtr []int // len nI+1
+
+	coef  []float64 // weighted static coefficients
+	prev  []float64 // x'_{ij}
+	mgFac []float64 // wMg·b_i/τ_ij
+
+	// Entropy total term: rcFac_i·((X_i+ε₁)ln((X_i+ε₁)/(X'_i+ε₁)) − X_i)
+	// with X_i the row sum plus totOff_i (nil: no frozen flow). Ragged
+	// single programs alias the dense objective's rcFac and prevTot.
+	rcFac   []float64 // wRc·c_i/η_i per cloud
+	prevTot []float64 // X'_i
+	totOff  []float64
+	// Consensus total term, in force while target is non-nil.
+	rho    float64
+	target []float64
+
+	eps1, eps2 float64
+	workers    int
+
+	rowF []float64 // per-cloud partial objective values
+
+	// hitRow/missRow count per-cloud log-cache outcomes since the last
+	// resetLogCache; per-row slots keep the counting race-free and
+	// deterministic under the parallel evaluation path, exactly like rowF.
+	hitRow  []int64
+	missRow []int64
+
+	// Fast-math tier (Options.FastMath): fast selects the batch-kernel
+	// evaluation path, invDen holds the reciprocals 1/(x'_{ij}+ε₂) and
+	// ratio is the row-sliced log scratch. The *32 pair replaces them
+	// under Options.FastMathF32. prepare sizes whichever the tier uses.
+	fast, fast32 bool
+	invDen       []float64
+	ratio        []float64
+	invDen32     []float32
+	ratio32      []float32
+
+	// lastNum/lastLg2 memoize the migration-term log per variable on the
+	// exact tier: the solver evaluates the objective thousands of times per
+	// slot, and late in a solve most entries are static across evaluations
+	// (converged, or clipped at the zero bound while x'_{ij} ≠ 0), so their
+	// log argument repeats exactly. The cache stores the argument and the
+	// math.Log result it produced, making reuse bitwise identical to
+	// recomputation; prepare invalidates it (the denominator changes with
+	// x'). Each entry is only touched by the evaluation of its own cloud
+	// row, so the parallel path stays race-free and deterministic.
+	lastNum []float64
+	lastLg2 []float64
+}
+
+var _ fista.Objective = (*p2Objective)(nil)
+
+// newPackedObjective returns an objective awaiting a layout (gather, or
+// the fields of a BlockSpec followed by prepare).
+func newPackedObjective(nI int, eps1, eps2 float64, fast, fast32 bool) p2Objective {
+	return p2Objective{
+		nI: nI, eps1: eps1, eps2: eps2,
+		fast: fast || fast32, fast32: fast32,
+		rowF:    make([]float64, nI),
+		hitRow:  make([]int64, nI),
+		missRow: make([]int64, nI),
+	}
+}
+
+// newP2ObjectiveConst builds the identity-layout objective and computes
+// the slot-independent constants of P2's objective — the entropy scale
+// factors η_i and τ_ij of the paper — once per (instance, ε) pair. bind
+// attaches the per-slot data.
+func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast, fast32 bool) *p2Objective {
+	o := newPackedObjective(in.I, eps1, eps2, fast, fast32)
+	o.nJ = in.J
+	o.rowPtr = make([]int, in.I+1)
+	o.coef = make([]float64, in.I*in.J)
+	o.mgFac = make([]float64, in.I*in.J)
+	o.rcFac = make([]float64, in.I)
+	o.prevTot = make([]float64, in.I)
+	for i := 0; i < in.I; i++ {
+		o.rowPtr[i+1] = (i + 1) * in.J
+		eta := math.Log1p(in.Capacity[i] / eps1)
+		o.rcFac[i] = in.WRc * in.ReconfPrice[i] / eta
+		b := in.WMg * (in.MigOutPrice[i] + in.MigInPrice[i])
+		for j := 0; j < in.J; j++ {
+			tau := math.Log1p(in.Workload[j] / eps2)
+			o.mgFac[i*in.J+j] = b / tau
+		}
+	}
+	return &o
+}
+
+// newP2Objective is the identity-layout objective bound to slot t and
+// ready to evaluate.
+func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 float64) *p2Objective {
+	o := newP2ObjectiveConst(in, eps1, eps2, false, false)
+	o.bind(in, t, prev)
+	o.prepare()
+	return o
+}
+
+// bind points the identity-layout objective at slot t's prices and the
+// previous decision: the dense slot data every layout of the slot reads.
+// Evaluating it directly additionally needs prepare.
+func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
+	in.StaticCoeffInto(t, o.coef)
+	o.prev = prev.X
+	prev.CloudTotalsInto(o.prevTot)
+}
+
+// prepare readies the objective for evaluation after its layout and
+// packed constants changed: it sizes the tier's scratch to the variable
+// count and refreshes what depends on x' — the fast tiers' reciprocals
+// (one divide per variable here instead of one per element per
+// evaluation) or the exact tier's log cache, invalidated.
+func (o *p2Objective) prepare() {
+	n := len(o.prev)
+	switch {
+	case !o.fast:
+		o.lastNum = growFloats(o.lastNum, n)
+		o.lastLg2 = growFloats(o.lastLg2, n)
+		for k := range o.lastNum {
+			o.lastNum[k] = math.NaN() // never equal: invalidate the log cache
+		}
+	case o.fast32:
+		o.invDen32 = growFloats32(o.invDen32, n)
+		o.ratio32 = growFloats32(o.ratio32, n)
+		for k, p := range o.prev {
+			o.invDen32[k] = float32(1 / (p + o.eps2))
+		}
+	default:
+		o.invDen = growFloats(o.invDen, n)
+		o.ratio = growFloats(o.ratio, n)
+		for k, p := range o.prev {
+			o.invDen[k] = 1 / (p + o.eps2)
+		}
+	}
+}
+
+// p2Program is a p2Objective together with what alm.Solve needs around
+// it: the structured rows over the same layout, the all-zero lower bound,
+// and the packed warm iterate.
+type p2Program struct {
+	obj    p2Objective
+	groups alm.Groups
+	lower  []float64 // packed zeros, grown on demand
+	warm   []float64 // packed iterate: warm start in
+}
+
+// gather lays the program out over the candidate set cs, whose users are
+// columns [colLo, colLo+cs.J) of the dense grid, packing the slot's
+// coefficients, previous decision, and migration factors from the dense
+// slot data d and the warm iterate from the dense image img. It is the
+// one bind of every ragged path: the whole grid (colLo = 0) for the
+// candidate-set program, a shard's column range for a block.
+func (p *p2Program) gather(d *p2Objective, cs *model.CandidateSet, colLo int, img []float64) {
+	o := &p.obj
+	nnz := cs.NNZ()
+	o.nJ, o.rowPtr = cs.J, cs.RowPtr
+	o.coef = growFloats(o.coef, nnz)
+	o.prev = growFloats(o.prev, nnz)
+	o.mgFac = growFloats(o.mgFac, nnz)
+	p.lower = growFloats(p.lower, nnz) // stays all-zero
+	p.warm = growFloats(p.warm, nnz)
+	for i := 0; i < o.nI; i++ {
+		base := i*d.nJ + colLo
+		for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
+			src := base + cs.Cols[k]
+			o.coef[k] = d.coef[src]
+			o.prev[k] = d.prev[src]
+			o.mgFac[k] = d.mgFac[src]
+			p.warm[k] = img[src]
+		}
+	}
+	o.prepare()
+	p.groups.RowPtr, p.groups.Cols = cs.RowPtr, cs.Cols
+}
+
+// scatterInto writes the packed point x into the dense image img at the
+// program's columns [colLo, colLo+nJ); entries outside the layout are
+// left alone.
+func (p *p2Program) scatterInto(img []float64, stride, colLo int, x []float64) {
+	rowPtr, cols := p.obj.rowPtr, p.groups.Cols
+	for i := 0; i < p.obj.nI; i++ {
+		base := i*stride + colLo
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			img[base+cols[k]] = x[k]
+		}
+	}
+}
+
+// addTotals adds the per-cloud totals of the packed point x onto tot,
+// element by element in layout order.
+func (o *p2Objective) addTotals(tot, x []float64) {
+	for i := 0; i < o.nI; i++ {
+		s := tot[i]
+		for _, v := range x[o.rowPtr[i]:o.rowPtr[i+1]] {
+			s += v
+		}
+		tot[i] = s
+	}
+}
+
+// resetLogCache zeroes the log-cache counters (once per slot, so they
+// accumulate across the slot's rounds).
+func (o *p2Objective) resetLogCache() {
+	for i := range o.hitRow {
+		o.hitRow[i] = 0
+		o.missRow[i] = 0
+	}
+}
+
+// logCacheTotals sums the per-row cache counters accumulated since the
+// last resetLogCache.
+func (o *p2Objective) logCacheTotals() (hits, misses int64) {
+	for i := range o.hitRow {
+		hits += o.hitRow[i]
+		misses += o.missRow[i]
+	}
+	return hits, misses
+}
+
+// Eval implements fista.Objective.
+func (o *p2Objective) Eval(x, grad []float64) float64 {
+	if w := par.Bound(o.workers, len(x), evalParGrain); w <= 1 {
+		// Closure-free serial path: Eval runs thousands of times per
+		// Step, and a closure handed to par.Ranges escapes (it may be
+		// launched on goroutines), costing one heap allocation per call.
+		o.evalRows(x, grad, 0, o.nI)
+	} else {
+		par.Ranges(w, o.nI, func(lo, hi int) { o.evalRows(x, grad, lo, hi) })
+	}
+	f := 0.0
+	for _, v := range o.rowF {
+		f += v
+	}
+	return f
+}
+
+// evalRows evaluates cloud rows [lo, hi) into rowF.
+func (o *p2Objective) evalRows(x, grad []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.rowF[i] = o.evalRow(i, x, grad)
+	}
+}
+
+// totalTerm returns cloud i's total term and its derivative at row sum s.
+func (o *p2Objective) totalTerm(i int, s float64) (val, deriv float64) {
+	if o.target != nil {
+		d := s - o.target[i]
+		return 0.5 * o.rho * d * d, o.rho * d
+	}
+	if o.totOff != nil {
+		s += o.totOff[i]
+	}
+	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
+	return o.rcFac[i] * ((s+o.eps1)*lg - s), o.rcFac[i] * lg
+}
+
+// evalRow computes cloud i's slice of the objective and gradient: the
+// total term plus the static and migration terms of the row's kept pairs.
+// Rows touch disjoint state. The element loops (entropy.go) are separate
+// for the gradient and value-only cases (FISTA's backtracking trials are
+// value-only) so neither pays the other's per-element branch, with the
+// row slices hoisted for bounds-check elimination.
+//
+// On the exact tier most variables sit where the iterate equals the
+// previous decision (typically both at the zero bound: a user is served
+// by few clouds), making the migration ratio exactly 1 and its log
+// exactly 0 — skipping the division and math.Log there is bitwise
+// identical and removes the transcendental cost from the pairs that carry
+// no flow. The fast tiers are one fused sum+gather pass, one in-place
+// batch log over the row, and one accumulation pass; see entropy.go for
+// their accuracy contract.
+func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
+	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
+	row := x[lo:hi]
+	coef := o.coef[lo:hi]
+	mgFac := o.mgFac[lo:hi]
+	switch {
+	case !o.fast:
+		prev := o.prev[lo:hi]
+		lastNum := o.lastNum[lo:hi]
+		lastLg2 := o.lastLg2[lo:hi]
+		if grad == nil {
+			// The row sum feeds only the total term, so it is accumulated
+			// alongside the element terms in a single pass and the total
+			// term is added at the end.
+			s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
+			o.hitRow[i] += hits
+			o.missRow[i] += misses
+			tv, _ := o.totalTerm(i, s)
+			return f + tv
+		}
+		s := 0.0
+		for _, v := range row {
+			s += v
+		}
+		// The total term seeds the accumulator so the addition order is
+		// the same on every path.
+		tv, tg := o.totalTerm(i, s)
+		f, hits, misses := entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2,
+			grad[lo:hi], o.eps2, tv, tg)
+		o.hitRow[i] += hits
+		o.missRow[i] += misses
+		return f
+	case o.fast32:
+		ratio := o.ratio32[lo:hi]
+		s := entropyRatioPass32(row, o.invDen32[lo:hi], ratio, o.eps2)
+		logBatch32(ratio, ratio)
+		tv, tg := o.totalTerm(i, s)
+		if grad == nil {
+			return entropyFastValue32(row, coef, mgFac, ratio, o.eps2) + tv
+		}
+		return entropyFastGrad32(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
+	default:
+		ratio := o.ratio[lo:hi]
+		s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
+		logBatch(ratio, ratio)
+		tv, tg := o.totalTerm(i, s)
+		if grad == nil {
+			return entropyFastValue(row, coef, mgFac, ratio, o.eps2) + tv
+		}
+		return entropyFastGrad(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
+	}
+}
+
+// growFloats returns s resized to n, reusing capacity and otherwise
+// reallocating with headroom so expansion rounds settle quickly.
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	out := make([]float64, n, n+n/2)
+	copy(out, s[:cap(s)])
+	return out
+}
+
+// growFloats32 is growFloats for the float32 storage tier.
+func growFloats32(s []float32, n int) []float32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	out := make([]float32, n, n+n/2)
+	copy(out, s[:cap(s)])
+	return out
+}

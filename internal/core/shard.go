@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"sync/atomic"
 
@@ -41,23 +40,21 @@ type shardState struct {
 	// tracks fold transitions for the stats counter.
 	remotes    []*shardrpc.RemoteBlock
 	remoteDead []bool
-	// nearest[a] lists the Options.Candidates clouds closest to cloud a;
-	// nil when Candidates is off, in which case allClouds admits the full
-	// variable space of every shard.
-	nearest   [][]int
-	allClouds []int
-	duals     []float64 // assembled [θ(J) | ρ(I) | ν(I)]
-	xDense    []float64 // dense scatter of the assembled decision
+	// nearest[a] lists the Options.Candidates clouds closest to cloud a
+	// (every cloud when Candidates is off).
+	nearest [][]int
+	duals   []float64 // assembled [θ(J) | ρ(I) | ν(I)]
+	// xDense is the dense image of the assembled decision and, within a
+	// slot, the bridge a block's iterate crosses between candidate layouts.
+	xDense    []float64
 	blockSecs []float64 // per-shard solve seconds of the current slot
-	rcln      []float64 // per-cloud reconfiguration gradient at the optimum
+	base      []float64 // per-cloud gradient term shared by gate and pricing
 	restTot   []float64 // per-cloud totals scratch for restoreCapacity
-	incrBase  []float64 // per-cloud gradient scratch of the freeze gate
 	// committed reports that at least one slot committed its warm state,
 	// so the carried duals and decision are trustworthy freeze inputs
 	// (Options.Incremental).
 	committed bool
 	stats     ShardStats
-	res       alm.Result // result view over the assembled duals
 }
 
 // ShardStats counts the work of the sharded path for observability;
@@ -117,20 +114,12 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 	s := &shardState{
 		parts:     parts,
 		blocks:    make([]*shardBlock, len(parts)),
+		nearest:   nearestClouds(in, o.opts.Candidates),
 		duals:     make([]float64, in.J+2*in.I),
 		xDense:    make([]float64, in.I*in.J),
 		blockSecs: make([]float64, len(parts)),
-		rcln:      make([]float64, in.I),
+		base:      make([]float64, in.I),
 		restTot:   make([]float64, in.I),
-		incrBase:  make([]float64, in.I),
-	}
-	if o.opts.Candidates > 0 {
-		s.nearest = model.NearestClouds(in.InterDelay, o.opts.Candidates)
-	} else {
-		s.allClouds = make([]int, in.I)
-		for i := range s.allClouds {
-			s.allClouds[i] = i
-		}
 	}
 	sopts := o.opts.Solver
 	sopts.Workers = 0 // shards solve serially inside; parallelism is across shards
@@ -140,26 +129,17 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		b := &shardBlock{
 			st:        s,
 			rng:       rng,
-			nJ:        nJ,
 			builder:   model.NewCandidateBuilder(in.I, nJ),
-			xLocal:    make([]float64, in.I*nJ),
-			thetaIter: make([]float64, nJ),
+			users:     make([]int, nJ),
 			thetaWarm: make([]float64, nJ),
-			demand:    in.Workload[rng.Lo:rng.Hi],
-			served:    make([]float64, nJ),
-			sopts:     sopts,
 		}
-		rows := make([]alm.GroupRow, nJ)
-		for jl := 0; jl < nJ; jl++ {
-			rows[jl] = alm.GroupRow{Kind: alm.GroupUserSum, Index: jl, RHS: in.Workload[rng.Lo+jl]}
+		for jl := range b.users {
+			b.users[jl] = jl
 		}
-		b.groups = alm.Groups{I: in.I, J: nJ, Blocks: 1, Rows: rows}
-		b.obj = p2ShardObjective{
-			nI:     in.I,
-			eps2:   o.opts.Epsilon2,
-			fast:   o.opts.FastMath,
-			fast32: o.opts.FastMathF32,
-		}
+		b.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
+		b.setDemand(in.I, in.Workload[rng.Lo:rng.Hi])
+		b.theta = make([]float64, nJ)
+		b.sopts = sopts
 		s.blocks[si] = b
 		ifaces[si] = b
 	}
@@ -239,21 +219,17 @@ func zStepOptions(blk alm.Options) alm.Options {
 }
 
 // solveShard runs slot t's sharded solve: per-shard candidate seeding and
-// packed binds, the coordination loop, and (with Candidates on) the KKT
-// pricing pass over pruned pairs until certified. It returns a result
-// whose duals are the assembled [θ | ρ | ν] and the dense scatter of the
-// assembled decision; both alias shard scratch, valid until the next call.
-func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []float64, error) {
+// packed binds, the coordination loop, and the freeze gate and KKT pricing
+// pass until a round changes nothing. It returns the dense image of the
+// assembled decision, the assembled [θ | ρ | ν], and the slot's
+// diagnostics; the slices alias shard scratch, valid until the next call.
+func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.shrd
+	var d StepDiag
 
-	warmDense := o.prev.X
-	if t == 0 && allZero(o.prev.X) {
-		// Same regime as the monolithic paths: from x_{·,·,0} = 0 start all
-		// shards at the slot's demand-tight transportation optimum.
-		if warm, err := feasibleWarmStart(in, t); err == nil {
-			warmDense = warm
-		}
-	}
+	// Same regime as the single-program paths: from x_{·,·,0} = 0 all
+	// shards start at the slot's demand-tight transportation optimum.
+	warmDense := o.warmPoint(t)
 	for _, b := range s.blocks {
 		// Incremental freezing (Options.Incremental): a shard whose whole
 		// user range kept its attachment holds the carried decision and
@@ -266,21 +242,18 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		rb.BeginSlot(t, ctx)
 	}
 	s.coord.BeginSlot()
-	for i := range s.blockSecs {
-		s.blockSecs[i] = 0
-	}
+	clear(s.blockSecs)
 
 	var cres *shard.Result
 	blockOuter, blockInner, zOuter, zInner := 0, 0, 0, 0
-	coordIters := 0
 	for {
-		s.stats.Rounds++
+		d.CandRounds++
 		r, err := s.coord.Solve(ctx)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, d, err
 		}
 		cres = r
-		coordIters += r.Iters
+		d.ShardIters += r.Iters
 		blockOuter += r.BlockOuter
 		blockInner += r.BlockInner
 		zOuter += r.ZOuter
@@ -295,6 +268,12 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		// coordination round (bounded — a repeatedly failing block folds
 		// back to local solving, after which its sync is trivially clean).
 		lost := s.syncRemotes()
+		// The gate and the pricing pass are the single program's (same
+		// per-column test, same pass), evaluated with the assembled duals —
+		// θ from each user's owning shard, ρ/ν from the consensus
+		// subproblem — and the reconfiguration gradient at the assembled
+		// totals.
+		o.obj.kktBase(s.base, r.Totals, r.RhoDuals, r.NuDuals)
 		thawed := 0
 		if o.opts.Incremental {
 			if !r.Converged {
@@ -302,18 +281,28 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 				// frozen shard and resume.
 				thawed = s.thawFrozen()
 			} else {
-				thawed = o.gateFrozenShard(r)
+				thawed = o.gateFrozenShard()
 			}
 		}
 		added := 0
 		if o.opts.Candidates > 0 {
-			added = o.priceAndExpandShard(r)
+			for _, b := range s.blocks {
+				// The gate certifies frozen users over all I clouds, which
+				// subsumes this pass; an admitted pair would never be solved.
+				if b.frozen {
+					continue
+				}
+				if n := priceExpand(o.obj, s.base, b.theta, b.builder, b.users, b.rng.Lo, o.opts.CandidateTol); n > 0 {
+					added += n
+					b.dirty = true
+				}
+			}
 		}
 		if thawed == 0 && added == 0 && lost == 0 {
 			break
 		}
-		s.stats.Expanded += added
-		s.stats.Readmitted += thawed
+		d.CandExpanded += added
+		d.ReadmittedUsers += thawed
 		for si, b := range s.blocks {
 			if b.dirty {
 				b.rebind(o)
@@ -327,14 +316,11 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 	}
 
 	// Assemble the decision and the standard dual layout.
-	for k := range s.xDense {
-		s.xDense[k] = 0
-	}
-	nnz := 0
+	clear(s.xDense)
 	for _, b := range s.blocks {
-		b.scatterInto(s.xDense, in.J)
-		copy(s.duals[b.rng.Lo:b.rng.Hi], b.thetaIter)
-		nnz += b.cand.NNZ()
+		b.scatterInto(s.xDense, in.J, b.rng.Lo, b.warm)
+		copy(s.duals[b.rng.Lo:b.rng.Hi], b.theta)
+		d.CandNNZ += len(b.warm)
 	}
 	copy(s.duals[in.J:in.J+in.I], cres.RhoDuals)
 	copy(s.duals[in.J+in.I:in.J+2*in.I], cres.NuDuals)
@@ -348,34 +334,37 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) (*alm.Result, []fl
 		rb.Commit()
 	}
 	s.committed = true
-	maxSec := 0.0
 	for i, b := range s.blocks {
-		copy(b.thetaWarm, b.thetaIter)
-		if s.blockSecs[i] > maxSec {
-			maxSec = s.blockSecs[i]
+		copy(b.thetaWarm, b.theta)
+		if s.blockSecs[i] > d.ShardMaxSeconds {
+			d.ShardMaxSeconds = s.blockSecs[i]
 		}
 		if b.frozen {
-			s.stats.Frozen += b.nJ
+			d.FrozenUsers += b.rng.Len()
 		}
+		h, m := b.obj.logCacheTotals()
+		d.LogCacheHits += h
+		d.LogCacheMisses += m
 	}
+	d.Outer, d.Inner = blockOuter+zOuter, blockInner+zInner
+	d.Converged = cres.Converged
+	d.ShardResidual = cres.MaxResidual
 
-	s.stats.Slots++
-	s.stats.CoordIters += coordIters
-	s.stats.BlockOuter += blockOuter
-	s.stats.BlockInner += blockInner
-	s.stats.ZOuter += zOuter
-	s.stats.ZInner += zInner
-	s.stats.FinalNNZ = nnz
-	s.stats.MaxResidual = cres.MaxResidual
-	s.stats.MaxSeconds = maxSec
-
-	s.res = alm.Result{
-		Duals:      s.duals,
-		Outer:      blockOuter + zOuter,
-		InnerIters: blockInner + zInner,
-		Converged:  cres.Converged,
-	}
-	return &s.res, s.xDense, nil
+	st := &s.stats
+	st.Slots++
+	st.Rounds += d.CandRounds
+	st.CoordIters += d.ShardIters
+	st.Expanded += d.CandExpanded
+	st.Readmitted += d.ReadmittedUsers
+	st.Frozen += d.FrozenUsers
+	st.BlockOuter += blockOuter
+	st.BlockInner += blockInner
+	st.ZOuter += zOuter
+	st.ZInner += zInner
+	st.FinalNNZ = d.CandNNZ
+	st.MaxResidual = d.ShardResidual
+	st.MaxSeconds = d.ShardMaxSeconds
+	return s.xDense, s.duals, d, nil
 }
 
 // blockUntouched reports whether every user in rng kept its attachment
@@ -421,86 +410,34 @@ func (s *shardState) thawFrozen() int {
 	n := 0
 	for _, b := range s.blocks {
 		if b.frozen {
-			copy(b.thetaIter, b.thetaWarm)
+			copy(b.theta, b.thetaWarm)
 			b.frozen = false
-			n += b.nJ
+			n += b.rng.Len()
 		}
 	}
 	return n
 }
 
-// gateFrozenShard certifies every frozen shard's carried decision
-// against the coordination result — the same per-column KKT test as
-// gateFrozen (incremental.go), with ρ/ν from the consensus subproblem
-// and the reconfiguration gradient at the assembled totals. A violating
-// user thaws its whole shard (restoring the committed θ warm start);
-// certified users take θ_j = max(0, min_i g_ij) so the assembled dual
-// record embeds the full program's KKT point. Returns users thawed.
-func (o *OnlineApprox) gateFrozenShard(r *shard.Result) int {
-	in, s := o.inst, o.shrd
-	nI, nJ := in.I, in.J
-	any := false
-	for _, b := range s.blocks {
-		if b.frozen {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return 0
-	}
-	eps1 := o.opts.Epsilon1
-	for i := 0; i < nI; i++ {
-		s.rcln[i] = o.obj.rcFac[i] * math.Log((r.Totals[i]+eps1)/(o.obj.prevTot[i]+eps1))
-	}
-	rho, nu := r.RhoDuals, r.NuDuals
-	rhoSum := 0.0
-	for _, v := range rho {
-		rhoSum += v
-	}
-	base := s.incrBase
-	for i := 0; i < nI; i++ {
-		base[i] = s.rcln[i] - (rhoSum - rho[i]) + nu[i]
-	}
-	tol := o.opts.IncrementalTol
+// gateFrozenShard certifies every frozen shard's carried decision against
+// the coordination round (gateColumn under s.base). A violating user
+// thaws its whole shard, restoring the committed θ warm start; certified
+// users take θ_j = max(0, min_i g_ij) so the assembled dual record embeds
+// the full program's KKT point. Returns users thawed.
+func (o *OnlineApprox) gateFrozenShard() int {
 	thawed := 0
-	for _, b := range s.blocks {
+	for _, b := range o.shrd.blocks {
 		if !b.frozen {
 			continue
 		}
-		viol := false
-	users:
-		for jl := 0; jl < b.nJ; jl++ {
-			j := b.rng.Lo + jl
-			aMin := math.Inf(1)
-			for i := 0; i < nI; i++ {
-				if g := o.obj.coef[i*nJ+j] + base[i]; g < aMin {
-					aMin = g
-				}
+		for jl := range b.theta {
+			theta, viol := o.obj.gateColumn(b.rng.Lo+jl, o.shrd.base, o.opts.IncrementalTol)
+			if viol {
+				copy(b.theta, b.thetaWarm)
+				b.frozen = false
+				thawed += len(b.theta)
+				break
 			}
-			for i := 0; i < nI; i++ {
-				d := i*nJ + j
-				if o.obj.prev[d] <= 0 {
-					continue
-				}
-				c := o.obj.coef[d]
-				g := c + base[i]
-				sc := tol * (1 + math.Abs(c))
-				if g-aMin > sc || g < -sc {
-					viol = true
-					break users
-				}
-			}
-			if aMin > 0 {
-				b.thetaIter[jl] = aMin
-			} else {
-				b.thetaIter[jl] = 0
-			}
-		}
-		if viol {
-			copy(b.thetaIter, b.thetaWarm)
-			b.frozen = false
-			thawed += b.nJ
+			b.theta[jl] = theta
 		}
 	}
 	return thawed
@@ -573,213 +510,63 @@ func (s *shardState) restoreCapacity(in *model.Instance) float64 {
 	return moved
 }
 
-// priceAndExpandShard is the sharded pricing pass: the same KKT
-// stationarity test as priceAndExpand, evaluated with the assembled duals
-// — θ from each user's owning shard, ρ/ν from the consensus subproblem —
-// and the reconfiguration gradient at the assembled totals. Violated
-// pruned pairs join their shard's candidate set and mark it for rebind.
-func (o *OnlineApprox) priceAndExpandShard(r *shard.Result) int {
-	in, s := o.inst, o.shrd
-	nI, nJ := in.I, in.J
-	eps1 := o.opts.Epsilon1
-	for i := 0; i < nI; i++ {
-		s.rcln[i] = o.obj.rcFac[i] * math.Log((r.Totals[i]+eps1)/(o.obj.prevTot[i]+eps1))
-	}
-	rho := r.RhoDuals
-	nu := r.NuDuals
-	rhoSum := 0.0
-	for _, v := range rho {
-		rhoSum += v
-	}
-	tol := o.opts.CandidateTol
-	added := 0
-	for _, b := range s.blocks {
-		if b.frozen {
-			// The gate certifies frozen users over all I clouds, which
-			// subsumes this pass; an admitted pair would never be solved.
-			continue
-		}
-		for i := 0; i < nI; i++ {
-			row := o.obj.coef[i*nJ+b.rng.Lo : i*nJ+b.rng.Hi]
-			base := s.rcln[i] - (rhoSum - rho[i]) + nu[i]
-			for jl, c := range row {
-				if b.builder.Contains(i, jl) {
-					continue
-				}
-				if c+base-b.thetaIter[jl] < -tol*(1+math.Abs(c)) {
-					b.builder.Add(i, jl)
-					added++
-					b.dirty = true
-				}
-			}
-		}
-	}
-	return added
-}
-
-// shardBlock is one shard's local subproblem: its users' slice of P2 over
-// a ragged candidate set, solved by ALM with only the demand rows (the
-// coupling rows live in the coordinator). It implements shard.Block.
-type shardBlock struct {
-	st  *shardState
-	rng shard.Range
-	nJ  int
-
-	builder *model.CandidateBuilder
-	cand    model.CandidateSet
-	groups  alm.Groups
-	obj     p2ShardObjective
-	ws      alm.Workspace
-	sopts   alm.Options
-
-	lower []float64 // packed zeros, grown on demand
-	warm  []float64 // packed iterate: warm start in, solution out
-	// xLocal is the block's I×nJ dense image, the bridge across candidate
-	// relayouts: the slot's warm start scatters in, rebinds gather out.
-	xLocal []float64
-	// thetaIter are the working demand duals (θ'_j for the block's users,
-	// warm across coordination iterations and pricing rounds); thetaWarm
-	// is the committed copy promoted only on slot success.
-	thetaIter []float64
-	thetaWarm []float64
-	// demand is the block users' workload slice (aliases in.Workload);
-	// served is per-user scratch for the demand projection after each
-	// block solve.
+// p2Block is a shard block's solvable core — its users' slice of P2 over
+// a ragged layout with only the demand rows (the coupling rows live in
+// the coordinator), the working demand duals, and the ALM budget — in the
+// one form the in-process shardBlock and the worker-side hostedBlock
+// share, so a remote solve is operation-for-operation the local one by
+// construction.
+type p2Block struct {
+	p2Program
+	// theta are the working demand duals θ'_j of the block's users, warm
+	// across coordination iterations and pricing rounds.
+	theta []float64
+	// demand is the block users' workload slice; served is per-user
+	// scratch for the demand projection after each solve.
 	demand []float64
 	served []float64
-	dirty  bool
-	// frozen holds this slot's incremental freeze decision: the block's
-	// users all kept their attachment and the gate has not thawed it, so
-	// Solve skips the ALM solve and reports the carried totals.
-	frozen bool
+	ws     alm.Workspace
+	sopts  alm.Options
 }
 
-var _ shard.Block = (*shardBlock)(nil)
-
-// beginSlot seeds the block for slot t: the local warm image from the
-// global warm point, the candidate sets (nearest clouds by attachment
-// plus warm support, or the full grid when candidates are off), the
-// packed bind, and the working duals from the committed warm duals.
-func (b *shardBlock) beginSlot(o *OnlineApprox, warmDense []float64, t int, ctx context.Context) {
-	in, s := o.inst, o.shrd
-	nJ := in.J
-	for i := 0; i < in.I; i++ {
-		copy(b.xLocal[i*b.nJ:(i+1)*b.nJ], warmDense[i*nJ+b.rng.Lo:i*nJ+b.rng.Hi])
+// setDemand installs the block's users and their demand rows.
+func (b *p2Block) setDemand(nI int, demand []float64) {
+	nJ := len(demand)
+	rows := make([]alm.GroupRow, nJ)
+	for jl, w := range demand {
+		rows[jl] = alm.GroupRow{Kind: alm.GroupUserSum, Index: jl, RHS: w}
 	}
-	b.builder.Reset()
-	for jl := 0; jl < b.nJ; jl++ {
-		if s.nearest != nil {
-			b.builder.AddUserSet(jl, s.nearest[in.Attach[t][b.rng.Lo+jl]])
-		} else {
-			b.builder.AddUserSet(jl, s.allClouds)
-		}
-	}
-	b.builder.AddSupport(b.xLocal)
-	b.builder.Build(&b.cand)
-	b.bind(o)
-	copy(b.thetaIter, b.thetaWarm)
-	b.obj.hits, b.obj.misses = 0, 0
-	b.sopts.Ctx = ctx
-	b.dirty = false
+	b.groups = alm.Groups{I: nI, J: nJ, Blocks: 1, Rows: rows}
+	b.demand = demand
+	b.served = growFloats(b.served, nJ)
 }
 
-// rebind relayouts the block after a candidate expansion: the current
-// packed solution scatters into the local dense image, the builder
-// rebuilds the CSR, and the packed buffers regather. The demand-dual
-// dimension is per-user, so thetaIter carries over unchanged.
-func (b *shardBlock) rebind(o *OnlineApprox) {
-	for k := range b.xLocal {
-		b.xLocal[k] = 0
-	}
-	for i := 0; i < b.obj.nI; i++ {
-		base := i * b.nJ
-		for k := b.cand.RowPtr[i]; k < b.cand.RowPtr[i+1]; k++ {
-			b.xLocal[base+b.cand.Cols[k]] = b.warm[k]
-		}
-	}
-	b.builder.Build(&b.cand)
-	b.bind(o)
-	b.dirty = false
-}
-
-// bind sizes the packed buffers for the current candidate set and gathers
-// the slot's coefficients, previous decision, migration factors, and warm
-// start from the dense objective state and the local dense image
-// (mirroring bindSparse, restricted to the block's user columns).
-func (b *shardBlock) bind(o *OnlineApprox) {
-	in := o.inst
-	do := o.obj
-	so := &b.obj
-	nnz := b.cand.NNZ()
-	so.rowPtr, so.cols = b.cand.RowPtr, b.cand.Cols
-	so.coef = growFloats(so.coef, nnz)
-	so.prev = growFloats(so.prev, nnz)
-	so.mgFac = growFloats(so.mgFac, nnz)
-	b.lower = growFloats(b.lower, nnz) // stays all-zero
-	b.warm = growFloats(b.warm, nnz)
-	switch {
-	case !so.fast:
-		so.lastNum = growFloats(so.lastNum, nnz)
-		so.lastLg2 = growFloats(so.lastLg2, nnz)
-	case so.fast32:
-		so.invDen32 = growFloats32(so.invDen32, nnz)
-		so.ratio32 = growFloats32(so.ratio32, nnz)
-	default:
-		so.invDen = growFloats(so.invDen, nnz)
-		so.ratio = growFloats(so.ratio, nnz)
-	}
-	nJ := in.J
-	for i := 0; i < in.I; i++ {
-		base := i*nJ + b.rng.Lo
-		lbase := i * b.nJ
-		for k := b.cand.RowPtr[i]; k < b.cand.RowPtr[i+1]; k++ {
-			jl := b.cand.Cols[k]
-			so.coef[k] = do.coef[base+jl]
-			so.prev[k] = do.prev[base+jl]
-			so.mgFac[k] = do.mgFac[base+jl]
-			b.warm[k] = b.xLocal[lbase+jl]
-			if !so.fast {
-				so.lastNum[k] = math.NaN() // invalidate the log cache
-			}
-		}
-	}
-	if so.fast {
-		if so.fast32 {
-			entropyInvDen32(so.invDen32, so.prev, so.eps2)
-		} else {
-			entropyInvDen(so.invDen, so.prev, so.eps2)
-		}
-	}
-	b.groups.RowPtr, b.groups.Cols = b.cand.RowPtr, b.cand.Cols
-}
-
-// Solve implements shard.Block: one warm ALM solve of the block's demand-
-// constrained subproblem under the coordinator's consensus penalty.
-func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
-	if b.frozen {
-		// Frozen shard: the carried decision (the slot's warm start, which
-		// is the previous post-repair decision restricted to the block) is
-		// held fixed; only its totals feed the coordination.
-		b.totalsInto(totals, b.warm[:b.cand.NNZ()])
-		return 0, 0, nil
-	}
-	nnz := b.cand.NNZ()
-	b.obj.rho = rho
-	b.obj.target = target
-	prob := alm.Problem{Obj: &b.obj, N: nnz, Lower: b.lower[:nnz], Groups: &b.groups}
+// solve is one consensus x-step: a warm ALM solve of the block's demand-
+// constrained subproblem under the penalty (ρ/2)·Σ_i (X_i − target_i)²,
+// followed by the exact demand projection; the solution stays in warm and
+// theta and its per-cloud totals land in totals.
+func (b *p2Block) solve(rho float64, target, totals []float64) (outer, inner int, err error) {
+	b.obj.rho, b.obj.target = rho, target
+	prob := alm.Problem{Obj: &b.obj, N: len(b.warm), Lower: b.lower, Groups: &b.groups}
 	sopts := b.sopts
 	sopts.Workspace = &b.ws
-	sopts.WarmX = b.warm[:nnz]
-	sopts.WarmDuals = b.thetaIter
+	sopts.WarmX = b.warm
+	sopts.WarmDuals = b.theta
 	res, err := alm.Solve(&prob, sopts)
 	if err != nil {
 		return 0, 0, err
 	}
-	copy(b.warm[:nnz], res.X)
-	copy(b.thetaIter, res.Duals)
+	copy(b.warm, res.X)
+	copy(b.theta, res.Duals)
 	b.projectDemand()
-	b.totalsInto(totals, b.warm[:nnz])
+	b.totalsInto(totals)
 	return res.Outer, res.InnerIters, nil
+}
+
+// totalsInto writes the warm point's per-cloud totals.
+func (b *p2Block) totalsInto(totals []float64) {
+	clear(totals)
+	b.obj.addTotals(totals, b.warm)
 }
 
 // projectDemand rescales every local user's column so its demand row
@@ -792,18 +579,9 @@ func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, err
 // on the assembled schedule's relative capacity violation. At tight
 // budgets the demand rows already hold to ~1e-10 and the projection is a
 // no-op up to floating-point roundoff.
-func (b *shardBlock) projectDemand() {
-	packedProjectDemand(b.warm[:b.cand.NNZ()], b.cand.Cols, b.demand, b.served)
-}
-
-// packedProjectDemand is projectDemand on a packed point: negatives clip
-// to zero, then every user column scales onto its demand. served is
-// per-user scratch. Shared with the worker-side ShardHost so the remote
-// solve is operation-for-operation the local one.
-func packedProjectDemand(x []float64, cols []int, demand, served []float64) {
-	for jl := range served {
-		served[jl] = 0
-	}
+func (b *p2Block) projectDemand() {
+	x, cols, served := b.warm, b.groups.Cols, b.served
+	clear(served)
 	for k, v := range x {
 		if v < 0 {
 			x[k], v = 0, 0
@@ -812,7 +590,7 @@ func packedProjectDemand(x []float64, cols []int, demand, served []float64) {
 	}
 	for jl, s := range served {
 		if s > 0 {
-			served[jl] = demand[jl] / s
+			served[jl] = b.demand[jl] / s
 		} else {
 			served[jl] = 1
 		}
@@ -822,33 +600,86 @@ func packedProjectDemand(x []float64, cols []int, demand, served []float64) {
 	}
 }
 
-// WarmTotalsInto implements shard.Block.
-func (b *shardBlock) WarmTotalsInto(totals []float64) {
-	b.totalsInto(totals, b.warm[:b.cand.NNZ()])
+// shardBlock is one shard of the in-process sharded path: a p2Block over
+// the candidate layout of its contiguous user range. It implements
+// shard.Block and, for Options.ShardWorkers, shardrpc.Mirror.
+type shardBlock struct {
+	p2Block
+	st  *shardState
+	rng shard.Range
+
+	builder *model.CandidateBuilder
+	cand    model.CandidateSet
+	users   []int // 0..nJ-1: the pricing pass's user list
+	// thetaWarm is the committed copy of theta, promoted only on slot
+	// success.
+	thetaWarm []float64
+	dirty     bool
+	// frozen holds this slot's incremental freeze decision: the block's
+	// users all kept their attachment and the gate has not thawed it, so
+	// Solve skips the ALM solve and reports the carried totals.
+	frozen bool
 }
 
-// totalsInto writes the packed point's per-cloud totals.
-func (b *shardBlock) totalsInto(tot, x []float64) {
+var (
+	_ shard.Block     = (*shardBlock)(nil)
+	_ shardrpc.Mirror = (*shardBlock)(nil)
+)
+
+// beginSlot seeds the block for slot t: the candidate sets (nearest
+// clouds by attachment plus the warm point's support), the packed bind
+// from the block's columns of the global warm point, and the working
+// duals from the committed warm duals.
+func (b *shardBlock) beginSlot(o *OnlineApprox, warmDense []float64, t int, ctx context.Context) {
+	in := o.inst
+	b.builder.Reset()
+	for jl := range b.users {
+		b.builder.AddUserSet(jl, b.st.nearest[in.Attach[t][b.rng.Lo+jl]])
+	}
+	for i := 0; i < in.I; i++ {
+		for jl, v := range warmDense[i*in.J+b.rng.Lo : i*in.J+b.rng.Hi] {
+			if v != 0 {
+				b.builder.Add(i, jl)
+			}
+		}
+	}
+	b.builder.Build(&b.cand)
+	b.gather(o.obj, &b.cand, b.rng.Lo, warmDense)
+	copy(b.theta, b.thetaWarm)
+	b.obj.resetLogCache()
+	b.sopts.Ctx = ctx
+	b.dirty = false
+}
+
+// rebind relayouts the block after a candidate expansion: the current
+// packed solution scatters into the block's columns of the dense image,
+// the builder rebuilds the CSR, and the packed buffers regather. The
+// demand-dual dimension is per-user, so theta carries over unchanged.
+func (b *shardBlock) rebind(o *OnlineApprox) {
+	img, nJ := b.st.xDense, o.inst.J
 	for i := 0; i < b.obj.nI; i++ {
-		s := 0.0
-		for _, v := range x[b.cand.RowPtr[i]:b.cand.RowPtr[i+1]] {
-			s += v
-		}
-		tot[i] = s
+		clear(img[i*nJ+b.rng.Lo : i*nJ+b.rng.Hi])
 	}
+	b.scatterInto(img, nJ, b.rng.Lo, b.warm)
+	b.builder.Build(&b.cand)
+	b.gather(o.obj, &b.cand, b.rng.Lo, img)
+	b.dirty = false
 }
 
-// packedTotalsInto writes a packed point's per-cloud totals (the free
-// form of totalsInto, shared with the worker-side ShardHost).
-func packedTotalsInto(tot, x []float64, rowPtr []int) {
-	for i := 0; i+1 < len(rowPtr); i++ {
-		s := 0.0
-		for _, v := range x[rowPtr[i]:rowPtr[i+1]] {
-			s += v
-		}
-		tot[i] = s
+// Solve implements shard.Block.
+func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
+	if b.frozen {
+		// Frozen shard: the carried decision (the slot's warm start, which
+		// is the previous post-repair decision restricted to the block) is
+		// held fixed; only its totals feed the coordination.
+		b.totalsInto(totals)
+		return 0, 0, nil
 	}
+	return b.solve(rho, target, totals)
 }
+
+// WarmTotalsInto implements shard.Block.
+func (b *shardBlock) WarmTotalsInto(totals []float64) { b.totalsInto(totals) }
 
 // Frozen implements shardrpc.Mirror: frozen blocks skip their solves
 // entirely, so the transport keeps them off the network.
@@ -859,24 +690,23 @@ func (b *shardBlock) Frozen() bool { return b.frozen }
 // pushes — once per (slot, relayout, worker restart) — so the copies are
 // off every hot path.
 func (b *shardBlock) Spec(id string, slot, gen int) *shardrpc.BlockSpec {
-	nnz := b.cand.NNZ()
-	so := &b.obj
+	o := &b.obj
 	return &shardrpc.BlockSpec{
 		ID:         id,
 		Slot:       slot,
 		Gen:        gen,
-		NI:         so.nI,
-		NJ:         b.nJ,
-		Eps2:       so.eps2,
-		FastMath:   so.fast && !so.fast32,
-		FastMath32: so.fast32,
+		NI:         o.nI,
+		NJ:         o.nJ,
+		Eps2:       o.eps2,
+		FastMath:   o.fast && !o.fast32,
+		FastMath32: o.fast32,
 		RowPtr:     append([]int(nil), b.cand.RowPtr...),
-		Cols:       append([]int(nil), b.cand.Cols[:nnz]...),
-		Coef:       append([]float64(nil), so.coef[:nnz]...),
-		Prev:       append([]float64(nil), so.prev[:nnz]...),
-		MgFac:      append([]float64(nil), so.mgFac[:nnz]...),
-		Warm:       append([]float64(nil), b.warm[:nnz]...),
-		Theta:      append([]float64(nil), b.thetaIter...),
+		Cols:       append([]int(nil), b.cand.Cols...),
+		Coef:       append([]float64(nil), o.coef...),
+		Prev:       append([]float64(nil), o.prev...),
+		MgFac:      append([]float64(nil), o.mgFac...),
+		Warm:       append([]float64(nil), b.warm...),
+		Theta:      append([]float64(nil), b.theta...),
 		Demand:     append([]float64(nil), b.demand...),
 		Solver: shardrpc.SolverOptions{
 			MaxOuter:      b.sopts.MaxOuter,
@@ -893,142 +723,11 @@ func (b *shardBlock) Spec(id string, slot, gen int) *shardrpc.BlockSpec {
 // SetState implements shardrpc.Mirror: the worker's post-round iterate
 // and demand duals overwrite the mirror's warm state.
 func (b *shardBlock) SetState(x, theta []float64) error {
-	nnz := b.cand.NNZ()
-	if len(x) != nnz || len(theta) != b.nJ {
+	if len(x) != len(b.warm) || len(theta) != len(b.theta) {
 		return fmt.Errorf("core: shard state size mismatch: got %d vars and %d duals, want %d and %d",
-			len(x), len(theta), nnz, b.nJ)
+			len(x), len(theta), len(b.warm), len(b.theta))
 	}
-	copy(b.warm[:nnz], x)
-	copy(b.thetaIter, theta)
+	copy(b.warm, x)
+	copy(b.theta, theta)
 	return nil
-}
-
-var _ shardrpc.Mirror = (*shardBlock)(nil)
-
-// scatterInto writes the packed solution into the global dense image.
-func (b *shardBlock) scatterInto(dense []float64, nJ int) {
-	for i := 0; i < b.obj.nI; i++ {
-		base := i*nJ + b.rng.Lo
-		for k := b.cand.RowPtr[i]; k < b.cand.RowPtr[i+1]; k++ {
-			dense[base+b.cand.Cols[k]] = b.warm[k]
-		}
-	}
-}
-
-// p2ShardObjective evaluates a shard's slice of P2 plus the coordinator's
-// consensus penalty over the packed candidate layout: the static and
-// migration terms of the kept pairs — term-for-term the same kernels as
-// p2SparseObjective — with the reconfiguration regularizer replaced by
-// (ρ/2)·Σ_i (X_i − target_i)², whose gradient enters every element of
-// cloud row i as ρ·(X_i − target_i) exactly where the monolithic path
-// adds the reconfiguration gradient. Shards evaluate serially: the
-// parallelism of the sharded path is across shards, not within one.
-type p2ShardObjective struct {
-	nI     int
-	rowPtr []int
-	cols   []int
-
-	coef  []float64 // packed weighted static coefficients
-	prev  []float64 // packed x'_{ij}
-	mgFac []float64 // packed wMg·b_i/τ_ij
-
-	eps2   float64
-	rho    float64   // consensus penalty, set per Solve
-	target []float64 // per-cloud targets, set per Solve
-
-	// hits/misses count log-cache outcomes on the exact path; plain
-	// scalars suffice because the block evaluates single-threaded.
-	hits, misses int64
-
-	// Fast-math tier (see p2Objective): packed reciprocals and log
-	// scratch, refilled by bind each relayout.
-	fast     bool
-	fast32   bool
-	invDen   []float64
-	ratio    []float64
-	invDen32 []float32
-	ratio32  []float32
-
-	lastNum []float64 // packed log-cache keys (see p2Objective)
-	lastLg2 []float64
-}
-
-// Eval implements fista.Objective.
-func (o *p2ShardObjective) Eval(x, grad []float64) float64 {
-	f := 0.0
-	for i := 0; i < o.nI; i++ {
-		f += o.evalRow(i, x, grad)
-	}
-	return f
-}
-
-// evalRow computes cloud i's slice of the block objective and gradient.
-// See p2SparseObjective.evalRow; only the cloud-total term differs.
-func (o *p2ShardObjective) evalRow(i int, x, grad []float64) float64 {
-	if o.fast {
-		return o.evalRowFast(i, x, grad)
-	}
-	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
-	row := x[lo:hi]
-	coef := o.coef[lo:hi]
-	prev := o.prev[lo:hi]
-	mgFac := o.mgFac[lo:hi]
-	lastNum := o.lastNum[lo:hi]
-	lastLg2 := o.lastLg2[lo:hi]
-	if grad == nil {
-		s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
-		o.hits += hits
-		o.misses += misses
-		d := s - o.target[i]
-		return f + 0.5*o.rho*d*d
-	}
-	s := 0.0
-	for _, v := range row {
-		s += v
-	}
-	d := s - o.target[i]
-	f := 0.5 * o.rho * d * d
-	f, hits, misses := entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2,
-		grad[lo:hi], o.eps2, f, o.rho*d)
-	o.hits += hits
-	o.misses += misses
-	return f
-}
-
-// evalRowFast is evalRow on the batch-kernel tier; see
-// p2SparseObjective.evalRowFast.
-func (o *p2ShardObjective) evalRowFast(i int, x, grad []float64) float64 {
-	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
-	row := x[lo:hi]
-	coef := o.coef[lo:hi]
-	mgFac := o.mgFac[lo:hi]
-	if o.fast32 {
-		ratio := o.ratio32[lo:hi]
-		s := entropyRatioPass32(row, o.invDen32[lo:hi], ratio, o.eps2)
-		logBatch32(ratio, ratio)
-		d := s - o.target[i]
-		if grad == nil {
-			f := entropyFastValue32(row, coef, mgFac, ratio, o.eps2)
-			return f + 0.5*o.rho*d*d
-		}
-		f := 0.5 * o.rho * d * d
-		return entropyFastGrad32(row, coef, mgFac, ratio,
-			grad[lo:hi], o.eps2, f, o.rho*d)
-	}
-	ratio := o.ratio[lo:hi]
-	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
-	logBatch(ratio, ratio)
-	d := s - o.target[i]
-	if grad == nil {
-		f := entropyFastValue(row, coef, mgFac, ratio, o.eps2)
-		return f + 0.5*o.rho*d*d
-	}
-	f := 0.5 * o.rho * d * d
-	return entropyFastGrad(row, coef, mgFac, ratio,
-		grad[lo:hi], o.eps2, f, o.rho*d)
-}
-
-// logCacheTotals returns the cache counters accumulated since beginSlot.
-func (o *p2ShardObjective) logCacheTotals() (hits, misses int64) {
-	return o.hits, o.misses
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -39,23 +38,14 @@ func NewShardHost() *ShardHost {
 	return &ShardHost{blocks: make(map[string]*hostedBlock)}
 }
 
-// hostedBlock is one coordinator-pushed shard block: the packed
-// objective state of shardBlock, rebuilt from a BlockSpec instead of
-// bound from a dense instance.
+// hostedBlock is one coordinator-pushed shard block: the same p2Block a
+// shardBlock embeds, loaded from a BlockSpec instead of gathered from a
+// dense instance.
 type hostedBlock struct {
 	mu        sync.Mutex
 	slot, gen int
 	touched   time.Time
-
-	obj    p2ShardObjective
-	groups alm.Groups
-	lower  []float64
-	warm   []float64
-	theta  []float64
-	demand []float64
-	served []float64
-	ws     alm.Workspace
-	sopts  alm.Options
+	p2Block
 }
 
 // BeginSlot implements shardrpc.Host.
@@ -89,27 +79,15 @@ func (h *ShardHost) Solve(req *shardrpc.SolveRequest) (*shardrpc.SolveResponse, 
 		return nil, &shardrpc.Error{Code: shardrpc.CodeBadRequest,
 			Msg: "target length does not match the block's cloud count"}
 	}
-	nnz := len(b.warm)
 	totals := make([]float64, b.obj.nI)
-	if nnz == 0 {
+	if len(b.warm) == 0 {
 		return &shardrpc.SolveResponse{Totals: totals}, nil
 	}
-	b.obj.rho = req.Rho
-	b.obj.target = req.Target
-	prob := alm.Problem{Obj: &b.obj, N: nnz, Lower: b.lower, Groups: &b.groups}
-	sopts := b.sopts
-	sopts.Workspace = &b.ws
-	sopts.WarmX = b.warm
-	sopts.WarmDuals = b.theta
-	res, err := alm.Solve(&prob, sopts)
+	outer, inner, err := b.solve(req.Rho, req.Target, totals)
 	if err != nil {
 		return nil, &shardrpc.Error{Code: shardrpc.CodeInternal, Msg: err.Error()}
 	}
-	copy(b.warm, res.X)
-	copy(b.theta, res.Duals)
-	packedProjectDemand(b.warm, b.obj.cols, b.demand, b.served)
-	packedTotalsInto(totals, b.warm, b.obj.rowPtr)
-	return &shardrpc.SolveResponse{Totals: totals, Outer: res.Outer, Inner: res.InnerIters}, nil
+	return &shardrpc.SolveResponse{Totals: totals, Outer: outer, Inner: inner}, nil
 }
 
 // State implements shardrpc.Host.
@@ -173,55 +151,27 @@ func (h *ShardHost) evictIdle(now time.Time) {
 	}
 }
 
-// load rebuilds the block from a spec, retaining the spec's slices. The
-// construction mirrors shardBlock.bind exactly: the same objective
-// fields, the same scratch, the same demand rows.
+// load rebuilds the block from a spec, retaining the spec's slices where
+// shardBlock gathers them, and keeping the grown scratch across reloads.
 func (b *hostedBlock) load(spec *shardrpc.BlockSpec, now time.Time) {
 	b.slot, b.gen = spec.Slot, spec.Gen
 	b.touched = now
-	nnz := len(spec.Cols)
-	scratch := b.obj // keep the grown scratch slices across reloads
-	b.obj = p2ShardObjective{
-		nI:     spec.NI,
-		rowPtr: spec.RowPtr,
-		cols:   spec.Cols,
-		coef:   spec.Coef,
-		prev:   spec.Prev,
-		mgFac:  spec.MgFac,
-		eps2:   spec.Eps2,
-		fast:   spec.FastMath || spec.FastMath32,
-		fast32: spec.FastMath32,
+	o := &b.obj
+	if o.nI != spec.NI {
+		*o = newPackedObjective(spec.NI, 0, 0, false, false)
 	}
-	so := &b.obj
-	switch {
-	case !so.fast:
-		so.lastNum = growFloats(scratch.lastNum, nnz)
-		so.lastLg2 = growFloats(scratch.lastLg2, nnz)
-		for k := range so.lastNum {
-			so.lastNum[k] = math.NaN() // invalidate the log cache
-		}
-	case so.fast32:
-		so.invDen32 = growFloats32(scratch.invDen32, nnz)
-		so.ratio32 = growFloats32(scratch.ratio32, nnz)
-		entropyInvDen32(so.invDen32, so.prev, so.eps2)
-	default:
-		so.invDen = growFloats(scratch.invDen, nnz)
-		so.ratio = growFloats(scratch.ratio, nnz)
-		entropyInvDen(so.invDen, so.prev, so.eps2)
-	}
-	rows := make([]alm.GroupRow, spec.NJ)
-	for jl := 0; jl < spec.NJ; jl++ {
-		rows[jl] = alm.GroupRow{Kind: alm.GroupUserSum, Index: jl, RHS: spec.Demand[jl]}
-	}
-	b.groups = alm.Groups{I: spec.NI, J: spec.NJ, Blocks: 1, Rows: rows,
-		RowPtr: spec.RowPtr, Cols: spec.Cols}
+	o.nJ, o.rowPtr = spec.NJ, spec.RowPtr
+	o.coef, o.prev, o.mgFac = spec.Coef, spec.Prev, spec.MgFac
+	o.eps2 = spec.Eps2
+	o.fast, o.fast32 = spec.FastMath || spec.FastMath32, spec.FastMath32
+	o.prepare()
+	b.setDemand(spec.NI, spec.Demand)
+	b.groups.RowPtr, b.groups.Cols = spec.RowPtr, spec.Cols
 	// growFloats zero-fills fresh tail capacity and lower is never
 	// written, so it stays the all-zero bound vector.
-	b.lower = growFloats(b.lower, nnz)
+	b.lower = growFloats(b.lower, len(spec.Cols))
 	b.warm = append(b.warm[:0], spec.Warm...)
 	b.theta = append(b.theta[:0], spec.Theta...)
-	b.demand = spec.Demand
-	b.served = growFloats(b.served, spec.NJ)
 	b.sopts = alm.Options{
 		MaxOuter:      spec.Solver.MaxOuter,
 		InnerIters:    spec.Solver.InnerIters,

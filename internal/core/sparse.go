@@ -6,7 +6,6 @@ import (
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
-	"edgealloc/internal/solver/par"
 )
 
 // This file implements the candidate-set (active-set) solving layer of
@@ -39,22 +38,51 @@ import (
 // dimension never changes: rows are per-user and per-cloud, not
 // per-variable). Sets only grow, so the loop terminates — in the worst
 // case at the dense grid, which costs what the dense solve always cost.
-type sparseState struct {
+//
+// The loop below is the one certified solve loop of every single-program
+// path; the tiers differ only in the data they hand it. The default
+// dense path is the identity layout (no builder): nothing is pruned and
+// nobody is frozen, so its first round is certified by construction.
+// Options.Candidates supplies a ragged layout, Options.Incremental an
+// active mask (incremental.go); with every user active the two coincide.
+type singleState struct {
+	// p2Program is the ragged program of the candidate / incremental
+	// paths; the identity layout solves OnlineApprox.obj directly and uses
+	// only the program's rows and lower bound.
+	p2Program
+	// builder is nil on the identity layout.
 	builder *model.CandidateBuilder
 	cand    model.CandidateSet
 	// nearest[a] lists the Options.Candidates clouds closest to cloud a
 	// by inter-cloud delay; users are seeded with nearest[l_{j,t}].
 	nearest [][]int
-	groups  *alm.Groups
-	obj     *p2SparseObjective
-	lower   []float64 // packed zeros (lower bound), grown on demand
-	warm    []float64 // packed warm start, grown on demand
-	xDense  []float64 // dense scatter of the latest reduced solution
-	rcln    []float64 // per-cloud reconfiguration gradient at the optimum
-	stats   SparseStats
-	// incr holds the event-driven incremental state (Options.Incremental);
-	// nil on the plain candidate path. See incremental.go.
-	incr *incrState
+	cons    []alm.Constraint // Options.DenseRows reference rows
+
+	lambda float64 // Λ = Σ_j λ_j, for the complement-row RHS
+	// active marks the users that re-solve this slot and actList lists
+	// them ascending; demand row p of the program is user actList[p].
+	// Everyone is active unless Options.Incremental froze them.
+	active  []bool
+	actList []int
+	// committed reports that a slot has committed since construction, so
+	// the carried decision and duals are trustworthy freeze inputs.
+	committed bool
+
+	frozenTot []float64      // F_i: per-cloud flow carried by frozen users
+	tot       []float64      // per-cloud totals of the round's decision
+	base      []float64      // per-cloud gradient term shared by gate and pricing
+	rows      []alm.GroupRow // active demand + complement + capacity rows
+
+	// duals are the working multipliers in the full [θ | ρ | ν] layout:
+	// seeded from the committed duals, updated by every round (so an
+	// expansion or re-admission round resumes from the round before it),
+	// completed by the gate for frozen users, and returned to Step.
+	// packed is their gather into the program's reduced row layout.
+	duals  []float64
+	packed []float64
+
+	xDense []float64 // dense image of the latest ragged solution
+	stats  SparseStats
 }
 
 // SparseStats counts the work of the candidate-set path for
@@ -86,415 +114,254 @@ type SparseStats struct {
 // SparseStats returns the candidate-set work counters (zero value when
 // the candidate path is disabled).
 func (o *OnlineApprox) SparseStats() SparseStats {
-	if o.sparse == nil {
+	if o.single == nil {
 		return SparseStats{}
 	}
-	return o.sparse.stats
+	return o.single.stats
 }
 
-// initSparse builds the per-instance candidate-set state. The structured
-// rows are the same demand/complement/capacity rows as the dense path
-// (p2Groups) — only the variable layout differs, so the dual record and
-// the certificate machinery are untouched.
-func (o *OnlineApprox) initSparse(in *model.Instance) {
-	// Incremental without Candidates still routes through the ragged
-	// layer (frozen users must drop out of the program); the active users
-	// then solve over all I clouds, so the reduction itself prunes
-	// nothing and no pricing pass runs.
-	k := o.opts.Candidates
+// initSingle builds the per-instance single-program state: the rows, the
+// working duals, and — with Candidates or Incremental on — the ragged
+// layer. Incremental without Candidates still routes through the ragged
+// layer (frozen users must drop out of the program); the active users
+// then solve over all I clouds, so the reduction itself prunes nothing.
+func (o *OnlineApprox) initSingle(in *model.Instance) {
+	s := &singleState{
+		lambda:    in.TotalWorkload(),
+		active:    make([]bool, in.J),
+		actList:   make([]int, 0, in.J),
+		frozenTot: make([]float64, in.I),
+		tot:       make([]float64, in.I),
+		base:      make([]float64, in.I),
+		rows:      make([]alm.GroupRow, 0, in.J+2*in.I),
+		duals:     make([]float64, in.J+2*in.I),
+		packed:    make([]float64, in.J+2*in.I),
+	}
+	s.groups = alm.Groups{I: in.I, J: in.J, Blocks: 1}
+	for j := range s.active {
+		s.active[j] = true
+	}
+	s.buildRows(in, nil)
+	if o.opts.Candidates > 0 || o.opts.Incremental {
+		s.builder = model.NewCandidateBuilder(in.I, in.J)
+		s.nearest = nearestClouds(in, o.opts.Candidates)
+		s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
+		s.obj.workers = o.opts.Solver.Workers
+		s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
+		s.xDense = make([]float64, in.I*in.J)
+	} else {
+		s.lower = make([]float64, in.I*in.J)
+		if o.opts.DenseRows {
+			s.cons = p2Constraints(in)
+		}
+	}
+	o.single = s
+}
+
+// nearestClouds is model.NearestClouds at the run's candidate count; with
+// candidates off every list is the full cloud set.
+func nearestClouds(in *model.Instance, k int) [][]int {
 	if k <= 0 {
 		k = in.I
 	}
-	o.sparse = &sparseState{
-		builder: model.NewCandidateBuilder(in.I, in.J),
-		nearest: model.NearestClouds(in.InterDelay, k),
-		groups:  p2Groups(in),
-		obj: &p2SparseObjective{
-			nI:      in.I,
-			eps1:    o.opts.Epsilon1,
-			eps2:    o.opts.Epsilon2,
-			workers: o.opts.Solver.Workers,
-			fast:    o.opts.FastMath,
-			fast32:  o.opts.FastMathF32,
-			rowF:    make([]float64, in.I),
-			hitRow:  make([]int64, in.I),
-			missRow: make([]int64, in.I),
-		},
-		xDense: make([]float64, in.I*in.J),
-		rcln:   make([]float64, in.I),
-	}
-	if o.opts.Incremental {
-		o.sparse.incr = newIncrState(in)
+	return model.NearestClouds(in.InterDelay, k)
+}
+
+// seedUser admits user j's seed pairs: the clouds nearest its slot-t
+// attachment plus the support of its column of the dense point x. The
+// warm start is the previous decision — whose support is exactly the
+// carryover set that keeps migration terms exact — except at a zero-
+// allocation t = 0, where it is the slot's transportation optimum (see
+// warmPoint) and its support must be admitted for the warm point to be
+// representable.
+func (o *OnlineApprox) seedUser(t, j int, x []float64) {
+	in, b := o.inst, o.single.builder
+	b.AddUserSet(j, o.single.nearest[in.Attach[t][j]])
+	for i := 0; i < in.I; i++ {
+		if x[i*in.J+j] != 0 {
+			b.Add(i, j)
+		}
 	}
 }
 
-// solveSparse runs slot t's certified reduced solve: seed candidate sets,
-// solve, price, expand until dual-feasible. It returns the converged ALM
-// result (duals in the standard θ, ρ, ν layout) and the dense scatter of
-// the decision; the returned slice aliases sparse scratch and is only
-// valid until the next call.
-func (o *OnlineApprox) solveSparse(ctx context.Context, t int) (*alm.Result, []float64, error) {
-	if o.sparse.incr != nil {
-		return o.solveIncremental(ctx, t)
-	}
-	in, s := o.inst, o.sparse
+// solveSingle runs slot t's certified single-program solve: seed the
+// layout, then solve, price, and gate until a round changes nothing. It
+// returns the dense decision, the multipliers in the standard [θ | ρ | ν]
+// layout, and the slot's diagnostics; the slices alias solver scratch and
+// are only valid until the next call.
+func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []float64, StepDiag, error) {
+	in, s := o.inst, o.single
+	nI, nJ := in.I, in.J
+	var d StepDiag
+	warmDense := o.warmPoint(t)
 
-	// Seed: per-user nearest clouds plus the support of the warm-start
-	// point. The warm start is the previous decision — whose support is
-	// exactly the carryover set that keeps migration terms exact — except
-	// at a zero-allocation t = 0, where it is the slot's transportation
-	// optimum (see feasibleWarmStart) and its support must be admitted
-	// for the warm point to be representable.
-	s.builder.Reset()
-	for j := 0; j < in.J; j++ {
-		s.builder.AddUserSet(j, s.nearest[in.Attach[t][j]])
+	// The working duals start from the committed ones. The incremental
+	// tier trusts only duals this object committed itself: the first slot
+	// after RestoreState re-solves every user from zero multipliers.
+	if o.warmDuals != nil && (s.committed || !o.opts.Incremental) {
+		copy(s.duals, o.warmDuals)
+	} else {
+		clear(s.duals)
 	}
-	warmDense := o.prev.X
-	if t == 0 && allZero(o.prev.X) {
-		if warm, err := feasibleWarmStart(in, t); err == nil {
-			warmDense = warm
+
+	obj, ragged := o.obj, s.builder != nil
+	if ragged {
+		obj = &s.obj
+		s.builder.Reset()
+		for j := range s.active {
+			s.active[j] = !o.opts.Incremental || !s.committed || in.Attach[t][j] != in.Attach[t-1][j]
+			if s.active[j] {
+				o.seedUser(t, j, warmDense)
+			}
 		}
+		s.builder.Build(&s.cand)
+		s.buildRows(in, o.prev.X)
+	} else {
+		obj.prepare()
 	}
-	s.builder.AddSupport(warmDense)
-	s.builder.Build(&s.cand)
-
-	for i := range s.obj.hitRow {
-		s.obj.hitRow[i] = 0
-		s.obj.missRow[i] = 0
-	}
+	obj.resetLogCache()
 
 	sopts := o.opts.Solver
 	sopts.Workspace = &o.ws
 	sopts.Ctx = ctx
-	if o.warmDuals != nil {
-		sopts.WarmDuals = o.warmDuals
-	}
+	nAct, nnz, rounds := 0, 0, 0
 	for {
-		s.stats.Rounds++
-		nnz := s.cand.NNZ()
-		o.bindSparse(warmDense)
-		o.prob = alm.Problem{
-			Obj:    s.obj,
-			N:      nnz,
-			Lower:  s.lower[:nnz],
-			Groups: s.groups,
+		nAct, nnz = len(s.actList), nI*nJ
+		if ragged {
+			nnz = s.cand.NNZ()
 		}
-		sopts.WarmX = s.warm[:nnz]
-		res, err := alm.Solve(&o.prob, sopts)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.stats.InnerIters += res.InnerIters
-		s.stats.OuterIters += res.Outer
-		// Scatter before pricing: the dense image is both the expansion
-		// warm start and, on certification, the slot's decision.
-		s.scatter(res.X)
-		added := o.priceAndExpand(res)
-		if added == 0 {
-			s.stats.Slots++
-			s.stats.FinalNNZ = nnz
-			return res, s.xDense, nil
-		}
-		s.stats.Expanded += added
-		s.builder.Build(&s.cand)
-		warmDense = s.xDense
-		sopts.WarmDuals = res.Duals
-	}
-}
-
-// bindSparse sizes the packed buffers for the current candidate set and
-// gathers the slot's coefficients, previous decision, migration factors,
-// and warm start from the dense objective state (which Step has already
-// bound for the slot). Per-cloud constants are shared by aliasing.
-func (o *OnlineApprox) bindSparse(warmDense []float64) {
-	in, s := o.inst, o.sparse
-	so, do := s.obj, o.obj
-	nnz := s.cand.NNZ()
-	so.rowPtr, so.cols = s.cand.RowPtr, s.cand.Cols
-	so.coef = growFloats(so.coef, nnz)
-	so.prev = growFloats(so.prev, nnz)
-	so.mgFac = growFloats(so.mgFac, nnz)
-	s.lower = growFloats(s.lower, nnz) // stays all-zero
-	s.warm = growFloats(s.warm, nnz)
-	switch {
-	case !so.fast:
-		so.lastNum = growFloats(so.lastNum, nnz)
-		so.lastLg2 = growFloats(so.lastLg2, nnz)
-	case so.fast32:
-		so.invDen32 = growFloats32(so.invDen32, nnz)
-		so.ratio32 = growFloats32(so.ratio32, nnz)
-	default:
-		so.invDen = growFloats(so.invDen, nnz)
-		so.ratio = growFloats(so.ratio, nnz)
-	}
-	so.rcFac, so.prevTot = do.rcFac, do.prevTot
-	nJ := in.J
-	for i := 0; i < in.I; i++ {
-		base := i * nJ
-		for k := s.cand.RowPtr[i]; k < s.cand.RowPtr[i+1]; k++ {
-			d := base + s.cand.Cols[k]
-			so.coef[k] = do.coef[d]
-			so.prev[k] = do.prev[d]
-			so.mgFac[k] = do.mgFac[d]
-			s.warm[k] = warmDense[d]
-			if !so.fast {
-				so.lastNum[k] = math.NaN() // invalidate the log cache
+		// x is the round's dense decision image. With every user frozen
+		// there is no program to solve: the gate tests the carried decision
+		// at the committed prices, and any violation re-enters the loop
+		// with a nonempty active set.
+		x := o.prev.X
+		d.Converged = true
+		copy(s.tot, s.frozenTot)
+		if nAct > 0 {
+			sopts.WarmX = warmDense
+			if ragged {
+				s.gather(o.obj, &s.cand, 0, warmDense)
+				obj.totOff = nil
+				if nAct < nJ {
+					obj.totOff = s.frozenTot
+				}
+				sopts.WarmX = s.warm
+			}
+			o.prob = alm.Problem{Obj: obj, N: nnz, Lower: s.lower[:nnz], Cons: s.cons}
+			if s.cons == nil {
+				o.prob.Groups = &s.groups
+			}
+			// Reduced dual layout: active demand rows, then ρ, then ν.
+			for p, j := range s.actList {
+				s.packed[p] = s.duals[j]
+			}
+			copy(s.packed[nAct:], s.duals[nJ:])
+			sopts.WarmDuals = s.packed[:nAct+2*nI]
+			r, err := alm.Solve(&o.prob, sopts)
+			if err != nil {
+				return nil, nil, d, err
+			}
+			rounds++
+			d.Outer += r.Outer
+			d.Inner += r.InnerIters
+			d.Converged = r.Converged
+			for p, j := range s.actList {
+				s.duals[j] = r.Duals[p]
+			}
+			copy(s.duals[nJ:], r.Duals[nAct:])
+			x = r.X
+			if ragged {
+				// Dense image: frozen columns carry the previous decision —
+				// active users' off-candidate entries were zero there — and
+				// the candidate entries take the packed solution.
+				x = s.xDense
+				copy(x, o.prev.X)
+				s.scatterInto(x, nJ, 0, r.X)
+				s.obj.addTotals(s.tot, r.X)
 			}
 		}
-	}
-	// The fast tier divides once per bind; evaluations then multiply.
-	if so.fast {
-		if so.fast32 {
-			entropyInvDen32(so.invDen32, so.prev, so.eps2)
-		} else {
-			entropyInvDen(so.invDen, so.prev, so.eps2)
+		warmDense = x
+		if !ragged {
+			break
 		}
+
+		// Certify the round: price the active users' pruned pairs and gate
+		// the frozen users' carried columns, both against the multipliers
+		// the bounded solve produced, converged or not — under a deployment
+		// budget the duals carry penalty-scaled noise and the relative
+		// tolerances are what absorb it, while under the converged budgets
+		// of the property tests both tests are exact.
+		o.obj.kktBase(s.base, s.tot, s.duals[nJ:nJ+nI], s.duals[nJ+nI:])
+		added := priceExpand(o.obj, s.base, s.duals, s.builder, s.actList, 0, o.opts.CandidateTol)
+		readmitted := 0
+		if nAct < nJ {
+			readmitted = o.gateFrozen(t)
+		}
+		if added == 0 && readmitted == 0 {
+			break
+		}
+		d.CandExpanded += added
+		d.ReadmittedUsers += readmitted
+		if readmitted > 0 {
+			s.buildRows(in, o.prev.X)
+		}
+		s.builder.Build(&s.cand)
 	}
-	s.groups.RowPtr, s.groups.Cols = s.cand.RowPtr, s.cand.Cols
+	d.LogCacheHits, d.LogCacheMisses = obj.logCacheTotals()
+	s.committed = true
+	if ragged {
+		d.CandRounds, d.CandNNZ = rounds, nnz
+		d.FrozenUsers = nJ - nAct
+		st := &s.stats
+		st.Slots++
+		st.Rounds += d.CandRounds
+		st.Expanded += d.CandExpanded
+		st.FinalNNZ = nnz
+		st.InnerIters += d.Inner
+		st.OuterIters += d.Outer
+		st.Frozen += d.FrozenUsers
+		st.Readmitted += d.ReadmittedUsers
+	}
+	return warmDense, s.duals, d, nil
 }
 
-// scatter writes the packed reduced solution into the dense image,
-// zeroing every pruned pair.
-func (s *sparseState) scatter(x []float64) {
-	for k := range s.xDense {
-		s.xDense[k] = 0
-	}
-	nJ := s.cand.J
-	for i := 0; i+1 < len(s.cand.RowPtr); i++ {
-		base := i * nJ
-		for k := s.cand.RowPtr[i]; k < s.cand.RowPtr[i+1]; k++ {
-			s.xDense[base+s.cand.Cols[k]] = x[k]
-		}
-	}
-}
-
-// priceAndExpand checks dual feasibility (KKT stationarity at the zero
-// bound) on every pruned pair using the converged multipliers and admits
-// the violated ones into the candidate sets, returning how many were
-// added. Pruned pairs have x'_{ij} = 0 by the carryover rule, so their
-// migration gradient at zero vanishes and the reduced cost needs only
-// the static coefficient, the reconfiguration gradient, and the row
-// multipliers.
-func (o *OnlineApprox) priceAndExpand(res *alm.Result) int {
-	in, s := o.inst, o.sparse
-	nI, nJ := in.I, in.J
-	eps1 := o.opts.Epsilon1
-	for i := 0; i < nI; i++ {
-		tot := 0.0
-		for _, v := range res.X[s.cand.RowPtr[i]:s.cand.RowPtr[i+1]] {
-			tot += v
-		}
-		s.rcln[i] = o.obj.rcFac[i] * math.Log((tot+eps1)/(o.obj.prevTot[i]+eps1))
-	}
-	theta := res.Duals[:nJ]
-	rho := res.Duals[nJ : nJ+nI]
-	nu := res.Duals[nJ+nI : nJ+2*nI]
+// kktBase fills base[i] = rcFac_i·ln((tot_i+ε₁)/(X'_i+ε₁)) − (Σ_k ρ_k −
+// ρ_i) + ν_i: the part of pair (i, j)'s reduced gradient that does not
+// depend on the user. tot are the decision's per-cloud totals; demand row
+// j contributes −θ_j on top, complement rows i'≠i contribute the middle
+// term, and the negated capacity row i contributes +ν_i.
+func (d *p2Objective) kktBase(base, tot, rho, nu []float64) {
 	rhoSum := 0.0
 	for _, v := range rho {
 		rhoSum += v
 	}
-	tol := o.opts.CandidateTol
+	for i := range base {
+		rcln := d.rcFac[i] * math.Log((tot[i]+d.eps1)/(d.prevTot[i]+d.eps1))
+		base[i] = rcln - (rhoSum - rho[i]) + nu[i]
+	}
+}
+
+// priceExpand is the pricing pass: it checks dual feasibility (KKT
+// stationarity at the zero bound) on every pruned pair of the listed
+// users and admits the violated ones into the builder, returning how many
+// were added. users and theta index the builder's columns, which are the
+// dense slot data d's columns from colLo on. Pruned pairs have x'_{ij} =
+// 0 by the carryover rule, so their migration gradient at zero vanishes
+// and the reduced cost needs only the static coefficient, base, and θ.
+func priceExpand(d *p2Objective, base, theta []float64, b *model.CandidateBuilder, users []int, colLo int, tol float64) int {
 	added := 0
-	for i := 0; i < nI; i++ {
-		row := o.obj.coef[i*nJ : (i+1)*nJ]
-		// Demand row j contributes −θ_j, complement rows i'≠i contribute
-		// −(Σρ − ρ_i), and the negated capacity row i contributes +ν_i.
-		base := s.rcln[i] - (rhoSum - rho[i]) + nu[i]
-		for j, c := range row {
-			if s.builder.Contains(i, j) {
+	for i := 0; i < d.nI; i++ {
+		row := d.coef[i*d.nJ+colLo:]
+		for _, j := range users {
+			if b.Contains(i, j) {
 				continue
 			}
-			if c+base-theta[j] < -tol*(1+math.Abs(c)) {
-				s.builder.Add(i, j)
+			c := row[j]
+			if c+base[i]-theta[j] < -tol*(1+math.Abs(c)) {
+				b.Add(i, j)
 				added++
 			}
 		}
 	}
 	return added
-}
-
-// growFloats returns s resized to n, reusing capacity and otherwise
-// reallocating with headroom so expansion rounds settle quickly.
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]float64, n, n+n/2)
-	copy(out, s[:cap(s)])
-	return out
-}
-
-// p2SparseObjective evaluates P2's objective and gradient over a ragged
-// candidate set, with the variable vector in the packed cloud-major CSR
-// layout of model.CandidateSet. The math per kept pair is identical to
-// p2Objective.evalRow — same static, migration, and reconfiguration
-// terms, same zero-flow log skip and log memoization — applied to
-// gathered per-variable constants; pruned pairs contribute exactly
-// nothing, which is their true contribution at x = 0 given carryover.
-type p2SparseObjective struct {
-	nI     int
-	rowPtr []int
-	cols   []int
-
-	coef  []float64 // packed weighted static coefficients
-	prev  []float64 // packed x'_{ij}
-	mgFac []float64 // packed wMg·b_i/τ_ij
-
-	rcFac   []float64 // per cloud, aliases the dense objective's
-	prevTot []float64 // per cloud, aliases the dense objective's
-
-	// totOff, when non-nil, offsets each cloud's total inside the
-	// reconfiguration regularizer by the flow its frozen users carry
-	// (Options.Incremental): the reduced program sees X_i = A_i + F_i
-	// with only the active part A_i as variables. Nil on the plain
-	// candidate path, where the evaluation is bitwise unchanged.
-	totOff []float64
-
-	eps1, eps2 float64
-	workers    int
-
-	rowF []float64 // per-cloud partial objective values
-
-	// hitRow/missRow count per-cloud log-cache outcomes (see p2Objective);
-	// solveSparse resets them per slot so they accumulate across the
-	// slot's expansion rounds.
-	hitRow  []int64
-	missRow []int64
-
-	// Fast-math tier (see p2Objective): packed reciprocals and log
-	// scratch, refilled by bindSparse each expansion round. fast32
-	// selects the float32 storage width.
-	fast     bool
-	fast32   bool
-	invDen   []float64
-	ratio    []float64
-	invDen32 []float32
-	ratio32  []float32
-
-	lastNum []float64 // packed log-cache keys (see p2Objective)
-	lastLg2 []float64
-}
-
-// logCacheTotals sums the per-row cache counters accumulated since the
-// start of the slot.
-func (o *p2SparseObjective) logCacheTotals() (hits, misses int64) {
-	for i := range o.hitRow {
-		hits += o.hitRow[i]
-		misses += o.missRow[i]
-	}
-	return hits, misses
-}
-
-// Eval implements fista.Objective. Cloud rows are independent exactly as
-// in the dense objective, so they fan out over the same bounded pool
-// with per-row partials reduced in index order (byte-identical for any
-// worker count).
-func (o *p2SparseObjective) Eval(x, grad []float64) float64 {
-	if w := par.Bound(o.workers, len(x), evalParGrain); w <= 1 {
-		o.evalRows(x, grad, 0, o.nI)
-	} else {
-		par.Ranges(w, o.nI, func(lo, hi int) { o.evalRows(x, grad, lo, hi) })
-	}
-	f := 0.0
-	for _, v := range o.rowF {
-		f += v
-	}
-	return f
-}
-
-// evalRows evaluates ragged cloud rows [lo, hi) into rowF.
-func (o *p2SparseObjective) evalRows(x, grad []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		o.rowF[i] = o.evalRow(i, x, grad)
-	}
-}
-
-// evalRow computes cloud i's slice of the objective and gradient over
-// its kept pairs. See p2Objective.evalRow for the term-by-term
-// derivation; the loops differ only in indexing through the packed
-// layout.
-func (o *p2SparseObjective) evalRow(i int, x, grad []float64) float64 {
-	if o.fast {
-		return o.evalRowFast(i, x, grad)
-	}
-	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
-	row := x[lo:hi]
-	coef := o.coef[lo:hi]
-	prev := o.prev[lo:hi]
-	mgFac := o.mgFac[lo:hi]
-	lastNum := o.lastNum[lo:hi]
-	lastLg2 := o.lastLg2[lo:hi]
-	if grad == nil {
-		s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
-		o.hitRow[i] += hits
-		o.missRow[i] += misses
-		if o.totOff != nil {
-			s += o.totOff[i]
-		}
-		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-		return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-	}
-	s := 0.0
-	for _, v := range row {
-		s += v
-	}
-	if o.totOff != nil {
-		s += o.totOff[i]
-	}
-	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-	f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-	f, hits, misses := entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2,
-		grad[lo:hi], o.eps2, f, o.rcFac[i]*lg)
-	o.hitRow[i] += hits
-	o.missRow[i] += misses
-	return f
-}
-
-// evalRowFast is evalRow on the batch-kernel tier over the packed
-// layout; see p2Objective.evalRowFast and entropy.go.
-func (o *p2SparseObjective) evalRowFast(i int, x, grad []float64) float64 {
-	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
-	row := x[lo:hi]
-	coef := o.coef[lo:hi]
-	mgFac := o.mgFac[lo:hi]
-	if o.fast32 {
-		ratio := o.ratio32[lo:hi]
-		s := entropyRatioPass32(row, o.invDen32[lo:hi], ratio, o.eps2)
-		logBatch32(ratio, ratio)
-		if o.totOff != nil {
-			s += o.totOff[i]
-		}
-		lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-		if grad == nil {
-			f := entropyFastValue32(row, coef, mgFac, ratio, o.eps2)
-			return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-		}
-		f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-		return entropyFastGrad32(row, coef, mgFac, ratio,
-			grad[lo:hi], o.eps2, f, o.rcFac[i]*lg)
-	}
-	ratio := o.ratio[lo:hi]
-	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
-	logBatch(ratio, ratio)
-	if o.totOff != nil {
-		s += o.totOff[i]
-	}
-	lg := math.Log((s + o.eps1) / (o.prevTot[i] + o.eps1))
-	if grad == nil {
-		f := entropyFastValue(row, coef, mgFac, ratio, o.eps2)
-		return f + o.rcFac[i]*((s+o.eps1)*lg-s)
-	}
-	f := o.rcFac[i] * ((s+o.eps1)*lg - s)
-	return entropyFastGrad(row, coef, mgFac, ratio,
-		grad[lo:hi], o.eps2, f, o.rcFac[i]*lg)
-}
-
-// growFloats32 is growFloats for the float32 storage tier.
-func growFloats32(s []float32, n int) []float32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]float32, n, n+n/2)
-	copy(out, s[:cap(s)])
-	return out
 }

@@ -19,12 +19,12 @@ import (
 // certificate and the conformance oracle across a restore.
 //
 // Path-internal warm state (the candidate builder's sets, the sharded
-// coordinator's per-block duals, the incremental tier's committed gate
-// duals) is deliberately not captured: each path rebuilds it from the
-// carried decision, and the incremental delta detector treats the first
-// post-restore slot as having no committed predecessor, so it re-solves
-// every user — a full, certified solve — before resuming delta-driven
-// slots. Restored runs therefore match uninterrupted runs to the solver
+// coordinator's per-block duals) is deliberately not captured: each path
+// rebuilds it from the carried decision. The incremental tier trusts
+// neither the decision nor Duals of a slot it did not commit itself: its
+// delta detector treats the first post-restore slot as having no
+// committed predecessor, so it re-solves every user from zero multipliers
+// — a full, certified solve — before resuming delta-driven slots. Restored runs therefore match uninterrupted runs to the solver
 // tolerance (pinned to 1e-8 by the serve-layer tests), not bitwise.
 type WarmState struct {
 	// Slot is the next unsolved slot; len(Schedule) committed decisions

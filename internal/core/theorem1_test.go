@@ -3,21 +3,46 @@ package core
 import (
 	"testing"
 
-	"edgealloc/internal/scenario"
+	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
 )
+
+// theorem1GapInstance separates the literal and the capacity-constrained
+// P2 optima: cloud 0 is small and local to the heavy user 1, cloud 1 is
+// roomy, local to the light user 0, and far away. The complement row
+// forces Λ − C_0 = 2 units onto cloud 1 but not onto any particular user,
+// so the literal optimum parks them on user 0 (over-serving it at its own
+// cloud) and serves user 1's whole demand of 3 at cloud 0, whose capacity
+// is 2; respecting it ships a unit of user 1 across the long link.
+func theorem1GapInstance() *model.Instance {
+	return &model.Instance{
+		I:           2,
+		J:           2,
+		T:           1,
+		Capacity:    []float64{2, 10},
+		InterDelay:  [][]float64{{0, 40}, {40, 0}},
+		Workload:    []float64{1, 3},
+		ReconfPrice: []float64{1, 1},
+		MigOutPrice: []float64{0.5, 0.5},
+		MigInPrice:  []float64{0.5, 0.5},
+		WOp:         1, WSq: 1, WRc: 1, WMg: 1,
+		OpPrice:     [][]float64{{1, 1}},
+		Attach:      [][]int{{1, 0}},
+		AccessDelay: [][]float64{{1, 1}},
+	}
+}
 
 // TestTheorem1GapWithoutCapacityRows documents the reproduction finding
 // recorded in DESIGN.md §3b: solving P2 exactly as printed in the paper —
 // demand rows plus complement-capacity rows only — can yield an optimum
 // that exceeds some cloud's capacity, contradicting Theorem 1's
-// feasibility claim. The test solves slot 0 of a scenario both ways and
-// asserts (a) the literal P2 optimum is strictly cheaper than the
+// feasibility claim. The test solves slot 0 of theorem1GapInstance both
+// ways and asserts (a) the literal P2 optimum is strictly cheaper than the
 // capacity-constrained one (so the violation is not a solver artifact)
 // and (b) it indeed breaches capacity.
 func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
-	in, _, err := scenario.Rome(scenario.Config{Users: 12, Horizon: 10, Seed: 3})
-	if err != nil {
+	in := theorem1GapInstance()
+	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	o := NewOnlineApprox(in, Options{})
@@ -26,7 +51,7 @@ func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := p2Constraints(in, 0)
+	all := p2Constraints(in)
 	literal := all[:in.J+in.I] // the paper's rows only (demand + complement)
 
 	solve := func(cons []alm.Constraint) *alm.Result {
@@ -48,7 +73,8 @@ func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 	capped := solve(all)
 
 	if lit.Objective >= capped.Objective-1e-3 {
-		t.Skip("this seed no longer separates the two optima; the gap needs a cheap, small cloud")
+		t.Fatalf("literal optimum %.6f not cheaper than capped %.6f: the instance no longer separates them",
+			lit.Objective, capped.Objective)
 	}
 
 	// The strictly cheaper literal optimum must be the capacity violator.

@@ -73,7 +73,7 @@ func TestStepZeroAllZeroPrevFallback(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := alg.sparse
+			s := alg.single
 			for k, v := range warm {
 				if v != 0 && !s.builder.Contains(k/in.J, k%in.J) {
 					t.Errorf("warm-start support (%d,%d) missing from candidate set",
