@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test bench-module race bench benchjson bench-diff serve-bench soak dist-soak fuzz cover
+.PHONY: check fmt vet lint build test bench-module race bench soak dist-soak fuzz cover
 
 check: fmt vet lint build test bench-module race
 
@@ -79,31 +79,11 @@ fuzz:
 cover:
 	./scripts/cover.sh
 
-# Solver microbenchmarks (ns/op, B/op, allocs/op).
+# Solver micro-kernels (ns/op, B/op, allocs/op); compare two runs with
+# benchstat. Their allocs/op are pinned in tier-1 by TestHotPathAllocs;
+# what a slot costs end to end is `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/perf/
-
-# Machine-readable benchmark dump for the perf trajectory, including the
-# scaling tier (tens of minutes; drop -scale for the base kernels only).
-benchjson:
-	$(GO) run ./cmd/edgebench -scale -benchjson BENCH_solver.json
-
-# Regression gate: re-run the kernels and fail if any grew more than 25%
-# ns/op or past the allocs/op gate over the committed trajectory, then
-# re-run the serve-tier sweep and fail if any latency percentile grew
-# more than 50% over BENCH_serve.json. The base kernels only, so it
-# stays minutes; run with -scale by hand before refreshing
-# BENCH_solver.json after performance-sensitive changes.
-bench-diff:
-	$(GO) run ./cmd/edgebench -benchdiff BENCH_solver.json
-	$(GO) run ./cmd/edgeload -self -benchdiff BENCH_serve.json
-
-# Serve-tier saturation sweep: an in-process edged driven open-loop
-# across the committed rate ladder, recording slot-advance latency
-# percentiles (p50/p99/p999) per rate into BENCH_serve.json. Refresh it
-# after serve-tier performance changes, on quiet hardware.
-serve-bench:
-	$(GO) run ./cmd/edgeload -self -benchjson BENCH_serve.json
 
 # Race-detector soak of the serving tier: sustained concurrent
 # slot-advance / snapshot / TTL-eviction / drain traffic under -race.

@@ -3,12 +3,12 @@
 // edged daemon (or an edgerouter front) open-loop at a sweep of offered
 // slot-advance rates, reporting latency SLO percentiles (p50/p99/p999)
 // per rate point. With -self it spins up an in-process edged so the
-// sweep is self-contained and reproducible — that is what `make
-// serve-bench` records as BENCH_serve.json and what `make bench-diff`
-// re-measures to gate serve latency regressions.
+// sweep is self-contained. It explores where a deployment saturates; the
+// repository's serving number (flagship-sized sessions, autosnapshot,
+// timed from due time) is the serve_stream workload of
+// `bash bench/run.sh`.
 //
-//	edgeload -self -benchjson BENCH_serve.json   # record the baseline
-//	edgeload -self -benchdiff BENCH_serve.json   # regression gate
+//	edgeload -self
 //	edgeload -base http://127.0.0.1:8090 -rates 10,20,40 -step 10s
 package main
 
@@ -40,18 +40,15 @@ func run(args []string, outw, errw io.Writer) int {
 	fs := flag.NewFlagSet("edgeload", flag.ContinueOnError)
 	fs.SetOutput(errw)
 	var (
-		base      = fs.String("base", "", "target base URL (edged or edgerouter); empty requires -self")
-		self      = fs.Bool("self", false, "spin up an in-process edged on a loopback port and drive that")
-		sessions  = fs.Int("sessions", 32, "concurrent session population")
-		users     = fs.Int("users", 6, "users per session instance (Rome scenario)")
-		horizon   = fs.Int("horizon", 8, "slots per session before it is reborn")
-		seed      = fs.Int64("seed", 1, "scenario seed")
-		rates     = fs.String("rates", "10,20,40,80,160", "comma-separated offered rates (slot-advances/sec); the default spans the 1-vCPU saturation knee")
-		step      = fs.Duration("step", 5*time.Second, "duration of each rate step")
-		resolve   = fs.Bool("resolve", false, "treat -base as an edgerouter: resolve each session's owner via /admin/owner and dial it directly")
-		benchjson = fs.String("benchjson", "", "write the sweep report to this file (BENCH_serve.json)")
-		benchdiff = fs.String("benchdiff", "", "gate the sweep against this baseline report")
-		threshold = fs.Float64("threshold", 0.5, "latency growth tolerated by -benchdiff (0.5 = +50%)")
+		base     = fs.String("base", "", "target base URL (edged or edgerouter); empty requires -self")
+		self     = fs.Bool("self", false, "spin up an in-process edged on a loopback port and drive that")
+		sessions = fs.Int("sessions", 32, "concurrent session population")
+		users    = fs.Int("users", 6, "users per session instance (Rome scenario)")
+		horizon  = fs.Int("horizon", 8, "slots per session before it is reborn")
+		seed     = fs.Int64("seed", 1, "scenario seed")
+		rates    = fs.String("rates", "10,20,40,80,160", "comma-separated offered rates (slot-advances/sec); the default spans the 1-vCPU saturation knee")
+		step     = fs.Duration("step", 5*time.Second, "duration of each rate step")
+		resolve  = fs.Bool("resolve", false, "treat -base as an edgerouter: resolve each session's owner via /admin/owner and dial it directly")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -59,9 +56,6 @@ func run(args []string, outw, errw io.Writer) int {
 	fail := func(err error) int {
 		fmt.Fprintln(errw, "edgeload:", err)
 		return 1
-	}
-	if *benchjson != "" && *benchdiff != "" {
-		return fail(fmt.Errorf("-benchjson and -benchdiff are mutually exclusive"))
 	}
 	if (*base == "") == !*self {
 		return fail(fmt.Errorf("exactly one of -base or -self required"))
@@ -79,7 +73,6 @@ func run(args []string, outw, errw io.Writer) int {
 	defer stop()
 
 	target := *base
-	targetLabel := *base
 	if *self {
 		srv := serve.New(serve.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -95,7 +88,6 @@ func run(args []string, outw, errw io.Writer) int {
 			_ = srv.Close()
 		}()
 		target = "http://" + ln.Addr().String()
-		targetLabel = "self"
 		fmt.Fprintln(errw, "edgeload: in-process edged at", target)
 	}
 
@@ -122,52 +114,6 @@ func run(args []string, outw, errw io.Writer) int {
 		return fail(err)
 	}
 	loadgen.WriteStepTable(outw, steps)
-
-	rep := &loadgen.Report{
-		Target:   targetLabel,
-		Sessions: *sessions,
-		Users:    *users,
-		Horizon:  *horizon,
-		Seed:     *seed,
-		Steps:    steps,
-	}
-
-	if *benchjson != "" {
-		f, err := os.Create(*benchjson)
-		if err != nil {
-			return fail(err)
-		}
-		if err := loadgen.WriteReport(f, rep); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(errw, "edgeload: report written to", *benchjson)
-	}
-
-	if *benchdiff != "" {
-		f, err := os.Open(*benchdiff)
-		if err != nil {
-			return fail(err)
-		}
-		baseRep, err := loadgen.ReadReport(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
-		}
-		regs := loadgen.DiffReports(baseRep, rep, *threshold)
-		if len(regs) > 0 {
-			fmt.Fprintf(errw, "edgeload: %d serve latency regression(s) past +%.0f%%:\n",
-				len(regs), 100**threshold)
-			for _, r := range regs {
-				fmt.Fprintln(errw, "  ", r)
-			}
-			return 1
-		}
-		fmt.Fprintf(errw, "edgeload: no serve latency regressions past +%.0f%%\n", 100**threshold)
-	}
 	return 0
 }
 

@@ -1,5 +1,5 @@
 // Command edgeshard is the shard worker: it hosts shard blocks pushed by
-// coordinators (edgesim, edgebench, or edged running with -shards and
+// coordinators (edgesim or edged running with -shards and
 // -shard-workers) and runs their consensus x-steps over the shardrpc
 // HTTP/JSON protocol (see internal/solver/shardrpc and DESIGN.md §7h).
 // Workers are stateless across slots — every slot begins with a full

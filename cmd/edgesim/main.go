@@ -1,7 +1,11 @@
 // Command edgesim reproduces the figures of the paper's evaluation
 // section: it builds the §V-A scenarios, runs the atomistic and holistic
 // algorithm groups, normalizes by the offline optimum, and prints the
-// rows/series of the requested figure.
+// rows/series of the requested figure. With -ablation it runs instead
+// the studies that go beyond the paper's figures — the value of
+// prediction (lookahead windows), entropy vs quadratic regularization,
+// and the adversarial lower-bound probe (DESIGN.md §7/§8, EXPERIMENTS.md
+// "Beyond the paper").
 //
 // Usage:
 //
@@ -9,6 +13,7 @@
 //	edgesim -fig all -users 25 -reps 3  # everything, bigger
 //	edgesim -fig 4 -horizon 16 -mu 1    # parameter-impact figure
 //	edgesim -fig 2 -cpuprofile cpu.prof # profile the run
+//	edgesim -ablation all -users 10 -horizon 8
 //
 // The defaults are laptop-scale; the paper's full scale is
 // -users 300 -horizon 60 -reps 5 (budget hours of CPU for the offline
@@ -41,6 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		fig        = fs.String("fig", "all", "figure to reproduce: 1..5 or 'all'")
+		ablation   = fs.String("ablation", "", "run a beyond-the-paper study instead of figures: lookahead, regularizer, adversarial, or 'all'")
 		users      = fs.Int("users", 15, "number of mobile users J")
 		horizon    = fs.Int("horizon", 12, "number of time slots T")
 		reps       = fs.Int("reps", 2, "independent repetitions per case")
@@ -71,6 +77,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "edgesim: unexpected arguments: %v\n", fs.Args())
+		return 2
+	}
+	if *ablation != "" && *fig != "all" {
+		fmt.Fprintln(stderr, "edgesim: -ablation and -fig are mutually exclusive")
 		return 2
 	}
 
@@ -117,14 +127,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Metrics: solverMetrics,
 	}
 
-	figures := []string{*fig}
-	if *fig == "all" {
-		figures = []string{"1", "2", "3", "4", "5"}
+	names, byName := []string{*fig}, experiments.ByName
+	switch {
+	case *ablation == "all":
+		names, byName = []string{"lookahead", "regularizer", "adversarial"}, experiments.AblationByName
+	case *ablation != "":
+		names, byName = []string{*ablation}, experiments.AblationByName
+	case *fig == "all":
+		names = []string{"1", "2", "3", "4", "5"}
 	}
 	var claimSources []*experiments.Result
-	for _, f := range figures {
+	for _, f := range names {
 		start := time.Now()
-		res, err := experiments.ByName(f, p)
+		res, err := byName(f, p)
 		if err != nil {
 			fmt.Fprintf(stderr, "edgesim: %v\n", err)
 			return 1

@@ -19,6 +19,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"non-numeric users", []string{"-users", "lots"}, 2, "invalid"},
 		{"extra args", []string{"2"}, 2, "unexpected arguments"},
 		{"unknown figure", []string{"-fig", "9"}, 1, "9"},
+		{"unknown ablation", []string{"-ablation", "bogus"}, 1, "bogus"},
+		{"ablation with figure", []string{"-ablation", "adversarial", "-fig", "2"}, 2, "mutually exclusive"},
 		{"bad profile path", []string{"-fig", "1", "-cpuprofile", "/no/such/dir/cpu.prof"}, 1, "cpu.prof"},
 	}
 	for _, tt := range tests {
@@ -43,6 +45,27 @@ func TestRunFigure1(t *testing.T) {
 	}
 	if out := stdout.String(); !strings.Contains(out, "Fig 1") {
 		t.Errorf("output %q does not announce Fig 1", out)
+	}
+}
+
+// TestRunAblation drives the cheapest study (exact LP denominators on
+// tiny instances) through the -ablation switch: its table, and none of
+// the figure output, is printed.
+func TestRunAblation(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if got := run([]string{"-ablation", "adversarial"}, &stdout, &stderr); got != 0 {
+		t.Fatalf("exit %d, stderr %q", got, stderr.String())
+	}
+	out := stdout.String()
+	for _, want := range []string{"Ablation C", "spike=8.0", "theorem-2-bound"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	for _, not := range []string{"Fig ", "headline claims"} {
+		if strings.Contains(out, not) {
+			t.Errorf("ablation run printed figure output %q:\n%s", not, out)
+		}
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // figures: they interrogate the design choices DESIGN.md calls out
 // (entropy vs quadratic regularization, the value of prediction, and the
 // adversarial lower-bound family of §IV's future-work remark). They are
-// driven by cmd/edgebench.
+// driven by `edgesim -ablation`.
 
 // AblationLookahead sweeps the prediction window of the model-predictive
 // baseline on the Rome scenario, bracketing online-greedy (window 1) and
@@ -141,7 +141,7 @@ func AblationAdversarial() (*Result, error) {
 			}
 			return run.Total / opt, nil
 		}
-		ap, err := ratioOf(approxAlg{})
+		ap, err := ratioOf(Params{}.approx())
 		if err != nil {
 			return fmt.Errorf("experiments: ablation adversarial spike=%g: %w", spike, err)
 		}
@@ -167,7 +167,7 @@ func AblationAdversarial() (*Result, error) {
 	return res, nil
 }
 
-// AblationByName dispatches the ablation studies for cmd/edgebench.
+// AblationByName dispatches the ablation studies for cmd/edgesim.
 func AblationByName(name string, p Params) (*Result, error) {
 	switch name {
 	case "lookahead", "a":

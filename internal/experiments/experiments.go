@@ -220,48 +220,35 @@ func fastGreedy() *baseline.Greedy {
 }
 
 // approxAlg adapts the paper's algorithm to the sim.Algorithm interface
-// with a fresh state and the experiment solver profile per Solve.
+// with a fresh state per Solve.
 type approxAlg struct {
-	eps1, eps2     float64
-	candidates     int
-	shards         int
-	shardWorkers   []string
-	fastMath       bool
-	fastMathF32    bool
-	incremental    bool
-	incrementalTol float64
-	metrics        *telemetry.SolverMetrics
+	opts core.Options
 }
 
 func (a approxAlg) Name() string { return "online-approx" }
 
 func (a approxAlg) Solve(in *model.Instance) (model.Schedule, error) {
-	alg := core.NewOnlineApprox(in, core.Options{
-		Epsilon1:       a.eps1,
-		Epsilon2:       a.eps2,
-		Candidates:     a.candidates,
-		Shards:         a.shards,
-		ShardWorkers:   a.shardWorkers,
-		FastMath:       a.fastMath,
-		FastMathF32:    a.fastMathF32,
-		Incremental:    a.incremental,
-		IncrementalTol: a.incrementalTol,
-		Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
-			FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2},
-		Metrics: a.metrics,
-	})
-	return alg.Run()
+	return core.NewOnlineApprox(in, a.opts).Run()
 }
 
 var _ sim.Algorithm = approxAlg{}
 
-// approx builds the paper's algorithm adapter under p's knobs.
+// approx builds the paper's algorithm adapter under p's knobs and the
+// experiment solver profile; the figures that vary one more option
+// (Fig 4's ε, Fig 1's full variable space) edit the returned copy.
 func (p Params) approx() approxAlg {
-	return approxAlg{candidates: p.Candidates, shards: p.Shards,
-		shardWorkers: p.ShardWorkers,
-		fastMath:     p.FastMath, fastMathF32: p.FastMathF32,
-		incremental: p.Incremental, incrementalTol: p.IncrementalTol,
-		metrics: p.Metrics}
+	return approxAlg{core.Options{
+		Candidates:     p.Candidates,
+		Shards:         p.Shards,
+		ShardWorkers:   p.ShardWorkers,
+		FastMath:       p.FastMath,
+		FastMathF32:    p.FastMathF32,
+		Incremental:    p.Incremental,
+		IncrementalTol: p.IncrementalTol,
+		Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
+			FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2},
+		Metrics: p.Metrics,
+	}}
 }
 
 // aggregate converts per-rep ratio maps into sorted cells.
@@ -349,6 +336,8 @@ func Fig1(p Params) (*Result, error) {
 			"cells are absolute total costs",
 		},
 	}
+	approx := p.approx()
+	approx.opts.Candidates = 0 // two-cloud toys: nothing to prune
 	for _, tc := range []struct {
 		label string
 		inst  *model.Instance
@@ -364,11 +353,7 @@ func Fig1(p Params) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
 		}
-		apRun, err := sim.ExecuteOpts(tc.inst, approxAlg{
-			shards: p.Shards, shardWorkers: p.ShardWorkers,
-			fastMath: p.FastMath, fastMathF32: p.FastMathF32,
-			incremental: p.Incremental, incrementalTol: p.IncrementalTol,
-			metrics: p.Metrics}, p.simOptions())
+		apRun, err := sim.ExecuteOpts(tc.inst, approx, p.simOptions())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
 		}
@@ -460,12 +445,9 @@ func Fig4(p Params) (*Result, error) {
 				return buildRome(p.scenarioConfig(p.Seed + int64(rep)))
 			},
 			Algs: func() []sim.Algorithm {
-				return []sim.Algorithm{approxAlg{
-					eps1: eps, eps2: eps, candidates: p.Candidates, shards: p.Shards,
-					shardWorkers: p.ShardWorkers,
-					fastMath:     p.FastMath, fastMathF32: p.FastMathF32,
-					incremental: p.Incremental, incrementalTol: p.IncrementalTol,
-					metrics: p.Metrics}}
+				a := p.approx()
+				a.opts.Epsilon1, a.opts.Epsilon2 = eps, eps
+				return []sim.Algorithm{a}
 			},
 		})
 	}

@@ -3,9 +3,9 @@
 // sessions against an edged daemon (or an edgerouter front) at a fixed
 // offered rate of slot-advances per second, measuring the round-trip
 // latency of every advance into SLO histograms (p50/p99/p999) and
-// sweeping the rate to find the saturation knee. Reports serialize to
-// BENCH_serve.json and diff against a committed baseline so serve-tier
-// latency regressions fail the bench gate like solver kernels do.
+// sweeping the rate to find the saturation knee. It is an exploration
+// tool for a live deployment; the repository's serving number is the
+// serve_stream workload of `bash bench/run.sh`.
 //
 // Open loop means arrivals do not wait for completions: ticks fire on
 // the offered-rate clock and a tick that finds every session busy is
@@ -64,37 +64,27 @@ type Runner struct {
 // slot-advances.
 type Step struct {
 	// Rate is the offered load, slot-advances per second.
-	Rate float64 `json:"rate"`
+	Rate float64
 	// Seconds is the measured wall-clock of the step.
-	Seconds float64 `json:"seconds"`
+	Seconds float64
 	// Completed counts successful slot-advances.
-	Completed uint64 `json:"completed"`
+	Completed uint64
 	// Achieved is Completed/Seconds.
-	Achieved float64 `json:"achieved"`
+	Achieved float64
 	// Shed counts 429 responses (admission control shedding load).
-	Shed uint64 `json:"shed"`
+	Shed uint64
 	// Errors counts non-200, non-429 outcomes.
-	Errors uint64 `json:"errors"`
+	Errors uint64
 	// Starved counts ticks that found every session busy: offered
 	// arrivals the open loop could not issue. Starved > 0 at a rate
 	// point means the target is past saturation there.
-	Starved uint64 `json:"starved"`
+	Starved uint64
 	// P50Ns, P99Ns, P999Ns, MaxNs are latency quantiles of one
 	// slot-advance round trip, in nanoseconds.
-	P50Ns  float64 `json:"p50_ns"`
-	P99Ns  float64 `json:"p99_ns"`
-	P999Ns float64 `json:"p999_ns"`
-	MaxNs  float64 `json:"max_ns"`
-}
-
-// Report is a full sweep, serialized as BENCH_serve.json.
-type Report struct {
-	Target   string `json:"target"` // "self" or the external base URL
-	Sessions int    `json:"sessions"`
-	Users    int    `json:"users"`
-	Horizon  int    `json:"horizon"`
-	Seed     int64  `json:"seed"`
-	Steps    []Step `json:"steps"`
+	P50Ns  float64
+	P99Ns  float64
+	P999Ns float64
+	MaxNs  float64
 }
 
 func (r *Runner) client() *http.Client {
@@ -351,76 +341,6 @@ func (r *Runner) Sweep(ctx context.Context, rates []float64, dur time.Duration) 
 		steps = append(steps, s)
 	}
 	return steps, nil
-}
-
-// --- report IO + regression gate ----------------------------------------
-
-// WriteReport serializes the report (indented, trailing newline).
-func WriteReport(w io.Writer, rep *Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
-}
-
-// ReadReport parses a report written by WriteReport.
-func ReadReport(rd io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(rd).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("loadgen: parse report: %w", err)
-	}
-	return &rep, nil
-}
-
-// Regression is one failed latency gate.
-type Regression struct {
-	Rate     float64
-	Quantile string
-	BaseNs   float64
-	CurNs    float64
-	Delta    float64 // (cur-base)/base
-}
-
-func (r Regression) String() string {
-	return fmt.Sprintf("rate %g: %s %.2fms -> %.2fms (%+.0f%%)",
-		r.Rate, r.Quantile, r.BaseNs/1e6, r.CurNs/1e6, 100*r.Delta)
-}
-
-// DiffReports gates the current sweep against a baseline: for every
-// rate point present in both, each latency percentile may grow at most
-// `threshold` (0.5 = +50%; serve round trips are noisier than solver
-// microbenchmarks, so the gate is looser than the kernel one). Rate
-// points only in one report are ignored — resizing the sweep must not
-// fail the gate.
-func DiffReports(base, cur *Report, threshold float64) []Regression {
-	byRate := map[float64]Step{}
-	for _, s := range base.Steps {
-		byRate[s.Rate] = s
-	}
-	var out []Regression
-	for _, s := range cur.Steps {
-		b, ok := byRate[s.Rate]
-		if !ok {
-			continue
-		}
-		for _, q := range []struct {
-			name      string
-			base, cur float64
-		}{
-			{"p50", b.P50Ns, s.P50Ns},
-			{"p99", b.P99Ns, s.P99Ns},
-			{"p999", b.P999Ns, s.P999Ns},
-		} {
-			if q.base <= 0 || q.cur <= q.base*(1+threshold) {
-				continue
-			}
-			out = append(out, Regression{
-				Rate: s.Rate, Quantile: q.name,
-				BaseNs: q.base, CurNs: q.cur,
-				Delta: (q.cur - q.base) / q.base,
-			})
-		}
-	}
-	return out
 }
 
 // WriteStepTable renders steps as a human-readable table.

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -79,56 +78,6 @@ func TestBucketMonotone(t *testing.T) {
 		if up := bucketUpper(b); up < d {
 			t.Fatalf("bucketUpper(%d)=%v below sample %v", b, up, d)
 		}
-	}
-}
-
-// --- regression gate -----------------------------------------------------
-
-func TestDiffReports(t *testing.T) {
-	base := &Report{Steps: []Step{
-		{Rate: 10, P50Ns: 1e6, P99Ns: 5e6, P999Ns: 9e6},
-		{Rate: 20, P50Ns: 2e6, P99Ns: 8e6, P999Ns: 2e7},
-	}}
-	// Within the gate: +40% on one percentile.
-	cur := &Report{Steps: []Step{
-		{Rate: 10, P50Ns: 1.4e6, P99Ns: 5e6, P999Ns: 9e6},
-		{Rate: 20, P50Ns: 2e6, P99Ns: 8e6, P999Ns: 2e7},
-	}}
-	if regs := DiffReports(base, cur, 0.5); len(regs) != 0 {
-		t.Fatalf("within-gate sweep flagged: %v", regs)
-	}
-	// Past the gate: p99 at rate 20 triples.
-	cur.Steps[1].P99Ns = 24e6
-	regs := DiffReports(base, cur, 0.5)
-	if len(regs) != 1 {
-		t.Fatalf("want exactly one regression, got %v", regs)
-	}
-	if regs[0].Rate != 20 || regs[0].Quantile != "p99" {
-		t.Fatalf("wrong regression identified: %+v", regs[0])
-	}
-	if !strings.Contains(regs[0].String(), "p99") {
-		t.Fatalf("regression string %q should name the percentile", regs[0])
-	}
-	// A rate point absent from the baseline is not gated.
-	cur.Steps[1].Rate = 40
-	if regs := DiffReports(base, cur, 0.5); len(regs) != 0 {
-		t.Fatalf("unmatched rate point gated: %v", regs)
-	}
-}
-
-func TestReportRoundTrip(t *testing.T) {
-	rep := &Report{Target: "self", Sessions: 8, Users: 4, Horizon: 3, Seed: 7,
-		Steps: []Step{{Rate: 5, Completed: 40, P50Ns: 1.5e6}}}
-	var buf strings.Builder
-	if err := WriteReport(&buf, rep); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadReport(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if got.Target != rep.Target || len(got.Steps) != 1 || got.Steps[0].Completed != 40 {
-		t.Fatalf("round trip mangled the report: %+v", got)
 	}
 }
 

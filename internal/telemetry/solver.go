@@ -3,9 +3,9 @@ package telemetry
 import "strconv"
 
 // SolverMetrics is the canonical instrument bundle for the allocation
-// pipeline. Both the serving daemon (internal/serve) and the batch CLIs
-// (edgesim, edgebench) build it from the same constructor, so a scrape of
-// either reports the same metric names (documented in DESIGN.md §9):
+// pipeline. Both the serving daemon (internal/serve) and the batch CLI
+// (edgesim) build it from the same constructor, so a scrape of either
+// reports the same metric names (documented in DESIGN.md §9):
 //
 //	edgealloc_solver_step_seconds              histogram  per-slot P2 solve latency
 //	edgealloc_solver_steps_total               counter    slots solved

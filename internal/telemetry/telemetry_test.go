@@ -158,6 +158,11 @@ func TestSolverMetricsNilSafe(t *testing.T) {
 	// Every hook must be a no-op on the nil bundle.
 	m.ObserveStep(0.1, 2, 30, true)
 	m.ObserveCandidates(1, 2, 3)
+	m.ObserveShards(2, 1e-6, []float64{0.1})
+	m.ObserveShardRPCAttempt(0.01, 100, true)
+	m.CountShardRPCFallback()
+	m.ObserveIncremental(4, 1, 0.02)
+	m.ObserveLogCache(7, 3)
 	m.SetCloudUtilization(0, 0.5)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -169,6 +174,12 @@ func TestSolverMetricsRecords(t *testing.T) {
 	m.ObserveStep(0.1, 2, 30, true)
 	m.ObserveStep(0.2, 3, 40, false)
 	m.ObserveCandidates(2, 5, 17)
+	m.ObserveShards(3, 2e-6, []float64{0.25, 0.5})
+	m.ObserveShardRPCAttempt(0.01, 100, false)
+	m.ObserveShardRPCAttempt(0.02, 50, true)
+	m.CountShardRPCFallback()
+	m.ObserveIncremental(40, 2, 0.03)
+	m.ObserveLogCache(7, 3)
 	m.SetCloudUtilization(1, 0.75)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -187,6 +198,27 @@ func TestSolverMetricsRecords(t *testing.T) {
 	}
 	if got := m.CandNNZ.Value(); got != 17 {
 		t.Errorf("nnz = %g, want 17", got)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"shard iters", m.ShardIters.Value(), 3},
+		{"shard residual", m.ShardResid.Value(), 2e-6},
+		{"shard block solves", float64(m.ShardSolve.Count()), 2},
+		{"rpc calls", m.RPCCalls.Value(), 2},
+		{"rpc retries", m.RPCRetries.Value(), 1},
+		{"rpc bytes", m.RPCBytes.Value(), 150},
+		{"rpc fallbacks", m.RPCFallbacks.Value(), 1},
+		{"incr frozen", m.IncrFrozen.Value(), 40},
+		{"incr readmitted", m.IncrReadmit.Value(), 2},
+		{"incr solves", float64(m.IncrSolve.Count()), 1},
+		{"log hits", m.LogHits.Value(), 7},
+		{"log misses", m.LogMisses.Value(), 3},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+		}
 	}
 	if got := m.CloudUtil.With("1").Value(); got != 0.75 {
 		t.Errorf("utilization = %g, want 0.75", got)

@@ -17,10 +17,14 @@ internal/sim 90
 internal/solver/alm 90
 internal/solver/fista 95
 internal/solver/par 95
+internal/solver/shard 90
+internal/solver/shardrpc 80
 internal/solver/simplex 90
 internal/solver/smooth 95
 internal/solver/transport 95
 internal/serve 80
+internal/route 75
+internal/loadgen 75
 internal/telemetry 90
 '
 
