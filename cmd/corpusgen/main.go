@@ -9,16 +9,16 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"log"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 
 	"edgealloc/internal/conform"
-	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
 	"edgealloc/internal/serve"
@@ -86,60 +86,65 @@ func writeShardRPCCorpus() {
 }
 
 // writeSnapshotCorpus pins the session-snapshot codec boundaries for
-// FuzzSnapshotRoundTrip: genuine snapshots at depth 0 (created, never
-// advanced), mid-horizon (warm iterate + duals + partial dual record),
-// and full horizon (done; restore must mark the session finished), over
-// both a Rome-derived and a generator instance, plus near-valid
-// documents that must be rejected cleanly (wrong version, truncated
-// state, id/path escapes).
+// FuzzSnapshotRoundTrip: genuine snapshots taken from an in-process
+// daemon at depth 0 (created, never advanced: header only), mid-horizon
+// (records with warm duals and a partial dual record), and full horizon
+// (done; the last record carries the conformance summary), over both a
+// Rome-derived and a generator instance, plus near-valid documents that
+// must be rejected cleanly (a version-1 JSON document, a wrong version,
+// an id that escapes the directory, a torn last record and a flipped
+// checksum byte — both fatal in a request body).
 func writeSnapshotCorpus() {
 	dir := filepath.Join("internal", "serve", "testdata", "fuzz", "FuzzSnapshotRoundTrip")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		log.Fatal(err)
+	}
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	call := func(path string, body []byte) []byte {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code >= 300 {
+			log.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
+		}
+		return rec.Body.Bytes()
 	}
 	rome, _, err := scenario.Rome(scenario.Config{Users: 3, Horizon: 3, Seed: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
 	gen := conform.GenInstance(conform.GenConfig{Seed: 21, I: 3, J: 4, T: 4})
-	type depth struct {
+	seeds := map[string][]byte{}
+	for _, d := range []struct {
 		name  string
 		in    *model.Instance
 		slots int
-	}
-	for _, d := range []depth{
+	}{
 		{"seed-rome-fresh", rome, 0},
 		{"seed-rome-mid", rome, 2},
 		{"seed-rome-done", rome, rome.T},
 		{"seed-gen-mid", gen, 3},
 	} {
-		alg := core.NewOnlineApprox(d.in, core.Options{})
-		for t := 0; t < d.slots; t++ {
-			if _, err := alg.StepCtx(context.Background(), t); err != nil {
-				log.Fatalf("%s: slot %d: %v", d.name, t, err)
-			}
-		}
-		raw, err := json.Marshal(&serve.Snapshot{
-			Version:  1,
-			ID:       d.name,
-			Instance: d.in,
-			State:    alg.ExportState(),
-		})
-		if err != nil {
+		var inst bytes.Buffer
+		if err := model.WriteInstance(&inst, d.in); err != nil {
 			log.Fatalf("%s: %v", d.name, err)
 		}
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", raw)
-		if err := os.WriteFile(filepath.Join(dir, d.name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
+		create, _ := json.Marshal(map[string]any{"id": d.name, "instance": json.RawMessage(inst.Bytes())})
+		call("/v1/sessions", create)
+		for t := 0; t < d.slots; t++ {
+			call("/v1/sessions/"+d.name+"/slots", []byte(`{}`))
 		}
+		seeds[d.name] = call("/v1/sessions/"+d.name+"/snapshot", nil)
 	}
-	adversarial := map[string]string{
-		"seed-bad-version":  `{"version":2,"id":"x","instance":null,"state":null}`,
-		"seed-no-state":     `{"version":1,"id":"x","instance":{"I":1,"J":1,"T":1}}`,
-		"seed-path-escape":  `{"version":1,"id":"../escape","instance":null,"state":null}`,
-		"seed-slot-overrun": `{"version":1,"id":"x","state":{"slot":99,"schedule":[]}}`,
-	}
-	for name, body := range adversarial {
+	mid := seeds["seed-rome-mid"]
+	flipped := bytes.Clone(mid)
+	flipped[len(flipped)-1] ^= 0x01
+	seeds["seed-torn-tail"] = mid[:len(mid)-7]
+	seeds["seed-bad-checksum"] = flipped
+	seeds["seed-v1-document"] = []byte(`{"version":1,"id":"x","instance":{"I":1,"J":1,"T":1},"state":{"slot":0,"schedule":[]}}`)
+	seeds["seed-bad-version"] = bytes.Replace(mid, []byte(`"version":2`), []byte(`"version":3`), 1)
+	seeds["seed-path-escape"] = bytes.Replace(mid, []byte(`"id":"seed-rome-mid"`), []byte(`"id":"../escape"`), 1)
+	for name, body := range seeds {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			log.Fatal(err)

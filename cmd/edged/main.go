@@ -44,8 +44,8 @@ func run(args []string, errw io.Writer) int {
 		shardWkrs   = fs.String("shard-workers", "", "comma-separated shard-worker base URLs (cmd/edgeshard) to place every sharded session's blocks on over RPC; dead workers fold back to local solving (requires -shards)")
 		incremental = fs.Bool("incremental", false, "solve every session's slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility")
 		incrTol     = fs.Float64("incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
-		snapDir     = fs.String("snapshot-dir", "", "persist session snapshots here: TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")
-		autosnap    = fs.Bool("autosnapshot", false, "persist a snapshot after every committed slot (crash loses at most the in-flight solve; requires -snapshot-dir)")
+		snapDir     = fs.String("snapshot-dir", "", "keep one append-only snapshot log per session here (a header plus one record per committed slot): TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")
+		autosnap    = fs.Bool("autosnapshot", false, "append one record to the session's snapshot log after every committed slot, before the reply (crash loses at most the in-flight solve; requires -snapshot-dir)")
 		logJSON     = fs.Bool("log-json", false, "emit JSON logs instead of text")
 	)
 	if err := fs.Parse(args); err != nil {

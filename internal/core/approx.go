@@ -457,6 +457,10 @@ func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
 // be modified.
 func (o *OnlineApprox) Duals() (thetas, rhos [][]float64) { return o.thetas, o.rhos }
 
+// Nus returns the recorded per-slot multipliers ν of the explicit
+// capacity rows, under the same aliasing contract as Duals.
+func (o *OnlineApprox) Nus() [][]float64 { return o.nus }
+
 // Schedule returns the decisions made so far.
 func (o *OnlineApprox) Schedule() model.Schedule { return o.schedule }
 

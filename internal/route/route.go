@@ -264,7 +264,9 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleRestore routes an explicit snapshot restore to the snapshot's
-// owner under the current membership.
+// owner under the current membership. A snapshot is a JSON header line
+// followed by binary slot records (DESIGN.md §7g); the id is in the
+// header, which is all the router reads.
 func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 	body, ok := readBody(w, r)
 	if !ok {
@@ -273,7 +275,7 @@ func (rt *Router) handleRestore(w http.ResponseWriter, r *http.Request) {
 	var probe struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(body, &probe); err != nil || probe.ID == "" {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&probe); err != nil || probe.ID == "" {
 		writeError(w, http.StatusBadRequest, "snapshot missing id")
 		return
 	}

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"edgealloc/internal/core"
@@ -384,6 +385,37 @@ func TestRouterPlacesAndForwards(t *testing.T) {
 		if code != http.StatusOK {
 			t.Fatalf("status %s: %d: %s", id, code, raw)
 		}
+	}
+
+	// Snapshot → delete → restore through the router: the snapshot is a
+	// JSON header line plus binary records, and the router places the
+	// restore by the id in the header alone.
+	id := ids[0]
+	resp, err := http.Post(front.URL+"/v1/sessions/"+id+"/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("snapshot via router: status %d: %v", resp.StatusCode, err)
+	}
+	if code, raw := doJSON(t, http.MethodDelete, front.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete via router: %d: %s", code, raw)
+	}
+	resp, err = http.Post(front.URL+"/v1/sessions/restore", "application/json", bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("restore via router: status %d", resp.StatusCode)
+	}
+	if sched := fetchScheduleVia(t, front.URL, id); !schedulesEqual(sched, ref.Schedule) {
+		t.Fatalf("session %s schedule changed across snapshot/restore", id)
+	}
+	if !slices.Contains(listOn(t, rt.OwnerOf(id)), id) {
+		t.Fatalf("restored session %s is not on its owner", id)
 	}
 }
 

@@ -3,23 +3,27 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"testing"
+	"time"
 
 	"edgealloc/internal/core"
+	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
 )
 
 // FuzzSnapshotRoundTrip throws arbitrary bytes at the session snapshot
-// codec and checks the two invariants a restorable snapshot must hold:
+// codec and checks the invariants a restorable snapshot must hold:
 //
-//  1. Byte stability: encode → decode → encode is the identity on the
-//     canonical encoding, so snapshots can be compared, content-hashed,
-//     and shipped between replicas without drift.
+//  1. Byte stability: decode → restore → encode is the identity, so a
+//     session read back from its log can keep appending to it, and
+//     snapshots can be compared, content-hashed and shipped between
+//     replicas without drift.
 //  2. Warm-state equivalence: the algorithm rebuilt by restoreSession
-//     exports exactly the warm state the snapshot carried — nothing of
+//     exports exactly the warm state the records carried — nothing of
 //     the iterate, the duals, or the per-slot dual record is lost or
 //     invented on the way through the codec.
+//  3. File-mode tolerance only ever drops a tail: whatever the lenient
+//     decoder accepts re-encodes to a prefix of the input.
 //
 // Bytes that do not decode into a valid snapshot must be rejected with
 // an error (never a panic); they are skipped.
@@ -34,33 +38,48 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	var inst bytes.Buffer
+	if err := model.WriteInstance(&inst, in); err != nil {
+		f.Fatal(err)
+	}
+	header, err := encodeHeader(snapHeader{Version: snapshotVersion, ID: "seed", Instance: inst.Bytes()})
+	if err != nil {
+		f.Fatal(err)
+	}
 	for _, slots := range []int{0, 1, 3} {
-		alg := core.NewOnlineApprox(in, core.Options{})
+		sess := &session{id: "seed", srv: srv, inst: in, header: header,
+			alg: core.NewOnlineApprox(in, core.Options{})}
 		for t := 0; t < slots; t++ {
-			if _, err := alg.StepCtx(context.Background(), t); err != nil {
+			x, err := sess.alg.StepCtx(context.Background(), t)
+			if err != nil {
 				f.Fatal(err)
 			}
+			if sess.recordSlot(t, x, time.Time{}).Done {
+				sess.finish()
+			}
 		}
-		raw, err := json.Marshal(&Snapshot{
-			Version:  snapshotVersion,
-			ID:       "seed",
-			Instance: in,
-			State:    alg.ExportState(),
-		})
+		doc, err := sess.encode()
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(raw)
+		f.Add(doc)
 	}
 	f.Add([]byte(`{"version":1,"id":"x"}`))
-	f.Add([]byte(`not json`))
+	f.Add([]byte(`not a snapshot`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var snap Snapshot
-		if err := json.Unmarshal(data, &snap); err != nil {
+		if d, err := decodeSnapshot(data, true); err == nil {
+			if sess, err := srv.restoreSession(d); err == nil {
+				if kept, err := sess.encode(); err != nil || !bytes.HasPrefix(data, kept) {
+					t.Fatalf("file-mode decode kept something that is not a prefix of the input (%v)", err)
+				}
+			}
+		}
+		d, err := decodeSnapshot(data, false)
+		if err != nil {
 			t.Skip()
 		}
-		sess, err := srv.restoreSession(&snap)
+		sess, err := srv.restoreSession(d)
 		if err != nil {
 			// Invalid snapshots must fail closed; reaching here without a
 			// panic is the property.
@@ -68,30 +87,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 
 		// (1) Canonical-encoding stability.
-		b1, err := json.Marshal(&snap)
-		if err != nil {
-			t.Fatalf("encoding restorable snapshot: %v", err)
-		}
-		var snap2 Snapshot
-		if err := json.Unmarshal(b1, &snap2); err != nil {
-			t.Fatalf("decoding canonical encoding: %v", err)
-		}
-		b2, err := json.Marshal(&snap2)
-		if err != nil {
-			t.Fatalf("re-encoding: %v", err)
-		}
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("encode/decode/encode not byte-stable:\n%s\nvs\n%s", b1, b2)
+		b1, err := sess.encode()
+		if err != nil || !bytes.Equal(b1, data) {
+			t.Fatalf("decode/restore/encode changed the document:\n%q\nvs\n%q", data, b1)
 		}
 
 		// (2) Warm-state fidelity through restore.
-		if msg := warmStatesEquiv(snap.State, sess.alg.ExportState()); msg != "" {
+		if msg := warmStatesEquiv(d.warmState(), sess.alg.ExportState()); msg != "" {
 			t.Fatalf("restored warm state diverged: %s", msg)
 		}
 
 		// The restored session must also snapshot back to a restorable
 		// document (closure under the round trip).
-		if _, err := srv.restoreSession(sess.snapshot()); err != nil {
+		d2, err := decodeSnapshot(b1, false)
+		if err != nil {
+			t.Fatalf("re-snapshot of restored session does not decode: %v", err)
+		}
+		if _, err := srv.restoreSession(d2); err != nil {
 			t.Fatalf("re-snapshot of restored session not restorable: %v", err)
 		}
 	})

@@ -90,14 +90,16 @@ type Config struct {
 	// default). Per-session options can also enable it selectively.
 	Incremental    bool
 	IncrementalTol float64
-	// SnapshotDir, when set, is where session snapshots persist:
-	// explicit POST …/snapshot calls write there, TTL eviction saves the
-	// warm state to disk instead of dropping it (a later request for the
-	// session restores it transparently), and a restarted daemon
+	// SnapshotDir, when set, is where session snapshots persist, one
+	// append-only log per session (header + a record per committed slot):
+	// explicit POST …/snapshot calls bring the log current, TTL eviction
+	// saves the warm state there instead of dropping it (a later request
+	// for the session restores it transparently), and a restarted daemon
 	// recovers every session found there. Empty disables persistence.
 	SnapshotDir string
-	// Autosnapshot persists a snapshot after every committed slot, so a
-	// crash loses at most the in-flight solve. Requires SnapshotDir.
+	// Autosnapshot appends one record to the session's log after every
+	// committed slot, before the slot is acknowledged, so a crash loses at
+	// most the in-flight solve. Requires SnapshotDir.
 	Autosnapshot bool
 	// Registry receives the daemon's metrics; a private registry is
 	// created when nil.
@@ -185,6 +187,8 @@ type Server struct {
 	mSlotsTotal     *telemetry.Counter
 	mRejected       *telemetry.CounterVec
 	mSnapshots      *telemetry.CounterVec
+	mSnapshotBytes  *telemetry.Counter
+	mSnapshotErrors *telemetry.CounterVec
 	mRestores       *telemetry.CounterVec
 }
 
@@ -221,7 +225,11 @@ func New(cfg Config) *Server {
 		mRejected: reg.CounterVec("edgealloc_serve_rejected_total",
 			"Requests shed by backpressure, by reason.", "reason"),
 		mSnapshots: reg.CounterVec("edgealloc_serve_snapshots_total",
-			"Session snapshots taken, by trigger (request, auto, evict).", "reason"),
+			"Writes to session snapshot logs, by trigger (request, auto, evict); a log already current is not rewritten.", "reason"),
+		mSnapshotBytes: reg.Counter("edgealloc_serve_snapshot_bytes_total",
+			"Bytes written to session snapshot logs; per slot this is one record, whatever the slot index."),
+		mSnapshotErrors: reg.CounterVec("edgealloc_serve_snapshot_errors_total",
+			"Failed snapshot log writes, by kind (append, rewrite, evict); the next write rewrites the file whole.", "reason"),
 		mRestores: reg.CounterVec("edgealloc_serve_restores_total",
 			"Sessions restored from snapshots, by source (request, disk, recovery).", "source"),
 	}
@@ -347,9 +355,11 @@ func (s *Server) janitor() {
 
 // evictIdle removes sessions whose last activity predates now−TTL.
 // Sessions with queued work are never evicted. With SnapshotDir set the
-// warm state is persisted to disk first (evict-to-snapshot), so a
+// session's log is brought current first (evict-to-snapshot), so a
 // returning client resumes instead of restarting; without it the state
-// is dropped, as before.
+// is dropped. This runs under the server-wide lock, which is why a log
+// that is already current — every session under Autosnapshot — costs no
+// write, and a stale one only the records it is missing.
 //
 // Eviction must not race an in-flight slot solve: a handler can pass
 // lookup before we run and block on stepMu behind the janitor. TryLock
@@ -370,7 +380,7 @@ func (s *Server) evictIdle(now time.Time) int {
 			continue // solve in flight; it refreshes lastUsed anyway
 		}
 		if s.cfg.SnapshotDir != "" {
-			if err := s.persistSnapshot(sess, "evict"); err != nil {
+			if err := s.persist(sess, "evict", nil); err != nil {
 				// Keep the session rather than drop unsaved warm state.
 				s.log.Error("evict-to-snapshot failed; keeping session",
 					"session", id, "err", err)

@@ -216,20 +216,7 @@ func TestStreamingSessionMatchesReplay(t *testing.T) {
 	if !created.Streaming {
 		t.Fatalf("session not marked streaming: %+v", created)
 	}
-	for slot := 0; slot < horizon; slot++ {
-		var resp slotResponse
-		code, body := doJSON(t, http.MethodPost,
-			fmt.Sprintf("%s/v1/sessions/%s/slots", ts.URL, created.ID),
-			map[string]any{
-				"slot":        slot,
-				"opPrice":     in.OpPrice[slot],
-				"attach":      in.Attach[slot],
-				"accessDelay": in.AccessDelay[slot],
-			}, &resp)
-		if code != http.StatusOK {
-			t.Fatalf("slot %d: status %d: %s", slot, code, body)
-		}
-	}
+	streamSlots(t, ts.URL, created.ID, in, 0, horizon)
 	got := fetchSchedule(t, ts.URL, created.ID)
 	if !schedulesEqual(got, want.Schedule) {
 		t.Error("streamed schedule differs from batch sim schedule")

@@ -36,11 +36,19 @@ type session struct {
 	// streaming means the instance was created from a skeleton plus a
 	// horizon, so every posted slot must carry its own data.
 	streaming bool
-	// opts is the create request's solver configuration, kept so a
-	// snapshot can rebuild the same algorithm on restore.
-	opts solverOptions
+	// header is the session's snapshot header line — id, horizon, solver
+	// options and the create request's instance, everything a restore
+	// needs to rebuild the same algorithm — rendered once at creation (or
+	// kept from the snapshot the session was restored from).
+	header []byte
 
 	stepMu sync.Mutex
+	// logOK says SnapshotDir/<id> holds the header and exactly the
+	// records of slots [0, logSlots), so newer slots can be appended to
+	// it; when false the next persist writes the file whole. Both are
+	// touched only under stepMu.
+	logOK    bool
+	logSlots int
 
 	mu     sync.Mutex
 	queued int // solve requests enqueued, including the running one
@@ -53,9 +61,9 @@ type session struct {
 	next     int // next slot to solve
 	done     bool
 	sched    model.Schedule // decisions so far (owned copies)
+	meta     []slotMeta     // per-slot costs and solver diagnostics
 	costs    model.Breakdown
 	total    float64 // weighted P0 cost so far
-	lastDiag core.StepDiag
 	summary  *conformSummary
 }
 
@@ -340,35 +348,36 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	s.mu.Lock()
-	if len(s.sessions) >= s.cfg.MaxSessions {
-		s.mu.Unlock()
-		s.reject(w, http.StatusTooManyRequests, "sessions-full",
-			fmt.Sprintf("session limit %d reached", s.cfg.MaxSessions))
-		return
-	}
 	id := req.ID
 	if id == "" {
+		s.mu.Lock()
 		s.nextID++
 		id = fmt.Sprintf("s-%d", s.nextID)
-	} else if _, exists := s.sessions[id]; exists {
 		s.mu.Unlock()
-		writeError(w, http.StatusConflict, "session "+id+" already exists")
+	}
+	header, err := encodeHeader(snapHeader{Version: snapshotVersion, ID: id,
+		Horizon: req.Horizon, Options: req.Options, Instance: req.Instance})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	sess := &session{
+	_, created, err := s.register(&session{
 		id:        id,
 		srv:       s,
 		inst:      inst,
 		alg:       core.NewOnlineApprox(inst, req.Options.coreOptions(s)),
 		streaming: streaming,
-		opts:      req.Options,
+		header:    header,
 		lastUsed:  s.cfg.now(),
+	})
+	if err != nil {
+		s.reject(w, http.StatusTooManyRequests, "sessions-full", err.Error())
+		return
 	}
-	s.sessions[id] = sess
-	s.mSessionsTotal.Inc()
-	s.mSessionsActive.Set(float64(len(s.sessions)))
-	s.mu.Unlock()
+	if !created {
+		writeError(w, http.StatusConflict, "session "+id+" already exists")
+		return
+	}
 
 	s.log.Info("session created", "session", id,
 		"clouds", inst.I, "users", inst.J, "horizon", inst.T, "streaming", streaming)
@@ -444,7 +453,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Conformance:   sess.summary,
 	}
 	if sess.next > 0 {
-		d := diagDTO(sess.lastDiag)
+		d := diagDTO(sess.meta[sess.next-1].Diag)
 		resp.LastSolve = &d
 	}
 	sess.mu.Unlock()
@@ -607,8 +616,10 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 	if resp.Done {
 		resp.Conformance = sess.finish()
 	}
+	// The append lands before the reply is written, so an acknowledged
+	// slot is in the log.
 	if s.cfg.SnapshotDir != "" && s.cfg.Autosnapshot {
-		if err := s.persistSnapshot(sess, "auto"); err != nil {
+		if err := s.persist(sess, "auto", nil); err != nil {
 			s.log.Error("autosnapshot", "session", id, "slot", t, "err", err)
 		}
 	}
@@ -681,13 +692,15 @@ func (sess *session) recordSlot(t int, x model.Alloc, now time.Time) *slotRespon
 	slotB := model.Breakdown{Op: op, Sq: sq, Rc: rc, Mg: mg}
 	slotTotal := in.Total(slotB)
 
+	diag := sess.alg.LastStepDiag()
+
 	sess.mu.Lock()
 	sess.sched = append(sess.sched, x)
+	sess.meta = append(sess.meta, slotMeta{Cost: slotB, Diag: diag})
 	sess.next = t + 1
 	sess.done = sess.next == in.T
 	sess.costs.Add(slotB)
 	sess.total += slotTotal
-	sess.lastDiag = sess.alg.LastStepDiag()
 	sess.lastUsed = now
 	resp := &slotResponse{
 		Session: sess.id,
@@ -698,7 +711,7 @@ func (sess *session) recordSlot(t int, x model.Alloc, now time.Time) *slotRespon
 			SlotTotal: slotTotal,
 			RunTotal:  sess.total,
 		},
-		Solve: diagDTO(sess.lastDiag),
+		Solve: diagDTO(diag),
 	}
 	sess.mu.Unlock()
 	return resp

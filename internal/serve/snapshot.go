@@ -1,12 +1,13 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,103 +15,126 @@ import (
 	"edgealloc/internal/model"
 )
 
-// snapshotVersion is the wire/disk format version of Snapshot. Bump it
-// on incompatible changes; restore rejects unknown versions.
-const snapshotVersion = 1
+// tmpPrefix starts the name of every temp file a whole-file write leaves
+// in SnapshotDir until its rename. Session ids cannot start with a dot,
+// so a temp file is never mistaken for a session and boot recovery can
+// sweep the ones a crash orphaned.
+const tmpPrefix = ".tmp-"
 
-// snapExt is the on-disk suffix of persisted session snapshots.
-const snapExt = ".snap.json"
-
-// Snapshot is a session frozen between slots: the instance (with every
-// streamed slot revealed so far), the solver options, the cost
-// bookkeeping, and the algorithm's cross-slot warm state
-// (core.WarmState — committed decisions, warm duals, and the per-slot
-// dual record, so the certificate survives). Restoring it into a fresh
-// daemon resumes the session at State.Slot with the warm iterate and
-// multipliers intact: the default solving path continues bitwise
-// identically, the reduced paths within their certified tolerance.
-type Snapshot struct {
-	Version   int             `json:"version"`
-	ID        string          `json:"id"`
-	Streaming bool            `json:"streaming"`
-	Options   solverOptions   `json:"options"`
-	Instance  *model.Instance `json:"instance"`
-	Costs     model.Breakdown `json:"costs"`
-	Total     float64         `json:"total"`
-	LastDiag  core.StepDiag   `json:"lastDiag"`
-	Summary   *conformSummary `json:"summary,omitempty"`
-	State     *core.WarmState `json:"state"`
+// record views committed slot t as a snapshot record aliasing the live
+// instance, schedule and dual record. The caller must hold stepMu.
+func (sess *session) record(t int) *slotRecord {
+	thetas, rhos := sess.alg.Duals()
+	rec := &slotRecord{
+		opPrice:     sess.inst.OpPrice[t],
+		attach:      sess.inst.Attach[t],
+		accessDelay: sess.inst.AccessDelay[t],
+		x:           sess.sched[t].X,
+		theta:       thetas[t],
+		rho:         rhos[t],
+		nu:          sess.alg.Nus()[t],
+		slotMeta:    sess.meta[t],
+	}
+	if t == sess.inst.T-1 {
+		rec.Summary = sess.summary
+	}
+	return rec
 }
 
-// snapshot freezes the session. The caller must hold stepMu (so no
-// solve is mutating the instance or the algorithm); the result aliases
-// the live instance, so it must be encoded before stepMu is released.
-func (sess *session) snapshot() *Snapshot {
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return &Snapshot{
-		Version:   snapshotVersion,
-		ID:        sess.id,
-		Streaming: sess.streaming,
-		Options:   sess.opts,
-		Instance:  sess.inst,
-		Costs:     sess.costs,
-		Total:     sess.total,
-		LastDiag:  sess.lastDiag,
-		Summary:   sess.summary,
-		State:     sess.alg.ExportState(),
+// appendRecords appends the records of committed slots [from, to). The
+// caller must hold stepMu.
+func (sess *session) appendRecords(b []byte, from, to int) ([]byte, error) {
+	var err error
+	for t := from; t < to && err == nil; t++ {
+		b, err = appendRecord(b, sess.record(t))
 	}
+	return b, err
 }
 
-// restoreSession rebuilds a session from a snapshot. The returned
-// session is not yet registered with the server.
-func (s *Server) restoreSession(snap *Snapshot) (*session, error) {
-	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d, want %d", snap.Version, snapshotVersion)
-	}
-	if err := validSessionID(snap.ID); err != nil {
-		return nil, err
-	}
-	if snap.Instance == nil || snap.State == nil {
-		return nil, errors.New("snapshot missing instance or state")
-	}
-	if err := snap.Options.validate(); err != nil {
-		return nil, err
-	}
-	if err := snap.Instance.Validate(); err != nil {
-		return nil, fmt.Errorf("snapshot instance: %w", err)
-	}
-	alg := core.NewOnlineApprox(snap.Instance, snap.Options.coreOptions(s))
-	if err := alg.RestoreState(snap.State); err != nil {
+// encode renders the session's whole snapshot: the header and one record
+// per committed slot. The caller must hold stepMu.
+func (sess *session) encode() ([]byte, error) {
+	return sess.appendRecords(slices.Clone(sess.header), 0, len(sess.sched))
+}
+
+// restoreSession rebuilds a session from a decoded snapshot: the slot
+// inputs go back into the instance through the same validation a posted
+// slot gets, the algorithm through core's validating RestoreState, and
+// the cost bookkeeping is re-accumulated in commit order, so it lands on
+// the same floats. The returned session is not yet registered.
+func (s *Server) restoreSession(d *snapDoc) (*session, error) {
+	alg := core.NewOnlineApprox(d.inst, d.header.Options.coreOptions(s))
+	st := d.warmState()
+	if err := alg.RestoreState(st); err != nil {
 		return nil, err
 	}
 	sess := &session{
-		id:        snap.ID,
+		id:        d.header.ID,
 		srv:       s,
-		inst:      snap.Instance,
+		inst:      d.inst,
 		alg:       alg,
-		streaming: snap.Streaming,
-		opts:      snap.Options,
+		streaming: d.streaming,
+		header:    slices.Clone(d.raw),
 		lastUsed:  s.cfg.now(),
-		next:      snap.State.Slot,
-		done:      snap.State.Slot == snap.Instance.T,
-		costs:     snap.Costs,
-		total:     snap.Total,
-		lastDiag:  snap.LastDiag,
-		summary:   snap.Summary,
+		next:      st.Slot,
+		done:      st.Slot == d.inst.T,
 	}
-	for _, row := range snap.State.Schedule {
-		sess.sched = append(sess.sched, model.Alloc{
-			I: snap.Instance.I, J: snap.Instance.J, X: row,
-		})
+	for t, rec := range d.records {
+		req := slotRequest{OpPrice: rec.opPrice, Attach: rec.attach, AccessDelay: rec.accessDelay}
+		if err := sess.applySlotData(t, &req); err != nil {
+			return nil, fmt.Errorf("record %d: %w", t, err)
+		}
+		sess.sched = append(sess.sched, model.Alloc{I: d.inst.I, J: d.inst.J, X: rec.x})
+		sess.meta = append(sess.meta, slotMeta{Cost: rec.Cost, Diag: rec.Diag})
+		sess.costs.Add(rec.Cost)
+		sess.total += d.inst.Total(rec.Cost)
+		sess.summary = rec.Summary
 	}
 	return sess, nil
 }
 
-// register inserts a restored session, enforcing the session cap and id
-// uniqueness. On an id collision the existing session wins and is
-// returned with restored=false (concurrent restores of the same
-// snapshot are idempotent).
+// restore decodes a snapshot, rebuilds its session and registers it.
+// fileID is empty for a request body; for the log file of session fileID
+// the header must name that id, a torn tail is tolerated, and a log
+// without one keeps being appended to: the codec is canonical, so the
+// file is byte for byte what encode would write. On an id collision the
+// live session wins and is returned with restored=false.
+func (s *Server) restore(doc []byte, fileID string) (sess *session, restored bool, err error) {
+	fromFile := fileID != ""
+	d, err := decodeSnapshot(doc, fromFile)
+	if err != nil {
+		return nil, false, err
+	}
+	if fromFile && d.header.ID != fileID {
+		return nil, false, fmt.Errorf("snapshot names session %q", d.header.ID)
+	}
+	if sess, err = s.restoreSession(d); err != nil {
+		return nil, false, err
+	}
+	if d.torn {
+		s.log.Warn("snapshot log had a torn tail; resuming at the last complete slot",
+			"session", sess.id, "nextSlot", sess.next)
+	}
+	sess.logOK, sess.logSlots = fromFile && !d.torn, sess.next
+	return s.register(sess)
+}
+
+// restoreFile is restore over the session's persisted log.
+func (s *Server) restoreFile(id string) (*session, bool, error) {
+	doc, err := os.ReadFile(s.snapshotPath(id))
+	if err != nil {
+		return nil, false, err
+	}
+	return s.restore(doc, id)
+}
+
+// errSessionsFull is register's refusal at the MaxSessions cap.
+var errSessionsFull = errors.New("session limit reached")
+
+// register inserts a new or restored session, enforcing the session cap
+// and id uniqueness. On an id collision the existing session wins and is
+// returned with inserted=false (concurrent restores of the same snapshot
+// are idempotent).
 func (s *Server) register(sess *session) (*session, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -118,7 +142,7 @@ func (s *Server) register(sess *session) (*session, bool, error) {
 		return cur, false, nil
 	}
 	if len(s.sessions) >= s.cfg.MaxSessions {
-		return nil, false, fmt.Errorf("session limit %d reached", s.cfg.MaxSessions)
+		return nil, false, fmt.Errorf("%w (%d)", errSessionsFull, s.cfg.MaxSessions)
 	}
 	s.sessions[sess.id] = sess
 	s.mSessionsTotal.Inc()
@@ -146,38 +170,94 @@ func validSessionID(id string) error {
 	return nil
 }
 
-// snapshotPath is the session's on-disk snapshot location.
+// snapshotPath is the session's on-disk snapshot log.
 func (s *Server) snapshotPath(id string) string {
-	return filepath.Join(s.cfg.SnapshotDir, id+snapExt)
+	return filepath.Join(s.cfg.SnapshotDir, id)
 }
 
-// persistSnapshot writes the session's snapshot to SnapshotDir
-// atomically (temp file + rename). The caller must hold stepMu.
-func (s *Server) persistSnapshot(sess *session, reason string) error {
-	raw, err := json.Marshal(sess.snapshot())
-	if err != nil {
-		return fmt.Errorf("encoding snapshot: %w", err)
+// persist brings the session's log in SnapshotDir up to its committed
+// slots and costs O(slots not yet logged): nothing when the log is
+// current, one append of the missing records when the file is known good,
+// and a whole-file write (temp + rename) only when there is no such file
+// — first write, restore from a request body, or an earlier write failed
+// and left the tail in doubt. doc, when non-nil, is the session's
+// encoding, reused for the whole-file case. A failure marks the log stale,
+// so the next persist rewrites the file whole. The caller must hold
+// stepMu, which is what keeps appends, explicit snapshots and eviction
+// from interleaving.
+func (s *Server) persist(sess *session, reason string, doc []byte) error {
+	// A handler that was mid-solve when DELETE removed the session must
+	// not write its file back.
+	if sess.isEvicted() {
+		return nil
+	}
+	n := len(sess.sched)
+	if sess.logOK && sess.logSlots == n {
+		return nil
 	}
 	path := s.snapshotPath(sess.id)
-	tmp, err := os.CreateTemp(s.cfg.SnapshotDir, sess.id+".tmp-*")
+	var err error
+	kind := "rewrite"
+	if sess.logOK {
+		kind = "append"
+		if doc, err = sess.appendRecords(nil, sess.logSlots, n); err == nil {
+			err = appendFile(path, doc)
+		}
+	} else {
+		if doc == nil {
+			doc, err = sess.encode()
+		}
+		if err == nil {
+			err = writeFileAtomic(path, doc)
+		}
+	}
+	if err != nil {
+		sess.logOK = false
+		if reason == "evict" {
+			kind = "evict"
+		}
+		s.mSnapshotErrors.With(kind).Inc()
+		return err
+	}
+	s.mSnapshotBytes.Add(float64(len(doc)))
+	sess.logOK, sess.logSlots = true, n
+	s.mSnapshots.With(reason).Inc()
+	return nil
+}
+
+// appendFile appends b to an existing file. The descriptor lives for one
+// record: measured against holding one open per session, the open and
+// close cost 8 µs on a 40 kB record, and no descriptor outlives a request.
+func appendFile(path string, b []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if _, err := f.Write(b); err != nil {
+		f.Close()
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	return f.Close()
+}
+
+// writeFileAtomic replaces path with b through a temp file and a rename,
+// so a crash leaves the old file or the new one, never a mixture.
+func writeFileAtomic(path string, b []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+filepath.Base(path)+"-*")
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
+	_, err = tmp.Write(b)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	s.mSnapshots.With(reason).Inc()
-	return nil
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // removeSnapshot deletes the session's persisted snapshot, if any.
@@ -196,98 +276,72 @@ func (s *Server) restoreFromDisk(id string) (*session, bool) {
 	if s.cfg.SnapshotDir == "" || validSessionID(id) != nil {
 		return nil, false
 	}
-	raw, err := os.ReadFile(s.snapshotPath(id))
+	sess, restored, err := s.restoreFile(id)
 	if err != nil {
-		return nil, false
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		s.log.Warn("decoding persisted snapshot", "session", id, "err", err)
-		return nil, false
-	}
-	if snap.ID != id {
-		s.log.Warn("persisted snapshot id mismatch", "session", id, "snapshot", snap.ID)
-		return nil, false
-	}
-	sess, err := s.restoreSession(&snap)
-	if err != nil {
-		s.log.Warn("restoring persisted snapshot", "session", id, "err", err)
-		return nil, false
-	}
-	cur, restored, err := s.register(sess)
-	if err != nil {
-		s.log.Warn("registering restored session", "session", id, "err", err)
+		if !errors.Is(err, os.ErrNotExist) {
+			s.log.Warn("restoring persisted snapshot", "session", id, "err", err)
+		}
 		return nil, false
 	}
 	if restored {
 		s.mRestores.With("disk").Inc()
 		s.log.Info("session restored from disk", "session", id, "nextSlot", sess.next)
 	}
-	return cur, true
+	return sess, true
 }
 
 // recoverSnapshots restores every persisted session found in
-// SnapshotDir — crash recovery on daemon restart. Unreadable snapshots
-// are logged and skipped. Returns the number of sessions restored.
+// SnapshotDir — crash recovery on daemon restart — and sweeps the temp
+// files a crash mid-rewrite orphaned. Unreadable snapshots are logged
+// and skipped. Returns the number of sessions restored.
 func (s *Server) recoverSnapshots() int {
 	entries, err := os.ReadDir(s.cfg.SnapshotDir)
 	if err != nil {
 		s.log.Warn("scanning snapshot dir", "dir", s.cfg.SnapshotDir, "err", err)
 		return 0
 	}
-	restored := 0
+	recovered := 0
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, snapExt) {
+		id := e.Name()
+		if e.IsDir() {
 			continue
 		}
-		id := strings.TrimSuffix(name, snapExt)
+		if strings.HasPrefix(id, tmpPrefix) {
+			if err := os.Remove(filepath.Join(s.cfg.SnapshotDir, id)); err != nil {
+				s.log.Warn("sweeping orphaned temp file", "file", id, "err", err)
+			}
+			continue
+		}
 		if validSessionID(id) != nil {
 			continue
 		}
-		raw, err := os.ReadFile(filepath.Join(s.cfg.SnapshotDir, name))
+		sess, restored, err := s.restoreFile(id)
 		if err != nil {
-			s.log.Warn("reading snapshot", "file", name, "err", err)
+			s.log.Warn("recovering snapshot", "file", id, "err", err)
 			continue
 		}
-		var snap Snapshot
-		if err := json.Unmarshal(raw, &snap); err != nil {
-			s.log.Warn("decoding snapshot", "file", name, "err", err)
-			continue
-		}
-		if snap.ID != id {
-			s.log.Warn("snapshot id mismatch", "file", name, "snapshot", snap.ID)
-			continue
-		}
-		sess, err := s.restoreSession(&snap)
-		if err != nil {
-			s.log.Warn("recovering snapshot", "file", name, "err", err)
-			continue
-		}
-		if _, ok, err := s.register(sess); err != nil || !ok {
+		if !restored {
 			continue
 		}
 		// Server-generated ids are "s-N"; keep the counter ahead of every
 		// recovered one so new sessions cannot collide.
 		if n, err := strconv.ParseUint(strings.TrimPrefix(id, "s-"), 10, 64); err == nil {
 			s.mu.Lock()
-			if n > s.nextID {
-				s.nextID = n
-			}
+			s.nextID = max(s.nextID, n)
 			s.mu.Unlock()
 		}
 		s.mRestores.With("recovery").Inc()
 		s.log.Info("session recovered", "session", id, "nextSlot", sess.next)
-		restored++
+		recovered++
 	}
-	return restored
+	return recovered
 }
 
 // handleSnapshot (POST /v1/sessions/{id}/snapshot) freezes the session
 // between slots and returns the snapshot document; when SnapshotDir is
-// configured it is persisted too. Snapshots stay available while the
-// server drains, so an orchestrator can save every session before
-// stopping the process.
+// configured the session's log is brought current too. Snapshots stay
+// available while the server drains, so an orchestrator can save every
+// session before stopping the process.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	sess, id, ok := s.lookup(r)
 	if !ok {
@@ -301,22 +355,24 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGone, "session evicted; restore it from its snapshot")
 		return
 	}
-	if s.cfg.SnapshotDir != "" {
-		if err := s.persistSnapshot(sess, "request"); err != nil {
-			s.log.Error("persisting snapshot", "session", id, "err", err)
-			writeError(w, http.StatusInternalServerError, "persisting snapshot: "+err.Error())
-			return
-		}
-	} else {
-		s.mSnapshots.With("request").Inc()
+	doc, err := sess.encode()
+	if err == nil && s.cfg.SnapshotDir != "" {
+		err = s.persist(sess, "request", doc)
 	}
-	writeJSON(w, http.StatusOK, sess.snapshot())
+	if err != nil {
+		s.log.Error("snapshot", "session", id, "err", err)
+		writeError(w, http.StatusInternalServerError, "snapshot: "+err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	_, _ = w.Write(doc) // a failed write means the client went away
 }
 
 // handleRestore (POST /v1/sessions/restore) recreates a session from a
-// snapshot document. Restoring an id that is already live is a
-// conflict; restoring one whose snapshot still sits on disk simply
-// replaces the file on the next persist.
+// snapshot document, identified by its content (clients and the router
+// post it under any Content-Type). Restoring an id that is already live
+// is a conflict; restoring one whose log still sits on disk replaces the
+// file on the next persist.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	release, ok := s.admit()
 	if !ok {
@@ -325,22 +381,21 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	var snap Snapshot
-	if !decodeBody(w, r, &snap) {
+	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
 		return
 	}
-	sess, err := s.restoreSession(&snap)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid snapshot: "+err.Error())
-		return
-	}
-	cur, restored, err := s.register(sess)
-	if err != nil {
+	sess, restored, err := s.restore(doc, "")
+	switch {
+	case errors.Is(err, errSessionsFull):
 		s.reject(w, http.StatusTooManyRequests, "sessions-full", err.Error())
 		return
-	}
-	if !restored {
-		writeError(w, http.StatusConflict, "session "+cur.id+" already exists")
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "invalid snapshot: "+err.Error())
+		return
+	case !restored:
+		writeError(w, http.StatusConflict, "session "+sess.id+" already exists")
 		return
 	}
 	s.mRestores.With("request").Inc()

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,26 +16,71 @@ import (
 	"edgealloc/internal/model"
 )
 
-// snapshotSession hits the snapshot endpoint and returns the document.
-func snapshotSession(t *testing.T, base, id string) *Snapshot {
+// postRaw posts body as-is (snapshot documents are not JSON) and decodes
+// a 2xx JSON reply into out.
+func postRaw(t *testing.T, url string, body []byte, out any) (int, []byte) {
 	t.Helper()
-	var snap Snapshot
-	code, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/"+id+"/snapshot", nil, &snap)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("reading response: %v", err)
+	}
+	if out != nil && resp.StatusCode < 300 {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("decoding response %q: %v", raw, err)
+		}
+	}
+	return resp.StatusCode, raw
+}
+
+// snapshotSession hits the snapshot endpoint and returns the document.
+func snapshotSession(t *testing.T, base, id string) []byte {
+	t.Helper()
+	code, raw := postRaw(t, base+"/v1/sessions/"+id+"/snapshot", nil, nil)
 	if code != http.StatusOK {
 		t.Fatalf("snapshot %s: status %d: %s", id, code, raw)
 	}
-	return &snap
+	return raw
 }
 
 // restoreSessionHTTP posts the snapshot to the restore endpoint.
-func restoreSessionHTTP(t *testing.T, base string, snap *Snapshot) createResponse {
+func restoreSessionHTTP(t *testing.T, base string, snap []byte) createResponse {
 	t.Helper()
 	var resp createResponse
-	code, raw := doJSON(t, http.MethodPost, base+"/v1/sessions/restore", snap, &resp)
+	code, raw := postRaw(t, base+"/v1/sessions/restore", snap, &resp)
 	if code != http.StatusCreated {
 		t.Fatalf("restore: status %d: %s", code, raw)
 	}
 	return resp
+}
+
+// mustDecode parses a complete snapshot document.
+func mustDecode(t *testing.T, doc []byte) *snapDoc {
+	t.Helper()
+	d, err := decodeSnapshot(doc, false)
+	if err != nil {
+		t.Fatalf("decoding snapshot: %v", err)
+	}
+	return d
+}
+
+// encodeDoc re-renders a decoded (and possibly mutated) snapshot.
+func encodeDoc(t *testing.T, d *snapDoc) []byte {
+	t.Helper()
+	b, err := encodeHeader(d.header)
+	for _, rec := range d.records {
+		if err == nil {
+			b, err = appendRecord(b, rec)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // driveSlots posts slots [from, to) of a replay session.
@@ -65,8 +112,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	id := createSession(t, tsA.URL, in)
 	driveSlots(t, tsA.URL, id, 0, 3)
 	snap := snapshotSession(t, tsA.URL, id)
-	if snap.State == nil || snap.State.Slot != 3 {
-		t.Fatalf("snapshot at slot %v, want 3", snap.State)
+	if n := len(mustDecode(t, snap).records); n != 3 {
+		t.Fatalf("snapshot at slot %d, want 3", n)
 	}
 
 	// The uninterrupted run continues on A; the migrated copy on B.
@@ -93,28 +140,36 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotRoundTripBytes pins the wire format: encode → decode →
-// encode must be byte-stable (the fuzz target generalizes this).
+// restore → encode must be byte-stable (the fuzz target generalizes
+// this), and the create payload's instance rides in the header untouched.
 func TestSnapshotRoundTripBytes(t *testing.T) {
 	in := testInstance(t, 8, 4, 5)
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 	id := createSession(t, ts.URL, in)
 	driveSlots(t, ts.URL, id, 0, 2)
-	snap := snapshotSession(t, ts.URL, id)
+	first := snapshotSession(t, ts.URL, id)
 
-	first, err := json.Marshal(snap)
+	d := mustDecode(t, first)
+	sess, err := srv.restoreSession(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded Snapshot
-	if err := json.Unmarshal(first, &decoded); err != nil {
+	if second, err := sess.encode(); err != nil || !bytes.Equal(first, second) {
+		t.Fatalf("snapshot round trip is not byte-stable (%v)", err)
+	}
+	if !bytes.Equal(encodeDoc(t, d), first) {
+		t.Fatal("re-encoding the decoded header and records changed the bytes")
+	}
+	var want bytes.Buffer
+	if err := model.WriteInstance(&want, in); err != nil {
 		t.Fatal(err)
 	}
-	second, err := json.Marshal(&decoded)
-	if err != nil {
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, want.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("snapshot JSON round trip is not byte-stable")
+	if !bytes.Equal(d.header.Instance, compact.Bytes()) {
+		t.Fatal("header instance is not the create payload's instance")
 	}
 }
 
@@ -144,7 +199,9 @@ func TestCreateWithClientID(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadSnapshots exercises the restore validation.
+// TestRestoreRejectsBadSnapshots exercises the restore validation. A
+// request body gets no torn-tail tolerance: a short or corrupt record is
+// a 400 like any other malformed field.
 func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	in := testInstance(t, 8, 4, 9)
 	_, ts := newTestServer(t, Config{})
@@ -152,29 +209,37 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	driveSlots(t, ts.URL, id, 0, 2)
 	good := snapshotSession(t, ts.URL, id)
 
-	mutate := func(f func(*Snapshot)) *Snapshot {
-		raw, _ := json.Marshal(good)
-		var snap Snapshot
-		_ = json.Unmarshal(raw, &snap)
-		f(&snap)
-		return &snap
+	mutate := func(f func(*snapDoc)) []byte {
+		d := mustDecode(t, good)
+		f(d)
+		return encodeDoc(t, d)
 	}
-	cases := map[string]*Snapshot{
-		"bad-version":    mutate(func(s *Snapshot) { s.Version = 99 }),
-		"no-instance":    mutate(func(s *Snapshot) { s.Instance = nil }),
-		"no-state":       mutate(func(s *Snapshot) { s.State = nil }),
-		"bad-id":         mutate(func(s *Snapshot) { s.ID = "../escape" }),
-		"tampered-state": mutate(func(s *Snapshot) { s.State.Schedule[0][0] = -1 }),
-		"slot-mismatch":  mutate(func(s *Snapshot) { s.State.Slot = 1 }),
-		"bad-options":    mutate(func(s *Snapshot) { s.Options.Candidates = -1 }),
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-20] ^= 0x40
+	cases := map[string][]byte{
+		"bad-version":    mutate(func(d *snapDoc) { d.header.Version = 99 }),
+		"no-instance":    mutate(func(d *snapDoc) { d.header.Instance = nil }),
+		"bad-id":         mutate(func(d *snapDoc) { d.header.ID = "../escape" }),
+		"tampered-state": mutate(func(d *snapDoc) { d.records[0].x[0] = -1 }),
+		"tampered-input": mutate(func(d *snapDoc) { d.records[1].attach[0] = in.I }),
+		"tampered-dual":  mutate(func(d *snapDoc) { d.records[1].rho[0] = math.Inf(1) }),
+		"slot-mismatch":  mutate(func(d *snapDoc) { d.records[1].Diag.Slot = 0 }),
+		"early-summary":  mutate(func(d *snapDoc) { d.records[0].Summary = &conformSummary{OK: true} }),
+		"slot-gap":       mutate(func(d *snapDoc) { d.records = d.records[1:] }),
+		"bad-options":    mutate(func(d *snapDoc) { d.header.Options.Candidates = -1 }),
+		"bad-checksum":   flipped,
+		"torn-record":    good[:len(good)-9],
+		"trailing-bytes": append(bytes.Clone(good), 0, 0, 0),
+		"no-newline":     bytes.Replace(good, []byte("}\n"), []byte("}"), 1),
+		"empty":          nil,
 	}
 	for name, snap := range cases {
-		if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/restore", snap, nil); code != http.StatusBadRequest {
+		if code, _ := postRaw(t, ts.URL+"/v1/sessions/restore", snap, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
 	}
 	// Restoring over a live session is a conflict, not a replacement.
-	if code, _ := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/restore", good, nil); code != http.StatusConflict {
+	if code, _ := postRaw(t, ts.URL+"/v1/sessions/restore", good, nil); code != http.StatusConflict {
 		t.Error("restore over live session accepted")
 	}
 }
@@ -210,7 +275,7 @@ func TestEvictToSnapshotAndDiskRestore(t *testing.T) {
 	if n := srv.evictIdle(now()); n != 1 {
 		t.Fatalf("evicted %d sessions, want 1", n)
 	}
-	if _, err := os.Stat(filepath.Join(dir, id+snapExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, id)); err != nil {
 		t.Fatalf("snapshot not persisted on eviction: %v", err)
 	}
 	srv.mu.Lock()
@@ -406,13 +471,13 @@ func TestDeleteRemovesSnapshot(t *testing.T) {
 	id := createSession(t, ts.URL, in)
 	driveSlots(t, ts.URL, id, 0, 1)
 	snapshotSession(t, ts.URL, id)
-	if _, err := os.Stat(filepath.Join(dir, id+snapExt)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, id)); err != nil {
 		t.Fatal("snapshot endpoint did not persist with SnapshotDir set")
 	}
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	if _, err := os.Stat(filepath.Join(dir, id+snapExt)); !os.IsNotExist(err) {
+	if _, err := os.Stat(filepath.Join(dir, id)); !os.IsNotExist(err) {
 		t.Fatal("snapshot survived DELETE")
 	}
 	if code, _ := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNotFound {

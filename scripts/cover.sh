@@ -22,7 +22,7 @@ internal/solver/shardrpc 80
 internal/solver/simplex 90
 internal/solver/smooth 95
 internal/solver/transport 95
-internal/serve 80
+internal/serve 86
 internal/route 75
 internal/loadgen 75
 internal/telemetry 90
