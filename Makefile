@@ -49,7 +49,8 @@ bench-module:
 # The experiment engine runs (case, rep, algorithm) units on a worker
 # pool; every test runs under the race detector to keep it honest. The
 # detector slows the solver-heavy packages 10-17x (internal/core takes
-# ~30 min on a 2-vCPU container), so give each package far more than the
+# ~20 min on a 2-vCPU container with its eleven slowest tests under
+# t.Parallel(), ~30 min before), so give each package far more than the
 # 10m default before go test declares a hang.
 race:
 	$(GO) test -race -timeout 60m ./...

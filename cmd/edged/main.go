@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -26,58 +25,60 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stderr))
 }
 
-func run(args []string, errw io.Writer) int {
+// options is everything the command line sets: the listener's own knobs
+// and the daemon configuration the flags bind straight into.
+type options struct {
+	addr      string
+	drainWait time.Duration
+	logJSON   bool
+	cfg       serve.Config
+}
+
+// newFlagSet declares edged's flags over o. The solve-tier flags are
+// core.Options' own (BindFlags), bound into the daemon's session defaults.
+func newFlagSet(o *options, errw io.Writer) *flag.FlagSet {
 	fs := flag.NewFlagSet("edged", flag.ContinueOnError)
 	fs.SetOutput(errw)
-	var (
-		addr        = fs.String("addr", "127.0.0.1:8080", "listen address")
-		workers     = fs.Int("workers", 0, "max concurrent slot solves (0 = GOMAXPROCS)")
-		queue       = fs.Int("queue", 0, "max solve requests waiting for a worker (0 = 4x workers)")
-		sessionQ    = fs.Int("session-queue", 4, "max solve requests queued on one session")
-		maxSessions = fs.Int("max-sessions", 256, "max live sessions")
-		sessionTTL  = fs.Duration("session-ttl", 15*time.Minute, "evict sessions idle this long")
-		stepTimeout = fs.Duration("step-timeout", 2*time.Minute, "per-slot solve deadline")
-		drainWait   = fs.Duration("drain-wait", 30*time.Second, "shutdown grace for in-flight slots")
-		fastmath    = fs.Bool("fastmath", false, "solve every session with the batch fast-math entropy kernels (costs agree with the exact path to 1e-8)")
-		fastmath32  = fs.Bool("fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
-		shards      = fs.Int("shards", 0, "split every session's per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program)")
-		shardWkrs   = fs.String("shard-workers", "", "comma-separated shard-worker base URLs (cmd/edgeshard) to place every sharded session's blocks on over RPC; dead workers fold back to local solving (requires -shards)")
-		incremental = fs.Bool("incremental", false, "solve every session's slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility")
-		incrTol     = fs.Float64("incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
-		snapDir     = fs.String("snapshot-dir", "", "keep one append-only snapshot log per session here (a header plus one record per committed slot): TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")
-		autosnap    = fs.Bool("autosnapshot", false, "append one record to the session's snapshot log after every committed slot, before the reply (crash loses at most the in-flight solve; requires -snapshot-dir)")
-		logJSON     = fs.Bool("log-json", false, "emit JSON logs instead of text")
-	)
-	if err := fs.Parse(args); err != nil {
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
+	fs.IntVar(&o.cfg.Workers, "workers", 0, "max concurrent slot solves (0 = GOMAXPROCS)")
+	fs.IntVar(&o.cfg.QueueDepth, "queue", 0, "max solve requests waiting for a worker (0 = 4x workers)")
+	fs.IntVar(&o.cfg.SessionQueue, "session-queue", 4, "max solve requests queued on one session")
+	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 256, "max live sessions")
+	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", 15*time.Minute, "evict sessions idle this long")
+	fs.DurationVar(&o.cfg.StepTimeout, "step-timeout", 2*time.Minute, "per-slot solve deadline")
+	fs.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "shutdown grace for in-flight slots")
+	o.cfg.Defaults.BindFlags(fs)
+	fs.StringVar(&o.cfg.SnapshotDir, "snapshot-dir", "", "keep one append-only snapshot log per session here (a header plus one record per committed slot): TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")
+	fs.BoolVar(&o.cfg.Autosnapshot, "autosnapshot", false, "append one record to the session's snapshot log after every committed slot, before the reply (crash loses at most the in-flight solve; requires -snapshot-dir)")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit JSON logs instead of text")
+	return fs
+}
+
+func run(args []string, errw io.Writer) int {
+	var o options
+	if err := newFlagSet(&o, errw).Parse(args); err != nil {
+		return 2
+	}
+	// A flag that does nothing without another is a mistake, not a no-op.
+	switch {
+	case o.cfg.Autosnapshot && o.cfg.SnapshotDir == "":
+		fmt.Fprintln(errw, "edged: -autosnapshot requires -snapshot-dir")
+		return 2
+	case len(o.cfg.Defaults.ShardWorkers) > 0 && o.cfg.Defaults.Shards == 0:
+		fmt.Fprintln(errw, "edged: -shard-workers requires -shards")
 		return 2
 	}
 
 	var handler slog.Handler = slog.NewTextHandler(errw, nil)
-	if *logJSON {
+	if o.logJSON {
 		handler = slog.NewJSONHandler(errw, nil)
 	}
 	log := slog.New(handler)
-
-	srv := serve.New(serve.Config{
-		Workers:        *workers,
-		QueueDepth:     *queue,
-		SessionQueue:   *sessionQ,
-		MaxSessions:    *maxSessions,
-		SessionTTL:     *sessionTTL,
-		StepTimeout:    *stepTimeout,
-		FastMath:       *fastmath,
-		FastMathF32:    *fastmath32,
-		Shards:         *shards,
-		ShardWorkers:   splitCSV(*shardWkrs),
-		Incremental:    *incremental,
-		IncrementalTol: *incrTol,
-		SnapshotDir:    *snapDir,
-		Autosnapshot:   *autosnap,
-		Logger:         log,
-	})
+	o.cfg.Logger = log
+	srv := serve.New(o.cfg)
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -87,7 +88,7 @@ func run(args []string, errw io.Writer) int {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Info("edged listening", "addr", *addr)
+	log.Info("edged listening", "addr", o.addr)
 
 	select {
 	case err := <-errc:
@@ -96,8 +97,8 @@ func run(args []string, errw io.Writer) int {
 	case <-ctx.Done():
 	}
 
-	log.Info("shutting down: draining in-flight slots", "grace", *drainWait)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainWait)
+	log.Info("shutting down: draining in-flight slots", "grace", o.drainWait)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainWait)
 	defer cancel()
 	code := 0
 	if err := srv.Shutdown(drainCtx); err != nil {
@@ -109,16 +110,4 @@ func run(args []string, errw io.Writer) int {
 		code = 1
 	}
 	return code
-}
-
-// splitCSV splits a comma-separated flag value into its non-empty,
-// whitespace-trimmed items (nil for an empty value).
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

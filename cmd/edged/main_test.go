@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,6 +19,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"bad flag", []string{"-nope"}, 2, "-nope"},
 		{"non-duration ttl", []string{"-session-ttl", "soon"}, 2, "invalid"},
 		{"unlistenable addr", []string{"-addr", "256.256.256.256:99999"}, 1, "listener failed"},
+		{"autosnapshot without dir", []string{"-autosnapshot"}, 2, "-autosnapshot requires -snapshot-dir"},
+		{"shard workers without shards", []string{"-shard-workers", "http://127.0.0.1:9711"}, 2, "-shard-workers requires -shards"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -27,5 +32,21 @@ func TestRunExitCodes(t *testing.T) {
 				t.Errorf("stderr %q missing %q", stderr.String(), tt.errs)
 			}
 		})
+	}
+}
+
+// TestFlagNamesGolden lists every flag edged accepts: none is added,
+// removed or renamed without this list changing with it.
+func TestFlagNamesGolden(t *testing.T) {
+	want := []string{
+		"addr", "autosnapshot", "drain-wait", "fastmath", "fastmath32",
+		"incremental", "incremental-tol", "log-json", "max-sessions", "queue",
+		"session-queue", "session-ttl", "shard-workers", "shards",
+		"snapshot-dir", "step-timeout", "workers",
+	}
+	var got []string
+	newFlagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if !slices.Equal(got, want) {
+		t.Errorf("edged flags\n got %q\nwant %q", got, want)
 	}
 }

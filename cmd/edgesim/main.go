@@ -25,12 +25,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"edgealloc/internal/experiments"
 	"edgealloc/internal/prof"
-	"edgealloc/internal/scenario"
 	"edgealloc/internal/telemetry"
 )
 
@@ -38,53 +36,68 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// options is everything the command line sets: what to run, where the
+// profiles and the telemetry dump go, and the experiment parameters the
+// flags bind straight into.
+type options struct {
+	fig, ablation          string
+	cpuprofile, memprofile string
+	metricsOut             string
+	p                      experiments.Params
+}
+
+// newFlagSet declares edgesim's flags over o. The solve-tier flags are
+// core.Options' own (BindFlags), bound into the paper algorithm's options.
+func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("edgesim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	p, sc := &o.p, &o.p.Scenario
+	fs.StringVar(&o.fig, "fig", "all", "figure to reproduce: 1..5 or 'all'")
+	fs.StringVar(&o.ablation, "ablation", "", "run a beyond-the-paper study instead of figures: lookahead, regularizer, adversarial, or 'all'")
+	fs.IntVar(&p.Users, "users", 15, "number of mobile users J")
+	fs.IntVar(&p.Horizon, "horizon", 12, "number of time slots T")
+	fs.IntVar(&p.Reps, "reps", 2, "independent repetitions per case")
+	fs.IntVar(&p.Cases, "cases", 3, "test cases (hours) for figures 2-3")
+	fs.Int64Var(&p.Seed, "seed", 20140212, "base random seed")
+	fs.IntVar(&p.Workers, "workers", 0, "concurrent (case, rep, algorithm) runs (0 = all CPUs); results are identical for any value")
+	fs.IntVar(&p.Approx.Candidates, "candidates", 0, "per-user candidate-set size for the paper's algorithm (0 = full variable space; any value is certified equal to the full solve)")
+	p.Approx.BindFlags(fs)
+	fs.BoolVar(&p.SkipConformance, "noconform", false, "disable the paper-conformance oracle on every run (it is on by default)")
+	fs.StringVar(&sc.WorkloadDist, "dist", "", "workload distribution override (power|uniform|normal)")
+	fs.Float64Var(&sc.Mu, "mu", 0, "dynamic/static weight ratio μ (0 = default 1)")
+	fs.Float64Var(&sc.MigScale, "migscale", 0, "migration price scale (0 = default 1)")
+	fs.Float64Var(&sc.ReconfMean, "reconf", 0, "mean reconfiguration price (0 = default 1)")
+	fs.Float64Var(&sc.SqPricePerKm, "sqprice", 0, "service-quality price per km (0 = default)")
+	fs.Float64Var(&sc.PriceVolatility, "vol", 0, "op-price volatility (std/base, 0 = default 0.5)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.metricsOut, "metrics", "", "write solver telemetry (Prometheus text format) to this file on exit")
+	return fs
+}
+
 // run is the testable body of main: it parses args, executes the
 // requested figures, and writes tables to stdout and errors to stderr,
 // returning the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("edgesim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		fig        = fs.String("fig", "all", "figure to reproduce: 1..5 or 'all'")
-		ablation   = fs.String("ablation", "", "run a beyond-the-paper study instead of figures: lookahead, regularizer, adversarial, or 'all'")
-		users      = fs.Int("users", 15, "number of mobile users J")
-		horizon    = fs.Int("horizon", 12, "number of time slots T")
-		reps       = fs.Int("reps", 2, "independent repetitions per case")
-		cases      = fs.Int("cases", 3, "test cases (hours) for figures 2-3")
-		seed       = fs.Int64("seed", 20140212, "base random seed")
-		workers    = fs.Int("workers", 0, "concurrent (case, rep, algorithm) runs (0 = all CPUs); results are identical for any value")
-		candidates = fs.Int("candidates", 0, "per-user candidate-set size for the paper's algorithm (0 = full variable space; any value is certified equal to the full solve)")
-		fastmath   = fs.Bool("fastmath", false, "evaluate the paper algorithm's entropy terms with the batch fast-math kernels (costs agree with the exact path to 1e-8; not bitwise-reproducible against it)")
-		fastmath32 = fs.Bool("fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
-		shards     = fs.Int("shards", 0, "split the paper algorithm's per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program; composes with -candidates and -fastmath)")
-		shardWkrs  = fs.String("shard-workers", "", "comma-separated shard-worker base URLs (cmd/edgeshard, e.g. http://127.0.0.1:9711,http://127.0.0.1:9712) to place the shard blocks on over RPC; dead workers fold back to local solving (requires -shards)")
-		incr       = fs.Bool("incremental", false, "solve the paper algorithm's slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility (composes with -candidates, -fastmath, and -shards)")
-		incrTol    = fs.Float64("incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
-		noconform  = fs.Bool("noconform", false, "disable the paper-conformance oracle on every run (it is on by default)")
-		dist       = fs.String("dist", "", "workload distribution override (power|uniform|normal)")
-		mu         = fs.Float64("mu", 0, "dynamic/static weight ratio μ (0 = default 1)")
-		mig        = fs.Float64("migscale", 0, "migration price scale (0 = default 1)")
-		reconf     = fs.Float64("reconf", 0, "mean reconfiguration price (0 = default 1)")
-		sqPrice    = fs.Float64("sqprice", 0, "service-quality price per km (0 = default)")
-		vol        = fs.Float64("vol", 0, "op-price volatility (std/base, 0 = default 0.5)")
-		cpuprofile = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = fs.String("memprofile", "", "write a heap profile to this file on exit")
-		metricsOut = fs.String("metrics", "", "write solver telemetry (Prometheus text format) to this file on exit")
-	)
+	var o options
+	fs := newFlagSet(&o, stderr)
 	if err := fs.Parse(args); err != nil {
 		// The FlagSet has already reported the problem on stderr.
 		return 2
 	}
-	if fs.NArg() > 0 {
+	switch {
+	case fs.NArg() > 0:
 		fmt.Fprintf(stderr, "edgesim: unexpected arguments: %v\n", fs.Args())
 		return 2
-	}
-	if *ablation != "" && *fig != "all" {
+	case o.ablation != "" && o.fig != "all":
 		fmt.Fprintln(stderr, "edgesim: -ablation and -fig are mutually exclusive")
+		return 2
+	case len(o.p.Approx.ShardWorkers) > 0 && o.p.Approx.Shards == 0:
+		fmt.Fprintln(stderr, "edgesim: -shard-workers requires -shards")
 		return 2
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)
 	if err != nil {
 		fmt.Fprintf(stderr, "edgesim: %v\n", err)
 		return 1
@@ -95,51 +108,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// serving daemon exposes, so a -metrics dump and an edged scrape show
 	// identical metric names.
 	var registry *telemetry.Registry
-	var solverMetrics *telemetry.SolverMetrics
-	if *metricsOut != "" {
+	if o.metricsOut != "" {
 		registry = telemetry.NewRegistry()
-		solverMetrics = telemetry.NewSolverMetrics(registry)
+		o.p.Approx.Metrics = telemetry.NewSolverMetrics(registry)
 	}
 
-	p := experiments.Params{
-		Users:           *users,
-		Horizon:         *horizon,
-		Reps:            *reps,
-		Cases:           *cases,
-		Seed:            *seed,
-		Workers:         *workers,
-		Candidates:      *candidates,
-		Shards:          *shards,
-		ShardWorkers:    splitCSV(*shardWkrs),
-		FastMath:        *fastmath,
-		FastMathF32:     *fastmath32,
-		Incremental:     *incr,
-		IncrementalTol:  *incrTol,
-		SkipConformance: *noconform,
-		Scenario: scenario.Config{
-			WorkloadDist:    *dist,
-			Mu:              *mu,
-			MigScale:        *mig,
-			ReconfMean:      *reconf,
-			SqPricePerKm:    *sqPrice,
-			PriceVolatility: *vol,
-		},
-		Metrics: solverMetrics,
-	}
-
-	names, byName := []string{*fig}, experiments.ByName
+	names, byName := []string{o.fig}, experiments.ByName
 	switch {
-	case *ablation == "all":
+	case o.ablation == "all":
 		names, byName = []string{"lookahead", "regularizer", "adversarial"}, experiments.AblationByName
-	case *ablation != "":
-		names, byName = []string{*ablation}, experiments.AblationByName
-	case *fig == "all":
+	case o.ablation != "":
+		names, byName = []string{o.ablation}, experiments.AblationByName
+	case o.fig == "all":
 		names = []string{"1", "2", "3", "4", "5"}
 	}
 	var claimSources []*experiments.Result
 	for _, f := range names {
 		start := time.Now()
-		res, err := byName(f, p)
+		res, err := byName(f, o.p)
 		if err != nil {
 			fmt.Fprintf(stderr, "edgesim: %v\n", err)
 			return 1
@@ -154,7 +140,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "== headline claims ==\n   %s\n", experiments.SummarizeClaims(claimSources...))
 	}
 	if registry != nil {
-		if err := dumpMetrics(*metricsOut, registry); err != nil {
+		if err := dumpMetrics(o.metricsOut, registry); err != nil {
 			fmt.Fprintf(stderr, "edgesim: %v\n", err)
 			return 1
 		}
@@ -176,16 +162,4 @@ func dumpMetrics(path string, r *telemetry.Registry) error {
 		return fmt.Errorf("writing metrics: %w", err)
 	}
 	return nil
-}
-
-// splitCSV splits a comma-separated flag value into its non-empty,
-// whitespace-trimmed items (nil for an empty value).
-func splitCSV(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,6 +25,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown ablation", []string{"-ablation", "bogus"}, 1, "bogus"},
 		{"ablation with figure", []string{"-ablation", "adversarial", "-fig", "2"}, 2, "mutually exclusive"},
 		{"bad profile path", []string{"-fig", "1", "-cpuprofile", "/no/such/dir/cpu.prof"}, 1, "cpu.prof"},
+		{"shard workers without shards", []string{"-fig", "1", "-shard-workers", "http://127.0.0.1:9711"}, 2, "-shard-workers requires -shards"},
+		{"blank shard workers are none", []string{"-fig", "9", "-shard-workers", " , "}, 1, "9"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -92,7 +97,7 @@ func TestRunMetricsDump(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "edgealloc_solver_steps_total 0\n") {
-		t.Error("metrics dump recorded zero solver steps; Params.Metrics not plumbed to the algorithm")
+		t.Error("metrics dump recorded zero solver steps; Params.Approx.Metrics not plumbed to the algorithm")
 	}
 	if code := run([]string{"-fig", "1", "-metrics", "/no/such/dir/m.prom"}, &stdout, &stderr); code != 1 {
 		t.Errorf("bad metrics path: exit %d, want 1", code)
@@ -137,5 +142,22 @@ func TestRunFigure2Plumbing(t *testing.T) {
 	if strip(stdout.String()) != strip(stdout2.String()) {
 		t.Errorf("-noconform changed the results:\n--- with oracle\n%s\n--- without\n%s",
 			stdout.String(), stdout2.String())
+	}
+}
+
+// TestFlagNamesGolden lists every flag edgesim accepts: none is added,
+// removed or renamed without this list changing with it.
+func TestFlagNamesGolden(t *testing.T) {
+	want := []string{
+		"ablation", "candidates", "cases", "cpuprofile", "dist", "fastmath",
+		"fastmath32", "fig", "horizon", "incremental", "incremental-tol",
+		"memprofile", "metrics", "migscale", "mu", "noconform", "reconf",
+		"reps", "seed", "shard-workers", "shards", "sqprice", "users", "vol",
+		"workers",
+	}
+	var got []string
+	newFlagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	if !slices.Equal(got, want) {
+		t.Errorf("edgesim flags\n got %q\nwant %q", got, want)
 	}
 }

@@ -130,7 +130,7 @@ func NewLookahead(window int) Algorithm { return &baseline.Lookahead{Window: win
 
 // NewProximal returns the quadratic-movement-penalty ablation of the
 // paper's algorithm (smoothed-OCO style; sigma ≤ 0 selects the default 1).
-func NewProximal(sigma float64) Algorithm { return &core.Proximal{Sigma: sigma} }
+func NewProximal(sigma float64) Algorithm { return &baseline.Proximal{Sigma: sigma} }
 
 // Execute runs an algorithm on a validated instance, verifies that the
 // produced schedule is feasible, and evaluates the true weighted cost.

@@ -32,19 +32,7 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 	if mus == nil {
 		mus = smooth.Schedule(0.25, 1e-3, 0.1)
 	}
-	sopts := g.Solver
-	if sopts.MaxOuter == 0 {
-		sopts.MaxOuter = 50
-	}
-	if sopts.InnerIters == 0 {
-		sopts.InnerIters = 700
-	}
-	if sopts.FeasTol == 0 {
-		sopts.FeasTol = 1e-7
-	}
-	if sopts.Penalty == 0 {
-		sopts.Penalty = 2
-	}
+	sopts := g.Solver.Or(alm.Options{MaxOuter: 50, InnerIters: 700, FeasTol: 1e-7, Penalty: 2})
 
 	// The price factors are slot-independent; build the objective once and
 	// rebind per slot, sharing one solver workspace across the horizon so
@@ -66,6 +54,7 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 		obj.bIn[i] = in.WMg * in.MigInPrice[i]
 	}
 	lower := make([]float64, in.I*in.J)
+	served := make([]float64, in.J)
 	var ws alm.Workspace
 
 	prev := in.InitialAlloc()
@@ -100,7 +89,7 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 			warmDuals = res.Duals
 		}
 		x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), res.X...)}
-		repairAlloc(in, x)
+		in.Repair(x, served)
 		sched = append(sched, x)
 		prev = x
 		warmX = append(warmX[:0], x.X...)
@@ -217,27 +206,4 @@ func (o *greedySlotObjective) Eval(x, grad []float64) float64 {
 		}
 	}
 	return f
-}
-
-// repairAlloc clips round-off negatives and tops up marginally
-// under-served users, mirroring the repair in the core package.
-func repairAlloc(in *model.Instance, x model.Alloc) {
-	for k, v := range x.X {
-		if v < 0 {
-			x.X[k] = 0
-		}
-	}
-	served := x.UserTotals()
-	for j := 0; j < in.J; j++ {
-		if deficit := in.Workload[j] - served[j]; deficit > 0 {
-			if served[j] > 0 {
-				f := in.Workload[j] / served[j]
-				for i := 0; i < in.I; i++ {
-					x.Set(i, j, x.At(i, j)*f)
-				}
-			} else {
-				x.Set(0, j, in.Workload[j])
-			}
-		}
-	}
 }

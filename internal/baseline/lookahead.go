@@ -50,6 +50,7 @@ func (l *Lookahead) Solve(in *model.Instance) (model.Schedule, error) {
 	off := &Offline{Solver: l.Solver, MuSchedule: l.MuSchedule}
 	prev := in.InitialAlloc()
 	sched := make(model.Schedule, 0, in.T)
+	served := make([]float64, in.J)
 	for t := 0; t < in.T; t++ {
 		n := window
 		if t+n > in.T {
@@ -64,7 +65,7 @@ func (l *Lookahead) Solve(in *model.Instance) (model.Schedule, error) {
 			return nil, fmt.Errorf("baseline: lookahead slot %d: %w", t, err)
 		}
 		x := plan[0].Clone()
-		repairAlloc(in, x)
+		in.Repair(x, served)
 		sched = append(sched, x)
 		prev = x
 	}

@@ -90,19 +90,7 @@ func (o *Offline) Solve(in *model.Instance) (model.Schedule, error) {
 	if mus == nil {
 		mus = smooth.Schedule(0.25, 1e-3, 0.1)
 	}
-	sopts := o.Solver
-	if sopts.MaxOuter == 0 {
-		sopts.MaxOuter = 60
-	}
-	if sopts.InnerIters == 0 {
-		sopts.InnerIters = 2500
-	}
-	if sopts.FeasTol == 0 {
-		sopts.FeasTol = 1e-7
-	}
-	if sopts.Penalty == 0 {
-		sopts.Penalty = 2
-	}
+	sopts := o.Solver.Or(alm.Options{MaxOuter: 60, InnerIters: 2500, FeasTol: 1e-7, Penalty: 2})
 
 	nIJ := in.I * in.J
 	st := o.state(in)
@@ -144,10 +132,11 @@ func (o *Offline) Solve(in *model.Instance) (model.Schedule, error) {
 	}
 
 	sched := make(model.Schedule, in.T)
+	served := make([]float64, in.J)
 	for t := 0; t < in.T; t++ {
 		x := model.Alloc{I: in.I, J: in.J,
 			X: append([]float64(nil), res.X[t*nIJ:(t+1)*nIJ]...)}
-		repairAlloc(in, x)
+		in.Repair(x, served)
 		sched[t] = x
 	}
 	return sched, nil

@@ -1,4 +1,4 @@
-package core
+package baseline
 
 import (
 	"fmt"
@@ -55,7 +55,7 @@ func (p *Proximal) prepare(in *model.Instance, sigma float64) {
 			mgFac:   make([]float64, in.I),
 			tot:     make([]float64, in.I),
 		}
-		p.groups = slotDemandCapacityGroups(in)
+		p.groups = slotGroups(in, 1)
 		p.lower = make([]float64, in.I*in.J)
 		p.served = make([]float64, in.J)
 	}
@@ -63,34 +63,10 @@ func (p *Proximal) prepare(in *model.Instance, sigma float64) {
 	// the entropy analysis; the proximal ablation has no such analysis).
 	// Refresh RHS in place: a same-shaped instance may still carry
 	// different workloads and capacities.
-	refreshSlotDemandCapacityRHS(p.groups, in)
+	refreshSlotGroupsRHS(p.groups, in)
 	for i := 0; i < in.I; i++ {
 		p.obj.rcFac[i] = in.WRc * in.ReconfPrice[i] / sigma
 		p.obj.mgFac[i] = in.WMg * (in.MigOutPrice[i] + in.MigInPrice[i]) / sigma
-	}
-}
-
-// slotDemandCapacityGroups builds the structured demand rows Σ_i x_ij ≥
-// λ_j followed by capacity rows −Σ_j x_ij ≥ −C_i for one slot block.
-func slotDemandCapacityGroups(in *model.Instance) *alm.Groups {
-	rows := make([]alm.GroupRow, 0, in.J+in.I)
-	for j := 0; j < in.J; j++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
-	}
-	for i := 0; i < in.I; i++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -in.Capacity[i]})
-	}
-	return &alm.Groups{I: in.I, J: in.J, Blocks: 1, Rows: rows}
-}
-
-// refreshSlotDemandCapacityRHS rewrites the right-hand sides of rows
-// built by slotDemandCapacityGroups for the given instance.
-func refreshSlotDemandCapacityRHS(g *alm.Groups, in *model.Instance) {
-	for j := 0; j < in.J; j++ {
-		g.Rows[j].RHS = in.Workload[j]
-	}
-	for i := 0; i < in.I; i++ {
-		g.Rows[in.J+i].RHS = -in.Capacity[i]
 	}
 }
 
@@ -100,19 +76,7 @@ func (p *Proximal) Solve(in *model.Instance) (model.Schedule, error) {
 	if sigma <= 0 {
 		sigma = 1
 	}
-	sopts := p.Solver
-	if sopts.MaxOuter == 0 {
-		sopts.MaxOuter = 50
-	}
-	if sopts.InnerIters == 0 {
-		sopts.InnerIters = 700
-	}
-	if sopts.FeasTol == 0 {
-		sopts.FeasTol = 1e-7
-	}
-	if sopts.Penalty == 0 {
-		sopts.Penalty = 2
-	}
+	sopts := p.Solver.Or(alm.Options{MaxOuter: 50, InnerIters: 700, FeasTol: 1e-7, Penalty: 2})
 
 	p.prepare(in, sigma)
 	obj := p.obj
@@ -134,11 +98,11 @@ func (p *Proximal) Solve(in *model.Instance) (model.Schedule, error) {
 			Groups: p.groups,
 		}, opts)
 		if err != nil {
-			return nil, fmt.Errorf("core: proximal slot %d: %w", t, err)
+			return nil, fmt.Errorf("baseline: proximal slot %d: %w", t, err)
 		}
 		// res.X aliases the workspace; copy before retaining.
 		x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), res.X...)}
-		repair(in, x, p.served)
+		in.Repair(x, p.served)
 		sched = append(sched, x)
 		prev = x
 		warmDuals = res.Duals

@@ -1,10 +1,11 @@
-package core
+package baseline
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 
+	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
 )
@@ -28,7 +29,7 @@ func TestProximalFeasibleAndReasonable(t *testing.T) {
 	}
 	// Sanity envelope: no worse than 3x the entropy variant on the same
 	// instance (the ablation should be in the same league).
-	alg := NewOnlineApprox(in, Options{})
+	alg := core.NewOnlineApprox(in, core.Options{})
 	sa, err := alg.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -36,9 +36,12 @@ package core
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math"
+	"strings"
 	"time"
+	"unicode"
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
@@ -56,13 +59,12 @@ type Options struct {
 	// bounds the intra-evaluation parallelism of P2's objective; results
 	// are byte-identical for any value.
 	Solver alm.Options
-	// DenseRows switches P2's constraints to the generic sparse-row
+	// denseRows switches P2's constraints to the generic sparse-row
 	// reference path (p2Constraints) instead of the structured group-sum
-	// kernel (singleState.buildRows). The dense complement rows cost O(I²·J) per
-	// Lagrangian evaluation versus O(I·J) structured; the option exists
-	// for the structured-vs-dense property tests and the before/after
-	// scaling benchmarks.
-	DenseRows bool
+	// kernel (singleState.buildRows): O(I²·J) per Lagrangian evaluation
+	// versus O(I·J). Unexported: only this package's structured-vs-dense
+	// property tests set it.
+	denseRows bool
 	// Candidates > 0 enables the certified candidate-set solving path:
 	// each slot, user j's variables are restricted to its Candidates
 	// nearest clouds (by inter-cloud delay from the slot's attachment)
@@ -70,7 +72,7 @@ type Options struct {
 	// reduced optimum is certified equal to the full P2 optimum by a
 	// dual-feasibility pricing pass that re-admits mispriced pairs and
 	// re-solves warm (see sparse.go). 0 solves the full dense variable
-	// space directly. Takes precedence over DenseRows.
+	// space directly.
 	Candidates int
 	// Shards > 0 enables the user-sharded dual-decomposition path: the J
 	// users are split into Shards contiguous shards, each solving its
@@ -83,7 +85,7 @@ type Options struct {
 	// §7e). 0 keeps the single-program paths bitwise unchanged. Composes
 	// with Candidates and FastMath; Solver.Workers bounds the number of
 	// concurrently solving shards, and results are byte-identical for any
-	// worker count. Takes precedence over DenseRows.
+	// worker count.
 	Shards int
 	// ShardRho is the coordination loop's ADMM consensus penalty,
 	// ShardMaxIters its iteration cap, and ShardPrimalTol/ShardDualTol
@@ -173,18 +175,7 @@ func (o Options) withDefaults() Options {
 	if o.Epsilon2 <= 0 {
 		o.Epsilon2 = 1
 	}
-	if o.Solver.MaxOuter == 0 {
-		o.Solver.MaxOuter = 60
-	}
-	if o.Solver.InnerIters == 0 {
-		o.Solver.InnerIters = 900
-	}
-	if o.Solver.FeasTol == 0 {
-		o.Solver.FeasTol = 1e-7
-	}
-	if o.Solver.Penalty == 0 {
-		o.Solver.Penalty = 2
-	}
+	o.Solver = o.Solver.Or(alm.Options{MaxOuter: 60, InnerIters: 900, FeasTol: 1e-7, Penalty: 2})
 	if o.CandidateTol <= 0 {
 		o.CandidateTol = 1e-7
 	}
@@ -195,6 +186,21 @@ func (o Options) withDefaults() Options {
 		o.FastMath = true
 	}
 	return o
+}
+
+// BindFlags binds the solve-tier flags every CLI shares straight into o,
+// so a command carries an Options value instead of re-declaring its fields.
+// -shard-workers is a comma-separated list; blank items are dropped.
+func (o *Options) BindFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&o.FastMath, "fastmath", false, "evaluate the entropy terms with the batch fast-math kernels (costs agree with the exact path to 1e-8; not bitwise-reproducible against it)")
+	fs.BoolVar(&o.FastMathF32, "fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
+	fs.IntVar(&o.Shards, "shards", 0, "split each per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program)")
+	fs.Func("shard-workers", "comma-separated shard-worker base `URLs` (cmd/edgeshard, e.g. http://127.0.0.1:9711,http://127.0.0.1:9712) to place the shard blocks on over RPC; dead workers fold back to local solving (requires -shards)", func(s string) error {
+		o.ShardWorkers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
+		return nil
+	})
+	fs.BoolVar(&o.Incremental, "incremental", false, "solve slots incrementally: re-solve only users whose attachment changed, gated by dual feasibility")
+	fs.Float64Var(&o.IncrementalTol, "incremental-tol", 0, "relative dual-feasibility tolerance of the incremental gate (0 = package default)")
 }
 
 // OnlineApprox runs the paper's online algorithm over an instance,
@@ -351,7 +357,7 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	// xSrc and duals alias solver scratch; copy the decision out before
 	// the next Step overwrites them.
 	x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), xSrc...)}
-	repair(in, x, o.userTot)
+	in.Repair(x, o.userTot)
 
 	copy(o.prevBuf, x.X)
 	if o.dualsBuf == nil {
@@ -517,34 +523,6 @@ func p2Constraints(in *model.Instance) []alm.Constraint {
 		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: -in.Capacity[i]})
 	}
 	return cons
-}
-
-// repair clips negative round-off and tops up any marginally under-served
-// user on its attached cloud so that downstream feasibility checks with
-// tight tolerances pass. The adjustments are on the order of the solver
-// tolerance (≤1e-6 relative) and do not affect measured costs. served is
-// a length-J scratch buffer.
-func repair(in *model.Instance, x model.Alloc, served []float64) {
-	for k, v := range x.X {
-		if v < 0 {
-			x.X[k] = 0
-		}
-	}
-	x.UserTotalsInto(served)
-	for j := 0; j < in.J; j++ {
-		if deficit := in.Workload[j] - served[j]; deficit > 0 {
-			// Scale the user's column up proportionally; fall back to the
-			// cheapest-by-index cloud when the column is all zero.
-			if served[j] > 0 {
-				f := in.Workload[j] / served[j]
-				for i := 0; i < in.I; i++ {
-					x.Set(i, j, x.At(i, j)*f)
-				}
-			} else {
-				x.Set(0, j, in.Workload[j])
-			}
-		}
-	}
 }
 
 // allZero reports whether every entry of v is zero.

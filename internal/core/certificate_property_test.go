@@ -15,6 +15,7 @@ import (
 // keeps the runtime bounded while still varying prices, traces, and
 // workloads.)
 func TestCertificateNeverExceedsExactOptimum(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-solve sweep")
 	}

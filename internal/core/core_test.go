@@ -79,6 +79,7 @@ func TestOnlineApproxFeasibleOnRomeScenario(t *testing.T) {
 }
 
 func TestOnlineApproxWithinRatioBoundOfOffline(t *testing.T) {
+	t.Parallel()
 	in, _, err := scenario.Rome(scenario.Config{Users: 5, Horizon: 5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ func allTiersFastOpts() Options {
 // convergence errors, and ≤1e-12-per-operation kernels leave the solver
 // term dominant.
 func TestFastMathMatchesExactSmallInstances(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(61))
 	// The incremental rows pin against the dense exact solve, like the
 	// incremental tier's own property tests; the sharded row runs the

@@ -155,7 +155,7 @@ func FuzzStructuredVsDenseRows(f *testing.F) {
 			Seed: seed, I: span(nI, 2, 4), J: span(nJ, 1, 5), T: span(nT, 1, 3)})
 		ultra := ultraTightOpts()
 		gaps := coupledPathGaps(t, in,
-			Options{DenseRows: true, Solver: ultra}, Options{Solver: ultra})
+			Options{denseRows: true, Solver: ultra}, Options{Solver: ultra})
 		for tt, d := range gaps {
 			if d > 1e-6 {
 				t.Errorf("slot %d (I=%d J=%d): P2 objective rel gap %g > 1e-6",

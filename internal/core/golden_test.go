@@ -50,6 +50,7 @@ func scheduleDigest(s model.Schedule) string {
 // only change with a deliberate, explained numerical change to the path
 // concerned.
 func TestGoldenScheduleDigests(t *testing.T) {
+	t.Parallel()
 	if runtime.GOARCH != "amd64" {
 		t.Skip("digests are recorded on amd64; other targets fuse multiply-adds")
 	}
@@ -61,7 +62,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 	}{
 		{"default", Options{},
 			"6a5e418154d4ef88b52607de03bc628276db83927ba14374054130b5ac057efc"},
-		{"DenseRows", Options{DenseRows: true},
+		{"DenseRows", Options{denseRows: true},
 			"6ea9d2da4be1feb3afa71e30658db7337103fa7e26eeecc7fbad9719d02e1c2a"},
 		{"Candidates", Options{Candidates: 3},
 			"abc4c707e99ba2bc4656e4ceb06e60a62b40266bcdfd44245c8f0eaac02cf438"},

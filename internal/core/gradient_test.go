@@ -88,7 +88,7 @@ func TestRepairTopsUpDeficits(t *testing.T) {
 	x.Set(0, 0, in.Workload[0]*0.999)
 	x.Set(0, 2, in.Workload[2])
 	x.Set(1, 2, -1e-9)
-	repair(in, x, make([]float64, in.J))
+	in.Repair(x, make([]float64, in.J))
 	served := x.UserTotals()
 	for j := 0; j < in.J; j++ {
 		if served[j] < in.Workload[j]-1e-9 {

@@ -273,6 +273,7 @@ func TestIncrementalWorkersByteIdentical(t *testing.T) {
 // the dense optimum's tolerance ball (slot-coupled, 1e-8), and
 // repeating a configuration must reproduce it bitwise.
 func TestIncrementalShardCompose(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(877))
 	in := smallRandomInstance(rng)
 	withChurn(in, 0.3, rng)

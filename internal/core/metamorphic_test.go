@@ -164,7 +164,7 @@ func TestMetamorphicFastPathsAgree(t *testing.T) {
 			}
 			ultra := ultraTightOpts()
 			gaps := coupledPathGaps(t, tr.in,
-				Options{DenseRows: true, Solver: ultra}, Options{Solver: ultra})
+				Options{denseRows: true, Solver: ultra}, Options{Solver: ultra})
 			for tt, d := range gaps {
 				if d > 1e-8 {
 					t.Errorf("structured kernel slot %d: P2 rel gap %g > 1e-8", tt, d)

@@ -31,6 +31,7 @@ func shardTestOpts(shards int) Options {
 // solve's P2 cost to 1e-8 relative (cross-slot drift removed by coupling
 // the sharded path to the dense decisions).
 func TestShardMatchesDenseSmallInstances(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 8; trial++ {
 		in := smallRandomInstance(rng)
@@ -54,6 +55,7 @@ func TestShardMatchesDenseSmallInstances(t *testing.T) {
 // still land in the dense optimum's tolerance ball (the per-shard pricing
 // pass re-admits anything the seeds miss).
 func TestShardWithCandidatesMatchesDense(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(113))
 	for trial := 0; trial < 4; trial++ {
 		in := smallRandomInstance(rng)
@@ -78,6 +80,8 @@ func TestShardWithCandidatesMatchesDense(t *testing.T) {
 // concurrently but their totals reduce in shard index order), and — run
 // to run — for the same worker count.
 func TestShardDeterministicForAnyWorkers(t *testing.T) {
+	// Serial: it lowers the package-level evalParGrain, which every
+	// concurrently running solve reads.
 	oldEval := evalParGrain
 	evalParGrain = 1
 	defer func() { evalParGrain = oldEval }()
@@ -119,6 +123,7 @@ func TestShardDeterministicForAnyWorkers(t *testing.T) {
 // every shard count, including S = 1 (one block plus coordination) and
 // an S larger than J (clamped to one user per shard).
 func TestShardCountDeterministicRerun(t *testing.T) {
+	t.Parallel()
 	in, _, err := scenario.Rome(scenario.Config{Users: 6, Horizon: 3, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
@@ -147,6 +152,7 @@ func TestShardCountDeterministicRerun(t *testing.T) {
 // dense run (loosened to 1e-4 by warm-start drift chaining through
 // uncoupled slots).
 func TestShardFullRunFeasibleAndCertified(t *testing.T) {
+	t.Parallel()
 	for _, opts := range []Options{
 		shardTestOpts(2),
 		func() Options { o := shardTestOpts(3); o.Candidates = 2; return o }(),

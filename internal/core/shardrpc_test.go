@@ -102,6 +102,7 @@ func chaosWorker(t *testing.T, restartEvery int64) (*httptest.Server, *atomic.In
 // in-process reference — a restart costs at most one coordination round,
 // which the convergence gates re-derive.
 func TestDistributedWorkerRestartMatchesReference(t *testing.T) {
+	t.Parallel()
 	in := distInstance()
 	opts := shardTestOpts(3)
 	ref, err := NewOnlineApprox(in, opts).Run()

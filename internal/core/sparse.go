@@ -56,7 +56,7 @@ type singleState struct {
 	// nearest[a] lists the Options.Candidates clouds closest to cloud a
 	// by inter-cloud delay; users are seeded with nearest[l_{j,t}].
 	nearest [][]int
-	cons    []alm.Constraint // Options.DenseRows reference rows
+	cons    []alm.Constraint // Options.denseRows reference rows
 
 	lambda float64 // Λ = Σ_j λ_j, for the complement-row RHS
 	// active marks the users that re-solve this slot and actList lists
@@ -151,7 +151,7 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.xDense = make([]float64, in.I*in.J)
 	} else {
 		s.lower = make([]float64, in.I*in.J)
-		if o.opts.DenseRows {
+		if o.opts.denseRows {
 			s.cons = p2Constraints(in)
 		}
 	}

@@ -39,6 +39,7 @@ func roundtripState(t *testing.T, st *WarmState) *WarmState {
 // candidate/shard/incremental equivalence tests use, with the same
 // ultra-tight budgets.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
+	t.Parallel()
 	ultra := ultraTightOpts()
 	// tol == 0 means the two runs must be bitwise identical. The sharded
 	// path gets a 1e-7 bound: its coordination loop terminates on consensus
@@ -59,7 +60,7 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		cuts []int
 	}{
 		{"default", Options{}, 0, nil},
-		{"dense-rows", Options{DenseRows: true}, 0, nil},
+		{"dense-rows", Options{denseRows: true}, 0, nil},
 		{"candidates", Options{Candidates: 2, Solver: ultra}, 1e-8, nil},
 		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultra}, 1e-8, nil},
 		{"shards", shardTestOpts(2), 1e-7, []int{2}},

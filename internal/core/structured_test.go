@@ -37,7 +37,7 @@ func TestStructuredMatchesDenseRows(t *testing.T) {
 	opts := alm.Options{MaxOuter: 200, InnerIters: 2000,
 		FeasTol: 1e-9, DualTol: 1e-7, ObjTol: 1e-11}
 	run := func(dense bool) *OnlineApprox {
-		alg := NewOnlineApprox(in, Options{DenseRows: dense, Solver: opts})
+		alg := NewOnlineApprox(in, Options{denseRows: dense, Solver: opts})
 		if _, err := alg.Run(); err != nil {
 			t.Fatal(err)
 		}

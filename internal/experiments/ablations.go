@@ -92,7 +92,7 @@ func AblationRegularizer(p Params) (*Result, error) {
 			Algs: func() []sim.Algorithm {
 				return []sim.Algorithm{
 					p.approx(),
-					&core.Proximal{Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
+					&baseline.Proximal{Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
 						FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2}},
 				}
 			},

@@ -168,5 +168,5 @@ func (p Params) workers() int {
 // unless explicitly disabled, and run-level telemetry flows into the
 // shared instrument bundle when one is configured.
 func (p Params) simOptions() sim.Options {
-	return sim.Options{SkipConformance: p.SkipConformance, Metrics: p.Metrics}
+	return sim.Options{SkipConformance: p.SkipConformance, Metrics: p.Approx.Metrics}
 }

@@ -23,7 +23,6 @@ import (
 	"edgealloc/internal/scenario"
 	"edgealloc/internal/sim"
 	"edgealloc/internal/solver/alm"
-	"edgealloc/internal/telemetry"
 )
 
 // Params scales an experiment. Zero fields take the figure's defaults.
@@ -50,47 +49,16 @@ type Params struct {
 	// internal/conform). Only the seed harness's basic feasibility check
 	// runs then.
 	SkipConformance bool
-	// Candidates restricts the paper's algorithm to dual-certified
-	// per-user candidate sets of this size (core.Options.Candidates):
-	// each slot solves over the Candidates clouds nearest each user's
-	// attachment plus the clouds its flow already occupies, expanding on
-	// pricing violations until the reduced solution is certified optimal
-	// for the full problem. 0 solves the full I·J variable space.
-	Candidates int
-	// FastMath routes the paper algorithm's entropy hot loop through the
-	// batch kernels of internal/numkernel (core.Options.FastMath):
-	// per-operation accuracy ≤1e-12 relative, schedule costs within 1e-8
-	// of the exact path, not bitwise-reproducible against it. FastMathF32
-	// additionally selects the float32 ratio-scratch storage tier
-	// (core.Options.FastMathF32) and implies FastMath.
-	FastMath    bool
-	FastMathF32 bool
-	// Shards splits each slot's program across this many user shards
-	// coordinated by the sharing-ADMM loop (core.Options.Shards): shards
-	// solve concurrently under the run's worker budget and the assembled
-	// schedule is certified against the same conformance oracle. 0 keeps
-	// the single-program path, bitwise-unchanged. Composes with
-	// Candidates and FastMath.
-	Shards int
-	// ShardWorkers lists shard-worker base URLs (cmd/edgeshard) to place
-	// the shard blocks on over RPC (core.Options.ShardWorkers); empty
-	// solves every shard in-process. Only meaningful with Shards > 0.
-	ShardWorkers []string
-	// Incremental turns on event-driven incremental slot solving
-	// (core.Options.Incremental): each slot re-solves only the users
-	// whose attachment changed, holding everyone else at their warm
-	// iterates behind a dual-feasibility gate that re-admits any user it
-	// cannot certify. IncrementalTol overrides the gate tolerance (0 =
-	// package default). Composes with Candidates, FastMath, and Shards.
-	Incremental    bool
-	IncrementalTol float64
+	// Approx is the option set of the paper's algorithm in every figure:
+	// core.Options declares and documents the fields, edgesim's tier flags
+	// bind straight into it, and zero Solver fields take the experiment
+	// solver profile. Approx.Metrics, when set, also receives the engine's
+	// run-level telemetry across every unit of work (the same instrument
+	// bundle the serving daemon scrapes); recording never changes results.
+	Approx core.Options
 	// Scenario overrides the default §V-A price/weight knobs (fields at
 	// their zero values keep the scenario defaults).
 	Scenario scenario.Config
-	// Metrics optionally records run- and slot-level solver telemetry
-	// (the same instrument bundle the serving daemon scrapes) across every
-	// unit of work. Nil records nothing; recording never changes results.
-	Metrics *telemetry.SolverMetrics
 }
 
 func (p Params) withDefaults() Params {
@@ -233,22 +201,14 @@ func (a approxAlg) Solve(in *model.Instance) (model.Schedule, error) {
 
 var _ sim.Algorithm = approxAlg{}
 
-// approx builds the paper's algorithm adapter under p's knobs and the
-// experiment solver profile; the figures that vary one more option
+// approx builds the paper's algorithm adapter: p.Approx over the
+// experiment solver profile. The figures that vary one more option
 // (Fig 4's ε, Fig 1's full variable space) edit the returned copy.
 func (p Params) approx() approxAlg {
-	return approxAlg{core.Options{
-		Candidates:     p.Candidates,
-		Shards:         p.Shards,
-		ShardWorkers:   p.ShardWorkers,
-		FastMath:       p.FastMath,
-		FastMathF32:    p.FastMathF32,
-		Incremental:    p.Incremental,
-		IncrementalTol: p.IncrementalTol,
-		Solver: alm.Options{MaxOuter: 40, InnerIters: 600,
-			FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2},
-		Metrics: p.Metrics,
-	}}
+	opts := p.Approx
+	opts.Solver = opts.Solver.Or(alm.Options{MaxOuter: 40, InnerIters: 600,
+		FeasTol: 1e-7, DualTol: 1e-3, ObjTol: 1e-8, Penalty: 2})
+	return approxAlg{opts}
 }
 
 // aggregate converts per-rep ratio maps into sorted cells.

@@ -459,6 +459,35 @@ func (in *Instance) CheckFeasible(s Schedule, tol float64) error {
 	return nil
 }
 
+// Repair clips negative round-off in a solver's slot decision and tops up
+// any marginally under-served user so that downstream feasibility checks
+// with tight tolerances pass. The adjustments are on the order of the
+// solver tolerance (≤1e-6 relative) and do not affect measured costs.
+// served is a length-J scratch buffer, so per-slot hot paths allocate
+// nothing here.
+func (in *Instance) Repair(x Alloc, served []float64) {
+	for k, v := range x.X {
+		if v < 0 {
+			x.X[k] = 0
+		}
+	}
+	x.UserTotalsInto(served)
+	for j := 0; j < in.J; j++ {
+		if deficit := in.Workload[j] - served[j]; deficit > 0 {
+			// Scale the user's column up proportionally; fall back to the
+			// cheapest-by-index cloud when the column is all zero.
+			if served[j] > 0 {
+				f := in.Workload[j] / served[j]
+				for i := 0; i < in.I; i++ {
+					x.Set(i, j, x.At(i, j)*f)
+				}
+			} else {
+				x.Set(0, j, in.Workload[j])
+			}
+		}
+	}
+}
+
 // Window returns a sub-instance covering slots [t0, t0+n) with the given
 // allocation as its pre-horizon state. Slice fields are shared with the
 // receiver (not copied); callers must not mutate them. Window is the

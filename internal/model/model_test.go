@@ -218,6 +218,17 @@ func TestCheckFeasible(t *testing.T) {
 	if err := in.CheckFeasible(neg, 1e-9); err == nil {
 		t.Error("CheckFeasible accepted negative allocation")
 	}
+
+	// Repair turns solver round-off into a feasible slot: a negative entry
+	// is clipped, a marginally under-served column scaled up, and an
+	// all-zero column (user 1) served on cloud 0.
+	x := NewAlloc(in.I, in.J)
+	x.Set(0, 0, 0.999)
+	x.Set(1, 0, -1e-9)
+	in.Repair(x, make([]float64, in.J))
+	if err := in.CheckFeasible(Schedule{x, x}, 1e-9); err != nil {
+		t.Errorf("repaired slot still infeasible: %v", err)
+	}
 }
 
 func TestStaticCoeffMatchesSlotStatic(t *testing.T) {

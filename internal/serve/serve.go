@@ -39,6 +39,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"edgealloc/internal/core"
 	"edgealloc/internal/telemetry"
 )
 
@@ -65,31 +66,16 @@ type Config struct {
 	// deadline context is plumbed into the solver loop, so an expired
 	// slot aborts between FISTA sweeps with the warm state intact.
 	StepTimeout time.Duration
-	// FastMath makes every session solve with the batch fast-math
-	// entropy kernels (core.Options.FastMath); per-session options can
-	// also enable it selectively. FastMathF32 additionally stores the
-	// ratio scratch in float32 and implies FastMath.
-	FastMath    bool
-	FastMathF32 bool
-	// Shards makes every session split its per-slot solve across this
-	// many user shards under the consensus-ADMM coordinator
-	// (core.Options.Shards); per-session options can also request a
-	// (larger) shard count. 0 keeps the single-program path.
-	Shards int
-	// ShardWorkers lists shard-worker base URLs (cmd/edgeshard) to place
-	// every sharded session's blocks on over RPC
-	// (core.Options.ShardWorkers); empty solves all shards in-process.
-	// Worker failures fold back to local solving, so a dead worker slows
-	// sessions down without failing them.
-	ShardWorkers []string
-	// Incremental makes every session solve slots with the event-driven
-	// incremental tier (core.Options.Incremental): only users whose
-	// attachment changed since the previous slot are re-solved, with the
-	// dual-feasibility gate re-admitting any frozen user it cannot
-	// certify. IncrementalTol overrides the gate tolerance (0 = package
-	// default). Per-session options can also enable it selectively.
-	Incremental    bool
-	IncrementalTol float64
+	// Defaults are solver options every session created on this daemon
+	// gets on top of its own. Only the tier fields core.Options.BindFlags
+	// binds are consulted: the booleans OR with the session's, the numbers
+	// take the larger. The merge runs once, at create, and its result is
+	// what the session's snapshot header records, so a session restored
+	// on another daemon stays on the solve path it was created on. Only
+	// ShardWorkers — deployment addresses, never persisted — is read again
+	// on restore: worker failures fold back to local solving, so a dead
+	// worker slows sessions down without failing them.
+	Defaults core.Options
 	// SnapshotDir, when set, is where session snapshots persist, one
 	// append-only log per session (header + a record per committed slot):
 	// explicit POST …/snapshot calls bring the log current, TTL eviction

@@ -619,11 +619,11 @@ func TestFastMathSession(t *testing.T) {
 	}
 
 	// Daemon-level default: plain create, fast math still applies.
-	_, tsFM := newTestServer(t, Config{FastMath: true})
+	_, tsFM := newTestServer(t, Config{Defaults: core.Options{FastMath: true}})
 	id := createSession(t, tsFM.URL, in)
 	driveSession(t, tsFM.URL, id, horizon)
 	if got := fetchSchedule(t, tsFM.URL, id); !schedulesEqual(got, want.Schedule) {
-		t.Error("Config.FastMath schedule differs from fast-math batch sim")
+		t.Error("Config.Defaults.FastMath schedule differs from fast-math batch sim")
 	}
 
 	// The fast path costs stay within the documented 1e-8 agreement of
@@ -680,11 +680,11 @@ func TestIncrementalSession(t *testing.T) {
 	}
 
 	// Daemon-level default: plain create, incremental still applies.
-	_, tsIn := newTestServer(t, Config{Incremental: true, IncrementalTol: 1e3})
+	_, tsIn := newTestServer(t, Config{Defaults: iopts})
 	id := createSession(t, tsIn.URL, in)
 	driveSession(t, tsIn.URL, id, horizon)
 	if got := fetchSchedule(t, tsIn.URL, id); !schedulesEqual(got, want.Schedule) {
-		t.Error("Config.Incremental schedule differs from incremental batch sim")
+		t.Error("Config.Defaults.Incremental schedule differs from incremental batch sim")
 	}
 
 	// A negative gate tolerance is rejected at create time.

@@ -117,32 +117,19 @@ func (s *session) isEvicted() bool {
 
 // --- wire types ---------------------------------------------------------
 
-// solverOptions is the client-tunable subset of core.Options (plus the
-// inner ALM tolerances). Zero values take the package defaults.
+// solverOptions is the client-settable subset of core.Options (and of its
+// inner alm.Options) as the HTTP API and the snapshot header spell it.
+// core.Options documents each field (coreOptions is the mapping); zero
+// values take the package defaults. DESIGN.md §9 tabulates option, wire
+// key and CLI flag; TestWireOptionsGolden pins the key set.
 type solverOptions struct {
-	Epsilon1     float64 `json:"epsilon1,omitempty"`
-	Epsilon2     float64 `json:"epsilon2,omitempty"`
-	Candidates   int     `json:"candidates,omitempty"`
-	CandidateTol float64 `json:"candidateTol,omitempty"`
-	// FastMath selects the batch fast-math entropy kernels for this
-	// session (costs agree with the exact path to 1e-8); FastMathF32
-	// additionally stores the ratio scratch in float32 and implies
-	// FastMath. Both also turn on when the daemon runs with -fastmath.
-	FastMath    bool `json:"fastMath,omitempty"`
-	FastMathF32 bool `json:"fastMathF32,omitempty"`
-	// Shards splits each slot's solve across this many user shards
-	// coordinated by consensus ADMM (core.Options.Shards); 0 keeps the
-	// single-program path. Also turns on when the daemon runs with
-	// -shards. Composes with candidates and fastMath.
-	Shards int `json:"shards,omitempty"`
-	// Incremental turns on event-driven incremental slot solving
-	// (core.Options.Incremental): only users whose attachment changed
-	// since the previous slot are re-solved, with the dual-feasibility
-	// gate re-admitting any frozen user it cannot certify.
-	// IncrementalTol is the gate tolerance (0 = package default). Both
-	// also turn on when the daemon runs with -incremental. Slot updates
-	// arrive one at a time in streaming sessions, so the deltas stream
-	// straight into the solve.
+	Epsilon1       float64 `json:"epsilon1,omitempty"`
+	Epsilon2       float64 `json:"epsilon2,omitempty"`
+	Candidates     int     `json:"candidates,omitempty"`
+	CandidateTol   float64 `json:"candidateTol,omitempty"`
+	FastMath       bool    `json:"fastMath,omitempty"`
+	FastMathF32    bool    `json:"fastMathF32,omitempty"`
+	Shards         int     `json:"shards,omitempty"`
 	Incremental    bool    `json:"incremental,omitempty"`
 	IncrementalTol float64 `json:"incrementalTol,omitempty"`
 	MaxOuter       int     `json:"maxOuter,omitempty"`
@@ -163,18 +150,30 @@ func (o solverOptions) validate() error {
 	return nil
 }
 
-func (o solverOptions) coreOptions(srv *Server) core.Options {
+// withDefaults merges the creating daemon's tier defaults into a session's
+// options: bool OR, numeric max. It runs once, in handleCreate; what it
+// returns is what the snapshot header records.
+func (o solverOptions) withDefaults(d core.Options) solverOptions {
+	o.FastMath = o.FastMath || d.FastMath
+	o.FastMathF32 = o.FastMathF32 || d.FastMathF32
+	o.Shards = max(o.Shards, d.Shards)
+	o.Incremental = o.Incremental || d.Incremental
+	o.IncrementalTol = math.Max(o.IncrementalTol, d.IncrementalTol)
+	return o
+}
+
+// coreOptions is the wire form as the core.Options it stands for.
+func (o solverOptions) coreOptions() core.Options {
 	return core.Options{
 		Epsilon1:       o.Epsilon1,
 		Epsilon2:       o.Epsilon2,
 		Candidates:     o.Candidates,
 		CandidateTol:   o.CandidateTol,
-		FastMath:       o.FastMath || srv.cfg.FastMath,
-		FastMathF32:    o.FastMathF32 || srv.cfg.FastMathF32,
-		Shards:         max(o.Shards, srv.cfg.Shards),
-		ShardWorkers:   srv.cfg.ShardWorkers,
-		Incremental:    o.Incremental || srv.cfg.Incremental,
-		IncrementalTol: math.Max(o.IncrementalTol, srv.cfg.IncrementalTol),
+		FastMath:       o.FastMath,
+		FastMathF32:    o.FastMathF32,
+		Shards:         o.Shards,
+		Incremental:    o.Incremental,
+		IncrementalTol: o.IncrementalTol,
 		Solver: alm.Options{
 			MaxOuter:   o.MaxOuter,
 			InnerIters: o.InnerIters,
@@ -184,8 +183,17 @@ func (o solverOptions) coreOptions(srv *Server) core.Options {
 			DualTol:    o.DualTol,
 			Penalty:    o.Penalty,
 		},
-		Metrics: srv.solver,
 	}
+}
+
+// newAlg builds a session's algorithm from its effective options — the
+// create-time merge, or a snapshot header as it stands. What belongs to
+// this server rather than to the session is added here: the shard-worker
+// addresses and the metrics bundle.
+func (s *Server) newAlg(inst *model.Instance, o solverOptions) *core.OnlineApprox {
+	opts := o.coreOptions()
+	opts.ShardWorkers, opts.Metrics = s.cfg.Defaults.ShardWorkers, s.solver
+	return core.NewOnlineApprox(inst, opts)
 }
 
 // createRequest creates a session. Instance is either a complete
@@ -355,8 +363,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		id = fmt.Sprintf("s-%d", s.nextID)
 		s.mu.Unlock()
 	}
+	// The header records the effective options, so every later restore
+	// rebuilds this algorithm whatever the restoring daemon's defaults.
+	opts := req.Options.withDefaults(s.cfg.Defaults)
 	header, err := encodeHeader(snapHeader{Version: snapshotVersion, ID: id,
-		Horizon: req.Horizon, Options: req.Options, Instance: req.Instance})
+		Horizon: req.Horizon, Options: opts, Instance: req.Instance})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -365,7 +376,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		id:        id,
 		srv:       s,
 		inst:      inst,
-		alg:       core.NewOnlineApprox(inst, req.Options.coreOptions(s)),
+		alg:       s.newAlg(inst, opts),
 		streaming: streaming,
 		header:    header,
 		lastUsed:  s.cfg.now(),

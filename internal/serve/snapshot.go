@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 
-	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 )
 
@@ -57,13 +56,15 @@ func (sess *session) encode() ([]byte, error) {
 	return sess.appendRecords(slices.Clone(sess.header), 0, len(sess.sched))
 }
 
-// restoreSession rebuilds a session from a decoded snapshot: the slot
-// inputs go back into the instance through the same validation a posted
-// slot gets, the algorithm through core's validating RestoreState, and
+// restoreSession rebuilds a session from a decoded snapshot: the
+// algorithm is built from the header's options alone (the effective ones,
+// merged with the creating daemon's defaults at create) and takes its warm
+// state through core's validating RestoreState, the slot inputs go back
+// into the instance through the same validation a posted slot gets, and
 // the cost bookkeeping is re-accumulated in commit order, so it lands on
 // the same floats. The returned session is not yet registered.
 func (s *Server) restoreSession(d *snapDoc) (*session, error) {
-	alg := core.NewOnlineApprox(d.inst, d.header.Options.coreOptions(s))
+	alg := s.newAlg(d.inst, d.header.Options)
 	st := d.warmState()
 	if err := alg.RestoreState(st); err != nil {
 		return nil, err

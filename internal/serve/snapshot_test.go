@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"edgealloc/internal/core"
 	"edgealloc/internal/model"
+	"edgealloc/internal/sim"
 )
 
 // postRaw posts body as-is (snapshot documents are not JSON) and decodes
@@ -459,6 +461,78 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatalf("new session reused recovered id %s", id)
 	}
 	_ = srv2
+}
+
+// TestTierDecidedAtCreateMigration: a session's solve tier is fixed when
+// it is created. Created on a daemon whose defaults turn fast math on and
+// migrated mid-run to a daemon started without that flag, it finishes on
+// the fast-math kernels: the schedule is bitwise the uninterrupted
+// fast-math run's, not a fast-math head with an exact tail.
+func TestTierDecidedAtCreateMigration(t *testing.T) {
+	in := testInstance(t, 12, 6, 3)
+	tier := core.Options{FastMath: true}
+	run, err := sim.Execute(in, core.NewOnlineApprox(nil, tier))
+	if err != nil {
+		t.Fatalf("fast-math reference run: %v", err)
+	}
+	want := run.Schedule
+	if schedulesEqual(want, reference(t, in).Schedule) {
+		t.Fatal("fast-math and exact schedules coincide; the instance cannot tell the tiers apart")
+	}
+
+	_, tsA := newTestServer(t, Config{Defaults: tier})
+	_, tsB := newTestServer(t, Config{})
+	id := createSession(t, tsA.URL, in)
+	driveSlots(t, tsA.URL, id, 0, 2)
+	snap := snapshotSession(t, tsA.URL, id)
+	if got := mustDecode(t, snap).header.Options; !got.FastMath {
+		t.Errorf("header options %+v do not record the daemon default", got)
+	}
+	restoreSessionHTTP(t, tsB.URL, snap)
+	driveSlots(t, tsB.URL, id, 2, in.T)
+	if !schedulesEqual(fetchSchedule(t, tsB.URL, id), want) {
+		t.Fatal("session migrated to a daemon without -fastmath left the fast-math path")
+	}
+}
+
+// TestTierDecidedAtCreateRecovery is the same guarantee through the
+// on-disk path: autosnapshots written by a daemon started with the
+// incremental default are recovered once by a daemon started without it
+// and once (from a copy of the log) by one started with it. The
+// incremental path resumes to 1e-8 rather than bitwise (DESIGN.md §7g), so
+// the pin is between the two recoveries: same log, same options, same
+// bits — and the tail still freezes users.
+func TestTierDecidedAtCreateRecovery(t *testing.T) {
+	in := testInstance(t, 12, 6, 19)
+	tier := core.Options{Incremental: true, IncrementalTol: 1e3}
+	dir, dirSame := t.TempDir(), t.TempDir()
+
+	crashed, tsA := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true, Defaults: tier})
+	id := createSession(t, tsA.URL, in)
+	driveSlots(t, tsA.URL, id, 0, 2)
+	tsA.Close()
+	_ = crashed.Close()
+	log, err := os.ReadFile(filepath.Join(dir, id))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dirSame, id), log, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	_, tsPlain := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true})
+	_, tsSame := newTestServer(t, Config{SnapshotDir: dirSame, Autosnapshot: true, Defaults: tier})
+	frozen := 0
+	for _, sr := range driveSlots(t, tsPlain.URL, id, 2, in.T) {
+		frozen += sr.Solve.FrozenUsers
+	}
+	if frozen == 0 {
+		t.Error("recovered tail froze no user: the session fell back to full re-solves")
+	}
+	driveSlots(t, tsSame.URL, id, 2, in.T)
+	if !schedulesEqual(fetchSchedule(t, tsPlain.URL, id), fetchSchedule(t, tsSame.URL, id)) {
+		t.Fatal("session recovered by a daemon without -incremental left the incremental path")
+	}
 }
 
 // TestDeleteRemovesSnapshot: an explicit DELETE is an intentional

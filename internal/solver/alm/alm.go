@@ -14,6 +14,7 @@
 package alm
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -149,6 +150,21 @@ type Options struct {
 	// means never cancelled. Polling does not perturb the math: results
 	// are bitwise identical to an uncancelled run.
 	Ctx context.Context
+}
+
+// Or returns o with every zero budget or tolerance taken from d — the
+// zero-means-default rule callers apply before Solve. The per-call fields
+// (warm starts, workspace, context) are o's.
+func (o Options) Or(d Options) Options {
+	o.MaxOuter = cmp.Or(o.MaxOuter, d.MaxOuter)
+	o.InnerIters = cmp.Or(o.InnerIters, d.InnerIters)
+	o.Penalty = cmp.Or(o.Penalty, d.Penalty)
+	o.PenaltyGrowth = cmp.Or(o.PenaltyGrowth, d.PenaltyGrowth)
+	o.FeasTol = cmp.Or(o.FeasTol, d.FeasTol)
+	o.ObjTol = cmp.Or(o.ObjTol, d.ObjTol)
+	o.DualTol = cmp.Or(o.DualTol, d.DualTol)
+	o.Workers = cmp.Or(o.Workers, d.Workers)
+	return o
 }
 
 // Workspace holds the primal iterate, multiplier, and row-activity

@@ -157,18 +157,7 @@ func (o Options) withDefaults() Options {
 	if o.DualTol <= 0 {
 		o.DualTol = 1e-6
 	}
-	if o.Solver.MaxOuter == 0 {
-		o.Solver.MaxOuter = 40
-	}
-	if o.Solver.InnerIters == 0 {
-		o.Solver.InnerIters = 300
-	}
-	if o.Solver.FeasTol == 0 {
-		o.Solver.FeasTol = 1e-9
-	}
-	if o.Solver.DualTol == 0 {
-		o.Solver.DualTol = 1e-7
-	}
+	o.Solver = o.Solver.Or(alm.Options{MaxOuter: 40, InnerIters: 300, FeasTol: 1e-9, DualTol: 1e-7})
 	return o
 }
 
