@@ -39,10 +39,10 @@ func TestRunExitCodes(t *testing.T) {
 // removed or renamed without this list changing with it.
 func TestFlagNamesGolden(t *testing.T) {
 	want := []string{
-		"addr", "autosnapshot", "drain-wait", "fastmath", "fastmath32",
-		"incremental", "incremental-tol", "log-json", "max-sessions", "queue",
-		"session-queue", "session-ttl", "shard-workers", "shards",
-		"snapshot-dir", "step-timeout", "workers",
+		"addr", "autosnapshot", "drain-wait", "fastmath", "incremental",
+		"incremental-tol", "log-json", "max-sessions", "queue", "session-queue",
+		"session-ttl", "shard-workers", "shards", "snapshot-dir", "step-timeout",
+		"workers",
 	}
 	var got []string
 	newFlagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

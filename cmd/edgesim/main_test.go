@@ -150,10 +150,9 @@ func TestRunFigure2Plumbing(t *testing.T) {
 func TestFlagNamesGolden(t *testing.T) {
 	want := []string{
 		"ablation", "candidates", "cases", "cpuprofile", "dist", "fastmath",
-		"fastmath32", "fig", "horizon", "incremental", "incremental-tol",
-		"memprofile", "metrics", "migscale", "mu", "noconform", "reconf",
-		"reps", "seed", "shard-workers", "shards", "sqprice", "users", "vol",
-		"workers",
+		"fig", "horizon", "incremental", "incremental-tol", "memprofile",
+		"metrics", "migscale", "mu", "noconform", "reconf", "reps", "seed",
+		"shard-workers", "shards", "sqprice", "users", "vol", "workers",
 	}
 	var got []string
 	newFlagSet(new(options), io.Discard).VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

@@ -31,7 +31,7 @@ func BenchmarkP2SlotWarmStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	prev := alg.prev.Clone()
-	duals := append([]float64(nil), alg.warmDuals...)
+	duals := append([]float64(nil), alg.duals[0]...)
 	obj := newP2Objective(in, 1, prev, 1, 1)
 	prob := &alm.Problem{
 		Obj: obj, N: in.I * in.J,

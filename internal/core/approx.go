@@ -155,12 +155,6 @@ type Options struct {
 	// property tests and the conformance oracle); the trade is bitwise
 	// reproducibility against the default path. Off by default.
 	FastMath bool
-	// FastMathF32 additionally stores the J-wide ratio and reciprocal
-	// scratch vectors of the fast path in float32, halving the memory
-	// bandwidth of the entropy passes at large J; the accumulation stays
-	// float64. Log accuracy drops to the float32 tier (≤1e-6 relative
-	// per operation). Implies FastMath.
-	FastMathF32 bool
 	// Metrics optionally records per-slot solver telemetry (solve latency,
 	// ALM/FISTA iteration counts, candidate-set expansion work, per-cloud
 	// utilization) into the shared instrument bundle. Nil records nothing;
@@ -182,9 +176,6 @@ func (o Options) withDefaults() Options {
 	if o.IncrementalTol <= 0 {
 		o.IncrementalTol = 1e-7
 	}
-	if o.FastMathF32 {
-		o.FastMath = true
-	}
 	return o
 }
 
@@ -193,7 +184,6 @@ func (o Options) withDefaults() Options {
 // -shard-workers is a comma-separated list; blank items are dropped.
 func (o *Options) BindFlags(fs *flag.FlagSet) {
 	fs.BoolVar(&o.FastMath, "fastmath", false, "evaluate the entropy terms with the batch fast-math kernels (costs agree with the exact path to 1e-8; not bitwise-reproducible against it)")
-	fs.BoolVar(&o.FastMathF32, "fastmath32", false, "with the fast-math kernels, store the ratio scratch in float32 (implies -fastmath)")
 	fs.IntVar(&o.Shards, "shards", 0, "split each per-slot solve across this many user shards coordinated by consensus ADMM (0 = single program)")
 	fs.Func("shard-workers", "comma-separated shard-worker base `URLs` (cmd/edgeshard, e.g. http://127.0.0.1:9711,http://127.0.0.1:9712) to place the shard blocks on over RPC; dead workers fold back to local solving (requires -shards)", func(s string) error {
 		o.ShardWorkers = strings.FieldsFunc(s, func(r rune) bool { return r == ',' || unicode.IsSpace(r) })
@@ -213,18 +203,20 @@ type OnlineApprox struct {
 	inst *model.Instance
 	opts Options
 
-	prev      model.Alloc // x*_{·,·,t-1}
-	warmDuals []float64
-	slot      int
+	prev model.Alloc // x*_{·,·,t-1}
+	slot int
 
 	schedule model.Schedule
-	// Thetas[t][j] and Rhos[t][i] are the optimal multipliers θ'_{j,t}
-	// and ρ'_{i,t} of P2's demand and complement-capacity constraints.
-	// Nus[t][i] are the multipliers of the explicit capacity rows (zero
-	// wherever the paper's Theorem-1 claim holds).
-	thetas [][]float64
-	rhos   [][]float64
-	nus    [][]float64
+	// duals[t] is slot t's accepted multiplier vector [θ (J) | ρ (I) | ν (I)]:
+	// the optimal multipliers θ'_{j,t} and ρ'_{i,t} of P2's demand and
+	// complement-capacity constraints, then those of the explicit capacity
+	// rows (zero wherever the paper's Theorem-1 claim holds). The last row
+	// is also the next slot's warm start. The solver's Result.Duals alias
+	// workspace memory that a later (possibly cancelled) solve scribbles
+	// over, so a row is copied out only once its slot succeeded: a Step
+	// aborted by context cancellation leaves the warm state of the next
+	// Step exactly as the last successful slot wrote it.
+	duals [][]float64
 
 	// Per-instance caches, lazily built on the first Step: P2's constraint
 	// geometry and the objective's entropy constants are slot-independent,
@@ -232,25 +224,16 @@ type OnlineApprox struct {
 	// the solver hot path. obj is the identity-layout objective holding the
 	// slot's dense data; exactly one of single and shrd is the solve state.
 	// prevBuf backs prev across slots, userTot is the repair scratch, and
-	// thetaBuf/rhoBuf/nuBuf back the per-slot dual records, so steady-state
-	// Step allocates only the decision it returns.
-	obj      *p2Objective
-	single   *singleState
-	shrd     *shardState
-	prob     alm.Problem
-	ws       alm.Workspace
-	prevBuf  []float64
-	userTot  []float64
-	thetaBuf []float64
-	rhoBuf   []float64
-	nuBuf    []float64
-
-	// dualsBuf owns the warm-start multipliers between slots. The solver's
-	// Result.Duals alias workspace memory that a later (possibly cancelled)
-	// solve scribbles over, so the accepted duals are copied out here: a
-	// Step aborted by context cancellation then leaves the warm state of
-	// the next Step exactly as the last successful slot wrote it.
-	dualsBuf []float64
+	// dualBuf (T rows of J+2I) backs the per-slot dual records, so
+	// steady-state Step allocates only the decision it returns.
+	obj     *p2Objective
+	single  *singleState
+	shrd    *shardState
+	prob    alm.Problem
+	ws      alm.Workspace
+	prevBuf []float64
+	userTot []float64
+	dualBuf []float64
 	// cloudTot is the utilization scratch of the telemetry hook, allocated
 	// on first use so metric-free runs pay nothing.
 	cloudTot []float64
@@ -360,21 +343,8 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	in.Repair(x, o.userTot)
 
 	copy(o.prevBuf, x.X)
-	if o.dualsBuf == nil {
-		o.dualsBuf = make([]float64, len(duals))
-	}
-	copy(o.dualsBuf, duals)
-	o.warmDuals = o.dualsBuf
 	o.schedule = append(o.schedule, x)
-	theta := o.thetaBuf[t*in.J : (t+1)*in.J]
-	copy(theta, duals[:in.J])
-	rho := o.rhoBuf[t*in.I : (t+1)*in.I]
-	copy(rho, duals[in.J:in.J+in.I])
-	nu := o.nuBuf[t*in.I : (t+1)*in.I]
-	copy(nu, duals[in.J+in.I:in.J+2*in.I])
-	o.thetas = append(o.thetas, theta)
-	o.rhos = append(o.rhos, rho)
-	o.nus = append(o.nus, nu)
+	o.recordDuals(duals)
 
 	o.lastDiag = diag
 	if m := o.opts.Metrics; m != nil {
@@ -411,7 +381,7 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	if o.obj != nil {
 		return
 	}
-	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
+	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
 	o.obj.workers = o.opts.Solver.Workers
 	if o.opts.Shards > 0 {
 		o.initShard(in)
@@ -422,13 +392,18 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	copy(o.prevBuf, o.prev.X)
 	o.prev = model.Alloc{I: in.I, J: in.J, X: o.prevBuf}
 	o.userTot = make([]float64, in.J)
-	o.thetaBuf = make([]float64, in.T*in.J)
-	o.rhoBuf = make([]float64, in.T*in.I)
-	o.nuBuf = make([]float64, in.T*in.I)
+	o.dualBuf = make([]float64, in.T*(in.J+2*in.I))
 	o.schedule = make(model.Schedule, 0, in.T)
-	o.thetas = make([][]float64, 0, in.T)
-	o.rhos = make([][]float64, 0, in.T)
-	o.nus = make([][]float64, 0, in.T)
+	o.duals = make([][]float64, 0, in.T)
+}
+
+// recordDuals copies the next slot's accepted multipliers into its row of
+// the dual record.
+func (o *OnlineApprox) recordDuals(duals []float64) {
+	n, t := o.inst.J+2*o.inst.I, len(o.duals)
+	row := o.dualBuf[t*n : (t+1)*n]
+	copy(row, duals)
+	o.duals = append(o.duals, row)
 }
 
 // LastStepDiag returns the solver diagnostics of the most recent
@@ -458,14 +433,10 @@ func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
 	return s, nil
 }
 
-// Duals returns the recorded per-slot multipliers (θ, ρ) for the slots
-// processed so far. The returned slices alias internal state and must not
-// be modified.
-func (o *OnlineApprox) Duals() (thetas, rhos [][]float64) { return o.thetas, o.rhos }
-
-// Nus returns the recorded per-slot multipliers ν of the explicit
-// capacity rows, under the same aliasing contract as Duals.
-func (o *OnlineApprox) Nus() [][]float64 { return o.nus }
+// Duals returns the recorded multipliers of the slots processed so far,
+// one [θ (J) | ρ (I) | ν (I)] row per slot. The returned slices alias
+// internal state and must not be modified.
+func (o *OnlineApprox) Duals() [][]float64 { return o.duals }
 
 // Schedule returns the decisions made so far.
 func (o *OnlineApprox) Schedule() model.Schedule { return o.schedule }

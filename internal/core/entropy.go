@@ -29,10 +29,7 @@ import (
 //     logs the whole row in place, and pass two accumulates the
 //     objective (and gradient) from the logs. Each operation is within
 //     1e-12 relative of the exact tier; end-to-end cost agreement is
-//     pinned to 1e-8 by the property tests in fastmath_test.go. The
-//     *32 variants are the float32 storage tier: ratio scratch and
-//     invDen live in float32, halving the memory bandwidth of the
-//     J-wide streams while the accumulation stays in float64.
+//     pinned to 1e-8 by the property tests in fastmath_test.go.
 
 // entropyRowValue runs the value-only static+migration pass over one
 // cloud row, returning the row sum s, the accumulated objective terms f,
@@ -122,40 +119,6 @@ func entropyFastGrad(row, coef, mgFac, lg2, g []float64, eps2, f, rc float64) fl
 	return f
 }
 
-// Float32 storage tier ---------------------------------------------------
-
-// entropyRatioPass32 is entropyRatioPass with the ratio scratch and
-// invDen in float32; the ratio product itself is carried in float32 (its
-// rounding is far below the tier's 1e-6 log budget).
-func entropyRatioPass32(row []float64, invDen, ratio []float32, eps2 float64) float64 {
-	s := 0.0
-	for j, v := range row {
-		s += v
-		ratio[j] = float32(v+eps2) * invDen[j]
-	}
-	return s
-}
-
-// entropyFastValue32 is entropyFastValue reading float32 logs.
-func entropyFastValue32(row, coef, mgFac []float64, lg2 []float32, eps2 float64) float64 {
-	f := 0.0
-	for j, v := range row {
-		f += coef[j]*v + mgFac[j]*((v+eps2)*float64(lg2[j])-v)
-	}
-	return f
-}
-
-// entropyFastGrad32 is entropyFastGrad reading float32 logs.
-func entropyFastGrad32(row, coef, mgFac []float64, lg2 []float32, g []float64, eps2, f, rc float64) float64 {
-	for j, v := range row {
-		l := float64(lg2[j])
-		f += coef[j]*v + mgFac[j]*((v+eps2)*l-v)
-		g[j] = coef[j] + rc + mgFac[j]*l
-	}
-	return f
-}
-
-// logBatch and logBatch32 re-export the kernels so the objective depends
-// on this single integration point.
-func logBatch(dst, src []float64)   { numkernel.LogBatch(dst, src) }
-func logBatch32(dst, src []float32) { numkernel.LogBatch32(dst, src) }
+// logBatch re-exports the kernel so the objective depends on this single
+// integration point.
+func logBatch(dst, src []float64) { numkernel.LogBatch(dst, src) }

@@ -59,35 +59,6 @@ func TestFastMathMatchesExactSmallInstances(t *testing.T) {
 	}
 }
 
-// TestFastMathF32MatchesExact holds the float32 storage tier to 1e-5
-// slot-coupled cost agreement: per-operation log error grows to the
-// float32 budget (≤1e-6), and the convex objective turns first-order
-// gradient noise into a second-order cost perturbation, so the schedule
-// cost stays well inside 1e-5.
-func TestFastMathF32MatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	rows := []struct {
-		name     string
-		ref, alt Options
-	}{
-		{"dense", Options{Solver: ultraTightOpts()}, Options{Solver: ultraTightOpts(), FastMathF32: true}},
-		{"candidate", Options{Solver: ultraTightOpts(), Candidates: 2},
-			Options{Solver: ultraTightOpts(), Candidates: 2, FastMathF32: true}},
-		{"candidate+incremental", Options{Solver: ultraTightOpts()},
-			Options{Solver: ultraTightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMathF32: true}},
-	}
-	for trial := 0; trial < 6; trial++ {
-		in := smallRandomInstance(rng)
-		for _, row := range rows {
-			for s, gap := range coupledPathGaps(t, in, row.ref, row.alt) {
-				if gap > 1e-5 {
-					t.Errorf("trial %d slot %d: %s f32 gap %.3e > 1e-5", trial, s, row.name, gap)
-				}
-			}
-		}
-	}
-}
-
 // TestFastMathConformance runs the full paper-conformance oracle on a
 // FastMath schedule: Theorem-1 feasibility, the Lemma-1 identity, dual
 // certificate validity, weak duality, and the Theorem-2 ratio must all
@@ -96,9 +67,7 @@ func TestFastMathConformance(t *testing.T) {
 	for _, opts := range []Options{
 		{Solver: tightOpts(), FastMath: true},
 		{Solver: tightOpts(), Candidates: 2, FastMath: true},
-		{Solver: tightOpts(), FastMathF32: true},
 		{Solver: tightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true},
-		{Solver: tightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMathF32: true},
 		// The whole tier product, at the table's solver budget and a
 		// coordination budget that converges on this instance.
 		{Solver: tightOpts(), Shards: 2, ShardMaxIters: 100, ShardPrimalTol: 1e-8, ShardDualTol: 1e-7,
@@ -123,8 +92,8 @@ func TestFastMathConformance(t *testing.T) {
 			RatioBound:     alg.CompetitiveRatioBound(),
 		}
 		if rep := conform.Check(in, sched, diag, conform.Options{}); !rep.OK() {
-			t.Fatalf("candidates=%d incremental=%v shards=%d f32=%v: %v",
-				opts.Candidates, opts.Incremental, opts.Shards, opts.FastMathF32, rep.Err())
+			t.Fatalf("candidates=%d incremental=%v shards=%d: %v",
+				opts.Candidates, opts.Incremental, opts.Shards, rep.Err())
 		}
 	}
 }

@@ -68,8 +68,6 @@ func TestGoldenScheduleDigests(t *testing.T) {
 			"abc4c707e99ba2bc4656e4ceb06e60a62b40266bcdfd44245c8f0eaac02cf438"},
 		{"FastMath", Options{FastMath: true},
 			"f12052af69a442adeb1fc3af1910a1544e26face4a5055e12aad1b800657abbb"},
-		{"FastMathF32", Options{FastMathF32: true},
-			"3bb9cc3c7e11331d0161b111f7d0b2940d7afafa96c72a1891102241d0f258bf"},
 		{"Shards", Options{Shards: 2},
 			"ee68ebe2072e84e98cacda9f23de6a1e73d33d0456b395f7b9250e6ee1e4a3d3"},
 		{"Shards+Candidates+FastMath", Options{Shards: 2, Candidates: 3, FastMath: true},

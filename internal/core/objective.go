@@ -75,13 +75,11 @@ type p2Objective struct {
 
 	// Fast-math tier (Options.FastMath): fast selects the batch-kernel
 	// evaluation path, invDen holds the reciprocals 1/(x'_{ij}+ε₂) and
-	// ratio is the row-sliced log scratch. The *32 pair replaces them
-	// under Options.FastMathF32. prepare sizes whichever the tier uses.
-	fast, fast32 bool
-	invDen       []float64
-	ratio        []float64
-	invDen32     []float32
-	ratio32      []float32
+	// ratio is the row-sliced log scratch. prepare sizes whichever the
+	// tier uses.
+	fast   bool
+	invDen []float64
+	ratio  []float64
 
 	// lastNum/lastLg2 memoize the migration-term log per variable on the
 	// exact tier: the solver evaluates the objective thousands of times per
@@ -100,10 +98,9 @@ var _ fista.Objective = (*p2Objective)(nil)
 
 // newPackedObjective returns an objective awaiting a layout (gather, or
 // the fields of a BlockSpec followed by prepare).
-func newPackedObjective(nI int, eps1, eps2 float64, fast, fast32 bool) p2Objective {
+func newPackedObjective(nI int, eps1, eps2 float64, fast bool) p2Objective {
 	return p2Objective{
-		nI: nI, eps1: eps1, eps2: eps2,
-		fast: fast || fast32, fast32: fast32,
+		nI: nI, eps1: eps1, eps2: eps2, fast: fast,
 		rowF:    make([]float64, nI),
 		hitRow:  make([]int64, nI),
 		missRow: make([]int64, nI),
@@ -114,8 +111,8 @@ func newPackedObjective(nI int, eps1, eps2 float64, fast, fast32 bool) p2Objecti
 // the slot-independent constants of P2's objective — the entropy scale
 // factors η_i and τ_ij of the paper — once per (instance, ε) pair. bind
 // attaches the per-slot data.
-func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast, fast32 bool) *p2Objective {
-	o := newPackedObjective(in.I, eps1, eps2, fast, fast32)
+func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2Objective {
+	o := newPackedObjective(in.I, eps1, eps2, fast)
 	o.nJ = in.J
 	o.rowPtr = make([]int, in.I+1)
 	o.coef = make([]float64, in.I*in.J)
@@ -138,7 +135,7 @@ func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast, fast32 bo
 // newP2Objective is the identity-layout objective bound to slot t and
 // ready to evaluate.
 func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 float64) *p2Objective {
-	o := newP2ObjectiveConst(in, eps1, eps2, false, false)
+	o := newP2ObjectiveConst(in, eps1, eps2, false)
 	o.bind(in, t, prev)
 	o.prepare()
 	return o
@@ -155,30 +152,23 @@ func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
 
 // prepare readies the objective for evaluation after its layout and
 // packed constants changed: it sizes the tier's scratch to the variable
-// count and refreshes what depends on x' — the fast tiers' reciprocals
+// count and refreshes what depends on x' — the fast tier's reciprocals
 // (one divide per variable here instead of one per element per
 // evaluation) or the exact tier's log cache, invalidated.
 func (o *p2Objective) prepare() {
 	n := len(o.prev)
-	switch {
-	case !o.fast:
+	if !o.fast {
 		o.lastNum = growFloats(o.lastNum, n)
 		o.lastLg2 = growFloats(o.lastLg2, n)
 		for k := range o.lastNum {
 			o.lastNum[k] = math.NaN() // never equal: invalidate the log cache
 		}
-	case o.fast32:
-		o.invDen32 = growFloats32(o.invDen32, n)
-		o.ratio32 = growFloats32(o.ratio32, n)
-		for k, p := range o.prev {
-			o.invDen32[k] = float32(1 / (p + o.eps2))
-		}
-	default:
-		o.invDen = growFloats(o.invDen, n)
-		o.ratio = growFloats(o.ratio, n)
-		for k, p := range o.prev {
-			o.invDen[k] = 1 / (p + o.eps2)
-		}
+		return
+	}
+	o.invDen = growFloats(o.invDen, n)
+	o.ratio = growFloats(o.ratio, n)
+	for k, p := range o.prev {
+		o.invDen[k] = 1 / (p + o.eps2)
 	}
 }
 
@@ -314,16 +304,15 @@ func (o *p2Objective) totalTerm(i int, s float64) (val, deriv float64) {
 // by few clouds), making the migration ratio exactly 1 and its log
 // exactly 0 — skipping the division and math.Log there is bitwise
 // identical and removes the transcendental cost from the pairs that carry
-// no flow. The fast tiers are one fused sum+gather pass, one in-place
+// no flow. The fast tier is one fused sum+gather pass, one in-place
 // batch log over the row, and one accumulation pass; see entropy.go for
-// their accuracy contract.
+// its accuracy contract.
 func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 	lo, hi := o.rowPtr[i], o.rowPtr[i+1]
 	row := x[lo:hi]
 	coef := o.coef[lo:hi]
 	mgFac := o.mgFac[lo:hi]
-	switch {
-	case !o.fast:
+	if !o.fast {
 		prev := o.prev[lo:hi]
 		lastNum := o.lastNum[lo:hi]
 		lastLg2 := o.lastLg2[lo:hi]
@@ -349,25 +338,15 @@ func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 		o.hitRow[i] += hits
 		o.missRow[i] += misses
 		return f
-	case o.fast32:
-		ratio := o.ratio32[lo:hi]
-		s := entropyRatioPass32(row, o.invDen32[lo:hi], ratio, o.eps2)
-		logBatch32(ratio, ratio)
-		tv, tg := o.totalTerm(i, s)
-		if grad == nil {
-			return entropyFastValue32(row, coef, mgFac, ratio, o.eps2) + tv
-		}
-		return entropyFastGrad32(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
-	default:
-		ratio := o.ratio[lo:hi]
-		s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
-		logBatch(ratio, ratio)
-		tv, tg := o.totalTerm(i, s)
-		if grad == nil {
-			return entropyFastValue(row, coef, mgFac, ratio, o.eps2) + tv
-		}
-		return entropyFastGrad(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
 	}
+	ratio := o.ratio[lo:hi]
+	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
+	logBatch(ratio, ratio)
+	tv, tg := o.totalTerm(i, s)
+	if grad == nil {
+		return entropyFastValue(row, coef, mgFac, ratio, o.eps2) + tv
+	}
+	return entropyFastGrad(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
 }
 
 // growFloats returns s resized to n, reusing capacity and otherwise
@@ -377,16 +356,6 @@ func growFloats(s []float64, n int) []float64 {
 		return s[:n]
 	}
 	out := make([]float64, n, n+n/2)
-	copy(out, s[:cap(s)])
-	return out
-}
-
-// growFloats32 is growFloats for the float32 storage tier.
-func growFloats32(s []float32, n int) []float32 {
-	if cap(s) >= n {
-		return s[:n]
-	}
-	out := make([]float32, n, n+n/2)
 	copy(out, s[:cap(s)])
 	return out
 }

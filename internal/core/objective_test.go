@@ -13,9 +13,9 @@ import (
 // as every layout the solve loops build does) and for each total term —
 // the reconfiguration entropy, the entropy with a frozen offset, the
 // consensus penalty — the packed objective's value and gradient equal the
-// identity layout's at the embedded point exactly, on the exact, fast and
-// fast32 tiers. ε₂ is a power of two so the fast tiers' reciprocal is
-// exact and a pruned pair's ratio is exactly 1.
+// identity layout's at the embedded point exactly, on the exact and fast
+// tiers. ε₂ is a power of two so the fast tier's reciprocal is exact and a
+// pruned pair's ratio is exactly 1.
 func TestObjectiveLayoutInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	for trial := 0; trial < 30; trial++ {
@@ -30,9 +30,8 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 			}
 		}
 		b := model.NewCandidateBuilder(in.I, in.J)
-		b.AddSupport(prev.X)
 		for k := 0; k < n; k++ {
-			if rng.Intn(2) == 0 {
+			if prev.X[k] != 0 || rng.Intn(2) == 0 {
 				b.Add(k/in.J, k%in.J)
 			}
 		}
@@ -58,12 +57,12 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 			target[i] = 5 * rng.Float64()
 		}
 
-		for _, tier := range []struct{ fast, f32 bool }{{false, false}, {true, false}, {true, true}} {
-			dense := newP2ObjectiveConst(in, eps1, eps2, tier.fast, tier.f32)
+		for _, fast := range []bool{false, true} {
+			dense := newP2ObjectiveConst(in, eps1, eps2, fast)
 			dense.bind(in, rng.Intn(in.T), prev)
 			dense.prepare()
 			var p p2Program
-			p.obj = newPackedObjective(in.I, eps1, eps2, tier.fast, tier.f32)
+			p.obj = newPackedObjective(in.I, eps1, eps2, fast)
 			p.obj.rcFac, p.obj.prevTot = dense.rcFac, dense.prevTot
 			p.gather(dense, &cs, 0, x)
 
@@ -79,14 +78,14 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 				fd, fp := dense.Eval(x, gd), p.obj.Eval(p.warm, gp)
 				vd, vp := dense.Eval(x, nil), p.obj.Eval(p.warm, nil)
 				if math.Float64bits(fd) != math.Float64bits(fp) || math.Float64bits(vd) != math.Float64bits(vp) {
-					t.Fatalf("trial %d %s fast=%v f32=%v: value %v/%v packed vs %v/%v identity",
-						trial, term.name, tier.fast, tier.f32, fp, vp, fd, vd)
+					t.Fatalf("trial %d %s fast=%v: value %v/%v packed vs %v/%v identity",
+						trial, term.name, fast, fp, vp, fd, vd)
 				}
 				for i := 0; i < in.I; i++ {
 					for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
 						if want := gd[i*in.J+cs.Cols[k]]; math.Float64bits(gp[k]) != math.Float64bits(want) {
-							t.Fatalf("trial %d %s fast=%v f32=%v: grad(%d,%d) = %v packed vs %v identity",
-								trial, term.name, tier.fast, tier.f32, i, cs.Cols[k], gp[k], want)
+							t.Fatalf("trial %d %s fast=%v: grad(%d,%d) = %v packed vs %v identity",
+								trial, term.name, fast, i, cs.Cols[k], gp[k], want)
 						}
 					}
 				}

@@ -15,11 +15,11 @@ func TestBindFlagsRoundTrip(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	got.BindFlags(fs)
-	err := fs.Parse([]string{"-fastmath32", "-shards", "4", "-shard-workers", " a, ,b ", "-incremental-tol", "1e-3"})
+	err := fs.Parse([]string{"-fastmath", "-shards", "4", "-shard-workers", " a, ,b ", "-incremental-tol", "1e-3"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Options{FastMathF32: true, Shards: 4, ShardWorkers: []string{"a", "b"}, IncrementalTol: 1e-3}
+	want := Options{FastMath: true, Shards: 4, ShardWorkers: []string{"a", "b"}, IncrementalTol: 1e-3}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("parsed %+v, want %+v", got, want)
 	}

@@ -136,7 +136,7 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		for jl := range b.users {
 			b.users[jl] = jl
 		}
-		b.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
+		b.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
 		b.setDemand(in.I, in.Workload[rng.Lo:rng.Hi])
 		b.theta = make([]float64, nJ)
 		b.sopts = sopts
@@ -692,22 +692,21 @@ func (b *shardBlock) Frozen() bool { return b.frozen }
 func (b *shardBlock) Spec(id string, slot, gen int) *shardrpc.BlockSpec {
 	o := &b.obj
 	return &shardrpc.BlockSpec{
-		ID:         id,
-		Slot:       slot,
-		Gen:        gen,
-		NI:         o.nI,
-		NJ:         o.nJ,
-		Eps2:       o.eps2,
-		FastMath:   o.fast && !o.fast32,
-		FastMath32: o.fast32,
-		RowPtr:     append([]int(nil), b.cand.RowPtr...),
-		Cols:       append([]int(nil), b.cand.Cols...),
-		Coef:       append([]float64(nil), o.coef...),
-		Prev:       append([]float64(nil), o.prev...),
-		MgFac:      append([]float64(nil), o.mgFac...),
-		Warm:       append([]float64(nil), b.warm...),
-		Theta:      append([]float64(nil), b.theta...),
-		Demand:     append([]float64(nil), b.demand...),
+		ID:       id,
+		Slot:     slot,
+		Gen:      gen,
+		NI:       o.nI,
+		NJ:       o.nJ,
+		Eps2:     o.eps2,
+		FastMath: o.fast,
+		RowPtr:   append([]int(nil), b.cand.RowPtr...),
+		Cols:     append([]int(nil), b.cand.Cols...),
+		Coef:     append([]float64(nil), o.coef...),
+		Prev:     append([]float64(nil), o.prev...),
+		MgFac:    append([]float64(nil), o.mgFac...),
+		Warm:     append([]float64(nil), b.warm...),
+		Theta:    append([]float64(nil), b.theta...),
+		Demand:   append([]float64(nil), b.demand...),
 		Solver: shardrpc.SolverOptions{
 			MaxOuter:      b.sopts.MaxOuter,
 			InnerIters:    b.sopts.InnerIters,

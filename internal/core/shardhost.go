@@ -158,12 +158,12 @@ func (b *hostedBlock) load(spec *shardrpc.BlockSpec, now time.Time) {
 	b.touched = now
 	o := &b.obj
 	if o.nI != spec.NI {
-		*o = newPackedObjective(spec.NI, 0, 0, false, false)
+		*o = newPackedObjective(spec.NI, 0, 0, false)
 	}
 	o.nJ, o.rowPtr = spec.NJ, spec.RowPtr
 	o.coef, o.prev, o.mgFac = spec.Coef, spec.Prev, spec.MgFac
 	o.eps2 = spec.Eps2
-	o.fast, o.fast32 = spec.FastMath || spec.FastMath32, spec.FastMath32
+	o.fast = spec.FastMath
 	o.prepare()
 	b.setDemand(spec.NI, spec.Demand)
 	b.groups.RowPtr, b.groups.Cols = spec.RowPtr, spec.Cols

@@ -47,7 +47,6 @@ func TestDistributedMatchesInProcessBitwise(t *testing.T) {
 		{"more shards than workers", Options{Shards: 5}},
 		{"with candidates", Options{Shards: 3, Candidates: 2}},
 		{"with fastmath", Options{Shards: 2, FastMath: true}},
-		{"with fastmath32", Options{Shards: 2, FastMathF32: true}},
 	}
 	workers := []string{newTestWorker(t).URL, newTestWorker(t).URL}
 	for _, tc := range cases {

@@ -145,7 +145,7 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 	if o.opts.Candidates > 0 || o.opts.Incremental {
 		s.builder = model.NewCandidateBuilder(in.I, in.J)
 		s.nearest = nearestClouds(in, o.opts.Candidates)
-		s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath, o.opts.FastMathF32)
+		s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
 		s.obj.workers = o.opts.Solver.Workers
 		s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
 		s.xDense = make([]float64, in.I*in.J)
@@ -195,11 +195,12 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 	var d StepDiag
 	warmDense := o.warmPoint(t)
 
-	// The working duals start from the committed ones. The incremental
-	// tier trusts only duals this object committed itself: the first slot
-	// after RestoreState re-solves every user from zero multipliers.
-	if o.warmDuals != nil && (s.committed || !o.opts.Incremental) {
-		copy(s.duals, o.warmDuals)
+	// The working duals start from the committed ones, the previous slot's
+	// dual record. The incremental tier trusts only duals this object
+	// committed itself: the first slot after RestoreState re-solves every
+	// user from zero multipliers.
+	if t > 0 && (s.committed || !o.opts.Incremental) {
+		copy(s.duals, o.duals[t-1])
 	} else {
 		clear(s.duals)
 	}

@@ -13,10 +13,8 @@ import (
 // algorithm at the next unsolved slot as if it had solved the previous
 // ones itself. The committed decisions double as the warm iterate — the
 // slot-t solve warm-starts from x*_{·,·,t-1}, which is exactly
-// Schedule[t-1] (post-repair) — and Duals carries the last accepted ALM
-// multipliers in the full [θ | ρ | ν] layout for the dense warm start.
-// The per-slot dual records (Thetas, Rhos, Nus) preserve the dual
-// certificate and the conformance oracle across a restore.
+// Schedule[t-1] (post-repair) — and the last row of Duals, the per-slot
+// dual record, is the dense warm start of the multipliers.
 //
 // Path-internal warm state (the candidate builder's sets, the sharded
 // coordinator's per-block duals) is deliberately not captured: each path
@@ -33,32 +31,20 @@ type WarmState struct {
 	// Schedule holds the committed decisions, one dense row-major I×J
 	// matrix per solved slot.
 	Schedule [][]float64 `json:"schedule"`
-	// Duals is the warm-start multiplier vector of the last successful
-	// slot in the full [θ (J) | ρ (I) | ν (I)] layout, or nil before the
-	// first slot.
-	Duals []float64 `json:"duals,omitempty"`
-	// Thetas, Rhos, and Nus are the per-slot optimal multipliers of P2's
-	// demand, complement-capacity, and explicit capacity rows (one row per
-	// solved slot; lengths J, I, I).
-	Thetas [][]float64 `json:"thetas"`
-	Rhos   [][]float64 `json:"rhos"`
-	Nus    [][]float64 `json:"nus"`
+	// Duals holds one row per solved slot: the optimal multipliers of P2's
+	// demand, complement-capacity, and explicit capacity rows in the
+	// [θ (J) | ρ (I) | ν (I)] layout.
+	Duals [][]float64 `json:"duals"`
 }
 
 // ExportState deep-copies the algorithm's cross-slot state. The snapshot
 // is independent of the algorithm object: later Steps do not mutate it.
 func (o *OnlineApprox) ExportState() *WarmState {
-	st := &WarmState{Slot: o.slot}
+	st := &WarmState{Slot: o.slot, Duals: copyRows(o.duals)}
 	st.Schedule = make([][]float64, len(o.schedule))
 	for t, x := range o.schedule {
 		st.Schedule[t] = append([]float64(nil), x.X...)
 	}
-	if o.warmDuals != nil {
-		st.Duals = append([]float64(nil), o.warmDuals...)
-	}
-	st.Thetas = copyRows(o.thetas)
-	st.Rhos = copyRows(o.rhos)
-	st.Nus = copyRows(o.nus)
 	return st
 }
 
@@ -86,26 +72,13 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 		return err
 	}
 	o.ensureInit(in)
-	nI, nJ := in.I, in.J
 	for t, row := range st.Schedule {
-		x := model.Alloc{I: nI, J: nJ, X: append([]float64(nil), row...)}
+		x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), row...)}
 		o.schedule = append(o.schedule, x)
-		theta := o.thetaBuf[t*nJ : (t+1)*nJ]
-		copy(theta, st.Thetas[t])
-		rho := o.rhoBuf[t*nI : (t+1)*nI]
-		copy(rho, st.Rhos[t])
-		nu := o.nuBuf[t*nI : (t+1)*nI]
-		copy(nu, st.Nus[t])
-		o.thetas = append(o.thetas, theta)
-		o.rhos = append(o.rhos, rho)
-		o.nus = append(o.nus, nu)
+		o.recordDuals(st.Duals[t])
 	}
 	if st.Slot > 0 {
 		copy(o.prevBuf, st.Schedule[st.Slot-1])
-	}
-	if st.Duals != nil {
-		o.dualsBuf = append([]float64(nil), st.Duals...)
-		o.warmDuals = o.dualsBuf
 	}
 	o.slot = st.Slot
 	return nil
@@ -134,30 +107,16 @@ func (st *WarmState) validate(in *model.Instance) error {
 			}
 		}
 	}
-	if st.Duals != nil && len(st.Duals) != in.J+2*in.I {
-		return fail("%d warm duals, want %d", len(st.Duals), in.J+2*in.I)
+	if len(st.Duals) != st.Slot {
+		return fail("%d dual rows, want %d", len(st.Duals), st.Slot)
 	}
-	for k, v := range st.Duals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fail("warm dual %d = %g not finite", k, v)
+	for t, r := range st.Duals {
+		if len(r) != in.J+2*in.I {
+			return fail("duals[%d] has %d entries, want %d", t, len(r), in.J+2*in.I)
 		}
-	}
-	for name, rows := range map[string][][]float64{"thetas": st.Thetas, "rhos": st.Rhos, "nus": st.Nus} {
-		want := in.I
-		if name == "thetas" {
-			want = in.J
-		}
-		if len(rows) != st.Slot {
-			return fail("%d %s rows, want %d", len(rows), name, st.Slot)
-		}
-		for t, r := range rows {
-			if len(r) != want {
-				return fail("%s[%d] has %d entries, want %d", name, t, len(r), want)
-			}
-			for k, v := range r {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return fail("%s[%d][%d] = %g not finite", name, t, k, v)
-				}
+		for k, v := range r {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fail("duals[%d][%d] = %g not finite", t, k, v)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"testing"
 
 	"edgealloc/internal/conform"
@@ -179,6 +180,15 @@ func TestRestorePreservesDualRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := second.Duals()
+	if len(got) != in.T {
+		t.Fatalf("restored run recorded %d dual rows, want %d", len(got), in.T)
+	}
+	for s, want := range first.Duals() {
+		if !slices.Equal(got[s], want) {
+			t.Errorf("slot %d: dual record changed across the restore", s)
+		}
+	}
 	cert, err := second.Certificate()
 	if err != nil {
 		t.Fatalf("certificate after restore: %v", err)
@@ -233,16 +243,15 @@ func TestRestoreStateValidation(t *testing.T) {
 		return &st
 	}
 	cases := map[string]*WarmState{
-		"slot-out-of-range":  mutate(func(s *WarmState) { s.Slot = in.T + 1 }),
-		"slot-mismatch":      mutate(func(s *WarmState) { s.Slot = 2 }),
-		"short-row":          mutate(func(s *WarmState) { s.Schedule[0] = s.Schedule[0][:3] }),
-		"negative-flow":      mutate(func(s *WarmState) { s.Schedule[0][0] = -1 }),
-		"nan-flow":           mutate(func(s *WarmState) { s.Schedule[0][0] = math.NaN() }),
-		"bad-duals":          mutate(func(s *WarmState) { s.Duals = s.Duals[:1] }),
-		"inf-dual":           mutate(func(s *WarmState) { s.Duals[0] = math.Inf(1) }),
-		"missing-thetas":     mutate(func(s *WarmState) { s.Thetas = nil }),
-		"short-rho-row":      mutate(func(s *WarmState) { s.Rhos[0] = s.Rhos[0][:1] }),
-		"nonfinite-nu-entry": mutate(func(s *WarmState) { s.Nus[0][0] = math.Inf(-1) }),
+		"slot-out-of-range": mutate(func(s *WarmState) { s.Slot = in.T + 1 }),
+		"slot-mismatch":     mutate(func(s *WarmState) { s.Slot = 2 }),
+		"short-row":         mutate(func(s *WarmState) { s.Schedule[0] = s.Schedule[0][:3] }),
+		"negative-flow":     mutate(func(s *WarmState) { s.Schedule[0][0] = -1 }),
+		"nan-flow":          mutate(func(s *WarmState) { s.Schedule[0][0] = math.NaN() }),
+		"missing-duals":     mutate(func(s *WarmState) { s.Duals = nil }),
+		"short-dual-row":    mutate(func(s *WarmState) { s.Duals[0] = s.Duals[0][:1] }),
+		"inf-theta":         mutate(func(s *WarmState) { s.Duals[0][0] = math.Inf(1) }),
+		"nonfinite-nu":      mutate(func(s *WarmState) { s.Duals[0][in.J+2*in.I-1] = math.Inf(-1) }),
 	}
 	for name, st := range cases {
 		if err := NewOnlineApprox(in, Options{}).RestoreState(st); err == nil {

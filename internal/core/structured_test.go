@@ -142,7 +142,7 @@ func TestStepWorkersByteIdentical(t *testing.T) {
 	}
 	base := run(1)
 	bs := base.Schedule()
-	bTheta, bRho := base.Duals()
+	bDuals := base.Duals()
 	for _, w := range []int{2, 4, 7} {
 		got := run(w)
 		gs := got.Schedule()
@@ -154,16 +154,11 @@ func TestStepWorkersByteIdentical(t *testing.T) {
 				}
 			}
 		}
-		gTheta, gRho := got.Duals()
-		for tt := range bTheta {
-			for j := range bTheta[tt] {
-				if gTheta[tt][j] != bTheta[tt][j] {
-					t.Fatalf("workers=%d slot %d: theta[%d] differs", w, tt, j)
-				}
-			}
-			for i := range bRho[tt] {
-				if gRho[tt][i] != bRho[tt][i] {
-					t.Fatalf("workers=%d slot %d: rho[%d] differs", w, tt, i)
+		gDuals := got.Duals()
+		for tt := range bDuals {
+			for k := range bDuals[tt] {
+				if gDuals[tt][k] != bDuals[tt][k] {
+					t.Fatalf("workers=%d slot %d: dual[%d] differs", w, tt, k)
 				}
 			}
 		}

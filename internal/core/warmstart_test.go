@@ -85,7 +85,7 @@ func TestStepZeroAllZeroPrevFallback(t *testing.T) {
 }
 
 // TestOnlineApproxReuseAcrossInstances guards the per-instance caches
-// (prevBuf, warmDuals, the ALM workspace, the sparse state) against
+// (prevBuf, the dual record, the ALM workspace, the sparse state) against
 // leaking between runs: Solve on one algorithm object across two
 // differently-shaped instances must reproduce, bit for bit, what fresh
 // algorithm objects compute — on the dense and the candidate path.
@@ -134,10 +134,10 @@ func TestOnlineApproxReuseAcrossInstances(t *testing.T) {
 		compare("A", gotA, wantA)
 		compare("B", gotB, wantB)
 		// The dual record left on the shared object must be instance B's.
-		thetas, _ := shared.Duals()
-		if len(thetas) != inB.T || len(thetas[0]) != inB.J {
+		duals := shared.Duals()
+		if len(duals) != inB.T || len(duals[0]) != inB.J+2*inB.I {
 			t.Errorf("candidates=%d: stale dual record %dx%d, want %dx%d",
-				candidates, len(thetas), len(thetas[0]), inB.T, inB.J)
+				candidates, len(duals), len(duals[0]), inB.T, inB.J+2*inB.I)
 		}
 	}
 }

@@ -118,19 +118,6 @@ func (b *CandidateBuilder) AddUserSet(j int, clouds []int) {
 	}
 }
 
-// AddSupport marks every (i, j) whose entry of the dense row-major vector
-// x is nonzero. Passing the previous slot's decision keeps the
-// reconfiguration and migration terms of P2 exact on the reduced space:
-// a pair with x'_{ij} > 0 outside K_j would silently turn its migration
-// hinge into a constant, so carryover pairs must stay in.
-func (b *CandidateBuilder) AddSupport(x []float64) {
-	for k, v := range x {
-		if v != 0 {
-			b.member[k] = true
-		}
-	}
-}
-
 // Build emits the current memberships into dst, reusing dst's slices when
 // they have capacity. The builder's memberships are retained, so callers
 // can Add more pairs (the expansion loop of the certified solver) and

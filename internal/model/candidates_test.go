@@ -185,10 +185,8 @@ func TestCandidateBuilderCSRMatchesBitmap(t *testing.T) {
 func TestCandidateBuilderAddSupportAndUserSet(t *testing.T) {
 	const I, J = 3, 4
 	b := NewCandidateBuilder(I, J)
-	x := make([]float64, I*J)
-	x[1*J+2] = 0.5
-	x[2*J+0] = 1e-12 // any nonzero counts: carryover must stay exact
-	b.AddSupport(x)
+	b.Add(1, 2)
+	b.Add(2, 0)
 	b.AddUserSet(3, []int{0, 2})
 	var cs CandidateSet
 	b.Build(&cs)

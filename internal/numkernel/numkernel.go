@@ -1,34 +1,30 @@
-// Package numkernel provides the batch ("vectorized") fast-math kernels
-// behind core.Options.FastMath: slice-at-a-time natural log, log1p, and
-// exp with documented accuracy, plus a float32 storage tier for
-// bandwidth-bound scratch vectors.
+// Package numkernel provides the batch ("vectorized") fast-math kernel
+// behind core.Options.FastMath: a slice-at-a-time natural log with
+// documented accuracy.
 //
-// Why batch kernels beat per-element math.Log in the solver hot loop:
+// Why a batch kernel beats per-element math.Log in the solver hot loop:
 // the entropy passes of P2's objective evaluate one logarithm per packed
 // variable per FISTA evaluation, and at production sizes (J ≥ 5000) the
 // per-call overhead of math.Log — the function call itself plus its
-// special-case branch ladder — rivals the arithmetic. The kernels here
-// inline one branch-free range reduction and polynomial per loop
-// iteration, keeping the pipeline full of independent element work, and
-// fall back to the stdlib only on the rare operands (non-positive,
-// subnormal, ±Inf, NaN) that need the ladder.
+// special-case branch ladder — rivals the arithmetic. LogBatch inlines
+// one branch-free range reduction and polynomial per loop iteration,
+// keeping the pipeline full of independent element work, and falls back
+// to the stdlib only on the rare operands (non-positive, subnormal, ±Inf,
+// NaN) that need the ladder.
 //
 // # Accuracy contract
 //
-// LogBatch, Log1pBatch, and ExpBatch are accurate to ≤ 1e-12 relative
-// error on every finite operand in their natural domains (measured worst
-// cases are a few ulp, ~2e-16; the documented budget leaves two orders
-// of headroom and is what callers may rely on). Special values follow
-// the stdlib exactly — the kernels route subnormal, zero, negative,
-// infinite, and NaN operands to math.Log / math.Log1p / math.Exp, so
-// LogBatch(0) = -Inf, LogBatch(x<0) = NaN, ExpBatch(+Inf) = +Inf, and so
-// on, bit for bit. The float32 tier (LogBatch32) is accurate to ≤ 1e-6
-// relative in float32, again with stdlib-identical special values.
+// LogBatch is accurate to ≤ 1e-12 relative error on every positive
+// normal operand (measured worst cases are a few ulp, ~2e-16; the
+// documented budget leaves two orders of headroom and is what callers may
+// rely on). Special values follow the stdlib exactly — the kernel routes
+// subnormal, zero, negative, infinite, and NaN operands to math.Log, so
+// LogBatch(0) = -Inf, LogBatch(x<0) = NaN, and so on, bit for bit.
 //
-// FuzzFastMathVsStdlib (fuzz_test.go) differentially checks every kernel
-// against its stdlib counterpart over the full bit space, and the seed
-// corpus (cmd/corpusgen) pins the boundary operands: powers of two,
-// values adjacent to 1, subnormals, and the exp over/underflow edges.
+// FuzzFastMathVsStdlib (fuzz_test.go) differentially checks the kernel
+// against math.Log over the full bit space, and the seed corpus
+// (cmd/corpusgen) pins the boundary operands: powers of two, values
+// adjacent to 1, and subnormals.
 package numkernel
 
 import "math"
@@ -120,111 +116,5 @@ func LogBatch(dst, src []float64) {
 			continue
 		}
 		dst[i] = logReduced(bits)
-	}
-}
-
-// Log1pBatch writes ln(1+src[i]) into dst[i] for every element, keeping
-// full relative accuracy for src[i] near zero. dst and src must have
-// equal length; dst may alias src.
-//
-// The kernel uses the classic exact-correction identity: with u = 1+x
-// rounded, ln(1+x) = ln(u) · x/(u-1), which repairs the rounding of the
-// addition to ~1 ulp composite error (u-1 is exact by Sterbenz whenever
-// it matters). u == 1 means x is below half an ulp of 1 and ln(1+x) = x
-// to full precision.
-func Log1pBatch(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("numkernel: Log1pBatch length mismatch")
-	}
-	for i, x := range src {
-		u := 1 + x
-		ubits := math.Float64bits(u)
-		if logSlow(ubits) || x != x || x > math.MaxFloat64/2 {
-			// u ≤ 0 (x ≤ -1), x NaN, or u overflowed: stdlib semantics.
-			dst[i] = math.Log1p(x)
-			continue
-		}
-		if u == 1 {
-			dst[i] = x
-			continue
-		}
-		dst[i] = logReduced(ubits) * (x / (u - 1))
-	}
-}
-
-// Coefficients of the FDLIBM exp kernel: on the reduced range
-// |r| ≤ ½ln2, exp(r) = 1 + r + r²·P(r²)-style rational form accurate to
-// 2^-59 (see math.Exp).
-const (
-	expP1 = 1.66666666666666657415e-01
-	expP2 = -2.77777777770155933842e-03
-	expP3 = 6.61375632143793436117e-05
-	expP4 = -1.65339022054652515390e-06
-	expP5 = 4.13813679705723846039e-08
-
-	log2E = 1.44269504088896338700e+00
-
-	// Beyond these the result over/underflows through the stdlib path.
-	expOverflow  = 709.782712893383973096
-	expUnderflow = -745.133219101941108420
-)
-
-// ExpBatch writes e^src[i] into dst[i] for every element. dst and src
-// must have equal length; dst may alias src. Overflow saturates to +Inf
-// and underflow to 0 exactly as math.Exp; NaN propagates.
-func ExpBatch(dst, src []float64) {
-	if len(dst) != len(src) {
-		panic("numkernel: ExpBatch length mismatch")
-	}
-	for i, x := range src {
-		if !(x > expUnderflow && x < expOverflow) {
-			// Over/underflow, ±Inf, NaN, and the exact boundary operands:
-			// stdlib semantics.
-			dst[i] = math.Exp(x)
-			continue
-		}
-		// Argument reduction: x = k·ln2 + r with |r| ≤ ½ln2. The two-term
-		// ln2 split keeps r accurate to the last bit for |k| up to 2^20.
-		k := math.Floor(x*log2E + 0.5)
-		hi := x - k*ln2Hi
-		lo := k * ln2Lo
-		r := hi - lo
-		t := r * r
-		c := r - t*(expP1+t*(expP2+t*(expP3+t*(expP4+t*expP5))))
-		y := 1 - ((lo - (r*c)/(2-c)) - hi)
-		// Scale by 2^k. |k| ≤ 1075 here; split the exponent injection in
-		// two so k < -1022 (subnormal results) stays representable.
-		ki := int64(k)
-		if ki >= -1021 {
-			dst[i] = y * math.Float64frombits(uint64(1023+ki)<<52)
-		} else {
-			dst[i] = y * math.Float64frombits(uint64(1023+ki+54)<<52) * 0x1p-54
-		}
-	}
-}
-
-// Float32 tier ----------------------------------------------------------
-
-// LogBatch32 is the float32 storage tier of LogBatch: float32 in,
-// float32 out, with the arithmetic carried in float64 registers through
-// the same table kernel (widening float32→float64 is exact), so the
-// result is accurate to ≤ 1e-6 relative in float32. It exists for
-// J-wide scratch vectors whose cost is memory bandwidth, not
-// arithmetic — float32 storage halves the bytes moved per evaluation.
-// dst and src must have equal length; dst may alias src. Subnormal,
-// zero, negative, infinite, and NaN elements follow math.Log through a
-// float32 round.
-func LogBatch32(dst, src []float32) {
-	if len(dst) != len(src) {
-		panic("numkernel: LogBatch32 length mismatch")
-	}
-	for i, x := range src {
-		b32 := math.Float32bits(x)
-		exp := (b32 >> 23) & 0xff
-		if exp == 0 || exp == 0xff || b32>>31 != 0 {
-			dst[i] = float32(math.Log(float64(x)))
-			continue
-		}
-		dst[i] = float32(logReduced(math.Float64bits(float64(x))))
 	}
 }

@@ -94,163 +94,6 @@ func TestLogBatchSpecials(t *testing.T) {
 	}
 }
 
-func TestLog1pBatchAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		switch i % 4 {
-		case 0:
-			xs[i] = math.Exp(40*rng.Float64()-20) - 1 // spans (-1, e^20)
-		case 1:
-			xs[i] = (rng.Float64() - 0.5) * 1e-8 // tiny, sign-mixed
-		case 2:
-			xs[i] = -1 + rng.Float64()*1e-3 // near the pole
-		default:
-			xs[i] = rng.Float64() * 1e300 // huge
-		}
-	}
-	got := make([]float64, len(xs))
-	Log1pBatch(got, xs)
-	for i, x := range xs {
-		want := math.Log1p(x)
-		if e := relErr(got[i], want); e > 1e-12 {
-			t.Fatalf("Log1pBatch(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-}
-
-func TestLog1pBatchSpecials(t *testing.T) {
-	xs := []float64{
-		0, math.Copysign(0, -1), -1, -1.5, math.Inf(1), math.Inf(-1),
-		math.NaN(), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
-		math.MaxFloat64, 1e-300, -1e-300,
-	}
-	got := make([]float64, len(xs))
-	Log1pBatch(got, xs)
-	for i, x := range xs {
-		want := math.Log1p(x)
-		if math.IsInf(want, 0) || math.IsNaN(want) || want == 0 || math.Abs(want) < 1e-290 {
-			// Specials and sub-tiny results must match the stdlib exactly
-			// (for |x| below any rounding, log1p(x) = x).
-			if !sameSpecial(got[i], want) {
-				t.Errorf("Log1pBatch(%g) = %g, want %g", x, got[i], want)
-			}
-			continue
-		}
-		if e := relErr(got[i], want); e > 1e-12 {
-			t.Errorf("Log1pBatch(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-}
-
-func TestExpBatchAccuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 4096)
-	for i := range xs {
-		switch i % 3 {
-		case 0:
-			xs[i] = (rng.Float64() - 0.5) * 1400 // full finite-result range
-		case 1:
-			xs[i] = (rng.Float64() - 0.5) * 2 // near zero
-		default:
-			xs[i] = (rng.Float64() - 0.5) * 60 // softplus-typical
-		}
-	}
-	got := make([]float64, len(xs))
-	ExpBatch(got, xs)
-	for i, x := range xs {
-		want := math.Exp(x)
-		if e := relErr(got[i], want); e > 1e-12 {
-			t.Fatalf("ExpBatch(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-}
-
-func TestExpBatchSpecials(t *testing.T) {
-	xs := []float64{
-		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
-		710, -746, 709.782712893383973096, -745.133219101941108420,
-		1000, -1000, math.MaxFloat64, -math.MaxFloat64,
-		math.SmallestNonzeroFloat64,
-	}
-	got := make([]float64, len(xs))
-	ExpBatch(got, xs)
-	for i, x := range xs {
-		want := math.Exp(x)
-		if math.IsInf(want, 0) || math.IsNaN(want) || want == 0 || want == 1 {
-			if !sameSpecial(got[i], want) {
-				t.Errorf("ExpBatch(%g) = %g, want %g", x, got[i], want)
-			}
-			continue
-		}
-		if e := relErr(got[i], want); e > 1e-12 {
-			t.Errorf("ExpBatch(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-	// Subnormal results (deep underflow still above the flush point).
-	deep := []float64{-709, -740, -744}
-	got = make([]float64, len(deep))
-	ExpBatch(got, deep)
-	for i, x := range deep {
-		want := math.Exp(x)
-		if e := relErr(got[i], want); e > 1e-9 {
-			// Subnormal results lose precision to the format itself; 1e-9
-			// still proves the two-stage scaling is wired correctly.
-			t.Errorf("ExpBatch(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-}
-
-func TestLogBatch32Accuracy(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	xs := make([]float32, 4096)
-	for i := range xs {
-		switch i % 3 {
-		case 0:
-			xs[i] = float32(math.Exp(170*rng.Float64() - 85))
-		case 1:
-			xs[i] = 1 + (rng.Float32()-0.5)*1e-2
-		default:
-			xs[i] = 0.1 + 10*rng.Float32()
-		}
-	}
-	got := make([]float32, len(xs))
-	LogBatch32(got, xs)
-	for i, x := range xs {
-		want := math.Log(float64(x))
-		if e := relErr(float64(got[i]), want); e > 1e-6 {
-			t.Fatalf("LogBatch32(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-		}
-	}
-}
-
-func TestLogBatch32Specials(t *testing.T) {
-	xs := []float32{
-		0, float32(math.Copysign(0, -1)), -1,
-		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
-		math.SmallestNonzeroFloat32, math.MaxFloat32, 1,
-	}
-	got := make([]float32, len(xs))
-	LogBatch32(got, xs)
-	for i, x := range xs {
-		want := math.Log(float64(x))
-		switch {
-		case math.IsNaN(want):
-			if !math.IsNaN(float64(got[i])) {
-				t.Errorf("LogBatch32(%g) = %g, want NaN", x, got[i])
-			}
-		case math.IsInf(want, 0) || want == 0:
-			if float64(got[i]) != want {
-				t.Errorf("LogBatch32(%g) = %g, want %g", x, got[i], want)
-			}
-		default:
-			if e := relErr(float64(got[i]), want); e > 1e-6 {
-				t.Errorf("LogBatch32(%g) = %g, want %g (rel %g)", x, got[i], want, e)
-			}
-		}
-	}
-}
-
 // TestBatchAliasing pins the documented in-place contract: dst == src
 // must produce the same results as disjoint buffers.
 func TestBatchAliasing(t *testing.T) {
@@ -265,38 +108,15 @@ func TestBatchAliasing(t *testing.T) {
 			t.Fatalf("LogBatch aliasing mismatch at %d: %g vs %g", i, inPlace[i], want[i])
 		}
 	}
-
-	es := make([]float64, len(xs))
-	for i := range es {
-		es[i] = (rng.Float64() - 0.5) * 100
-	}
-	wantE := make([]float64, len(es))
-	ExpBatch(wantE, es)
-	inPlaceE := append([]float64(nil), es...)
-	ExpBatch(inPlaceE, inPlaceE)
-	for i := range wantE {
-		if math.Float64bits(inPlaceE[i]) != math.Float64bits(wantE[i]) {
-			t.Fatalf("ExpBatch aliasing mismatch at %d", i)
-		}
-	}
 }
 
 func TestBatchLengthMismatchPanics(t *testing.T) {
-	for name, fn := range map[string]func(){
-		"LogBatch":   func() { LogBatch(make([]float64, 2), make([]float64, 3)) },
-		"Log1pBatch": func() { Log1pBatch(make([]float64, 2), make([]float64, 3)) },
-		"ExpBatch":   func() { ExpBatch(make([]float64, 2), make([]float64, 3)) },
-		"LogBatch32": func() { LogBatch32(make([]float32, 2), make([]float32, 3)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: length mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("LogBatch: length mismatch did not panic")
+		}
+	}()
+	LogBatch(make([]float64, 2), make([]float64, 3))
 }
 
 // TestLogBatchExhaustiveExponents walks one operand per binade (plus the

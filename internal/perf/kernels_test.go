@@ -145,7 +145,7 @@ func (k *stepKernel) step() {
 	k.t++
 }
 
-// The NumKernel family runs the batch fast-math kernels behind
+// The NumKernel family runs the batch log kernel behind
 // core.Options.FastMath in isolation, over one cache-resident buffer of
 // solver-typical operands. LogStdlib is the per-element math.Log loop
 // the batch kernel replaces, so LogStdlib/LogBatch is the raw
@@ -168,20 +168,7 @@ func numKernels() []kernel {
 	for i := range ratios {
 		ratios[i] = math.Exp(6 * (rng.Float64() - 0.5))
 	}
-	nearZero := make([]float64, numKernelLen) // spans (-1, e^3-1), centered near 0
-	ratios32 := make([]float32, numKernelLen)
-	for i, v := range ratios {
-		nearZero[i] = v - 1
-		ratios32[i] = float32(v)
-	}
-	// Softplus-typical exp operands.
-	rng = rand.New(rand.NewSource(numKernelSeed))
-	softplus := make([]float64, numKernelLen)
-	for i := range softplus {
-		softplus[i] = 60 * (rng.Float64() - 0.5)
-	}
 	dst := make([]float64, numKernelLen)
-	dst32 := make([]float32, numKernelLen)
 	return []kernel{
 		{"LogBatch", func() { numkernel.LogBatch(dst, ratios) }, 0},
 		{"LogStdlib", func() {
@@ -189,9 +176,6 @@ func numKernels() []kernel {
 				dst[i] = math.Log(x)
 			}
 		}, 0},
-		{"Log1pBatch", func() { numkernel.Log1pBatch(dst, nearZero) }, 0},
-		{"ExpBatch", func() { numkernel.ExpBatch(dst, softplus) }, 0},
-		{"LogBatch32", func() { numkernel.LogBatch32(dst32, ratios32) }, 0},
 	}
 }
 

@@ -6,7 +6,7 @@
 // Rendezvous hashing keeps placement stable under membership change:
 // when a replica joins, the only sessions whose owner changes are the
 // ones the new replica now wins (an expected 1/(n+1) fraction); when a
-// replica leaves, only its own sessions move. Rebalance migrates the
+// replica leaves, only its own sessions move. SetReplicas migrates the
 // misplaced sessions through the edged snapshot/restore endpoints, so a
 // session's warm iterate, dual record, and cost bookkeeping travel with
 // it and the online algorithm continues as if it had never moved.
@@ -407,13 +407,6 @@ func (rt *Router) SetReplicas(ctx context.Context, replicas []string) (int, erro
 	}
 	rt.log.Info("membership updated", "replicas", normalized, "migrated", moved)
 	return moved, nil
-}
-
-// Rebalance migrates every session not hosted on its owner under the
-// current membership. Useful after a replica restart re-homed sessions.
-func (rt *Router) Rebalance(ctx context.Context) (int, error) {
-	members := rt.Replicas()
-	return rt.rebalance(ctx, members, members)
 }
 
 // rebalance walks hosts, finds sessions whose rendezvous owner under

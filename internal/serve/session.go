@@ -128,7 +128,6 @@ type solverOptions struct {
 	Candidates     int     `json:"candidates,omitempty"`
 	CandidateTol   float64 `json:"candidateTol,omitempty"`
 	FastMath       bool    `json:"fastMath,omitempty"`
-	FastMathF32    bool    `json:"fastMathF32,omitempty"`
 	Shards         int     `json:"shards,omitempty"`
 	Incremental    bool    `json:"incremental,omitempty"`
 	IncrementalTol float64 `json:"incrementalTol,omitempty"`
@@ -155,7 +154,6 @@ func (o solverOptions) validate() error {
 // returns is what the snapshot header records.
 func (o solverOptions) withDefaults(d core.Options) solverOptions {
 	o.FastMath = o.FastMath || d.FastMath
-	o.FastMathF32 = o.FastMathF32 || d.FastMathF32
 	o.Shards = max(o.Shards, d.Shards)
 	o.Incremental = o.Incremental || d.Incremental
 	o.IncrementalTol = math.Max(o.IncrementalTol, d.IncrementalTol)
@@ -170,7 +168,6 @@ func (o solverOptions) coreOptions() core.Options {
 		Candidates:     o.Candidates,
 		CandidateTol:   o.CandidateTol,
 		FastMath:       o.FastMath,
-		FastMathF32:    o.FastMathF32,
 		Shards:         o.Shards,
 		Incremental:    o.Incremental,
 		IncrementalTol: o.IncrementalTol,

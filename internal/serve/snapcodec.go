@@ -73,19 +73,17 @@ type slotMeta struct {
 // encoder reads records that alias live session state; the decoder fills
 // owned slices.
 type slotRecord struct {
-	opPrice        []float64
-	attach         []int
-	accessDelay    []float64
-	x              []float64 // dense row-major I×J
-	theta, rho, nu []float64 // lengths J, I, I
+	opPrice     []float64
+	attach      []int
+	accessDelay []float64
+	x           []float64 // dense row-major I×J
+	duals       []float64 // [θ|ρ|ν], length J+2I
 	slotMeta
 }
 
-func appendF64s(b []byte, vs ...[]float64) []byte {
-	for _, v := range vs {
-		for _, f := range v {
-			b = le.AppendUint64(b, math.Float64bits(f))
-		}
+func appendF64s(b []byte, v []float64) []byte {
+	for _, f := range v {
+		b = le.AppendUint64(b, math.Float64bits(f))
 	}
 	return b
 }
@@ -105,7 +103,7 @@ func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
 			nnz++
 		}
 	}
-	words := len(r.opPrice) + len(r.accessDelay) + len(r.theta) + len(r.rho) + len(r.nu)
+	words := len(r.opPrice) + len(r.accessDelay) + len(r.duals)
 	b = slices.Grow(b, 4+8*words+4*len(r.attach)+4+12*nnz+len(meta)+4)
 	start := len(b) + 4
 	b = le.AppendUint32(b, 0) // payload length, patched below
@@ -120,7 +118,7 @@ func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
 			b = le.AppendUint64(le.AppendUint32(b, uint32(k)), bits)
 		}
 	}
-	b = append(appendF64s(b, r.theta, r.rho, r.nu), meta...)
+	b = append(appendF64s(b, r.duals), meta...)
 	le.PutUint32(b[start-4:], uint32(len(b)-start))
 	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli)), nil
 }
@@ -163,7 +161,7 @@ func decodeRecord(p []byte, nI, nJ, k int) (*slotRecord, error) {
 		rec.x[idx], prev = math.Float64frombits(bits), idx
 	}
 	duals, meta := takeF64s(p, nJ+2*nI)
-	rec.theta, rec.rho, rec.nu = duals[:nJ], duals[nJ:nJ+nI], duals[nJ+nI:]
+	rec.duals = duals
 
 	dec := json.NewDecoder(bytes.NewReader(meta))
 	dec.DisallowUnknownFields()
@@ -216,11 +214,17 @@ type snapDoc struct {
 func decodeSnapshot(doc []byte, file bool) (*snapDoc, error) {
 	d := &snapDoc{}
 	dec := json.NewDecoder(bytes.NewReader(doc))
-	if err := dec.Decode(&d.header); err != nil {
-		return nil, fmt.Errorf("decoding snapshot header: %w", err)
+	// An option this binary does not have must fail the restore, not be
+	// dropped and the session resumed on another tier.
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&d.header)
+	// Another version's header is refused as that, not for the first key
+	// this version lacks: encoding/json fills the known fields regardless.
+	if v := d.header.Version; v != snapshotVersion && (err == nil || v != 0) {
+		return nil, fmt.Errorf("snapshot version %d, want %d", v, snapshotVersion)
 	}
-	if d.header.Version != snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d, want %d", d.header.Version, snapshotVersion)
+	if err != nil {
+		return nil, fmt.Errorf("decoding snapshot header: %w", err)
 	}
 	end := int(dec.InputOffset())
 	if end >= len(doc) || doc[end] != '\n' {
@@ -236,7 +240,6 @@ func decodeSnapshot(doc []byte, file bool) (*snapDoc, error) {
 	if len(d.header.Instance) == 0 {
 		return nil, errors.New("snapshot missing instance")
 	}
-	var err error
 	if d.inst, d.streaming, err = buildInstance(d.header.Instance, d.header.Horizon); err != nil {
 		return nil, fmt.Errorf("snapshot instance: %w", err)
 	}
@@ -267,20 +270,9 @@ func decodeSnapshot(doc []byte, file bool) (*snapDoc, error) {
 // the records; RestoreState copies what it keeps.
 func (d *snapDoc) warmState() *core.WarmState {
 	n := len(d.records)
-	st := &core.WarmState{
-		Slot:     n,
-		Schedule: make([][]float64, n),
-		Thetas:   make([][]float64, n),
-		Rhos:     make([][]float64, n),
-		Nus:      make([][]float64, n),
-	}
+	st := &core.WarmState{Slot: n, Schedule: make([][]float64, n), Duals: make([][]float64, n)}
 	for t, rec := range d.records {
-		st.Schedule[t], st.Thetas[t], st.Rhos[t], st.Nus[t] = rec.x, rec.theta, rec.rho, rec.nu
-	}
-	if n > 0 {
-		// theta, rho and nu are consecutive views of one decoded vector.
-		last := d.records[n-1]
-		st.Duals = last.theta[:len(last.theta)+len(last.rho)+len(last.nu)]
+		st.Schedule[t], st.Duals[t] = rec.x, rec.duals
 	}
 	return st
 }

@@ -102,7 +102,7 @@ func TestRecordCodecBitExact(t *testing.T) {
 		rec := &slotRecord{
 			opPrice: []float64{1, 2}, attach: []int{0, 1, 1}, accessDelay: []float64{0, negZero, 0.5},
 			x:     x,
-			theta: []float64{1, -2, 3}, rho: []float64{0, negZero}, nu: []float64{4, 5},
+			duals: []float64{1, -2, 3, 0, negZero, 4, 5},
 		}
 		rec.Cost = model.Breakdown{Op: 1, Sq: 0.1 + 0.2, Rc: 3, Mg: 1e-300}
 		rec.Summary = &conformSummary{OK: true, RatioBound: 1.5, Violations: map[string]int{"b": 2, "a<": 1}}
@@ -121,7 +121,7 @@ func TestRecordCodecBitExact(t *testing.T) {
 				t.Errorf("%s: x[%d] = %x, want %x", name, k, math.Float64bits(got.x[k]), math.Float64bits(x[k]))
 			}
 		}
-		if math.Float64bits(got.rho[1]) != math.Float64bits(negZero) || got.Diag != rec.Diag ||
+		if math.Float64bits(got.duals[nJ+1]) != math.Float64bits(negZero) || got.Diag != rec.Diag ||
 			got.Cost != rec.Cost || got.Summary.Violations["a<"] != 1 || !got.Summary.OK {
 			t.Errorf("%s: record fields did not survive: %+v", name, got)
 		}

@@ -23,15 +23,12 @@ const tmpPrefix = ".tmp-"
 // record views committed slot t as a snapshot record aliasing the live
 // instance, schedule and dual record. The caller must hold stepMu.
 func (sess *session) record(t int) *slotRecord {
-	thetas, rhos := sess.alg.Duals()
 	rec := &slotRecord{
 		opPrice:     sess.inst.OpPrice[t],
 		attach:      sess.inst.Attach[t],
 		accessDelay: sess.inst.AccessDelay[t],
 		x:           sess.sched[t].X,
-		theta:       thetas[t],
-		rho:         rhos[t],
-		nu:          sess.alg.Nus()[t],
+		duals:       sess.alg.Duals()[t],
 		slotMeta:    sess.meta[t],
 	}
 	if t == sess.inst.T-1 {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -224,11 +226,13 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"bad-id":         mutate(func(d *snapDoc) { d.header.ID = "../escape" }),
 		"tampered-state": mutate(func(d *snapDoc) { d.records[0].x[0] = -1 }),
 		"tampered-input": mutate(func(d *snapDoc) { d.records[1].attach[0] = in.I }),
-		"tampered-dual":  mutate(func(d *snapDoc) { d.records[1].rho[0] = math.Inf(1) }),
+		"tampered-dual":  mutate(func(d *snapDoc) { d.records[1].duals[d.inst.J] = math.Inf(1) }),
 		"slot-mismatch":  mutate(func(d *snapDoc) { d.records[1].Diag.Slot = 0 }),
 		"early-summary":  mutate(func(d *snapDoc) { d.records[0].Summary = &conformSummary{OK: true} }),
 		"slot-gap":       mutate(func(d *snapDoc) { d.records = d.records[1:] }),
 		"bad-options":    mutate(func(d *snapDoc) { d.header.Options.Candidates = -1 }),
+		"unknown-option": bytes.Replace(good, []byte(`"options":{`), []byte(`"options":{"bogusTier":true`), 1),
+		"unknown-key":    bytes.Replace(good, []byte(`{"version":2,`), []byte(`{"version":2,"bogusKey":1,`), 1),
 		"bad-checksum":   flipped,
 		"torn-record":    good[:len(good)-9],
 		"trailing-bytes": append(bytes.Clone(good), 0, 0, 0),
@@ -238,6 +242,29 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	for name, snap := range cases {
 		if code, _ := postRaw(t, ts.URL+"/v1/sessions/restore", snap, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
+		}
+	}
+	// A header naming an option or key this binary does not have is
+	// refused by name, by the restore endpoint and by boot recovery alike,
+	// never restored on whatever tier the remaining options select.
+	for name, key := range map[string]string{"unknown-option": "bogusTier", "unknown-key": "bogusKey"} {
+		if bytes.Equal(cases[name], good) {
+			t.Fatalf("%s: header not rewritten", name)
+		}
+		if _, raw := postRaw(t, ts.URL+"/v1/sessions/restore", cases[name], nil); !bytes.Contains(raw, []byte(key)) {
+			t.Errorf("%s: error %s does not name %q", name, raw, key)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, id), cases[name], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var logged bytes.Buffer
+		_, boot := newTestServer(t, Config{SnapshotDir: dir, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+		if recovery := logged.String(); !strings.Contains(recovery, key) {
+			t.Errorf("%s: recovery log %q does not name %q", name, recovery, key)
+		}
+		if code, _ := doJSON(t, http.MethodGet, boot.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNotFound {
+			t.Errorf("%s: boot recovery registered the session (status %d)", name, code)
 		}
 	}
 	// Restoring over a live session is a conflict, not a replacement.

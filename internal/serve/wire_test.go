@@ -33,7 +33,7 @@ var notClientSettable = []string{
 func TestWireOptionsGolden(t *testing.T) {
 	full := solverOptions{
 		Epsilon1: 0.5, Epsilon2: 0.25, Candidates: 3, CandidateTol: 1e-6,
-		FastMath: true, FastMathF32: true, Shards: 4,
+		FastMath: true, Shards: 4,
 		Incremental: true, IncrementalTol: 1e-5,
 		MaxOuter: 7, InnerIters: 11, Workers: 2,
 		FeasTol: 1e-4, ObjTol: 1e-3, DualTol: 1e-2, Penalty: 8,
@@ -64,7 +64,7 @@ func TestWireOptionsGolden(t *testing.T) {
 	opts := back.coreOptions()
 	wantOpts := core.Options{
 		Epsilon1: 0.5, Epsilon2: 0.25, Candidates: 3, CandidateTol: 1e-6,
-		FastMath: true, FastMathF32: true, Shards: 4,
+		FastMath: true, Shards: 4,
 		Incremental: true, IncrementalTol: 1e-5,
 		Solver: alm.Options{MaxOuter: 7, InnerIters: 11, Workers: 2,
 			FeasTol: 1e-4, ObjTol: 1e-3, DualTol: 1e-2, Penalty: 8},

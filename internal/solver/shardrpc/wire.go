@@ -67,9 +67,8 @@ type BlockSpec struct {
 	NJ int `json:"nj"`
 	// Eps2 is the migration-entropy regularization parameter ε₂.
 	Eps2 float64 `json:"eps2"`
-	// FastMath/FastMath32 select the batch-kernel entropy tier.
-	FastMath   bool `json:"fastMath,omitempty"`
-	FastMath32 bool `json:"fastMath32,omitempty"`
+	// FastMath selects the batch-kernel entropy tier.
+	FastMath bool `json:"fastMath,omitempty"`
 	// RowPtr/Cols are the candidate CSR: cloud i's variables occupy
 	// [RowPtr[i], RowPtr[i+1]) with local user indices Cols[k] in [0,NJ).
 	RowPtr []int `json:"rowPtr"`
