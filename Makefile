@@ -49,9 +49,10 @@ bench-module:
 # The experiment engine runs (case, rep, algorithm) units on a worker
 # pool; every test runs under the race detector to keep it honest. The
 # detector slows the solver-heavy packages 10-17x (internal/core takes
-# ~20 min on a 2-vCPU container with its eleven slowest tests under
-# t.Parallel(), ~30 min before), so give each package far more than the
-# 10m default before go test declares a hang.
+# ~7 min on a 2-vCPU container — ~30 s plain — with its eleven slowest
+# tests under t.Parallel(); ~20 min before the single program dropped its
+# implied complement rows), so give each package far more than the 10m
+# default before go test declares a hang.
 race:
 	$(GO) test -race -timeout 60m ./...
 

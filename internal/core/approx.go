@@ -15,9 +15,17 @@
 // with X_i = Σ_j x_ij, η_i = ln(1+C_i/ε₁), τ_ij = ln(1+λ_j/ε₂) and
 // b_i = b_i^out + b_i^in. The per-slot optima form a feasible solution of
 // the original problem (Theorem 1) with competitive ratio 1 + γ|I|
-// (Theorem 2). The ALM solver also returns the dual multipliers θ', ρ' of
-// the demand and complement-capacity rows, from which a per-run lower
-// bound on the offline optimum is certified (see certificate.go).
+// (Theorem 2).
+//
+// The rows it is solved under are demand Σ_i x_ij ≥ λ_j and explicit
+// capacity Σ_j x_ij ≤ C_i (p2Constraints). The paper prints demand plus
+// the complement-capacity rows Σ_{k≠i} X_k ≥ (Λ − C_i)⁺ instead; those
+// alone do not keep the optimum within capacity (DESIGN.md §3b), and once
+// the capacity rows are present they are implied, so the single program
+// does not carry them. The ALM solver returns the multipliers θ', ν' of
+// the demand and capacity rows; the dual record keeps the paper's
+// [θ | ρ | ν] layout with ρ' = 0, which is the point the certificate
+// (certificate.go) constructs as well.
 //
 // P2 is one program and the package evaluates it through one type:
 // p2Objective (objective.go) over a cloud-major CSR layout, whose per-row
@@ -208,14 +216,15 @@ type OnlineApprox struct {
 
 	schedule model.Schedule
 	// duals[t] is slot t's accepted multiplier vector [θ (J) | ρ (I) | ν (I)]:
-	// the optimal multipliers θ'_{j,t} and ρ'_{i,t} of P2's demand and
-	// complement-capacity constraints, then those of the explicit capacity
-	// rows (zero wherever the paper's Theorem-1 claim holds). The last row
-	// is also the next slot's warm start. The solver's Result.Duals alias
-	// workspace memory that a later (possibly cancelled) solve scribbles
-	// over, so a row is copied out only once its slot succeeded: a Step
-	// aborted by context cancellation leaves the warm state of the next
-	// Step exactly as the last successful slot wrote it.
+	// the multipliers θ'_{j,t} of P2's demand rows, ρ'_{i,t} of the
+	// complement-capacity rows — zero on the single-program paths, which do
+	// not carry those rows; the sharded z-step's otherwise — and ν'_{i,t} of
+	// the explicit capacity rows. The last row is also the next slot's warm
+	// start. The solver's Result.Duals alias workspace memory that a later
+	// (possibly cancelled) solve scribbles over, so a row is copied out only
+	// once its slot succeeded: a Step aborted by context cancellation leaves
+	// the warm state of the next Step exactly as the last successful slot
+	// wrote it.
 	duals [][]float64
 
 	// Per-instance caches, lazily built on the first Step: P2's constraint
@@ -276,6 +285,16 @@ type StepDiag struct {
 	// decision when the slot was committed, and users the soundness gate
 	// re-admitted to the active set during the slot.
 	FrozenUsers, ReadmittedUsers int
+	// Stop and Residual say how the slot's final single-program ALM solve
+	// ended: which test of the stop rule it met or was failing at the
+	// outer cap, and its last feasibility-and-complementarity residual σ
+	// (alm.Result.Stop and Sigma). Both are zero when no such solve ran —
+	// the sharded path, or a slot with every user frozen — and are omitted
+	// from JSON then, so slot records written before the fields existed
+	// decode and re-encode unchanged. JSON carries Stop by name
+	// ("objective"), not by the constant's value.
+	Stop     alm.Stop `json:",omitempty"`
+	Residual float64  `json:",omitempty"`
 }
 
 // NewOnlineApprox prepares a run over a validated instance. A nil
@@ -441,21 +460,24 @@ func (o *OnlineApprox) Duals() [][]float64 { return o.duals }
 // Schedule returns the decisions made so far.
 func (o *OnlineApprox) Schedule() model.Schedule { return o.schedule }
 
-// p2Constraints builds P2's rows: demand Σ_i x_ij ≥ λ_j for every user,
-// the paper's complement-capacity rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ for
-// every cloud, and finally explicit capacity rows Σ_j x_ij ≤ C_i.
+// p2Constraints builds the rows the single program solves under: demand
+// Σ_i x_ij ≥ λ_j for every user, then explicit capacity Σ_j x_ij ≤ C_i for
+// every cloud. It is the generic sparse-row reference of
+// singleState.buildRows (Options.denseRows).
 //
-// The capacity rows are not in the paper's P2: Theorem 1 claims the
-// complement rows alone keep the optimum within capacity. That claim has
-// a gap — when one cloud is much cheaper than the rest, P2's exact
-// optimum over-serves demand, parks the complement-row padding on other
-// clouds, and pushes the cheap cloud beyond C_i (observed on our
-// instances; see DESIGN.md). The explicit rows restore the evidently
-// intended feasibility; where the paper's claim does hold they bind only
-// where the complement rows bind and change nothing.
+// The paper's P2 enforces capacity through the complement rows
+// Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ instead, and Theorem 1 claims they keep
+// the optimum within capacity. That claim has a gap — when one cloud is
+// much cheaper than the rest, the literal optimum over-serves demand,
+// parks the complement-row padding on other clouds, and pushes the cheap
+// cloud beyond C_i (DESIGN.md §3b). The explicit rows restore the
+// evidently intended feasibility, and with them the complement rows are
+// implied (summing the demand rows and capacity row i gives complement row
+// i), so the program carries demand + capacity only; the literal rows
+// survive as the test-only p2ComplementRows.
 func p2Constraints(in *model.Instance) []alm.Constraint {
 	nI, nJ := in.I, in.J
-	cons := make([]alm.Constraint, 0, nJ+2*nI)
+	cons := make([]alm.Constraint, 0, nJ+nI)
 	for j := 0; j < nJ; j++ {
 		idx := make([]int, nI)
 		coef := make([]float64, nI)
@@ -464,25 +486,6 @@ func p2Constraints(in *model.Instance) []alm.Constraint {
 			coef[i] = 1
 		}
 		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: in.Workload[j]})
-	}
-	lambda := in.TotalWorkload()
-	for i := 0; i < nI; i++ {
-		rhs := lambda - in.Capacity[i]
-		if rhs < 0 {
-			rhs = 0
-		}
-		idx := make([]int, 0, (nI-1)*nJ)
-		coef := make([]float64, 0, (nI-1)*nJ)
-		for k := 0; k < nI; k++ {
-			if k == i {
-				continue
-			}
-			for j := 0; j < nJ; j++ {
-				idx = append(idx, k*nJ+j)
-				coef = append(coef, 1)
-			}
-		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: rhs})
 	}
 	for i := 0; i < nI; i++ {
 		idx := make([]int, nJ)
@@ -507,15 +510,24 @@ func allZero(v []float64) bool {
 }
 
 // warmPoint returns the dense point slot t's solve starts from: the
-// previous decision, except from the formal model's x_{·,·,0} = 0. There
-// every complement-capacity row starts violated by the full Λ−C_i, and
-// the penalty pushes the entire allocation upward before the demand duals
-// settle, which can leave an over-allocated (capacity-violating) point.
-// Starting from any demand-tight feasible point — the slot's static-cost
-// transportation optimum — avoids that regime entirely; Theorem 1 then
-// keeps every later slot feasible.
+// previous decision, except that the pruning candidate-set paths and the
+// sharded paths leave the formal model's x_{·,·,0} = 0 from the slot's
+// static-cost transportation optimum. A candidate-set user's pairs are
+// seeded from its nearest clouds plus the warm point's support, and from
+// the zero point that is the nearest k < I clouds alone, whose capacities
+// need not cover their users — the reduced program is then infeasible, its
+// multipliers diverge,
+// and the pricing pass admits pairs on garbage prices (without the
+// fallback TestSparseMatchesDenseSlotCoupledRome's slot 0 ends 19% above
+// the dense optimum and FuzzCandidateVsDense's seeds 2–33%). The support
+// of any feasible point makes the reduced program feasible; every later
+// slot inherits feasibility from the carried decision's support. The
+// sharded z-step keeps its complement rows, each of which starts violated
+// by the full Λ−C_i at zero. A single program over every pair has neither
+// problem and starts from zero.
 func (o *OnlineApprox) warmPoint(t int) []float64 {
-	if t == 0 && allZero(o.prev.X) {
+	pruned := o.opts.Candidates > 0 && o.opts.Candidates < o.inst.I
+	if t == 0 && (pruned || o.shrd != nil) && allZero(o.prev.X) {
 		if warm, err := feasibleWarmStart(o.inst, t); err == nil {
 			return warm
 		}

@@ -19,10 +19,10 @@ import (
 // empirical competitive ratio without ever solving the offline problem.
 //
 // Rather than trusting the numerical multipliers of the per-slot solver —
-// which are ambiguous here because the explicit capacity rows added to P2
-// (see p2Constraints) are linearly dependent with the complement rows at
-// demand-tight points — the certificate constructs duals directly from
-// P2's stationarity at the realized solution:
+// which stop at the solver's budget, and on the sharded path are ambiguous
+// because the z-step's complement rows are linearly dependent with its
+// capacity rows at demand-tight points — the certificate constructs duals
+// directly from P2's stationarity at the realized solution:
 //
 //	g_{ij,t} = ā_{ij,t} + (ĉ_i/η_i)·ln((X_{i,t}+ε₁)/(X_{i,t-1}+ε₁))
 //	                    + (b̂_i/τ_ij)·ln((x_{ij,t}+ε₂)/(x_{ij,t-1}+ε₂))

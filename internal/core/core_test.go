@@ -67,7 +67,7 @@ func TestOnlineApproxFeasibleOnRomeScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, s := runApprox(t, in, Options{})
-	// Theorem 1: capacity respected even though P2 uses complement rows.
+	// Theorem 1: every slot's decision respects capacity.
 	for t2, x := range s {
 		for i, load := range x.CloudTotals() {
 			if load > in.Capacity[i]*(1+1e-4) {

@@ -43,25 +43,27 @@ func cornerInstance(capacity, pos, workload []float64, attach [][]int) *model.In
 	return in
 }
 
-// TestDegenerateCornersAcrossTiers runs the instance corners the paper's
-// analysis glosses over through every shipped tier product, and the
-// default path additionally at ε₁ = ε₂ = 1e-6, holding each full-horizon
-// schedule to the conformance oracle with the dual certificate attached
-// (Theorem-1 feasibility, Lemma-1 gap, certificate validity, Theorem-2
-// ratio). ε₁ = ε₂ = 1e6 is not in the table: on the default path it
-// leaves a certificate residual above the oracle's tolerance on the I=1
-// and λ_j > max C_i corners (ROADMAP item 6(c)).
-func TestDegenerateCornersAcrossTiers(t *testing.T) {
-	corners := []struct {
-		name string
-		in   *model.Instance
-	}{
+// corner is one named degenerate instance.
+type corner struct {
+	name string
+	in   *model.Instance
+}
+
+// tightCorner is the ΣC = Σλ corner: every cloud runs at capacity.
+func tightCorner() *model.Instance {
+	return cornerInstance(
+		[]float64{2, 1.5, 0.5}, []float64{0, 1, 3}, []float64{1, 2, 1},
+		[][]int{{0, 1, 2}, {1, 1, 0}, {2, 0, 0}})
+}
+
+// degenerateCorners are the instance corners the paper's analysis glosses
+// over.
+func degenerateCorners() []corner {
+	return []corner{
 		{"I=1", cornerInstance(
 			[]float64{5}, []float64{0}, []float64{1, 2, 0.5},
 			[][]int{{0, 0, 0}, {0, 0, 0}, {0, 0, 0}})},
-		{"sumC=sumLambda", cornerInstance(
-			[]float64{2, 1.5, 0.5}, []float64{0, 1, 3}, []float64{1, 2, 1},
-			[][]int{{0, 1, 2}, {1, 1, 0}, {2, 0, 0}})},
+		{"sumC=sumLambda", tightCorner()},
 		{"lambda>maxC", cornerInstance(
 			[]float64{1, 1, 1.5}, []float64{0, 2, 3}, []float64{2.5, 0.5},
 			[][]int{{0, 2}, {1, 2}, {1, 0}})},
@@ -72,6 +74,18 @@ func TestDegenerateCornersAcrossTiers(t *testing.T) {
 			[]float64{1, 2}, []float64{0, 1}, []float64{1.5},
 			[][]int{{1}})},
 	}
+}
+
+// TestDegenerateCornersAcrossTiers runs the instance corners the paper's
+// analysis glosses over through every shipped tier product, and the
+// default path additionally at ε₁ = ε₂ = 1e-6, holding each full-horizon
+// schedule to the conformance oracle with the dual certificate attached
+// (Theorem-1 feasibility, Lemma-1 gap, certificate validity, Theorem-2
+// ratio). ε₁ = ε₂ = 1e6 is not in the table: on the default path it
+// leaves a certificate residual above the oracle's tolerance on the I=1
+// and λ_j > max C_i corners (ROADMAP item 6(c)).
+func TestDegenerateCornersAcrossTiers(t *testing.T) {
+	corners := degenerateCorners()
 	tiers := []struct {
 		name string
 		opts Options

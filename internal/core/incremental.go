@@ -26,21 +26,23 @@ import (
 //
 //  2. Reduced solve. The active users solve their ragged candidate
 //     program (sparse.go) with the frozen flow folded into the
-//     constants: each cloud's complement/capacity RHS drops by the flow
-//     its frozen users carry, and the reconfiguration regularizer sees
+//     constants: each cloud's capacity RHS drops by the flow its frozen
+//     users carry, and the reconfiguration regularizer sees
 //     X_i = A_i + F_i through p2Objective.totOff, where A_i is
 //     the active (variable) part and F_i the frozen offset. Frozen
 //     demand rows are exactly satisfied by construction (x' is
 //     post-repair), so they leave the program entirely and the dual
-//     dimension shrinks to |active| + 2I.
+//     dimension shrinks to |active| + I.
 //
 //  3. Soundness gate. A frozen column is optimal for the full P2 iff it
 //     satisfies KKT stationarity under the solved slot's multipliers.
 //     At x_{·j} = x'_{·j} the migration gradient vanishes (the ratio is
 //     exactly 1), so the reduced gradient of pair (i, j) is
 //
-//     g_ij = ā_{ij,t} + (ĉ_i/η_i)·ln((X_i+ε₁)/(X'_i+ε₁))
-//     − (Σ_k ρ'_k − ρ'_i) + ν'_i,
+//     g_ij = ā_{ij,t} + (ĉ_i/η_i)·ln((X_i+ε₁)/(X'_i+ε₁)) + ν'_i
+//
+//     (the sharded path, whose z-step keeps complement rows, adds their
+//     −(Σ_k ρ'_k − ρ'_i); kktBase computes both),
 //
 //     and the ≥-demand row admits a dual θ_j ≥ 0 with g_ij = θ_j on the
 //     support and g_ij ≥ θ_j off it exactly when every support pair
@@ -68,13 +70,21 @@ import (
 // mask, the frozen per-cloud flow, and the rows below.
 
 // buildRows recomputes the active list, the frozen per-cloud flow (from
-// the carried decision prev), and P2's structured rows from the current
-// activity flags: demand Σ_i x_ij ≥ λ_j for every active user, the
-// paper's complement-capacity rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ for
-// every cloud, and the explicit capacity rows Σ_j x_ij ≤ C_i (see
-// p2Constraints, whose row order this mirrors: the dual layout is θ' then
-// ρ' then ν', with frozen demand rows deleted). Frozen flow moves to the
-// right-hand sides; with everyone active they are p2Constraints' exactly.
+// the carried decision prev), and the program's structured rows from the
+// current activity flags: demand Σ_i x_ij ≥ λ_j for every active user and
+// capacity Σ_j x_ij ≤ C_i for every cloud (see p2Constraints, whose row
+// order this mirrors: the program's dual layout is θ' then ν', with frozen
+// demand rows deleted). Frozen flow moves to the right-hand sides; with
+// everyone active they are p2Constraints' exactly.
+//
+// The paper's complement rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ are not
+// emitted: they are implied (DESIGN.md §3b finding 4). Summing the active
+// demand rows and adding capacity row i gives Σ_{k≠i} A_k ≥ Λ_act − C_i +
+// F_i, and frozen users carry at least their demand (prev is post-repair,
+// so Σ_k F_k ≥ Λ − Λ_act), which makes that no smaller than what
+// complement row i still asks of the active flow, Λ − C_i − Σ_{k≠i} F_k;
+// where Λ ≤ C_i the row asks nothing x ≥ 0 does not give.
+// TestComplementRowsImplied asserts it on every slot's emitted rows.
 func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	nI, nJ := in.I, in.J
 	s.actList = s.actList[:0]
@@ -99,21 +109,6 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	s.rows = s.rows[:0]
 	for _, j := range s.actList {
 		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
-	}
-	frozenSum := 0.0
-	for _, v := range s.frozenTot {
-		frozenSum += v
-	}
-	for i := 0; i < nI; i++ {
-		rhs := s.lambda - in.Capacity[i]
-		if rhs < 0 {
-			rhs = 0
-		}
-		// Frozen flow on clouds k ≠ i already serves part of the
-		// complement requirement; a negative residual is a row that can
-		// never bind.
-		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupComplement, Index: i,
-			RHS: rhs - (frozenSum - s.frozenTot[i])})
 	}
 	for i := 0; i < nI; i++ {
 		rhs := in.Capacity[i] - s.frozenTot[i]

@@ -227,8 +227,8 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	in, s := o.inst, o.shrd
 	var d StepDiag
 
-	// Same regime as the single-program paths: from x_{·,·,0} = 0 all
-	// shards start at the slot's demand-tight transportation optimum.
+	// From x_{·,·,0} = 0 all shards start at the slot's demand-tight
+	// transportation optimum (see warmPoint).
 	warmDense := o.warmPoint(t)
 	for _, b := range s.blocks {
 		// Incremental freezing (Options.Incremental): a shard whose whole

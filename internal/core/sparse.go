@@ -22,12 +22,12 @@ import (
 // cloud stays in K_j, a pruned pair has x'_{ij} = 0, so its migration
 // regularizer vanishes at x_{ij} = 0 and the reduced objective equals
 // the full objective on the embedded point (x_K, 0). After each reduced
-// solve the converged ALM multipliers (θ'_j demand, ρ'_i complement,
-// ν'_i capacity — the same S_D machinery the competitive-ratio
-// certificate consumes) price every pruned pair:
+// solve the converged ALM multipliers (θ'_j demand, ν'_i capacity — the
+// same S_D machinery the competitive-ratio certificate consumes) price
+// every pruned pair:
 //
 //	redcost(i, j) = ā_{ij,t} + (ĉ_i/η_i)·ln((X_i+ε₁)/(X'_i+ε₁))
-//	                − θ'_j − (Σ_k ρ'_k − ρ'_i) + ν'_i,
+//	                − θ'_j + ν'_i,
 //
 // the KKT stationarity residual of x_{ij} at its lower bound. If every
 // pruned pair prices nonnegative, the embedded point satisfies the full
@@ -58,7 +58,6 @@ type singleState struct {
 	nearest [][]int
 	cons    []alm.Constraint // Options.denseRows reference rows
 
-	lambda float64 // Λ = Σ_j λ_j, for the complement-row RHS
 	// active marks the users that re-solve this slot and actList lists
 	// them ascending; demand row p of the program is user actList[p].
 	// Everyone is active unless Options.Incremental froze them.
@@ -71,13 +70,14 @@ type singleState struct {
 	frozenTot []float64      // F_i: per-cloud flow carried by frozen users
 	tot       []float64      // per-cloud totals of the round's decision
 	base      []float64      // per-cloud gradient term shared by gate and pricing
-	rows      []alm.GroupRow // active demand + complement + capacity rows
+	rows      []alm.GroupRow // active demand + capacity rows
 
 	// duals are the working multipliers in the full [θ | ρ | ν] layout:
 	// seeded from the committed duals, updated by every round (so an
 	// expansion or re-admission round resumes from the round before it),
-	// completed by the gate for frozen users, and returned to Step.
-	// packed is their gather into the program's reduced row layout.
+	// completed by the gate for frozen users, and returned to Step. The ρ
+	// block stays zero: the program has no complement rows (buildRows).
+	// packed is their gather into the program's [θ_active | ν] row layout.
 	duals  []float64
 	packed []float64
 
@@ -127,15 +127,14 @@ func (o *OnlineApprox) SparseStats() SparseStats {
 // then solve over all I clouds, so the reduction itself prunes nothing.
 func (o *OnlineApprox) initSingle(in *model.Instance) {
 	s := &singleState{
-		lambda:    in.TotalWorkload(),
 		active:    make([]bool, in.J),
 		actList:   make([]int, 0, in.J),
 		frozenTot: make([]float64, in.I),
 		tot:       make([]float64, in.I),
 		base:      make([]float64, in.I),
-		rows:      make([]alm.GroupRow, 0, in.J+2*in.I),
+		rows:      make([]alm.GroupRow, 0, in.J+in.I),
 		duals:     make([]float64, in.J+2*in.I),
-		packed:    make([]float64, in.J+2*in.I),
+		packed:    make([]float64, in.J+in.I),
 	}
 	s.groups = alm.Groups{I: in.I, J: in.J, Blocks: 1}
 	for j := range s.active {
@@ -201,6 +200,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 	// user from zero multipliers.
 	if t > 0 && (s.committed || !o.opts.Incremental) {
 		copy(s.duals, o.duals[t-1])
+		foldComplementDuals(s.duals, nJ, nI)
 	} else {
 		clear(s.duals)
 	}
@@ -252,12 +252,12 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 			if s.cons == nil {
 				o.prob.Groups = &s.groups
 			}
-			// Reduced dual layout: active demand rows, then ρ, then ν.
+			// Program dual layout: active demand rows, then ν.
 			for p, j := range s.actList {
 				s.packed[p] = s.duals[j]
 			}
-			copy(s.packed[nAct:], s.duals[nJ:])
-			sopts.WarmDuals = s.packed[:nAct+2*nI]
+			copy(s.packed[nAct:], s.duals[nJ+nI:])
+			sopts.WarmDuals = s.packed[:nAct+nI]
 			r, err := alm.Solve(&o.prob, sopts)
 			if err != nil {
 				return nil, nil, d, err
@@ -265,11 +265,11 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 			rounds++
 			d.Outer += r.Outer
 			d.Inner += r.InnerIters
-			d.Converged = r.Converged
+			d.Converged, d.Stop, d.Residual = r.Converged, r.Stop, r.Sigma
 			for p, j := range s.actList {
 				s.duals[j] = r.Duals[p]
 			}
-			copy(s.duals[nJ:], r.Duals[nAct:])
+			copy(s.duals[nJ+nI:], r.Duals[nAct:])
 			x = r.X
 			if ragged {
 				// Dense image: frozen columns carry the previous decision —
@@ -326,11 +326,35 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 	return warmDense, s.duals, d, nil
 }
 
+// foldComplementDuals rewrites a [θ | ρ | ν] record whose ρ block is
+// nonzero — a warm state committed before the single program dropped its
+// complement rows — into the equivalent multipliers of the demand +
+// capacity program: θ_j + Σ_i ρ_i, ν_i + ρ_i, ρ = 0. Complement row i is
+// the sum of the demand rows plus capacity row i, so every pair's reduced
+// gradient −θ_j − (Σ_k ρ_k − ρ_i) + ν_i is unchanged.
+func foldComplementDuals(duals []float64, nJ, nI int) {
+	rho, nu := duals[nJ:nJ+nI], duals[nJ+nI:]
+	rhoSum := 0.0
+	for i, r := range rho {
+		rhoSum += r
+		nu[i] += r
+		rho[i] = 0
+	}
+	if rhoSum == 0 {
+		return
+	}
+	for j := range duals[:nJ] {
+		duals[j] += rhoSum
+	}
+}
+
 // kktBase fills base[i] = rcFac_i·ln((tot_i+ε₁)/(X'_i+ε₁)) − (Σ_k ρ_k −
 // ρ_i) + ν_i: the part of pair (i, j)'s reduced gradient that does not
 // depend on the user. tot are the decision's per-cloud totals; demand row
 // j contributes −θ_j on top, complement rows i'≠i contribute the middle
-// term, and the negated capacity row i contributes +ν_i.
+// term (zero on the single-program paths, whose ρ is zero; the sharded
+// z-step keeps its complement rows), and the negated capacity row i
+// contributes +ν_i.
 func (d *p2Objective) kktBase(base, tot, rho, nu []float64) {
 	rhoSum := 0.0
 	for _, v := range rho {

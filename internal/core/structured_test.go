@@ -17,13 +17,12 @@ import (
 // inner solves are inexact, so the two arithmetic paths land at slightly
 // different points inside the solver's tolerance ball, and the drift
 // chains through warm starts and prevTot across slots (slot 0 agrees to
-// ~1e-9; later slots to ~1e-3 scaled). Second, P2's rows are linearly
-// dependent — complement row i equals the sum of all demand rows plus
-// capacity row i, since Σ_{k≠i} m_k = M − m_i — so the optimal dual set
-// is a face, not a point, and raw multiplier vectors legitimately differ
-// between the paths even where X agrees to round-off. The duals are
-// therefore compared through their consumer, the competitive-ratio
-// certificate, whose lower bound is invariant on the optimal face; exact
+// ~1e-9; later slots to ~1e-3 scaled). Second, where capacity binds at a
+// demand-tight point the optimal dual set is a face, not a point, so raw
+// multiplier vectors can legitimately differ between the paths even where
+// X agrees to round-off. The duals are therefore compared through their
+// consumer, the competitive-ratio certificate, whose lower bound is
+// invariant on the optimal face; exact
 // per-evaluation kernel agreement (1e-10) and converged-dual agreement on
 // cold-started solves are pinned by the property tests in
 // internal/solver/alm.

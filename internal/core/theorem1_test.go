@@ -51,8 +51,9 @@ func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all := p2Constraints(in)
-	literal := all[:in.J+in.I] // the paper's rows only (demand + complement)
+	cappedRows := p2Constraints(in) // what the program solves: demand + capacity
+	// The paper's rows only: demand + complement.
+	literalRows := append(cappedRows[:in.J:in.J], p2ComplementRows(in)...)
 
 	solve := func(cons []alm.Constraint) *alm.Result {
 		res, err := alm.Solve(&alm.Problem{
@@ -69,8 +70,8 @@ func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 		return res
 	}
 
-	lit := solve(literal)
-	capped := solve(all)
+	lit := solve(literalRows)
+	capped := solve(cappedRows)
 
 	if lit.Objective >= capped.Objective-1e-3 {
 		t.Fatalf("literal optimum %.6f not cheaper than capped %.6f: the instance no longer separates them",

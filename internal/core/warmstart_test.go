@@ -43,11 +43,12 @@ func TestFeasibleWarmStartIsDemandTightAndWithinCapacity(t *testing.T) {
 }
 
 // TestStepZeroAllZeroPrevFallback exercises the t == 0 all-zero-previous
-// branch on both solving paths. With no Init the formal model starts
-// from x_{·,·,0} = 0, Step must take the transportation fallback, and
-// the resulting slot decision must be feasible; on the candidate path
-// the fallback's support must additionally have been admitted into the
-// candidate sets or the warm point would not even be representable.
+// start on both solving paths. With no Init the formal model starts from
+// x_{·,·,0} = 0: the dense path solves from that point, the candidate
+// path takes the transportation fallback (see warmPoint), and either
+// slot decision must be feasible; on the candidate path the fallback's
+// support must additionally have been admitted into the candidate sets
+// or the warm point would not even be representable.
 func TestStepZeroAllZeroPrevFallback(t *testing.T) {
 	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 1, Seed: 19})
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
 	"edgealloc/internal/sim"
+	"edgealloc/internal/solver/alm"
 )
 
 // testInstance builds a small but non-trivial Rome instance (15 clouds).
@@ -379,6 +380,11 @@ func TestMetricsMatchSolverDiagnostics(t *testing.T) {
 		wantSeconds += r.Solve.Seconds
 		wantOuter += r.Solve.OuterIterations
 		wantInner += r.Solve.InnerIterations
+		// The reply says how the slot's solve ended, consistently with
+		// the converged flag.
+		if stop := r.Solve.Stop; (stop == alm.StopConverged) != r.Solve.Converged || stop == alm.StopNone {
+			t.Errorf("slot %d: stop %q with converged=%v", r.Slot, stop, r.Solve.Converged)
+		}
 	}
 
 	var doc map[string]any

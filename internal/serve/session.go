@@ -241,6 +241,12 @@ type solveDiag struct {
 	ShardResidual   float64 `json:"shardResidual,omitempty"`
 	FrozenUsers     int     `json:"frozenUsers,omitempty"`
 	ReadmittedUsers int     `json:"readmittedUsers,omitempty"`
+	// Stop names how the slot's final single-program solve ended
+	// ("converged", or the test failing at the outer cap: "feasibility",
+	// "objective", "dual") and Residual is its last σ; both are absent
+	// when no such solve ran (sharded sessions, all-frozen slots).
+	Stop     alm.Stop `json:"stop,omitempty"`
+	Residual float64  `json:"residual,omitempty"`
 }
 
 func diagDTO(d core.StepDiag) solveDiag {
@@ -256,6 +262,8 @@ func diagDTO(d core.StepDiag) solveDiag {
 		ShardResidual:   d.ShardResidual,
 		FrozenUsers:     d.FrozenUsers,
 		ReadmittedUsers: d.ReadmittedUsers,
+		Stop:            d.Stop,
+		Residual:        d.Residual,
 	}
 }
 

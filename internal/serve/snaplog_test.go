@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"edgealloc/internal/model"
+	"edgealloc/internal/solver/alm"
 )
 
 // fixedChurn rewrites the instance's attachments so exactly `moves` users
@@ -140,6 +141,57 @@ func TestRecordCodecBitExact(t *testing.T) {
 	// writing a record restore would choke on.
 	if _, err := appendRecord(nil, &slotRecord{slotMeta: slotMeta{Cost: model.Breakdown{Mg: math.NaN()}}}); err == nil {
 		t.Error("NaN cost encoded")
+	}
+}
+
+// TestStopDiagRecordCompat: the stop reason and residual a slot's
+// diagnostics gained are omitted when zero, so the bookkeeping of a record
+// written before they existed (the literal below is that version's
+// rendering) decodes and re-renders byte for byte, and a record that
+// carries them round-trips too. The snapshot version stays 2.
+func TestStopDiagRecordCompat(t *testing.T) {
+	const old = `{"cost":{"Op":1,"Sq":0.5,"Rc":3,"Mg":0.25},"diag":{"Slot":7,"Seconds":0.125,"Outer":60,"Inner":2949,"Converged":false,"CandRounds":2,"CandExpanded":0,"CandNNZ":0,"ShardIters":0,"ShardResidual":0,"ShardMaxSeconds":0,"LogCacheHits":0,"LogCacheMisses":0,"FrozenUsers":5,"ReadmittedUsers":0}}`
+	var m slotMeta
+	if err := json.Unmarshal([]byte(old), &m); err != nil {
+		t.Fatal(err)
+	}
+	if m.Diag.Stop != alm.StopNone || m.Diag.Residual != 0 || m.Diag.Inner != 2949 {
+		t.Fatalf("old bookkeeping decoded to %+v", m.Diag)
+	}
+	if again, err := json.Marshal(&m); err != nil || string(again) != old {
+		t.Errorf("old bookkeeping re-renders as %s (%v)", again, err)
+	}
+
+	const nI, nJ = 2, 3
+	rec := &slotRecord{
+		opPrice: []float64{1, 2}, attach: []int{0, 1, 1}, accessDelay: []float64{0, 0, 0.5},
+		x: []float64{0, 1, 0, 2, 0, 0.5}, duals: make([]float64, nJ+2*nI), slotMeta: m,
+	}
+	rec.Diag.Stop, rec.Diag.Residual = alm.StopObjective, 2.31e-9
+	enc, err := appendRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _, ok := nextFrame(enc)
+	if !ok {
+		t.Fatal("frame does not parse back")
+	}
+	got, err := decodeRecord(payload, nI, nJ, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Diag != rec.Diag {
+		t.Errorf("diagnostics did not survive: %+v, want %+v", got.Diag, rec.Diag)
+	}
+	// The record stores the reason's name, not the constant's value.
+	if !bytes.Contains(payload, []byte(`"Stop":"objective"`)) {
+		t.Error("stop reason is not stored by name")
+	}
+	if again, err := appendRecord(nil, got); err != nil || !bytes.Equal(again, enc) {
+		t.Errorf("decoded record re-encodes differently (%v)", err)
+	}
+	if snapshotVersion != 2 {
+		t.Errorf("snapshot version %d, want 2: the record layout did not change", snapshotVersion)
 	}
 }
 

@@ -11,6 +11,27 @@
 // the competitive analysis of the paper's algorithm consumes directly
 // (the θ'_{j,t} and ρ'_{i,t} of its KKT system). This package replaces the
 // role of IPOPT in the paper's evaluation pipeline.
+//
+// What "converged" means here. With s_k = b_k − A_k·x and y the multipliers
+// the outer iteration started from, the loop tracks
+//
+//	σ = max_k |max(s_k, −y_k/ρ)| / (1+|b_k|),
+//
+// the multiplier step |Δy_k|/ρ in row-scaled units: row k contributes its
+// violation when violated and min(slack_k, y_k/ρ) when slack, so σ ≤ FeasTol
+// says the point is primal-feasible and complementary to FeasTol whatever ρ
+// the penalty schedule has reached. A solve is converged when σ ≤ FeasTol
+// and the objective moved by at most ObjTol (relative) since the previous
+// outer iteration, or when the violation alone is within FeasTol and both
+// the objective and the multipliers (DualTol, relative to 1+y_k) have
+// settled. The penalty grows ×PenaltyGrowth whenever the violation fails to
+// fall 4× in an outer iteration, and, once no row is violated, whenever σ
+// does — provided the previous σ was above FeasTol too and the inner solve
+// took more than fista.StagnantLimit iterations, the two signs that the
+// stall is the method's rate and not the inner solver's noise floor.
+// Neither test is stationarity: the inner solves stop on FISTA's objective
+// stagnation (see fista.Options.Tol), so Converged certifies feasibility,
+// complementarity and a settled objective, not a gradient-mapping norm.
 package alm
 
 import (
@@ -207,6 +228,65 @@ type Result struct {
 	Outer        int
 	InnerIters   int
 	Converged    bool
+	// Stop says which test ended the outer loop, and Sigma, RelObjChange
+	// and DualMove are the last outer iteration's values of the three
+	// quantities the stop rule reads (see the package comment): the
+	// feasibility-and-complementarity residual σ, the relative objective
+	// change, and the largest multiplier step relative to 1+y_k.
+	Stop                          Stop
+	Sigma, RelObjChange, DualMove float64
+}
+
+// Stop classifies how a solve ended: converged, or at MaxOuter with the
+// first of the feasibility, objective and dual tests that was failing.
+type Stop uint8
+
+const (
+	// StopNone is the zero value: no solve has been recorded.
+	StopNone Stop = iota
+	// StopConverged: the stop rule was met.
+	StopConverged
+	// StopFeasibility: at the cap with a row violated beyond FeasTol.
+	StopFeasibility
+	// StopObjective: at the cap, feasible, objective still moving.
+	StopObjective
+	// StopDual: at the cap, feasible and the objective settled, but the
+	// multipliers still moving (σ > FeasTol and DualMove > DualTol): some
+	// slack row keeps a positive multiplier.
+	StopDual
+)
+
+// stopNames are the reasons as text. The names, not the constants' numeric
+// values, are what the session snapshot record and the serve reply store.
+var stopNames = [...]string{
+	StopNone:        "",
+	StopConverged:   "converged",
+	StopFeasibility: "feasibility",
+	StopObjective:   "objective",
+	StopDual:        "dual",
+}
+
+// String names the stop reason.
+func (s Stop) String() string {
+	if int(s) < len(stopNames) {
+		return stopNames[s]
+	}
+	return ""
+}
+
+// MarshalText renders the reason by name, so encoding/json stores
+// "objective" rather than 3 and the constants stay free to be reordered.
+func (s Stop) MarshalText() ([]byte, error) { return []byte(s.String()), nil }
+
+// UnmarshalText is the inverse of MarshalText; an unknown name is an error.
+func (s *Stop) UnmarshalText(text []byte) error {
+	for k, name := range stopNames {
+		if name == string(text) {
+			*s = Stop(k)
+			return nil
+		}
+	}
+	return fmt.Errorf("alm: unknown stop reason %q", text)
 }
 
 // ErrBadProblem reports malformed input.
@@ -328,6 +408,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		res.X, res.Objective, res.Converged = inner.X, inner.F, inner.Converged
 		res.InnerIters = inner.Iters
 		res.Duals = y
+		res.Stop = StopConverged
+		if !inner.Converged {
+			res.Stop = StopObjective
+		}
 		return res, nil
 	}
 
@@ -335,7 +419,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	lag := &ws.lag
 
 	prevObj := math.Inf(1)
-	prevViol := math.Inf(1)
+	prevViol, prevSigma := math.Inf(1), math.Inf(1)
 	innerTol := 1e-5
 	for outer := 0; outer < maxOuter; outer++ {
 		if opts.Ctx != nil {
@@ -355,39 +439,70 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		res.InnerIters += inner.Iters
 		x = inner.X
 
-		// Multiplier update, violation and dual-movement measurement.
-		viol, dualMove := 0.0, 0.0
+		// Multiplier update with the three progress measures: the violation,
+		// σ (the step |Δy_k|/ρ, row-scaled) and the relative dual movement.
+		viol, sigma, dualMove := 0.0, 0.0, 0.0
 		p.axInto(x, ws.ax, &ws.gs, opts.Workers)
 		for k := range ws.ax {
 			rhs := p.rowRHS(k)
 			s := rhs - ws.ax[k]
 			yNew := math.Max(0, y[k]+rho*s)
-			if d := math.Abs(yNew-y[k]) / (1 + yNew); d > dualMove {
+			step := math.Abs(yNew - y[k])
+			if d := step / (1 + yNew); d > dualMove {
 				dualMove = d
 			}
 			y[k] = yNew
-			if v := s / (1 + math.Abs(rhs)); v > viol {
+			scale := 1 + math.Abs(rhs)
+			if v := s / scale; v > viol {
 				viol = v
+			}
+			if v := step / rho / scale; v > sigma {
+				sigma = v
 			}
 		}
 
 		obj := p.Obj.Eval(x, nil)
 		relObjChange := math.Abs(obj-prevObj) / (1 + math.Abs(obj))
-		if viol <= feasTol && relObjChange <= objTol && dualMove <= dualTol {
-			res.Converged = true
-			prevObj = obj
+		prevObj = obj
+		res.Sigma, res.RelObjChange, res.DualMove = sigma, relObjChange, dualMove
+		switch {
+		case viol > feasTol:
+			res.Stop = StopFeasibility
+		case relObjChange > objTol:
+			res.Stop = StopObjective
+		case sigma > feasTol && dualMove > dualTol:
+			res.Stop = StopDual
+		default:
+			res.Stop, res.Converged = StopConverged, true
+		}
+		if res.Converged {
 			break
 		}
-		prevObj = obj
 
-		// Grow the penalty when feasibility is not improving fast enough.
-		// Once feasible, keep ρ fixed: the multiplier update is then a
-		// proximal-point step on the dual and larger ρ only amplifies the
-		// inner solver's noise in the duals.
-		if viol > feasTol && viol > 0.25*prevViol && rho < maxPenalty {
+		// Grow the penalty when the residual fails to fall 4×. While a row
+		// is violated the residual watched is the violation: that row needs
+		// a harder push, and multipliers left on slack rows are shed at ρ·
+		// slack per update whatever the other rows do. Once the point is
+		// feasible it is σ, which is then complementarity alone — an active
+		// row approached from its slack side, the case a violation-only rule
+		// never sees (viol = 0, ρ never grows, σ falls a few percent per
+		// update). There ρ·s is also what turns the inner solver's noise
+		// into dual movement, so a σ stall counts only when it is signal:
+		// both this σ and the last one above tolerance (a rate needs two
+		// samples; a σ that was within tolerance and stepped out again is
+		// the endgame's wander), and an inner solve that moved (one that
+		// leaves on FISTA's stagnation test at its first opportunity has
+		// resolved nothing a steeper penalty could sharpen). Once σ is
+		// within tolerance ρ stays put.
+		stalled := viol > 0.25*prevViol
+		if viol <= feasTol {
+			stalled = sigma > feasTol && prevSigma > feasTol && sigma > 0.25*prevSigma &&
+				inner.Iters > fista.StagnantLimit
+		}
+		if stalled && rho < maxPenalty {
 			rho *= growth
 		}
-		prevViol = viol
+		prevViol, prevSigma = viol, sigma
 		if innerTol > 1e-10 {
 			innerTol *= 0.2
 		}

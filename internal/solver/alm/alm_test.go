@@ -227,3 +227,110 @@ func TestSolveDualObjectiveMatches(t *testing.T) {
 		t.Errorf("dual objective %g != primal %g (duals %v)", dualObj, res.Objective, res.Duals)
 	}
 }
+
+// TestSlackRowMultiplierGrowsPenalty pins the σ-stall penalty rule on the
+// case the violation-only rule never saw: a primal-feasible start whose
+// warm multiplier sits on a row that is slack at the optimum. Each update
+// sheds only ρ·slack of it, so at a fixed small ρ the multiplier outlives
+// any outer budget; σ = min(slack, y/ρ) stalls, the penalty grows, and
+// the solve ends converged with the multiplier at zero.
+func TestSlackRowMultiplierGrowsPenalty(t *testing.T) {
+	// min (x−1)² s.t. x ≥ 0.5: optimum x = 1, slack 0.5, dual 0.
+	obj := fista.Func(func(x, grad []float64) float64 {
+		if grad != nil {
+			grad[0] = 2 * (x[0] - 1)
+		}
+		return (x[0] - 1) * (x[0] - 1)
+	})
+	p := &Problem{Obj: obj, N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}, Lower: []float64{0}}
+	res, err := Solve(p, Options{
+		Penalty: 1e-3, MaxOuter: 40,
+		WarmX: []float64{1}, WarmDuals: []float64{5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Stop != StopConverged {
+		t.Fatalf("stop %q after %d outer (σ %g, Δobj %g, Δy %g), want converged",
+			res.Stop, res.Outer, res.Sigma, res.RelObjChange, res.DualMove)
+	}
+	if res.Duals[0] != 0 || math.Abs(res.X[0]-1) > 1e-6 {
+		t.Errorf("x = %g, dual = %g, want 1 and 0", res.X[0], res.Duals[0])
+	}
+	if res.Sigma > 1e-7 {
+		t.Errorf("σ = %g at a converged stop, want ≤ FeasTol", res.Sigma)
+	}
+}
+
+// TestStopReasonAtCap checks the classification of a solve cut off at
+// MaxOuter: the first failing test of feasibility, objective, dual.
+func TestStopReasonAtCap(t *testing.T) {
+	p := &Problem{
+		Obj:   linear([]float64{2, 1}),
+		N:     2,
+		Cons:  []Constraint{denseRow([]float64{1, 1}, 3)},
+		Lower: []float64{0, 0},
+	}
+	res, err := Solve(p, Options{MaxOuter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Stop != StopFeasibility {
+		t.Errorf("one outer iteration from zero: stop %q converged %v, want feasibility", res.Stop, res.Converged)
+	}
+	if res.Sigma < res.MaxViolation || res.Sigma == 0 {
+		t.Errorf("σ = %g below the violation %g", res.Sigma, res.MaxViolation)
+	}
+	// A row that never binds: the first outer iteration is feasible, and
+	// with no earlier objective to compare against the objective test is
+	// the one failing.
+	p.Cons[0].RHS = -1
+	res, err = Solve(p, Options{MaxOuter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Stop != StopObjective {
+		t.Errorf("slack row, one outer iteration: stop %q converged %v, want objective", res.Stop, res.Converged)
+	}
+	// Feasible with the objective settled (to a loose ObjTol) while a slack
+	// row still sheds its warm multiplier: the dual test is the one failing.
+	q := &Problem{
+		Obj: fista.Func(func(x, grad []float64) float64 {
+			if grad != nil {
+				grad[0] = 2 * (x[0] - 1)
+			}
+			return (x[0] - 1) * (x[0] - 1)
+		}),
+		N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}, Lower: []float64{0},
+	}
+	res, err = Solve(q, Options{Penalty: 1e-3, MaxOuter: 2, ObjTol: 1e-2,
+		WarmX: []float64{1}, WarmDuals: []float64{5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged || res.Stop != StopDual || res.DualMove <= 1e-6 {
+		t.Errorf("multiplier on a slack row: stop %q converged %v Δy %g, want dual", res.Stop, res.Converged, res.DualMove)
+	}
+	// No rows at all: the inner solver's own verdict.
+	res, err = Solve(&Problem{Obj: q.Obj, N: 1, Lower: []float64{0}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Converged || res.Stop != StopConverged {
+		t.Errorf("unconstrained: stop %q converged %v, want converged", res.Stop, res.Converged)
+	}
+	for stop, want := range map[Stop]string{StopNone: "", StopConverged: "converged",
+		StopFeasibility: "feasibility", StopObjective: "objective", StopDual: "dual"} {
+		if got := stop.String(); got != want {
+			t.Errorf("Stop(%d).String() = %q, want %q", stop, got, want)
+		}
+		// The names are the persisted form: text round-trips by name.
+		var back Stop
+		if text, _ := stop.MarshalText(); string(text) != want || back.UnmarshalText(text) != nil || back != stop {
+			t.Errorf("Stop(%d) text round trip: %q -> %d", stop, text, back)
+		}
+	}
+	if err := new(Stop).UnmarshalText([]byte("stalled")); err == nil {
+		t.Error("unknown stop name decoded")
+	}
+}

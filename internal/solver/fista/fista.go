@@ -36,8 +36,13 @@ var _ Objective = Func(nil)
 type Options struct {
 	// MaxIters bounds the number of accelerated iterations (default 2000).
 	MaxIters int
-	// Tol is the convergence tolerance on the scaled projected-gradient
-	// norm and relative objective change (default 1e-8).
+	// Tol is the stagnation tolerance (default 1e-8): the run stops, with
+	// Result.Converged set, once the relative objective change
+	// |f(x_k) − f(x_{k+1})| / (1+|f(x_k)|) has stayed at or below Tol for
+	// StagnantLimit (5) consecutive iterations. That is the only test —
+	// there is no projected-gradient or gradient-mapping test — so Tol
+	// bounds how fast the objective is still falling, not how far the
+	// point is from stationary.
 	Tol float64
 	// InitStep is the initial step size tried by the backtracking search
 	// (default 1). The search also re-grows the step between iterations,
@@ -87,9 +92,13 @@ func (ws *Workspace) ensure(n int) {
 
 // Result reports the outcome of a minimization.
 type Result struct {
-	X         []float64
-	F         float64
-	Iters     int
+	X     []float64
+	F     float64
+	Iters int
+	// Converged reports that the run ended on the stagnation test of
+	// Options.Tol (or with the step below its floor) rather than at
+	// MaxIters. A run warm-started where steps are tiny — a steep penalty
+	// term, say — stagnates after StagnantLimit iterations wherever it is.
 	Converged bool
 	// FuncEvals counts objective evaluations including line-search trials.
 	FuncEvals int
@@ -107,11 +116,11 @@ const (
 	// shrink that convergence needs measurably more iterations overall.
 	stepGrow = 1.3
 	minStep  = 1e-18
-	// stagnantLimit is the number of consecutive iterations with relative
+	// StagnantLimit is the number of consecutive iterations with relative
 	// objective change below Tol required to declare convergence; a single
 	// flat step is not trusted because accelerated methods are
 	// non-monotone between restarts.
-	stagnantLimit = 5
+	StagnantLimit = 5
 )
 
 // Minimize runs FISTA from x0 and returns the best point found. x0 is not
@@ -249,7 +258,7 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 			tMom = 1
 			copy(y, x)
 			step *= backtrackShrink
-			if stagnant >= stagnantLimit || step < minStep {
+			if stagnant >= StagnantLimit || step < minStep {
 				res.Converged = true
 				break
 			}
@@ -278,7 +287,7 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 		fx = fNew
 		step *= stepGrow
 
-		if stagnant >= stagnantLimit {
+		if stagnant >= StagnantLimit {
 			res.Converged = true
 			break
 		}
