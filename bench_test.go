@@ -1,11 +1,13 @@
 package edgealloc
 
 // One benchmark per figure of the paper's evaluation section. Each runs a
-// reduced-scale reproduction (this is a 1-CPU laptop-class harness; the
-// authors used a 512 GB Xeon server) and reports the headline quantity of
-// the figure as a custom metric, so `go test -bench=.` regenerates every
-// figure's series. cmd/edgesim prints the full row/series tables and
-// EXPERIMENTS.md records paper-vs-measured at larger scales.
+// reduced-scale reproduction (benchParams: 6 users, 5 slots — seconds on
+// any host; the authors used a 512 GB Xeon server) and reports the
+// headline quantity of the figure as a custom metric, so `go test
+// -bench=.` regenerates every figure's series. These report figure
+// quantities, not speed: what a slot costs is `bash bench/run.sh`.
+// cmd/edgesim prints the full row/series tables and EXPERIMENTS.md records
+// paper-vs-measured at larger scales.
 
 import (
 	"fmt"

@@ -47,6 +47,7 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"time"
 	"unicode"
@@ -88,12 +89,12 @@ type Options struct {
 	// its own ragged candidate set and ALM/FISTA workspace) in parallel,
 	// while a sharing-ADMM coordination loop on the per-cloud totals
 	// (internal/solver/shard) carries the reconfiguration regularizer and
-	// the complement/capacity rows and certifies the assembled schedule
-	// primal-feasible and dual-consistent (see shard.go and DESIGN.md
-	// §7e). 0 keeps the single-program paths bitwise unchanged. Composes
-	// with Candidates and FastMath; Solver.Workers bounds the number of
-	// concurrently solving shards, and results are byte-identical for any
-	// worker count.
+	// the capacity rows — a closed-form prox per cloud — and certifies the
+	// assembled schedule primal-feasible and dual-consistent (see shard.go
+	// and DESIGN.md §7e). 0 keeps the single-program paths bitwise
+	// unchanged. Composes with Candidates and FastMath; Solver.Workers
+	// bounds the number of concurrently solving shards, and results are
+	// byte-identical for any worker count.
 	Shards int
 	// ShardRho is the coordination loop's ADMM consensus penalty,
 	// ShardMaxIters its iteration cap, and ShardPrimalTol/ShardDualTol
@@ -217,14 +218,13 @@ type OnlineApprox struct {
 	schedule model.Schedule
 	// duals[t] is slot t's accepted multiplier vector [θ (J) | ρ (I) | ν (I)]:
 	// the multipliers θ'_{j,t} of P2's demand rows, ρ'_{i,t} of the
-	// complement-capacity rows — zero on the single-program paths, which do
-	// not carry those rows; the sharded z-step's otherwise — and ν'_{i,t} of
-	// the explicit capacity rows. The last row is also the next slot's warm
-	// start. The solver's Result.Duals alias workspace memory that a later
-	// (possibly cancelled) solve scribbles over, so a row is copied out only
-	// once its slot succeeded: a Step aborted by context cancellation leaves
-	// the warm state of the next Step exactly as the last successful slot
-	// wrote it.
+	// complement-capacity rows — zero on every path, none of which carries
+	// those rows — and ν'_{i,t} of the explicit capacity rows. The last row
+	// is also the next slot's warm start. The solver's Result.Duals alias
+	// workspace memory that a later (possibly cancelled) solve scribbles
+	// over, so a row is copied out only once its slot succeeded: a Step
+	// aborted by context cancellation leaves the warm state of the next
+	// Step exactly as the last successful slot wrote it.
 	duals [][]float64
 
 	// Per-instance caches, lazily built on the first Step: P2's constraint
@@ -259,7 +259,9 @@ type StepDiag struct {
 	// candidate expansion rounds, excluding schedule bookkeeping).
 	Seconds float64
 	// Outer and Inner are the ALM multiplier updates and FISTA iterations
-	// spent on the slot, summed over candidate expansion rounds.
+	// spent on the slot, summed over candidate expansion rounds; on the
+	// sharded path they sum the block solves (the coordinator's consensus
+	// step is closed-form and iterates nothing).
 	Outer, Inner int
 	// Converged reports whether the final ALM solve met its tolerances.
 	Converged bool
@@ -392,13 +394,33 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	return x, nil
 }
 
+// collectFirstBytes is the size of the schedule a run will retain (T dense
+// I×J decisions) from which ensureInit collects before it allocates.
+const collectFirstBytes = 16 << 20
+
 // ensureInit lazily builds the per-instance caches on the first Step (or
 // on RestoreState): P2's constraint geometry and the objective's entropy
 // constants are slot-independent, and the ALM workspace makes repeated
 // Step calls allocation-free in the solver hot path.
+//
+// A run produces next to no garbage: nearly everything it allocates — the
+// schedule above all — stays live until the run itself is dropped, at which
+// point all of it is garbage at once. Under the runtime's pacer a process
+// that solves instances back to back (experiment repetitions, a daemon's
+// sessions, the benchmark's episodes) therefore peaks anywhere between one
+// and two runs' worth of memory, decided by where in the predecessor the
+// last collection happened to fall: flagship_full's child process (I=50,
+// J=5000, T=15, three runs) peaked at 71–97 MB from one execution to the
+// next, in clusters, and at 62 MB every time with the collection below
+// (DESIGN.md §7). It sits where the predecessor is dead and this run holds
+// nothing yet, costs one mark of the live heap per run, and is skipped for
+// runs too small to matter, which are also the ones created by the thousand.
 func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	if o.obj != nil {
 		return
+	}
+	if 8*in.T*in.I*in.J >= collectFirstBytes {
+		runtime.GC()
 	}
 	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
 	o.obj.workers = o.opts.Solver.Workers
@@ -510,8 +532,8 @@ func allZero(v []float64) bool {
 }
 
 // warmPoint returns the dense point slot t's solve starts from: the
-// previous decision, except that the pruning candidate-set paths and the
-// sharded paths leave the formal model's x_{·,·,0} = 0 from the slot's
+// previous decision, except that the pruning candidate-set paths (sharded
+// or not) leave the formal model's x_{·,·,0} = 0 from the slot's
 // static-cost transportation optimum. A candidate-set user's pairs are
 // seeded from its nearest clouds plus the warm point's support, and from
 // the zero point that is the nearest k < I clouds alone, whose capacities
@@ -521,13 +543,12 @@ func allZero(v []float64) bool {
 // fallback TestSparseMatchesDenseSlotCoupledRome's slot 0 ends 19% above
 // the dense optimum and FuzzCandidateVsDense's seeds 2–33%). The support
 // of any feasible point makes the reduced program feasible; every later
-// slot inherits feasibility from the carried decision's support. The
-// sharded z-step keeps its complement rows, each of which starts violated
-// by the full Λ−C_i at zero. A single program over every pair has neither
-// problem and starts from zero.
+// slot inherits feasibility from the carried decision's support. A program
+// over every pair, single or sharded, has no such problem and starts from
+// zero.
 func (o *OnlineApprox) warmPoint(t int) []float64 {
 	pruned := o.opts.Candidates > 0 && o.opts.Candidates < o.inst.I
-	if t == 0 && (pruned || o.shrd != nil) && allZero(o.prev.X) {
+	if t == 0 && pruned && allZero(o.prev.X) {
 		if warm, err := feasibleWarmStart(o.inst, t); err == nil {
 			return warm
 		}

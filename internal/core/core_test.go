@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"edgealloc/internal/baseline"
@@ -227,5 +228,50 @@ func TestEpsilonAffectsDecisions(t *testing.T) {
 	cBig := totalOf(t, in, sBig)
 	if math.Abs(cTiny-cBig) < 1e-6 {
 		t.Errorf("ε had no effect: %g vs %g", cTiny, cBig)
+	}
+}
+
+// TestLargeRunCollectsFirst pins ensureInit's collection point: a run that
+// will retain collectFirstBytes of schedule forces one collection, at its
+// first Step and at no later one; a run below the size forces none. Not
+// parallel: NumForcedGC is process-wide.
+func TestLargeRunCollectsFirst(t *testing.T) {
+	build := func(nI, nJ, nT int) *model.Instance {
+		capacity, pos := make([]float64, nI), make([]float64, nI)
+		for i := range capacity {
+			capacity[i], pos[i] = 1.5*float64(nJ)/float64(nI), float64(i)
+		}
+		workload := make([]float64, nJ)
+		for j := range workload {
+			workload[j] = 1
+		}
+		attach := make([][]int, nT)
+		for s := range attach {
+			attach[s] = make([]int, nJ)
+			for j := range attach[s] {
+				attach[s][j] = (j + s) % nI
+			}
+		}
+		return cornerInstance(capacity, pos, workload, attach)
+	}
+	forced := func(in *model.Instance) uint32 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		alg := NewOnlineApprox(in, Options{Candidates: 2, FastMath: true})
+		for s := 0; s < 2; s++ {
+			if _, err := alg.Step(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return after.NumForcedGC - before.NumForcedGC
+	}
+	const nI, nJ = 8, 64
+	nT := collectFirstBytes / (8 * nI * nJ)
+	if n := forced(build(nI, nJ, nT)); n != 1 {
+		t.Errorf("run retaining %d bytes forced %d collections, want 1", 8*nT*nI*nJ, n)
+	}
+	if n := forced(build(nI, nJ, nT-1)); n != 0 {
+		t.Errorf("run retaining %d bytes forced %d collections, want 0", 8*(nT-1)*nI*nJ, n)
 	}
 }

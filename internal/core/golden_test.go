@@ -46,8 +46,13 @@ func scheduleDigest(s model.Schedule) string {
 // schedule on one fixed instance. The path-vs-path pins elsewhere cannot
 // see a refactor that shifts both sides of a comparison; these digests
 // can. They must only change with a deliberate, explained numerical change
-// to the path concerned. Last regenerated, every row at once, when the
-// single program dropped its implied complement-capacity rows and
+// to the path concerned. The three Shards rows were last regenerated when
+// the coordinator's z-step became a closed-form prox per cloud (it dropped
+// its implied complement rows and its nested ALM solve, and an unpruned
+// sharded run began slot 0 from the zero point); the six rows without
+// Shards did not move then, which is the proof that deleting alm's
+// complement kernel was bit-neutral. Every row was regenerated at once when
+// the single program dropped its implied complement-capacity rows and
 // alm.Solve began measuring progress on the σ residual (penalty growth on
 // a σ stall once feasible — counted only across two above-tolerance σ and
 // an inner solve that moved — and convergence at σ ≤ FeasTol with a
@@ -75,9 +80,9 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		{"FastMath", Options{FastMath: true},
 			"704ffd070b6a432b48ccdbe0688c66467d09b447c68185e27e90a1060dbf0c00"},
 		{"Shards", Options{Shards: 2},
-			"b2ad9d0de6e04ae06b03b981078f1d81356158398a511b732f5373943def09ba"},
+			"ab90ea2e638538a4c8e310f7c7197cc9d3e8a9f402c87493699e040319b68031"},
 		{"Shards+Candidates+FastMath", Options{Shards: 2, Candidates: 3, FastMath: true},
-			"499897ca9392319d612efd64fc49efc07127536a8097fd208622c866e7d5c3bc"},
+			"4e954f9a5c634f98975f602fc24ea59f60bd103a66390e7fcba2d6fe8ac4e966"},
 		// The incremental rows run the gate loose enough (and the sharded
 		// row its coordination tolerances loose enough to converge) that
 		// slots commit a mix of frozen and re-admitted users.
@@ -87,7 +92,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 			"3751c7f2cad7eecd4836f1d454a60bbf00353d215c566b915df8e02f5e2e3f39"},
 		{"Shards+Incremental", Options{Shards: 3, Incremental: true, IncrementalTol: 0.5,
 			ShardPrimalTol: 1e-3, ShardDualTol: 0.1},
-			"a0cd16b8a272da3d57bfdb31f4aaebffee6769ebfbdf1cd7fdd5e08638a2bdb6"},
+			"2bf35e27b6e049a2ce05da3ff502a4373ac7d6b403a44660e88e60d26e5eb4c1"},
 	} {
 		sched, err := NewOnlineApprox(in, tc.opts).Run()
 		if err != nil {

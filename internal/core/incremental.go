@@ -41,12 +41,11 @@ import (
 //
 //     g_ij = ā_{ij,t} + (ĉ_i/η_i)·ln((X_i+ε₁)/(X'_i+ε₁)) + ν'_i
 //
-//     (the sharded path, whose z-step keeps complement rows, adds their
-//     −(Σ_k ρ'_k − ρ'_i); kktBase computes both),
-//
-//     and the ≥-demand row admits a dual θ_j ≥ 0 with g_ij = θ_j on the
-//     support and g_ij ≥ θ_j off it exactly when every support pair
-//     sits at the column minimum min_i g_ij and that minimum is ≥ 0.
+//     (kktBase computes the per-cloud part, for the single program and
+//     the sharded path alike), and the ≥-demand row admits a dual θ_j ≥ 0
+//     with g_ij = θ_j on the support and g_ij ≥ θ_j off it exactly when
+//     every support pair sits at the column minimum min_i g_ij and that
+//     minimum is ≥ 0.
 //     The gate tests both at IncrementalTol (relative per pair, like
 //     the pricing pass): violators are re-admitted to the active set
 //     with their carryover support seeded, the reduced program is

@@ -133,22 +133,18 @@ func TestIncrementalStationaryFreezes(t *testing.T) {
 	}
 
 	incr := NewOnlineApprox(in, Options{Solver: tightOpts(), Incremental: true, IncrementalTol: 1e-3})
-	sched, err := incr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sched, st := runSummed(t, incr)
 	if err := in.CheckFeasible(sched, feasTol); err != nil {
 		t.Fatalf("incremental schedule infeasible: %v", err)
 	}
-	st := incr.SparseStats()
-	if st.Frozen == 0 {
-		t.Errorf("stationary instance froze no users (stats %+v)", st)
+	if st.FrozenUsers == 0 {
+		t.Errorf("stationary instance froze no users (run totals %+v)", st)
 	}
 	// Late slots must certify entirely from the carried decision: total
 	// frozen user-slots should approach (T-1)·J as the fixed point locks.
-	if st.Frozen < in.J {
+	if st.FrozenUsers < in.J {
 		t.Errorf("only %d frozen user-slots over %d stationary slots of %d users",
-			st.Frozen, in.T-1, in.J)
+			st.FrozenUsers, in.T-1, in.J)
 	}
 
 	full := NewOnlineApprox(in, Options{Solver: tightOpts()})
@@ -175,13 +171,9 @@ func TestIncrementalForcedReadmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	incr := NewOnlineApprox(in, Options{Solver: tightOpts(), Incremental: true, IncrementalTol: 1e-9})
-	is, err := incr.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := incr.SparseStats()
-	if st.Readmitted == 0 {
-		t.Errorf("gate re-admitted no users; soundness path untested (stats %+v)", st)
+	is, st := runSummed(t, incr)
+	if st.ReadmittedUsers == 0 {
+		t.Errorf("gate re-admitted no users; soundness path untested (run totals %+v)", st)
 	}
 	dense := NewOnlineApprox(in, Options{Solver: tightOpts()})
 	ds, err := dense.Run()

@@ -86,14 +86,17 @@ func checkComplementImplied(t *testing.T, name string, in *model.Instance, rows 
 	}
 }
 
-// TestComplementRowsImplied is the property the reduced single program
-// rests on: every point satisfying the rows buildRows emits — demand for
-// the active users, capacity for every cloud — satisfies the paper's
-// complement rows to round-off. It is checked two ways on random
-// instances, on TestDegenerateCornersAcrossTiers' corners (ΣC = Σλ, λ_j >
-// max C_i, I = 1, …) and on incremental states with frozen flow: by the certificate above on the
-// emitted rows of every slot, and by holding every committed decision to
-// p2ComplementRows directly.
+// TestComplementRowsImplied is the property the reduced programs rest on:
+// every point satisfying the rows buildRows emits — demand for the active
+// users, capacity for every cloud — satisfies the paper's complement rows
+// to round-off. It is checked two ways on random instances, on
+// TestDegenerateCornersAcrossTiers' corners (ΣC = Σλ, λ_j > max C_i, I = 1,
+// …) and on incremental states with frozen flow: by the certificate above
+// on the emitted rows of every slot, and by holding every committed
+// decision to p2ComplementRows directly. The sharded tiers, whose
+// coordinator carries capacity on the totals and whose blocks end in an
+// exact demand projection, emit no single row set and are held to the
+// literal rows alone.
 func TestComplementRowsImplied(t *testing.T) {
 	type tc struct {
 		name string
@@ -116,7 +119,10 @@ func TestComplementRowsImplied(t *testing.T) {
 		cases = append(cases,
 			tc{c.name, c.in, Options{}},
 			tc{c.name + "/incremental", c.in, Options{Incremental: true}},
-			tc{c.name + "/candidates+incremental", c.in, Options{Candidates: 1, Incremental: true}})
+			tc{c.name + "/candidates+incremental", c.in, Options{Candidates: 1, Incremental: true}},
+			tc{c.name + "/shards", c.in, Options{Shards: 2}},
+			tc{c.name + "/shards+candidates+incremental+fastmath", c.in,
+				Options{Shards: 2, Candidates: 1, Incremental: true, FastMath: true}})
 	}
 	// Frozen flow at scale: the golden instance's 25% churn leaves most
 	// users frozen on most slots.
@@ -134,12 +140,19 @@ func TestComplementRowsImplied(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s slot %d: %v", c.name, tt, err)
 			}
-			s := alg.single
-			checkComplementImplied(t, c.name, c.in, s.rows, s.frozenTot)
+			if s := alg.single; s != nil {
+				checkComplementImplied(t, c.name, c.in, s.rows, s.frozenTot)
+			}
 			if alg.LastStepDiag().FrozenUsers > 0 {
 				frozenSlots++
 			}
-			if v := maxRowViolation(compl, x.X); v > feasTol {
+			// A single program is feasible to its solver tolerance; a sharded
+			// decision is projected onto demand and capacity exactly.
+			bar := feasTol
+			if alg.shrd != nil {
+				bar = 1e-12
+			}
+			if v := maxRowViolation(compl, x.X); v > bar {
 				t.Errorf("%s slot %d: committed decision violates a complement row by %g", c.name, tt, v)
 			}
 		}

@@ -19,17 +19,17 @@ import (
 // ragged candidate set, with its own ALM/FISTA workspace — in parallel,
 // while the internal/solver/shard coordinator runs a sharing-ADMM loop on
 // the per-cloud totals that carries the reconfiguration regularizer and
-// the complement/capacity rows. The coordination prices play the role the
-// capacity multipliers play in the monolithic solve; on convergence the
-// shard demand duals assemble into θ' and the coordinator's consensus
-// subproblem supplies ρ' and ν' in the standard dual layout, so the
-// certificate and conformance machinery consume the assembled result
-// exactly as they consume the monolithic one.
+// the capacity rows. The coordination prices play the role the capacity
+// multipliers play in the monolithic solve; on convergence the shard
+// demand duals assemble into θ' and the coordinator's consensus step
+// supplies ν' in the standard dual layout (ρ' = 0, as on the single-
+// program paths), so the certificate and conformance machinery consume
+// the assembled result exactly as they consume the monolithic one.
 //
 // Candidate sets (Options.Candidates) compose per shard: each shard seeds
 // its users' nearest-cloud sets plus carryover support, and after the
 // coordination loop converges the same KKT pricing pass as sparse.go
-// re-admits mispriced pruned pairs — using the assembled θ/ρ/ν — and the
+// re-admits mispriced pruned pairs — using the assembled θ/ν — and the
 // coordination resumes warm until no pair prices negative.
 type shardState struct {
 	parts  []shard.Range
@@ -74,9 +74,8 @@ type ShardStats struct {
 	// certified solve.
 	FinalNNZ int
 	// BlockOuter/BlockInner sum the shard subproblems' ALM outer and FISTA
-	// inner iterations; ZOuter/ZInner count the consensus subproblem's.
+	// inner iterations.
 	BlockOuter, BlockInner int
-	ZOuter, ZInner         int
 	// MaxResidual is the final consensus/capacity residual of the most
 	// recent slot, and MaxSeconds the slowest shard's cumulative solve
 	// time on that slot.
@@ -166,26 +165,17 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 			ifaces[si] = s.remotes[si]
 		}
 	}
-	lambda := in.TotalWorkload()
-	complRHS := make([]float64, in.I)
-	for i := 0; i < in.I; i++ {
-		if rhs := lambda - in.Capacity[i]; rhs > 0 {
-			complRHS[i] = rhs
-		}
-	}
 	s.coord = shard.NewCoordinator(in.I, ifaces, shard.Coupling{
 		RcFac:    o.obj.rcFac,
 		PrevTot:  o.obj.prevTot, // rebound in place by o.obj.bind each slot
 		Eps1:     o.opts.Epsilon1,
 		Capacity: in.Capacity,
-		ComplRHS: complRHS,
 	}, shard.Options{
 		Rho:       o.opts.ShardRho,
 		MaxIters:  o.opts.ShardMaxIters,
 		PrimalTol: o.opts.ShardPrimalTol,
 		DualTol:   o.opts.ShardDualTol,
 		Workers:   o.opts.Solver.Workers,
-		Solver:    zStepOptions(o.opts.Solver),
 	})
 	o.shrd = s
 }
@@ -193,30 +183,6 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 // shardRunSeq disambiguates the remote-block IDs of coordinators living
 // in the same process (see initShard).
 var shardRunSeq atomic.Uint64
-
-// zStepOptions derives the coordinator's consensus z-step budget from the
-// block budget. The z-step is an I-dimensional program (one variable per
-// cloud) — orders of magnitude cheaper than any block solve — and the
-// assembled schedule's feasibility rests on its accuracy, so it always
-// gets at least the shard package's tight default budget even when the
-// blocks run under a throughput-tuned (low-iteration) budget.
-func zStepOptions(blk alm.Options) alm.Options {
-	z := blk
-	z.Workers = 0
-	if z.MaxOuter < 40 {
-		z.MaxOuter = 40
-	}
-	if z.InnerIters < 300 {
-		z.InnerIters = 300
-	}
-	if z.FeasTol <= 0 || z.FeasTol > 1e-9 {
-		z.FeasTol = 1e-9
-	}
-	if z.DualTol <= 0 || z.DualTol > 1e-7 {
-		z.DualTol = 1e-7
-	}
-	return z
-}
 
 // solveShard runs slot t's sharded solve: per-shard candidate seeding and
 // packed binds, the coordination loop, and the freeze gate and KKT pricing
@@ -227,8 +193,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	in, s := o.inst, o.shrd
 	var d StepDiag
 
-	// From x_{·,·,0} = 0 all shards start at the slot's demand-tight
-	// transportation optimum (see warmPoint).
 	warmDense := o.warmPoint(t)
 	for _, b := range s.blocks {
 		// Incremental freezing (Options.Incremental): a shard whose whole
@@ -245,7 +209,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	clear(s.blockSecs)
 
 	var cres *shard.Result
-	blockOuter, blockInner, zOuter, zInner := 0, 0, 0, 0
+	blockOuter, blockInner := 0, 0
 	for {
 		d.CandRounds++
 		r, err := s.coord.Solve(ctx)
@@ -256,8 +220,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		d.ShardIters += r.Iters
 		blockOuter += r.BlockOuter
 		blockInner += r.BlockInner
-		zOuter += r.ZOuter
-		zInner += r.ZInner
 		for i, sec := range r.BlockSeconds {
 			s.blockSecs[i] += sec
 		}
@@ -270,10 +232,9 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		lost := s.syncRemotes()
 		// The gate and the pricing pass are the single program's (same
 		// per-column test, same pass), evaluated with the assembled duals —
-		// θ from each user's owning shard, ρ/ν from the consensus
-		// subproblem — and the reconfiguration gradient at the assembled
-		// totals.
-		o.obj.kktBase(s.base, r.Totals, r.RhoDuals, r.NuDuals)
+		// θ from each user's owning shard, ν from the consensus step — and
+		// the reconfiguration gradient at the assembled totals.
+		o.obj.kktBase(s.base, r.Totals, r.NuDuals)
 		thawed := 0
 		if o.opts.Incremental {
 			if !r.Converged {
@@ -315,14 +276,14 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		}
 	}
 
-	// Assemble the decision and the standard dual layout.
+	// Assemble the decision and the standard dual layout; the ρ block is
+	// never written and stays zero.
 	clear(s.xDense)
 	for _, b := range s.blocks {
 		b.scatterInto(s.xDense, in.J, b.rng.Lo, b.warm)
 		copy(s.duals[b.rng.Lo:b.rng.Hi], b.theta)
 		d.CandNNZ += len(b.warm)
 	}
-	copy(s.duals[in.J:in.J+in.I], cres.RhoDuals)
 	copy(s.duals[in.J+in.I:in.J+2*in.I], cres.NuDuals)
 	s.stats.Restored += s.restoreCapacity(in)
 
@@ -346,7 +307,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		d.LogCacheHits += h
 		d.LogCacheMisses += m
 	}
-	d.Outer, d.Inner = blockOuter+zOuter, blockInner+zInner
+	d.Outer, d.Inner = blockOuter, blockInner
 	d.Converged = cres.Converged
 	d.ShardResidual = cres.MaxResidual
 
@@ -359,8 +320,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	st.Frozen += d.FrozenUsers
 	st.BlockOuter += blockOuter
 	st.BlockInner += blockInner
-	st.ZOuter += zOuter
-	st.ZInner += zInner
 	st.FinalNNZ = d.CandNNZ
 	st.MaxResidual = d.ShardResidual
 	st.MaxSeconds = d.ShardMaxSeconds

@@ -97,9 +97,18 @@ func chaosWorker(t *testing.T, restartEvery int64) (*httptest.Server, *atomic.In
 // TestDistributedWorkerRestartMatchesReference is the chaos conformance
 // test: workers that keep losing all hosted state mid-run (restarts
 // strike between solves, between rounds, and across slot boundaries)
-// must leave the run feasible and within 1e-8 of the uninterrupted
-// in-process reference — a restart costs at most one coordination round,
+// must leave the run feasible and on the uninterrupted in-process
+// reference's cost — a restart costs at most one coordination round,
 // which the convergence gates re-derive.
+//
+// What "on" can certify: at shardTestOpts both walks stop at the 400-round
+// coordination cap with a consensus residual of 1e-9…4e-7 per slot, so two
+// walks that differ only in where a round was replayed agree to that
+// residual and no better. The bar that holds for every restart schedule is
+// therefore 1e-7, asserted over seven period pairs (measured 1.0e-8…4.4e-8;
+// ROADMAP 1(a)). The single pair (17, 29) used to carry a 1e-8 bar, which
+// was a draw on that floor: 2.0e-9, 6.2e-9, 1.28e-8 and 1.45e-8 across
+// four bit-level changes to the coordination walk.
 func TestDistributedWorkerRestartMatchesReference(t *testing.T) {
 	t.Parallel()
 	in := distInstance()
@@ -108,26 +117,29 @@ func TestDistributedWorkerRestartMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rc := totalOf(t, in, ref)
 
-	w1, restarts1 := chaosWorker(t, 17)
-	w2, restarts2 := chaosWorker(t, 29)
-	dopts := opts
-	dopts.ShardWorkers = []string{w1.URL, w2.URL}
-	alg := NewOnlineApprox(in, dopts)
-	dist, err := alg.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restarts1.Load()+restarts2.Load() == 0 {
-		t.Fatal("chaos workers never restarted; the test exercised nothing")
-	}
-
-	if rep := conform.Check(in, dist, nil, conform.Options{}); !rep.OK() {
-		t.Fatalf("chaos run broke feasibility: %v", rep.Err())
-	}
-	rc, dc := totalOf(t, in, ref), totalOf(t, in, dist)
-	if d := math.Abs(rc-dc) / (1 + math.Abs(rc)); d > 1e-8 {
-		t.Fatalf("chaos run cost %g vs reference %g (rel %g > 1e-8)", dc, rc, d)
+	for _, periods := range [][2]int64{{17, 29}, {5, 7}, {11, 13}, {3, 50}, {23, 41}, {9, 31}, {13, 19}} {
+		w1, restarts1 := chaosWorker(t, periods[0])
+		w2, restarts2 := chaosWorker(t, periods[1])
+		dopts := opts
+		dopts.ShardWorkers = []string{w1.URL, w2.URL}
+		dist, err := NewOnlineApprox(in, dopts).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if restarts1.Load()+restarts2.Load() == 0 {
+			t.Fatalf("periods %v: chaos workers never restarted; the run exercised nothing", periods)
+		}
+		if rep := conform.Check(in, dist, nil, conform.Options{}); !rep.OK() {
+			t.Fatalf("periods %v: chaos run broke feasibility: %v", periods, rep.Err())
+		}
+		dc := totalOf(t, in, dist)
+		d := math.Abs(rc-dc) / (1 + math.Abs(rc))
+		t.Logf("periods %v: chaos run cost %g vs reference %g (rel %.3g)", periods, dc, rc, d)
+		if d > 1e-7 {
+			t.Errorf("periods %v: chaos run cost %g vs reference %g (rel %g > 1e-7)", periods, dc, rc, d)
+		}
 	}
 }
 

@@ -82,42 +82,6 @@ type singleState struct {
 	packed []float64
 
 	xDense []float64 // dense image of the latest ragged solution
-	stats  SparseStats
-}
-
-// SparseStats counts the work of the candidate-set path for
-// observability; retrieve with OnlineApprox.SparseStats.
-type SparseStats struct {
-	// Slots is the number of slots solved on the candidate path.
-	Slots int
-	// Rounds is the total number of reduced solves; Rounds − Slots is the
-	// number of expansion re-solves the pricing pass triggered.
-	Rounds int
-	// Expanded is the total number of (i, j) pairs re-admitted by pricing.
-	Expanded int
-	// FinalNNZ is Σ_j |K_j| of the most recent certified solve.
-	FinalNNZ int
-	// InnerIters is the total number of FISTA iterations across all
-	// reduced solves — the per-pair work multiplier the reduction divides.
-	InnerIters int
-	// OuterIters is the total number of ALM multiplier updates across all
-	// reduced solves.
-	OuterIters int
-	// Frozen is the total number of users held at their carried decision
-	// across committed slots (Options.Incremental; zero otherwise).
-	Frozen int
-	// Readmitted is the total number of frozen users the soundness gate
-	// re-admitted to the active set (Options.Incremental; zero otherwise).
-	Readmitted int
-}
-
-// SparseStats returns the candidate-set work counters (zero value when
-// the candidate path is disabled).
-func (o *OnlineApprox) SparseStats() SparseStats {
-	if o.single == nil {
-		return SparseStats{}
-	}
-	return o.single.stats
 }
 
 // initSingle builds the per-instance single-program state: the rows, the
@@ -292,7 +256,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 		// budget the duals carry penalty-scaled noise and the relative
 		// tolerances are what absorb it, while under the converged budgets
 		// of the property tests both tests are exact.
-		o.obj.kktBase(s.base, s.tot, s.duals[nJ:nJ+nI], s.duals[nJ+nI:])
+		o.obj.kktBase(s.base, s.tot, s.duals[nJ+nI:])
 		added := priceExpand(o.obj, s.base, s.duals, s.builder, s.actList, 0, o.opts.CandidateTol)
 		readmitted := 0
 		if nAct < nJ {
@@ -313,15 +277,6 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 	if ragged {
 		d.CandRounds, d.CandNNZ = rounds, nnz
 		d.FrozenUsers = nJ - nAct
-		st := &s.stats
-		st.Slots++
-		st.Rounds += d.CandRounds
-		st.Expanded += d.CandExpanded
-		st.FinalNNZ = nnz
-		st.InnerIters += d.Inner
-		st.OuterIters += d.Outer
-		st.Frozen += d.FrozenUsers
-		st.Readmitted += d.ReadmittedUsers
 	}
 	return warmDense, s.duals, d, nil
 }
@@ -348,21 +303,14 @@ func foldComplementDuals(duals []float64, nJ, nI int) {
 	}
 }
 
-// kktBase fills base[i] = rcFac_i·ln((tot_i+ε₁)/(X'_i+ε₁)) − (Σ_k ρ_k −
-// ρ_i) + ν_i: the part of pair (i, j)'s reduced gradient that does not
-// depend on the user. tot are the decision's per-cloud totals; demand row
-// j contributes −θ_j on top, complement rows i'≠i contribute the middle
-// term (zero on the single-program paths, whose ρ is zero; the sharded
-// z-step keeps its complement rows), and the negated capacity row i
-// contributes +ν_i.
-func (d *p2Objective) kktBase(base, tot, rho, nu []float64) {
-	rhoSum := 0.0
-	for _, v := range rho {
-		rhoSum += v
-	}
+// kktBase fills base[i] = rcFac_i·ln((tot_i+ε₁)/(X'_i+ε₁)) + ν_i: the part
+// of pair (i, j)'s reduced gradient that does not depend on the user. tot
+// are the decision's per-cloud totals; demand row j contributes −θ_j on
+// top and the negated capacity row i contributes +ν_i.
+func (d *p2Objective) kktBase(base, tot, nu []float64) {
 	for i := range base {
 		rcln := d.rcFac[i] * math.Log((tot[i]+d.eps1)/(d.prevTot[i]+d.eps1))
-		base[i] = rcln - (rhoSum - rho[i]) + nu[i]
+		base[i] = rcln + nu[i]
 	}
 }
 

@@ -29,6 +29,26 @@ func ultraTightOpts() alm.Options {
 		FeasTol: 1e-10, DualTol: 1e-9, ObjTol: 1e-13}
 }
 
+// runSummed runs alg to the horizon and returns the schedule with the
+// slots' diagnostics summed: the candidate and incremental counters are
+// run totals, CandNNZ is the last slot's.
+func runSummed(t *testing.T, alg *OnlineApprox) (model.Schedule, StepDiag) {
+	t.Helper()
+	var sum StepDiag
+	for tt := 0; tt < alg.inst.T; tt++ {
+		if _, err := alg.Step(tt); err != nil {
+			t.Fatal(err)
+		}
+		d := alg.LastStepDiag()
+		sum.CandRounds += d.CandRounds
+		sum.CandExpanded += d.CandExpanded
+		sum.CandNNZ = d.CandNNZ
+		sum.FrozenUsers += d.FrozenUsers
+		sum.ReadmittedUsers += d.ReadmittedUsers
+	}
+	return alg.Schedule(), sum
+}
+
 // smallRandomInstance builds a random instance small enough (I ≤ 5,
 // J ≤ 5) that the ALM/FISTA stack solves P2 to ~1e-9 relative
 // optimality, which is what lets the certified-equality property be
@@ -106,11 +126,11 @@ func coupledSlotGaps(t *testing.T, in *model.Instance, candidates int, sopts alm
 		fd := obj.Eval(xd.X, nil)
 		fs := obj.Eval(xs.X, nil)
 		gaps = append(gaps, math.Abs(fs-fd)/(1+math.Abs(fd)))
+		if sparse.LastStepDiag().CandRounds == 0 {
+			t.Errorf("slot %d did not run on the candidate path", tt)
+		}
 		// Couple the next slot: both paths continue from the dense decision.
 		copy(sparse.prevBuf, xd.X)
-	}
-	if st := sparse.SparseStats(); st.Slots != in.T {
-		t.Errorf("sparse stats: %d slots, want %d", st.Slots, in.T)
 	}
 	return gaps
 }
@@ -170,16 +190,12 @@ func TestSparseFullRunFeasibleAndCertified(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse := NewOnlineApprox(in, Options{Solver: tightOpts(), Candidates: 2})
-	ss, err := sparse.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ss, st := runSummed(t, sparse)
 	if err := in.CheckFeasible(ss, feasTol); err != nil {
 		t.Fatalf("sparse schedule infeasible: %v", err)
 	}
-	st := sparse.SparseStats()
-	if st.FinalNNZ >= in.I*in.J {
-		t.Errorf("candidate path never pruned: nnz %d of %d", st.FinalNNZ, in.I*in.J)
+	if st.CandNNZ >= in.I*in.J {
+		t.Errorf("candidate path never pruned: nnz %d of %d", st.CandNNZ, in.I*in.J)
 	}
 	dense := NewOnlineApprox(in, Options{Solver: tightOpts()})
 	ds, err := dense.Run()
@@ -249,16 +265,12 @@ func TestSparseForcedExpansion(t *testing.T) {
 		t.Fatal(err)
 	}
 	sparse := NewOnlineApprox(in, Options{Solver: tightOpts(), Candidates: 1})
-	ss, err := sparse.Run()
-	if err != nil {
-		t.Fatal(err)
+	ss, st := runSummed(t, sparse)
+	if st.CandExpanded == 0 {
+		t.Errorf("pricing pass admitted no pairs; expansion loop untested (run totals %+v)", st)
 	}
-	st := sparse.SparseStats()
-	if st.Expanded == 0 {
-		t.Errorf("pricing pass admitted no pairs; expansion loop untested (stats %+v)", st)
-	}
-	if st.Rounds <= st.Slots {
-		t.Errorf("no re-solve rounds recorded (stats %+v)", st)
+	if st.CandRounds <= in.T {
+		t.Errorf("no re-solve rounds recorded (run totals %+v)", st)
 	}
 	dense := NewOnlineApprox(in, Options{Solver: tightOpts()})
 	ds, err := dense.Run()
@@ -328,13 +340,9 @@ func TestSparseFullCandidateSetMatchesDenseExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse := NewOnlineApprox(in, Options{Candidates: in.I})
-	ss, err := sparse.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := sparse.SparseStats(); st.Expanded != 0 || st.Rounds != in.T {
-		t.Errorf("full candidate set expanded: stats %+v", st)
+	ss, st := runSummed(t, NewOnlineApprox(in, Options{Candidates: in.I}))
+	if st.CandExpanded != 0 || st.CandRounds != in.T {
+		t.Errorf("full candidate set expanded: run totals %+v", st)
 	}
 	for tt := range ds {
 		for k := range ds[tt].X {

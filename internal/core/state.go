@@ -33,11 +33,11 @@ type WarmState struct {
 	Schedule [][]float64 `json:"schedule"`
 	// Duals holds one row per solved slot: the multipliers of P2's demand,
 	// complement-capacity, and explicit capacity rows in the
-	// [θ (J) | ρ (I) | ν (I)] layout. The single-program paths write ρ = 0
-	// (they solve demand + capacity only); a state whose ρ is nonzero — a
-	// sharded run's, or one exported before the complement rows were
-	// dropped — is folded into θ and ν when a single-program solve warm-
-	// starts from it (foldComplementDuals), so it restores unchanged.
+	// [θ (J) | ρ (I) | ν (I)] layout. Every path writes ρ = 0 (they solve
+	// demand + capacity only); a state whose ρ is nonzero — one exported
+	// before the complement rows were dropped — is folded into θ and ν
+	// when a single-program solve warm-starts from it
+	// (foldComplementDuals), so it restores unchanged.
 	Duals [][]float64 `json:"duals"`
 }
 

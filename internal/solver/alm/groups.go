@@ -3,22 +3,21 @@ package alm
 import "edgealloc/internal/solver/par"
 
 // This file implements the structured group-sum constraint kernel. Every
-// constraint row of the paper's programs P0–P3 is a *group sum* over an
-// I×J allocation grid (possibly repeated over T slot blocks):
+// constraint row the solvers build is a *group sum* over an I×J
+// allocation grid (possibly repeated over T slot blocks):
 //
 //   - demand rows sum a user's column:        Σ_i x_{ij} ≥ λ_j
 //   - capacity rows sum a cloud's row:       −Σ_j x_{ij} ≥ −C_i
-//   - complement rows sum everything but one
-//     cloud's row:                    Σ_{k≠i} Σ_j x_{kj} ≥ (Λ−C_i)⁺
 //
-// Materialized as generic sparse rows (Constraint) the complement rows
-// alone carry I·(I−1)·J nonzeros, so each augmented-Lagrangian evaluation
-// costs O(I²·J). The structured form computes per-block cloud totals,
-// user totals, and the block grand total once per evaluation — O(I·J) —
-// and derives every row activity from them in O(1); the transpose-
-// gradient contribution of all rows is fused into a single O(I·J) pass
-// using per-cloud and per-user multiplier aggregates (a variable in cloud
-// row i receives Σ_{i'≠i} m_{i'} = M − m_i from the complement rows).
+// (The paper's complement rows Σ_{k≠i} Σ_j x_{kj} ≥ (Λ−C_i)⁺ are implied
+// by these two, DESIGN.md §3b, and no program carries them.) Materialized
+// as generic sparse rows (Constraint) each row costs its nonzeros per
+// augmented-Lagrangian evaluation and carries index and coefficient
+// slices. The structured form computes per-block cloud totals and user
+// totals once per evaluation — O(I·J) — and derives every row activity
+// from them in O(1); the transpose-gradient contribution of all rows is
+// fused into a single O(I·J) pass using per-cloud and per-user multiplier
+// aggregates.
 //
 // The heavy passes are threshold-gated parallel (see internal/solver/par)
 // with per-slot result buffers reduced in index order, so results are
@@ -34,22 +33,19 @@ const (
 	// GroupCloudSumNeg is a capacity-style negated row sum:
 	// −Σ_j x[off+Index·J+j] (Index is a cloud i).
 	GroupCloudSumNeg
-	// GroupComplement is the paper's complement row: the block total minus
-	// cloud Index's row sum, Σ_{k≠Index} Σ_j x[off+k·J+j], coefficient +1.
-	GroupComplement
 )
 
 // GroupRow is one structured inequality row A_k·x ≥ RHS, where A_k is
 // determined by (Block, Kind, Index). Rows carry no index or coefficient
 // slices: their geometry is implicit, so a full constraint set is O(I+J)
-// words per block instead of O(I²·J).
+// words per block instead of O(I·J).
 type GroupRow struct {
 	// Block selects the slot block the row sums over (0 for single-slot
 	// programs; the offline program has one block per slot).
 	Block int
 	// Kind selects the group shape.
 	Kind GroupKind
-	// Index is the user j (GroupUserSum) or cloud i (other kinds).
+	// Index is the user j (GroupUserSum) or cloud i (GroupCloudSumNeg).
 	Index int
 	// RHS is the row's right-hand side b_k.
 	RHS float64
@@ -85,9 +81,9 @@ type Groups struct {
 	RowPtr []int
 	Cols   []int
 
-	// hasUser/hasCompl are set during validation and skip the user-total
-	// and complement passes when the corresponding kinds are absent.
-	hasUser, hasCompl bool
+	// hasUser is set during validation and skips the user-total pass when
+	// no demand row is present.
+	hasUser bool
 }
 
 // ragged reports whether the grid uses the CSR layout.
@@ -97,7 +93,7 @@ func (g *Groups) ragged() bool { return g.RowPtr != nil }
 func (g *Groups) NumRows() int { return len(g.Rows) }
 
 // validate checks the geometry against n variables and caches the
-// kind-presence flags.
+// kind-presence flag.
 func (g *Groups) validate(n int) error {
 	if g.I <= 0 || g.J <= 0 || g.Blocks <= 0 {
 		return errf("groups shape I=%d J=%d Blocks=%d must be positive", g.I, g.J, g.Blocks)
@@ -127,7 +123,7 @@ func (g *Groups) validate(n int) error {
 	} else if g.Blocks*g.I*g.J != n {
 		return errf("groups cover %d variables, problem has %d", g.Blocks*g.I*g.J, n)
 	}
-	g.hasUser, g.hasCompl = false, false
+	g.hasUser = false
 	for k, r := range g.Rows {
 		if r.Block < 0 || r.Block >= g.Blocks {
 			return errf("groups row %d references block %d of %d", k, r.Block, g.Blocks)
@@ -138,12 +134,9 @@ func (g *Groups) validate(n int) error {
 				return errf("groups row %d references user %d of %d", k, r.Index, g.J)
 			}
 			g.hasUser = true
-		case GroupCloudSumNeg, GroupComplement:
+		case GroupCloudSumNeg:
 			if r.Index < 0 || r.Index >= g.I {
 				return errf("groups row %d references cloud %d of %d", k, r.Index, g.I)
-			}
-			if r.Kind == GroupComplement {
-				g.hasCompl = true
 			}
 		default:
 			return errf("groups row %d has unknown kind %d", k, r.Kind)
@@ -162,31 +155,22 @@ var parGrain = 16384
 type groupScratch struct {
 	cloudTot []float64 // Blocks×I row sums
 	userTot  []float64 // Blocks×J column sums
-	blockTot []float64 // Blocks grand totals
 	du       []float64 // Blocks×J summed demand multipliers
 	dcap     []float64 // Blocks×I summed capacity multipliers
-	dcomp    []float64 // Blocks×I summed complement multipliers
-	complSum []float64 // Blocks complement multiplier totals
 }
 
 func (sc *groupScratch) ensure(g *Groups) {
-	bi, bj, b := g.Blocks*g.I, g.Blocks*g.J, g.Blocks
+	bi, bj := g.Blocks*g.I, g.Blocks*g.J
 	if cap(sc.cloudTot) < bi {
 		sc.cloudTot = make([]float64, bi)
 		sc.dcap = make([]float64, bi)
-		sc.dcomp = make([]float64, bi)
 	}
-	sc.cloudTot, sc.dcap, sc.dcomp = sc.cloudTot[:bi], sc.dcap[:bi], sc.dcomp[:bi]
+	sc.cloudTot, sc.dcap = sc.cloudTot[:bi], sc.dcap[:bi]
 	if cap(sc.userTot) < bj {
 		sc.userTot = make([]float64, bj)
 		sc.du = make([]float64, bj)
 	}
 	sc.userTot, sc.du = sc.userTot[:bj], sc.du[:bj]
-	if cap(sc.blockTot) < b {
-		sc.blockTot = make([]float64, b)
-		sc.complSum = make([]float64, b)
-	}
-	sc.blockTot, sc.complSum = sc.blockTot[:b], sc.complSum[:b]
 }
 
 // cloudTotRange fills sc.cloudTot for grid rows [lo, hi). Named (not a
@@ -250,21 +234,11 @@ func (g *Groups) axIntoRagged(x, ax []float64, sc *groupScratch, workers int) {
 			ut[j] += x[k]
 		}
 	}
-	if g.hasCompl {
-		s := 0.0
-		for _, v := range sc.cloudTot[:nI] {
-			s += v
-		}
-		sc.blockTot[0] = s
-	}
 	for k, r := range g.Rows {
-		switch r.Kind {
-		case GroupUserSum:
+		if r.Kind == GroupUserSum {
 			ax[k] = sc.userTot[r.Index]
-		case GroupCloudSumNeg:
+		} else {
 			ax[k] = -sc.cloudTot[r.Index]
-		default: // GroupComplement
-			ax[k] = sc.blockTot[0] - sc.cloudTot[r.Index]
 		}
 	}
 }
@@ -309,30 +283,17 @@ func (g *Groups) axInto(x, ax []float64, sc *groupScratch, workers int) {
 				func(lo, hi int) { g.userTotRange(x, sc, lo, hi) })
 		}
 	}
-	if g.hasCompl {
-		for b := 0; b < g.Blocks; b++ {
-			s := 0.0
-			for _, v := range sc.cloudTot[b*nI : (b+1)*nI] {
-				s += v
-			}
-			sc.blockTot[b] = s
-		}
-	}
 	for k, r := range g.Rows {
-		switch r.Kind {
-		case GroupUserSum:
+		if r.Kind == GroupUserSum {
 			ax[k] = sc.userTot[r.Block*nJ+r.Index]
-		case GroupCloudSumNeg:
+		} else {
 			ax[k] = -sc.cloudTot[r.Block*nI+r.Index]
-		default: // GroupComplement
-			ax[k] = sc.blockTot[r.Block] - sc.cloudTot[r.Block*nI+r.Index]
 		}
 	}
 }
 
 // addGrad accumulates grad −= Σ_k mult[k]·A_k in one fused O(I·J) pass:
-// the variable at (block b, cloud i, user j) receives
-// dcap[b,i] − du[b,j] − (complSum[b] − dcomp[b,i]).
+// the variable at (block b, cloud i, user j) receives dcap[b,i] − du[b,j].
 func (g *Groups) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
 	nI, nJ := g.I, g.J
 	for k := range sc.du {
@@ -340,24 +301,16 @@ func (g *Groups) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
 	}
 	for k := range sc.dcap {
 		sc.dcap[k] = 0
-		sc.dcomp[k] = 0
-	}
-	for b := range sc.complSum {
-		sc.complSum[b] = 0
 	}
 	for k, r := range g.Rows {
 		m := mult[k]
 		if m == 0 {
 			continue
 		}
-		switch r.Kind {
-		case GroupUserSum:
+		if r.Kind == GroupUserSum {
 			sc.du[r.Block*nJ+r.Index] += m
-		case GroupCloudSumNeg:
+		} else {
 			sc.dcap[r.Block*nI+r.Index] += m
-		default: // GroupComplement
-			sc.dcomp[r.Block*nI+r.Index] += m
-			sc.complSum[r.Block] += m
 		}
 	}
 	if g.ragged() {
@@ -377,11 +330,10 @@ func (g *Groups) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
 }
 
 // gradRaggedRange applies the fused gradient pass to ragged cloud rows
-// [lo, hi): packed variable k of cloud r receives
-// dcap[r] − du[Cols[k]] − (complSum − dcomp[r]).
+// [lo, hi): packed variable k of cloud r receives dcap[r] − du[Cols[k]].
 func (g *Groups) gradRaggedRange(grad []float64, sc *groupScratch, lo, hi int) {
 	for r := lo; r < hi; r++ {
-		rowAdd := sc.dcap[r] - (sc.complSum[0] - sc.dcomp[r])
+		rowAdd := sc.dcap[r]
 		gi := grad[g.RowPtr[r]:g.RowPtr[r+1]]
 		cols := g.Cols[g.RowPtr[r]:g.RowPtr[r+1]]
 		if g.hasUser {
@@ -407,11 +359,10 @@ func (g *Groups) gradRaggedRange(grad []float64, sc *groupScratch, lo, hi int) {
 func (g *Groups) gradRange(grad []float64, sc *groupScratch, lo, hi int) {
 	nI, nJ := g.I, g.J
 	for r := lo; r < hi; r++ {
-		b, i := r/nI, r%nI
-		rowAdd := sc.dcap[b*nI+i] - (sc.complSum[b] - sc.dcomp[b*nI+i])
+		rowAdd := sc.dcap[r]
 		gi := grad[r*nJ : (r+1)*nJ]
 		if g.hasUser {
-			du := sc.du[b*nJ : (b+1)*nJ]
+			du := sc.du[r/nI*nJ : (r/nI+1)*nJ]
 			if rowAdd == 0 {
 				for j := range gi {
 					gi[j] -= du[j]

@@ -27,16 +27,6 @@ func denseFromGroups(g *Groups) []Constraint {
 				idx = append(idx, off+r.Index*nJ+j)
 				coef = append(coef, -1)
 			}
-		case GroupComplement:
-			for k := 0; k < nI; k++ {
-				if k == r.Index {
-					continue
-				}
-				for j := 0; j < nJ; j++ {
-					idx = append(idx, off+k*nJ+j)
-					coef = append(coef, 1)
-				}
-			}
 		}
 		cons = append(cons, Constraint{Idx: idx, Coeffs: coef, RHS: r.RHS})
 	}
@@ -44,8 +34,9 @@ func denseFromGroups(g *Groups) []Constraint {
 }
 
 // randomGroups builds a random P2-shaped structured row set: per block,
-// a demand row per user plus a random subset of complement and capacity
-// rows, in that order.
+// a demand row per user, then a capacity row per cloud. Between the two it
+// still consumes the draws that used to pick a random subset of complement
+// rows, so every instance is its pre-PR-23 self minus those rows.
 func randomGroups(rng *rand.Rand) *Groups {
 	g := &Groups{
 		I:      2 + rng.Intn(5),
@@ -59,8 +50,7 @@ func randomGroups(rng *rand.Rand) *Groups {
 		}
 		for i := 0; i < g.I; i++ {
 			if rng.Intn(2) == 0 {
-				g.Rows = append(g.Rows, GroupRow{
-					Block: b, Kind: GroupComplement, Index: i, RHS: rng.Float64()})
+				rng.Float64()
 			}
 		}
 		for i := 0; i < g.I; i++ {
@@ -70,6 +60,18 @@ func randomGroups(rng *rand.Rand) *Groups {
 		}
 	}
 	return g
+}
+
+// capacityOnly drops g's demand rows, leaving a row set with no user sum —
+// the kernels then skip the user-total pass (Groups.hasUser).
+func capacityOnly(g *Groups) {
+	rows := g.Rows[:0]
+	for _, r := range g.Rows {
+		if r.Kind != GroupUserSum {
+			rows = append(rows, r)
+		}
+	}
+	g.Rows = rows
 }
 
 // quad returns a strongly convex separable quadratic Σ c_k (x_k − a_k)²
@@ -89,11 +91,14 @@ func quadObj(n int, rng *rand.Rand) *struct {
 // randomized P2-shaped row sets and random primal/dual points, the
 // structured Lagrangian must agree with the dense-row reference on the
 // objective value, the full gradient, and every row activity (slack) to
-// 1e-10.
+// 1e-10. Every fourth row set carries capacity rows only.
 func TestGroupsLagrangianMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		g := randomGroups(rng)
+		if trial%4 == 3 {
+			capacityOnly(g)
+		}
 		n := g.Blocks * g.I * g.J
 		if err := g.validate(n); err != nil {
 			t.Fatal(err)
@@ -163,56 +168,99 @@ type objFunc func(x, grad []float64) float64
 
 func (f objFunc) Eval(x, grad []float64) float64 { return f(x, grad) }
 
+// slowTailTrial is the one of TestGroupsSolveDualsMatchDense's 25
+// instances (I=2, J=8, three blocks) that sits on ROADMAP 1(a)'s floor:
+// once σ is within tolerance the objective wanders at ~1e-8 relative
+// until one inner solve happens not to move the point. It has its own
+// test and its own cap.
+const slowTailTrial = 5
+
+// solveBothRows draws one random strongly convex program and, unless
+// maxOuter is 0 (draw only), runs the full augmented-Lagrangian loop on it
+// with both row representations, requires both to converge within
+// maxOuter, and holds the primal points and dual multipliers to each
+// other. It returns the two outer counts.
+func solveBothRows(t *testing.T, trial int, rng *rand.Rand, maxOuter int) (structured, dense int) {
+	t.Helper()
+	g := randomGroups(rng)
+	n := g.Blocks * g.I * g.J
+	cons := denseFromGroups(g)
+	q := quadObj(n, rng)
+	if maxOuter == 0 {
+		return 0, 0
+	}
+	obj := objFunc(func(x, grad []float64) float64 {
+		f := 0.0
+		for k := range x {
+			d := x[k] - q.a[k]
+			f += q.c[k] * d * d
+			if grad != nil {
+				grad[k] = 2 * q.c[k] * d
+			}
+		}
+		return f
+	})
+	lower := make([]float64, n)
+	opts := Options{MaxOuter: maxOuter}
+
+	rg, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Groups: g}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Cons: cons}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rg.Converged || !rd.Converged {
+		t.Fatalf("trial %d: converged structured=%v dense=%v (viol %g / %g)",
+			trial, rg.Converged, rd.Converged, rg.MaxViolation, rd.MaxViolation)
+	}
+	if d := math.Abs(rg.Objective-rd.Objective) / (1 + math.Abs(rd.Objective)); d > 1e-6 {
+		t.Errorf("trial %d: objective %g vs dense %g", trial, rg.Objective, rd.Objective)
+	}
+	for k := range rg.X {
+		if d := math.Abs(rg.X[k] - rd.X[k]); d > 1e-5 {
+			t.Errorf("trial %d: x[%d] = %g vs dense %g", trial, k, rg.X[k], rd.X[k])
+		}
+	}
+	for k := range rg.Duals {
+		if d := math.Abs(rg.Duals[k] - rd.Duals[k]); d > 1e-4*(1+math.Abs(rd.Duals[k])) {
+			t.Errorf("trial %d: dual[%d] = %g vs dense %g", trial, k, rg.Duals[k], rd.Duals[k])
+		}
+	}
+	return rg.Outer, rd.Outer
+}
+
 // TestGroupsSolveDualsMatchDense runs the full augmented-Lagrangian loop
 // on randomized strongly convex programs with both row representations
 // and requires the converged primal points and dual multipliers to agree.
 func TestGroupsSolveDualsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
-		g := randomGroups(rng)
-		n := g.Blocks * g.I * g.J
-		cons := denseFromGroups(g)
-		q := quadObj(n, rng)
-		obj := objFunc(func(x, grad []float64) float64 {
-			f := 0.0
-			for k := range x {
-				d := x[k] - q.a[k]
-				f += q.c[k] * d * d
-				if grad != nil {
-					grad[k] = 2 * q.c[k] * d
-				}
-			}
-			return f
-		})
-		lower := make([]float64, n)
-		opts := Options{MaxOuter: 200}
-
-		rg, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Groups: g}, opts)
-		if err != nil {
-			t.Fatal(err)
+		maxOuter := 200
+		if trial == slowTailTrial {
+			maxOuter = 0 // TestGroupsSolveDualsSlowTail
 		}
-		rd, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Cons: cons}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !rg.Converged || !rd.Converged {
-			t.Fatalf("trial %d: converged structured=%v dense=%v (viol %g / %g)",
-				trial, rg.Converged, rd.Converged, rg.MaxViolation, rd.MaxViolation)
-		}
-		if d := math.Abs(rg.Objective-rd.Objective) / (1 + math.Abs(rd.Objective)); d > 1e-6 {
-			t.Errorf("trial %d: objective %g vs dense %g", trial, rg.Objective, rd.Objective)
-		}
-		for k := range rg.X {
-			if d := math.Abs(rg.X[k] - rd.X[k]); d > 1e-5 {
-				t.Errorf("trial %d: x[%d] = %g vs dense %g", trial, k, rg.X[k], rd.X[k])
-			}
-		}
-		for k := range rg.Duals {
-			if d := math.Abs(rg.Duals[k] - rd.Duals[k]); d > 1e-4*(1+math.Abs(rd.Duals[k])) {
-				t.Errorf("trial %d: dual[%d] = %g vs dense %g", trial, k, rg.Duals[k], rd.Duals[k])
-			}
-		}
+		solveBothRows(t, trial, rng, maxOuter)
 	}
+}
+
+// TestGroupsSolveDualsSlowTail pins the instance the 200-iteration cap
+// no longer covers. With its complement rows (before PR 23) both
+// representations converged at outer 199; on demand + capacity rows the
+// structured solve converges at outer 164 and the sparse-row one at 211 —
+// same program, sums in a different order — because on this floor the
+// outer count is decided by which inner solve first leaves the point
+// bit-for-bit unmoved (ROADMAP 1(a)), not by a rate. The agreement bars
+// are the other trials'; the cap is this instance's measured count plus
+// room, so a stop-rule change that lengthens the wander shows up here.
+func TestGroupsSolveDualsSlowTail(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < slowTailTrial; trial++ {
+		solveBothRows(t, trial, rng, 0)
+	}
+	structured, dense := solveBothRows(t, slowTailTrial, rng, 250)
+	t.Logf("outer iterations: structured %d, dense %d", structured, dense)
 }
 
 // TestGroupsParallelByteIdentical pins the determinism contract of the

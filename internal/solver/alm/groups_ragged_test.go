@@ -8,9 +8,9 @@ import (
 )
 
 // randomRagged builds a random ragged CSR layout over an I×J grid with a
-// P2-shaped row set (demand per user, a random subset of complement rows,
-// capacity per cloud). Every user gets at least one candidate cloud so
-// demand rows are satisfiable.
+// P2-shaped row set (demand per user, capacity per cloud). Every user gets
+// at least one candidate cloud so demand rows are satisfiable; a cloud may
+// keep no pair at all.
 func randomRagged(rng *rand.Rand) *Groups {
 	g := &Groups{
 		I:      2 + rng.Intn(5),
@@ -29,10 +29,6 @@ func randomRagged(rng *rand.Rand) *Groups {
 			}
 		}
 	}
-	for i := 0; i < g.I; i++ {
-		member[i][rng.Intn(g.J)] = true // cover every cloud: complement
-		// rows over a grid with empty cloud rows are near-infeasible
-	}
 	g.RowPtr = make([]int, g.I+1)
 	for i := 0; i < g.I; i++ {
 		g.RowPtr[i+1] = g.RowPtr[i]
@@ -47,11 +43,6 @@ func randomRagged(rng *rand.Rand) *Groups {
 		g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: j, RHS: 0.2 + rng.Float64()})
 	}
 	for i := 0; i < g.I; i++ {
-		if rng.Intn(2) == 0 {
-			g.Rows = append(g.Rows, GroupRow{Kind: GroupComplement, Index: i, RHS: rng.Float64()})
-		}
-	}
-	for i := 0; i < g.I; i++ {
 		g.Rows = append(g.Rows, GroupRow{Kind: GroupCloudSumNeg, Index: i,
 			RHS: -(float64(g.J)*0.6 + 2*rng.Float64())})
 	}
@@ -61,7 +52,6 @@ func randomRagged(rng *rand.Rand) *Groups {
 // consFromRagged materializes the generic sparse-row reference of a
 // ragged row set over the packed variable space.
 func consFromRagged(g *Groups) []Constraint {
-	n := g.RowPtr[g.I]
 	cons := make([]Constraint, 0, len(g.Rows))
 	for _, r := range g.Rows {
 		var idx []int
@@ -79,14 +69,6 @@ func consFromRagged(g *Groups) []Constraint {
 				idx = append(idx, k)
 				coef = append(coef, -1)
 			}
-		case GroupComplement:
-			for k := 0; k < n; k++ {
-				if k >= g.RowPtr[r.Index] && k < g.RowPtr[r.Index+1] {
-					continue
-				}
-				idx = append(idx, k)
-				coef = append(coef, 1)
-			}
 		}
 		cons = append(cons, Constraint{Idx: idx, Coeffs: coef, RHS: r.RHS})
 	}
@@ -96,11 +78,15 @@ func consFromRagged(g *Groups) []Constraint {
 // TestRaggedLagrangianMatchesCons is the ragged-kernel property test: on
 // random CSR layouts and random primal/dual points, the structured
 // Lagrangian must agree with the sparse-row reference on the value, the
-// gradient, and every row activity to 1e-10.
+// gradient, and every row activity to 1e-10. Every fourth row set carries
+// capacity rows only.
 func TestRaggedLagrangianMatchesCons(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
 		g := randomRagged(rng)
+		if trial%4 == 3 {
+			capacityOnly(g)
+		}
 		n := g.RowPtr[g.I]
 		if err := g.validate(n); err != nil {
 			t.Fatal(err)

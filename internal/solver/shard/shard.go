@@ -2,18 +2,19 @@
 // the per-slot program P2 (DESIGN.md §7e). P2's objective and constraints
 // couple users only through the I-dimensional vector of per-cloud totals
 // X_i = Σ_j x_ij: the static and migration terms and the demand rows are
-// separable per user, while the reconfiguration regularizer φ_i(X_i), the
-// complement rows Σ_{k≠i} X_k ≥ (Λ−C_i)⁺, and the capacity rows
-// X_i ≤ C_i read only the totals. Splitting the J users into S shards
-// therefore splits P2 into S independent subproblems tied together by one
-// small consensus program:
+// separable per user, while the reconfiguration regularizer φ_i(X_i) and
+// the capacity rows X_i ≤ C_i read only the totals. Splitting the J users
+// into S shards therefore splits P2 into S independent subproblems tied
+// together by one small consensus program:
 //
 //	minimize   Σ_s f_s(x^s) + g(Σ_s T^s(x^s))
 //	subject to demand rows and x ≥ 0 inside each shard,
 //
 // where T^s(x^s) ∈ R^I are shard s's cloud totals, f_s collects its
 // users' static and migration-entropy terms, and g(Z) = Σ_i φ_i(Z_i) plus
-// the indicator of the complement/capacity rows on Z.
+// the indicator of the box 0 ≤ Z_i ≤ C_i. (The paper's complement rows
+// Σ_{k≠i} X_k ≥ (Λ−C_i)⁺ are implied by demand + capacity, DESIGN.md §3b,
+// so the consensus program does not carry them.)
 //
 // The Coordinator runs the scaled sharing-ADMM of Boyd et al. (§7.3) on
 // this split. Each outer iteration:
@@ -22,11 +23,11 @@
 //     c_i^s)² over its demand rows, in parallel, warm-started from its
 //     previous iterate; the targets c^s = T^s + (Z − X̂)/S − u differ
 //     across shards only by their own previous totals.
-//  2. z-step: one I-dimensional solve of g(Z) + (ρ/2S)·‖Z − (X̂+S·u)‖²
-//     under the complement/capacity rows, using the same structured
-//     group kernels (an I×1 grid) and a warm ALM workspace. Its row
-//     multipliers converge to the complement (ρ'_i) and capacity (ν'_i)
-//     duals of the full program.
+//  2. z-step: the prox of g at v = X̂+S·u, min g(Z) + (ρ/2S)·‖Z − v‖².
+//     g is separable, so this is one scalar problem per cloud, solved
+//     exactly (prox): the root of the increasing stationarity function
+//     clamped to [0, C_i]. The multiplier read off the upper
+//     clamp converges to the capacity dual ν'_i of the full program.
 //  3. price update: u ← u + (X̂ − Z)/S. The per-cloud capacity price
 //     every shard trades against is π = ρ·u; at a fixed point each
 //     shard's penalty gradient equals π, which together with the z-step's
@@ -51,7 +52,6 @@ import (
 	"math"
 	"time"
 
-	"edgealloc/internal/solver/alm"
 	"edgealloc/internal/solver/par"
 )
 
@@ -98,7 +98,7 @@ type Block interface {
 
 // Coupling is the data of the coordination (cloud-total) problem: the
 // reconfiguration regularizer φ_i(Z_i) = RcFac_i·((Z_i+ε₁)·ln((Z_i+ε₁)/
-// (PrevTot_i+ε₁)) − Z_i) and the complement/capacity row geometry. The
+// (PrevTot_i+ε₁)) − Z_i) and the capacity rows. The
 // slices are retained, not copied: callers rebind PrevTot's contents at
 // every slot (the previous decision's totals change) without rebuilding
 // the coordinator.
@@ -107,7 +107,6 @@ type Coupling struct {
 	PrevTot  []float64 // X'_i, rebound per slot by the caller
 	Eps1     float64
 	Capacity []float64 // C_i: capacity rows Z_i ≤ C_i
-	ComplRHS []float64 // (Λ−C_i)⁺: complement rows Σ_{k≠i} Z_k ≥ RHS_i
 }
 
 // Options tunes the coordination loop. Zero values select defaults.
@@ -135,12 +134,8 @@ type Options struct {
 	// Totals reduce in shard index order, so results are byte-identical
 	// for any value.
 	Workers int
-	// Solver is the ALM budget of the I-dimensional z-step. Zero fields
-	// take defaults sized for the tiny program (MaxOuter 40, InnerIters
-	// 300, FeasTol 1e-9, DualTol 1e-7).
-	Solver alm.Options
-	// Ctx optionally cancels the loop between iterations and inside the
-	// block/z solves; Solve then returns an error wrapping ctx.Err().
+	// Ctx optionally cancels the loop between iterations; Solve then
+	// returns an error wrapping ctx.Err().
 	Ctx context.Context
 }
 
@@ -157,7 +152,6 @@ func (o Options) withDefaults() Options {
 	if o.DualTol <= 0 {
 		o.DualTol = 1e-6
 	}
-	o.Solver = o.Solver.Or(alm.Options{MaxOuter: 40, InnerIters: 300, FeasTol: 1e-9, DualTol: 1e-7})
 	return o
 }
 
@@ -173,26 +167,25 @@ type Result struct {
 	MaxResidual float64
 	// Totals are the assembled per-cloud totals X̂ = Σ_s T^s.
 	Totals []float64
-	// RhoDuals and NuDuals are the converged multipliers of the
-	// complement and capacity rows, in the same per-cloud order the
-	// unsharded solve records them.
-	RhoDuals, NuDuals []float64
+	// NuDuals are the multipliers of the capacity rows at exit, in the
+	// same per-cloud order the unsharded solve records them.
+	NuDuals []float64
 	// Prices are the per-cloud coordination prices π = ρ·u at exit.
 	Prices []float64
 	// BlockSeconds is each block's cumulative solve wall-time.
 	BlockSeconds []float64
 	// BlockOuter and BlockInner sum the shards' ALM outer and FISTA
-	// inner iterations; ZOuter and ZInner count the z-step's.
+	// inner iterations.
 	BlockOuter, BlockInner int
-	ZOuter, ZInner         int
 }
 
 // Coordinator runs the sharing-ADMM loop over a fixed set of blocks.
-// Warm state (prices, z-iterate, z duals) persists across slots through
-// the BeginSlot/Solve/CommitSlot protocol: BeginSlot copies the warm
-// state into working buffers, Solve (possibly several rounds, when the
-// caller's pricing pass expands candidate sets between rounds) advances
-// the working state, and CommitSlot promotes it. A slot aborted before
+// The prices — the only warm state; the z-iterate is a function of them
+// and the blocks' totals — persist across slots through the
+// BeginSlot/Solve/CommitSlot protocol: BeginSlot copies the committed
+// prices into the working buffer, Solve (possibly several rounds, when
+// the caller's pricing pass expands candidate sets between rounds)
+// advances it, and CommitSlot promotes it. A slot aborted before
 // CommitSlot — a cancelled context — leaves the warm state exactly as
 // the last committed slot wrote it, mirroring the unsharded solver's
 // cancellation contract. A Coordinator must not be shared between
@@ -203,30 +196,20 @@ type Coordinator struct {
 	cpl    Coupling
 	opts   Options
 
-	// Committed warm state (promoted by CommitSlot).
-	uWarm     []float64
-	zWarm     []float64
-	zDualWarm []float64
-	hasWarm   bool
+	uWarm []float64 // committed scaled prices (promoted by CommitSlot)
+	u     []float64 // working scaled prices (seeded by BeginSlot)
 
-	// Working state (seeded by BeginSlot).
-	u, z, zPrev []float64
-	zDuals      []float64
-
-	totals  []float64 // S×I per-block totals
-	xbar    []float64 // assembled totals X̂
-	target  []float64 // S×I x-step targets
-	v       []float64 // z-step prox center X̂ + S·u
-	secs    []float64 // per-block cumulative solve seconds
-	outerS  []int     // per-block ALM outers (reduced in index order)
-	innerS  []int
-	errS    []error
-	prices  []float64
-	zobj    zObjective
-	zgroups alm.Groups
-	zlower  []float64
-	zws     alm.Workspace
-	res     Result
+	z, zPrev []float64 // consensus iterate and its previous value
+	nu       []float64 // capacity multipliers of the latest z-step
+	totals   []float64 // S×I per-block totals
+	xbar     []float64 // assembled totals X̂
+	target   []float64 // S×I x-step targets
+	secs     []float64 // per-block cumulative solve seconds
+	outerS   []int     // per-block ALM outers (reduced in index order)
+	innerS   []int
+	errS     []error
+	prices   []float64
+	res      Result
 }
 
 // NewCoordinator builds a coordinator over the blocks. The Coupling
@@ -235,59 +218,34 @@ type Coordinator struct {
 func NewCoordinator(nI int, blocks []Block, cpl Coupling, opts Options) *Coordinator {
 	opts = opts.withDefaults()
 	S := len(blocks)
-	c := &Coordinator{
-		nI:        nI,
-		blocks:    blocks,
-		cpl:       cpl,
-		opts:      opts,
-		uWarm:     make([]float64, nI),
-		zWarm:     make([]float64, nI),
-		zDualWarm: make([]float64, 2*nI),
-		u:         make([]float64, nI),
-		z:         make([]float64, nI),
-		zPrev:     make([]float64, nI),
-		zDuals:    make([]float64, 2*nI),
-		totals:    make([]float64, S*nI),
-		xbar:      make([]float64, nI),
-		target:    make([]float64, S*nI),
-		v:         make([]float64, nI),
-		secs:      make([]float64, S),
-		outerS:    make([]int, S),
-		innerS:    make([]int, S),
-		errS:      make([]error, S),
-		prices:    make([]float64, nI),
-		zlower:    make([]float64, nI),
+	return &Coordinator{
+		nI:     nI,
+		blocks: blocks,
+		cpl:    cpl,
+		opts:   opts,
+		uWarm:  make([]float64, nI),
+		u:      make([]float64, nI),
+		z:      make([]float64, nI),
+		zPrev:  make([]float64, nI),
+		nu:     make([]float64, nI),
+		totals: make([]float64, S*nI),
+		xbar:   make([]float64, nI),
+		target: make([]float64, S*nI),
+		secs:   make([]float64, S),
+		outerS: make([]int, S),
+		innerS: make([]int, S),
+		errS:   make([]error, S),
+		prices: make([]float64, nI),
 	}
-	// The z program is an I×1 grid, so the complement and capacity rows
-	// reuse the structured group kernels: row i of the grid is Z_i.
-	rows := make([]alm.GroupRow, 0, 2*nI)
-	for i := 0; i < nI; i++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupComplement, Index: i, RHS: cpl.ComplRHS[i]})
-	}
-	for i := 0; i < nI; i++ {
-		rows = append(rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -cpl.Capacity[i]})
-	}
-	c.zgroups = alm.Groups{I: nI, J: 1, Blocks: 1, Rows: rows}
-	c.zobj = zObjective{cpl: &c.cpl, v: c.v}
-	return c
 }
 
-// BeginSlot seeds the working price/consensus state from the committed
-// warm state (zeros before the first committed slot).
-func (c *Coordinator) BeginSlot() {
-	copy(c.u, c.uWarm)
-	copy(c.zDuals, c.zDualWarm)
-	copy(c.z, c.zWarm)
-}
+// BeginSlot seeds the working prices from the committed ones (zeros
+// before the first committed slot).
+func (c *Coordinator) BeginSlot() { copy(c.u, c.uWarm) }
 
-// CommitSlot promotes the working state to the committed warm state; the
-// next BeginSlot starts from it.
-func (c *Coordinator) CommitSlot() {
-	copy(c.uWarm, c.u)
-	copy(c.zDualWarm, c.zDuals)
-	copy(c.zWarm, c.z)
-	c.hasWarm = true
-}
+// CommitSlot promotes the working prices to the committed warm state; the
+// next BeginSlot starts from them.
+func (c *Coordinator) CommitSlot() { copy(c.uWarm, c.u) }
 
 // Solve runs the coordination loop between BeginSlot and CommitSlot. The
 // ctx parameter overrides Options.Ctx for this call (nil keeps it).
@@ -305,8 +263,7 @@ func (c *Coordinator) Solve(ctx context.Context) (*Result, error) {
 	res := &c.res
 	*res = Result{
 		Totals:       c.xbar,
-		RhoDuals:     c.zDuals[:nI],
-		NuDuals:      c.zDuals[nI : 2*nI],
+		NuDuals:      c.nu,
 		Prices:       c.prices,
 		BlockSeconds: c.secs,
 	}
@@ -315,16 +272,14 @@ func (c *Coordinator) Solve(ctx context.Context) (*Result, error) {
 	}
 
 	// Warm totals and an initial feasible z-iterate: the z-step before
-	// the first x-step projects the warm totals onto the capacity/
-	// complement-feasible set under the current prices, so iteration 1's
-	// targets already point every shard at a feasible consensus.
+	// the first x-step projects the warm totals onto the capacity box
+	// under the current prices, so iteration 1's targets already point
+	// every shard at a feasible consensus.
 	for s, b := range c.blocks {
 		b.WarmTotalsInto(c.totals[s*nI : (s+1)*nI])
 	}
 	c.assemble()
-	if err := c.zStep(ctx, fS, res); err != nil {
-		return nil, err
-	}
+	c.zStep()
 
 	maxRes := math.Inf(1)
 	for iter := 0; iter < c.opts.MaxIters; iter++ {
@@ -370,9 +325,7 @@ func (c *Coordinator) Solve(ctx context.Context) (*Result, error) {
 
 		// z-step on the assembled totals, then the price update.
 		copy(c.zPrev, c.z)
-		if err := c.zStep(ctx, fS, res); err != nil {
-			return nil, err
-		}
+		c.zStep()
 		primal, dual := 0.0, 0.0
 		for i := 0; i < nI; i++ {
 			c.u[i] += (c.xbar[i] - c.z[i]) / fS
@@ -408,51 +361,47 @@ func (c *Coordinator) assemble() {
 	}
 }
 
-// zStep solves the I-dimensional consensus program
-// min Σ_i φ_i(Z_i) + (ρ/2S)·‖Z − (X̂ + S·u)‖² under the complement and
-// capacity rows, warm from the working z-iterate and duals.
-func (c *Coordinator) zStep(ctx context.Context, fS float64, res *Result) error {
-	nI := c.nI
-	for i := 0; i < nI; i++ {
-		c.v[i] = c.xbar[i] + fS*c.u[i]
+// zStep solves the consensus program min Σ_i φ_i(Z_i) + (ρ/2S)·‖Z − (X̂ +
+// S·u)‖² over 0 ≤ Z_i ≤ C_i, which is one scalar prox per cloud.
+func (c *Coordinator) zStep() {
+	cpl, fS := &c.cpl, float64(len(c.blocks))
+	k := c.opts.Rho / fS
+	for i := range c.z {
+		v := c.xbar[i] + fS*c.u[i]
+		c.z[i], c.nu[i] = prox(cpl.RcFac[i], cpl.PrevTot[i], cpl.Eps1, k, v, cpl.Capacity[i])
 	}
-	c.zobj.rhoOverS = c.opts.Rho / fS
-	prob := alm.Problem{Obj: &c.zobj, N: nI, Lower: c.zlower, Groups: &c.zgroups}
-	sopts := c.opts.Solver
-	sopts.Workspace = &c.zws
-	sopts.Ctx = ctx
-	sopts.WarmX = c.z
-	sopts.WarmDuals = c.zDuals
-	r, err := alm.Solve(&prob, sopts)
-	if err != nil {
-		return fmt.Errorf("shard: consensus z-step: %w", err)
-	}
-	copy(c.z, r.X)
-	copy(c.zDuals, r.Duals)
-	res.ZOuter += r.Outer
-	res.ZInner += r.InnerIters
-	return nil
 }
 
-// zObjective is the smooth part of the z-step: the reconfiguration
-// regularizer on the per-cloud totals plus the ADMM proximal term.
-type zObjective struct {
-	cpl      *Coupling
-	v        []float64 // prox center, rewritten by zStep per call
-	rhoOverS float64
-}
-
-// Eval implements fista.Objective.
-func (o *zObjective) Eval(x, grad []float64) float64 {
-	cpl := o.cpl
-	f := 0.0
-	for i, z := range x {
-		lg := math.Log((z + cpl.Eps1) / (cpl.PrevTot[i] + cpl.Eps1))
-		d := z - o.v[i]
-		f += cpl.RcFac[i]*((z+cpl.Eps1)*lg-z) + 0.5*o.rhoOverS*d*d
-		if grad != nil {
-			grad[i] = cpl.RcFac[i]*lg + o.rhoOverS*d
+// prox returns the minimizer over [0, capacity] of the one-cloud z-step
+// rcFac·((z+ε₁)·ln((z+ε₁)/(prev+ε₁)) − z) + (k/2)·(z − v)² and the
+// multiplier ν ≥ 0 of z ≤ capacity. The objective is strictly convex with
+// the increasing derivative
+//
+//	g(z) = rcFac·ln((z+ε₁)/(prev+ε₁)) + k·(z − v),
+//
+// so the minimizer is the root of g clamped to the box, and ν = −g(C)
+// where the upper clamp binds. An interior root is bisected on [0, C]
+// until the bracket is two adjacent floats — some sixty evaluations of g,
+// no tolerance — and the left one (g < 0) is returned. prox is a
+// pure function of its arguments and allocates nothing; a NaN argument
+// comes back as ν = NaN.
+func prox(rcFac, prev, eps1, k, v, capacity float64) (z, nu float64) {
+	g := func(z float64) float64 {
+		return rcFac*math.Log((z+eps1)/(prev+eps1)) + k*(z-v)
+	}
+	if gc := g(capacity); !(gc > 0) {
+		return capacity, -gc
+	}
+	if g(0) >= 0 {
+		return 0, 0
+	}
+	lo, hi := 0.0, capacity
+	for mid := lo + (hi-lo)/2; lo < mid && mid < hi; mid = lo + (hi-lo)/2 {
+		if g(mid) < 0 {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
-	return f
+	return lo, 0
 }
