@@ -232,20 +232,17 @@ type OnlineApprox struct {
 	// and the ALM workspace makes repeated Step calls allocation-free in
 	// the solver hot path. obj is the identity-layout objective holding the
 	// slot's dense data; exactly one of single and shrd is the solve state.
-	// prevBuf backs prev across slots, userTot is the repair scratch, and
-	// dualBuf (T rows of J+2I) backs the per-slot dual records, so
-	// steady-state Step allocates only the decision it returns.
-	obj     *p2Objective
-	single  *singleState
-	shrd    *shardState
-	prob    alm.Problem
-	ws      alm.Workspace
-	prevBuf []float64
-	userTot []float64
-	dualBuf []float64
-	// cloudTot is the utilization scratch of the telemetry hook, allocated
-	// on first use so metric-free runs pay nothing.
-	cloudTot []float64
+	// prev is the last committed decision itself (the schedule's row, not a
+	// copy of it), userTot is the repair scratch, and dualBuf (T rows of
+	// J+2I) backs the per-slot dual records, so steady-state Step allocates
+	// only the decision it returns.
+	obj      *p2Objective
+	single   *singleState
+	shrd     *shardState
+	prob     alm.Problem
+	ws       alm.Workspace
+	userTot  []float64
+	dualBuf  []float64
 	lastDiag StepDiag
 }
 
@@ -258,6 +255,17 @@ type StepDiag struct {
 	// Seconds is the wall-clock duration of the P2 solve (including
 	// candidate expansion rounds, excluding schedule bookkeeping).
 	Seconds float64
+	// BindSeconds, CertifySeconds and CommitSeconds are the slot's other
+	// phases: writing the slot's static coefficients before the solve; the
+	// pricing pass and the freeze gate, summed over the rounds (a part of
+	// Seconds; zero on the paths that run neither); and everything that
+	// turns the solution into the committed decision — its allocation and
+	// copy, the repair, the carried totals and the dual record. Bind, solve
+	// and commit add up to the Step's wall time. Omitted from JSON when
+	// zero, like Stop and Residual.
+	BindSeconds    float64 `json:",omitempty"`
+	CertifySeconds float64 `json:",omitempty"`
+	CommitSeconds  float64 `json:",omitempty"`
 	// Outer and Inner are the ALM multiplier updates and FISTA iterations
 	// spent on the slot, summed over candidate expansion rounds; on the
 	// sharded path they sum the block solves (the coordinator's consensus
@@ -342,7 +350,18 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	}
 	in := o.inst
 	o.ensureInit(in)
-	o.obj.bind(in, t, o.prev)
+	bindStart := time.Now()
+	o.obj.bindStatic(in, t)
+
+	// The ragged single-program paths assemble the decision in place, on a
+	// copy of the carried one (solveSingle); the others return solver
+	// scratch that is copied out once the slot has succeeded.
+	copyStart := time.Now()
+	ragged := o.single != nil && o.single.builder != nil
+	var img []float64
+	if ragged {
+		img = append([]float64(nil), o.prev.X...)
+	}
 
 	solveStart := time.Now()
 	var xSrc, duals []float64
@@ -351,22 +370,33 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	if o.shrd != nil {
 		xSrc, duals, diag, err = o.solveShard(ctx, t)
 	} else {
-		xSrc, duals, diag, err = o.solveSingle(ctx, t)
+		xSrc, duals, diag, err = o.solveSingle(ctx, t, img)
 	}
 	if err != nil {
 		return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
 	}
-	diag.Slot, diag.Seconds = t, time.Since(solveStart).Seconds()
 
-	// xSrc and duals alias solver scratch; copy the decision out before
-	// the next Step overwrites them.
-	x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), xSrc...)}
-	in.Repair(x, o.userTot)
-
-	copy(o.prevBuf, x.X)
+	// Commit. Nothing above wrote cross-slot state, so a Step cancelled
+	// there leaves it as the last committed slot did; from here the
+	// returned decision is also the next slot's carried one.
+	commitStart := time.Now()
+	x := model.Alloc{I: in.I, J: in.J, X: xSrc}
+	if ragged {
+		o.single.repairTouched(in, x, o.userTot)
+	} else {
+		x.X = append([]float64(nil), xSrc...)
+		in.Repair(x, o.userTot)
+	}
+	o.prev = x
+	o.obj.carry(x)
 	o.schedule = append(o.schedule, x)
 	o.recordDuals(duals)
+	done := time.Now()
 
+	diag.Slot = t
+	diag.BindSeconds = copyStart.Sub(bindStart).Seconds()
+	diag.Seconds = commitStart.Sub(solveStart).Seconds()
+	diag.CommitSeconds = solveStart.Sub(copyStart).Seconds() + done.Sub(commitStart).Seconds()
 	o.lastDiag = diag
 	if m := o.opts.Metrics; m != nil {
 		d := &o.lastDiag
@@ -381,12 +411,10 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		if o.opts.Incremental {
 			m.ObserveIncremental(d.FrozenUsers, d.ReadmittedUsers, d.Seconds)
 		}
-		if o.cloudTot == nil {
-			o.cloudTot = make([]float64, in.I)
-		}
-		x.CloudTotalsInto(o.cloudTot)
-		for i := 0; i < in.I; i++ {
-			m.SetCloudUtilization(i, o.cloudTot[i]/in.Capacity[i])
+		// The committed decision's per-cloud totals are the next slot's
+		// X'_i, which carry just computed.
+		for i, tot := range o.obj.prevTot {
+			m.SetCloudUtilization(i, tot/in.Capacity[i])
 		}
 	}
 
@@ -429,9 +457,7 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	} else {
 		o.initSingle(in)
 	}
-	o.prevBuf = make([]float64, in.I*in.J)
-	copy(o.prevBuf, o.prev.X)
-	o.prev = model.Alloc{I: in.I, J: in.J, X: o.prevBuf}
+	o.obj.carry(o.prev)
 	o.userTot = make([]float64, in.J)
 	o.dualBuf = make([]float64, in.T*(in.J+2*in.I))
 	o.schedule = make(model.Schedule, 0, in.T)

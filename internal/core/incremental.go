@@ -11,8 +11,8 @@ import (
 // (Options.Incremental). Between consecutive slots typically only a
 // fraction of users change attachment while prices drift smoothly, so
 // the slot-t optimum differs from the carried decision x' only on the
-// affected users' columns. The incremental tier makes the per-slot cost
-// proportional to that churn instead of to J:
+// affected users' columns, and the incremental tier re-solves those
+// alone:
 //
 //  1. Delta detection. User j is active in slot t when its attachment
 //     changed (l_{j,t} ≠ l_{j,t-1}) or there is no committed slot to
@@ -67,6 +67,19 @@ import (
 //
 // All of this is data for the one solve loop in sparse.go: the active
 // mask, the frozen per-cloud flow, and the rows below.
+//
+// What a slot costs. The program, its seeding, the candidate builder and
+// the repair of the committed decision are proportional to the movers:
+// O(I·active). Four passes remain that stream the I×J grid once each,
+// sequentially, because what they compute involves every pair: the static
+// coefficients (a price moves a whole row: one add per pair, the
+// service-quality term cached — p2Objective.bindStatic), the frozen flow
+// and the frozen users' support (frozenFlow), the gate's column minima
+// (gateColumns), and the carried totals X'_i of the committed decision
+// (p2Objective.carry). The fifth is the decision itself: the API returns a
+// dense I×J matrix per slot, so a slot allocates one and copies the carried
+// decision into it (StepCtx) — the only full-grid buffer a committed slot
+// writes beside the coefficients. DESIGN.md §7f has the measured table.
 
 // buildRows recomputes the active list, the frozen per-cloud flow (from
 // the carried decision prev), and the program's structured rows from the
@@ -89,25 +102,18 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	s.actList = s.actList[:0]
 	for j, a := range s.active {
 		if a {
+			s.userPos[j] = len(s.actList)
 			s.actList = append(s.actList, j)
 		}
 	}
 	clear(s.frozenTot)
+	s.frozenSupp = s.frozenSupp[:0]
 	if len(s.actList) < nJ {
-		for i := 0; i < nI; i++ {
-			base := i * nJ
-			f := 0.0
-			for j := 0; j < nJ; j++ {
-				if !s.active[j] {
-					f += prev[base+j]
-				}
-			}
-			s.frozenTot[i] = f
-		}
+		s.frozenSupp = frozenFlow(s.frozenTot, prev, s.active, s.frozenSupp)
 	}
 	s.rows = s.rows[:0]
-	for _, j := range s.actList {
-		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
+	for p, j := range s.actList {
+		s.rows = append(s.rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: p, RHS: in.Workload[j]})
 	}
 	for i := 0; i < nI; i++ {
 		rhs := in.Capacity[i] - s.frozenTot[i]
@@ -121,6 +127,63 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	s.groups.Rows = s.rows
 }
 
+// supportPair names one pair (i, j) with x'_ij > 0.
+type supportPair struct{ i, j int32 }
+
+// frozenFlow streams the carried decision once for the two things the
+// slot needs of its frozen columns. Into dst goes, per cloud, the flow prev
+// carries for the users not marked active: each a sum over those users in
+// ascending order, the order the capacity right-hand sides have always
+// been rounded in (X'_i less the active users' flow is the same number
+// rounded differently). Appended to supp (and returned) are those users'
+// support pairs, which is all of prev the freeze gate reads. Four rows
+// advance abreast for the reason Alloc.CloudTotalsInto gives.
+func frozenFlow(dst, prev []float64, active []bool, supp []supportPair) []supportPair {
+	n := len(active)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0, r1, r2, r3 := prev[i*n:(i+1)*n], prev[(i+1)*n:(i+2)*n], prev[(i+2)*n:(i+3)*n], prev[(i+3)*n:(i+4)*n]
+		var f0, f1, f2, f3 float64
+		for j, a := range active {
+			if a {
+				continue
+			}
+			v0, v1, v2, v3 := r0[j], r1[j], r2[j], r3[j]
+			f0 += v0
+			f1 += v1
+			f2 += v2
+			f3 += v3
+			if v0 > 0 {
+				supp = append(supp, supportPair{int32(i), int32(j)})
+			}
+			if v1 > 0 {
+				supp = append(supp, supportPair{int32(i + 1), int32(j)})
+			}
+			if v2 > 0 {
+				supp = append(supp, supportPair{int32(i + 2), int32(j)})
+			}
+			if v3 > 0 {
+				supp = append(supp, supportPair{int32(i + 3), int32(j)})
+			}
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = f0, f1, f2, f3
+	}
+	for ; i < len(dst); i++ {
+		row, f := prev[i*n:(i+1)*n], 0.0
+		for j, a := range active {
+			if a {
+				continue
+			}
+			f += row[j]
+			if row[j] > 0 {
+				supp = append(supp, supportPair{int32(i), int32(j)})
+			}
+		}
+		dst[i] = f
+	}
+	return supp
+}
+
 // gateFrozen certifies every frozen column against the round's
 // multipliers, recording the certified columns' demand duals. A violator
 // joins the active set with its candidate pairs seeded (nearest clouds
@@ -129,21 +192,62 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 // an earlier round. It returns the number of users re-admitted.
 func (o *OnlineApprox) gateFrozen(t int) int {
 	s := o.single
+	o.obj.gateColumns(s.colMin, s.viol, s.frozenSupp, s.base, o.opts.IncrementalTol)
 	readmitted := 0
 	for j, act := range s.active {
 		if act {
 			continue
 		}
-		theta, viol := o.obj.gateColumn(j, s.base, o.opts.IncrementalTol)
-		if viol {
+		if s.viol[j] {
 			s.active[j] = true
 			o.seedUser(t, j, o.prev.X)
 			readmitted++
-		} else {
-			s.duals[j] = theta
+			continue
 		}
+		s.duals[j] = max(0, s.colMin[j])
 	}
 	return readmitted
+}
+
+// gateColumns is gateColumn for every column of the dense slot data at
+// once, without its J walks down the grid's columns (at stride J every
+// load of a walk is a cache miss). One streaming pass over the rows leaves
+// colMin[j] = min_i g_ij — a minimum is exact, so the order the clouds are
+// taken in cannot change it, and column j's demand dual is
+// max(0, colMin[j]) as gateColumn returns it — and the support pairs
+// listed in supp are then tested against it, pair for pair as gateColumn
+// tests them: viol[j] is set where it reports a violation. supp must hold
+// the support of every column whose verdict is read (frozenFlow).
+func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportPair, base []float64, tol float64) {
+	nJ := d.nJ
+	colMin = colMin[:nJ]
+	b := base[0]
+	for j, c := range d.coef[:nJ] {
+		colMin[j] = c + b
+	}
+	i := 1
+	for ; i+4 <= d.nI; i += 4 {
+		b0, b1, b2, b3 := base[i], base[i+1], base[i+2], base[i+3]
+		r0, r1, r2, r3 := d.coef[i*nJ:(i+1)*nJ], d.coef[(i+1)*nJ:(i+2)*nJ], d.coef[(i+2)*nJ:(i+3)*nJ], d.coef[(i+3)*nJ:(i+4)*nJ]
+		for j, m := range colMin {
+			colMin[j] = min(m, r0[j]+b0, r1[j]+b1, r2[j]+b2, r3[j]+b3)
+		}
+	}
+	for ; i < d.nI; i++ {
+		b = base[i]
+		for j, c := range d.coef[i*nJ : (i+1)*nJ] {
+			colMin[j] = min(colMin[j], c+b)
+		}
+	}
+	clear(viol)
+	for _, e := range supp {
+		c := d.coef[int(e.i)*nJ+int(e.j)]
+		g := c + base[e.i]
+		sc := tol * (1 + math.Abs(c))
+		if g-colMin[e.j] > sc || g < -sc {
+			viol[e.j] = true
+		}
+	}
 }
 
 // gateColumn is the freeze gate's per-column KKT test (see the file

@@ -130,7 +130,7 @@ func coupledPathGaps(t *testing.T, in *model.Instance, ref, alt Options) []float
 		fa := obj.Eval(xa.X, nil)
 		fb := obj.Eval(xb.X, nil)
 		gaps = append(gaps, math.Abs(fb-fa)/(1+math.Abs(fa)))
-		copy(b.prevBuf, xa.X)
+		recouple(b, xa.X)
 	}
 	return gaps
 }

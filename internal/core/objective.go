@@ -52,6 +52,12 @@ type p2Objective struct {
 	prev  []float64 // x'_{ij}
 	mgFac []float64 // wMg·b_i/τ_ij
 
+	// sq[i·J+j] = WSq·d(sqAttach[j], i)/λ_j, the service-quality term of
+	// the static coefficient, kept across slots by the identity layout
+	// (bindStatic).
+	sq       []float64
+	sqAttach []int
+
 	// Entropy total term: rcFac_i·((X_i+ε₁)ln((X_i+ε₁)/(X'_i+ε₁)) − X_i)
 	// with X_i the row sum plus totOff_i (nil: no frozen flow). Ragged
 	// single programs alias the dense objective's rcFac and prevTot.
@@ -117,6 +123,11 @@ func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2O
 	o.rowPtr = make([]int, in.I+1)
 	o.coef = make([]float64, in.I*in.J)
 	o.mgFac = make([]float64, in.I*in.J)
+	o.sq = make([]float64, in.I*in.J)
+	o.sqAttach = make([]int, in.J)
+	for j := range o.sqAttach {
+		o.sqAttach[j] = -1 // no attachment: the first bind fills every column
+	}
 	o.rcFac = make([]float64, in.I)
 	o.prevTot = make([]float64, in.I)
 	for i := 0; i < in.I; i++ {
@@ -145,7 +156,40 @@ func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 floa
 // previous decision: the dense slot data every layout of the slot reads.
 // Evaluating it directly additionally needs prepare.
 func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
-	in.StaticCoeffInto(t, o.coef)
+	o.bindStatic(in, t)
+	o.carry(prev)
+}
+
+// bindStatic writes slot t's static coefficients
+// WOp·a_{i,t} + WSq·d(l_{j,t},i)/λ_j — Instance.StaticCoeffInto's values,
+// bit for bit — without its I·J divisions: the service-quality term of a
+// pair moves only when its user re-attaches, so sq keeps it per pair with
+// the attachment it was computed for, a bind recomputes the columns whose
+// attachment differs (all of them the first time) and the coefficients
+// are one streaming add over the grid. Binding a slot twice, as the retry
+// of a cancelled Step does, finds nothing to recompute.
+func (o *p2Objective) bindStatic(in *model.Instance, t int) {
+	nJ := o.nJ
+	for j, a := range in.Attach[t] {
+		if o.sqAttach[j] == a {
+			continue
+		}
+		o.sqAttach[j] = a
+		for i, d := range in.InterDelay[a] {
+			o.sq[i*nJ+j] = in.WSq * d / in.Workload[j]
+		}
+	}
+	for i, a := range in.OpPrice[t] {
+		coef, sq := o.coef[i*nJ:(i+1)*nJ], o.sq[i*nJ:(i+1)*nJ]
+		for j, q := range sq {
+			coef[j] = in.WOp*a + q
+		}
+	}
+}
+
+// carry makes prev the decision the slot departs from, with its per-cloud
+// totals X'_i.
+func (o *p2Objective) carry(prev model.Alloc) {
 	o.prev = prev.X
 	prev.CloudTotalsInto(o.prevTot)
 }
@@ -211,15 +255,14 @@ func (p *p2Program) gather(d *p2Objective, cs *model.CandidateSet, colLo int, im
 	p.groups.RowPtr, p.groups.Cols = cs.RowPtr, cs.Cols
 }
 
-// scatterInto writes the packed point x into the dense image img at the
-// program's columns [colLo, colLo+nJ); entries outside the layout are
-// left alone.
-func (p *p2Program) scatterInto(img []float64, stride, colLo int, x []float64) {
-	rowPtr, cols := p.obj.rowPtr, p.groups.Cols
-	for i := 0; i < p.obj.nI; i++ {
+// scatterInto writes the point x, packed over the layout cs the program
+// was gathered on, into the dense image img at columns [colLo, colLo+cs.J);
+// entries outside the layout are left alone.
+func scatterInto(img []float64, stride, colLo int, cs *model.CandidateSet, x []float64) {
+	for i := 0; i < cs.I; i++ {
 		base := i*stride + colLo
-		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
-			img[base+cols[k]] = x[k]
+		for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
+			img[base+cs.Cols[k]] = x[k]
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"sync/atomic"
+	"time"
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
@@ -234,6 +235,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		// per-column test, same pass), evaluated with the assembled duals —
 		// θ from each user's owning shard, ν from the consensus step — and
 		// the reconfiguration gradient at the assembled totals.
+		certStart := time.Now()
 		o.obj.kktBase(s.base, r.Totals, r.NuDuals)
 		thawed := 0
 		if o.opts.Incremental {
@@ -259,6 +261,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 				}
 			}
 		}
+		d.CertifySeconds += time.Since(certStart).Seconds()
 		if thawed == 0 && added == 0 && lost == 0 {
 			break
 		}
@@ -280,7 +283,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	// never written and stays zero.
 	clear(s.xDense)
 	for _, b := range s.blocks {
-		b.scatterInto(s.xDense, in.J, b.rng.Lo, b.warm)
+		scatterInto(s.xDense, in.J, b.rng.Lo, &b.cand, b.warm)
 		copy(s.duals[b.rng.Lo:b.rng.Hi], b.theta)
 		d.CandNNZ += len(b.warm)
 	}
@@ -619,7 +622,7 @@ func (b *shardBlock) rebind(o *OnlineApprox) {
 	for i := 0; i < b.obj.nI; i++ {
 		clear(img[i*nJ+b.rng.Lo : i*nJ+b.rng.Hi])
 	}
-	b.scatterInto(img, nJ, b.rng.Lo, b.warm)
+	scatterInto(img, nJ, b.rng.Lo, &b.cand, b.warm)
 	b.builder.Build(&b.cand)
 	b.gather(o.obj, &b.cand, b.rng.Lo, img)
 	b.dirty = false

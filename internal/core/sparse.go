@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"time"
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
@@ -60,17 +61,27 @@ type singleState struct {
 
 	// active marks the users that re-solve this slot and actList lists
 	// them ascending; demand row p of the program is user actList[p].
-	// Everyone is active unless Options.Incremental froze them.
-	active  []bool
-	actList []int
+	// Everyone is active unless Options.Incremental froze them. The solver
+	// sees the active users only, numbered by that position: userPos[j] is
+	// active user j's and userCols the candidate set's users renumbered by
+	// it, so the per-evaluation user scratch of the structured rows
+	// (alm.Groups) is sized to the program, not to J.
+	active   []bool
+	actList  []int
+	userPos  []int
+	userCols []int
 	// committed reports that a slot has committed since construction, so
 	// the carried decision and duals are trustworthy freeze inputs.
 	committed bool
 
-	frozenTot []float64      // F_i: per-cloud flow carried by frozen users
-	tot       []float64      // per-cloud totals of the round's decision
-	base      []float64      // per-cloud gradient term shared by gate and pricing
-	rows      []alm.GroupRow // active demand + capacity rows
+	frozenTot []float64 // F_i: per-cloud flow carried by frozen users
+	// frozenSupp lists the frozen users' support pairs in the carried
+	// decision, collected by the pass that sums frozenTot; the gate tests
+	// them and reads nothing else of it.
+	frozenSupp []supportPair
+	tot        []float64      // per-cloud totals of the round's decision
+	base       []float64      // per-cloud gradient term shared by gate and pricing
+	rows       []alm.GroupRow // active demand + capacity rows
 
 	// duals are the working multipliers in the full [θ | ρ | ν] layout:
 	// seeded from the committed duals, updated by every round (so an
@@ -81,7 +92,13 @@ type singleState struct {
 	duals  []float64
 	packed []float64
 
-	xDense []float64 // dense image of the latest ragged solution
+	// colMin and viol are the freeze gate's per-user scratch (gateColumns).
+	colMin []float64
+	viol   []bool
+	// short lists the users whose committed column still summed below its
+	// demand after the repair; with the slot's active users they are the
+	// columns the next commit repairs (repairTouched).
+	short, visit []int
 }
 
 // initSingle builds the per-instance single-program state: the rows, the
@@ -93,6 +110,7 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 	s := &singleState{
 		active:    make([]bool, in.J),
 		actList:   make([]int, 0, in.J),
+		userPos:   make([]int, in.J),
 		frozenTot: make([]float64, in.I),
 		tot:       make([]float64, in.I),
 		base:      make([]float64, in.I),
@@ -111,7 +129,8 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
 		s.obj.workers = o.opts.Solver.Workers
 		s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
-		s.xDense = make([]float64, in.I*in.J)
+		s.colMin = make([]float64, in.J)
+		s.viol = make([]bool, in.J)
 	} else {
 		s.lower = make([]float64, in.I*in.J)
 		if o.opts.denseRows {
@@ -148,15 +167,20 @@ func (o *OnlineApprox) seedUser(t, j int, x []float64) {
 }
 
 // solveSingle runs slot t's certified single-program solve: seed the
-// layout, then solve, price, and gate until a round changes nothing. It
-// returns the dense decision, the multipliers in the standard [θ | ρ | ν]
-// layout, and the slot's diagnostics; the slices alias solver scratch and
-// are only valid until the next call.
-func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []float64, StepDiag, error) {
+// layout, then solve, price, and gate until a round changes nothing. img
+// is the ragged paths' decision under assembly — a copy of the carried
+// decision that every round's packed solution is scattered into, so
+// frozen columns and pruned pairs keep their carried values and a later
+// round warm-starts from the image of the one before — and nil on the
+// identity layout. It returns the dense decision (img, or the identity
+// layout's solver iterate, valid until the next call), the multipliers in
+// the standard [θ | ρ | ν] layout (solver scratch likewise), and the
+// slot's diagnostics.
+func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.single
 	nI, nJ := in.I, in.J
 	var d StepDiag
-	warmDense := o.warmPoint(t)
+	warm := o.warmPoint(t)
 
 	// The working duals start from the committed ones, the previous slot's
 	// dual record. The incremental tier trusts only duals this object
@@ -176,7 +200,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 		for j := range s.active {
 			s.active[j] = !o.opts.Incremental || !s.committed || in.Attach[t][j] != in.Attach[t-1][j]
 			if s.active[j] {
-				o.seedUser(t, j, warmDense)
+				o.seedUser(t, j, warm)
 			}
 		}
 		s.builder.Build(&s.cand)
@@ -195,17 +219,20 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 		if ragged {
 			nnz = s.cand.NNZ()
 		}
-		// x is the round's dense decision image. With every user frozen
-		// there is no program to solve: the gate tests the carried decision
-		// at the committed prices, and any violation re-enters the loop
-		// with a nonempty active set.
-		x := o.prev.X
+		// With every user frozen there is no program to solve: the gate
+		// tests the carried decision at the committed prices, and any
+		// violation re-enters the loop with a nonempty active set.
 		d.Converged = true
 		copy(s.tot, s.frozenTot)
 		if nAct > 0 {
-			sopts.WarmX = warmDense
+			sopts.WarmX = warm
 			if ragged {
-				s.gather(o.obj, &s.cand, 0, warmDense)
+				s.gather(o.obj, &s.cand, 0, warm)
+				s.userCols = s.userCols[:0]
+				for _, j := range s.cand.Cols {
+					s.userCols = append(s.userCols, s.userPos[j])
+				}
+				s.groups.J, s.groups.Cols = nAct, s.userCols
 				obj.totOff = nil
 				if nAct < nJ {
 					obj.totOff = s.frozenTot
@@ -234,21 +261,14 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 				s.duals[j] = r.Duals[p]
 			}
 			copy(s.duals[nJ+nI:], r.Duals[nAct:])
-			x = r.X
-			if ragged {
-				// Dense image: frozen columns carry the previous decision —
-				// active users' off-candidate entries were zero there — and
-				// the candidate entries take the packed solution.
-				x = s.xDense
-				copy(x, o.prev.X)
-				s.scatterInto(x, nJ, 0, r.X)
-				s.obj.addTotals(s.tot, r.X)
+			if !ragged {
+				img = r.X
+				break
 			}
+			scatterInto(img, nJ, 0, &s.cand, r.X)
+			s.obj.addTotals(s.tot, r.X)
 		}
-		warmDense = x
-		if !ragged {
-			break
-		}
+		warm = img
 
 		// Certify the round: price the active users' pruned pairs and gate
 		// the frozen users' carried columns, both against the multipliers
@@ -256,12 +276,14 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 		// budget the duals carry penalty-scaled noise and the relative
 		// tolerances are what absorb it, while under the converged budgets
 		// of the property tests both tests are exact.
+		certStart := time.Now()
 		o.obj.kktBase(s.base, s.tot, s.duals[nJ+nI:])
 		added := priceExpand(o.obj, s.base, s.duals, s.builder, s.actList, 0, o.opts.CandidateTol)
 		readmitted := 0
 		if nAct < nJ {
 			readmitted = o.gateFrozen(t)
 		}
+		d.CertifySeconds += time.Since(certStart).Seconds()
 		if added == 0 && readmitted == 0 {
 			break
 		}
@@ -278,7 +300,23 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int) ([]float64, []flo
 		d.CandRounds, d.CandNNZ = rounds, nnz
 		d.FrozenUsers = nJ - nAct
 	}
-	return warmDense, s.duals, d, nil
+	return img, s.duals, d, nil
+}
+
+// repairTouched is the model-layer repair of a ragged slot's assembled
+// decision x, on the columns that can need it: the active users', which
+// the slot wrote, and the ones the previous commit left short of their
+// demand. Every other column is the carried decision's, which that commit
+// saw serve its demand, so Instance.Repair would pass over it too
+// (Instance.RepairColumns).
+func (s *singleState) repairTouched(in *model.Instance, x model.Alloc, served []float64) {
+	s.visit = append(s.visit[:0], s.actList...)
+	for _, j := range s.short {
+		if !s.active[j] {
+			s.visit = append(s.visit, j)
+		}
+	}
+	s.short = in.RepairColumns(x, s.visit, served, s.short[:0])
 }
 
 // foldComplementDuals rewrites a [θ | ρ | ν] record whose ρ block is

@@ -99,9 +99,28 @@ func smallRandomInstance(rng *rand.Rand) *model.Instance {
 	return in
 }
 
+// recouple makes a copy of x the decision alg's next slot departs from, as
+// if alg had committed it itself; the coupled-run tests steer two
+// algorithms along one trajectory with it. Everything a commit derives from
+// the decision is derived again: the carried totals, and the columns the
+// next touched-column repair still owes a visit.
+func recouple(alg *OnlineApprox, x []float64) {
+	in := alg.inst
+	alg.prev = model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), x...)}
+	alg.obj.carry(alg.prev)
+	if s := alg.single; s != nil {
+		s.short = s.short[:0]
+		for j, served := range alg.prev.UserTotals() {
+			if in.Workload[j]-served > 0 {
+				s.short = append(s.short, j)
+			}
+		}
+	}
+}
+
 // coupledSlotGaps runs the dense and candidate-set paths over the same
 // instance with the cross-slot drift removed: after each slot the sparse
-// algorithm's previous-decision buffer is overwritten with the dense
+// algorithm's previous decision is replaced by the dense
 // decision, so both paths solve the *identical* P2 program at every
 // slot. It returns the per-slot relative P2-objective gap between the
 // two decisions, measured under an independently constructed objective.
@@ -130,7 +149,7 @@ func coupledSlotGaps(t *testing.T, in *model.Instance, candidates int, sopts alm
 			t.Errorf("slot %d did not run on the candidate path", tt)
 		}
 		// Couple the next slot: both paths continue from the dense decision.
-		copy(sparse.prevBuf, xd.X)
+		recouple(sparse, xd.X)
 	}
 	return gaps
 }

@@ -82,7 +82,8 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 		o.recordDuals(st.Duals[t])
 	}
 	if st.Slot > 0 {
-		copy(o.prevBuf, st.Schedule[st.Slot-1])
+		o.prev = o.schedule[st.Slot-1]
+		o.obj.carry(o.prev)
 	}
 	o.slot = st.Slot
 	return nil

@@ -107,7 +107,7 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("cut %d: pre-cut slot %d: %v", cut, s, err)
 					}
 					if tc.tol > 0 {
-						copy(a.prevBuf, xd[s])
+						recouple(a, xd[s])
 					}
 				}
 				b := NewOnlineApprox(in, tc.opts)
@@ -115,7 +115,7 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 					t.Fatalf("cut %d: restore: %v", cut, err)
 				}
 				if tc.tol > 0 && cut > 0 {
-					copy(b.prevBuf, xd[cut-1])
+					recouple(b, xd[cut-1])
 				}
 				for s := cut; s < in.T; s++ {
 					prevX := append([]float64(nil), a.prev.X...)
@@ -148,8 +148,8 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 					}
 					// Re-couple so later slots measure per-slot agreement, not
 					// accumulated drift.
-					copy(a.prevBuf, xd[s])
-					copy(b.prevBuf, xd[s])
+					recouple(a, xd[s])
+					recouple(b, xd[s])
 				}
 				if sched := b.Schedule(); len(sched) != in.T {
 					t.Fatalf("cut %d: restored run committed %d slots, want %d", cut, len(sched), in.T)

@@ -1,6 +1,9 @@
 package model
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // This file defines the ragged candidate-set index used by the sparse
 // (candidate-set) solving layer of the online algorithm. The per-slot
@@ -78,14 +81,23 @@ func NearestClouds(delay [][]float64, k int) [][]int {
 }
 
 // CandidateBuilder accumulates (cloud, user) memberships for one slot and
-// emits them as a CandidateSet. All buffers are reused across Reset
-// cycles, so the steady-state per-slot cost is O(I·J) scans with no
-// allocation; membership adds are idempotent. A builder must not be
-// shared between goroutines.
+// emits them as a CandidateSet. Beside the membership bitmap it lists the
+// users a pair was added for since the last Reset, and Reset and Build walk
+// only those users' columns: O(I·listed users) each, so a slot that seeds
+// fifty movers out of five thousand users pays for fifty (when every user
+// is listed that is the whole grid, as it must be). All buffers are reused
+// across Reset cycles, so the steady state allocates nothing; membership
+// adds are idempotent. A builder must not be shared between goroutines.
 type CandidateBuilder struct {
 	nI, nJ int
 	member []bool // I×J row-major membership bitmap
-	counts []int  // per-cloud row sizes, reused by Build
+	// users holds each user with a member pair once, listed[j] says j is
+	// on it, and sorted that it is ascending — adds arrive in any order
+	// (a gate re-admission names a user below the movers seeded before
+	// it), and Build emits ascending users, so it sorts first when needed.
+	users  []int
+	listed []bool
+	sorted bool
 }
 
 // NewCandidateBuilder returns a builder for an I×J grid.
@@ -94,19 +106,42 @@ func NewCandidateBuilder(I, J int) *CandidateBuilder {
 		nI:     I,
 		nJ:     J,
 		member: make([]bool, I*J),
-		counts: make([]int, I+1),
+		listed: make([]bool, J),
+		sorted: true,
 	}
 }
 
 // Reset clears every membership.
 func (b *CandidateBuilder) Reset() {
-	for k := range b.member {
-		b.member[k] = false
+	for i := 0; i < b.nI; i++ {
+		row := b.member[i*b.nJ : (i+1)*b.nJ]
+		for _, j := range b.users {
+			row[j] = false
+		}
 	}
+	for _, j := range b.users {
+		b.listed[j] = false
+	}
+	b.users, b.sorted = b.users[:0], true
+}
+
+// list records that user j has a member pair.
+func (b *CandidateBuilder) list(j int) {
+	if b.listed[j] {
+		return
+	}
+	b.listed[j] = true
+	if n := len(b.users); n > 0 && j < b.users[n-1] {
+		b.sorted = false
+	}
+	b.users = append(b.users, j)
 }
 
 // Add marks (cloud i, user j) as a candidate.
-func (b *CandidateBuilder) Add(i, j int) { b.member[i*b.nJ+j] = true }
+func (b *CandidateBuilder) Add(i, j int) {
+	b.member[i*b.nJ+j] = true
+	b.list(j)
+}
 
 // Contains reports whether (cloud i, user j) is currently a candidate.
 func (b *CandidateBuilder) Contains(i, j int) bool { return b.member[i*b.nJ+j] }
@@ -116,6 +151,7 @@ func (b *CandidateBuilder) AddUserSet(j int, clouds []int) {
 	for _, i := range clouds {
 		b.member[i*b.nJ+j] = true
 	}
+	b.list(j)
 }
 
 // Build emits the current memberships into dst, reusing dst's slices when
@@ -123,44 +159,26 @@ func (b *CandidateBuilder) AddUserSet(j int, clouds []int) {
 // can Add more pairs (the expansion loop of the certified solver) and
 // Build again.
 func (b *CandidateBuilder) Build(dst *CandidateSet) {
+	if !b.sorted {
+		slices.Sort(b.users)
+		b.sorted = true
+	}
 	nI, nJ := b.nI, b.nJ
-	counts := b.counts
-	for i := range counts {
-		counts[i] = 0
-	}
-	nnz := 0
-	for i := 0; i < nI; i++ {
-		row := b.member[i*nJ : (i+1)*nJ]
-		c := 0
-		for _, m := range row {
-			if m {
-				c++
-			}
-		}
-		counts[i+1] = c
-		nnz += c
-	}
 	dst.I, dst.J = nI, nJ
 	if cap(dst.RowPtr) < nI+1 {
 		dst.RowPtr = make([]int, nI+1)
 	}
 	dst.RowPtr = dst.RowPtr[:nI+1]
-	dst.RowPtr[0] = 0
+	cols := dst.Cols[:0]
 	for i := 0; i < nI; i++ {
-		dst.RowPtr[i+1] = dst.RowPtr[i] + counts[i+1]
-	}
-	if cap(dst.Cols) < nnz {
-		dst.Cols = make([]int, nnz)
-	}
-	dst.Cols = dst.Cols[:nnz]
-	for i := 0; i < nI; i++ {
+		dst.RowPtr[i] = len(cols)
 		row := b.member[i*nJ : (i+1)*nJ]
-		at := dst.RowPtr[i]
-		for j, m := range row {
-			if m {
-				dst.Cols[at] = j
-				at++
+		for _, j := range b.users {
+			if row[j] {
+				cols = append(cols, j)
 			}
 		}
 	}
+	dst.RowPtr[nI] = len(cols)
+	dst.Cols = cols
 }

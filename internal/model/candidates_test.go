@@ -202,3 +202,95 @@ func TestCandidateBuilderAddSupportAndUserSet(t *testing.T) {
 		}
 	}
 }
+
+// buildFromBitmap is the builder's reference emission: a scan of the whole
+// I×J membership grid in row-major order.
+func buildFromBitmap(member [][]bool) (rowPtr, cols []int) {
+	rowPtr = []int{0}
+	for _, row := range member {
+		for j, m := range row {
+			if m {
+				cols = append(cols, j)
+			}
+		}
+		rowPtr = append(rowPtr, len(cols))
+	}
+	return rowPtr, cols
+}
+
+// TestCandidateBuilderListedUsersMatchBitmapScan holds the builder, which
+// clears and scans only the columns of the users it has listed, to a
+// full-grid bitmap kept beside it, across Reset / Add / Build / Add / Build
+// cycles the way a slot drives it: a batch of seeded users in ascending
+// order, then re-admissions that name users out of order — below, between
+// and among the ones already listed — through both Add and AddUserSet.
+// Contains must agree with the bitmap on every pair, including the pairs of
+// a previous cycle that Reset has to have cleared.
+func TestCandidateBuilderListedUsersMatchBitmapScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(2405))
+	const I, J = 7, 23
+	b := NewCandidateBuilder(I, J)
+	var cs CandidateSet
+	member := make([][]bool, I)
+	for cycle := 0; cycle < 60; cycle++ {
+		b.Reset()
+		for i := range member {
+			member[i] = make([]bool, J)
+		}
+		check := func(stage string) {
+			t.Helper()
+			b.Build(&cs)
+			rowPtr, cols := buildFromBitmap(member)
+			if len(cs.RowPtr) != len(rowPtr) || len(cs.Cols) != len(cols) {
+				t.Fatalf("cycle %d %s: %d row pointers and %d columns, bitmap scan has %d and %d",
+					cycle, stage, len(cs.RowPtr), len(cs.Cols), len(rowPtr), len(cols))
+			}
+			for k := range rowPtr {
+				if cs.RowPtr[k] != rowPtr[k] {
+					t.Fatalf("cycle %d %s: RowPtr = %v, bitmap scan has %v", cycle, stage, cs.RowPtr, rowPtr)
+				}
+			}
+			for k := range cols {
+				if cs.Cols[k] != cols[k] {
+					t.Fatalf("cycle %d %s: Cols = %v, bitmap scan has %v", cycle, stage, cs.Cols, cols)
+				}
+			}
+			for i := 0; i < I; i++ {
+				for j := 0; j < J; j++ {
+					if b.Contains(i, j) != member[i][j] {
+						t.Fatalf("cycle %d %s: Contains(%d,%d) = %v, bitmap has %v",
+							cycle, stage, i, j, b.Contains(i, j), member[i][j])
+					}
+				}
+			}
+		}
+		check("after Reset")
+		// Seeding: ascending users, a nearest-cloud set and some support.
+		for j := rng.Intn(4); j < J; j += 1 + rng.Intn(6) {
+			set := []int{rng.Intn(I), rng.Intn(I)}
+			b.AddUserSet(j, set)
+			for _, i := range set {
+				member[i][j] = true
+			}
+			if rng.Intn(2) == 0 {
+				i := rng.Intn(I)
+				b.Add(i, j)
+				member[i][j] = true
+			}
+		}
+		check("seeded")
+		// Expansion and re-admission rounds, in no order.
+		for round := rng.Intn(3); round >= 0; round-- {
+			for n := rng.Intn(8); n > 0; n-- {
+				i, j := rng.Intn(I), rng.Intn(J)
+				if rng.Intn(3) == 0 {
+					b.AddUserSet(j, []int{i})
+				} else {
+					b.Add(i, j)
+				}
+				member[i][j] = true
+			}
+			check("expanded")
+		}
+	}
+}

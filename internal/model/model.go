@@ -268,11 +268,26 @@ func (a Alloc) CloudTotals() []float64 {
 
 // CloudTotalsInto writes Σ_j x_{i,j} for every cloud into dst, which must
 // have length I. It exists so per-slot hot paths can reuse one buffer.
+// Every total is accumulated left to right from zero. One such sum is a
+// chain of dependent additions that leaves the adder idle three cycles in
+// four, so four rows advance abreast; each chain keeps its own order, and
+// so its bits.
 func (a Alloc) CloudTotalsInto(dst []float64) {
-	for i := 0; i < a.I; i++ {
+	n, i := a.J, 0
+	for ; i+4 <= a.I; i += 4 {
+		r0, r1, r2, r3 := a.X[i*n:(i+1)*n], a.X[(i+1)*n:(i+2)*n], a.X[(i+2)*n:(i+3)*n], a.X[(i+3)*n:(i+4)*n]
+		var s0, s1, s2, s3 float64
+		for j, v := range r0 {
+			s0 += v
+			s1 += r1[j]
+			s2 += r2[j]
+			s3 += r3[j]
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < a.I; i++ {
 		s := 0.0
-		row := a.X[i*a.J : (i+1)*a.J]
-		for _, v := range row {
+		for _, v := range a.X[i*n : (i+1)*n] {
 			s += v
 		}
 		dst[i] = s
@@ -486,6 +501,50 @@ func (in *Instance) Repair(x Alloc, served []float64) {
 			}
 		}
 	}
+}
+
+// RepairColumns is Repair for a caller that knows which columns can need
+// it: it clips and tops up only the listed users' columns, operation for
+// operation as Repair would, and leaves the rest of x unread. Repair is
+// idle on a column it has seen serve its demand, so the two agree bit for
+// bit when cols holds every user whose column changed since the last
+// repair of x's predecessor plus the users that repair returned: a column
+// scaled up to its demand can still sum below it in floating point, and
+// Repair scales such a column again the next time round. Those users are
+// appended to short and returned. cols must not repeat a user; served is
+// scratch of at least len(cols).
+func (in *Instance) RepairColumns(x Alloc, cols []int, served []float64, short []int) []int {
+	served = served[:len(cols)]
+	clear(served)
+	for i := 0; i < in.I; i++ {
+		row := x.X[i*in.J : (i+1)*in.J]
+		for p, j := range cols {
+			v := row[j]
+			if v < 0 {
+				v = 0
+				row[j] = 0
+			}
+			served[p] += v
+		}
+	}
+	for p, j := range cols {
+		if deficit := in.Workload[j] - served[p]; deficit > 0 {
+			if served[p] > 0 {
+				f := in.Workload[j] / served[p]
+				after := 0.0
+				for k := j; k < len(x.X); k += in.J {
+					x.X[k] *= f
+					after += x.X[k]
+				}
+				if in.Workload[j]-after > 0 {
+					short = append(short, j)
+				}
+			} else {
+				x.Set(0, j, in.Workload[j])
+			}
+		}
+	}
+	return short
 }
 
 // Window returns a sub-instance covering slots [t0, t0+n) with the given

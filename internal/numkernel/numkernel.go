@@ -53,17 +53,17 @@ const sqrt2Over2Bits = 0x3fe6a09e667f3bcd
 // log c cancellation — relative accuracy holds all the way into the
 // last ulp of 1 (and log(1) = 0 exactly).
 //
-// logTabBase is the bucket index of m = √2/2: index bits are the
-// exponent's lowest bit and the top 7 mantissa bits, so [√2/2, √2)
-// spans indices 53..181.
-const logTabBase = 53
+// The table is indexed by the exponent's lowest bit and the top 7 mantissa
+// bits directly, (mbits>>45)&0xff, so the loop subtracts no base and needs
+// no bounds check: [√2/2, √2) spans indices logTabLo..logTabHi and the
+// other entries are never read.
+const logTabLo, logTabHi = 53, 181
 
 var logTab = buildLogTab()
 
-func buildLogTab() [129][2]float64 {
-	var tab [129][2]float64
-	for j := range tab {
-		i := j + logTabBase
+func buildLogTab() [256][2]float64 {
+	var tab [256][2]float64
+	for i := logTabLo; i <= logTabHi; i++ {
 		var c float64
 		switch {
 		case i == 127 || i == 128:
@@ -73,48 +73,49 @@ func buildLogTab() [129][2]float64 {
 		default:
 			c = 1 + float64(2*(i-128)+1)/256
 		}
-		tab[j][0] = 1 / c
-		tab[j][1] = math.Log(c)
+		tab[i][0] = 1 / c
+		tab[i][1] = math.Log(c)
 	}
 	return tab
 }
 
-// logSlow reports whether x needs the stdlib's special-case ladder:
-// non-positive (including -0), subnormal, ±Inf, or NaN. Exponent 0 is
-// zero/subnormal; exponent 0x7ff is Inf/NaN; the sign bit covers every
-// negative and -0.
-func logSlow(bits uint64) bool {
-	exp := (bits >> 52) & 0x7ff
-	return exp == 0 || exp == 0x7ff || bits>>63 != 0
-}
-
-// logReduced evaluates log on a positive normal float given its bits,
-// using the branch-free √2-centered reduction and the bucket table.
-func logReduced(bits uint64) float64 {
-	e := int64(bits-sqrt2Over2Bits) >> 52
-	mbits := bits - uint64(e)<<52
-	m := math.Float64frombits(mbits)
-	ent := &logTab[(mbits>>45)&0xff-logTabBase]
-	r := m*ent[0] - 1
-	p := r * (1 + r*(-0.5+r*(1.0/3+r*(-0.25+r*(0.2+r*(-1.0/6))))))
-	k := float64(e)
-	return k*ln2Hi + ((p + ent[1]) + k*ln2Lo)
-}
+// minNormalBits is the bit pattern of the smallest positive normal float
+// and slowSpan the number of patterns from it up to +Inf's: bits −
+// minNormalBits, as an unsigned number, is below slowSpan exactly for the
+// positive normal floats. Zero and the subnormals wrap around to the top,
+// Inf and NaN start at slowSpan, and a set sign bit lands above it, so one
+// compare routes every operand that needs the stdlib's special-case ladder.
+const (
+	minNormalBits = 0x0010000000000000
+	slowSpan      = 0x7fe0000000000000
+)
 
 // LogBatch writes ln(src[i]) into dst[i] for every element. dst and src
 // must have equal length; dst may alias src (the kernel is elementwise).
 // Accuracy and special-value behavior are documented in the package
 // comment.
+//
+// The fast path is written out in the loop body — the √2-centered
+// reduction x = 2^e·m, the bucket's (1/c, log c), the degree-6 polynomial —
+// because a call per element is most of what a batch kernel exists to
+// avoid.
 func LogBatch(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("numkernel: LogBatch length mismatch")
 	}
 	for i, x := range src {
 		bits := math.Float64bits(x)
-		if logSlow(bits) {
+		if bits-minNormalBits >= slowSpan {
 			dst[i] = math.Log(x)
 			continue
 		}
-		dst[i] = logReduced(bits)
+		e := int64(bits-sqrt2Over2Bits) >> 52
+		mbits := bits - uint64(e)<<52
+		m := math.Float64frombits(mbits)
+		ent := &logTab[(mbits>>45)&0xff]
+		r := m*ent[0] - 1
+		p := r * (1 + r*(-0.5+r*(1.0/3+r*(-0.25+r*(0.2+r*(-1.0/6))))))
+		k := float64(e)
+		dst[i] = k*ln2Hi + ((p + ent[1]) + k*ln2Lo)
 	}
 }

@@ -1,4 +1,4 @@
-// Package perf holds the solver micro-kernels: five `go test -bench`
+// Package perf holds the solver micro-kernels: six `go test -bench`
 // benchmarks (`make bench`; compare two runs with benchstat) and
 // TestHotPathAllocs, the tier-1 test that pins each kernel's allocs/op.
 // Both are built from the same kernel constructors (kernels_test.go), so

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"edgealloc/internal/core"
+	"edgealloc/internal/mobility"
 	"edgealloc/internal/model"
 	"edgealloc/internal/numkernel"
 	"edgealloc/internal/scenario"
@@ -107,35 +108,51 @@ func almSolve(tb testing.TB) func() {
 	}
 }
 
-// stepKernel is the OnlineApproxStep kernel: warm per-slot Step calls of
-// the paper's algorithm on a fixed Rome instance — the steady-state hot
-// path of an online deployment. Slot 0 (which builds the per-instance
-// caches and solves a transportation problem for its warm start) belongs
-// to prime, which callers keep off the clock and off the count.
+// stepKernel is a warm-Step kernel: per-slot Step calls of the paper's
+// algorithm on a fixed instance — the steady-state hot path of an online
+// deployment. Slot 0 (which builds the per-instance caches and, on the
+// pruning paths, solves a transportation problem for its warm start)
+// belongs to prime, which callers keep off the clock and off the count.
 type stepKernel struct {
-	tb  testing.TB
-	in  *model.Instance
-	alg *core.OnlineApprox
-	t   int // next slot to step
+	tb   testing.TB
+	in   *model.Instance
+	opts core.Options
+	alg  *core.OnlineApprox
+	t    int // next slot to step
 }
 
+// newStepKernel is the OnlineApproxStep kernel: the default exact path on
+// a Rome instance.
 func newStepKernel(tb testing.TB) *stepKernel {
 	in, _, err := scenario.Rome(scenario.Config{Users: 20, Horizon: 8, Seed: 7})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	k := &stepKernel{tb: tb, in: in}
+	k := &stepKernel{tb: tb, in: in, opts: core.Options{Solver: alm.Options{
+		MaxOuter: 30, InnerIters: 400,
+		FeasTol: 1e-6, DualTol: 1e-3, ObjTol: 1e-7, Penalty: 2}}}
 	k.prime()
 	return k
 }
 
 // prime starts a fresh horizon and runs its slot 0.
 func (k *stepKernel) prime() {
-	k.alg = core.NewOnlineApprox(k.in, core.Options{Solver: alm.Options{
-		MaxOuter: 30, InnerIters: 400,
-		FeasTol: 1e-6, DualTol: 1e-3, ObjTol: 1e-7, Penalty: 2}})
+	k.alg = core.NewOnlineApprox(k.in, k.opts)
 	k.t = 0
 	k.step()
+}
+
+// bench runs warm Steps on the clock, re-priming off it when the horizon
+// runs out.
+func (k *stepKernel) bench(b *testing.B) {
+	benchOp(b, func() {
+		if k.t == k.in.T {
+			b.StopTimer()
+			k.prime()
+			b.StartTimer()
+		}
+		k.step()
+	})
 }
 
 func (k *stepKernel) step() {
@@ -143,6 +160,101 @@ func (k *stepKernel) step() {
 		k.tb.Fatal(err)
 	}
 	k.t++
+}
+
+// churnInstance is a synthetic deployment at the flagship geometry with
+// controlled mobility: clouds on a 100×100 km plane with quadratic
+// distance-derived delays, capacity headroom of 35–115%, operation prices
+// on a ±2% per-slot walk, and exactly ⌈churn·J⌉ users re-attaching per
+// slot (mobility.Churn). The pre-horizon placement is greedy — each user
+// whole on its slot-0 cloud while capacity lasts, then on the nearest
+// cloud with room — so slot 0 starts mid-stream.
+func churnInstance(tb testing.TB, I, J, T int, churn float64, seed int64) *model.Instance {
+	rng := rand.New(rand.NewSource(seed))
+	in := &model.Instance{I: I, J: J, T: T, WOp: 1, WSq: 1, WRc: 1, WMg: 1}
+	xs, ys := make([]float64, I), make([]float64, I)
+	for i := range xs {
+		xs[i], ys[i] = 100*rng.Float64(), 100*rng.Float64()
+	}
+	in.InterDelay = make([][]float64, I)
+	for i := range in.InterDelay {
+		in.InterDelay[i] = make([]float64, I)
+		for k := range in.InterDelay[i] {
+			dx, dy := xs[i]-xs[k], ys[i]-ys[k]
+			in.InterDelay[i][k] = 0.04 * (dx*dx + dy*dy) / 100
+		}
+	}
+	in.Workload = make([]float64, J)
+	total := 0.0
+	for j := range in.Workload {
+		in.Workload[j] = 0.5 + 2*rng.Float64()
+		total += in.Workload[j]
+	}
+	in.Capacity = make([]float64, I)
+	in.ReconfPrice = make([]float64, I)
+	in.MigOutPrice = make([]float64, I)
+	in.MigInPrice = make([]float64, I)
+	in.OpPrice = make([][]float64, T)
+	for t := range in.OpPrice {
+		in.OpPrice[t] = make([]float64, I)
+	}
+	for i := 0; i < I; i++ {
+		in.Capacity[i] = total / float64(I) * (1.35 + 0.8*rng.Float64())
+		in.ReconfPrice[i] = 0.5 + rng.Float64()
+		in.MigOutPrice[i] = 0.2 + 0.6*rng.Float64()
+		in.MigInPrice[i] = 0.2 + 0.6*rng.Float64()
+		in.OpPrice[0][i] = 0.5 + rng.Float64()
+		for t := 1; t < T; t++ {
+			in.OpPrice[t][i] = in.OpPrice[t-1][i] * (1 + 0.02*(2*rng.Float64()-1))
+		}
+	}
+	tr, err := mobility.Churn(mobility.ChurnConfig{Users: J, Horizon: T, Stations: I, Rate: churn}, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	in.Attach, in.AccessDelay = tr.Attach, tr.AccessKm
+
+	free := append([]float64(nil), in.Capacity...)
+	init := model.NewAlloc(I, J)
+	for j, at := range in.Attach[0] {
+		for need := in.Workload[j]; need > 0; {
+			best := at
+			if free[at] <= 0 {
+				best = -1
+				for i := 0; i < I; i++ {
+					if free[i] > 0 && (best < 0 || in.InterDelay[at][i] < in.InterDelay[at][best]) {
+						best = i
+					}
+				}
+			}
+			amt := math.Min(need, free[best])
+			init.X[best*J+j] += amt
+			free[best] -= amt
+			need -= amt
+		}
+	}
+	in.Init = &init
+	if err := in.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	return in
+}
+
+// newIncrementalKernel is the IncrementalStep kernel: warm Steps of the
+// incremental tier (Candidates 4, on a deployment budget) at I=50, J=5000
+// with 1% of the users moving per slot — fifty columns to re-solve beside
+// a 250,000-entry grid, so what the kernel shows is the cost of everything
+// around the solve, and its one allocation is the grid it returns. prime
+// runs the cold slot 0, the one full solve of the horizon.
+func newIncrementalKernel(tb testing.TB) *stepKernel {
+	k := &stepKernel{tb: tb, in: churnInstance(tb, 50, 5000, 12, 0.01, 20140212),
+		opts: core.Options{
+			Solver: alm.Options{MaxOuter: 12, InnerIters: 100,
+				FeasTol: 1e-7, DualTol: 5e-2, ObjTol: 1e-2, Penalty: 2},
+			Candidates: 4, CandidateTol: 1, Incremental: true, IncrementalTol: 1,
+		}}
+	k.prime()
+	return k
 }
 
 // The NumKernel family runs the batch log kernel behind
@@ -190,17 +302,8 @@ func benchOp(b *testing.B, op func()) {
 func BenchmarkFISTASolve(b *testing.B) { benchOp(b, fistaSolve(b)) }
 func BenchmarkALMSolve(b *testing.B)   { benchOp(b, almSolve(b)) }
 
-func BenchmarkOnlineApproxStep(b *testing.B) {
-	k := newStepKernel(b)
-	benchOp(b, func() {
-		if k.t == k.in.T {
-			b.StopTimer()
-			k.prime()
-			b.StartTimer()
-		}
-		k.step()
-	})
-}
+func BenchmarkOnlineApproxStep(b *testing.B) { newStepKernel(b).bench(b) }
+func BenchmarkIncrementalStep(b *testing.B)  { newIncrementalKernel(b).bench(b) }
 
 // BenchmarkNumKernel exposes the fast-math kernel family; use
 // -bench 'NumKernel/LogBatch$' to pick one kernel.
@@ -215,14 +318,15 @@ func BenchmarkNumKernel(b *testing.B) {
 // ceilings with slack: raise one only with a comment naming the
 // toolchain in the CI matrix that differs.
 func TestHotPathAllocs(t *testing.T) {
-	step := newStepKernel(t)
+	step, incr := newStepKernel(t), newIncrementalKernel(t)
 	kernels := append([]kernel{
 		{"OnlineApproxStep", step.step, 1},
+		{"IncrementalStep", incr.step, 1},
 		{"FISTASolve", fistaSolve(t), 0},
 		{"ALMSolve", almSolve(t), 0},
 	}, numKernels()...)
 	// AllocsPerRun makes one uncounted warm-up call, which together with
-	// slot 0 in prime leaves T−2 warm Steps of the horizon to count.
+	// slot 0 in prime leaves T−2 warm Steps of the shorter horizon to count.
 	runs := step.in.T - 2
 	for _, k := range kernels {
 		if got := testing.AllocsPerRun(runs, k.op); got != k.allocs {

@@ -247,6 +247,12 @@ type solveDiag struct {
 	// when no such solve ran (sharded sessions, all-frozen slots).
 	Stop     alm.Stop `json:"stop,omitempty"`
 	Residual float64  `json:"residual,omitempty"`
+	// The slot's phases beside Seconds (core.StepDiag): binding the slot's
+	// coefficients before the solve, pricing and gating within it, and
+	// committing the decision after it.
+	BindSeconds    float64 `json:"bindSeconds,omitempty"`
+	CertifySeconds float64 `json:"certifySeconds,omitempty"`
+	CommitSeconds  float64 `json:"commitSeconds,omitempty"`
 }
 
 func diagDTO(d core.StepDiag) solveDiag {
@@ -264,6 +270,9 @@ func diagDTO(d core.StepDiag) solveDiag {
 		ReadmittedUsers: d.ReadmittedUsers,
 		Stop:            d.Stop,
 		Residual:        d.Residual,
+		BindSeconds:     d.BindSeconds,
+		CertifySeconds:  d.CertifySeconds,
+		CommitSeconds:   d.CommitSeconds,
 	}
 }
 
