@@ -48,11 +48,13 @@ bench-module:
 
 # The experiment engine runs (case, rep, algorithm) units on a worker
 # pool; every test runs under the race detector to keep it honest. The
-# detector slows the solver-heavy packages 10-17x (internal/core takes
-# ~7 min on a 2-vCPU container — ~30 s plain — with its eleven slowest
-# tests under t.Parallel(); ~20 min before the single program dropped its
-# implied complement rows), so give each package far more than the 10m
-# default before go test declares a hang.
+# detector slows the solver-heavy packages 10-25x (internal/core takes
+# ~6 min on a 2-vCPU container — ~15 s plain — with its eleven slowest
+# tests under t.Parallel(); what is left is mostly the FISTA reference
+# runs the property tests compare against: the structured paths they check
+# solve with the Newton inner solver and finish in a fraction of that), so
+# give each package far more than the 10m default before go test declares
+# a hang.
 race:
 	$(GO) test -race -timeout 60m ./...
 
@@ -75,6 +77,8 @@ fuzz:
 	@$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/serve/
 	@echo "== FuzzShardRPCCodec ($(FUZZTIME)) =="
 	@$(GO) test -run '^$$' -fuzz '^FuzzShardRPCCodec$$' -fuzztime $(FUZZTIME) ./internal/solver/shardrpc/
+	@echo "== FuzzNewtonVsFista ($(FUZZTIME)) =="
+	@$(GO) test -run '^$$' -fuzz '^FuzzNewtonVsFista$$' -fuzztime $(FUZZTIME) ./internal/solver/alm/
 
 # Coverage with per-package floors on the guarantee-bearing packages
 # (scripts/cover.sh; floors recorded in DESIGN.md §8).

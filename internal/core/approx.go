@@ -86,7 +86,7 @@ type Options struct {
 	// Shards > 0 enables the user-sharded dual-decomposition path: the J
 	// users are split into Shards contiguous shards, each solving its
 	// reduced P2 (static + migration + demand rows over its own users, on
-	// its own ragged candidate set and ALM/FISTA workspace) in parallel,
+	// its own ragged candidate set and ALM workspace) in parallel,
 	// while a sharing-ADMM coordination loop on the per-cloud totals
 	// (internal/solver/shard) carries the reconfiguration regularizer and
 	// the capacity rows — a closed-form prox per cloud — and certifies the
@@ -165,7 +165,7 @@ type Options struct {
 	// reproducibility against the default path. Off by default.
 	FastMath bool
 	// Metrics optionally records per-slot solver telemetry (solve latency,
-	// ALM/FISTA iteration counts, candidate-set expansion work, per-cloud
+	// ALM outer and inner iteration counts, candidate-set expansion work, per-cloud
 	// utilization) into the shared instrument bundle. Nil records nothing;
 	// recording never changes results.
 	Metrics *telemetry.SolverMetrics
@@ -266,7 +266,8 @@ type StepDiag struct {
 	BindSeconds    float64 `json:",omitempty"`
 	CertifySeconds float64 `json:",omitempty"`
 	CommitSeconds  float64 `json:",omitempty"`
-	// Outer and Inner are the ALM multiplier updates and FISTA iterations
+	// Outer and Inner are the ALM multiplier updates and inner-solver
+	// iterations (projected Newton steps; FISTA iterations on denseRows)
 	// spent on the slot, summed over candidate expansion rounds; on the
 	// sharded path they sum the block solves (the coordinator's consensus
 	// step is closed-form and iterates nothing).
@@ -305,6 +306,14 @@ type StepDiag struct {
 	// ("objective"), not by the constant's value.
 	Stop     alm.Stop `json:",omitempty"`
 	Residual float64  `json:",omitempty"`
+	// Stationarity says how stationary that solve left its point: the
+	// projected-gradient norm ‖x − P(x − ∇L)‖∞ of the augmented Lagrangian
+	// at the returned point under the final multipliers, relative to 1+|L|
+	// (alm.Result.ProjGrad). A converged solve has it within the solver's
+	// FeasTol; at the outer or inner cap it says how far short the slot
+	// fell. Zero, and omitted from JSON, where Stop and Residual are, and on
+	// the sparse-row reference path, whose FISTA inner solve measures none.
+	Stationarity float64 `json:",omitempty"`
 }
 
 // NewOnlineApprox prepares a run over a validated instance. A nil
@@ -332,7 +341,7 @@ func (o *OnlineApprox) Step(t int) (model.Alloc, error) {
 }
 
 // StepCtx is Step with cooperative cancellation: the context is polled
-// between FISTA sweeps inside the per-slot solve, so a cancelled or
+// once per inner-solver iteration of the per-slot solve, so a cancelled or
 // timed-out ctx aborts the slot promptly with an error wrapping
 // ctx.Err(). A cancelled Step leaves the algorithm state exactly as the
 // previous successful slot left it — the previous decision, the warm-

@@ -5,7 +5,6 @@ import (
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
-	"edgealloc/internal/solver/fista"
 	"edgealloc/internal/solver/par"
 )
 
@@ -100,7 +99,7 @@ type p2Objective struct {
 	lastLg2 []float64
 }
 
-var _ fista.Objective = (*p2Objective)(nil)
+var _ alm.Curvature = (*p2Objective)(nil)
 
 // newPackedObjective returns an objective awaiting a layout (gather, or
 // the fields of a BlockSpec followed by prepare).
@@ -335,10 +334,37 @@ func (o *p2Objective) totalTerm(i int, s float64) (val, deriv float64) {
 	return o.rcFac[i] * ((s+o.eps1)*lg - s), o.rcFac[i] * lg
 }
 
+// Curv implements alm.Curvature. P2's Hessian is the migration entropy's
+// diagonal mgFac_k/(x_k+ε₂) plus, per cloud, the total term's second
+// derivative on the row's indicator: rcFac_i/(X_i+totOff_i+ε₁) for the
+// reconfiguration entropy, ρ for a shard block's consensus penalty. The
+// static term is linear. Both tiers evaluate the same expression: FastMath
+// approximates logarithms, and the curvature has none.
+func (o *p2Objective) Curv(x, diag, cloud []float64) {
+	for i := range cloud {
+		lo, hi := o.rowPtr[i], o.rowPtr[i+1]
+		row, mgFac, d := x[lo:hi], o.mgFac[lo:hi], diag[lo:hi]
+		s := 0.0
+		for k, v := range row {
+			s += v
+			d[k] = mgFac[k] / (v + o.eps2)
+		}
+		if o.target != nil {
+			cloud[i] = o.rho
+			continue
+		}
+		if o.totOff != nil {
+			s += o.totOff[i]
+		}
+		cloud[i] = o.rcFac[i] / (s + o.eps1)
+	}
+}
+
 // evalRow computes cloud i's slice of the objective and gradient: the
 // total term plus the static and migration terms of the row's kept pairs.
 // Rows touch disjoint state. The element loops (entropy.go) are separate
-// for the gradient and value-only cases (FISTA's backtracking trials are
+// for the gradient and value-only cases (the once-per-outer objective
+// readings of alm.Solve and FISTA's backtracking trials are
 // value-only) so neither pays the other's per-element branch, with the
 // row slices hoisted for bounds-check elimination.
 //

@@ -17,7 +17,7 @@ import (
 // algorithm (Options.Shards; DESIGN.md §7e). The J users are split into S
 // contiguous shards, each solving its own reduced P2 — static cost,
 // migration regularizer, and demand rows over its users only, on its own
-// ragged candidate set, with its own ALM/FISTA workspace — in parallel,
+// ragged candidate set, with its own ALM workspace — in parallel,
 // while the internal/solver/shard coordinator runs a sharing-ADMM loop on
 // the per-cloud totals that carries the reconfiguration regularizer and
 // the capacity rows. The coordination prices play the role the capacity
@@ -74,7 +74,7 @@ type ShardStats struct {
 	// FinalNNZ is Σ over shards of the packed size of the most recent
 	// certified solve.
 	FinalNNZ int
-	// BlockOuter/BlockInner sum the shard subproblems' ALM outer and FISTA
+	// BlockOuter/BlockInner sum the shard subproblems' ALM outer and Newton
 	// inner iterations.
 	BlockOuter, BlockInner int
 	// MaxResidual is the final consensus/capacity residual of the most

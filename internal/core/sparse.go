@@ -17,7 +17,7 @@ import (
 // sit at the zero bound. With Options.Candidates = k the per-slot solve
 // is restricted to the ragged space K_j = {k clouds nearest l_{j,t}} ∪
 // {clouds with x'_{ij} > 0}: Σ_j |K_j| variables instead of I·J, and
-// every FISTA iteration inside the ALM loop drops proportionally.
+// every objective evaluation inside the ALM loop drops proportionally.
 //
 // The reduction is certified, not heuristic. Because every carryover
 // cloud stays in K_j, a pruned pair has x'_{ij} = 0, so its migration
@@ -256,7 +256,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 			rounds++
 			d.Outer += r.Outer
 			d.Inner += r.InnerIters
-			d.Converged, d.Stop, d.Residual = r.Converged, r.Stop, r.Sigma
+			d.Converged, d.Stop, d.Residual, d.Stationarity = r.Converged, r.Stop, r.Sigma, r.ProjGrad
 			for p, j := range s.actList {
 				s.duals[j] = r.Duals[p]
 			}

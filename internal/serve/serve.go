@@ -21,7 +21,7 @@
 // with 429 so overload degrades by shedding rather than by piling up
 // goroutines. Each session solves at most one slot at a time and bounds
 // its own queue (SessionQueue). Every solve runs under a per-request
-// deadline (StepTimeout) whose context is polled between FISTA sweeps
+// deadline (StepTimeout) whose context is polled between inner-solver iterations
 // inside the solver, so a timed-out slot aborts promptly and leaves the
 // session's warm state untouched — the same slot can simply be retried.
 // Shutdown stops admitting work and drains in-flight solves. Idle
@@ -64,7 +64,7 @@ type Config struct {
 	SessionTTL time.Duration
 	// StepTimeout is the per-slot solve deadline (default 2m). The
 	// deadline context is plumbed into the solver loop, so an expired
-	// slot aborts between FISTA sweeps with the warm state intact.
+	// slot aborts between inner-solver iterations with the warm state intact.
 	StepTimeout time.Duration
 	// Defaults are solver options every session created on this daemon
 	// gets on top of its own. Only the tier fields core.Options.BindFlags

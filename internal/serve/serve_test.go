@@ -381,9 +381,12 @@ func TestMetricsMatchSolverDiagnostics(t *testing.T) {
 		wantOuter += r.Solve.OuterIterations
 		wantInner += r.Solve.InnerIterations
 		// The reply says how the slot's solve ended, consistently with
-		// the converged flag.
+		// the converged flag, and how stationary it left the point.
 		if stop := r.Solve.Stop; (stop == alm.StopConverged) != r.Solve.Converged || stop == alm.StopNone {
 			t.Errorf("slot %d: stop %q with converged=%v", r.Slot, stop, r.Solve.Converged)
+		}
+		if s := r.Solve.Stationarity; s <= 0 || (r.Solve.Converged && s > 1e-7) {
+			t.Errorf("slot %d: stationarity %g with converged=%v", r.Slot, s, r.Solve.Converged)
 		}
 	}
 

@@ -243,10 +243,12 @@ type solveDiag struct {
 	ReadmittedUsers int     `json:"readmittedUsers,omitempty"`
 	// Stop names how the slot's final single-program solve ended
 	// ("converged", or the test failing at the outer cap: "feasibility",
-	// "objective", "dual") and Residual is its last σ; both are absent
-	// when no such solve ran (sharded sessions, all-frozen slots).
-	Stop     alm.Stop `json:"stop,omitempty"`
-	Residual float64  `json:"residual,omitempty"`
+	// "objective", "dual"), Residual is its last σ and Stationarity the
+	// projected-gradient norm it left, relative to 1+|L|; all three are
+	// absent when no such solve ran (sharded sessions, all-frozen slots).
+	Stop         alm.Stop `json:"stop,omitempty"`
+	Residual     float64  `json:"residual,omitempty"`
+	Stationarity float64  `json:"stationarity,omitempty"`
 	// The slot's phases beside Seconds (core.StepDiag): binding the slot's
 	// coefficients before the solve, pricing and gating within it, and
 	// committing the decision after it.
@@ -270,6 +272,7 @@ func diagDTO(d core.StepDiag) solveDiag {
 		ReadmittedUsers: d.ReadmittedUsers,
 		Stop:            d.Stop,
 		Residual:        d.Residual,
+		Stationarity:    d.Stationarity,
 		BindSeconds:     d.BindSeconds,
 		CertifySeconds:  d.CertifySeconds,
 		CommitSeconds:   d.CommitSeconds,

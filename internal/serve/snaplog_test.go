@@ -144,8 +144,8 @@ func TestRecordCodecBitExact(t *testing.T) {
 	}
 }
 
-// TestStopDiagRecordCompat: the stop reason and residual a slot's
-// diagnostics gained are omitted when zero, so the bookkeeping of a record
+// TestStopDiagRecordCompat: the stop reason, residual and stationarity a
+// slot's diagnostics gained are omitted when zero, so the bookkeeping of a record
 // written before they existed (the literal below is that version's
 // rendering) decodes and re-renders byte for byte, and a record that
 // carries them round-trips too. The snapshot version stays 2.
@@ -155,7 +155,7 @@ func TestStopDiagRecordCompat(t *testing.T) {
 	if err := json.Unmarshal([]byte(old), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Diag.Stop != alm.StopNone || m.Diag.Residual != 0 || m.Diag.Inner != 2949 {
+	if m.Diag.Stop != alm.StopNone || m.Diag.Residual != 0 || m.Diag.Stationarity != 0 || m.Diag.Inner != 2949 {
 		t.Fatalf("old bookkeeping decoded to %+v", m.Diag)
 	}
 	if again, err := json.Marshal(&m); err != nil || string(again) != old {
@@ -167,7 +167,7 @@ func TestStopDiagRecordCompat(t *testing.T) {
 		opPrice: []float64{1, 2}, attach: []int{0, 1, 1}, accessDelay: []float64{0, 0, 0.5},
 		x: []float64{0, 1, 0, 2, 0, 0.5}, duals: make([]float64, nJ+2*nI), slotMeta: m,
 	}
-	rec.Diag.Stop, rec.Diag.Residual = alm.StopObjective, 2.31e-9
+	rec.Diag.Stop, rec.Diag.Residual, rec.Diag.Stationarity = alm.StopObjective, 2.31e-9, 4.7e-11
 	enc, err := appendRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)

@@ -5,12 +5,18 @@
 //	subject to  A_k·x ≥ b_k   for every row k
 //	            lower ≤ x ≤ upper.
 //
-// Each outer iteration minimizes the augmented Lagrangian over the box with
-// FISTA (internal/solver/fista) and then updates the multiplier estimates;
-// the converged multipliers are the dual variables of the constraints, which
-// the competitive analysis of the paper's algorithm consumes directly
-// (the θ'_{j,t} and ρ'_{i,t} of its KKT system). This package replaces the
-// role of IPOPT in the paper's evaluation pipeline.
+// Each outer iteration minimizes the augmented Lagrangian over the box and
+// then updates the multiplier estimates; the converged multipliers are the
+// dual variables of the constraints, which the competitive analysis of the
+// paper's algorithm consumes directly (the θ'_{j,t} and ρ'_{i,t} of its KKT
+// system). This package replaces the role of IPOPT in the paper's
+// evaluation pipeline. The inner minimization has two solvers, chosen by
+// the program's structure and by nothing a caller sets: the per-slot
+// programs of the online algorithm — single-block Groups rows, a lower
+// bound only, an objective that exposes its curvature — are solved by a
+// projected Newton method (newton.go), second-order like IPOPT; every other
+// program — generic gradient-oracle objectives, multi-block rows, the
+// sparse-row reference form — by FISTA (internal/solver/fista).
 //
 // What "converged" means here. With s_k = b_k − A_k·x and y the multipliers
 // the outer iteration started from, the loop tracks
@@ -26,12 +32,26 @@
 // the objective and the multipliers (DualTol, relative to 1+y_k) have
 // settled. The penalty grows ×PenaltyGrowth whenever the violation fails to
 // fall 4× in an outer iteration, and, once no row is violated, whenever σ
-// does — provided the previous σ was above FeasTol too and the inner solve
-// took more than fista.StagnantLimit iterations, the two signs that the
-// stall is the method's rate and not the inner solver's noise floor.
-// Neither test is stationarity: the inner solves stop on FISTA's objective
-// stagnation (see fista.Options.Tol), so Converged certifies feasibility,
-// complementarity and a settled objective, not a gradient-mapping norm.
+// does — provided the previous σ was above FeasTol too and, on the FISTA
+// path, the inner solve took more than fista.StagnantLimit iterations: the
+// signs that the stall is the method's rate and not the inner solver's
+// noise floor. A Newton solve has no such floor — one that ends in two
+// iterations is converged, not stalled — so the iteration clause is
+// FISTA's alone.
+//
+// What Converged certifies depends on the inner solver. The Newton solves
+// stop on the projected-gradient norm ‖x − P(x − ∇L)‖∞ ≤ tol·(1+|L|), with
+// tol following the 1e-5·0.2^k schedule but never looser than FeasTol (a
+// warm-started solve converges in two or three outer iterations, and a
+// point less stationary than it is feasible is not a solution: a shard
+// block's x-step stopped at 1e-6 leaves the sharing-ADMM around it stalled
+// at that residual), and the stop rule counts a projected gradient above
+// FeasTol as an objective still moving. There Converged certifies
+// feasibility, complementarity, a settled objective and stationarity, all
+// to FeasTol, and Result.ProjGrad carries the last value. The FISTA solves
+// stop on objective stagnation (see fista.Options.Tol), so on that path
+// Converged certifies feasibility, complementarity and a settled objective,
+// not a gradient-mapping norm.
 package alm
 
 import (
@@ -127,7 +147,8 @@ func (p *Problem) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
 type Options struct {
 	// MaxOuter bounds multiplier updates (default 80).
 	MaxOuter int
-	// InnerIters bounds FISTA iterations per subproblem (default 1500).
+	// InnerIters bounds the inner solver's iterations per subproblem, Newton
+	// steps or FISTA iterations (default 1500).
 	InnerIters int
 	// Penalty is the initial quadratic penalty ρ (default 1).
 	Penalty float64
@@ -162,9 +183,9 @@ type Options struct {
 	// may alias the previous Result's slices. A workspace must not be
 	// shared between concurrent solves.
 	Workspace *Workspace
-	// Ctx optionally makes the solve cancellable. It is polled between
-	// FISTA sweeps (once per inner iteration and once per outer multiplier
-	// update); when it fires, Solve returns an error wrapping ctx.Err().
+	// Ctx optionally makes the solve cancellable. It is polled once per inner
+	// iteration of either solver and once per outer multiplier update; when
+	// it fires, Solve returns an error wrapping ctx.Err().
 	// The workspace buffers may hold a partial iterate afterwards, but the
 	// caller-supplied WarmX/WarmDuals slices are never written, so warm
 	// state owned by the caller survives a cancelled solve intact. Nil
@@ -189,16 +210,22 @@ func (o Options) Or(d Options) Options {
 }
 
 // Workspace holds the primal iterate, multiplier, and row-activity
-// buffers of a solve plus the inner FISTA workspace and the structured-
+// buffers of a solve plus the inner solvers' workspaces and the structured-
 // kernel scratch. The zero value is ready to use.
 type Workspace struct {
 	x, y     []float64
 	ax, mult []float64
 	gs       groupScratch
 	inner    fista.Workspace
+	nt       newtonScratch
 	lag      lagrangian
 	res      Result
 }
+
+// Last returns the outcome of the workspace's most recent Solve (the zero
+// Result before any): the same value Solve returned, for callers that hold
+// the workspace and not the result.
+func (ws *Workspace) Last() *Result { return &ws.res }
 
 // ensure sizes the buffers for n variables and m constraint rows.
 func (ws *Workspace) ensure(n, m int) {
@@ -235,6 +262,16 @@ type Result struct {
 	// change, and the largest multiplier step relative to 1+y_k.
 	Stop                          Stop
 	Sigma, RelObjChange, DualMove float64
+	// Newton reports that the inner solves were the projected Newton
+	// method's (newton.go) rather than FISTA's. ProjGrad is then the last
+	// inner solve's projected-gradient norm ‖x − P(x − ∇L)‖∞ relative to
+	// 1+|L| — how stationary X is for the final multipliers — and Fallbacks
+	// counts the iterations, over the whole solve, that took the scaled-
+	// gradient step because the Newton system could not be factored or its
+	// arc held no acceptable point. Both are zero on the FISTA path.
+	Newton    bool
+	ProjGrad  float64
+	Fallbacks int
 }
 
 // Stop classifies how a solve ended: converged, or at MaxOuter with the
@@ -248,7 +285,8 @@ const (
 	StopConverged
 	// StopFeasibility: at the cap with a row violated beyond FeasTol.
 	StopFeasibility
-	// StopObjective: at the cap, feasible, objective still moving.
+	// StopObjective: at the cap, feasible, objective still moving — or, on
+	// the Newton path, the point not yet stationary to FeasTol.
 	StopObjective
 	// StopDual: at the cap, feasible and the objective settled, but the
 	// multipliers still moving (σ > FeasTol and DualMove > DualTol): some
@@ -417,6 +455,14 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 
 	ws.lag = lagrangian{p: p, y: y, rho: rho, ws: ws, workers: opts.Workers}
 	lag := &ws.lag
+	// The inner solver is a property of the program, not a setting: see
+	// the package comment and newton.go.
+	var cur Curvature
+	if g := p.Groups; g != nil && g.Blocks == 1 && p.Lower != nil && p.Upper == nil {
+		if cur, res.Newton = p.Obj.(Curvature); res.Newton {
+			ws.nt.ensure(p.N, g.I, g.J)
+		}
+	}
 
 	prevObj := math.Inf(1)
 	prevViol, prevSigma := math.Inf(1), math.Inf(1)
@@ -429,15 +475,28 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 		res.Outer = outer + 1
 		lag.rho = rho
-		inner, err := fista.Minimize(lag, x, fista.Options{
-			MaxIters: innerIters, Tol: innerTol, Lower: p.Lower, Upper: p.Upper,
-			Workspace: &ws.inner, Ctx: opts.Ctx,
-		})
-		if err != nil {
-			return nil, err
+		// moved reports an inner solve a steeper penalty could sharpen: any
+		// Newton solve, which stops on stationarity, but a FISTA solve only
+		// when it did not leave on its stagnation test at the first
+		// opportunity (see the penalty rule below).
+		var moved bool
+		if res.Newton {
+			var err error
+			if x, err = ws.newton(lag, cur, x, min(innerTol, feasTol), innerIters, opts.Ctx); err != nil {
+				return nil, err
+			}
+			moved = true
+		} else {
+			inner, err := fista.Minimize(lag, x, fista.Options{
+				MaxIters: innerIters, Tol: innerTol, Lower: p.Lower, Upper: p.Upper,
+				Workspace: &ws.inner, Ctx: opts.Ctx,
+			})
+			if err != nil {
+				return nil, err
+			}
+			res.InnerIters += inner.Iters
+			x, moved = inner.X, inner.Iters > fista.StagnantLimit
 		}
-		res.InnerIters += inner.Iters
-		x = inner.X
 
 		// Multiplier update with the three progress measures: the violation,
 		// σ (the step |Δy_k|/ρ, row-scaled) and the relative dual movement.
@@ -468,7 +527,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		switch {
 		case viol > feasTol:
 			res.Stop = StopFeasibility
-		case relObjChange > objTol:
+		case relObjChange > objTol || res.ProjGrad > feasTol:
 			res.Stop = StopObjective
 		case sigma > feasTol && dualMove > dualTol:
 			res.Stop = StopDual
@@ -490,14 +549,11 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// into dual movement, so a σ stall counts only when it is signal:
 		// both this σ and the last one above tolerance (a rate needs two
 		// samples; a σ that was within tolerance and stepped out again is
-		// the endgame's wander), and an inner solve that moved (one that
-		// leaves on FISTA's stagnation test at its first opportunity has
-		// resolved nothing a steeper penalty could sharpen). Once σ is
+		// the endgame's wander), and an inner solve that moved. Once σ is
 		// within tolerance ρ stays put.
 		stalled := viol > 0.25*prevViol
 		if viol <= feasTol {
-			stalled = sigma > feasTol && prevSigma > feasTol && sigma > 0.25*prevSigma &&
-				inner.Iters > fista.StagnantLimit
+			stalled = sigma > feasTol && prevSigma > feasTol && sigma > 0.25*prevSigma && moved
 		}
 		if stalled && rho < maxPenalty {
 			rho *= growth

@@ -1,0 +1,442 @@
+package alm
+
+import (
+	"context"
+	"fmt"
+	"math"
+
+	"edgealloc/internal/solver/fista"
+)
+
+// This file is the second-order inner solver: a projected (two-metric)
+// Newton method on the augmented Lagrangian of a single-block Groups
+// program whose objective exposes its curvature. Solve selects it from the
+// problem's structure — Groups with Blocks = 1, a lower bound and no upper
+// bound, an Obj that implements Curvature — and from nothing a caller can
+// set; every other program keeps FISTA.
+//
+// It works because the Hessian of such a Lagrangian is not a general
+// matrix. With j(k), i(k) the user and cloud of variable k, on the free
+// variables it is
+//
+//	H = D + Σ_j uw_j·u_j u_jᵀ + Σ_i cw_i·v_i v_iᵀ,
+//
+// D the objective's diagonal, u_j / v_i the indicators of user j's column
+// and cloud i's row, uw_j = ρ·(active demand rows on j) and cw_i the
+// objective's per-cloud curvature plus ρ·(active capacity rows on i); a
+// row is active when its multiplier estimate y_k + ρ s_k is positive. With
+// E = [u | v] and W = diag(uw, cw), Woodbury turns H p = −g into
+//
+//	(W⁻¹ + Eᵀ D⁻¹ E) z = Eᵀ D⁻¹ (−g),   p = D⁻¹(−g − E z),
+//
+// a bipartite system whose user block is diagonal. Eliminating it leaves
+// one SPD Schur complement over the clouds,
+//
+//	S = diag(1/cw_i + c_i) − Bᵀ diag(1/(1/uw_j + a_j)) B,
+//
+// B_ji = 1/d_ij over the free pairs and a_j, c_i its row and column sums:
+// a Cholesky of size at most I, whatever J and ρ are. A user or cloud of
+// zero weight has z = 0 and drops out of the system, and so does a cloud
+// that owns no free variable. Assembling S costs Σ_j |F_j|² multiply-adds
+// (F_j user j's free pairs), at worst I²·J — the order of one objective
+// evaluation — and tens of microseconds on the support.
+
+// Curvature is an objective over a single-block Groups layout whose
+// Hessian is a diagonal plus one rank-one term per cloud row,
+//
+//	∇²f(x) = diag(d) + Σ_i w_i·v_i v_iᵀ,   d ≥ 0, w ≥ 0.
+//
+// Curv must report the curvature the objective has. Zeros are fine where
+// they are true (a linear term, a cloud without a total term): the solver's
+// safeguards are for singular and ill-conditioned systems. They are not for
+// a model that contradicts the gradient, under which the steps are merely
+// descent steps and convergence is as slow as that implies.
+type Curvature interface {
+	fista.Objective
+	// Curv writes d into diag (one entry per variable) and w into cloud
+	// (one entry per cloud row) at the point x.
+	Curv(x, diag, cloud []float64)
+}
+
+const (
+	// newtonDamp is added to every diagonal entry so a variable without
+	// curvature of its own (a zero migration price) keeps D invertible.
+	newtonDamp = 1e-10
+	// armijo is the sufficient-decrease fraction of the arc search.
+	armijo = 1e-4
+	// flatTol and flatSlope are the search's second acceptance test, for
+	// steps whose decrease is below the Lagrangian's rounding error (late
+	// outer iterations: g ~ 1e-6, curvature ~ ρ): when the value moved by
+	// at most flatTol relative, a trial is accepted on its directional
+	// derivative instead — no larger than flatSlope of the starting one in
+	// magnitude on the uphill side — which for a convex function bounds any
+	// increase by the same rounding error.
+	flatTol   = 1e-13
+	flatSlope = 0.5
+	// minArcMove ends an arc search once a trial would move no variable by
+	// more than this, relative to the point's own scale. The bound is on the
+	// move and not on α because a step along a direction of no curvature is
+	// ~1/newtonDamp long, and the projection arc only starts to differ from
+	// "every shrinking variable at its bound" at α ~ 1e-10.
+	minArcMove = 1e-15
+)
+
+// newtonScratch holds the solver's buffers; nothing in it survives a Solve.
+type newtonScratch struct {
+	xt, g, gt, diag []float64 // per variable: trial point, gradients, d
+
+	// The free variables in cloud-major order — index, cloud, and 1/d then
+	// the step — and their permutation into user-major order.
+	fk, fi, order []int
+	fv            []float64
+
+	cw, c, tc, zc []float64 // per cloud: weight, Σ1/d, Σ−g/d, solution
+	cidx          []int     // per cloud: row of S, or −1
+	chol, rhs     []float64 // S (lower triangle, row-major) and its rhs
+	pci           []int     // one user's rows of S ...
+	pv            []float64 // ... and its 1/d there
+
+	uw, a, tu, zu []float64 // per user: weight, Σ1/d, Σ−g/d, solution
+	uptr          []int     // per user: start in order (J+1)
+}
+
+func (nt *newtonScratch) ensure(n, nI, nJ int) {
+	// xt trades places with Workspace.x, so it is sized on its own.
+	if cap(nt.xt) < n {
+		nt.xt = make([]float64, n)
+	}
+	if cap(nt.g) < n {
+		nt.g = make([]float64, n)
+		nt.gt = make([]float64, n)
+		nt.diag = make([]float64, n)
+		nt.fk = make([]int, n)
+		nt.fi = make([]int, n)
+		nt.order = make([]int, n)
+		nt.fv = make([]float64, n)
+	}
+	nt.xt, nt.g, nt.gt, nt.diag = nt.xt[:n], nt.g[:n], nt.gt[:n], nt.diag[:n]
+	nt.fk, nt.fi, nt.order, nt.fv = nt.fk[:n], nt.fi[:n], nt.order[:n], nt.fv[:n]
+	if cap(nt.cw) < nI {
+		nt.cw = make([]float64, nI)
+		nt.c = make([]float64, nI)
+		nt.tc = make([]float64, nI)
+		nt.zc = make([]float64, nI)
+		nt.cidx = make([]int, nI)
+		nt.chol = make([]float64, nI*nI)
+		nt.rhs = make([]float64, nI)
+		nt.pci = make([]int, nI)
+		nt.pv = make([]float64, nI)
+	}
+	nt.cw, nt.c, nt.tc, nt.zc = nt.cw[:nI], nt.c[:nI], nt.tc[:nI], nt.zc[:nI]
+	nt.cidx = nt.cidx[:nI]
+	if cap(nt.uw) < nJ {
+		nt.uw = make([]float64, nJ)
+		nt.a = make([]float64, nJ)
+		nt.tu = make([]float64, nJ)
+		nt.zu = make([]float64, nJ)
+		nt.uptr = make([]int, nJ+1)
+	}
+	nt.uw, nt.a, nt.tu, nt.zu = nt.uw[:nJ], nt.a[:nJ], nt.tu[:nJ], nt.zu[:nJ]
+	nt.uptr = nt.uptr[:nJ+1]
+}
+
+// newton minimizes the augmented Lagrangian lag over x ≥ lower from x
+// (which it may overwrite) and returns the minimizer's buffer, stopping
+// when the projected gradient is within tol·(1+|L|) or after maxIters
+// steps. Every trial of the arc search is evaluated with its gradient, so
+// an accepted trial is the next iteration's evaluation. It keeps the
+// solve's InnerIters, Fallbacks and ProjGrad in the workspace's Result.
+func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
+	nt, res := &ws.nt, &ws.res
+	gr, lower := lag.p.Groups, lag.p.Lower
+	nI, nJ := gr.I, gr.J
+	grad, xt, gt := nt.g, nt.xt, nt.gt
+	for k, lo := range lower {
+		if x[k] < lo {
+			x[k] = lo
+		}
+	}
+	L := lag.Eval(x, grad)
+	for iters := 0; ; iters++ {
+		// Free set, in cloud-major order, and the projected gradient.
+		nF, pg := 0, 0.0
+		for i := 0; i < nI; i++ {
+			lo, hi := i*nJ, (i+1)*nJ
+			if gr.ragged() {
+				lo, hi = gr.RowPtr[i], gr.RowPtr[i+1]
+			}
+			for k := lo; k < hi; k++ {
+				gk, room := grad[k], x[k]-lower[k]
+				if gk > 0 {
+					if room <= 0 {
+						continue
+					}
+					gk = min(gk, room)
+				}
+				pg = max(pg, math.Abs(gk))
+				nt.fk[nF], nt.fi[nF] = k, i
+				nF++
+			}
+		}
+		res.ProjGrad = pg / (1 + math.Abs(L))
+		if !(res.ProjGrad > tol) || iters >= maxIters {
+			return x, nil
+		}
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("alm: newton aborted after %d iterations: %w", iters, err)
+			}
+		}
+		res.InnerIters++
+
+		// The Newton step's arc, or — where the system could not be
+		// factored, the step is no descent direction, or its arc holds no
+		// acceptable point — the scaled gradient's.
+		cur.Curv(x, nt.diag, nt.cw)
+		copy(xt, x)
+		Lt, ok := 0.0, nt.direction(lag, nF, grad)
+		if ok {
+			Lt, ok = nt.arcSearch(lag, nF, x, grad, L)
+		}
+		if !ok {
+			res.Fallbacks++
+			nt.scaledGradient(gr, nF, grad)
+			if Lt, ok = nt.arcSearch(lag, nF, x, grad, L); !ok {
+				// No descent the Lagrangian's arithmetic can resolve. The
+				// last trial left its multiplier estimates behind; nobody
+				// reads them.
+				return x, nil
+			}
+		}
+		// The accepted trial becomes the iterate and the buffers trade
+		// places, in the workspace too: ws.x stays the buffer X lives in.
+		x, xt = xt, x
+		grad, gt = gt, grad
+		ws.x, nt.xt, nt.g, nt.gt = x, xt, grad, gt
+		L = Lt
+	}
+}
+
+// user returns the user of variable k of cloud row i.
+func (g *Groups) user(k, i int) int {
+	if g.ragged() {
+		return g.Cols[k]
+	}
+	return k - i*g.J
+}
+
+// direction writes the Newton step of the nF free variables into fv,
+// reporting false when the Cholesky factorization met a non-positive pivot
+// or the step is not a descent direction.
+func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool {
+	gr, rho := lag.p.Groups, lag.rho
+	nI, nJ := gr.I, gr.J
+	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
+
+	// Weights: the objective's cloud curvature is in cw; every active row
+	// adds ρ on its user or cloud.
+	clear(nt.uw)
+	for k, r := range gr.Rows {
+		if lag.ws.mult[k] <= 0 {
+			continue
+		}
+		if r.Kind == GroupUserSum {
+			nt.uw[r.Index] += rho
+		} else {
+			nt.cw[r.Index] += rho
+		}
+	}
+
+	// a, c = row and column sums of B; tu, tc = Eᵀ D⁻¹ (−g); uptr counts.
+	clear(nt.a)
+	clear(nt.tu)
+	clear(nt.c)
+	clear(nt.tc)
+	clear(nt.uptr)
+	for q, k := range fk {
+		i := fi[q]
+		j := gr.user(k, i)
+		inv := 1 / (nt.diag[k] + newtonDamp)
+		fv[q] = inv
+		r := -grad[k] * inv
+		nt.a[j] += inv
+		nt.tu[j] += r
+		nt.c[i] += inv
+		nt.tc[i] += r
+		nt.uptr[j+1]++
+	}
+
+	// The clouds of S: positive weight and at least one free variable.
+	m := 0
+	for i := 0; i < nI; i++ {
+		nt.cidx[i] = -1
+		if nt.cw[i] > 0 && nt.c[i] > 0 {
+			nt.cidx[i] = m
+			m++
+		}
+	}
+	S, rhs := nt.chol[:m*m], nt.rhs[:m]
+	clear(S)
+	for i, ci := range nt.cidx {
+		if ci >= 0 {
+			S[ci*m+ci] = 1/nt.cw[i] + nt.c[i]
+			rhs[ci] = nt.tc[i]
+		}
+	}
+
+	// User-major order of the free list (a counting sort, so every user's
+	// entries stay in ascending cloud order), then each weighted user's
+	// rank-one update of S and rhs. a[j] becomes e_j = 1/(1/uw_j + a_j).
+	for j := 0; j < nJ; j++ {
+		nt.uptr[j+1] += nt.uptr[j]
+	}
+	for q, k := range fk {
+		j := gr.user(k, fi[q])
+		nt.order[nt.uptr[j]] = q
+		nt.uptr[j]++
+	}
+	start := 0
+	for j := 0; j < nJ; j++ {
+		end := nt.uptr[j]
+		if nt.uw[j] > 0 && end > start {
+			e := 1 / (1/nt.uw[j] + nt.a[j])
+			nt.a[j] = e
+			np := 0
+			for _, q := range nt.order[start:end] {
+				if ci := nt.cidx[fi[q]]; ci >= 0 {
+					nt.pci[np], nt.pv[np] = ci, fv[q]
+					np++
+				}
+			}
+			et := e * nt.tu[j]
+			for p := 0; p < np; p++ {
+				cp, vp := nt.pci[p], nt.pv[p]
+				rhs[cp] -= et * vp
+				ev := e * vp
+				row := S[cp*m : cp*m+cp+1]
+				for q := 0; q <= p; q++ {
+					row[nt.pci[q]] -= ev * nt.pv[q]
+				}
+			}
+		}
+		start = end
+	}
+
+	if !cholSolve(S, rhs, m) {
+		return false
+	}
+	for i, ci := range nt.cidx {
+		nt.zc[i] = 0
+		if ci >= 0 {
+			nt.zc[i] = rhs[ci]
+		}
+	}
+	start = 0
+	for j := 0; j < nJ; j++ {
+		end := nt.uptr[j]
+		nt.zu[j] = 0
+		if nt.uw[j] > 0 && end > start {
+			s := nt.tu[j]
+			for _, q := range nt.order[start:end] {
+				s -= fv[q] * nt.zc[fi[q]]
+			}
+			nt.zu[j] = nt.a[j] * s
+		}
+		start = end
+	}
+	gp := 0.0
+	for q, k := range fk {
+		i := fi[q]
+		step := (-grad[k] - nt.zu[gr.user(k, i)] - nt.zc[i]) * fv[q]
+		fv[q] = step
+		gp += grad[k] * step
+	}
+	return gp < 0
+}
+
+// cholSolve factors the SPD matrix S (m×m, lower triangle, row-major) in
+// place and overwrites b with S⁻¹b, reporting false on a non-positive or
+// non-finite pivot.
+func cholSolve(S, b []float64, m int) bool {
+	for i := 0; i < m; i++ {
+		ri := S[i*m : i*m+i+1]
+		for j := 0; j <= i; j++ {
+			rj := S[j*m : j*m+j+1]
+			s := ri[j]
+			for k := 0; k < j; k++ {
+				s -= ri[k] * rj[k]
+			}
+			if j < i {
+				ri[j] = s / rj[j]
+				continue
+			}
+			if !(s > 0) || math.IsInf(s, 1) {
+				return false
+			}
+			ri[i] = math.Sqrt(s)
+		}
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= ri[k] * b[k]
+		}
+		b[i] = s / ri[i]
+	}
+	for i := m - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < m; k++ {
+			s -= S[k*m+i] * b[k]
+		}
+		b[i] = s / S[i*m+i]
+	}
+	return true
+}
+
+// scaledGradient writes the fallback step −g_k/(d_k + cw_i + uw_j) of the
+// nF free variables into fv: steepest descent in the metric of the
+// Hessian's own diagonal. It reads the weights direction left in cw and uw.
+func (nt *newtonScratch) scaledGradient(gr *Groups, nF int, grad []float64) {
+	for q, k := range nt.fk[:nF] {
+		i := nt.fi[q]
+		nt.fv[q] = -grad[k] / (nt.diag[k] + newtonDamp + nt.cw[i] + nt.uw[gr.user(k, i)])
+	}
+}
+
+// arcSearch backtracks along the projection arc x(α) = max(lower, x + α·fv)
+// from α = 1, writing each trial into xt (whose other entries already equal
+// x) and evaluating it with its gradient into gt. It returns the accepted
+// trial's value.
+func (nt *newtonScratch) arcSearch(lag *lagrangian, nF int, x, grad []float64, L float64) (float64, bool) {
+	lower, xt, gt := lag.p.Lower, nt.xt, nt.gt
+	fk, fv := nt.fk[:nF], nt.fv[:nF]
+	flat := flatTol * (1 + math.Abs(L))
+	scale, reach := 1.0, 0.0
+	for q, k := range fk {
+		scale = max(scale, math.Abs(x[k]))
+		reach = max(reach, math.Abs(fv[q]))
+	}
+	for alpha := 1.0; alpha*reach >= minArcMove*scale; alpha *= 0.5 {
+		gd := 0.0
+		for q, k := range fk {
+			v := max(x[k]+alpha*fv[q], lower[k])
+			xt[k] = v
+			gd += grad[k] * (v - x[k])
+		}
+		if !(gd < 0) {
+			continue
+		}
+		Lt := lag.Eval(xt, gt)
+		if Lt <= L+armijo*gd {
+			return Lt, true
+		}
+		if math.Abs(Lt-L) <= flat {
+			gdt := 0.0
+			for _, k := range fk {
+				gdt += gt[k] * (xt[k] - x[k])
+			}
+			if gdt <= -flatSlope*gd {
+				return Lt, true
+			}
+		}
+	}
+	return 0, false
+}

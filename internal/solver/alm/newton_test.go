@@ -1,0 +1,397 @@
+package alm
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"edgealloc/internal/solver/fista"
+)
+
+// entropic is a P2-shaped objective over a single-block Groups layout:
+//
+//	Σ_k c_k x_k + mg_k·((x_k+1) ln((x_k+1)/(p_k+1)) − x_k)
+//	+ Σ_i rc_i·((X_i+1) ln((X_i+1)/(P_i+1)) − X_i),   X_i cloud i's total.
+//
+// Its Hessian is diag(mg_k/(x_k+1)) + Σ_i rc_i/(X_i+1)·v_i v_iᵀ, which Curv
+// reports.
+type entropic struct {
+	g           *Groups
+	c, mg, p    []float64
+	rc, prevTot []float64
+}
+
+func (o *entropic) rows() []int {
+	if o.g.ragged() {
+		return o.g.RowPtr
+	}
+	ptr := make([]int, o.g.I+1)
+	for i := range ptr {
+		ptr[i] = i * o.g.J
+	}
+	return ptr
+}
+
+func (o *entropic) Eval(x, grad []float64) float64 {
+	ptr := o.rows()
+	f := 0.0
+	for i := 0; i < o.g.I; i++ {
+		s := 0.0
+		for _, v := range x[ptr[i]:ptr[i+1]] {
+			s += v
+		}
+		lg := math.Log((s + 1) / (o.prevTot[i] + 1))
+		f += o.rc[i] * ((s+1)*lg - s)
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			l := math.Log((x[k] + 1) / (o.p[k] + 1))
+			f += o.c[k]*x[k] + o.mg[k]*((x[k]+1)*l-x[k])
+			if grad != nil {
+				grad[k] = o.c[k] + o.mg[k]*l + o.rc[i]*lg
+			}
+		}
+	}
+	return f
+}
+
+func (o *entropic) Curv(x, diag, cloud []float64) {
+	ptr := o.rows()
+	for i := range cloud {
+		s := 0.0
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			s += x[k]
+			diag[k] = o.mg[k] / (x[k] + 1)
+		}
+		cloud[i] = o.rc[i] / (s + 1)
+	}
+}
+
+// The curvature classes curvProgram draws from.
+const (
+	curved    = iota // every variable and every cloud has curvature
+	noDiag           // mg = 0 everywhere (D is the damping alone), one cloud with rc = 0
+	allLinear        // no curvature at all: the program is an LP
+)
+
+// curvProgram draws a feasible P2-shaped program over a dense or ragged
+// single-block layout: demands and capacities are the column and (padded)
+// row sums of a random positive point, so capacity rows can bind without
+// the program being infeasible.
+func curvProgram(rng *rand.Rand, ragged bool, class int) (*Problem, *entropic) {
+	var g *Groups
+	if ragged {
+		g = randomRagged(rng)
+	} else {
+		g = &Groups{I: 2 + rng.Intn(5), J: 1 + rng.Intn(8), Blocks: 1}
+	}
+	n := g.I * g.J
+	if ragged {
+		n = len(g.Cols)
+	}
+	o := &entropic{g: g, c: make([]float64, n), mg: make([]float64, n), p: make([]float64, n),
+		rc: make([]float64, g.I), prevTot: make([]float64, g.I)}
+	ptr := o.rows()
+	demand := make([]float64, g.J)
+	g.Rows = g.Rows[:0]
+	capRows := make([]GroupRow, g.I)
+	for i := 0; i < g.I; i++ {
+		tot := 0.0
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			v := 0.1 + rng.Float64()
+			tot += v
+			demand[g.user(k, i)] += v
+			o.c[k] = 3 * rng.Float64()
+			o.mg[k] = 0.1 + rng.Float64()
+			if rng.Intn(3) == 0 {
+				o.p[k] = rng.Float64()
+			}
+			o.prevTot[i] += o.p[k]
+		}
+		o.rc[i] = rng.Float64()
+		capRows[i] = GroupRow{Kind: GroupCloudSumNeg, Index: i, RHS: -tot * (1.02 + 0.6*rng.Float64())}
+	}
+	switch class {
+	case noDiag:
+		clear(o.mg)
+		o.rc[rng.Intn(g.I)] = 0
+	case allLinear:
+		clear(o.mg)
+		clear(o.rc)
+	}
+	for j, d := range demand {
+		g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: j, RHS: d})
+	}
+	g.Rows = append(g.Rows, capRows...)
+	return &Problem{Obj: o, N: n, Lower: make([]float64, n), Groups: g}, o
+}
+
+// tightNewtonOpts are budgets under which FISTA, too, reaches the optimum
+// to ~1e-9 on programs this small.
+func tightNewtonOpts() Options {
+	return Options{MaxOuter: 400, InnerIters: 8000, FeasTol: 1e-10, DualTol: 1e-9, ObjTol: 1e-13}
+}
+
+// solveNewtonAndFista solves p with the inner solver its structure selects
+// (Newton) and again with the objective's curvature hidden (FISTA).
+func solveNewtonAndFista(t *testing.T, p *Problem, opts Options) (newton, ref Result) {
+	t.Helper()
+	rn, err := Solve(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := *p
+	hidden.Obj = fista.Func(p.Obj.Eval)
+	rf, err := Solve(&hidden, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rn.Newton || rf.Newton {
+		t.Fatalf("inner solver: Newton=%v on the structured program, %v with the curvature hidden", rn.Newton, rf.Newton)
+	}
+	if rf.ProjGrad != 0 || rf.Fallbacks != 0 {
+		t.Errorf("FISTA path reports ProjGrad %g, Fallbacks %d", rf.ProjGrad, rf.Fallbacks)
+	}
+	return *rn, *rf
+}
+
+// workspaceFor returns a workspace sized for p's kernels.
+func workspaceFor(p *Problem) *Workspace {
+	ws := &Workspace{}
+	ws.ensure(p.N, p.numRows())
+	ws.gs.ensure(p.Groups)
+	return ws
+}
+
+// lagrangianAt evaluates p's augmented Lagrangian at x under multipliers y.
+func lagrangianAt(p *Problem, x, y []float64, rho float64) float64 {
+	l := lagrangian{p: p, y: y, rho: rho, ws: workspaceFor(p)}
+	return l.Eval(x, nil)
+}
+
+// kktResidual is the stationarity error of (X, Duals) for the program
+// itself — ‖x − P(x − (∇f − Aᵀy))‖∞, no penalty term — computed from the
+// objective and the row kernel alone.
+func kktResidual(p *Problem, r Result) float64 {
+	g := make([]float64, p.N)
+	p.Obj.Eval(r.X, g)
+	p.addGrad(r.Duals, g, &workspaceFor(p).gs, 0)
+	res := 0.0
+	for k, v := range g {
+		if v > 0 {
+			v = min(v, r.X[k]-p.Lower[k])
+		}
+		res = max(res, math.Abs(v))
+	}
+	return res
+}
+
+// checkAgreement holds a Newton solve to the FISTA reference. Newton's
+// point must be stationary by its own test and by kktResidual, and — on
+// the Lagrangian of Newton's final multipliers, which its point minimizes —
+// never sit above the reference's. Objectives must agree within objTol
+// relative and multipliers within dualTol, each widened by what the
+// reference's own stationarity error r allows (r·‖Δx‖₁ by convexity, and 4r
+// on a multiplier): FISTA stops on stagnation, and at any budget r stays at
+// 1e-5…4e-4 on the curved programs (1e-3 on an LP), which is exactly how
+// far its multipliers are from Newton's, whose residual is ~1e-10.
+func checkAgreement(t *testing.T, p *Problem, rn, rf Result, feasTol, objTol, dualTol float64) {
+	t.Helper()
+	if !rn.Converged {
+		t.Errorf("newton: stop %v after %d outer (σ %g, projgrad %g)", rn.Stop, rn.Outer, rn.Sigma, rn.ProjGrad)
+	}
+	if rn.ProjGrad > feasTol {
+		t.Errorf("newton: projected gradient %g > %g", rn.ProjGrad, feasTol)
+	}
+	if k := kktResidual(p, rn); k > 100*feasTol*(1+math.Abs(rn.Objective)) {
+		t.Errorf("newton: KKT residual %g", k)
+	}
+	r, dist := kktResidual(p, rf), 0.0
+	for k := range rn.X {
+		dist += math.Abs(rn.X[k] - rf.X[k])
+	}
+	if d := math.Abs(rn.Objective - rf.Objective); d > objTol*(1+math.Abs(rf.Objective))+r*dist {
+		t.Errorf("objective %.12g vs fista %.12g (reference KKT residual %g, ‖Δx‖₁ %g)", rn.Objective, rf.Objective, r, dist)
+	}
+	for k := range rn.Duals {
+		if d := math.Abs(rn.Duals[k] - rf.Duals[k]); d > dualTol*(1+math.Abs(rf.Duals[k]))+4*r {
+			t.Errorf("dual[%d] = %.10g vs fista %.10g (reference KKT residual %g)", k, rn.Duals[k], rf.Duals[k], r)
+		}
+	}
+	ln, lf := lagrangianAt(p, rn.X, rn.Duals, 8), lagrangianAt(p, rf.X, rn.Duals, 8)
+	if ln > lf+1e-12*(1+math.Abs(lf)) {
+		t.Errorf("Lagrangian at newton's point %.15g above fista's %.15g", ln, lf)
+	}
+}
+
+// TestNewtonMatchesFista is the solver-vs-solver property test: on random
+// single-block programs, dense and ragged, the projected Newton inner solve
+// and FISTA — which shares nothing with it but the Lagrangian — land on the
+// same optimum and the same multipliers.
+func TestNewtonMatchesFista(t *testing.T) {
+	rng := rand.New(rand.NewSource(2017))
+	for trial := 0; trial < 40; trial++ {
+		p, _ := curvProgram(rng, trial%2 == 1, curved)
+		rn, rf := solveNewtonAndFista(t, p, tightNewtonOpts())
+		if rn.Fallbacks != 0 {
+			t.Errorf("trial %d: %d fallback steps on a program with curvature", trial, rn.Fallbacks)
+		}
+		if rn.InnerIters >= rf.InnerIters {
+			t.Errorf("trial %d: newton took %d inner iterations, fista %d", trial, rn.InnerIters, rf.InnerIters)
+		}
+		checkAgreement(t, p, rn, rf, 1e-10, 1e-8, 1e-6)
+		if t.Failed() {
+			t.Fatalf("trial %d (I=%d J=%d ragged=%v) failed", trial, p.Groups.I, p.Groups.J, p.Groups.ragged())
+		}
+	}
+}
+
+// TestNewtonDegenerateCurvature runs the programs whose Hessian is
+// singular but for the damping: no migration curvature with one weightless
+// cloud (left out of S), and no curvature at all (an LP: S holds the active
+// capacity rows only). The Newton step is then enormous along every
+// direction the rows do not see, the projection arc clips it, and where
+// the arc holds no acceptable point the scaled-gradient step takes over —
+// seed 83 of the first class takes six such steps. Every program must
+// still reach the reference optimum — the value only: without strict
+// convexity neither the point nor the multipliers need be unique — and the
+// fallbacks must be counted.
+func TestNewtonDegenerateCurvature(t *testing.T) {
+	opts := Options{MaxOuter: 300, InnerIters: 4000, FeasTol: 1e-8, DualTol: 1e-7, ObjTol: 1e-11}
+	fallbacks := 0
+	for seed := int64(80); seed < 100; seed++ {
+		for _, class := range []int{noDiag, allLinear} {
+			p, _ := curvProgram(rand.New(rand.NewSource(seed)), seed%2 == 1, class)
+			rn, rf := solveNewtonAndFista(t, p, opts)
+			checkAgreement(t, p, rn, rf, 1e-8, 1e-6, math.Inf(1))
+			if t.Failed() {
+				t.Fatalf("seed %d class %d failed", seed, class)
+			}
+			fallbacks += rn.Fallbacks
+		}
+	}
+	if fallbacks == 0 {
+		t.Error("no fallback step was taken (seed 83 used to take six)")
+	}
+}
+
+// TestCholSolve checks the factorization against a system with a known
+// solution and its refusal of a matrix that is not positive definite.
+func TestCholSolve(t *testing.T) {
+	// S = L·Lᵀ with L = [[2,0,0],[1,3,0],[-1,2,1]]; only the lower triangle
+	// is read. S·(1,−2,3)ᵀ = (−6, −3, 6)ᵀ.
+	S := []float64{4, 99, 99, 2, 10, 99, -2, 5, 6}
+	b := []float64{-6, -3, 6}
+	if !cholSolve(S, b, 3) {
+		t.Fatal("SPD matrix rejected")
+	}
+	for k, want := range []float64{1, -2, 3} {
+		if math.Abs(b[k]-want) > 1e-12 {
+			t.Errorf("x[%d] = %g, want %g", k, b[k], want)
+		}
+	}
+	for _, bad := range [][]float64{{1, 0, 2, 1}, {1, 0, 1, 1}, {math.NaN(), 0, 0, 1}, {math.Inf(1), 0, 0, 1}} {
+		if cholSolve(bad, []float64{1, 1}, 2) {
+			t.Errorf("matrix %v accepted", bad)
+		}
+	}
+}
+
+// TestNewtonSelectedByStructure pins the dispatch: Newton needs single-
+// block Groups, a lower bound, no upper bound and an objective with Curv;
+// anything else is FISTA's.
+func TestNewtonSelectedByStructure(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	base, _ := curvProgram(rng, false, curved)
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *Problem)
+		newton bool
+	}{
+		{"structured", func(p *Problem) {}, true},
+		{"no lower bound", func(p *Problem) { p.Lower = nil }, false},
+		{"upper bound", func(p *Problem) {
+			p.Upper = make([]float64, p.N)
+			for k := range p.Upper {
+				p.Upper[k] = 100
+			}
+		}, false},
+		{"sparse rows", func(p *Problem) { p.Cons, p.Groups = denseFromGroups(p.Groups), nil }, false},
+		{"gradient oracle", func(p *Problem) { p.Obj = fista.Func(p.Obj.Eval) }, false},
+	} {
+		p := *base
+		tc.mutate(&p)
+		res, err := Solve(&p, Options{MaxOuter: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Newton != tc.newton {
+			t.Errorf("%s: Newton = %v, want %v", tc.name, res.Newton, tc.newton)
+		}
+	}
+}
+
+// TestNewtonWorkspaceReuse solves programs of different sizes and both
+// inner solvers on one workspace, in an order that makes the iterate and
+// trial buffers trade places between solves of growing size, and requires
+// every result to match a fresh-workspace solve bit for bit with the warm
+// start aliasing the previous result.
+func TestNewtonWorkspaceReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var ws Workspace
+	for trial := 0; trial < 12; trial++ {
+		p, _ := curvProgram(rng, trial%3 == 1, curved)
+		if trial%4 == 3 {
+			p.Obj = fista.Func(p.Obj.Eval)
+		}
+		want, err := Solve(p, Options{MaxOuter: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := range want.X {
+			if got.X[k] != want.X[k] {
+				t.Fatalf("trial %d: x[%d] = %v on the shared workspace, %v fresh", trial, k, got.X[k], want.X[k])
+			}
+		}
+		again, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws, WarmX: got.X, WarmDuals: got.Duals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again.MaxViolation > want.MaxViolation+1e-9 {
+			t.Errorf("trial %d: warm re-solve violation %g", trial, again.MaxViolation)
+		}
+		if ws.Last() != again {
+			t.Errorf("trial %d: Workspace.Last is not the last result", trial)
+		}
+	}
+}
+
+// FuzzNewtonVsFista is the inner solvers' differential fuzz: any program
+// the generator can draw, of any curvature class, must come out of both
+// with the same objective and, where strict convexity makes them unique,
+// the same multipliers (fuzz headroom over TestNewtonMatchesFista's bars,
+// as in internal/core's fuzz targets: the bound measures two independent
+// convergence errors over arbitrary conditioning).
+func FuzzNewtonVsFista(f *testing.F) {
+	f.Add(int64(1), false, 0)
+	f.Add(int64(2), true, 1)
+	f.Add(int64(3), true, 2)
+	f.Fuzz(func(t *testing.T, seed int64, ragged bool, class int) {
+		class %= 3
+		if class < 0 {
+			class += 3
+		}
+		p, _ := curvProgram(rand.New(rand.NewSource(seed)), ragged, class)
+		rn, rf := solveNewtonAndFista(t, p, tightNewtonOpts())
+		if !rf.Converged {
+			t.Skip("reference did not converge")
+		}
+		dualTol := 1e-4
+		if class != curved {
+			dualTol = math.Inf(1)
+		}
+		checkAgreement(t, p, rn, rf, 1e-10, 1e-6, dualTol)
+	})
+}

@@ -2,11 +2,14 @@
 // algorithm (FISTA, Beck & Teboulle 2009) for minimizing a smooth convex
 // function over a box, with backtracking line search and adaptive restart.
 //
-// It is the inner workhorse of the augmented-Lagrangian solver
-// (internal/solver/alm): every subproblem there is a smooth convex
-// objective over the nonnegative orthant, which is exactly the shape this
-// package handles. Together they replace the interior-point solver (IPOPT)
-// used in the paper's evaluation.
+// It is the first-order inner solver of the augmented-Lagrangian method
+// (internal/solver/alm), for the programs that give it nothing but a
+// gradient oracle: the baselines' and the offline program's generic
+// objectives, and the sparse-row reference form of P2 that the property
+// tests hold the production path against. The per-slot programs of the
+// online algorithm expose their curvature and are solved by alm's projected
+// Newton method instead, so on them this package is an independent solver
+// cross-checking the one that ships.
 package fista
 
 import (

@@ -88,7 +88,7 @@ type Block interface {
 	// penalty (rho/2)·Σ_i (T_i(x) − target_i)² from the block's retained
 	// warm state, retains the solution as the next warm state, and writes
 	// the solution's per-cloud totals into totals (length I). It reports
-	// the ALM outer and FISTA inner iteration counts of the solve.
+	// the ALM outer and inner-solver iteration counts of the solve.
 	Solve(rho float64, target, totals []float64) (outer, inner int, err error)
 
 	// WarmTotalsInto writes the per-cloud totals of the block's current
@@ -174,8 +174,8 @@ type Result struct {
 	Prices []float64
 	// BlockSeconds is each block's cumulative solve wall-time.
 	BlockSeconds []float64
-	// BlockOuter and BlockInner sum the shards' ALM outer and FISTA
-	// inner iterations.
+	// BlockOuter and BlockInner sum the shards' ALM outer and inner-solver
+	// iterations.
 	BlockOuter, BlockInner int
 }
 

@@ -11,7 +11,7 @@ import "strconv"
 //	edgealloc_solver_steps_total               counter    slots solved
 //	edgealloc_solver_steps_nonconverged_total  counter    slots where ALM hit MaxOuter
 //	edgealloc_solver_alm_outer_iterations_total    counter  ALM multiplier updates
-//	edgealloc_solver_fista_iterations_total        counter  inner FISTA iterations
+//	edgealloc_solver_fista_iterations_total        counter  inner-solver iterations (the name predates the Newton solver)
 //	edgealloc_solver_candidate_rounds_total        counter  candidate-set solves (≥1/slot)
 //	edgealloc_solver_candidate_expanded_pairs_total counter pairs re-admitted by pricing
 //	edgealloc_solver_candidate_nnz                 gauge    Σ_j|K_j| of the last certified solve
@@ -76,7 +76,7 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 		OuterIters: r.Counter("edgealloc_solver_alm_outer_iterations_total",
 			"ALM outer (multiplier-update) iterations."),
 		InnerIters: r.Counter("edgealloc_solver_fista_iterations_total",
-			"Inner FISTA iterations across all subproblems."),
+			"Inner-solver iterations across all subproblems (projected Newton steps; the series name predates them)."),
 		CandRounds: r.Counter("edgealloc_solver_candidate_rounds_total",
 			"Candidate-set reduced solves (rounds beyond one per slot are pricing expansions)."),
 		CandExpanded: r.Counter("edgealloc_solver_candidate_expanded_pairs_total",
