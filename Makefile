@@ -61,24 +61,24 @@ race:
 # Differential fuzzing against the paper-conformance oracle (DESIGN.md
 # §8). Each target runs for FUZZTIME on top of the committed seed corpora
 # under testdata/fuzz; plain `make test` replays the seeds only. go test
-# accepts one fuzz target per invocation, hence the loop.
+# accepts one fuzz target per invocation, hence the loop; it runs every
+# target whatever the earlier ones did and fails at the end, naming the
+# ones that failed, so one red target does not hide the other nine.
 FUZZTIME ?= 30s
 
 fuzz:
-	@for target in FuzzOnlineStep FuzzCandidateVsDense FuzzStructuredVsDenseRows FuzzShardVsDense FuzzIncrementalVsFull; do \
+	@failed=""; \
+	for spec in \
+		FuzzOnlineStep:core FuzzCandidateVsDense:core FuzzStructuredVsDenseRows:core \
+		FuzzShardVsDense:core FuzzIncrementalVsFull:core \
+		FuzzInstanceDecode:model FuzzFastMathVsStdlib:numkernel FuzzSnapshotRoundTrip:serve \
+		FuzzShardRPCCodec:solver/shardrpc FuzzNewtonVsFista:solver/alm; do \
+		target=$${spec%%:*}; pkg=$${spec#*:}; \
 		echo "== $$target ($(FUZZTIME)) =="; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/core/ || exit 1; \
-	done
-	@echo "== FuzzInstanceDecode ($(FUZZTIME)) =="
-	@$(GO) test -run '^$$' -fuzz '^FuzzInstanceDecode$$' -fuzztime $(FUZZTIME) ./internal/model/
-	@echo "== FuzzFastMathVsStdlib ($(FUZZTIME)) =="
-	@$(GO) test -run '^$$' -fuzz '^FuzzFastMathVsStdlib$$' -fuzztime $(FUZZTIME) ./internal/numkernel/
-	@echo "== FuzzSnapshotRoundTrip ($(FUZZTIME)) =="
-	@$(GO) test -run '^$$' -fuzz '^FuzzSnapshotRoundTrip$$' -fuzztime $(FUZZTIME) ./internal/serve/
-	@echo "== FuzzShardRPCCodec ($(FUZZTIME)) =="
-	@$(GO) test -run '^$$' -fuzz '^FuzzShardRPCCodec$$' -fuzztime $(FUZZTIME) ./internal/solver/shardrpc/
-	@echo "== FuzzNewtonVsFista ($(FUZZTIME)) =="
-	@$(GO) test -run '^$$' -fuzz '^FuzzNewtonVsFista$$' -fuzztime $(FUZZTIME) ./internal/solver/alm/
+		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/$$pkg/ \
+			|| failed="$$failed $$target"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 
 # Coverage with per-package floors on the guarantee-bearing packages
 # (scripts/cover.sh; floors recorded in DESIGN.md §8).

@@ -158,7 +158,7 @@ type Options struct {
 	// internal/numkernel: the per-variable migration logs are computed a
 	// row at a time (ratio gather → LogBatch → accumulate) with the
 	// denominator reciprocals precomputed once per slot, instead of the
-	// default per-element divide + math.Log + memo cache. Each kernel
+	// default per-element divide + math.Log. Each kernel
 	// operation is within 1e-12 relative of the stdlib, and end-to-end
 	// schedule costs agree with the exact path to 1e-8 (pinned by
 	// property tests and the conformance oracle); the trade is bitwise
@@ -285,11 +285,11 @@ type StepDiag struct {
 	ShardIters      int
 	ShardResidual   float64
 	ShardMaxSeconds float64
-	// LogCacheHits and LogCacheMisses count the slot's migration-log
-	// memo-cache outcomes on the exact evaluation path (hits are logs
-	// reused without recomputation; the zero-flow skip is counted by
-	// neither). Both are zero under Options.FastMath, which replaces the
-	// cache with batch kernels.
+	// LogCacheHits and LogCacheMisses are retired and always zero: the
+	// memo they counted is gone. They stay only because bench/pass.go
+	// reads them and snapshot records written with non-zero counts must
+	// keep decoding; ROADMAP item 2(a) drops them with
+	// core.logcache_hit_frac.
 	LogCacheHits, LogCacheMisses int64
 	// FrozenUsers and ReadmittedUsers describe the incremental path (zero
 	// when Options.Incremental is off): users held at their carried
@@ -410,7 +410,6 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	if m := o.opts.Metrics; m != nil {
 		d := &o.lastDiag
 		m.ObserveStep(d.Seconds, d.Outer, d.Inner, d.Converged)
-		m.ObserveLogCache(d.LogCacheHits, d.LogCacheMisses)
 		if o.opts.Candidates > 0 || o.opts.Incremental || o.shrd != nil {
 			m.ObserveCandidates(d.CandRounds, d.CandExpanded, d.CandNNZ)
 		}

@@ -13,16 +13,15 @@ import (
 //
 // Two tiers:
 //
-//   - The exact tier (entropyRowValue / entropyRowGrad) is the default
-//     and reproduces the historical inner loops operation for operation —
-//     same zero-flow log skip, same per-variable log memoization — so
-//     its results are bitwise identical to the pre-refactor code. It
-//     additionally counts cache hits and misses (plain integer adds on
-//     loop-local variables; results are unaffected).
+//   - The exact tier (entropyRowValue / entropyRowGrad) is the default:
+//     one divide and one math.Log per variable, skipped where the iterate
+//     equals the previous decision (exact, and most pairs: see evalRow).
+//     The order of its floating-point operations is what the golden
+//     schedule digests record.
 //
 //   - The fast tier (entropyRatioPass + numkernel.LogBatch +
 //     entropyFastValue / entropyFastGrad, behind Options.FastMath)
-//     replaces the per-element divide, log call, and memo-cache traffic
+//     replaces the per-element branch, divide and log call
 //     with two branch-free passes around one batch log: pass one fuses
 //     the row sum with gathering ratio[k] = (x_k+ε₂)·invDen[k] (invDen
 //     precomputed by p2Objective.prepare from the fixed x'), the batch kernel
@@ -32,55 +31,37 @@ import (
 //     pinned to 1e-8 by the property tests in fastmath_test.go.
 
 // entropyRowValue runs the value-only static+migration pass over one
-// cloud row, returning the row sum s, the accumulated objective terms f,
-// and the log-memo cache hits/misses. lastNum/lastLg2 are the row's memo
-// slices and are updated in place.
-func entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2 []float64, eps2 float64) (s, f float64, hits, misses int64) {
+// cloud row, returning the row sum s and the accumulated objective terms f.
+func entropyRowValue(row, coef, prev, mgFac []float64, eps2 float64) (s, f float64) {
 	for j, v := range row {
 		s += v
 		f += coef[j] * v
 		num, den := v+eps2, prev[j]+eps2
 		var lg2 float64
 		if num != den {
-			if num == lastNum[j] {
-				lg2 = lastLg2[j]
-				hits++
-			} else {
-				lg2 = math.Log(num / den)
-				lastNum[j] = num
-				lastLg2[j] = lg2
-				misses++
-			}
+			lg2 = math.Log(num / den)
 		}
 		f += mgFac[j] * (num*lg2 - v)
 	}
-	return s, f, hits, misses
+	return s, f
 }
 
 // entropyRowGrad runs the gradient pass over one cloud row: f continues
-// the caller's accumulator (seeded with the reconfiguration term so the
-// addition order matches the historical loop exactly), rc is the row's
-// reconfiguration gradient, and g receives the per-variable gradient.
-func entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2, g []float64, eps2, f, rc float64) (fOut float64, hits, misses int64) {
+// the caller's accumulator (seeded with the total term, so the addition
+// order is the one the golden schedule digests were recorded with), rc is
+// the total term's gradient, and g receives the per-variable gradient.
+func entropyRowGrad(row, coef, prev, mgFac, g []float64, eps2, f, rc float64) float64 {
 	for j, v := range row {
 		f += coef[j] * v
 		num, den := v+eps2, prev[j]+eps2
 		var lg2 float64
 		if num != den {
-			if num == lastNum[j] {
-				lg2 = lastLg2[j]
-				hits++
-			} else {
-				lg2 = math.Log(num / den)
-				lastNum[j] = num
-				lastLg2[j] = lg2
-				misses++
-			}
+			lg2 = math.Log(num / den)
 		}
 		f += mgFac[j] * (num*lg2 - v)
 		g[j] = coef[j] + rc + mgFac[j]*lg2
 	}
-	return f, hits, misses
+	return f
 }
 
 // Fast tier --------------------------------------------------------------

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"edgealloc/internal/conform"
-	"edgealloc/internal/telemetry"
 )
 
 // allTiersFastOpts is the full tier product at certification budgets:
@@ -127,52 +126,6 @@ func TestFastMathDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: decision differs at %d: %g vs %g", w, k, got[k], base[k])
 			}
 		}
-	}
-}
-
-// TestLogCacheCounters checks the observability satellite: the exact
-// path must report memo-cache activity through StepDiag and the
-// telemetry bundle, and the fast path — which has no cache — must report
-// zero on the same instance.
-func TestLogCacheCounters(t *testing.T) {
-	in := conform.GenInstance(conform.GenConfig{Seed: 3, I: 3, J: 4, T: 3})
-
-	reg := telemetry.NewRegistry()
-	m := telemetry.NewSolverMetrics(reg)
-	exact := NewOnlineApprox(in, Options{Solver: tightOpts(), Metrics: m})
-	if _, err := exact.Run(); err != nil {
-		t.Fatal(err)
-	}
-	d := exact.LastStepDiag()
-	if d.LogCacheMisses == 0 {
-		t.Error("exact path: LogCacheMisses = 0, want > 0")
-	}
-	if d.LogCacheHits == 0 {
-		t.Error("exact path: LogCacheHits = 0, want > 0 (converged evals repeat arguments)")
-	}
-	if m.LogMisses.Value() == 0 || m.LogHits.Value() == 0 {
-		t.Errorf("telemetry counters hits=%v misses=%v, want both > 0",
-			m.LogHits.Value(), m.LogMisses.Value())
-	}
-
-	for _, cand := range []int{0, 2} {
-		fast := NewOnlineApprox(in, Options{Solver: tightOpts(), FastMath: true, Candidates: cand})
-		if _, err := fast.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if d := fast.LastStepDiag(); d.LogCacheHits != 0 || d.LogCacheMisses != 0 {
-			t.Errorf("candidates=%d fast path: cache counters %d/%d, want 0/0",
-				cand, d.LogCacheHits, d.LogCacheMisses)
-		}
-	}
-
-	// The candidate path's counters flow through the packed objective.
-	sparse := NewOnlineApprox(in, Options{Solver: tightOpts(), Candidates: 2})
-	if _, err := sparse.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if d := sparse.LastStepDiag(); d.LogCacheMisses == 0 {
-		t.Error("sparse exact path: LogCacheMisses = 0, want > 0")
 	}
 }
 

@@ -100,13 +100,18 @@ func TestGoldenScheduleDigests(t *testing.T) {
 			ShardPrimalTol: 1e-3, ShardDualTol: 0.1},
 			"2f5c3dc101590f213cbf9ba98bcc5c9c9b0c2ba2d13ebdd77ddeb55cc4baa1ac"},
 	} {
-		sched, err := NewOnlineApprox(in, tc.opts).Run()
+		alg := NewOnlineApprox(in, tc.opts)
+		sched, err := alg.Run()
 		if err != nil {
 			t.Errorf("%s: %v", tc.name, err)
 			continue
 		}
 		if got := scheduleDigest(sched); got != tc.digest {
 			t.Errorf("%s: schedule digest %s, want %s", tc.name, got, tc.digest)
+		}
+		// The retired memo counters (StepDiag) stay zero on every path.
+		if d := alg.LastStepDiag(); d.LogCacheHits != 0 || d.LogCacheMisses != 0 {
+			t.Errorf("%s: LogCacheHits/Misses = %d/%d, want 0/0", tc.name, d.LogCacheHits, d.LogCacheMisses)
 		}
 	}
 }

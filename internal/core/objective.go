@@ -72,12 +72,6 @@ type p2Objective struct {
 
 	rowF []float64 // per-cloud partial objective values
 
-	// hitRow/missRow count per-cloud log-cache outcomes since the last
-	// resetLogCache; per-row slots keep the counting race-free and
-	// deterministic under the parallel evaluation path, exactly like rowF.
-	hitRow  []int64
-	missRow []int64
-
 	// Fast-math tier (Options.FastMath): fast selects the batch-kernel
 	// evaluation path, invDen holds the reciprocals 1/(x'_{ij}+ε₂) and
 	// ratio is the row-sliced log scratch. prepare sizes whichever the
@@ -85,18 +79,6 @@ type p2Objective struct {
 	fast   bool
 	invDen []float64
 	ratio  []float64
-
-	// lastNum/lastLg2 memoize the migration-term log per variable on the
-	// exact tier: the solver evaluates the objective thousands of times per
-	// slot, and late in a solve most entries are static across evaluations
-	// (converged, or clipped at the zero bound while x'_{ij} ≠ 0), so their
-	// log argument repeats exactly. The cache stores the argument and the
-	// math.Log result it produced, making reuse bitwise identical to
-	// recomputation; prepare invalidates it (the denominator changes with
-	// x'). Each entry is only touched by the evaluation of its own cloud
-	// row, so the parallel path stays race-free and deterministic.
-	lastNum []float64
-	lastLg2 []float64
 }
 
 var _ alm.Curvature = (*p2Objective)(nil)
@@ -106,9 +88,7 @@ var _ alm.Curvature = (*p2Objective)(nil)
 func newPackedObjective(nI int, eps1, eps2 float64, fast bool) p2Objective {
 	return p2Objective{
 		nI: nI, eps1: eps1, eps2: eps2, fast: fast,
-		rowF:    make([]float64, nI),
-		hitRow:  make([]int64, nI),
-		missRow: make([]int64, nI),
+		rowF: make([]float64, nI),
 	}
 }
 
@@ -194,20 +174,15 @@ func (o *p2Objective) carry(prev model.Alloc) {
 }
 
 // prepare readies the objective for evaluation after its layout and
-// packed constants changed: it sizes the tier's scratch to the variable
-// count and refreshes what depends on x' — the fast tier's reciprocals
-// (one divide per variable here instead of one per element per
-// evaluation) or the exact tier's log cache, invalidated.
+// packed constants changed. Only the fast tier keeps anything that depends
+// on them: its scratch, sized to the variable count, and the reciprocals
+// of x' (one divide per variable here instead of one per element per
+// evaluation).
 func (o *p2Objective) prepare() {
-	n := len(o.prev)
 	if !o.fast {
-		o.lastNum = growFloats(o.lastNum, n)
-		o.lastLg2 = growFloats(o.lastLg2, n)
-		for k := range o.lastNum {
-			o.lastNum[k] = math.NaN() // never equal: invalidate the log cache
-		}
 		return
 	}
+	n := len(o.prev)
 	o.invDen = growFloats(o.invDen, n)
 	o.ratio = growFloats(o.ratio, n)
 	for k, p := range o.prev {
@@ -278,31 +253,13 @@ func (o *p2Objective) addTotals(tot, x []float64) {
 	}
 }
 
-// resetLogCache zeroes the log-cache counters (once per slot, so they
-// accumulate across the slot's rounds).
-func (o *p2Objective) resetLogCache() {
-	for i := range o.hitRow {
-		o.hitRow[i] = 0
-		o.missRow[i] = 0
-	}
-}
-
-// logCacheTotals sums the per-row cache counters accumulated since the
-// last resetLogCache.
-func (o *p2Objective) logCacheTotals() (hits, misses int64) {
-	for i := range o.hitRow {
-		hits += o.hitRow[i]
-		misses += o.missRow[i]
-	}
-	return hits, misses
-}
-
 // Eval implements fista.Objective.
 func (o *p2Objective) Eval(x, grad []float64) float64 {
 	if w := par.Bound(o.workers, len(x), evalParGrain); w <= 1 {
-		// Closure-free serial path: Eval runs thousands of times per
-		// Step, and a closure handed to par.Ranges escapes (it may be
-		// launched on goroutines), costing one heap allocation per call.
+		// Closure-free serial path: a closure handed to par.Ranges escapes
+		// (it may be launched on goroutines) and would cost one heap
+		// allocation per evaluation; TestHotPathAllocs pins a warm Step at
+		// the one decision it returns.
 		o.evalRows(x, grad, 0, o.nI)
 	} else {
 		par.Ranges(w, o.nI, func(lo, hi int) { o.evalRows(x, grad, lo, hi) })
@@ -363,10 +320,11 @@ func (o *p2Objective) Curv(x, diag, cloud []float64) {
 // evalRow computes cloud i's slice of the objective and gradient: the
 // total term plus the static and migration terms of the row's kept pairs.
 // Rows touch disjoint state. The element loops (entropy.go) are separate
-// for the gradient and value-only cases (the once-per-outer objective
-// readings of alm.Solve and FISTA's backtracking trials are
-// value-only) so neither pays the other's per-element branch, with the
-// row slices hoisted for bounds-check elimination.
+// for the gradient and value-only cases so neither pays the other's
+// per-element branch, with the row slices hoisted for bounds-check
+// elimination. The Newton solves evaluate with a gradient only; the
+// value-only loops serve FISTA's backtracking trials and its once-per-outer
+// objective reading on the denseRows reference path, and the tests.
 //
 // On the exact tier most variables sit where the iterate equals the
 // previous decision (typically both at the zero bound: a user is served
@@ -383,15 +341,11 @@ func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 	mgFac := o.mgFac[lo:hi]
 	if !o.fast {
 		prev := o.prev[lo:hi]
-		lastNum := o.lastNum[lo:hi]
-		lastLg2 := o.lastLg2[lo:hi]
 		if grad == nil {
 			// The row sum feeds only the total term, so it is accumulated
 			// alongside the element terms in a single pass and the total
 			// term is added at the end.
-			s, f, hits, misses := entropyRowValue(row, coef, prev, mgFac, lastNum, lastLg2, o.eps2)
-			o.hitRow[i] += hits
-			o.missRow[i] += misses
+			s, f := entropyRowValue(row, coef, prev, mgFac, o.eps2)
 			tv, _ := o.totalTerm(i, s)
 			return f + tv
 		}
@@ -402,11 +356,7 @@ func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 		// The total term seeds the accumulator so the addition order is
 		// the same on every path.
 		tv, tg := o.totalTerm(i, s)
-		f, hits, misses := entropyRowGrad(row, coef, prev, mgFac, lastNum, lastLg2,
-			grad[lo:hi], o.eps2, tv, tg)
-		o.hitRow[i] += hits
-		o.missRow[i] += misses
-		return f
+		return entropyRowGrad(row, coef, prev, mgFac, grad[lo:hi], o.eps2, tv, tg)
 	}
 	ratio := o.ratio[lo:hi]
 	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)

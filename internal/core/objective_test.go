@@ -81,6 +81,11 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 					t.Fatalf("trial %d %s fast=%v: value %v/%v packed vs %v/%v identity",
 						trial, term.name, fast, fp, vp, fd, vd)
 				}
+				// alm's Newton path reports the gradient pass's value as f(x);
+				// the value-only pass sums the same terms in another order.
+				if math.Abs(fd-vd) > 1e-14*(1+math.Abs(vd)) {
+					t.Fatalf("trial %d %s fast=%v: value %v with the gradient, %v without", trial, term.name, fast, fd, vd)
+				}
 				for i := 0; i < in.I; i++ {
 					for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
 						if want := gd[i*in.J+cs.Cols[k]]; math.Float64bits(gp[k]) != math.Float64bits(want) {

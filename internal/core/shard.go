@@ -306,9 +306,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		if b.frozen {
 			d.FrozenUsers += b.rng.Len()
 		}
-		h, m := b.obj.logCacheTotals()
-		d.LogCacheHits += h
-		d.LogCacheMisses += m
 	}
 	d.Outer, d.Inner = blockOuter, blockInner
 	d.Converged = cres.Converged
@@ -608,7 +605,6 @@ func (b *shardBlock) beginSlot(o *OnlineApprox, warmDense []float64, t int, ctx 
 	b.builder.Build(&b.cand)
 	b.gather(o.obj, &b.cand, b.rng.Lo, warmDense)
 	copy(b.theta, b.thetaWarm)
-	b.obj.resetLogCache()
 	b.sopts.Ctx = ctx
 	b.dirty = false
 }

@@ -208,7 +208,6 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 	} else {
 		obj.prepare()
 	}
-	obj.resetLogCache()
 
 	sopts := o.opts.Solver
 	sopts.Workspace = &o.ws
@@ -294,7 +293,6 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		}
 		s.builder.Build(&s.cand)
 	}
-	d.LogCacheHits, d.LogCacheMisses = obj.logCacheTotals()
 	s.committed = true
 	if ragged {
 		d.CandRounds, d.CandNNZ = rounds, nnz

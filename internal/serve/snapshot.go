@@ -10,8 +10,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"edgealloc/internal/model"
 )
 
 // tmpPrefix starts the name of every temp file a whole-file write leaves
@@ -76,13 +74,14 @@ func (s *Server) restoreSession(d *snapDoc) (*session, error) {
 		lastUsed:  s.cfg.now(),
 		next:      st.Slot,
 		done:      st.Slot == d.inst.T,
+		// As in a live session, sched[t] is the algorithm's own slot t.
+		sched: slices.Clone(alg.Schedule()),
 	}
 	for t, rec := range d.records {
 		req := slotRequest{OpPrice: rec.opPrice, Attach: rec.attach, AccessDelay: rec.accessDelay}
 		if err := sess.applySlotData(t, &req); err != nil {
 			return nil, fmt.Errorf("record %d: %w", t, err)
 		}
-		sess.sched = append(sess.sched, model.Alloc{I: d.inst.I, J: d.inst.J, X: rec.x})
 		sess.meta = append(sess.meta, slotMeta{Cost: rec.Cost, Diag: rec.Diag})
 		sess.costs.Add(rec.Cost)
 		sess.total += d.inst.Total(rec.Cost)

@@ -104,6 +104,30 @@ func driveSlots(t *testing.T, base, id string, from, to int) []slotResponse {
 	return out
 }
 
+// requireSharedSchedule fails unless the session keeps each of its n
+// committed decisions once: sess.sched[t] is the algorithm's own slot t, as
+// recordSlot leaves it in a live session, and not a second copy.
+func requireSharedSchedule(t *testing.T, srv *Server, id string, n int) {
+	t.Helper()
+	srv.mu.Lock()
+	sess := srv.sessions[id]
+	srv.mu.Unlock()
+	if sess == nil {
+		t.Fatalf("session %s not registered", id)
+	}
+	sess.stepMu.Lock()
+	defer sess.stepMu.Unlock()
+	alg := sess.alg.Schedule()
+	if len(sess.sched) != n || len(alg) != n {
+		t.Fatalf("session holds %d slots, algorithm %d, want %d", len(sess.sched), len(alg), n)
+	}
+	for k := range alg {
+		if &sess.sched[k].X[0] != &alg[k].X[0] {
+			t.Errorf("slot %d: the session and the algorithm each keep a copy of the decision", k)
+		}
+	}
+}
+
 // TestSnapshotRestoreRoundTrip moves a half-run session to a second
 // daemon through the snapshot/restore endpoints and requires the
 // migrated continuation to match the uninterrupted run bitwise (the
@@ -111,7 +135,7 @@ func driveSlots(t *testing.T, base, id string, from, to int) []slotResponse {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	in := testInstance(t, 12, 6, 3)
 	_, tsA := newTestServer(t, Config{})
-	_, tsB := newTestServer(t, Config{})
+	srvB, tsB := newTestServer(t, Config{})
 
 	id := createSession(t, tsA.URL, in)
 	driveSlots(t, tsA.URL, id, 0, 3)
@@ -125,8 +149,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.ID != id || restored.Horizon != in.T {
 		t.Fatalf("restore response %+v", restored)
 	}
+	requireSharedSchedule(t, srvB, id, 3)
 	respA := driveSlots(t, tsA.URL, id, 3, in.T)
 	respB := driveSlots(t, tsB.URL, id, 3, in.T)
+	requireSharedSchedule(t, srvB, id, in.T)
 	for k := range respA {
 		if respA[k].Cost != respB[k].Cost {
 			t.Fatalf("slot %d: migrated cost %+v != %+v", respA[k].Slot, respB[k].Cost, respA[k].Cost)
@@ -477,6 +503,7 @@ func TestCrashRecovery(t *testing.T) {
 	if status.NextSlot != 3 {
 		t.Fatalf("recovered at slot %d, want 3", status.NextSlot)
 	}
+	requireSharedSchedule(t, srv2, id, 3)
 	driveSlots(t, ts2.URL, id, 3, in.T)
 	if !schedulesEqual(fetchSchedule(t, ts2.URL, id), fetchSchedule(t, tsRef.URL, ref)) {
 		t.Fatal("recovered continuation differs from uninterrupted run")
@@ -487,7 +514,6 @@ func TestCrashRecovery(t *testing.T) {
 	if id2 == id {
 		t.Fatalf("new session reused recovered id %s", id)
 	}
-	_ = srv2
 }
 
 // TestTierDecidedAtCreateMigration: a session's solve tier is fixed when

@@ -28,16 +28,16 @@
 // says the point is primal-feasible and complementary to FeasTol whatever ρ
 // the penalty schedule has reached. A solve is converged when σ ≤ FeasTol
 // and the objective moved by at most ObjTol (relative) since the previous
-// outer iteration, or when the violation alone is within FeasTol and both
-// the objective and the multipliers (DualTol, relative to 1+y_k) have
-// settled. The penalty grows ×PenaltyGrowth whenever the violation fails to
-// fall 4× in an outer iteration, and, once no row is violated, whenever σ
-// does — provided the previous σ was above FeasTol too and, on the FISTA
-// path, the inner solve took more than fista.StagnantLimit iterations: the
-// signs that the stall is the method's rate and not the inner solver's
-// noise floor. A Newton solve has no such floor — one that ends in two
-// iterations is converged, not stalled — so the iteration clause is
-// FISTA's alone.
+// outer iteration (what f is read from: Result.Objective), or when the
+// violation alone is within FeasTol and both the objective and the
+// multipliers (DualTol, relative to 1+y_k) have settled. The penalty grows
+// ×PenaltyGrowth whenever the violation fails to fall 4× in an outer
+// iteration, and, once no row is violated, whenever σ does — provided the
+// previous σ was above FeasTol too and, on the FISTA path, the inner solve
+// took more than fista.StagnantLimit iterations: the signs that the stall
+// is the method's rate and not the inner solver's noise floor. A Newton
+// solve has no such floor — one that ends in two iterations is converged,
+// not stalled — so the iteration clause is FISTA's alone.
 //
 // What Converged certifies depends on the inner solver. The Newton solves
 // stop on the projected-gradient norm ‖x − P(x − ∇L)‖∞ ≤ tol·(1+|L|), with
@@ -246,7 +246,9 @@ func (ws *Workspace) ensure(n, m int) {
 // Result reports the outcome of a solve.
 type Result struct {
 	X []float64
-	// Objective is f(X) — the original objective without penalty terms.
+	// Objective is f(X) — the original objective without penalty terms —
+	// as the last outer iteration read it: from the gradient evaluation that
+	// accepted X on the Newton path, from a value-only one at X on FISTA's.
 	Objective float64
 	// Duals are the nonnegative multipliers of the GE rows.
 	Duals []float64
@@ -496,6 +498,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			}
 			res.InnerIters += inner.Iters
 			x, moved = inner.X, inner.Iters > fista.StagnantLimit
+			// The point FISTA returns need not be the last one it evaluated.
+			res.Objective = p.Obj.Eval(x, nil)
 		}
 
 		// Multiplier update with the three progress measures: the violation,
@@ -520,9 +524,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			}
 		}
 
-		obj := p.Obj.Eval(x, nil)
+		obj := res.Objective
 		relObjChange := math.Abs(obj-prevObj) / (1 + math.Abs(obj))
 		prevObj = obj
+		res.MaxViolation = viol
 		res.Sigma, res.RelObjChange, res.DualMove = sigma, relObjChange, dualMove
 		switch {
 		case viol > feasTol:
@@ -564,16 +569,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 	}
 
-	res.X = x
-	res.Objective = p.Obj.Eval(x, nil)
-	res.Duals = y
-	p.axInto(x, ws.ax, &ws.gs, opts.Workers)
-	for k := range ws.ax {
-		rhs := p.rowRHS(k)
-		if v := (rhs - ws.ax[k]) / (1 + math.Abs(rhs)); v > res.MaxViolation {
-			res.MaxViolation = v
-		}
-	}
+	res.X, res.Duals = x, y
 	return res, nil
 }
 
@@ -591,6 +587,7 @@ type lagrangian struct {
 	rho     float64
 	ws      *Workspace
 	workers int
+	obj     float64 // f(x) of the last Eval, without the penalty terms
 }
 
 var _ fista.Objective = (*lagrangian)(nil)
@@ -598,6 +595,7 @@ var _ fista.Objective = (*lagrangian)(nil)
 // Eval implements fista.Objective.
 func (l *lagrangian) Eval(x, grad []float64) float64 {
 	f := l.p.Obj.Eval(x, grad)
+	l.obj = f
 	ax, mult := l.ws.ax, l.ws.mult
 	l.p.axInto(x, ax, &l.ws.gs, l.workers)
 	for k := range ax {

@@ -145,7 +145,9 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 // when the projected gradient is within tol·(1+|L|) or after maxIters
 // steps. Every trial of the arc search is evaluated with its gradient, so
 // an accepted trial is the next iteration's evaluation. It keeps the
-// solve's InnerIters, Fallbacks and ProjGrad in the workspace's Result.
+// solve's InnerIters, Fallbacks and ProjGrad in the workspace's Result, and
+// in its Objective f at the iterate: the entry evaluation's, then each
+// accepted trial's, never a rejected one's.
 func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
 	nt, res := &ws.nt, &ws.res
 	gr, lower := lag.p.Groups, lag.p.Lower
@@ -157,6 +159,7 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 		}
 	}
 	L := lag.Eval(x, grad)
+	res.Objective = lag.obj
 	for iters := 0; ; iters++ {
 		// Free set, in cloud-major order, and the projected gradient.
 		nF, pg := 0, 0.0
@@ -213,7 +216,7 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 		x, xt = xt, x
 		grad, gt = gt, grad
 		ws.x, nt.xt, nt.g, nt.gt = x, xt, grad, gt
-		L = Lt
+		L, res.Objective = Lt, lag.obj
 	}
 }
 

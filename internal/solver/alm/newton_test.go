@@ -150,14 +150,94 @@ func solveNewtonAndFista(t *testing.T, p *Problem, opts Options) (newton, ref Re
 	if rf.ProjGrad != 0 || rf.Fallbacks != 0 {
 		t.Errorf("FISTA path reports ProjGrad %g, Fallbacks %d", rf.ProjGrad, rf.Fallbacks)
 	}
+	checkReadAtX(t, "newton", p, rn)
+	checkReadAtX(t, "fista", &hidden, rf)
 	return *rn, *rf
+}
+
+// checkReadAtX holds Result.Objective and Result.MaxViolation — which Solve
+// takes from evaluations its loop already made — to a recomputation at
+// Result.X, bit for bit: entropic sums in one order with or without a
+// gradient (internal/core's kernels do not, and agree to ~1e-16 relative).
+// Programs whose arc searches reject trials (TestNewtonDegenerateCurvature)
+// are where a value carried from the wrong evaluation would show.
+func checkReadAtX(t *testing.T, solver string, p *Problem, r *Result) {
+	t.Helper()
+	if f := p.Obj.Eval(r.X, nil); r.Objective != f {
+		t.Errorf("%s: Objective %.17g, f(X) = %.17g", solver, r.Objective, f)
+	}
+	ws := workspaceFor(p)
+	p.axInto(r.X, ws.ax, &ws.gs, 0)
+	viol := 0.0
+	for k, a := range ws.ax {
+		rhs := p.rowRHS(k)
+		viol = max(viol, (rhs-a)/(1+math.Abs(rhs)))
+	}
+	if r.MaxViolation != viol {
+		t.Errorf("%s: MaxViolation %v, recomputed at X %v", solver, r.MaxViolation, viol)
+	}
+}
+
+// countingObjective counts an objective's evaluations by kind.
+type countingObjective struct {
+	Curvature
+	values, grads int
+}
+
+func (c *countingObjective) Eval(x, grad []float64) float64 {
+	if grad == nil {
+		c.values++
+	} else {
+		c.grads++
+	}
+	return c.Curvature.Eval(x, grad)
+}
+
+// TestNewtonPathMakesNoValueOnlyEvaluation pins one evaluation per point:
+// on the Newton path every f Solve reports or tests was computed by the
+// gradient evaluation that produced the point, so the objective is never
+// asked for a value alone. The sparse-row form of the same programs keeps
+// FISTA's one reading per outer iteration, at the point it returns.
+func TestNewtonPathMakesNoValueOnlyEvaluation(t *testing.T) {
+	rng := rand.New(rand.NewSource(2017))
+	for trial := 0; trial < 10; trial++ {
+		p, o := curvProgram(rng, trial%2 == 1, curved)
+		obj := &countingObjective{Curvature: o}
+		p.Obj = obj
+		res, err := Solve(p, tightNewtonOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Newton || !res.Converged {
+			t.Fatalf("trial %d: Newton=%v Converged=%v", trial, res.Newton, res.Converged)
+		}
+		if obj.values != 0 || obj.grads == 0 {
+			t.Errorf("trial %d: %d value-only and %d gradient evaluations, want 0 and > 0", trial, obj.values, obj.grads)
+		}
+
+		if p.Groups.ragged() {
+			continue // denseFromGroups is the identity layout's reference form
+		}
+		sparse := *p
+		sparse.Cons, sparse.Groups = denseFromGroups(p.Groups), nil
+		res, err = Solve(&sparse, Options{MaxOuter: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Newton {
+			t.Fatalf("trial %d: sparse rows solved by Newton", trial)
+		}
+		checkReadAtX(t, "fista", &sparse, res)
+	}
 }
 
 // workspaceFor returns a workspace sized for p's kernels.
 func workspaceFor(p *Problem) *Workspace {
 	ws := &Workspace{}
 	ws.ensure(p.N, p.numRows())
-	ws.gs.ensure(p.Groups)
+	if p.Groups != nil {
+		ws.gs.ensure(p.Groups)
+	}
 	return ws
 }
 
@@ -270,6 +350,24 @@ func TestNewtonDegenerateCurvature(t *testing.T) {
 	}
 	if fallbacks == 0 {
 		t.Error("no fallback step was taken (seed 83 used to take six)")
+	}
+}
+
+// TestNewtonUnresolvedDescentReportsItsPoint asks for a stationarity no
+// arithmetic delivers (FeasTol 1e-17), so every inner solve ends where both
+// arcs hold nothing but rejected trials and newton returns the iterate it
+// had, which is the point Objective and MaxViolation must describe.
+func TestNewtonUnresolvedDescentReportsItsPoint(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		p, _ := curvProgram(rand.New(rand.NewSource(seed)), seed%2 == 1, curved)
+		res, err := Solve(p, Options{MaxOuter: 12, FeasTol: 1e-17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fallbacks == 0 {
+			t.Errorf("seed %d: no arc was rejected (projected gradient %g)", seed, res.ProjGrad)
+		}
+		checkReadAtX(t, "newton", p, res)
 	}
 }
 

@@ -11,12 +11,10 @@ import "strconv"
 //	edgealloc_solver_steps_total               counter    slots solved
 //	edgealloc_solver_steps_nonconverged_total  counter    slots where ALM hit MaxOuter
 //	edgealloc_solver_alm_outer_iterations_total    counter  ALM multiplier updates
-//	edgealloc_solver_fista_iterations_total        counter  inner-solver iterations (the name predates the Newton solver)
+//	edgealloc_solver_inner_iterations_total        counter  inner-solver iterations (Newton steps; FISTA on the sparse-row reference)
 //	edgealloc_solver_candidate_rounds_total        counter  candidate-set solves (≥1/slot)
 //	edgealloc_solver_candidate_expanded_pairs_total counter pairs re-admitted by pricing
 //	edgealloc_solver_candidate_nnz                 gauge    Σ_j|K_j| of the last certified solve
-//	edgealloc_solver_logcache_hits_total           counter  migration-log memo-cache hits (exact path)
-//	edgealloc_solver_logcache_misses_total         counter  migration-log memo-cache misses (exact path)
 //	edgealloc_solver_shard_outer_iterations_total  counter  shard coordination (dual-ascent) iterations
 //	edgealloc_solver_shard_max_residual            gauge    final consensus/capacity residual of the last slot
 //	edgealloc_solver_shard_solve_seconds           histogram per-shard cumulative solve time per slot
@@ -45,8 +43,6 @@ type SolverMetrics struct {
 	CandRounds   *Counter
 	CandExpanded *Counter
 	CandNNZ      *Gauge
-	LogHits      *Counter
-	LogMisses    *Counter
 	ShardIters   *Counter
 	ShardResid   *Gauge
 	ShardSolve   *Histogram
@@ -75,18 +71,14 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 			"Slots whose ALM solve stopped at the outer-iteration cap."),
 		OuterIters: r.Counter("edgealloc_solver_alm_outer_iterations_total",
 			"ALM outer (multiplier-update) iterations."),
-		InnerIters: r.Counter("edgealloc_solver_fista_iterations_total",
-			"Inner-solver iterations across all subproblems (projected Newton steps; the series name predates them)."),
+		InnerIters: r.Counter("edgealloc_solver_inner_iterations_total",
+			"Inner-solver iterations across all subproblems (projected Newton steps; FISTA iterations on the sparse-row reference)."),
 		CandRounds: r.Counter("edgealloc_solver_candidate_rounds_total",
 			"Candidate-set reduced solves (rounds beyond one per slot are pricing expansions)."),
 		CandExpanded: r.Counter("edgealloc_solver_candidate_expanded_pairs_total",
 			"(cloud,user) pairs re-admitted by the dual pricing pass."),
 		CandNNZ: r.Gauge("edgealloc_solver_candidate_nnz",
 			"Packed variable count of the most recent certified candidate solve."),
-		LogHits: r.Counter("edgealloc_solver_logcache_hits_total",
-			"Migration-entropy log memo-cache hits on the exact evaluation path (zero under FastMath)."),
-		LogMisses: r.Counter("edgealloc_solver_logcache_misses_total",
-			"Migration-entropy log memo-cache misses (fresh math.Log calls) on the exact evaluation path."),
 		ShardIters: r.Counter("edgealloc_solver_shard_outer_iterations_total",
 			"Shard-coordination outer dual-ascent iterations (zero when sharding is off)."),
 		ShardResid: r.Gauge("edgealloc_solver_shard_max_residual",
@@ -192,17 +184,6 @@ func (m *SolverMetrics) ObserveIncremental(frozen, readmitted int, seconds float
 	m.IncrFrozen.Add(float64(frozen))
 	m.IncrReadmit.Add(float64(readmitted))
 	m.IncrSolve.Observe(seconds)
-}
-
-// ObserveLogCache records one slot's migration-log memo-cache outcomes
-// on the exact evaluation path (both zero under FastMath, whose batch
-// kernels bypass the cache).
-func (m *SolverMetrics) ObserveLogCache(hits, misses int64) {
-	if m == nil {
-		return
-	}
-	m.LogHits.Add(float64(hits))
-	m.LogMisses.Add(float64(misses))
 }
 
 // SetCloudUtilization records cloud i's utilization at the latest slot.

@@ -162,7 +162,6 @@ func TestSolverMetricsNilSafe(t *testing.T) {
 	m.ObserveShardRPCAttempt(0.01, 100, true)
 	m.CountShardRPCFallback()
 	m.ObserveIncremental(4, 1, 0.02)
-	m.ObserveLogCache(7, 3)
 	m.SetCloudUtilization(0, 0.5)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -179,7 +178,6 @@ func TestSolverMetricsRecords(t *testing.T) {
 	m.ObserveShardRPCAttempt(0.02, 50, true)
 	m.CountShardRPCFallback()
 	m.ObserveIncremental(40, 2, 0.03)
-	m.ObserveLogCache(7, 3)
 	m.SetCloudUtilization(1, 0.75)
 	m.CountViolation("capacity")
 	m.ObserveRun(1.5)
@@ -213,8 +211,6 @@ func TestSolverMetricsRecords(t *testing.T) {
 		{"incr frozen", m.IncrFrozen.Value(), 40},
 		{"incr readmitted", m.IncrReadmit.Value(), 2},
 		{"incr solves", float64(m.IncrSolve.Count()), 1},
-		{"log hits", m.LogHits.Value(), 7},
-		{"log misses", m.LogMisses.Value(), 3},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
