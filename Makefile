@@ -60,23 +60,23 @@ race:
 
 # Differential fuzzing against the paper-conformance oracle (DESIGN.md
 # §8). Each target runs for FUZZTIME on top of the committed seed corpora
-# under testdata/fuzz; plain `make test` replays the seeds only. go test
-# accepts one fuzz target per invocation, hence the loop; it runs every
-# target whatever the earlier ones did and fails at the end, naming the
-# ones that failed, so one red target does not hide the other nine.
+# under testdata/fuzz; plain `make test` replays the seeds only. The
+# targets are discovered, not listed: every Fuzz* function `go test -list`
+# finds in a package of ./... . go test accepts one fuzz target per
+# invocation, hence the loop; it runs every target whatever the earlier
+# ones did and fails at the end, naming the ones that failed, so one red
+# target does not hide the others.
 FUZZTIME ?= 30s
 
 fuzz:
 	@failed=""; \
-	for spec in \
-		FuzzOnlineStep:core FuzzCandidateVsDense:core FuzzStructuredVsDenseRows:core \
-		FuzzShardVsDense:core FuzzIncrementalVsFull:core \
-		FuzzInstanceDecode:model FuzzFastMathVsStdlib:numkernel FuzzSnapshotRoundTrip:serve \
-		FuzzShardRPCCodec:solver/shardrpc FuzzNewtonVsFista:solver/alm; do \
-		target=$${spec%%:*}; pkg=$${spec#*:}; \
-		echo "== $$target ($(FUZZTIME)) =="; \
-		$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) ./internal/$$pkg/ \
-			|| failed="$$failed $$target"; \
+	for pkg in $$($(GO) list ./...); do \
+		targets=$$($(GO) test -list '^Fuzz' $$pkg) || { failed="$$failed $$pkg"; continue; }; \
+		for target in $$(echo "$$targets" | grep '^Fuzz'); do \
+			echo "== $$target ($(FUZZTIME)) =="; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) $$pkg \
+				|| failed="$$failed $$target"; \
+		done; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 

@@ -97,37 +97,42 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 	return sched, nil
 }
 
-// slotGroups builds the structured per-slot rows shared by greedy, the
-// proximal ablation, and the offline program — demand Σ_i x_ij ≥ λ_j and
-// capacity Σ_j x_ij ≤ C_i (as −Σ_j x_ij ≥ −C_i for the GE-only ALM
-// interface) — repeated over `blocks` consecutive slot blocks. Row order
-// within a block is demand then capacity, matching slotConstraints.
-func slotGroups(in *model.Instance, blocks int) *alm.Groups {
-	rows := make([]alm.GroupRow, 0, blocks*(in.J+in.I))
-	for b := 0; b < blocks; b++ {
+// slotGroups builds the structured rows shared by greedy, the proximal
+// ablation, and the offline program over `slots` consecutive slot-major
+// I×J blocks: the full CSR grid of slots·I cloud rows over slots·J users,
+// and per slot its demand rows Σ_i x_ij ≥ λ_j then its capacity rows
+// Σ_j x_ij ≤ C_i (as −Σ_j x_ij ≥ −C_i for the GE-only ALM interface),
+// matching slotConstraints.
+func slotGroups(in *model.Instance, slots int) *alm.Groups {
+	nI, nJ := slots*in.I, slots*in.J
+	g := &alm.Groups{I: nI, J: nJ, Rows: make([]alm.GroupRow, 0, nJ+nI),
+		RowPtr: make([]int, nI+1), Cols: make([]int, nI*in.J)}
+	for r := 0; r < nI; r++ {
+		g.RowPtr[r+1] = (r + 1) * in.J
 		for j := 0; j < in.J; j++ {
-			rows = append(rows, alm.GroupRow{
-				Block: b, Kind: alm.GroupUserSum, Index: j, RHS: in.Workload[j]})
-		}
-		for i := 0; i < in.I; i++ {
-			rows = append(rows, alm.GroupRow{
-				Block: b, Kind: alm.GroupCloudSumNeg, Index: i, RHS: -in.Capacity[i]})
+			g.Cols[r*in.J+j] = r/in.I*in.J + j
 		}
 	}
-	return &alm.Groups{I: in.I, J: in.J, Blocks: blocks, Rows: rows}
+	for b := 0; b < slots; b++ {
+		for j := 0; j < in.J; j++ {
+			g.Rows = append(g.Rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: b*in.J + j})
+		}
+		for i := 0; i < in.I; i++ {
+			g.Rows = append(g.Rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: b*in.I + i})
+		}
+	}
+	refreshSlotGroupsRHS(g, in)
+	return g
 }
 
 // refreshSlotGroupsRHS rewrites the right-hand sides of rows built by
 // slotGroups for the given instance (same shape assumed).
 func refreshSlotGroupsRHS(g *alm.Groups, in *model.Instance) {
-	per := in.J + in.I
-	for b := 0; b < g.Blocks; b++ {
-		base := b * per
-		for j := 0; j < in.J; j++ {
-			g.Rows[base+j].RHS = in.Workload[j]
-		}
-		for i := 0; i < in.I; i++ {
-			g.Rows[base+in.J+i].RHS = -in.Capacity[i]
+	for k, r := range g.Rows {
+		if r.Kind == alm.GroupUserSum {
+			g.Rows[k].RHS = in.Workload[r.Index%in.J]
+		} else {
+			g.Rows[k].RHS = -in.Capacity[r.Index%in.I]
 		}
 	}
 }

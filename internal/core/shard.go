@@ -495,7 +495,7 @@ func (b *p2Block) setDemand(nI int, demand []float64) {
 	for jl, w := range demand {
 		rows[jl] = alm.GroupRow{Kind: alm.GroupUserSum, Index: jl, RHS: w}
 	}
-	b.groups = alm.Groups{I: nI, J: nJ, Blocks: 1, Rows: rows}
+	b.groups = alm.Groups{I: nI, J: nJ, Rows: rows}
 	b.demand = demand
 	b.served = growFloats(b.served, nJ)
 }

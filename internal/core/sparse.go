@@ -49,7 +49,7 @@ import (
 type singleState struct {
 	// p2Program is the ragged program of the candidate / incremental
 	// paths; the identity layout solves OnlineApprox.obj directly and uses
-	// only the program's rows and lower bound.
+	// only the program's rows over the full grid and its lower bound.
 	p2Program
 	// builder is nil on the identity layout.
 	builder *model.CandidateBuilder
@@ -118,7 +118,7 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		duals:     make([]float64, in.J+2*in.I),
 		packed:    make([]float64, in.J+in.I),
 	}
-	s.groups = alm.Groups{I: in.I, J: in.J, Blocks: 1}
+	s.groups = alm.Groups{I: in.I, J: in.J}
 	for j := range s.active {
 		s.active[j] = true
 	}
@@ -132,6 +132,11 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.colMin = make([]float64, in.J)
 		s.viol = make([]bool, in.J)
 	} else {
+		// The identity layout is alm's full grid over the dense objective.
+		s.groups.RowPtr, s.groups.Cols = o.obj.rowPtr, make([]int, in.I*in.J)
+		for k := range s.groups.Cols {
+			s.groups.Cols[k] = k % in.J
+		}
 		s.lower = make([]float64, in.I*in.J)
 		if o.opts.denseRows {
 			s.cons = p2Constraints(in)

@@ -12,10 +12,10 @@
 // system). This package replaces the role of IPOPT in the paper's
 // evaluation pipeline. The inner minimization has two solvers, chosen by
 // the program's structure and by nothing a caller sets: the per-slot
-// programs of the online algorithm — single-block Groups rows, a lower
-// bound only, an objective that exposes its curvature — are solved by a
-// projected Newton method (newton.go), second-order like IPOPT; every other
-// program — generic gradient-oracle objectives, multi-block rows, the
+// programs of the online algorithm — Groups rows, a lower bound only, an
+// objective that exposes its curvature — are solved by a projected Newton
+// method (newton.go), second-order like IPOPT; every other program —
+// generic gradient-oracle objectives such as the smoothed baselines', the
 // sparse-row reference form — by FISTA (internal/solver/fista).
 //
 // What "converged" means here. With s_k = b_k − A_k·x and y the multipliers
@@ -73,9 +73,9 @@ type Constraint struct {
 
 // Problem is a smooth convex program over a box with GE rows. Rows are
 // given either as generic sparse Cons or as structured group-sum Groups
-// (see groups.go) — never both. The structured form is the production
-// path for the paper's programs; the sparse form is the reference
-// implementation the property tests compare against.
+// over a CSR grid (see groups.go) — never both. The structured form is
+// the production path for the paper's programs; the sparse form is the
+// reference implementation the property tests compare against.
 type Problem struct {
 	// Obj is the smooth convex objective (gradient oracle).
 	Obj fista.Objective
@@ -88,8 +88,8 @@ type Problem struct {
 	// O(N + rows). Mutually exclusive with Cons. Groups.Rows[k] owns
 	// Result.Duals[k], exactly like Cons[k] would.
 	Groups *Groups
-	// Lower and Upper are optional box bounds passed through to the inner
-	// solver; nil means unbounded on that side.
+	// Lower and Upper are optional box bounds of length N passed through to
+	// the inner solver; nil means unbounded on that side.
 	Lower, Upper []float64
 }
 
@@ -366,6 +366,12 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			}
 		}
 	}
+	if p.Lower != nil && len(p.Lower) != p.N {
+		return nil, errf("len(Lower)=%d, want %d", len(p.Lower), p.N)
+	}
+	if p.Upper != nil && len(p.Upper) != p.N {
+		return nil, errf("len(Upper)=%d, want %d", len(p.Upper), p.N)
+	}
 	if opts.WarmX != nil && len(opts.WarmX) != p.N {
 		return nil, fmt.Errorf("%w: len(WarmX)=%d, want %d", ErrBadProblem, len(opts.WarmX), p.N)
 	}
@@ -460,7 +466,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	// The inner solver is a property of the program, not a setting: see
 	// the package comment and newton.go.
 	var cur Curvature
-	if g := p.Groups; g != nil && g.Blocks == 1 && p.Lower != nil && p.Upper == nil {
+	if g := p.Groups; g != nil && p.Lower != nil && p.Upper == nil {
 		if cur, res.Newton = p.Obj.(Curvature); res.Newton {
 			ws.nt.ensure(p.N, g.I, g.J)
 		}

@@ -6,60 +6,92 @@ import (
 	"testing"
 )
 
-// denseFromGroups materializes the generic sparse-row form of a
-// structured row set — the reference semantics the kernel must match.
-func denseFromGroups(g *Groups) []Constraint {
-	nI, nJ := g.I, g.J
-	nIJ := nI * nJ
+// gridGroups builds the CSR grid of `slots` slot-major copies of an I×J
+// grid — slots·I cloud rows over slots·J users, the layout of the offline
+// program — keeping pair (i, j) of every copy where keep[i][j] (nil keeps
+// every pair). It carries no rows.
+func gridGroups(slots, nI, nJ int, keep [][]bool) *Groups {
+	g := &Groups{I: slots * nI, J: slots * nJ, RowPtr: make([]int, 1, slots*nI+1)}
+	for r := 0; r < g.I; r++ {
+		for j := 0; j < nJ; j++ {
+			if keep == nil || keep[r%nI][j] {
+				g.Cols = append(g.Cols, r/nI*nJ+j)
+			}
+		}
+		g.RowPtr = append(g.RowPtr, len(g.Cols))
+	}
+	return g
+}
+
+// randomGrid draws a random P2-shaped structured row set: one to three full
+// slot copies of an I×J grid or, pruned, one copy thinned to a random
+// subset in which every user keeps a cloud (so demand rows are satisfiable;
+// a cloud may keep no pair at all) — then per slot a demand row per user
+// and a capacity row per cloud. Full grids still consume, between the two,
+// the draws that used to pick a random subset of complement rows, so every
+// instance is its pre-PR-23 self minus those rows.
+func randomGrid(rng *rand.Rand, pruned bool) *Groups {
+	nI, nJ, slots := 2+rng.Intn(5), 2+rng.Intn(7), 1
+	var keep [][]bool
+	if pruned {
+		keep = make([][]bool, nI)
+		for i := range keep {
+			keep[i] = make([]bool, nJ)
+		}
+		for j := 0; j < nJ; j++ {
+			keep[rng.Intn(nI)][j] = true // cover every user
+			for i := 0; i < nI; i++ {
+				if rng.Float64() < 0.4 {
+					keep[i][j] = true
+				}
+			}
+		}
+	} else {
+		slots = 1 + rng.Intn(3)
+	}
+	g := gridGroups(slots, nI, nJ, keep)
+	for b := 0; b < slots; b++ {
+		for j := 0; j < nJ; j++ {
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: b*nJ + j, RHS: 0.2 + rng.Float64()})
+		}
+		for i := 0; i < nI && !pruned; i++ {
+			if rng.Intn(2) == 0 {
+				rng.Float64()
+			}
+		}
+		for i := 0; i < nI; i++ {
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupCloudSumNeg, Index: b*nI + i,
+				RHS: -(float64(nJ)*0.6 + 2*rng.Float64())})
+		}
+	}
+	return g
+}
+
+// consFromGroups materializes the generic sparse-row form of a structured
+// row set over the packed variables — the reference semantics the kernel
+// must match.
+func consFromGroups(g *Groups) []Constraint {
 	cons := make([]Constraint, 0, len(g.Rows))
 	for _, r := range g.Rows {
-		off := r.Block * nIJ
 		var idx []int
 		var coef []float64
 		switch r.Kind {
 		case GroupUserSum:
-			for i := 0; i < nI; i++ {
-				idx = append(idx, off+i*nJ+r.Index)
-				coef = append(coef, 1)
+			for k, j := range g.Cols {
+				if j == r.Index {
+					idx = append(idx, k)
+					coef = append(coef, 1)
+				}
 			}
 		case GroupCloudSumNeg:
-			for j := 0; j < nJ; j++ {
-				idx = append(idx, off+r.Index*nJ+j)
+			for k := g.RowPtr[r.Index]; k < g.RowPtr[r.Index+1]; k++ {
+				idx = append(idx, k)
 				coef = append(coef, -1)
 			}
 		}
 		cons = append(cons, Constraint{Idx: idx, Coeffs: coef, RHS: r.RHS})
 	}
 	return cons
-}
-
-// randomGroups builds a random P2-shaped structured row set: per block,
-// a demand row per user, then a capacity row per cloud. Between the two it
-// still consumes the draws that used to pick a random subset of complement
-// rows, so every instance is its pre-PR-23 self minus those rows.
-func randomGroups(rng *rand.Rand) *Groups {
-	g := &Groups{
-		I:      2 + rng.Intn(5),
-		J:      2 + rng.Intn(7),
-		Blocks: 1 + rng.Intn(3),
-	}
-	for b := 0; b < g.Blocks; b++ {
-		for j := 0; j < g.J; j++ {
-			g.Rows = append(g.Rows, GroupRow{
-				Block: b, Kind: GroupUserSum, Index: j, RHS: 0.2 + rng.Float64()})
-		}
-		for i := 0; i < g.I; i++ {
-			if rng.Intn(2) == 0 {
-				rng.Float64()
-			}
-		}
-		for i := 0; i < g.I; i++ {
-			g.Rows = append(g.Rows, GroupRow{
-				Block: b, Kind: GroupCloudSumNeg, Index: i,
-				RHS: -(float64(g.J)*0.6 + 2*rng.Float64())})
-		}
-	}
-	return g
 }
 
 // capacityOnly drops g's demand rows, leaving a row set with no user sum —
@@ -74,89 +106,158 @@ func capacityOnly(g *Groups) {
 	g.Rows = rows
 }
 
-// quad returns a strongly convex separable quadratic Σ c_k (x_k − a_k)²
+// quadObj returns the strongly convex separable quadratic Σ c_k (x_k − a_k)²
 // with deterministic pseudo-random curvature.
-func quadObj(n int, rng *rand.Rand) *struct {
-	c, a []float64
-} {
-	q := &struct{ c, a []float64 }{make([]float64, n), make([]float64, n)}
+func quadObj(n int, rng *rand.Rand) objFunc {
+	c, a := make([]float64, n), make([]float64, n)
 	for k := 0; k < n; k++ {
-		q.c[k] = 0.5 + rng.Float64()
-		q.a[k] = 2 * rng.Float64()
+		c[k] = 0.5 + rng.Float64()
+		a[k] = 2 * rng.Float64()
 	}
-	return q
+	return func(x, grad []float64) float64 {
+		f := 0.0
+		for k := range x {
+			d := x[k] - a[k]
+			f += c[k] * d * d
+			if grad != nil {
+				grad[k] = 2 * c[k] * d
+			}
+		}
+		return f
+	}
 }
 
-// TestGroupsLagrangianMatchesDense is the kernel property test: on
-// randomized P2-shaped row sets and random primal/dual points, the
-// structured Lagrangian must agree with the dense-row reference on the
-// objective value, the full gradient, and every row activity (slack) to
-// 1e-10. Every fourth row set carries capacity rows only.
+// lagrangianMatchesDense draws a random primal and dual point for g and
+// requires the structured Lagrangian to agree with the sparse-row reference
+// (Problem.Cons) on the objective value, the full gradient, and every row
+// activity (slack) to 1e-10.
+func lagrangianMatchesDense(t *testing.T, trial int, rng *rand.Rand, g *Groups) {
+	t.Helper()
+	n := len(g.Cols)
+	if err := g.validate(n); err != nil {
+		t.Fatal(err)
+	}
+	obj := quadObj(n, rng)
+	x := make([]float64, n)
+	for k := range x {
+		x[k] = 3 * rng.Float64()
+	}
+	m := len(g.Rows)
+	y := make([]float64, m)
+	for k := range y {
+		y[k] = 2 * rng.Float64()
+	}
+	rho := 0.5 + 4*rng.Float64()
+
+	pg := &Problem{Obj: obj, N: n, Groups: g}
+	pd := &Problem{Obj: obj, N: n, Cons: consFromGroups(g)}
+	wsg, wsd := workspaceFor(pg), workspaceFor(pd)
+
+	// Row activities (slacks are RHS − ax; ax agreement implies both).
+	pg.axInto(x, wsg.ax, &wsg.gs, 1)
+	pd.axInto(x, wsd.ax, &wsd.gs, 1)
+	for k := range wsg.ax {
+		if d := math.Abs(wsg.ax[k] - wsd.ax[k]); d > 1e-10 {
+			t.Fatalf("trial %d row %d (%+v): ax %g vs dense %g (diff %g)",
+				trial, k, g.Rows[k], wsg.ax[k], wsd.ax[k], d)
+		}
+	}
+
+	lg := &lagrangian{p: pg, y: y, rho: rho, ws: wsg, workers: 1}
+	ld := &lagrangian{p: pd, y: y, rho: rho, ws: wsd, workers: 1}
+	gradG := make([]float64, n)
+	gradD := make([]float64, n)
+	fg := lg.Eval(x, gradG)
+	fd := ld.Eval(x, gradD)
+	if d := math.Abs(fg-fd) / (1 + math.Abs(fd)); d > 1e-10 {
+		t.Fatalf("trial %d: Lagrangian value %g vs dense %g (rel diff %g)", trial, fg, fd, d)
+	}
+	for k := range gradG {
+		if d := math.Abs(gradG[k] - gradD[k]); d > 1e-10*(1+math.Abs(gradD[k])) {
+			t.Fatalf("trial %d: grad[%d] = %g vs dense %g", trial, k, gradG[k], gradD[k])
+		}
+	}
+}
+
+// TestGroupsLagrangianMatchesDense is the kernel property test
+// (lagrangianMatchesDense) on random P2-shaped row sets over multi-slot and
+// pruned grids. Every fifth row set carries capacity rows only.
 func TestGroupsLagrangianMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	for trial := 0; trial < 300; trial++ {
+		g := randomGrid(rng, trial%2 == 1)
+		if trial%5 == 4 {
+			capacityOnly(g)
+		}
+		lagrangianMatchesDense(t, trial, rng, g)
+	}
+}
+
+// TestRaggedLagrangianMatchesCons is the kernel property test on pruned
+// grids only. Every fourth row set carries capacity rows only.
+func TestRaggedLagrangianMatchesCons(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 200; trial++ {
-		g := randomGroups(rng)
+		g := randomGrid(rng, true)
 		if trial%4 == 3 {
 			capacityOnly(g)
 		}
-		n := g.Blocks * g.I * g.J
+		lagrangianMatchesDense(t, trial, rng, g)
+	}
+}
+
+// TestRaggedMatchesFullGrid holds a pruned grid to the full grid it was cut
+// from, bit for bit: with the pruned pairs at zero, every row activity and
+// every kept variable's constraint gradient must be the full grid's, because
+// a pruned pair contributes nothing and each total sums the kept pairs in
+// the same order.
+func TestRaggedMatchesFullGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 200; trial++ {
+		g := randomGrid(rng, true)
+		if trial%4 == 3 {
+			capacityOnly(g)
+		}
+		full := gridGroups(1, g.I, g.J, nil)
+		full.Rows = g.Rows
+		n := len(g.Cols)
 		if err := g.validate(n); err != nil {
 			t.Fatal(err)
 		}
-		cons := denseFromGroups(g)
-		q := quadObj(n, rng)
-		obj := func(x, grad []float64) float64 {
-			f := 0.0
-			for k := range x {
-				d := x[k] - q.a[k]
-				f += q.c[k] * d * d
-				if grad != nil {
-					grad[k] = 2 * q.c[k] * d
+		if err := full.validate(len(full.Cols)); err != nil {
+			t.Fatal(err)
+		}
+		x, xFull := make([]float64, n), make([]float64, len(full.Cols))
+		for i := 0; i < g.I; i++ {
+			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
+				x[k] = 3 * rng.Float64()
+				xFull[i*g.J+g.Cols[k]] = x[k]
+			}
+		}
+		mult := make([]float64, len(g.Rows))
+		for k := range mult {
+			mult[k] = 2 * rng.Float64() * float64(rng.Intn(2))
+		}
+		eval := func(g *Groups, x []float64) (ax, grad []float64) {
+			p := &Problem{N: len(x), Groups: g}
+			ws := workspaceFor(p)
+			g.axInto(x, ws.ax, &ws.gs, 1)
+			grad = make([]float64, len(x))
+			g.addGrad(mult, grad, &ws.gs, 1)
+			return ws.ax, grad
+		}
+		ax, grad := eval(g, x)
+		axFull, gradFull := eval(full, xFull)
+		for k := range ax {
+			if math.Float64bits(ax[k]) != math.Float64bits(axFull[k]) {
+				t.Fatalf("trial %d row %d (%+v): activity %v pruned, %v full", trial, k, g.Rows[k], ax[k], axFull[k])
+			}
+		}
+		for i := 0; i < g.I; i++ {
+			for k := g.RowPtr[i]; k < g.RowPtr[i+1]; k++ {
+				if v := gradFull[i*g.J+g.Cols[k]]; math.Float64bits(grad[k]) != math.Float64bits(v) {
+					t.Fatalf("trial %d: grad[%d] = %v pruned, %v full", trial, k, grad[k], v)
 				}
-			}
-			return f
-		}
-
-		x := make([]float64, n)
-		for k := range x {
-			x[k] = 3 * rng.Float64()
-		}
-		m := len(g.Rows)
-		y := make([]float64, m)
-		for k := range y {
-			y[k] = 2 * rng.Float64()
-		}
-		rho := 0.5 + 4*rng.Float64()
-
-		pg := &Problem{Obj: objFunc(obj), N: n, Groups: g}
-		pd := &Problem{Obj: objFunc(obj), N: n, Cons: cons}
-		var wsg, wsd Workspace
-		wsg.ensure(n, m)
-		wsg.gs.ensure(g)
-		wsd.ensure(n, m)
-
-		// Row activities (slacks are RHS − ax; ax agreement implies both).
-		pg.axInto(x, wsg.ax, &wsg.gs, 1)
-		pd.axInto(x, wsd.ax, &wsd.gs, 1)
-		for k := range wsg.ax {
-			if d := math.Abs(wsg.ax[k] - wsd.ax[k]); d > 1e-10 {
-				t.Fatalf("trial %d row %d (%+v): ax %g vs dense %g (diff %g)",
-					trial, k, g.Rows[k], wsg.ax[k], wsd.ax[k], d)
-			}
-		}
-
-		lg := &lagrangian{p: pg, y: y, rho: rho, ws: &wsg, workers: 1}
-		ld := &lagrangian{p: pd, y: y, rho: rho, ws: &wsd, workers: 1}
-		gradG := make([]float64, n)
-		gradD := make([]float64, n)
-		fg := lg.Eval(x, gradG)
-		fd := ld.Eval(x, gradD)
-		if d := math.Abs(fg-fd) / (1 + math.Abs(fd)); d > 1e-10 {
-			t.Fatalf("trial %d: Lagrangian value %g vs dense %g (rel diff %g)", trial, fg, fd, d)
-		}
-		for k := range gradG {
-			if d := math.Abs(gradG[k] - gradD[k]); d > 1e-10*(1+math.Abs(gradD[k])) {
-				t.Fatalf("trial %d: grad[%d] = %g vs dense %g", trial, k, gradG[k], gradD[k])
 			}
 		}
 	}
@@ -169,7 +270,7 @@ type objFunc func(x, grad []float64) float64
 func (f objFunc) Eval(x, grad []float64) float64 { return f(x, grad) }
 
 // slowTailTrial is the one of TestGroupsSolveDualsMatchDense's 25
-// instances (I=2, J=8, three blocks) that sits on ROADMAP 1(a)'s floor:
+// instances (I=2, J=8, three slots) that sits on ROADMAP 1(a)'s floor:
 // once σ is within tolerance the objective wanders at ~1e-8 relative
 // until one inner solve happens not to move the point. It has its own
 // test and its own cap.
@@ -180,26 +281,14 @@ const slowTailTrial = 5
 // with both row representations, requires both to converge within
 // maxOuter, and holds the primal points and dual multipliers to each
 // other. It returns the two outer counts.
-func solveBothRows(t *testing.T, trial int, rng *rand.Rand, maxOuter int) (structured, dense int) {
+func solveBothRows(t *testing.T, trial int, rng *rand.Rand, pruned bool, maxOuter int) (structured, dense int) {
 	t.Helper()
-	g := randomGroups(rng)
-	n := g.Blocks * g.I * g.J
-	cons := denseFromGroups(g)
-	q := quadObj(n, rng)
+	g := randomGrid(rng, pruned)
+	n := len(g.Cols)
+	obj := quadObj(n, rng)
 	if maxOuter == 0 {
 		return 0, 0
 	}
-	obj := objFunc(func(x, grad []float64) float64 {
-		f := 0.0
-		for k := range x {
-			d := x[k] - q.a[k]
-			f += q.c[k] * d * d
-			if grad != nil {
-				grad[k] = 2 * q.c[k] * d
-			}
-		}
-		return f
-	})
 	lower := make([]float64, n)
 	opts := Options{MaxOuter: maxOuter}
 
@@ -207,7 +296,7 @@ func solveBothRows(t *testing.T, trial int, rng *rand.Rand, maxOuter int) (struc
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Cons: cons}, opts)
+	rd, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Cons: consFromGroups(g)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +321,9 @@ func solveBothRows(t *testing.T, trial int, rng *rand.Rand, maxOuter int) (struc
 }
 
 // TestGroupsSolveDualsMatchDense runs the full augmented-Lagrangian loop
-// on randomized strongly convex programs with both row representations
-// and requires the converged primal points and dual multipliers to agree.
+// on randomized strongly convex programs over multi-slot grids with both
+// row representations and requires the converged primal points and dual
+// multipliers to agree.
 func TestGroupsSolveDualsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -241,7 +331,16 @@ func TestGroupsSolveDualsMatchDense(t *testing.T) {
 		if trial == slowTailTrial {
 			maxOuter = 0 // TestGroupsSolveDualsSlowTail
 		}
-		solveBothRows(t, trial, rng, maxOuter)
+		solveBothRows(t, trial, rng, false, maxOuter)
+	}
+}
+
+// TestRaggedSolveMatchesCons is TestGroupsSolveDualsMatchDense on pruned
+// grids.
+func TestRaggedSolveMatchesCons(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 25; trial++ {
+		solveBothRows(t, trial, rng, true, 200)
 	}
 }
 
@@ -257,36 +356,24 @@ func TestGroupsSolveDualsMatchDense(t *testing.T) {
 func TestGroupsSolveDualsSlowTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < slowTailTrial; trial++ {
-		solveBothRows(t, trial, rng, 0)
+		solveBothRows(t, trial, rng, false, 0)
 	}
-	structured, dense := solveBothRows(t, slowTailTrial, rng, 250)
+	structured, dense := solveBothRows(t, slowTailTrial, rng, false, 250)
 	t.Logf("outer iterations: structured %d, dense %d", structured, dense)
 }
 
-// TestGroupsParallelByteIdentical pins the determinism contract of the
-// structured kernels: with the parallel grain forced down so every pass
-// actually fans out, Solve must produce bitwise-identical primal and dual
-// vectors for any worker count.
-func TestGroupsParallelByteIdentical(t *testing.T) {
+// checkWorkersByteIdentical pins the determinism contract of the
+// structured kernels on one random program: with the parallel grain forced
+// down so every pass actually fans out, Solve must produce bitwise-identical
+// primal and dual vectors for any worker count.
+func checkWorkersByteIdentical(t *testing.T, rng *rand.Rand, pruned bool) {
 	old := parGrain
 	parGrain = 1
 	defer func() { parGrain = old }()
 
-	rng := rand.New(rand.NewSource(11))
-	g := randomGroups(rng)
-	n := g.Blocks * g.I * g.J
-	q := quadObj(n, rng)
-	obj := objFunc(func(x, grad []float64) float64 {
-		f := 0.0
-		for k := range x {
-			d := x[k] - q.a[k]
-			f += q.c[k] * d * d
-			if grad != nil {
-				grad[k] = 2 * q.c[k] * d
-			}
-		}
-		return f
-	})
+	g := randomGrid(rng, pruned)
+	n := len(g.Cols)
+	obj := quadObj(n, rng)
 	lower := make([]float64, n)
 	solve := func(workers int) *Result {
 		res, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Groups: g},
@@ -313,4 +400,16 @@ func TestGroupsParallelByteIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestGroupsParallelByteIdentical is the determinism contract on a
+// multi-slot grid.
+func TestGroupsParallelByteIdentical(t *testing.T) {
+	checkWorkersByteIdentical(t, rand.New(rand.NewSource(11)), false)
+}
+
+// TestRaggedParallelByteIdentical is the determinism contract on a pruned
+// grid.
+func TestRaggedParallelByteIdentical(t *testing.T) {
+	checkWorkersByteIdentical(t, rand.New(rand.NewSource(29)), true)
 }

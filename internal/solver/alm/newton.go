@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the second-order inner solver: a projected (two-metric)
-// Newton method on the augmented Lagrangian of a single-block Groups
-// program whose objective exposes its curvature. Solve selects it from the
-// problem's structure — Groups with Blocks = 1, a lower bound and no upper
-// bound, an Obj that implements Curvature — and from nothing a caller can
-// set; every other program keeps FISTA.
+// Newton method on the augmented Lagrangian of a Groups program whose
+// objective exposes its curvature. Solve selects it from the problem's
+// structure — Groups rows, a lower bound and no upper bound, an Obj that
+// implements Curvature — and from nothing a caller can set; every other
+// program keeps FISTA.
 //
 // It works because the Hessian of such a Lagrangian is not a general
 // matrix. With j(k), i(k) the user and cloud of variable k, on the free
@@ -41,8 +41,8 @@ import (
 // (F_j user j's free pairs), at worst I²·J — the order of one objective
 // evaluation — and tens of microseconds on the support.
 
-// Curvature is an objective over a single-block Groups layout whose
-// Hessian is a diagonal plus one rank-one term per cloud row,
+// Curvature is an objective over a Groups grid whose Hessian is a
+// diagonal plus one rank-one term per cloud row of the grid,
 //
 //	∇²f(x) = diag(d) + Σ_i w_i·v_i v_iᵀ,   d ≥ 0, w ≥ 0.
 //
@@ -151,7 +151,6 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
 	nt, res := &ws.nt, &ws.res
 	gr, lower := lag.p.Groups, lag.p.Lower
-	nI, nJ := gr.I, gr.J
 	grad, xt, gt := nt.g, nt.xt, nt.gt
 	for k, lo := range lower {
 		if x[k] < lo {
@@ -163,12 +162,8 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 	for iters := 0; ; iters++ {
 		// Free set, in cloud-major order, and the projected gradient.
 		nF, pg := 0, 0.0
-		for i := 0; i < nI; i++ {
-			lo, hi := i*nJ, (i+1)*nJ
-			if gr.ragged() {
-				lo, hi = gr.RowPtr[i], gr.RowPtr[i+1]
-			}
-			for k := lo; k < hi; k++ {
+		for i := 0; i < gr.I; i++ {
+			for k, hi := gr.RowPtr[i], gr.RowPtr[i+1]; k < hi; k++ {
 				gk, room := grad[k], x[k]-lower[k]
 				if gk > 0 {
 					if room <= 0 {
@@ -220,20 +215,12 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 	}
 }
 
-// user returns the user of variable k of cloud row i.
-func (g *Groups) user(k, i int) int {
-	if g.ragged() {
-		return g.Cols[k]
-	}
-	return k - i*g.J
-}
-
 // direction writes the Newton step of the nF free variables into fv,
 // reporting false when the Cholesky factorization met a non-positive pivot
 // or the step is not a descent direction.
 func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool {
 	gr, rho := lag.p.Groups, lag.rho
-	nI, nJ := gr.I, gr.J
+	nI, nJ, cols := gr.I, gr.J, gr.Cols
 	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
 
 	// Weights: the objective's cloud curvature is in cw; every active row
@@ -258,7 +245,7 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 	clear(nt.uptr)
 	for q, k := range fk {
 		i := fi[q]
-		j := gr.user(k, i)
+		j := cols[k]
 		inv := 1 / (nt.diag[k] + newtonDamp)
 		fv[q] = inv
 		r := -grad[k] * inv
@@ -294,7 +281,7 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 		nt.uptr[j+1] += nt.uptr[j]
 	}
 	for q, k := range fk {
-		j := gr.user(k, fi[q])
+		j := cols[k]
 		nt.order[nt.uptr[j]] = q
 		nt.uptr[j]++
 	}
@@ -350,7 +337,7 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 	gp := 0.0
 	for q, k := range fk {
 		i := fi[q]
-		step := (-grad[k] - nt.zu[gr.user(k, i)] - nt.zc[i]) * fv[q]
+		step := (-grad[k] - nt.zu[cols[k]] - nt.zc[i]) * fv[q]
 		fv[q] = step
 		gp += grad[k] * step
 	}
@@ -400,7 +387,7 @@ func cholSolve(S, b []float64, m int) bool {
 func (nt *newtonScratch) scaledGradient(gr *Groups, nF int, grad []float64) {
 	for q, k := range nt.fk[:nF] {
 		i := nt.fi[q]
-		nt.fv[q] = -grad[k] / (nt.diag[k] + newtonDamp + nt.cw[i] + nt.uw[gr.user(k, i)])
+		nt.fv[q] = -grad[k] / (nt.diag[k] + newtonDamp + nt.cw[i] + nt.uw[gr.Cols[k]])
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"edgealloc/internal/solver/fista"
 )
 
-// entropic is a P2-shaped objective over a single-block Groups layout:
+// entropic is a P2-shaped objective over a Groups grid:
 //
 //	Σ_k c_k x_k + mg_k·((x_k+1) ln((x_k+1)/(p_k+1)) − x_k)
 //	+ Σ_i rc_i·((X_i+1) ln((X_i+1)/(P_i+1)) − X_i),   X_i cloud i's total.
@@ -21,19 +21,8 @@ type entropic struct {
 	rc, prevTot []float64
 }
 
-func (o *entropic) rows() []int {
-	if o.g.ragged() {
-		return o.g.RowPtr
-	}
-	ptr := make([]int, o.g.I+1)
-	for i := range ptr {
-		ptr[i] = i * o.g.J
-	}
-	return ptr
-}
-
 func (o *entropic) Eval(x, grad []float64) float64 {
-	ptr := o.rows()
+	ptr := o.g.RowPtr
 	f := 0.0
 	for i := 0; i < o.g.I; i++ {
 		s := 0.0
@@ -54,7 +43,7 @@ func (o *entropic) Eval(x, grad []float64) float64 {
 }
 
 func (o *entropic) Curv(x, diag, cloud []float64) {
-	ptr := o.rows()
+	ptr := o.g.RowPtr
 	for i := range cloud {
 		s := 0.0
 		for k := ptr[i]; k < ptr[i+1]; k++ {
@@ -72,24 +61,21 @@ const (
 	allLinear        // no curvature at all: the program is an LP
 )
 
-// curvProgram draws a feasible P2-shaped program over a dense or ragged
-// single-block layout: demands and capacities are the column and (padded)
+// curvProgram draws a feasible P2-shaped program over a full or pruned
+// grid: demands and capacities are the column and (padded)
 // row sums of a random positive point, so capacity rows can bind without
 // the program being infeasible.
-func curvProgram(rng *rand.Rand, ragged bool, class int) (*Problem, *entropic) {
+func curvProgram(rng *rand.Rand, pruned bool, class int) (*Problem, *entropic) {
 	var g *Groups
-	if ragged {
-		g = randomRagged(rng)
+	if pruned {
+		g = randomGrid(rng, true)
 	} else {
-		g = &Groups{I: 2 + rng.Intn(5), J: 1 + rng.Intn(8), Blocks: 1}
+		g = gridGroups(1, 2+rng.Intn(5), 1+rng.Intn(8), nil)
 	}
-	n := g.I * g.J
-	if ragged {
-		n = len(g.Cols)
-	}
+	n := len(g.Cols)
 	o := &entropic{g: g, c: make([]float64, n), mg: make([]float64, n), p: make([]float64, n),
 		rc: make([]float64, g.I), prevTot: make([]float64, g.I)}
-	ptr := o.rows()
+	ptr := o.g.RowPtr
 	demand := make([]float64, g.J)
 	g.Rows = g.Rows[:0]
 	capRows := make([]GroupRow, g.I)
@@ -98,7 +84,7 @@ func curvProgram(rng *rand.Rand, ragged bool, class int) (*Problem, *entropic) {
 		for k := ptr[i]; k < ptr[i+1]; k++ {
 			v := 0.1 + rng.Float64()
 			tot += v
-			demand[g.user(k, i)] += v
+			demand[g.Cols[k]] += v
 			o.c[k] = 3 * rng.Float64()
 			o.mg[k] = 0.1 + rng.Float64()
 			if rng.Intn(3) == 0 {
@@ -215,11 +201,8 @@ func TestNewtonPathMakesNoValueOnlyEvaluation(t *testing.T) {
 			t.Errorf("trial %d: %d value-only and %d gradient evaluations, want 0 and > 0", trial, obj.values, obj.grads)
 		}
 
-		if p.Groups.ragged() {
-			continue // denseFromGroups is the identity layout's reference form
-		}
 		sparse := *p
-		sparse.Cons, sparse.Groups = denseFromGroups(p.Groups), nil
+		sparse.Cons, sparse.Groups = consFromGroups(p.Groups), nil
 		res, err = Solve(&sparse, Options{MaxOuter: 8})
 		if err != nil {
 			t.Fatal(err)
@@ -303,13 +286,14 @@ func checkAgreement(t *testing.T, p *Problem, rn, rf Result, feasTol, objTol, du
 }
 
 // TestNewtonMatchesFista is the solver-vs-solver property test: on random
-// single-block programs, dense and ragged, the projected Newton inner solve
+// programs, over full and pruned grids, the projected Newton inner solve
 // and FISTA — which shares nothing with it but the Lagrangian — land on the
 // same optimum and the same multipliers.
 func TestNewtonMatchesFista(t *testing.T) {
 	rng := rand.New(rand.NewSource(2017))
 	for trial := 0; trial < 40; trial++ {
-		p, _ := curvProgram(rng, trial%2 == 1, curved)
+		pruned := trial%2 == 1
+		p, _ := curvProgram(rng, pruned, curved)
 		rn, rf := solveNewtonAndFista(t, p, tightNewtonOpts())
 		if rn.Fallbacks != 0 {
 			t.Errorf("trial %d: %d fallback steps on a program with curvature", trial, rn.Fallbacks)
@@ -319,7 +303,7 @@ func TestNewtonMatchesFista(t *testing.T) {
 		}
 		checkAgreement(t, p, rn, rf, 1e-10, 1e-8, 1e-6)
 		if t.Failed() {
-			t.Fatalf("trial %d (I=%d J=%d ragged=%v) failed", trial, p.Groups.I, p.Groups.J, p.Groups.ragged())
+			t.Fatalf("trial %d (I=%d J=%d pruned=%v) failed", trial, p.Groups.I, p.Groups.J, pruned)
 		}
 	}
 }
@@ -393,9 +377,9 @@ func TestCholSolve(t *testing.T) {
 	}
 }
 
-// TestNewtonSelectedByStructure pins the dispatch: Newton needs single-
-// block Groups, a lower bound, no upper bound and an objective with Curv;
-// anything else is FISTA's.
+// TestNewtonSelectedByStructure pins the dispatch: Newton needs Groups
+// rows, a lower bound, no upper bound and an objective with Curv; anything
+// else is FISTA's.
 func TestNewtonSelectedByStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base, _ := curvProgram(rng, false, curved)
@@ -412,7 +396,7 @@ func TestNewtonSelectedByStructure(t *testing.T) {
 				p.Upper[k] = 100
 			}
 		}, false},
-		{"sparse rows", func(p *Problem) { p.Cons, p.Groups = denseFromGroups(p.Groups), nil }, false},
+		{"sparse rows", func(p *Problem) { p.Cons, p.Groups = consFromGroups(p.Groups), nil }, false},
 		{"gradient oracle", func(p *Problem) { p.Obj = fista.Func(p.Obj.Eval) }, false},
 	} {
 		p := *base
@@ -476,12 +460,12 @@ func FuzzNewtonVsFista(f *testing.F) {
 	f.Add(int64(1), false, 0)
 	f.Add(int64(2), true, 1)
 	f.Add(int64(3), true, 2)
-	f.Fuzz(func(t *testing.T, seed int64, ragged bool, class int) {
+	f.Fuzz(func(t *testing.T, seed int64, pruned bool, class int) {
 		class %= 3
 		if class < 0 {
 			class += 3
 		}
-		p, _ := curvProgram(rand.New(rand.NewSource(seed)), ragged, class)
+		p, _ := curvProgram(rand.New(rand.NewSource(seed)), pruned, class)
 		rn, rf := solveNewtonAndFista(t, p, tightNewtonOpts())
 		if !rf.Converged {
 			t.Skip("reference did not converge")

@@ -258,16 +258,14 @@ func (o *zObjective) Eval(x, grad []float64) float64 {
 func zReference(t *testing.T, obj *zObjective) (z, nu []float64) {
 	t.Helper()
 	nI := len(obj.v)
-	rows := make([]alm.GroupRow, nI)
-	for i := range rows {
-		rows[i] = alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -obj.cpl.Capacity[i]}
+	// An I×1 grid: cloud i's one variable is Z_i.
+	g := &alm.Groups{I: nI, J: 1, Rows: make([]alm.GroupRow, nI),
+		RowPtr: make([]int, nI+1), Cols: make([]int, nI)}
+	for i := range g.Rows {
+		g.Rows[i] = alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -obj.cpl.Capacity[i]}
+		g.RowPtr[i+1] = i + 1
 	}
-	prob := &alm.Problem{
-		Obj:    obj,
-		N:      nI,
-		Lower:  make([]float64, nI),
-		Groups: &alm.Groups{I: nI, J: 1, Blocks: 1, Rows: rows},
-	}
+	prob := &alm.Problem{Obj: obj, N: nI, Lower: make([]float64, nI), Groups: g}
 	opts := alm.Options{MaxOuter: 400, InnerIters: 20000, FeasTol: 1e-12, DualTol: 1e-11, ObjTol: 1e-15}
 	for _, growth := range []float64{0, 1.0001} {
 		opts.Penalty, opts.PenaltyGrowth = 1, growth

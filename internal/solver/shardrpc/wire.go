@@ -195,9 +195,11 @@ func (s *BlockSpec) Validate() error {
 	if s.NJ < 0 {
 		return errf("spec %s: NJ=%d, want >= 0", s.ID, s.NJ)
 	}
-	if len(s.RowPtr) != s.NI+1 || s.RowPtr[0] != 0 {
-		return errf("spec %s: RowPtr len=%d first=%v, want len %d first 0",
-			s.ID, len(s.RowPtr), s.RowPtr, s.NI+1)
+	if len(s.RowPtr) != s.NI+1 {
+		return errf("spec %s: RowPtr len=%d, want %d", s.ID, len(s.RowPtr), s.NI+1)
+	}
+	if s.RowPtr[0] != 0 {
+		return errf("spec %s: RowPtr first=%d, want 0", s.ID, s.RowPtr[0])
 	}
 	for i := 0; i < s.NI; i++ {
 		if s.RowPtr[i+1] < s.RowPtr[i] {

@@ -73,8 +73,9 @@ func TestBlockSpecValidateRejects(t *testing.T) {
 		{"empty ID", func(s *BlockSpec) { s.ID = "" }, "empty block ID"},
 		{"NI zero", func(s *BlockSpec) { s.NI = 0 }, "NI=0"},
 		{"NJ negative", func(s *BlockSpec) { s.NJ = -1 }, "NJ=-1"},
-		{"RowPtr wrong length", func(s *BlockSpec) { s.RowPtr = []int{0, 4} }, "RowPtr"},
-		{"RowPtr nonzero start", func(s *BlockSpec) { s.RowPtr = []int{1, 2, 4} }, "RowPtr"},
+		{"RowPtr wrong length", func(s *BlockSpec) { s.RowPtr = []int{0, 4} }, "RowPtr len=2, want 3"},
+		// The first element, not the whole slice, goes into the error.
+		{"RowPtr nonzero start", func(s *BlockSpec) { s.RowPtr = []int{1, 2, 4} }, "RowPtr first=1, want 0"},
 		{"RowPtr decreasing", func(s *BlockSpec) { s.RowPtr = []int{0, 3, 2} }, "decreases"},
 		{"Cols length mismatch", func(s *BlockSpec) { s.Cols = s.Cols[:3] }, "len(Cols)"},
 		{"Cols out of range", func(s *BlockSpec) { s.Cols[2] = 3 }, "out of"},
