@@ -97,7 +97,9 @@ func NewOnlineApprox(opts ApproxOptions) *OnlineApproxAlg {
 }
 
 // NewOnlineApproxFor binds the algorithm to an instance for slot-by-slot
-// execution (Step/Run) and certification (Certificate).
+// execution (Step/Run) and certification (Certificate). The decision Step
+// returns is valid until the next Step: copy it to keep it, or read
+// Schedule, which holds every committed slot.
 func NewOnlineApproxFor(in *Instance, opts ApproxOptions) *OnlineApproxAlg {
 	return core.NewOnlineApprox(in, opts)
 }

@@ -39,7 +39,9 @@
 // range (shard.go), optionally hosted on RPC workers (shardhost.go) — and
 // keeps its own driver built from the same bind, pricing pass and gate.
 // Step (this file) binds the slot, calls the driver, and records the
-// decision, the duals, and the driver's diagnostics.
+// decision in the run's decision log (schedlog.go), the duals, and the
+// solve's diagnostics. The decision Step returns is a view of the carried
+// state, valid until the next Step: copy it to keep it, or read Schedule.
 package core
 
 import (
@@ -215,7 +217,10 @@ type OnlineApprox struct {
 	prev model.Alloc // x*_{·,·,t-1}
 	slot int
 
-	schedule model.Schedule
+	// log holds one record per committed slot (schedlog.go) and sched the
+	// dense schedule built from it so far, only on request (Schedule).
+	log   []slotRecord
+	sched model.Schedule
 	// duals[t] is slot t's accepted multiplier vector [θ (J) | ρ (I) | ν (I)]:
 	// the multipliers θ'_{j,t} of P2's demand rows, ρ'_{i,t} of the
 	// complement-capacity rows — zero on every path, none of which carries
@@ -232,10 +237,11 @@ type OnlineApprox struct {
 	// and the ALM workspace makes repeated Step calls allocation-free in
 	// the solver hot path. obj is the identity-layout objective holding the
 	// slot's dense data; exactly one of single and shrd is the solve state.
-	// prev is the last committed decision itself (the schedule's row, not a
-	// copy of it), userTot is the repair scratch, and dualBuf (T rows of
-	// J+2I) backs the per-slot dual records, so steady-state Step allocates
-	// only the decision it returns.
+	// prev is the last committed decision itself — a grid of the log, or on
+	// the ragged paths one of singleState.grids — userTot is the repair
+	// scratch, and dualBuf (T rows of J+2I) backs the per-slot dual records.
+	// A steady-state Step allocates only its log record: the decision grid
+	// on the dense paths, the written columns on an incremental slot.
 	obj      *p2Objective
 	single   *singleState
 	shrd     *shardState
@@ -259,10 +265,12 @@ type StepDiag struct {
 	// phases: writing the slot's static coefficients before the solve; the
 	// pricing pass and the freeze gate, summed over the rounds (a part of
 	// Seconds; zero on the paths that run neither); and everything that
-	// turns the solution into the committed decision — its allocation and
-	// copy, the repair, the carried totals and the dual record. Bind, solve
-	// and commit add up to the Step's wall time. Omitted from JSON when
-	// zero, like Stop and Residual.
+	// turns the solution into the committed decision — on the ragged paths
+	// bringing the spare grid level with the carried one before the solve,
+	// on the others copying the solver's iterate out, then the repair, the
+	// log record, the carried totals and the dual record. Bind, solve and
+	// commit add up to the Step's wall time. Omitted from JSON when zero,
+	// like Stop and Residual.
 	BindSeconds    float64 `json:",omitempty"`
 	CertifySeconds float64 `json:",omitempty"`
 	CommitSeconds  float64 `json:",omitempty"`
@@ -335,19 +343,22 @@ func NewOnlineApprox(inst *model.Instance, opts Options) *OnlineApprox {
 func (o *OnlineApprox) Name() string { return "online-approx" }
 
 // Step solves P2 for slot t (which must be the next unprocessed slot) and
-// returns the allocation decision.
+// returns the allocation decision. The decision is a view of the
+// algorithm's carried state, valid until the next Step: a caller that
+// keeps it copies it, or reads Schedule, which keeps every slot.
 func (o *OnlineApprox) Step(t int) (model.Alloc, error) {
 	return o.StepCtx(context.Background(), t)
 }
 
 // StepCtx is Step with cooperative cancellation: the context is polled
-// once per inner-solver iteration of the per-slot solve, so a cancelled or
-// timed-out ctx aborts the slot promptly with an error wrapping
-// ctx.Err(). A cancelled Step leaves the algorithm state exactly as the
-// previous successful slot left it — the previous decision, the warm-
-// start multipliers, and the slot counter are untouched — so the same
-// slot can be retried (and produces the same decision an uncancelled run
-// would have).
+// once per outer and once per inner-solver iteration of the per-slot
+// solve, so a cancelled or timed-out ctx aborts the slot promptly with an
+// error wrapping ctx.Err(). A cancelled Step leaves the algorithm state
+// exactly as the previous successful slot left it — the previous decision,
+// the warm-start multipliers, and the slot counter are untouched — so the
+// same slot can be retried (and produces the same decision an uncancelled
+// run would have). Like Step's, the returned decision is valid until the
+// next Step.
 func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) {
 	if ctx != nil && ctx.Done() == nil {
 		// Never-cancellable context (Background/TODO): skip polling so the
@@ -362,14 +373,16 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	bindStart := time.Now()
 	o.obj.bindStatic(in, t)
 
-	// The ragged single-program paths assemble the decision in place, on a
-	// copy of the carried one (solveSingle); the others return solver
+	// The ragged single-program paths assemble the decision in place, in
+	// the spare of their two grids brought level with the carried decision
+	// (solveSingle), which stays unwritten; the others return solver
 	// scratch that is copied out once the slot has succeeded.
 	copyStart := time.Now()
-	ragged := o.single != nil && o.single.builder != nil
+	s := o.single
+	ragged := s != nil && s.builder != nil
 	var img []float64
 	if ragged {
-		img = append([]float64(nil), o.prev.X...)
+		img = s.grids.level(o.prev.X, in.J)
 	}
 
 	solveStart := time.Now()
@@ -382,6 +395,10 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		xSrc, duals, diag, err = o.solveSingle(ctx, t, img)
 	}
 	if err != nil {
+		if ragged {
+			// Its rounds may have scattered into the active columns.
+			s.grids.dirty(s.actList)
+		}
 		return model.Alloc{}, fmt.Errorf("core: slot %d: %w", t, err)
 	}
 
@@ -391,14 +408,20 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	commitStart := time.Now()
 	x := model.Alloc{I: in.I, J: in.J, X: xSrc}
 	if ragged {
-		o.single.repairTouched(in, x, o.userTot)
+		s.repairTouched(in, x, o.userTot)
+		if len(s.visit) == in.J {
+			o.log = append(o.log, slotRecord{vals: s.grids.release()})
+		} else {
+			o.log = append(o.log, columnRecord(x.X, in.I, in.J, s.visit))
+			s.grids.commit(s.visit)
+		}
 	} else {
 		x.X = append([]float64(nil), xSrc...)
 		in.Repair(x, o.userTot)
+		o.log = append(o.log, slotRecord{vals: x.X})
 	}
 	o.prev = x
 	o.obj.carry(x)
-	o.schedule = append(o.schedule, x)
 	o.recordDuals(duals)
 	done := time.Now()
 
@@ -468,7 +491,8 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	o.obj.carry(o.prev)
 	o.userTot = make([]float64, in.J)
 	o.dualBuf = make([]float64, in.T*(in.J+2*in.I))
-	o.schedule = make(model.Schedule, 0, in.T)
+	o.log = make([]slotRecord, 0, in.T)
+	o.sched = make(model.Schedule, 0, in.T)
 	o.duals = make([][]float64, 0, in.T)
 }
 
@@ -492,7 +516,7 @@ func (o *OnlineApprox) Run() (model.Schedule, error) {
 			return nil, err
 		}
 	}
-	return o.schedule, nil
+	return o.Schedule(), nil
 }
 
 // Solve runs the algorithm on a fresh state over the whole instance. It
@@ -512,9 +536,6 @@ func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
 // one [θ (J) | ρ (I) | ν (I)] row per slot. The returned slices alias
 // internal state and must not be modified.
 func (o *OnlineApprox) Duals() [][]float64 { return o.duals }
-
-// Schedule returns the decisions made so far.
-func (o *OnlineApprox) Schedule() model.Schedule { return o.schedule }
 
 // p2Constraints builds the rows the single program solves under: demand
 // Σ_i x_ij ≥ λ_j for every user, then explicit capacity Σ_j x_ij ≤ C_i for

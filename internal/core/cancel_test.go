@@ -11,8 +11,10 @@ import (
 )
 
 // countdownCtx is a context whose Err flips to context.Canceled after n
-// polls. The solver polls Err between FISTA sweeps, so the flip lands at
-// an exact, reproducible point mid-solve — no timing races.
+// polls. alm.Solve polls Err once per outer and once per inner iteration
+// (a projected Newton step here; a FISTA iteration on the denseRows
+// reference), so the flip lands at an exact, reproducible point mid-solve —
+// no timing races.
 type countdownCtx struct {
 	calls, n int
 	done     chan struct{}
@@ -33,17 +35,6 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// referenceSchedule runs a fresh, never-cancelled algorithm over the
-// instance.
-func referenceSchedule(t *testing.T, in *model.Instance, opts Options) model.Schedule {
-	t.Helper()
-	sched, err := NewOnlineApprox(in, opts).Run()
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	return sched
-}
-
 func allocsEqual(a, b model.Alloc) bool {
 	if a.I != b.I || a.J != b.J || len(a.X) != len(b.X) {
 		return false
@@ -61,9 +52,36 @@ func allocsEqual(a, b model.Alloc) bool {
 // every cancelled StepCtx to return a wrapped context.Canceled promptly
 // and (b) the eventually-completed schedule to match the uncancelled
 // reference bitwise — i.e. cancellation never perturbs the warm state.
+//
+// The early aborts can all land in a slot's first round, before anything
+// was written. The last one lands at the slot's final poll, the reference
+// slot's outer plus inner iteration count: past every round but the last,
+// so on the ragged paths after earlier rounds scattered into the spare
+// decision grid, which the retry must bring level again. The retry reads
+// that grid where a round warm-starts pairs admitted after the first, so
+// on those paths at least one slot must take three rounds, or the abort
+// proves nothing.
 func testCancellation(t *testing.T, in *model.Instance, opts Options) {
 	t.Helper()
-	want := referenceSchedule(t, in, opts)
+	ref := NewOnlineApprox(in, opts)
+	want := make(model.Schedule, in.T)
+	lastPoll := make([]int, in.T)
+	scattered := 0
+	for slot := range want {
+		x, err := ref.Step(slot)
+		if err != nil {
+			t.Fatalf("reference slot %d: %v", slot, err)
+		}
+		want[slot] = x.Clone()
+		d := ref.LastStepDiag()
+		lastPoll[slot] = d.Outer + d.Inner - 1
+		if slot > 0 && d.CandRounds > 2 {
+			scattered++
+		}
+	}
+	if opts.Shards == 0 && (opts.Candidates > 0 || opts.Incremental) && scattered == 0 {
+		t.Fatal("no slot past the first solves three times; no abort lands where a scatter is read")
+	}
 
 	alg := NewOnlineApprox(in, opts)
 	for slot := 0; slot < in.T; slot++ {
@@ -76,7 +94,7 @@ func testCancellation(t *testing.T, in *model.Instance, opts Options) {
 			}
 			// Mid-solve aborts at several poll depths: each must error and
 			// leave the state retryable.
-			for _, polls := range []int{1, 3, 7} {
+			for _, polls := range []int{1, 3, 7, lastPoll[slot]} {
 				start := time.Now()
 				_, err := alg.StepCtx(newCountdownCtx(polls), slot)
 				if !errors.Is(err, context.Canceled) {
@@ -111,10 +129,20 @@ func TestStepCtxCancellationDense(t *testing.T) {
 }
 
 // TestStepCtxCancellationCandidates exercises the candidate-set path,
-// whose per-slot solve spans pricing-expansion rounds.
+// whose per-slot solve spans pricing-expansion rounds (one of this
+// instance's later slots takes three).
 func TestStepCtxCancellationCandidates(t *testing.T) {
-	in := smallRandomInstance(rand.New(rand.NewSource(17)))
+	in := smallRandomInstance(rand.New(rand.NewSource(344)))
 	testCancellation(t, in, Options{Candidates: 2})
+}
+
+// TestStepCtxCancellationCandidatesIncremental exercises the composition
+// that freezes users out of a ragged candidate program.
+func TestStepCtxCancellationCandidatesIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	in := smallRandomInstance(rng)
+	withChurn(in, 0.3, rng)
+	testCancellation(t, in, Options{Candidates: 2, Incremental: true, IncrementalTol: 1e-9})
 }
 
 // TestStepCtxOutOfOrderAfterCancel verifies the slot counter does not

@@ -121,6 +121,10 @@ func (c *Certificate) LowerBoundP0() float64 {
 // dense solve leaves them, and the g_{ij,t} stationarity values the
 // certificate derives from the schedule are unchanged. No lifting of the
 // reduced duals is needed.
+//
+// Every term of slot t depends on x_t and x_{t−1} alone, so the
+// construction is one pass over the decision log with two grids in hand
+// (a slot logged whole is read in place) rather than the whole schedule.
 func (o *OnlineApprox) Certificate() (*Certificate, error) {
 	in := o.inst
 	if o.slot != in.T {
@@ -135,16 +139,6 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 		}
 	}
 
-	// Allocations and cloud totals for t = 0..T (0 = initial state).
-	allocs := make([]model.Alloc, in.T+1)
-	allocs[0] = in.InitialAlloc()
-	totals := make([][]float64, in.T+1)
-	totals[0] = allocs[0].CloudTotals()
-	for t := 0; t < in.T; t++ {
-		allocs[t+1] = o.schedule[t]
-		totals[t+1] = o.schedule[t].CloudTotals()
-	}
-
 	rcFac := make([]float64, in.I)  // ĉ_i/η_i
 	mgFacI := make([]float64, in.I) // b̂_i (divided by τ_ij per user below)
 	for i := 0; i < in.I; i++ {
@@ -156,26 +150,41 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 		tau[j] = math.Log1p(in.Workload[j] / eps2)
 	}
 
-	alpha := func(i, t int) float64 { // paper's α_{i,t}, valid for t in 1..T+1
-		return rcFac[i] * math.Log((in.Capacity[i]+eps1)/(totals[t-1][i]+eps1))
+	alpha := func(i int, tot []float64) float64 { // paper's α_{i,t} from X_{i,t−1}
+		return rcFac[i] * math.Log((in.Capacity[i]+eps1)/(tot[i]+eps1))
 	}
-	beta := func(i, j, t int) float64 { // β_{i,j,t} (λ_j-numerator form)
+	beta := func(i, j int, x model.Alloc) float64 { // β_{i,j,t} (λ_j-numerator form) from x_{t−1}
 		return mgFacI[i] / tau[j] *
-			math.Log((in.Workload[j]+eps2)/(allocs[t-1].At(i, j)+eps2))
+			math.Log((in.Workload[j]+eps2)/(x.At(i, j)+eps2))
 	}
 
-	thetas := make([][]float64, in.T)
-	nus := make([][]float64, in.T)
+	// prev and cur are x_{t−1} and x_t with their cloud totals; x_0 is the
+	// initial state.
+	prev, cur := in.InitialAlloc(), model.Alloc{I: in.I, J: in.J}
+	prevTot, curTot := prev.CloudTotals(), make([]float64, in.I)
+	var grids gridPair
+	theta, nu := make([]float64, in.J), make([]float64, in.I)
 	g := make([]float64, in.I*in.J)
 	for t := 1; t <= in.T; t++ {
+		r := o.log[t-1]
+		cur.X = r.vals
+		if r.cols != nil {
+			cur.X = grids.level(prev.X, in.J)
+			r.apply(cur.X, in.I, in.J)
+			grids.commit(r.cols)
+		} else {
+			grids.moved()
+		}
+		cur.CloudTotalsInto(curTot)
+
 		coef := in.StaticCoeff(t - 1)
-		nu := make([]float64, in.I)
+		clear(nu)
 		for i := 0; i < in.I; i++ {
-			rcln := rcFac[i] * math.Log((totals[t][i]+eps1)/(totals[t-1][i]+eps1))
+			rcln := rcFac[i] * math.Log((curTot[i]+eps1)/(prevTot[i]+eps1))
 			minRow := math.Inf(1)
 			for j := 0; j < in.J; j++ {
 				mgln := mgFacI[i] / tau[j] *
-					math.Log((allocs[t].At(i, j)+eps2)/(allocs[t-1].At(i, j)+eps2))
+					math.Log((cur.At(i, j)+eps2)/(prev.At(i, j)+eps2))
 				gij := coef[i*in.J+j] + rcln + mgln
 				g[i*in.J+j] = gij
 				if gij < minRow {
@@ -188,7 +197,6 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 				cert.NuCharge += in.Capacity[i] * nu[i]
 			}
 		}
-		theta := make([]float64, in.J)
 		for j := 0; j < in.J; j++ {
 			m := math.Inf(1)
 			for i := 0; i < in.I; i++ {
@@ -199,38 +207,35 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 			theta[j] = m // ≥ 0: every cloud's lifted row is nonnegative
 			cert.D += in.Workload[j] * theta[j]
 		}
-		thetas[t-1] = theta
-		nus[t-1] = nu
-	}
 
-	// Verify S_D feasibility (Lemma 2) — a pure identity check here, but
-	// kept as a guard against regressions in the mappings.
-	for t := 1; t <= in.T; t++ {
-		coef := in.StaticCoeff(t - 1)
+		// Verify S_D feasibility (Lemma 2) — a pure identity check here,
+		// but kept as a guard against regressions in the mappings.
 		for i := 0; i < in.I; i++ {
-			a := alpha(i, t)
+			a := alpha(i, prevTot)
 			if v := a - in.WRc*in.ReconfPrice[i]; v > cert.Feasibility.AlphaBound {
 				cert.Feasibility.AlphaBound = v
 			}
 			if a < -cert.Feasibility.Negativity {
 				cert.Feasibility.Negativity = -a
 			}
-			da := alpha(i, t+1) - a
+			da := alpha(i, curTot) - a
 			for j := 0; j < in.J; j++ {
-				bt := beta(i, j, t)
+				bt := beta(i, j, prev)
 				if v := bt - mgFacI[i]; v > cert.Feasibility.BetaBound {
 					cert.Feasibility.BetaBound = v
 				}
 				if bt < -cert.Feasibility.Negativity {
 					cert.Feasibility.Negativity = -bt
 				}
-				db := beta(i, j, t+1) - bt
-				lhs := -coef[i*in.J+j] + da + db + thetas[t-1][j] - nus[t-1][i]
+				db := beta(i, j, cur) - bt
+				lhs := -coef[i*in.J+j] + da + db + theta[j] - nu[i]
 				if lhs > cert.Feasibility.DualRow {
 					cert.Feasibility.DualRow = lhs
 				}
 			}
 		}
+		prev, cur = cur, prev
+		prevTot, curTot = curTot, prevTot
 	}
 	return cert, nil
 }

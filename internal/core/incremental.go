@@ -76,10 +76,12 @@ import (
 // service-quality term cached — p2Objective.bindStatic), the frozen flow
 // and the frozen users' support (frozenFlow), the gate's column minima
 // (gateColumns), and the carried totals X'_i of the committed decision
-// (p2Objective.carry). The fifth is the decision itself: the API returns a
-// dense I×J matrix per slot, so a slot allocates one and copies the carried
-// decision into it (StepCtx) — the only full-grid buffer a committed slot
-// writes beside the coefficients. DESIGN.md §7f has the measured table.
+// (p2Objective.carry). The decision itself costs O(I·active): the slot
+// assembles it in the spare of two persistent grids after re-copying the
+// columns the previous slot wrote (gridPair.level), returns it as a view,
+// and logs only the columns it wrote (schedlog.go), so a committed slot
+// writes no full grid beside the coefficients and allocates two small
+// slices. DESIGN.md §7f has the measured table.
 
 // buildRows recomputes the active list, the frozen per-cloud flow (from
 // the carried decision prev), and the program's structured rows from the

@@ -348,7 +348,7 @@ func TestIncrementalShardFreezesBlocks(t *testing.T) {
 // frozen-set state retryable, with the eventual schedule bitwise equal
 // to the uncancelled reference.
 func TestStepCtxCancellationIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(907))
+	rng := rand.New(rand.NewSource(447))
 	in := smallRandomInstance(rng)
 	withChurn(in, 0.3, rng)
 	testCancellation(t, in, Options{Incremental: true, IncrementalTol: 1e-9})

@@ -97,8 +97,14 @@ type singleState struct {
 	viol   []bool
 	// short lists the users whose committed column still summed below its
 	// demand after the repair; with the slot's active users they are the
-	// columns the next commit repairs (repairTouched).
+	// columns the next commit repairs (repairTouched). visit lists them, and
+	// they are the only columns that slot wrote: its log record's.
 	short, visit []int
+	// grids are the ragged layer's two decision grids: a slot assembles in
+	// the spare one while the carried decision stays unwritten, and its
+	// commit makes the spare the carried decision (StepCtx). Both exist from
+	// the start so that only a slot that writes every column allocates one.
+	grids gridPair
 }
 
 // initSingle builds the per-instance single-program state: the rows, the
@@ -131,6 +137,8 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
 		s.colMin = make([]float64, in.J)
 		s.viol = make([]bool, in.J)
+		s.grids = gridPair{all: true, stale: make([]int, 0, in.J)}
+		s.grids.buf[0], s.grids.buf[1] = make([]float64, in.I*in.J), make([]float64, in.I*in.J)
 	} else {
 		// The identity layout is alm's full grid over the dense objective.
 		s.groups.RowPtr, s.groups.Cols = o.obj.rowPtr, make([]int, in.I*in.J)

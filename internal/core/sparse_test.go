@@ -102,13 +102,19 @@ func smallRandomInstance(rng *rand.Rand) *model.Instance {
 // recouple makes a copy of x the decision alg's next slot departs from, as
 // if alg had committed it itself; the coupled-run tests steer two
 // algorithms along one trajectory with it. Everything a commit derives from
-// the decision is derived again: the carried totals, and the columns the
-// next touched-column repair still owes a visit.
+// the decision is derived again: the slot's log record (now the whole
+// copy, which the ragged paths' spare grid must be levelled with in full),
+// the carried totals, and the columns the next touched-column repair still
+// owes a visit.
 func recouple(alg *OnlineApprox, x []float64) {
 	in := alg.inst
 	alg.prev = model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), x...)}
+	last := len(alg.log) - 1
+	alg.log[last] = slotRecord{vals: alg.prev.X}
+	alg.sched = alg.sched[:min(len(alg.sched), last)]
 	alg.obj.carry(alg.prev)
 	if s := alg.single; s != nil {
+		s.grids.moved()
 		s.short = s.short[:0]
 		for j, served := range alg.prev.UserTotals() {
 			if in.Workload[j]-served > 0 {

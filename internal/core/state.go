@@ -41,12 +41,14 @@ type WarmState struct {
 	Duals [][]float64 `json:"duals"`
 }
 
-// ExportState deep-copies the algorithm's cross-slot state. The snapshot
-// is independent of the algorithm object: later Steps do not mutate it.
+// ExportState deep-copies the algorithm's cross-slot state, the schedule
+// as Schedule builds it. The snapshot is independent of the algorithm
+// object: later Steps do not mutate it.
 func (o *OnlineApprox) ExportState() *WarmState {
+	sched := o.Schedule()
 	st := &WarmState{Slot: o.slot, Duals: copyRows(o.duals)}
-	st.Schedule = make([][]float64, len(o.schedule))
-	for t, x := range o.schedule {
+	st.Schedule = make([][]float64, len(sched))
+	for t, x := range sched {
 		st.Schedule[t] = append([]float64(nil), x.X...)
 	}
 	return st
@@ -77,12 +79,11 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	}
 	o.ensureInit(in)
 	for t, row := range st.Schedule {
-		x := model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), row...)}
-		o.schedule = append(o.schedule, x)
+		o.log = append(o.log, slotRecord{vals: append([]float64(nil), row...)})
 		o.recordDuals(st.Duals[t])
 	}
 	if st.Slot > 0 {
-		o.prev = o.schedule[st.Slot-1]
+		o.prev = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-1].vals}
 		o.obj.carry(o.prev)
 	}
 	o.slot = st.Slot

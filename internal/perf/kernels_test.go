@@ -3,6 +3,7 @@ package perf
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"edgealloc/internal/core"
@@ -244,8 +245,8 @@ func churnInstance(tb testing.TB, I, J, T int, churn float64, seed int64) *model
 // incremental tier (Candidates 4, on a deployment budget) at I=50, J=5000
 // with 1% of the users moving per slot — fifty columns to re-solve beside
 // a 250,000-entry grid, so what the kernel shows is the cost of everything
-// around the solve, and its one allocation is the grid it returns. prime
-// runs the cold slot 0, the one full solve of the horizon.
+// around the solve. prime runs the cold slot 0, the one full solve of the
+// horizon.
 func newIncrementalKernel(tb testing.TB) *stepKernel {
 	k := &stepKernel{tb: tb, in: churnInstance(tb, 50, 5000, 12, 0.01, 20140212),
 		opts: core.Options{
@@ -316,12 +317,15 @@ func BenchmarkNumKernel(b *testing.B) {
 // TestHotPathAllocs pins the allocation count of one operation of every
 // kernel. The counts are deterministic, so they are today's values, not
 // ceilings with slack: raise one only with a comment naming the
-// toolchain in the CI matrix that differs.
+// toolchain in the CI matrix that differs. A warm Step allocates its
+// decision-log record only: on the default path the decision grid itself,
+// on the incremental tier the slot's written columns and their values (two
+// small slices; the decision is assembled in a grid the tier keeps).
 func TestHotPathAllocs(t *testing.T) {
 	step, incr := newStepKernel(t), newIncrementalKernel(t)
 	kernels := append([]kernel{
 		{"OnlineApproxStep", step.step, 1},
-		{"IncrementalStep", incr.step, 1},
+		{"IncrementalStep", incr.step, 2},
 		{"FISTASolve", fistaSolve(t), 0},
 		{"ALMSolve", almSolve(t), 0},
 	}, numKernels()...)
@@ -333,4 +337,24 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, pinned at %v", k.name, got, k.allocs)
 		}
 	}
+	// The count cannot tell two small slices from a grid: a warm incremental
+	// Step must also allocate under an eighth of one I×J grid, which a
+	// per-slot copy of the decision would exceed eightfold. Three of the
+	// horizon's slots are left to measure.
+	grid := uint64(8 * incr.in.I * incr.in.J)
+	if got := bytesPerRun(3, incr.step); got >= grid/8 {
+		t.Errorf("IncrementalStep: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
+	}
+}
+
+// bytesPerRun is the heap bytes one call of op allocates, averaged over n
+// calls.
+func bytesPerRun(n int, op func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < n; k++ {
+		op()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
 }

@@ -60,7 +60,7 @@ type session struct {
 	lastUsed time.Time
 	next     int // next slot to solve
 	done     bool
-	sched    model.Schedule // decisions so far (owned copies)
+	sched    model.Schedule // decisions so far: the algorithm's Schedule, shared
 	meta     []slotMeta     // per-slot costs and solver diagnostics
 	costs    model.Breakdown
 	total    float64 // weighted P0 cost so far
@@ -622,8 +622,7 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StepTimeout)
 	defer cancel()
-	x, err := sess.alg.StepCtx(ctx, t)
-	if err != nil {
+	if _, err := sess.alg.StepCtx(ctx, t); err != nil {
 		status := http.StatusInternalServerError
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):
@@ -637,9 +636,11 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mSlotsTotal.Inc()
 
-	resp := sess.recordSlot(t, x, s.cfg.now())
+	resp := sess.recordSlot(t, s.cfg.now())
 	if req.IncludeAllocation {
-		resp.Allocation = x.X
+		// The schedule's copy, not StepCtx's view, which is valid only
+		// until the session's next Step.
+		resp.Allocation = sess.sched[t].X
 	}
 	if resp.Done {
 		resp.Conformance = sess.finish()
@@ -706,14 +707,16 @@ func (sess *session) applySlotData(t int, req *slotRequest) error {
 	return nil
 }
 
-// recordSlot folds the slot's decision into the session bookkeeping and
-// builds the response. Called under stepMu; x is the owned decision
-// returned by StepCtx.
-func (sess *session) recordSlot(t int, x model.Alloc, now time.Time) *slotResponse {
+// recordSlot folds slot t's decision, which StepCtx has just committed,
+// into the session bookkeeping and builds the response. Called under
+// stepMu. The session's schedule becomes the algorithm's own (Schedule
+// builds the new slot's grid and keeps it), so each decision is held once.
+func (sess *session) recordSlot(t int, now time.Time) *slotResponse {
 	in := sess.inst
-	prev := in.InitialAlloc()
+	sched := sess.alg.Schedule()
+	x, prev := sched[t], in.InitialAlloc()
 	if t > 0 {
-		prev = sess.sched[t-1]
+		prev = sched[t-1]
 	}
 	op, sq := in.SlotStatic(t, x)
 	rc, mg := in.SlotDynamic(prev, x)
@@ -723,7 +726,7 @@ func (sess *session) recordSlot(t int, x model.Alloc, now time.Time) *slotRespon
 	diag := sess.alg.LastStepDiag()
 
 	sess.mu.Lock()
-	sess.sched = append(sess.sched, x)
+	sess.sched = sched
 	sess.meta = append(sess.meta, slotMeta{Cost: slotB, Diag: diag})
 	sess.next = t + 1
 	sess.done = sess.next == in.T

@@ -74,8 +74,8 @@ func (s *Server) restoreSession(d *snapDoc) (*session, error) {
 		lastUsed:  s.cfg.now(),
 		next:      st.Slot,
 		done:      st.Slot == d.inst.T,
-		// As in a live session, sched[t] is the algorithm's own slot t.
-		sched: slices.Clone(alg.Schedule()),
+		// As in a live session, sched is the algorithm's own schedule.
+		sched: alg.Schedule(),
 	}
 	for t, rec := range d.records {
 		req := slotRequest{OpPrice: rec.opPrice, Attach: rec.attach, AccessDelay: rec.accessDelay}

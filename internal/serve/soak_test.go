@@ -22,7 +22,11 @@ import (
 // (`make soak`, the CI soak job): any locking mistake between the
 // session bookkeeping mutex, the per-session solve mutex, the evicted
 // flag, and the snapshot persistence path surfaces here as a race
-// report or a non-retryable status.
+// report or a non-retryable status. Half the sessions run the incremental
+// tier, whose Step returns a view of a grid it reuses two slots later; some
+// slot posts ask for the allocation and some requests read the schedule,
+// so the schedule a session shares with its algorithm is read while that
+// algorithm extends it.
 //
 // The iteration budget is deliberately small so the plain `make test`
 // and `make race` sweeps stay fast; `make soak SOAK_ITERS=n` scales the
@@ -87,7 +91,7 @@ func TestServeSoak(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			next := make([]int, sessionsPer)
 			for k := 0; k < sessionsPer; k++ {
-				createSoakSession(t, ts.URL, soakID(w, k), in)
+				createSoakSession(t, ts.URL, soakID(w, k), in, soakOptions(k))
 			}
 			for i := 0; i < iters; i++ {
 				k := rng.Intn(sessionsPer)
@@ -102,22 +106,36 @@ func TestServeSoak(t *testing.T) {
 						return
 					}
 				case rng.Intn(10) == 0:
+					// Read the schedule, which the session shares with its
+					// algorithm, while other posts extend it.
+					code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id+"/schedule", nil, nil)
+					if code != http.StatusOK && code != http.StatusConflict {
+						t.Errorf("schedule %s: status %d: %s", id, code, raw)
+						return
+					}
+				case rng.Intn(10) == 0:
 					// Delete and recreate from scratch.
 					doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil)
-					createSoakSession(t, ts.URL, id, in)
+					createSoakSession(t, ts.URL, id, in, soakOptions(k))
 					next[k] = 0
 				default:
 					if next[k] >= in.T {
 						doJSON(t, http.MethodDelete, ts.URL+"/v1/sessions/"+id, nil, nil)
-						createSoakSession(t, ts.URL, id, in)
+						createSoakSession(t, ts.URL, id, in, soakOptions(k))
 						next[k] = 0
 					}
+					withAlloc := rng.Intn(3) == 0
 					var resp slotResponse
 					code, raw := doJSON(t, http.MethodPost,
 						fmt.Sprintf("%s/v1/sessions/%s/slots", ts.URL, id),
-						map[string]any{"slot": next[k]}, &resp)
+						map[string]any{"slot": next[k], "includeAllocation": withAlloc}, &resp)
 					switch code {
 					case http.StatusOK:
+						if withAlloc && len(resp.Allocation) != in.I*in.J {
+							t.Errorf("slot %d on %s: allocation has %d entries, want %d",
+								next[k], id, len(resp.Allocation), in.I*in.J)
+							return
+						}
 						next[k]++
 						solved.Add(1)
 					case http.StatusGone:
@@ -163,17 +181,23 @@ func TestServeSoak(t *testing.T) {
 
 func soakID(w, k int) string { return fmt.Sprintf("soak-%d-%d", w, k) }
 
+// soakOptions are the solver options of a worker's k-th session: the
+// default path for even k, the incremental tier for odd.
+func soakOptions(k int) map[string]any {
+	return map[string]any{"incremental": k%2 == 1}
+}
+
 // createSoakSession creates (or re-creates) a session, tolerating the
 // races inherent to the soak: a 409 means a concurrent restore-from-disk
 // beat us to the id, which is fine — the session exists.
-func createSoakSession(t *testing.T, base, id string, in *model.Instance) {
+func createSoakSession(t *testing.T, base, id string, in *model.Instance, opts map[string]any) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := model.WriteInstance(&buf, in); err != nil {
 		t.Fatalf("encoding instance: %v", err)
 	}
 	code, raw := doJSON(t, http.MethodPost, base+"/v1/sessions",
-		map[string]any{"id": id, "instance": json.RawMessage(buf.Bytes())}, nil)
+		map[string]any{"id": id, "instance": json.RawMessage(buf.Bytes()), "options": opts}, nil)
 	if code != http.StatusCreated && code != http.StatusConflict {
 		t.Errorf("create %s: status %d: %s", id, code, raw)
 	}
