@@ -411,9 +411,11 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		s.repairTouched(in, x, o.userTot)
 		if len(s.visit) == in.J {
 			o.log = append(o.log, slotRecord{vals: s.grids.release()})
+			s.support.fresh = false
 		} else {
 			o.log = append(o.log, columnRecord(x.X, in.I, in.J, s.visit))
 			s.grids.commit(s.visit)
+			s.support.refresh(x.X, s.visit)
 		}
 	} else {
 		x.X = append([]float64(nil), xSrc...)

@@ -70,18 +70,21 @@ import (
 //
 // What a slot costs. The program, its seeding, the candidate builder and
 // the repair of the committed decision are proportional to the movers:
-// O(I·active). Four passes remain that stream the I×J grid once each,
-// sequentially, because what they compute involves every pair: the static
-// coefficients (a price moves a whole row: one add per pair, the
-// service-quality term cached — p2Objective.bindStatic), the frozen flow
-// and the frozen users' support (frozenFlow), the gate's column minima
-// (gateColumns), and the carried totals X'_i of the committed decision
-// (p2Objective.carry). The decision itself costs O(I·active): the slot
-// assembles it in the spare of two persistent grids after re-copying the
-// columns the previous slot wrote (gridPair.level), returns it as a view,
-// and logs only the columns it wrote (schedlog.go), so a committed slot
-// writes no full grid beside the coefficients and allocates two small
-// slices. DESIGN.md §7f has the measured table.
+// O(I·active). The frozen flow and the frozen users' support walk the
+// support index (frozenFlow), O(J + support), which the commit refreshes
+// on the columns the slot wrote. The static coefficients are bound as I
+// price terms beside a per-pair service-quality term that only re-attached
+// columns recompute (p2Objective.bindStatic), and are read as their sum
+// where they are needed. One pass streams the I×J grid because what it
+// computes involves every pair: the gate's column minima (gateColumns).
+// The carried totals X'_i of the committed decision (p2Objective.carry)
+// stream the new decision too; walking the support index for them measured
+// no gain. The decision itself costs O(I·active): the slot assembles it in
+// the spare of two persistent grids after re-copying the columns the
+// previous slot wrote (gridPair.level), returns it as a view, and logs only
+// the columns it wrote (schedlog.go), so a committed slot writes no full
+// grid and allocates two small slices. DESIGN.md §7f has the measured
+// table.
 
 // buildRows recomputes the active list, the frozen per-cloud flow (from
 // the carried decision prev), and the program's structured rows from the
@@ -111,7 +114,10 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 	clear(s.frozenTot)
 	s.frozenSupp = s.frozenSupp[:0]
 	if len(s.actList) < nJ {
-		s.frozenSupp = frozenFlow(s.frozenTot, prev, s.active, s.frozenSupp)
+		if !s.support.fresh {
+			s.support.rebuild(prev)
+		}
+		s.frozenFlow(prev)
 	}
 	s.rows = s.rows[:0]
 	for p, j := range s.actList {
@@ -132,58 +138,85 @@ func (s *singleState) buildRows(in *model.Instance, prev []float64) {
 // supportPair names one pair (i, j) with x'_ij > 0.
 type supportPair struct{ i, j int32 }
 
-// frozenFlow streams the carried decision once for the two things the
-// slot needs of its frozen columns. Into dst goes, per cloud, the flow prev
-// carries for the users not marked active: each a sum over those users in
+// frozenFlow collects the two things the slot needs of its frozen columns
+// from the support index, walking the users not marked active in ascending
+// order and each one's listed clouds. Into frozenTot (cleared) goes, per
+// cloud, the flow prev carries for those users: a sum over them in
 // ascending order, the order the capacity right-hand sides have always
 // been rounded in (X'_i less the active users' flow is the same number
-// rounded differently). Appended to supp (and returned) are those users'
-// support pairs, which is all of prev the freeze gate reads. Four rows
-// advance abreast for the reason Alloc.CloudTotalsInto gives.
-func frozenFlow(dst, prev []float64, active []bool, supp []supportPair) []supportPair {
-	n := len(active)
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		r0, r1, r2, r3 := prev[i*n:(i+1)*n], prev[(i+1)*n:(i+2)*n], prev[(i+2)*n:(i+3)*n], prev[(i+3)*n:(i+4)*n]
-		var f0, f1, f2, f3 float64
-		for j, a := range active {
-			if a {
-				continue
-			}
-			v0, v1, v2, v3 := r0[j], r1[j], r2[j], r3[j]
-			f0 += v0
-			f1 += v1
-			f2 += v2
-			f3 += v3
-			if v0 > 0 {
-				supp = append(supp, supportPair{int32(i), int32(j)})
-			}
-			if v1 > 0 {
-				supp = append(supp, supportPair{int32(i + 1), int32(j)})
-			}
-			if v2 > 0 {
-				supp = append(supp, supportPair{int32(i + 2), int32(j)})
-			}
-			if v3 > 0 {
-				supp = append(supp, supportPair{int32(i + 3), int32(j)})
+// rounded differently). The entries the walk skips are ±0 — prev is
+// post-repair, or a restore validated it nonnegative — and adding ±0 to a
+// sum that starts at +0 changes no bit of it, so each sum is the full
+// masked one. Appended to frozenSupp are those users' support pairs, which
+// is all of prev the freeze gate reads.
+func (s *singleState) frozenFlow(prev []float64) {
+	nJ := len(s.active)
+	for j, a := range s.active {
+		if a {
+			continue
+		}
+		for _, i := range s.support.of(j) {
+			s.frozenTot[i] += prev[int(i)*nJ+j]
+			s.frozenSupp = append(s.frozenSupp, supportPair{i, int32(j)})
+		}
+	}
+}
+
+// supportIndex lists, per user, the clouds that carry its flow in the
+// carried decision: the i with x'_ij > 0, ascending. It is the carried
+// decision's support read column by column without a pass over the grid,
+// kept current by the ragged commit on the columns a slot wrote (StepCtx).
+// A commit of every column, and the state a run starts or restores from,
+// leave it stale; the next slot that freezes users rebuilds it (buildRows).
+// The incremental tier alone keeps one.
+type supportIndex struct {
+	nI, nJ int
+	// User j's clouds are clouds[j·I : j·I+n[j]].
+	clouds []int32
+	n      []int32
+	fresh  bool
+}
+
+func newSupportIndex(nI, nJ int) supportIndex {
+	return supportIndex{nI: nI, nJ: nJ, clouds: make([]int32, nI*nJ), n: make([]int32, nJ)}
+}
+
+// of returns user j's listed clouds.
+func (x *supportIndex) of(j int) []int32 {
+	return x.clouds[j*x.nI : j*x.nI+int(x.n[j])]
+}
+
+// rebuild lists the support of every column of the grid g.
+func (x *supportIndex) rebuild(g []float64) {
+	clear(x.n)
+	for i := 0; i < x.nI; i++ {
+		for j, v := range g[i*x.nJ : (i+1)*x.nJ] {
+			if v > 0 {
+				x.clouds[j*x.nI+int(x.n[j])] = int32(i)
+				x.n[j]++
 			}
 		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = f0, f1, f2, f3
 	}
-	for ; i < len(dst); i++ {
-		row, f := prev[i*n:(i+1)*n], 0.0
-		for j, a := range active {
-			if a {
-				continue
-			}
-			f += row[j]
-			if row[j] > 0 {
-				supp = append(supp, supportPair{int32(i), int32(j)})
+	x.fresh = true
+}
+
+// refresh re-lists the columns cols of the grid g, which differs from the
+// one the index describes on those columns alone. A stale index stays
+// stale.
+func (x *supportIndex) refresh(g []float64, cols []int) {
+	if !x.fresh {
+		return
+	}
+	for _, j := range cols {
+		c, n := x.clouds[j*x.nI:(j+1)*x.nI], 0
+		for i := range c {
+			if g[i*x.nJ+j] > 0 {
+				c[n] = int32(i)
+				n++
 			}
 		}
-		dst[i] = f
+		x.n[j] = int32(n)
 	}
-	return supp
 }
 
 // gateFrozen certifies every frozen column against the round's
@@ -219,31 +252,34 @@ func (o *OnlineApprox) gateFrozen(t int) int {
 // max(0, colMin[j]) as gateColumn returns it — and the support pairs
 // listed in supp are then tested against it, pair for pair as gateColumn
 // tests them: viol[j] is set where it reports a violation. supp must hold
-// the support of every column whose verdict is read (frozenFlow).
+// the support of every column whose verdict is read (frozenFlow). It reads
+// each coefficient as wa_i + sq_ij, the sum bindStatic stores where a dense
+// grid exists, so the pass streams the service-quality grid.
 func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportPair, base []float64, tol float64) {
 	nJ := d.nJ
 	colMin = colMin[:nJ]
-	b := base[0]
-	for j, c := range d.coef[:nJ] {
-		colMin[j] = c + b
+	w, b := d.wa[0], base[0]
+	for j, q := range d.sq[:nJ] {
+		colMin[j] = w + q + b
 	}
 	i := 1
 	for ; i+4 <= d.nI; i += 4 {
+		w0, w1, w2, w3 := d.wa[i], d.wa[i+1], d.wa[i+2], d.wa[i+3]
 		b0, b1, b2, b3 := base[i], base[i+1], base[i+2], base[i+3]
-		r0, r1, r2, r3 := d.coef[i*nJ:(i+1)*nJ], d.coef[(i+1)*nJ:(i+2)*nJ], d.coef[(i+2)*nJ:(i+3)*nJ], d.coef[(i+3)*nJ:(i+4)*nJ]
+		r0, r1, r2, r3 := d.sq[i*nJ:(i+1)*nJ], d.sq[(i+1)*nJ:(i+2)*nJ], d.sq[(i+2)*nJ:(i+3)*nJ], d.sq[(i+3)*nJ:(i+4)*nJ]
 		for j, m := range colMin {
-			colMin[j] = min(m, r0[j]+b0, r1[j]+b1, r2[j]+b2, r3[j]+b3)
+			colMin[j] = min(m, w0+r0[j]+b0, w1+r1[j]+b1, w2+r2[j]+b2, w3+r3[j]+b3)
 		}
 	}
 	for ; i < d.nI; i++ {
-		b = base[i]
-		for j, c := range d.coef[i*nJ : (i+1)*nJ] {
-			colMin[j] = min(colMin[j], c+b)
+		w, b = d.wa[i], base[i]
+		for j, q := range d.sq[i*nJ : (i+1)*nJ] {
+			colMin[j] = min(colMin[j], w+q+b)
 		}
 	}
 	clear(viol)
 	for _, e := range supp {
-		c := d.coef[int(e.i)*nJ+int(e.j)]
+		c := d.wa[e.i] + d.sq[int(e.i)*nJ+int(e.j)]
 		g := c + base[e.i]
 		sc := tol * (1 + math.Abs(c))
 		if g-colMin[e.j] > sc || g < -sc {
@@ -261,7 +297,7 @@ func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportP
 func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta float64, violated bool) {
 	aMin := math.Inf(1)
 	for i := 0; i < d.nI; i++ {
-		if g := d.coef[i*d.nJ+j] + base[i]; g < aMin {
+		if g := d.wa[i] + d.sq[i*d.nJ+j] + base[i]; g < aMin {
 			aMin = g
 		}
 	}
@@ -270,7 +306,7 @@ func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta floa
 		if d.prev[k] <= 0 {
 			continue
 		}
-		c := d.coef[k]
+		c := d.wa[i] + d.sq[k]
 		g := c + base[i]
 		sc := tol * (1 + math.Abs(c))
 		if g-aMin > sc || g < -sc {

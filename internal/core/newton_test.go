@@ -38,6 +38,7 @@ func TestP2CurvatureMatchesGradientDifferences(t *testing.T) {
 	}
 	for _, fast := range []bool{false, true} {
 		dense := newP2ObjectiveConst(in, 0.7, 1.3, fast)
+		dense.coef = make([]float64, in.I*in.J)
 		dense.bind(in, 1, prev)
 		dense.prepare()
 

@@ -47,13 +47,21 @@ type p2Objective struct {
 	nI, nJ int   // clouds, and users (columns) of the layout
 	rowPtr []int // len nI+1
 
-	coef  []float64 // weighted static coefficients
+	// coef holds the weighted static coefficients ā_k the layout's Eval
+	// reads: packed by gather on a ragged layout; on the identity layout a
+	// dense grid that bindStatic writes, allocated only by the identity
+	// program, which evaluates it. The ragged and sharded paths leave it
+	// nil and read a coefficient as wa_i + sq_ij where they need one.
+	coef  []float64
 	prev  []float64 // x'_{ij}
 	mgFac []float64 // wMg·b_i/τ_ij
 
-	// sq[i·J+j] = WSq·d(sqAttach[j], i)/λ_j, the service-quality term of
-	// the static coefficient, kept across slots by the identity layout
+	// The identity layout's two parts of ā_{ij,t}, bit for bit
+	// wa[i] + sq[i·J+j]: wa[i] = WOp·a_{i,t}, rewritten every slot, and
+	// sq[i·J+j] = WSq·d(sqAttach[j], i)/λ_j, the service-quality term, kept
+	// per pair across slots with the attachment it was computed for
 	// (bindStatic).
+	wa       []float64
 	sq       []float64
 	sqAttach []int
 
@@ -95,13 +103,15 @@ func newPackedObjective(nI int, eps1, eps2 float64, fast bool) p2Objective {
 // newP2ObjectiveConst builds the identity-layout objective and computes
 // the slot-independent constants of P2's objective — the entropy scale
 // factors η_i and τ_ij of the paper — once per (instance, ε) pair. bind
-// attaches the per-slot data.
+// attaches the per-slot data. Evaluating the objective itself additionally
+// needs the dense coefficient grid, which only the caller that does so
+// allocates (see coef).
 func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2Objective {
 	o := newPackedObjective(in.I, eps1, eps2, fast)
 	o.nJ = in.J
 	o.rowPtr = make([]int, in.I+1)
-	o.coef = make([]float64, in.I*in.J)
 	o.mgFac = make([]float64, in.I*in.J)
+	o.wa = make([]float64, in.I)
 	o.sq = make([]float64, in.I*in.J)
 	o.sqAttach = make([]int, in.J)
 	for j := range o.sqAttach {
@@ -126,6 +136,7 @@ func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2O
 // ready to evaluate.
 func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 float64) *p2Objective {
 	o := newP2ObjectiveConst(in, eps1, eps2, false)
+	o.coef = make([]float64, in.I*in.J)
 	o.bind(in, t, prev)
 	o.prepare()
 	return o
@@ -139,14 +150,16 @@ func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
 	o.carry(prev)
 }
 
-// bindStatic writes slot t's static coefficients
+// bindStatic binds slot t's static coefficients
 // WOp·a_{i,t} + WSq·d(l_{j,t},i)/λ_j — Instance.StaticCoeffInto's values,
-// bit for bit — without its I·J divisions: the service-quality term of a
-// pair moves only when its user re-attaches, so sq keeps it per pair with
-// the attachment it was computed for, a bind recomputes the columns whose
-// attachment differs (all of them the first time) and the coefficients
-// are one streaming add over the grid. Binding a slot twice, as the retry
-// of a cancelled Step does, finds nothing to recompute.
+// bit for bit, as wa[i] + sq[i·J+j] — without its I·J divisions: the
+// service-quality term of a pair moves only when its user re-attaches, so
+// sq keeps it per pair with the attachment it was computed for, and a bind
+// recomputes the columns whose attachment differs (all of them the first
+// time) and the I price terms. Binding a slot twice, as the retry of a
+// cancelled Step does, finds nothing to recompute. Where the dense grid
+// exists (the identity program) the coefficients are then one streaming
+// add over it.
 func (o *p2Objective) bindStatic(in *model.Instance, t int) {
 	nJ := o.nJ
 	for j, a := range in.Attach[t] {
@@ -159,9 +172,15 @@ func (o *p2Objective) bindStatic(in *model.Instance, t int) {
 		}
 	}
 	for i, a := range in.OpPrice[t] {
+		o.wa[i] = in.WOp * a
+	}
+	if o.coef == nil {
+		return
+	}
+	for i, wa := range o.wa {
 		coef, sq := o.coef[i*nJ:(i+1)*nJ], o.sq[i*nJ:(i+1)*nJ]
 		for j, q := range sq {
-			coef[j] = in.WOp*a + q
+			coef[j] = wa + q
 		}
 	}
 }
@@ -216,10 +235,10 @@ func (p *p2Program) gather(d *p2Objective, cs *model.CandidateSet, colLo int, im
 	p.lower = growFloats(p.lower, nnz) // stays all-zero
 	p.warm = growFloats(p.warm, nnz)
 	for i := 0; i < o.nI; i++ {
-		base := i*d.nJ + colLo
+		base, wa := i*d.nJ+colLo, d.wa[i]
 		for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
 			src := base + cs.Cols[k]
-			o.coef[k] = d.coef[src]
+			o.coef[k] = wa + d.sq[src]
 			o.prev[k] = d.prev[src]
 			o.mgFac[k] = d.mgFac[src]
 			p.warm[k] = img[src]

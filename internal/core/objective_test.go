@@ -59,6 +59,7 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 
 		for _, fast := range []bool{false, true} {
 			dense := newP2ObjectiveConst(in, eps1, eps2, fast)
+			dense.coef = make([]float64, n)
 			dense.bind(in, rng.Intn(in.T), prev)
 			dense.prepare()
 			var p p2Program

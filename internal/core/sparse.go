@@ -76,7 +76,7 @@ type singleState struct {
 
 	frozenTot []float64 // F_i: per-cloud flow carried by frozen users
 	// frozenSupp lists the frozen users' support pairs in the carried
-	// decision, collected by the pass that sums frozenTot; the gate tests
+	// decision, collected by the walk that sums frozenTot; the gate tests
 	// them and reads nothing else of it.
 	frozenSupp []supportPair
 	tot        []float64      // per-cloud totals of the round's decision
@@ -105,6 +105,9 @@ type singleState struct {
 	// commit makes the spare the carried decision (StepCtx). Both exist from
 	// the start so that only a slot that writes every column allocates one.
 	grids gridPair
+	// support indexes the carried decision's support per user, for
+	// frozenFlow (allocated with Incremental only).
+	support supportIndex
 }
 
 // initSingle builds the per-instance single-program state: the rows, the
@@ -139,8 +142,13 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.viol = make([]bool, in.J)
 		s.grids = gridPair{all: true, stale: make([]int, 0, in.J)}
 		s.grids.buf[0], s.grids.buf[1] = make([]float64, in.I*in.J), make([]float64, in.I*in.J)
+		if o.opts.Incremental {
+			s.support = newSupportIndex(in.I, in.J)
+		}
 	} else {
-		// The identity layout is alm's full grid over the dense objective.
+		// The identity layout is alm's full grid over the dense objective,
+		// whose Eval reads the dense coefficient grid.
+		o.obj.coef = make([]float64, in.I*in.J)
 		s.groups.RowPtr, s.groups.Cols = o.obj.rowPtr, make([]int, in.I*in.J)
 		for k := range s.groups.Cols {
 			s.groups.Cols[k] = k % in.J
@@ -372,13 +380,13 @@ func (d *p2Objective) kktBase(base, tot, nu []float64) {
 // and the reduced cost needs only the static coefficient, base, and θ.
 func priceExpand(d *p2Objective, base, theta []float64, b *model.CandidateBuilder, users []int, colLo int, tol float64) int {
 	added := 0
-	for i := 0; i < d.nI; i++ {
-		row := d.coef[i*d.nJ+colLo:]
+	for i, wa := range d.wa {
+		sq := d.sq[i*d.nJ+colLo:]
 		for _, j := range users {
 			if b.Contains(i, j) {
 				continue
 			}
-			c := row[j]
+			c := wa + sq[j]
 			if c+base[i]-theta[j] < -tol*(1+math.Abs(c)) {
 				b.Add(i, j)
 				added++

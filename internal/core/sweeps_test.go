@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -31,37 +34,57 @@ func sameBits(a, b []float64) int {
 
 // TestStaticCacheMatchesStaticCoeffInto walks an objective through slots in
 // an order no run takes — forwards, a slot bound twice, backwards — and
-// then follows a run through a cancelled-and-retried Step and a
-// RestoreState resume: after every bind the coefficients must be
-// Instance.StaticCoeffInto's.
+// then follows a run of each solve path through a cancelled-and-retried
+// Step and a RestoreState resume: after every bind wa_i + sq_ij must be
+// Instance.StaticCoeffInto's coefficient, and so must the dense grid where
+// there is one, which is on the identity program alone.
 func TestStaticCacheMatchesStaticCoeffInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(2401))
+	paths := []Options{
+		{},
+		{Candidates: 2},
+		{Incremental: true},
+		{Candidates: 2, Incremental: true},
+		{Shards: 2, Incremental: true},
+	}
 	for trial := 0; trial < 20; trial++ {
 		in := smallRandomInstance(rng)
 		if trial%2 == 0 {
 			withChurn(in, 0.3, rng)
 		}
+		opts := paths[trial%len(paths)]
+		identity := opts.Candidates == 0 && !opts.Incremental && opts.Shards == 0
 		want := make([]float64, in.I*in.J)
-		check := func(where string, o *p2Objective, tt int) {
+		check := func(where string, o *p2Objective, tt int, dense bool) {
 			t.Helper()
 			in.StaticCoeffInto(tt, want)
-			if k := sameBits(o.coef, want); k >= 0 {
-				t.Fatalf("trial %d %s slot %d: coef[%d] = %v, StaticCoeffInto has %v",
-					trial, where, tt, k, o.coef[k], want[k])
+			for k, w := range want {
+				if c := o.wa[k/in.J] + o.sq[k]; math.Float64bits(c) != math.Float64bits(w) {
+					t.Fatalf("trial %d %+v %s slot %d: wa + sq at %d = %v, StaticCoeffInto has %v",
+						trial, opts, where, tt, k, c, w)
+				}
+			}
+			if dense != (o.coef != nil) {
+				t.Fatalf("trial %d %+v %s: dense coefficient grid present = %v, want %v",
+					trial, opts, where, o.coef != nil, dense)
+			}
+			if k := sameBits(o.coef, want); dense && k >= 0 {
+				t.Fatalf("trial %d %+v %s slot %d: coef[%d] = %v, StaticCoeffInto has %v",
+					trial, opts, where, tt, k, o.coef[k], want[k])
 			}
 		}
 		o := newP2ObjectiveConst(in, 1, 1, false)
+		o.coef = make([]float64, in.I*in.J)
 		for step := 0; step < 4*in.T; step++ {
 			tt := rng.Intn(in.T)
 			o.bindStatic(in, tt)
-			check("walk", o, tt)
+			check("walk", o, tt, true)
 			if step%3 == 0 {
 				o.bindStatic(in, tt)
-				check("rebind", o, tt)
+				check("rebind", o, tt, true)
 			}
 		}
 
-		opts := Options{Candidates: 2, Incremental: true}
 		a := NewOnlineApprox(in, opts)
 		cut := 1 + rng.Intn(in.T-1)
 		for tt := 0; tt < cut; tt++ {
@@ -71,12 +94,12 @@ func TestStaticCacheMatchesStaticCoeffInto(t *testing.T) {
 				if _, err := a.StepCtx(ctx, tt); err == nil {
 					t.Fatalf("trial %d: cancelled Step(%d) succeeded", trial, tt)
 				}
-				check("cancelled", a.obj, tt)
+				check("cancelled", a.obj, tt, identity)
 			}
 			if _, err := a.Step(tt); err != nil {
 				t.Fatal(err)
 			}
-			check("step", a.obj, tt)
+			check("step", a.obj, tt, identity)
 		}
 		b := NewOnlineApprox(in, opts)
 		if err := b.RestoreState(a.ExportState()); err != nil {
@@ -86,8 +109,191 @@ func TestStaticCacheMatchesStaticCoeffInto(t *testing.T) {
 			if _, err := b.Step(tt); err != nil {
 				t.Fatal(err)
 			}
-			check("restored", b.obj, tt)
+			check("restored", b.obj, tt, identity)
 		}
+	}
+}
+
+// denseFrozenFlow is the frozen flow and frozen support as one streaming
+// pass over the carried decision computes them: per cloud, the masked sum
+// over every user not marked active, in ascending order, into dst, and
+// those users' pairs with prev > 0 appended to supp. Four rows advance
+// abreast for the reason Alloc.CloudTotalsInto gives. It is the reference
+// singleState.frozenFlow's walk of the support index must reproduce.
+func denseFrozenFlow(dst, prev []float64, active []bool, supp []supportPair) []supportPair {
+	n := len(active)
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0, r1, r2, r3 := prev[i*n:(i+1)*n], prev[(i+1)*n:(i+2)*n], prev[(i+2)*n:(i+3)*n], prev[(i+3)*n:(i+4)*n]
+		var f0, f1, f2, f3 float64
+		for j, a := range active {
+			if a {
+				continue
+			}
+			v0, v1, v2, v3 := r0[j], r1[j], r2[j], r3[j]
+			f0 += v0
+			f1 += v1
+			f2 += v2
+			f3 += v3
+			if v0 > 0 {
+				supp = append(supp, supportPair{int32(i), int32(j)})
+			}
+			if v1 > 0 {
+				supp = append(supp, supportPair{int32(i + 1), int32(j)})
+			}
+			if v2 > 0 {
+				supp = append(supp, supportPair{int32(i + 2), int32(j)})
+			}
+			if v3 > 0 {
+				supp = append(supp, supportPair{int32(i + 3), int32(j)})
+			}
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = f0, f1, f2, f3
+	}
+	for ; i < len(dst); i++ {
+		row, f := prev[i*n:(i+1)*n], 0.0
+		for j, a := range active {
+			if a {
+				continue
+			}
+			f += row[j]
+			if row[j] > 0 {
+				supp = append(supp, supportPair{int32(i), int32(j)})
+			}
+		}
+		dst[i] = f
+	}
+	return supp
+}
+
+// sortPairs orders support pairs by cloud, then user.
+func sortPairs(p []supportPair) {
+	slices.SortFunc(p, func(a, b supportPair) int {
+		if a.i != b.i {
+			return int(a.i - b.i)
+		}
+		return int(a.j - b.j)
+	})
+}
+
+// TestSupportIndexMatchesGrid holds the frozen-support index to the grid it
+// indexes. After every committed slot of incremental runs, with and without
+// candidates, an index the run keeps fresh lists exactly the positive
+// entries of each column of the carried decision, and for a random activity
+// mask the walk of the index gives the dense pass's frozen flow bit for bit
+// and its support pairs as a set. The runs go through slots cancelled at
+// their last poll, after a first round scattered into the spare grid, and
+// through a RestoreState mid-run whose carried decision holds a −0.
+func TestSupportIndexMatchesGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(2403))
+	fresh, stale, cancelled, negZero := 0, 0, 0, 0
+	check := func(where string, a *OnlineApprox) {
+		t.Helper()
+		in, s := a.inst, a.single
+		prev := a.prev.X
+		ref := newSupportIndex(in.I, in.J)
+		ref.rebuild(prev)
+		if s.support.fresh {
+			fresh++
+		} else {
+			stale++
+		}
+		for j := 0; j < in.J; j++ {
+			var want []int32
+			for i := 0; i < in.I; i++ {
+				if v := prev[i*in.J+j]; v > 0 {
+					want = append(want, int32(i))
+				} else if v == 0 && math.Signbit(v) {
+					negZero++
+				}
+			}
+			if got := ref.of(j); !slices.Equal(got, want) {
+				t.Fatalf("%s: user %d rebuilt on clouds %v, the grid has %v", where, j, got, want)
+			}
+			if got := s.support.of(j); s.support.fresh && !slices.Equal(got, want) {
+				t.Fatalf("%s: user %d indexed on clouds %v, the grid has %v", where, j, got, want)
+			}
+		}
+		walk := &singleState{active: make([]bool, in.J), frozenTot: make([]float64, in.I), support: ref}
+		for j := range walk.active {
+			walk.active[j] = rng.Intn(3) == 0
+		}
+		walk.frozenFlow(prev)
+		want := make([]float64, in.I)
+		wantSupp := denseFrozenFlow(want, prev, walk.active, nil)
+		if k := sameBits(walk.frozenTot, want); k >= 0 {
+			t.Fatalf("%s: indexed frozen flow of cloud %d = %v, dense pass %v", where, k, walk.frozenTot[k], want[k])
+		}
+		sortPairs(walk.frozenSupp)
+		sortPairs(wantSupp)
+		if !slices.Equal(walk.frozenSupp, wantSupp) {
+			t.Fatalf("%s: indexed frozen support %v, dense pass %v", where, walk.frozenSupp, wantSupp)
+		}
+	}
+	for trial, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"incremental tight", Options{Incremental: true, IncrementalTol: 1e-9}},
+		{"candidates+incremental tight", Options{Candidates: 2, Incremental: true, IncrementalTol: 1e-9}},
+		{"incremental", Options{Incremental: true}},
+		{"candidates+incremental", Options{Candidates: 3, Incremental: true}},
+	} {
+		opts := tc.opts
+		in, _, err := scenario.Rome(scenario.Config{Users: 12, Horizon: 8, Seed: int64(40 + trial)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		withChurn(in, 0.25, rng)
+		// The reference run's last poll of each slot, and whether the slot
+		// took a second round (so that its first had scattered by then).
+		ref := NewOnlineApprox(in, opts)
+		lastPoll, scattered := make([]int, in.T), make([]bool, in.T)
+		for tt := 0; tt < in.T; tt++ {
+			if _, err := ref.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			d := ref.LastStepDiag()
+			lastPoll[tt], scattered[tt] = d.Outer+d.Inner-1, d.CandRounds >= 2
+		}
+
+		cut := in.T / 2
+		a := NewOnlineApprox(in, opts)
+		for tt := 0; tt < cut; tt++ {
+			if tt > 0 && scattered[tt] {
+				if _, err := a.StepCtx(newCountdownCtx(lastPoll[tt]), tt); !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s slot %d: cancel at poll %d: err = %v", tc.name, tt, lastPoll[tt], err)
+				}
+				cancelled++
+				check(fmt.Sprintf("%s cancelled slot %d", tc.name, tt), a)
+			}
+			if _, err := a.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s slot %d", tc.name, tt), a)
+		}
+		st := a.ExportState()
+		last := st.Schedule[cut-1]
+		k := slices.Index(last, 0)
+		if k < 0 {
+			t.Fatalf("%s: slot %d's decision has no zero entry to sign", tc.name, cut-1)
+		}
+		last[k] = math.Copysign(0, -1)
+		b := NewOnlineApprox(in, opts)
+		if err := b.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("%s restored", tc.name), b)
+		for tt := cut; tt < in.T; tt++ {
+			if _, err := b.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("%s restored slot %d", tc.name, tt), b)
+		}
+	}
+	if fresh == 0 || stale == 0 || cancelled == 0 || negZero == 0 {
+		t.Errorf("%d fresh and %d stale indexes checked, %d slots cancelled after a scatter, %d −0 entries seen: a case went unexercised",
+			fresh, stale, cancelled, negZero)
 	}
 }
 
@@ -95,11 +301,15 @@ func TestStaticCacheMatchesStaticCoeffInto(t *testing.T) {
 // decision with one to three support pairs per column, per-cloud base
 // terms, and an activity mask. Some columns have a support pair placed at
 // the tolerance boundary of the column minimum — on it, one ulp inside and
-// one ulp outside — and some a minimum that is a zero of either sign.
+// one ulp outside — and some a minimum that is a zero of either sign. Half
+// the cases split every coefficient c into a random price term wa_i and
+// sq_ij = c − wa_i; the other half keep wa = 0, so that wa_i + sq_ij is c
+// exactly and the boundary and zero cases land where they were placed.
 func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, active []bool) {
 	nI, nJ := 2+rng.Intn(9), 1+rng.Intn(40)
-	d = &p2Objective{nI: nI, nJ: nJ,
-		coef: make([]float64, nI*nJ), prev: make([]float64, nI*nJ)}
+	d = &p2Objective{nI: nI, nJ: nJ, wa: make([]float64, nI),
+		sq: make([]float64, nI*nJ), prev: make([]float64, nI*nJ)}
+	coef := make([]float64, nI*nJ)
 	base = make([]float64, nI)
 	for i := range base {
 		base[i] = 2*rng.Float64() - 0.5
@@ -108,7 +318,7 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 	for j := 0; j < nJ; j++ {
 		active[j] = rng.Intn(5) == 0
 		for i := 0; i < nI; i++ {
-			d.coef[i*nJ+j] = 4 * rng.Float64()
+			coef[i*nJ+j] = 4 * rng.Float64()
 		}
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			d.prev[rng.Intn(nI)*nJ+j] = 0.1 + rng.Float64()
@@ -123,9 +333,9 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 				break
 			}
 			for i := 0; i < nI; i++ {
-				d.coef[i*nJ+j] = 2 + rng.Float64() - base[i]
+				coef[i*nJ+j] = 2 + rng.Float64() - base[i]
 			}
-			d.coef[lo*nJ+j] = 1 - base[lo]
+			coef[lo*nJ+j] = 1 - base[lo]
 			c := 1 - base[hi]
 			for n := 0; n < 60; n++ {
 				c = 1 - base[hi] + tol*(1+math.Abs(c))
@@ -136,17 +346,25 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 			case 1:
 				c = math.Nextafter(c, math.Inf(-1))
 			}
-			d.coef[hi*nJ+j] = c
+			coef[hi*nJ+j] = c
 			d.prev[hi*nJ+j] = 1
 		case 1:
 			// Zeros of both signs among the column's gradients, nothing
 			// below them: gateColumn keeps the first, min the negative one.
 			for i := 0; i < nI; i++ {
-				d.coef[i*nJ+j] = -base[i] + float64(rng.Intn(2))
+				coef[i*nJ+j] = -base[i] + float64(rng.Intn(2))
 			}
 			i := rng.Intn(nI)
-			d.coef[i*nJ+j] = math.Copysign(0, -1) - base[i]
+			coef[i*nJ+j] = math.Copysign(0, -1) - base[i]
 		}
+	}
+	if rng.Intn(2) == 0 {
+		for i := range d.wa {
+			d.wa[i] = rng.Float64() - 0.5
+		}
+	}
+	for k, c := range coef {
+		d.sq[k] = c - d.wa[k/nJ]
 	}
 	return d, base, active
 }
@@ -163,7 +381,7 @@ func TestGateColumnsMatchesGateColumn(t *testing.T) {
 		nI, nJ := d.nI, d.nJ
 
 		frozenTot := make([]float64, nI)
-		supp := frozenFlow(frozenTot, d.prev, active, nil)
+		supp := denseFrozenFlow(frozenTot, d.prev, active, nil)
 		for i := 0; i < nI; i++ {
 			f := 0.0
 			for j := 0; j < nJ; j++ {

@@ -1,6 +1,7 @@
 package alm
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -374,6 +375,166 @@ func TestCholSolve(t *testing.T) {
 		if cholSolve(bad, []float64{1, 1}, 2) {
 			t.Errorf("matrix %v accepted", bad)
 		}
+	}
+}
+
+// cholSolveRef is cholSolve one row at a time, each entry's subtractions
+// in ascending k: the factorization the interleaved one must reproduce bit
+// for bit.
+func cholSolveRef(S, b []float64, m int) bool {
+	for i := 0; i < m; i++ {
+		ri := S[i*m : i*m+i+1]
+		for j := 0; j <= i; j++ {
+			rj := S[j*m : j*m+j+1]
+			s := ri[j]
+			for k := 0; k < j; k++ {
+				s -= ri[k] * rj[k]
+			}
+			if j < i {
+				ri[j] = s / rj[j]
+				continue
+			}
+			if !(s > 0) || math.IsInf(s, 1) {
+				return false
+			}
+			ri[i] = math.Sqrt(s)
+		}
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= ri[k] * b[k]
+		}
+		b[i] = s / ri[i]
+	}
+	for i := m - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < m; k++ {
+			s -= S[k*m+i] * b[k]
+		}
+		b[i] = s / S[i*m+i]
+	}
+	return true
+}
+
+// randomSPD returns an m×m SPD matrix shaped like Newton's Schur
+// complement — a diagonal plus a sum of nonnegative rank-one terms, dense
+// — in the row-major layout cholSolve reads, its upper triangle filled
+// with junk it must not read, and a right-hand side.
+func randomSPD(rng *rand.Rand, m int) (S, b []float64) {
+	S, b = make([]float64, m*m), make([]float64, m)
+	for r := 0; r < m; r++ {
+		S[r*m+r] = 0.5 + rng.Float64()
+		b[r] = 2*rng.Float64() - 1
+		for c := r + 1; c < m; c++ {
+			S[r*m+c] = math.NaN()
+		}
+	}
+	v := make([]float64, m)
+	for n := 0; n < 2*m; n++ {
+		w := rng.Float64()
+		for k := range v {
+			v[k] = 0
+			if rng.Intn(3) > 0 {
+				v[k] = rng.Float64()
+			}
+		}
+		for r := 0; r < m; r++ {
+			for c := 0; c <= r; c++ {
+				S[r*m+c] += w * v[r] * v[c]
+			}
+		}
+	}
+	return S, b
+}
+
+// TestCholSolveMatchesReference pins the interleaved factorization to the
+// one-row-at-a-time reference: the same factor and solution bits on random
+// SPD systems of every size up to 64 (every m mod 4, so blocks with each
+// number of leftover rows), and the same verdict where a pivot is zero or
+// negative or an entry is NaN or +Inf — in a four-row block, at each row of
+// it, and in the leftover rows.
+func TestCholSolveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3101))
+	check := func(what string, S, b []float64, m int) bool {
+		t.Helper()
+		gotS, gotB := append([]float64(nil), S...), append([]float64(nil), b...)
+		wantS, wantB := append([]float64(nil), S...), append([]float64(nil), b...)
+		ok, want := cholSolve(gotS, gotB, m), cholSolveRef(wantS, wantB, m)
+		if ok != want {
+			t.Fatalf("%s: cholSolve says %v, reference %v", what, ok, want)
+		}
+		if !ok {
+			return false
+		}
+		for r := 0; r < m; r++ {
+			for c := 0; c <= r; c++ {
+				if k := r*m + c; math.Float64bits(gotS[k]) != math.Float64bits(wantS[k]) {
+					t.Fatalf("%s: L[%d][%d] = %v, reference %v", what, r, c, gotS[k], wantS[k])
+				}
+			}
+			if math.Float64bits(gotB[r]) != math.Float64bits(wantB[r]) {
+				t.Fatalf("%s: x[%d] = %v, reference %v", what, r, gotB[r], wantB[r])
+			}
+		}
+		return true
+	}
+	accepted := 0
+	for m := 1; m <= 64; m++ {
+		for trial := 0; trial < 4; trial++ {
+			S, b := randomSPD(rng, m)
+			if !check(fmt.Sprintf("m=%d trial %d", m, trial), S, b, m) {
+				t.Fatalf("m=%d trial %d: SPD matrix refused", m, trial)
+			}
+			accepted++
+		}
+	}
+	refused := 0
+	for _, m := range []int{1, 3, 4, 5, 8, 11, 13, 24} {
+		for r := 0; r < m; r++ {
+			c := rng.Intn(r + 1)
+			for _, tc := range []struct {
+				name string
+				k    int
+				v    float64
+			}{
+				{"zero pivot", r*m + r, 0},
+				{"negative pivot", r*m + r, -1},
+				{"NaN", r*m + c, math.NaN()},
+				{"+Inf diagonal", r*m + r, math.Inf(1)},
+				{"+Inf", r*m + c, math.Inf(1)},
+				{"-Inf", r*m + c, math.Inf(-1)},
+			} {
+				S, b := randomSPD(rng, m)
+				S[tc.k] = tc.v
+				if !check(fmt.Sprintf("m=%d %s at row %d", m, tc.name, r), S, b, m) {
+					refused++
+				}
+			}
+		}
+	}
+	if refused == 0 {
+		t.Errorf("%d systems accepted and none refused: the refusal path went unexercised", accepted)
+	}
+}
+
+// BenchmarkCholSolve times the Schur factorization and solve at the
+// average sizes Newton factors on the benchmark workloads: 11 (rome_exact),
+// 24 (serve_stream), 44 (flagship_lowchurn) and 50 (flagship_full). Each
+// operation includes copying the m×m system back in, which cholSolve
+// overwrites.
+func BenchmarkCholSolve(b *testing.B) {
+	for _, m := range []int{11, 24, 44, 50} {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			S0, b0 := randomSPD(rand.New(rand.NewSource(int64(m))), m)
+			S, rhs := make([]float64, len(S0)), make([]float64, m)
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				copy(S, S0)
+				copy(rhs, b0)
+				if !cholSolve(S, rhs, m) {
+					b.Fatal("SPD matrix refused")
+				}
+			}
+		})
 	}
 }
 
