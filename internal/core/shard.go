@@ -9,6 +9,7 @@ import (
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
+	"edgealloc/internal/solver/par"
 	"edgealloc/internal/solver/shard"
 	"edgealloc/internal/solver/shardrpc"
 )
@@ -49,6 +50,7 @@ type shardState struct {
 	// slot, the bridge a block's iterate crosses between candidate layouts.
 	xDense    []float64
 	blockSecs []float64 // per-shard solve seconds of the current slot
+	priced    []int     // per-shard pairs admitted by one pricing pass
 	base      []float64 // per-cloud gradient term shared by gate and pricing
 	restTot   []float64 // per-cloud totals scratch for restoreCapacity
 	// committed reports that at least one slot committed its warm state,
@@ -118,11 +120,16 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		duals:     make([]float64, in.J+2*in.I),
 		xDense:    make([]float64, in.I*in.J),
 		blockSecs: make([]float64, len(parts)),
+		priced:    make([]int, len(parts)),
 		base:      make([]float64, in.I),
 		restTot:   make([]float64, in.I),
 	}
 	sopts := o.opts.Solver
-	sopts.Workers = 0 // shards solve serially inside; parallelism is across shards
+	// Blocks solve serially inside: the parallelism is across blocks —
+	// their solves in the coordinator, and their slot preparation and
+	// pricing in solveShard — all dispatched by par.Each over
+	// Solver.Workers.
+	sopts.Workers = 0
 	ifaces := make([]shard.Block, len(parts))
 	for si, rng := range parts {
 		nJ := rng.Len()
@@ -195,14 +202,16 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	var d StepDiag
 
 	warmDense := o.warmPoint(t)
-	for _, b := range s.blocks {
+	workers := o.opts.Solver.Workers
+	par.Each(workers, len(s.blocks), func(si int) {
+		b := s.blocks[si]
 		// Incremental freezing (Options.Incremental): a shard whose whole
 		// user range kept its attachment holds the carried decision and
 		// skips its block solves, certified by the gate below. beginSlot
 		// still runs so a mid-slot thaw re-enters with a valid bind.
 		b.frozen = o.opts.Incremental && t > 0 && s.committed && blockUntouched(in, t, b.rng)
 		b.beginSlot(o, warmDense, t, ctx)
-	}
+	})
 	for _, rb := range s.remotes {
 		rb.BeginSlot(t, ctx)
 	}
@@ -249,16 +258,21 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		}
 		added := 0
 		if o.opts.Candidates > 0 {
-			for _, b := range s.blocks {
+			par.Each(workers, len(s.blocks), func(si int) {
+				b := s.blocks[si]
+				s.priced[si] = 0
 				// The gate certifies frozen users over all I clouds, which
 				// subsumes this pass; an admitted pair would never be solved.
 				if b.frozen {
-					continue
+					return
 				}
 				if n := priceExpand(o.obj, s.base, b.theta, b.builder, b.users, b.rng.Lo, o.opts.CandidateTol); n > 0 {
-					added += n
+					s.priced[si] = n
 					b.dirty = true
 				}
+			})
+			for _, n := range s.priced {
+				added += n
 			}
 		}
 		d.CertifySeconds += time.Since(certStart).Seconds()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,6 @@ import (
 	"edgealloc/internal/conform"
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
-	"edgealloc/internal/solver/alm"
 )
 
 // shardTestOpts returns sharded-path options tight enough that the
@@ -74,45 +74,95 @@ func TestShardWithCandidatesMatchesDense(t *testing.T) {
 	}
 }
 
-// TestShardDeterministicForAnyWorkers pins the parallelism contract:
-// with the shard count fixed, the full-horizon schedule must be
-// byte-identical for every Solver.Workers value (shards solve
-// concurrently but their totals reduce in shard index order), and — run
-// to run — for the same worker count.
+// TestShardDeterministicForAnyWorkers pins the parallelism contract of
+// every sharded pass that runs over the blocks concurrently — slot
+// preparation, the coordinator's block solves, and the pricing pass: with
+// the shard count fixed, the schedule, the certificate's lower bound and
+// dual feasibility, and every non-timing StepDiag counter must be
+// byte-identical for every Solver.Workers value (blocks write only their
+// own slots, reduced in shard index order afterwards) and, run to run,
+// for the same worker count. The block objectives solve with workers = 0,
+// so evalParGrain cannot reach this path and the test runs in parallel.
 func TestShardDeterministicForAnyWorkers(t *testing.T) {
-	// Serial: it lowers the package-level evalParGrain, which every
-	// concurrently running solve reads.
-	oldEval := evalParGrain
-	evalParGrain = 1
-	defer func() { evalParGrain = oldEval }()
-
-	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 4, Seed: 9})
+	t.Parallel()
+	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 6, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) model.Schedule {
-		opts := Options{Shards: 3, Candidates: 3,
-			Solver: alm.Options{Workers: workers}}
-		s, err := NewOnlineApprox(in, opts).Run()
+	type outcome struct {
+		sched model.Schedule
+		diags []StepDiag // timing fields zeroed
+		lb    float64
+		feas  Feasibility
+	}
+	run := func(opts Options, workers int) outcome {
+		opts.Solver.Workers = workers
+		alg := NewOnlineApprox(in, opts)
+		var out outcome
+		for tt := 0; tt < in.T; tt++ {
+			if _, err := alg.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			d := alg.LastStepDiag()
+			d.Seconds, d.BindSeconds, d.CertifySeconds, d.CommitSeconds, d.ShardMaxSeconds = 0, 0, 0, 0, 0
+			out.diags = append(out.diags, d)
+		}
+		cert, err := alg.Certificate()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		out.sched, out.lb, out.feas = alg.Schedule(), cert.LowerBoundP0(), cert.Feasibility
+		return out
 	}
-	base := run(1)
-	again := run(1)
-	for tt := range base {
-		if !allocsEqual(base[tt], again[tt]) {
-			t.Fatalf("slot %d: two serial runs differ", tt)
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		check func(diags []StepDiag) string
+	}{
+		{"Candidates+Shards", Options{Shards: 3, Candidates: 3},
+			func(diags []StepDiag) string {
+				for _, d := range diags {
+					if d.CandExpanded > 0 {
+						return ""
+					}
+				}
+				return "no slot expanded a candidate set: the pricing pass is untested"
+			}},
+		// The gate and coordination tolerances are loose enough that
+		// slots commit frozen blocks and thaw others.
+		{"Incremental+Shards", Options{Shards: 5, Candidates: 3, Incremental: true,
+			IncrementalTol: 0.5, ShardPrimalTol: 1e-3, ShardDualTol: 0.1},
+			func(diags []StepDiag) string {
+				frozen, thawed := false, false
+				for _, d := range diags {
+					frozen = frozen || d.FrozenUsers > 0
+					thawed = thawed || d.ReadmittedUsers > 0
+				}
+				if !frozen || !thawed {
+					return fmt.Sprintf("froze a block: %v, thawed one: %v; both paths must run", frozen, thawed)
+				}
+				return ""
+			}},
+	} {
+		base := run(tc.opts, 1)
+		if msg := tc.check(base.diags); msg != "" {
+			t.Fatalf("%s: %s", tc.name, msg)
 		}
-	}
-	for _, w := range []int{2, 4, 7} {
-		got := run(w)
-		for tt := range base {
-			for k := range base[tt].X {
-				if got[tt].X[k] != base[tt].X[k] {
-					t.Fatalf("workers=%d slot %d: x[%d] = %v != serial %v",
-						w, tt, k, got[tt].X[k], base[tt].X[k])
+		for _, w := range []int{1, 2, 4, 7} {
+			for rep := 0; rep < 3; rep++ {
+				got := run(tc.opts, w)
+				for tt := range base.sched {
+					if !allocsEqual(got.sched[tt], base.sched[tt]) {
+						t.Fatalf("%s workers=%d run %d: slot %d schedule differs from serial", tc.name, w, rep, tt)
+					}
+					if got.diags[tt] != base.diags[tt] {
+						t.Fatalf("%s workers=%d run %d: slot %d diagnostics %+v, serial %+v",
+							tc.name, w, rep, tt, got.diags[tt], base.diags[tt])
+					}
+				}
+				if got.lb != base.lb || got.feas != base.feas {
+					t.Fatalf("%s workers=%d run %d: certificate (%v, %+v), serial (%v, %+v)",
+						tc.name, w, rep, got.lb, got.feas, base.lb, base.feas)
 				}
 			}
 		}

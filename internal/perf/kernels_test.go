@@ -258,6 +258,26 @@ func newIncrementalKernel(tb testing.TB) *stepKernel {
 	return k
 }
 
+// newShardKernel is the ShardStep kernel: warm Steps of the sharded tier
+// (four user shards under the sharing-ADMM coordinator, Candidates 4,
+// FastMath, on the flagship's per-block budget) at I=15, J=600 with 30% of
+// the users moving per slot, on two workers — the blocks' preparation,
+// solves and pricing are dispatched over them. It has no allocation pin:
+// those passes start goroutines, whose allocations the runtime decides.
+func newShardKernel(tb testing.TB) *stepKernel {
+	k := &stepKernel{tb: tb, in: churnInstance(tb, 15, 600, 12, 0.30, 20140212),
+		opts: core.Options{
+			Solver: alm.Options{MaxOuter: 3, InnerIters: 60,
+				FeasTol: 1e-5, DualTol: 1e-2, ObjTol: 1e-8, Penalty: 2, Workers: 2},
+			Candidates: 4, CandidateTol: 1,
+			Shards: 4, ShardRho: 16, ShardMaxIters: 12,
+			ShardPrimalTol: 1e-4, ShardDualTol: 5e-2,
+			FastMath: true,
+		}}
+	k.prime()
+	return k
+}
+
 // The NumKernel family runs the batch log kernel behind
 // core.Options.FastMath in isolation, over one cache-resident buffer of
 // solver-typical operands. LogStdlib is the per-element math.Log loop
@@ -305,6 +325,7 @@ func BenchmarkALMSolve(b *testing.B)   { benchOp(b, almSolve(b)) }
 
 func BenchmarkOnlineApproxStep(b *testing.B) { newStepKernel(b).bench(b) }
 func BenchmarkIncrementalStep(b *testing.B)  { newIncrementalKernel(b).bench(b) }
+func BenchmarkShardStep(b *testing.B)        { newShardKernel(b).bench(b) }
 
 // BenchmarkNumKernel exposes the fast-math kernel family; use
 // -bench 'NumKernel/LogBatch$' to pick one kernel.

@@ -1,14 +1,24 @@
-// Package par provides the deterministic fork-join primitive shared by
-// the solver hot paths: a fixed, worker-count-independent partition of an
-// index range into contiguous chunks, executed concurrently. Callers
-// store per-chunk (or per-index) partial results into disjoint slots and
-// reduce them sequentially in index order afterwards, so the floating-
-// point result is byte-identical for any worker count — the same
-// discipline the experiment engine (internal/experiments) established for
-// whole runs, applied inside a single objective evaluation.
+// Package par provides the deterministic fork-join primitives shared by
+// the solver hot paths. Ranges runs a fixed, worker-count-independent
+// partition of an index range into contiguous chunks concurrently — for
+// uniform per-index work such as an objective's cloud rows. Each hands
+// out single indices to whichever worker is idle — for uneven per-index
+// work such as a sharded slot's blocks, whose solves differ by several
+// times in one round.
+//
+// Both share one contract: fn writes only slots indexed by its own
+// indices, and the caller reduces those slots sequentially in index order
+// afterwards. Which goroutine ran which index then cannot reach the
+// result, so the floating-point output is byte-identical for any worker
+// count and any schedule — the same discipline the experiment engine
+// (internal/experiments) established for whole runs, applied inside a
+// single slot.
 package par
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Bound returns the effective worker count for a job of `work` abstract
 // cost units given a requested worker budget and a minimum grain per
@@ -63,5 +73,43 @@ func Ranges(workers, n int, fn func(lo, hi int)) {
 			fn(lo, hi)
 		}(lo, hi)
 	}
+	wg.Wait()
+}
+
+// Each runs fn(i) for every i in [0, n) on min(workers, n) workers — the
+// caller's goroutine and min(workers, n)−1 more — that pull the next
+// unclaimed index from one shared counter until none is left, and returns
+// when all calls finish. An idle worker always takes the next index, so
+// uneven per-index costs do not leave a worker waiting on a chunk fixed
+// in advance. With workers <= 1 the indices run inline, in ascending
+// order, on the caller's goroutine. fn(i) must write only slots indexed
+// by i (see the package contract).
+func Each(workers, n int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	pull := func() {
+		for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+			fn(i)
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			pull()
+		}()
+	}
+	pull()
 	wg.Wait()
 }

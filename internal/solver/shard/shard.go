@@ -40,10 +40,12 @@
 // rows by construction — and the z-iterate movement (the ADMM dual
 // residual) both fall under their tolerances.
 //
-// Determinism: shard solves within an iteration are independent and
-// their totals reduce in shard index order, so results are byte-identical
-// for any Options.Workers value; the whole loop is a pure function of its
-// inputs, so repeated runs are bitwise reproducible for any shard count.
+// Determinism: shard solves within an iteration are independent, each
+// writes only its own totals and counters, and those reduce in shard
+// index order, so results are byte-identical for any Options.Workers
+// value and whichever worker solved which block; the whole loop is a
+// pure function of its inputs, so repeated runs are bitwise reproducible
+// for any shard count.
 package shard
 
 import (
@@ -130,9 +132,11 @@ type Options struct {
 	// measure would read block-budget jitter as permanent non-convergence
 	// under throughput-tuned (inexact) block solves.
 	DualTol float64
-	// Workers bounds concurrently solving blocks (<= 1 solves serially).
-	// Totals reduce in shard index order, so results are byte-identical
-	// for any value.
+	// Workers bounds concurrently solving blocks (<= 1 solves serially,
+	// in shard order). An idle worker takes the next unsolved block
+	// (par.Each); a block writes only its own totals and counters, and
+	// those reduce in shard index order, so results are byte-identical for
+	// any value.
 	Workers int
 	// Ctx optionally cancels the loop between iterations; Solve then
 	// returns an error wrapping ctx.Err().
@@ -298,21 +302,12 @@ func (c *Coordinator) Solve(ctx context.Context) (*Result, error) {
 				tg[i] = tt[i] + (c.z[i]-c.xbar[i])/fS - c.u[i]
 			}
 		}
-		w := c.opts.Workers
-		if w > S {
-			w = S
-		}
-		if w < 1 {
-			w = 1
-		}
-		par.Ranges(w, S, func(lo, hi int) {
-			for s := lo; s < hi; s++ {
-				start := time.Now()
-				outer, inner, err := c.blocks[s].Solve(rho,
-					c.target[s*nI:(s+1)*nI], c.totals[s*nI:(s+1)*nI])
-				c.secs[s] += time.Since(start).Seconds()
-				c.outerS[s], c.innerS[s], c.errS[s] = outer, inner, err
-			}
+		par.Each(c.opts.Workers, S, func(s int) {
+			start := time.Now()
+			outer, inner, err := c.blocks[s].Solve(rho,
+				c.target[s*nI:(s+1)*nI], c.totals[s*nI:(s+1)*nI])
+			c.secs[s] += time.Since(start).Seconds()
+			c.outerS[s], c.innerS[s], c.errS[s] = outer, inner, err
 		})
 		for s := 0; s < S; s++ {
 			if err := c.errS[s]; err != nil {
