@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test bench-module race bench soak dist-soak fuzz cover
+.PHONY: check fmt vet lint build test bench-module race bench bench-ab soak dist-soak fuzz cover
 
 check: fmt vet lint build test bench-module race
 
@@ -90,6 +90,22 @@ cover:
 # what a slot costs end to end is `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/perf/
+
+# The repository benchmark, A/B: PARENT and CHANGE (default HEAD) checked
+# out into temporary git worktrees, `bash bench/run.sh` alternated between
+# them for PAIRS pairs, then medians, the parent's IQR, pair wins and
+# whether cost_per_slot / certified_ratio matched bit for bit
+# (scripts/bench_ab.sh). Commit the change first; keep the machine idle.
+CHANGE ?= HEAD
+WORKLOAD ?= rome_exact
+SEED ?= 1
+RUN_SECONDS ?= 16
+PAIRS ?= 5
+
+bench-ab:
+	@test -n "$(PARENT)" || { echo "bench-ab: set PARENT=<rev>"; exit 2; }
+	./scripts/bench_ab.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(RUN_SECONDS) \
+		--pairs $(PAIRS) $(PARENT) $(CHANGE)
 
 # Race-detector soak of the serving tier: sustained concurrent
 # slot-advance / snapshot / TTL-eviction / drain traffic under -race.

@@ -280,6 +280,12 @@ type StepDiag struct {
 	// sharded path they sum the block solves (the coordinator's consensus
 	// step is closed-form and iterates nothing).
 	Outer, Inner int
+	// Evals counts the gradient evaluations of the same solves
+	// (alm.Result.Evals), summed the same way, except that a shard block
+	// solved on a remote worker adds none: the wire does not carry it.
+	// Omitted from JSON when zero, so slot records written before the field
+	// existed decode and re-encode unchanged.
+	Evals int `json:",omitempty"`
 	// Converged reports whether the final ALM solve met its tolerances.
 	Converged bool
 	// CandRounds, CandExpanded, and CandNNZ describe the candidate-set

@@ -141,6 +141,11 @@ func TestStructuredPathsSolveWithNewton(t *testing.T) {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
 			d := alg.LastStepDiag()
+			// Every in-process solve evaluates at least once; a block solved
+			// on a worker adds nothing, since the wire carries no count.
+			if want := d.Outer > 0 && tc.opts.ShardWorkers == nil; (d.Evals > 0) != want {
+				t.Errorf("%s slot %d: %d gradient evaluations over %d outer iterations", tc.name, tt, d.Evals, d.Outer)
+			}
 			if alg.shrd == nil {
 				if got := alg.ws.Last(); got.Newton != tc.newton {
 					t.Errorf("%s slot %d: Newton = %v, want %v", tc.name, tt, got.Newton, tc.newton)

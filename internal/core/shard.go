@@ -320,6 +320,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		if b.frozen {
 			d.FrozenUsers += b.rng.Len()
 		}
+		d.Evals += b.evals
 	}
 	d.Outer, d.Inner = blockOuter, blockInner
 	d.Converged = cres.Converged
@@ -592,6 +593,9 @@ type shardBlock struct {
 	// users all kept their attachment and the gate has not thawed it, so
 	// Solve skips the ALM solve and reports the carried totals.
 	frozen bool
+	// evals sums alm.Result.Evals over the block's in-process solves of
+	// the slot (StepDiag.Evals).
+	evals int
 }
 
 var (
@@ -621,6 +625,7 @@ func (b *shardBlock) beginSlot(o *OnlineApprox, warmDense []float64, t int, ctx 
 	copy(b.theta, b.thetaWarm)
 	b.sopts.Ctx = ctx
 	b.dirty = false
+	b.evals = 0
 }
 
 // rebind relayouts the block after a candidate expansion: the current
@@ -647,7 +652,9 @@ func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, err
 		b.totalsInto(totals)
 		return 0, 0, nil
 	}
-	return b.solve(rho, target, totals)
+	outer, inner, err := b.solve(rho, target, totals)
+	b.evals += b.ws.Last().Evals
+	return outer, inner, err
 }
 
 // WarmTotalsInto implements shard.Block.

@@ -126,12 +126,14 @@ func (p *Problem) axInto(x, ax []float64, sc *groupScratch, workers int) {
 	}
 }
 
-// addGrad accumulates grad −= Σ_k mult[k]·A_k, skipping zero multipliers.
-func (p *Problem) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
+// addGrad writes grad = src − Σ_k mult[k]·A_k, skipping zero multipliers;
+// src may be grad itself.
+func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch, workers int) {
 	if p.Groups != nil {
-		p.Groups.addGrad(mult, grad, sc, workers)
+		p.Groups.addGrad(mult, src, grad, sc, workers)
 		return
 	}
+	copy(grad, src)
 	for k, c := range p.Cons {
 		m := mult[k]
 		if m == 0 {
@@ -212,9 +214,16 @@ func (o Options) Or(d Options) Options {
 // Workspace holds the primal iterate, multiplier, and row-activity
 // buffers of a solve plus the inner solvers' workspaces and the structured-
 // kernel scratch. The zero value is ready to use.
+//
+// ax and mult are the last Lagrangian evaluation's row activities and
+// multiplier estimates; axI is A·x at the iterate, which the multiplier
+// update reads. On the Newton path an accepted trial's ax trades places
+// with axI, as its point does with x, so the iterate's activities outlive
+// the rejected trials evaluated after it.
 type Workspace struct {
 	x, y     []float64
 	ax, mult []float64
+	axI      []float64
 	gs       groupScratch
 	inner    fista.Workspace
 	nt       newtonScratch
@@ -236,10 +245,11 @@ func (ws *Workspace) ensure(n, m int) {
 	if cap(ws.y) < m {
 		ws.y = make([]float64, m)
 		ws.ax = make([]float64, m)
+		ws.axI = make([]float64, m)
 		ws.mult = make([]float64, m)
 	}
 	ws.y = ws.y[:m]
-	ws.ax = ws.ax[:m]
+	ws.ax, ws.axI = ws.ax[:m], ws.axI[:m]
 	ws.mult = ws.mult[:m]
 }
 
@@ -256,7 +266,12 @@ type Result struct {
 	MaxViolation float64
 	Outer        int
 	InnerIters   int
-	Converged    bool
+	// Evals counts the solve's gradient evaluations of the objective: one
+	// per FISTA iteration; on the Newton path the first inner solve's entry
+	// evaluation and every arc trial, later inner solves starting from the
+	// iterate the one before them evaluated.
+	Evals     int
+	Converged bool
 	// Stop says which test ended the outer loop, and Sigma, RelObjChange
 	// and DualMove are the last outer iteration's values of the three
 	// quantities the stop rule reads (see the package comment): the
@@ -452,7 +467,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			return nil, err
 		}
 		res.X, res.Objective, res.Converged = inner.X, inner.F, inner.Converged
-		res.InnerIters = inner.Iters
+		res.InnerIters, res.Evals = inner.Iters, inner.Iters
 		res.Duals = y
 		res.Stop = StopConverged
 		if !inner.Converged {
@@ -490,7 +505,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		var moved bool
 		if res.Newton {
 			var err error
-			if x, err = ws.newton(lag, cur, x, min(innerTol, feasTol), innerIters, opts.Ctx); err != nil {
+			if x, err = ws.newton(lag, cur, x, outer > 0, min(innerTol, feasTol), innerIters, opts.Ctx); err != nil {
 				return nil, err
 			}
 			moved = true
@@ -506,15 +521,17 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			x, moved = inner.X, inner.Iters > fista.StagnantLimit
 			// The point FISTA returns need not be the last one it evaluated.
 			res.Objective = p.Obj.Eval(x, nil)
+			p.axInto(x, ws.axI, &ws.gs, opts.Workers)
 		}
 
 		// Multiplier update with the three progress measures: the violation,
 		// σ (the step |Δy_k|/ρ, row-scaled) and the relative dual movement.
+		// It reads A·x at the iterate from axI, not the last evaluation's ax:
+		// a Newton solve that ends on a rejected arc leaves a trial's there.
 		viol, sigma, dualMove := 0.0, 0.0, 0.0
-		p.axInto(x, ws.ax, &ws.gs, opts.Workers)
-		for k := range ws.ax {
+		for k, a := range ws.axI {
 			rhs := p.rowRHS(k)
-			s := rhs - ws.ax[k]
+			s := rhs - a
 			yNew := math.Max(0, y[k]+rho*s)
 			step := math.Abs(yNew - y[k])
 			if d := step / (1 + yNew); d > dualMove {
@@ -587,23 +604,45 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 // Row activities come from Problem.axInto and the gradient scatter from
 // Problem.addGrad, so the per-evaluation constraint cost is O(nnz) on the
 // sparse reference path and O(N + rows) on the structured Groups path.
+//
+// An evaluation is f, ∇f and A·x at x, then penalize; only penalize reads
+// y and ρ. FISTA's evaluations write ∇f into the gradient buffer and
+// penalize it in place. Newton's write ∇f into a buffer of its own and
+// penalize it into the gradient buffer in the same pass, so that, with f
+// and A·x, it outlives the multiplier update: the next outer iteration
+// penalizes the iterate's kept values under the new y and ρ instead of
+// evaluating it again.
 type lagrangian struct {
 	p       *Problem
 	y       []float64
 	rho     float64
 	ws      *Workspace
 	workers int
-	obj     float64 // f(x) of the last Eval, without the penalty terms
+	obj     float64 // f(x) of the last evaluation, without the penalty terms
 }
 
 var _ fista.Objective = (*lagrangian)(nil)
 
 // Eval implements fista.Objective.
-func (l *lagrangian) Eval(x, grad []float64) float64 {
-	f := l.p.Obj.Eval(x, grad)
+func (l *lagrangian) Eval(x, grad []float64) float64 { return l.eval(x, grad, grad) }
+
+// eval evaluates L at x, writing ∇f into src and ∇L into grad (src may be
+// grad; both nil for a value alone) and A·x into the workspace's ax.
+func (l *lagrangian) eval(x, src, grad []float64) float64 {
+	f := l.p.Obj.Eval(x, src)
 	l.obj = f
-	ax, mult := l.ws.ax, l.ws.mult
-	l.p.axInto(x, ax, &l.ws.gs, l.workers)
+	if grad != nil {
+		l.ws.res.Evals++
+	}
+	l.p.axInto(x, l.ws.ax, &l.ws.gs, l.workers)
+	return l.penalize(f, l.ws.ax, src, grad)
+}
+
+// penalize returns L from f and the row activities ax at a point, writing
+// the multiplier estimates into the workspace's mult and, unless grad is
+// nil, ∇L from ∇f = src into grad.
+func (l *lagrangian) penalize(f float64, ax, src, grad []float64) float64 {
+	mult := l.ws.mult
 	for k := range ax {
 		s := l.p.rowRHS(k) - ax[k]
 		m := l.y[k] + l.rho*s
@@ -616,7 +655,7 @@ func (l *lagrangian) Eval(x, grad []float64) float64 {
 		}
 	}
 	if grad != nil {
-		l.p.addGrad(mult, grad, &l.ws.gs, l.workers)
+		l.p.addGrad(mult, src, grad, &l.ws.gs, l.workers)
 	}
 	return f
 }

@@ -212,9 +212,10 @@ func (g *Groups) axInto(x, ax []float64, sc *groupScratch, workers int) {
 	}
 }
 
-// addGrad accumulates grad −= Σ_k mult[k]·A_k in one fused O(nnz) pass:
-// packed variable k of cloud row i receives dcap[i] − du[Cols[k]].
-func (g *Groups) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
+// addGrad writes grad = src − Σ_k mult[k]·A_k in one fused O(nnz) pass:
+// packed variable k of cloud row i receives src[k] + dcap[i] − du[Cols[k]].
+// src may be grad itself.
+func (g *Groups) addGrad(mult, src, grad []float64, sc *groupScratch, workers int) {
 	clear(sc.du)
 	clear(sc.dcap)
 	for k, r := range g.Rows {
@@ -229,35 +230,39 @@ func (g *Groups) addGrad(mult, grad []float64, sc *groupScratch, workers int) {
 		}
 	}
 	if w := par.Bound(workers, len(grad), parGrain); w <= 1 {
-		g.rowGrad(grad, sc, 0, g.I)
+		g.rowGrad(src, grad, sc, 0, g.I)
 	} else {
-		par.Ranges(w, g.I, func(lo, hi int) { g.rowGrad(grad, sc, lo, hi) })
+		par.Ranges(w, g.I, func(lo, hi int) { g.rowGrad(src, grad, sc, lo, hi) })
 	}
 }
 
 // rowGrad applies the fused gradient pass to cloud rows [lo, hi); named
-// so the serial path allocates nothing.
-func (g *Groups) rowGrad(grad []float64, sc *groupScratch, lo, hi int) {
+// so the serial path allocates nothing. Each branch is the operation an
+// in-place update would make, so src = grad and src ≠ grad give the same
+// bits.
+func (g *Groups) rowGrad(src, grad []float64, sc *groupScratch, lo, hi int) {
 	du := sc.du
 	for r := lo; r < hi; r++ {
 		rowAdd := sc.dcap[r]
 		cols := g.Cols[g.RowPtr[r]:g.RowPtr[r+1]]
 		gi := grad[g.RowPtr[r]:g.RowPtr[r+1]]
-		gi = gi[:len(cols)]
-		if g.hasUser {
-			if rowAdd == 0 {
-				for k, j := range cols {
-					gi[k] -= du[j]
-				}
-			} else {
-				for k, j := range cols {
-					gi[k] += rowAdd - du[j]
-				}
+		si := src[g.RowPtr[r]:g.RowPtr[r+1]]
+		gi, si = gi[:len(cols)], si[:len(cols)]
+		switch {
+		case g.hasUser && rowAdd == 0:
+			for k, j := range cols {
+				gi[k] = si[k] - du[j]
 			}
-		} else if rowAdd != 0 {
-			for k := range gi {
-				gi[k] += rowAdd
+		case g.hasUser:
+			for k, j := range cols {
+				gi[k] = si[k] + (rowAdd - du[j])
 			}
+		case rowAdd != 0:
+			for k, s := range si {
+				gi[k] = s + rowAdd
+			}
+		default:
+			copy(gi, si)
 		}
 	}
 }

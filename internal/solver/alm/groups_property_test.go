@@ -243,7 +243,7 @@ func TestRaggedMatchesFullGrid(t *testing.T) {
 			ws := workspaceFor(p)
 			g.axInto(x, ws.ax, &ws.gs, 1)
 			grad = make([]float64, len(x))
-			g.addGrad(mult, grad, &ws.gs, 1)
+			g.addGrad(mult, grad, grad, &ws.gs, 1)
 			return ws.ax, grad
 		}
 		ax, grad := eval(g, x)

@@ -95,7 +95,8 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 			yBig[k] = 1e6 * (1 + rng.Float64())
 		}
 		big.axInto(xBig, ws.ax, &ws.gs, 1)
-		big.addGrad(yBig, make([]float64, nBig), &ws.gs, 1)
+		gBig := make([]float64, nBig)
+		big.addGrad(yBig, gBig, gBig, &ws.gs, 1)
 
 		wide, compact := sparseUsers(rng, randomGrid(rng, true))
 		n := wide.RowPtr[wide.I]
@@ -117,7 +118,7 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 			ws.gs.ensure(g)
 			g.axInto(x, ws.ax, &ws.gs, 1)
 			grad = make([]float64, n)
-			g.addGrad(mult, grad, &ws.gs, 1)
+			g.addGrad(mult, grad, grad, &ws.gs, 1)
 			return append([]float64(nil), ws.ax...), grad
 		}
 		axW, gradW := eval(wide)

@@ -90,7 +90,8 @@ const (
 
 // newtonScratch holds the solver's buffers; nothing in it survives a Solve.
 type newtonScratch struct {
-	xt, g, gt, diag []float64 // per variable: trial point, gradients, d
+	xt, g, gt, diag []float64 // per variable: trial point, ∇L at x and xt, d
+	gf, gft         []float64 // per variable: ∇f at x and xt
 
 	// The free variables in cloud-major order — index, cloud, and 1/d then
 	// the step — and their permutation into user-major order.
@@ -115,6 +116,8 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 	if cap(nt.g) < n {
 		nt.g = make([]float64, n)
 		nt.gt = make([]float64, n)
+		nt.gf = make([]float64, n)
+		nt.gft = make([]float64, n)
 		nt.diag = make([]float64, n)
 		nt.fk = make([]int, n)
 		nt.fi = make([]int, n)
@@ -122,6 +125,7 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 		nt.fv = make([]float64, n)
 	}
 	nt.xt, nt.g, nt.gt, nt.diag = nt.xt[:n], nt.g[:n], nt.gt[:n], nt.diag[:n]
+	nt.gf, nt.gft = nt.gf[:n], nt.gft[:n]
 	nt.fk, nt.fi, nt.order, nt.fv = nt.fk[:n], nt.fi[:n], nt.order[:n], nt.fv[:n]
 	if cap(nt.cw) < nI {
 		nt.cw = make([]float64, nI)
@@ -151,21 +155,29 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 // (which it may overwrite) and returns the minimizer's buffer, stopping
 // when the projected gradient is within tol·(1+|L|) or after maxIters
 // steps. Every trial of the arc search is evaluated with its gradient, so
-// an accepted trial is the next iteration's evaluation. It keeps the
-// solve's InnerIters, Fallbacks and ProjGrad in the workspace's Result, and
-// in its Objective f at the iterate: the entry evaluation's, then each
+// an accepted trial is the next iteration's evaluation, and — its f, ∇f
+// and A·x kept — the next outer iteration's: a warm call, whose x is the
+// iterate the previous call returned, evaluates nothing on entry and only
+// penalizes the kept values under the new y and ρ. It keeps the solve's
+// InnerIters, Fallbacks and ProjGrad in the workspace's Result, and in its
+// Objective f at the iterate: the first entry evaluation's, then each
 // accepted trial's, never a rejected one's.
-func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
+func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bool, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
 	nt, res := &ws.nt, &ws.res
 	gr, lower := lag.p.Groups, lag.p.Lower
 	grad, xt, gt := nt.g, nt.xt, nt.gt
-	for k, lo := range lower {
-		if x[k] < lo {
-			x[k] = lo
+	var L float64
+	if warm {
+		L = lag.penalize(res.Objective, ws.axI, nt.gf, grad)
+	} else {
+		for k, lo := range lower {
+			if x[k] < lo {
+				x[k] = lo
+			}
 		}
+		L = lag.eval(x, nt.gft, grad)
+		ws.keep()
 	}
-	L := lag.Eval(x, grad)
-	res.Objective = lag.obj
 	for iters := 0; ; iters++ {
 		// Free set, in cloud-major order, and the projected gradient.
 		nF, pg := 0, 0.0
@@ -208,8 +220,8 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 			nt.scaledGradient(gr, nF, grad)
 			if Lt, ok = nt.arcSearch(lag, nF, x, grad, L); !ok {
 				// No descent the Lagrangian's arithmetic can resolve. The
-				// last trial left its multiplier estimates behind; nobody
-				// reads them.
+				// last trial left its multiplier estimates and activities
+				// behind; nobody reads them, the iterate's are kept.
 				return x, nil
 			}
 		}
@@ -218,8 +230,17 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, tol flo
 		x, xt = xt, x
 		grad, gt = gt, grad
 		ws.x, nt.xt, nt.g, nt.gt = x, xt, grad, gt
-		L, res.Objective = Lt, lag.obj
+		L = Lt
+		ws.keep()
 	}
+}
+
+// keep makes the last evaluation the iterate's: its f becomes the Result's
+// Objective, and its ∇f and A·x trade places with the iterate's buffers.
+func (ws *Workspace) keep() {
+	ws.res.Objective = ws.lag.obj
+	ws.nt.gf, ws.nt.gft = ws.nt.gft, ws.nt.gf
+	ws.ax, ws.axI = ws.axI, ws.ax
 }
 
 // direction writes the Newton step of the nF free variables into fv,
@@ -520,8 +541,8 @@ func (nt *newtonScratch) scaledGradient(gr *Groups, nF int, grad []float64) {
 
 // arcSearch backtracks along the projection arc x(α) = max(lower, x + α·fv)
 // from α = 1, writing each trial into xt (whose other entries already equal
-// x) and evaluating it with its gradient into gt. It returns the accepted
-// trial's value.
+// x) and evaluating it with its gradient into gt, ∇f into gft. It returns
+// the accepted trial's value.
 func (nt *newtonScratch) arcSearch(lag *lagrangian, nF int, x, grad []float64, L float64) (float64, bool) {
 	lower, xt, gt := lag.p.Lower, nt.xt, nt.gt
 	fk, fv := nt.fk[:nF], nt.fv[:nF]
@@ -541,7 +562,7 @@ func (nt *newtonScratch) arcSearch(lag *lagrangian, nF int, x, grad []float64, L
 		if !(gd < 0) {
 			continue
 		}
-		Lt := lag.Eval(xt, gt)
+		Lt := lag.eval(xt, nt.gft, gt)
 		if Lt <= L+armijo*gd {
 			return Lt, true
 		}

@@ -1,6 +1,9 @@
 package alm
 
 import (
+	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -215,6 +218,61 @@ func TestNewtonPathMakesNoValueOnlyEvaluation(t *testing.T) {
 	}
 }
 
+// pointRecorder records every point an objective is asked to evaluate with
+// a gradient, by the bits of its coordinates.
+type pointRecorder struct {
+	Curvature
+	seen  map[string]int // point → index of its first evaluation
+	grads int
+	// again and first are the indices of the first evaluation that repeated
+	// a point and of the evaluation it repeated; again is −1 while none has.
+	again, first int
+}
+
+func (r *pointRecorder) Eval(x, grad []float64) float64 {
+	if grad != nil {
+		key := make([]byte, 0, 8*len(x))
+		for _, v := range x {
+			key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		if k, ok := r.seen[string(key)]; ok && r.again < 0 {
+			r.again, r.first = r.grads, k
+		} else if !ok {
+			r.seen[string(key)] = r.grads
+		}
+		r.grads++
+	}
+	return r.Curvature.Eval(x, grad)
+}
+
+// TestNewtonPathEvaluatesNoPointTwice pins one evaluation per point in the
+// other direction: the outer loop carries f, ∇f and A·x at the iterate into
+// the multiplier update and the next inner solve, so no point is evaluated
+// with its gradient twice in a Solve — an outer iteration after the first
+// starts from the iterate the previous one accepted, and does not evaluate
+// it again. Result.Evals counts the evaluations the objective saw.
+func TestNewtonPathEvaluatesNoPointTwice(t *testing.T) {
+	rng := rand.New(rand.NewSource(2017))
+	for trial := 0; trial < 10; trial++ {
+		p, o := curvProgram(rng, trial%2 == 1, curved)
+		obj := &pointRecorder{Curvature: o, seen: map[string]int{}, again: -1}
+		p.Obj = obj
+		res, err := Solve(p, tightNewtonOpts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Newton || !res.Converged || res.Outer < 2 {
+			t.Fatalf("trial %d: Newton=%v Converged=%v after %d outer iterations", trial, res.Newton, res.Converged, res.Outer)
+		}
+		if obj.again >= 0 {
+			t.Errorf("trial %d: gradient evaluation %d of %d repeats evaluation %d's point", trial, obj.again, obj.grads, obj.first)
+		}
+		if res.Evals != obj.grads {
+			t.Errorf("trial %d: Result.Evals %d, the objective saw %d gradient evaluations", trial, res.Evals, obj.grads)
+		}
+	}
+}
+
 // workspaceFor returns a workspace sized for p's kernels.
 func workspaceFor(p *Problem) *Workspace {
 	ws := &Workspace{}
@@ -237,7 +295,7 @@ func lagrangianAt(p *Problem, x, y []float64, rho float64) float64 {
 func kktResidual(p *Problem, r Result) float64 {
 	g := make([]float64, p.N)
 	p.Obj.Eval(r.X, g)
-	p.addGrad(r.Duals, g, &workspaceFor(p).gs, 0)
+	p.addGrad(r.Duals, g, g, &workspaceFor(p).gs, 0)
 	res := 0.0
 	for k, v := range g {
 		if v > 0 {
@@ -572,31 +630,58 @@ func TestNewtonSelectedByStructure(t *testing.T) {
 	}
 }
 
-// TestNewtonWorkspaceReuse solves programs of different sizes and both
-// inner solvers on one workspace, in an order that makes the iterate and
-// trial buffers trade places between solves of growing size, and requires
-// every result to match a fresh-workspace solve bit for bit with the warm
-// start aliasing the previous result.
+// TestNewtonWorkspaceReuse runs one workspace through programs whose
+// variable and row counts alternate between large and small, on both inner
+// solvers, every other one right after a solve of it cancelled mid-way on
+// the same workspace, and requires every result to match a fresh-workspace
+// solve bit for bit — what a solve keeps about its iterate lives within
+// one Solve — and a warm re-solve whose start aliases the previous result
+// to stay as feasible.
 func TestNewtonWorkspaceReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
+	var small, large []*Problem
+	for len(small) < 6 || len(large) < 6 {
+		p, _ := curvProgram(rng, rng.Intn(3) == 1, curved)
+		switch {
+		case p.N <= 12 && p.numRows() <= 8 && len(small) < 6:
+			small = append(small, p)
+		case p.N >= 24 && p.numRows() >= 10 && len(large) < 6:
+			large = append(large, p)
+		}
+	}
 	var ws Workspace
 	for trial := 0; trial < 12; trial++ {
-		p, _ := curvProgram(rng, trial%3 == 1, curved)
+		p := large[trial/2]
+		if trial%2 == 1 {
+			p = small[trial/2]
+		}
 		if trial%4 == 3 {
-			p.Obj = fista.Func(p.Obj.Eval)
+			hidden := *p
+			hidden.Obj = fista.Func(p.Obj.Eval)
+			p = &hidden
 		}
 		want, err := Solve(p, Options{MaxOuter: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if trial%2 == 1 {
+			polls := 0
+			cancelled := pollCtx{context.Background(), func() error {
+				if polls++; polls > 2+trial%4 {
+					return context.Canceled
+				}
+				return nil
+			}}
+			if _, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws, Ctx: cancelled}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("trial %d: cancelled solve returned %v", trial, err)
+			}
+		}
 		got, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := range want.X {
-			if got.X[k] != want.X[k] {
-				t.Fatalf("trial %d: x[%d] = %v on the shared workspace, %v fresh", trial, k, got.X[k], want.X[k])
-			}
+		if err := sameResult(*got, *want); err != nil {
+			t.Fatalf("trial %d (N %d, %d rows) on the shared workspace: %v", trial, p.N, p.numRows(), err)
 		}
 		again, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws, WarmX: got.X, WarmDuals: got.Duals})
 		if err != nil {
