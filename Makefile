@@ -85,8 +85,9 @@ fuzz:
 cover:
 	./scripts/cover.sh
 
-# Solver micro-kernels (ns/op, B/op, allocs/op); compare two runs with
-# benchstat. Their allocs/op are pinned in tier-1 by TestHotPathAllocs;
+# Solver micro-kernels and one served slot (ns/op, B/op, allocs/op);
+# compare two runs with benchstat. Their allocs/op or bytes/op are pinned
+# in tier-1 by TestHotPathAllocs;
 # what a slot costs end to end is `bash bench/run.sh`.
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/perf/

@@ -215,7 +215,10 @@ type OnlineApprox struct {
 	opts Options
 
 	prev model.Alloc // x*_{·,·,t-1}
-	slot int
+	// before is prev's predecessor, the decision the last committed slot
+	// moved away from (Transition); unset while that slot is slot 0.
+	before model.Alloc
+	slot   int
 
 	// log holds one record per committed slot (schedlog.go) and sched the
 	// dense schedule built from it so far, only on request (Schedule).
@@ -352,6 +355,8 @@ func (o *OnlineApprox) Name() string { return "online-approx" }
 // returns the allocation decision. The decision is a view of the
 // algorithm's carried state, valid until the next Step: a caller that
 // keeps it copies it, or reads Schedule, which keeps every slot.
+// Transition returns the same view beside its predecessor's; the decision
+// also outlives a Step that fails, its predecessor does not.
 func (o *OnlineApprox) Step(t int) (model.Alloc, error) {
 	return o.StepCtx(context.Background(), t)
 }
@@ -427,6 +432,11 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		x.X = append([]float64(nil), xSrc...)
 		in.Repair(x, o.userTot)
 		o.log = append(o.log, slotRecord{vals: x.X})
+	}
+	if t > 0 {
+		// Slot 0's predecessor, the pre-horizon grid, is not kept past it:
+		// Transition rebuilds it.
+		o.before = o.prev
 	}
 	o.prev = x
 	o.obj.carry(x)
@@ -516,6 +526,20 @@ func (o *OnlineApprox) recordDuals(duals []float64) {
 // LastStepDiag returns the solver diagnostics of the most recent
 // successful Step (the zero value before any slot has been solved).
 func (o *OnlineApprox) LastStepDiag() StepDiag { return o.lastDiag }
+
+// Transition returns the last committed slot's decision, cur, and the one
+// it moved away from, prev, as views that Schedule's slots t−1 and t equal
+// bit for bit, without building either; for slot 0, prev is a fresh copy
+// of the pre-horizon allocation. Both are valid until the next Step; cur
+// also survives a Step that fails, prev does not (the incremental path
+// assembles the next decision in prev's buffer). Before any slot is
+// committed both are meaningless.
+func (o *OnlineApprox) Transition() (prev, cur model.Alloc) {
+	if o.slot == 1 {
+		return o.inst.InitialAlloc(), o.prev
+	}
+	return o.before, o.prev
+}
 
 // Run executes all remaining slots and returns the full schedule.
 func (o *OnlineApprox) Run() (model.Schedule, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,6 +200,87 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 		}
 		if certBits(streamed) != certBits(batch) {
 			t.Errorf("%s: streamed certificate %+v, batch %+v", tc.name, *streamed, *batch)
+		}
+	}
+}
+
+// TestTransitionViews requires Transition's two views to be, bit for bit,
+// the slots t−1 and t of the schedule the log materialises — the
+// pre-horizon allocation before slot 0 — after every successful Step, right
+// after RestoreState, and, for cur, after cancelled attempts at the next
+// slot, on every path that logs or assembles its decision differently.
+func TestTransitionViews(t *testing.T) {
+	t.Parallel()
+	in := logInstance(t)
+	same := func(a, b model.Alloc) bool {
+		if len(a.X) != len(b.X) || a.I != b.I || a.J != b.J {
+			return false
+		}
+		for k, v := range a.X {
+			if math.Float64bits(v) != math.Float64bits(b.X[k]) {
+				return false
+			}
+		}
+		return true
+	}
+	check := func(name string, alg *OnlineApprox, at string) {
+		t.Helper()
+		prev, cur := alg.Transition()
+		sched := alg.Schedule()
+		n := len(sched)
+		want := in.InitialAlloc()
+		if n > 1 {
+			want = sched[n-2]
+		}
+		if !same(prev, want) {
+			t.Fatalf("%s %s: prev is not slot %d of the schedule", name, at, n-2)
+		}
+		if !same(cur, sched[n-1]) {
+			t.Fatalf("%s %s: cur is not slot %d of the schedule", name, at, n-1)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"dense", Options{}},
+		{"Candidates", Options{Candidates: 2}},
+		{"Incremental", Options{Incremental: true, IncrementalTol: 0.5}},
+		{"Candidates+Incremental", Options{Candidates: 2, Incremental: true, IncrementalTol: 0.5}},
+		{"Shards", Options{Shards: 2}},
+	} {
+		for _, restoreAt := range []int{-1, 1, 3} {
+			alg := NewOnlineApprox(in, tc.opts)
+			for tt := 0; tt < in.T; tt++ {
+				if tt == restoreAt {
+					st := alg.ExportState()
+					alg = NewOnlineApprox(in, tc.opts)
+					if err := alg.RestoreState(st); err != nil {
+						t.Fatalf("%s: restore at %d: %v", tc.name, tt, err)
+					}
+					check(tc.name, alg, fmt.Sprintf("restored at %d", tt))
+				}
+				committed := false
+				if tt > 0 {
+					_, cur := alg.Transition()
+					kept := cur.Clone()
+					for _, polls := range []int{0, 5, 40} {
+						if _, err := alg.StepCtx(newCountdownCtx(polls), tt); err == nil {
+							committed = true // the slot needed fewer polls
+							break
+						}
+						if _, cur := alg.Transition(); !same(cur, kept) {
+							t.Fatalf("%s: a cancelled slot %d changed cur", tc.name, tt)
+						}
+					}
+				}
+				if !committed {
+					if _, err := alg.Step(tt); err != nil {
+						t.Fatalf("%s slot %d: %v", tc.name, tt, err)
+					}
+				}
+				check(tc.name, alg, fmt.Sprintf("after slot %d (restore at %d)", tt, restoreAt))
+			}
 		}
 	}
 }

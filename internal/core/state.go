@@ -82,6 +82,9 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 		o.log = append(o.log, slotRecord{vals: append([]float64(nil), row...)})
 		o.recordDuals(st.Duals[t])
 	}
+	if st.Slot > 1 {
+		o.before = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-2].vals}
+	}
 	if st.Slot > 0 {
 		o.prev = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-1].vals}
 		o.obj.carry(o.prev)

@@ -387,6 +387,36 @@ func (in *Instance) SlotDynamic(prev, cur Alloc) (rc, mg float64) {
 	return rc, mg
 }
 
+// SlotCost returns the unweighted cost breakdown of slot t's transition
+// prev → cur in one pass over the two grids: SlotStatic(t, cur) and
+// SlotDynamic(prev, cur) bit for bit, every sum accumulated in the order
+// those two accumulate it.
+func (in *Instance) SlotCost(t int, prev, cur Alloc) Breakdown {
+	var op, sq, rc, mg float64
+	for _, d := range in.AccessDelay[t] {
+		sq += d
+	}
+	price, attach := in.OpPrice[t], in.Attach[t]
+	for i := 0; i < in.I; i++ {
+		a := price[i]
+		pRow := prev.X[i*in.J : (i+1)*in.J]
+		cRow := cur.X[i*in.J : (i+1)*in.J]
+		var pTot, cTot, zin, zout float64
+		for j, v := range cRow {
+			p := pRow[j]
+			op += a * v
+			sq += v * in.InterDelay[attach[j]][i] / in.Workload[j]
+			pTot += p
+			cTot += v
+			zin += hinge(v - p)
+			zout += hinge(p - v)
+		}
+		rc += in.ReconfPrice[i] * hinge(cTot-pTot)
+		mg += in.MigOutPrice[i]*zout + in.MigInPrice[i]*zin
+	}
+	return Breakdown{Op: op, Sq: sq, Rc: rc, Mg: mg}
+}
+
 // SlotDynamicP1 returns the reconfiguration cost and the one-directional
 // migration cost of the transformed problem P1, where migration is charged
 // only on incoming workload at price b_i = b_i^out + b_i^in.
@@ -416,9 +446,7 @@ func (in *Instance) Evaluate(s Schedule) (Breakdown, error) {
 	var b Breakdown
 	prev := in.InitialAlloc()
 	for t := 0; t < in.T; t++ {
-		op, sq := in.SlotStatic(t, s[t])
-		rc, mg := in.SlotDynamic(prev, s[t])
-		b.Add(Breakdown{Op: op, Sq: sq, Rc: rc, Mg: mg})
+		b.Add(in.SlotCost(t, prev, s[t]))
 		prev = s[t]
 	}
 	return b, nil

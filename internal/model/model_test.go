@@ -162,6 +162,78 @@ func TestSlotDynamicDirections(t *testing.T) {
 	}
 }
 
+// TestSlotCostMatchesStaticPlusDynamic pins the fused pass to the two it
+// replaces, bit for bit, on random instances and grids drawn from a palette
+// of −0, subnormals and values that tie between prev and cur, and Evaluate
+// to the sum of the two over a schedule.
+func TestSlotCostMatchesStaticPlusDynamic(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	negZero := math.Copysign(0, -1)
+	palette := []float64{0, negZero, math.SmallestNonzeroFloat64, 3 * math.SmallestNonzeroFloat64,
+		0x1p-1022, 0.5, 1, 1.5, 0.1, 0.2, 0.3}
+	draw := func() float64 {
+		if rng.Intn(3) == 0 {
+			return rng.Float64() * 4
+		}
+		return palette[rng.Intn(len(palette))]
+	}
+	bits := func(b Breakdown) [4]uint64 {
+		return [4]uint64{math.Float64bits(b.Op), math.Float64bits(b.Sq), math.Float64bits(b.Rc), math.Float64bits(b.Mg)}
+	}
+	for trial := 0; trial < 200; trial++ {
+		in := smallInstance()
+		in.I, in.J = 1+rng.Intn(5), 1+rng.Intn(9)
+		in.Workload = make([]float64, in.J)
+		in.ReconfPrice, in.MigOutPrice, in.MigInPrice = make([]float64, in.I), make([]float64, in.I), make([]float64, in.I)
+		in.InterDelay = make([][]float64, in.I)
+		for i := range in.InterDelay {
+			in.InterDelay[i] = make([]float64, in.I)
+			for k := range in.InterDelay[i] {
+				if k != i {
+					in.InterDelay[i][k] = draw()
+				}
+			}
+			in.ReconfPrice[i], in.MigOutPrice[i], in.MigInPrice[i] = draw(), draw(), draw()
+		}
+		for j := range in.Workload {
+			in.Workload[j] = 0.25 + rng.Float64()
+		}
+		sched := make(Schedule, in.T)
+		for t2 := 0; t2 < in.T; t2++ {
+			in.OpPrice[t2], in.Attach[t2], in.AccessDelay[t2] = make([]float64, in.I), make([]int, in.J), make([]float64, in.J)
+			for i := range in.OpPrice[t2] {
+				in.OpPrice[t2][i] = draw()
+			}
+			for j := 0; j < in.J; j++ {
+				in.Attach[t2][j], in.AccessDelay[t2][j] = rng.Intn(in.I), draw()
+			}
+			sched[t2] = NewAlloc(in.I, in.J)
+			for k := range sched[t2].X {
+				if t2 > 0 && rng.Intn(3) == 0 {
+					sched[t2].X[k] = sched[t2-1].X[k] // an exact tie
+				} else {
+					sched[t2].X[k] = draw()
+				}
+			}
+		}
+		var want Breakdown
+		prev := in.InitialAlloc()
+		for t2, cur := range sched {
+			op, sq := in.SlotStatic(t2, cur)
+			rc, mg := in.SlotDynamic(prev, cur)
+			slot := Breakdown{Op: op, Sq: sq, Rc: rc, Mg: mg}
+			if got := in.SlotCost(t2, prev, cur); bits(got) != bits(slot) {
+				t.Fatalf("trial %d slot %d: SlotCost %+v, SlotStatic + SlotDynamic %+v", trial, t2, got, slot)
+			}
+			want.Add(slot)
+			prev = cur
+		}
+		if got, err := in.Evaluate(sched); err != nil || bits(got) != bits(want) {
+			t.Fatalf("trial %d: Evaluate %+v (%v), slot sums %+v", trial, got, err, want)
+		}
+	}
+}
+
 func TestEvaluateLengthMismatch(t *testing.T) {
 	in := smallInstance()
 	if _, err := in.Evaluate(make(Schedule, 1)); err == nil {

@@ -1,8 +1,12 @@
 package perf
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
@@ -11,6 +15,7 @@ import (
 	"edgealloc/internal/model"
 	"edgealloc/internal/numkernel"
 	"edgealloc/internal/scenario"
+	"edgealloc/internal/serve"
 	"edgealloc/internal/solver/alm"
 	"edgealloc/internal/solver/fista"
 )
@@ -278,6 +283,90 @@ func newShardKernel(tb testing.TB) *stepKernel {
 	return k
 }
 
+// serveKernel is the ServeSlot kernel: one POST …/slots per operation
+// through serve.Server's handler, on a streaming session at serve_stream's
+// geometry (I=25, J=1000, 5% of the users moving per slot, the incremental
+// tier over candidate sets) with every slot appended to its snapshot log.
+// Creating a session and its cold slot 0 belong to prime, off the clock.
+type serveKernel struct {
+	tb     testing.TB
+	h      http.Handler
+	in     *model.Instance
+	create []byte
+	slots  [][]byte
+	path   string
+	t      int
+}
+
+func newServeKernel(tb testing.TB) *serveKernel {
+	srv := serve.New(serve.Config{SnapshotDir: tb.TempDir(), Autosnapshot: true})
+	tb.Cleanup(func() { _ = srv.Close() })
+	k := &serveKernel{tb: tb, h: srv.Handler(), in: churnInstance(tb, 25, 1000, 10, 0.05, 20140212)}
+	skeleton := *k.in
+	skeleton.T, skeleton.OpPrice, skeleton.Attach, skeleton.AccessDelay = 0, nil, nil, nil
+	var err error
+	k.create, err = json.Marshal(map[string]any{"instance": &skeleton, "horizon": k.in.T, "options": map[string]any{
+		"candidates": 4, "candidateTol": 1, "incremental": true, "incrementalTol": 1,
+		"maxOuter": 12, "innerIters": 100, "feasTol": 1e-7, "dualTol": 5e-2, "objTol": 1e-2, "penalty": 2,
+	}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for t := 0; t < k.in.T; t++ {
+		body, err := json.Marshal(map[string]any{"slot": t,
+			"opPrice": k.in.OpPrice[t], "attach": k.in.Attach[t], "accessDelay": k.in.AccessDelay[t]})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		k.slots = append(k.slots, body)
+	}
+	k.prime()
+	return k
+}
+
+// do serves one request and fails unless it answers want.
+func (k *serveKernel) do(method, path string, body []byte, want int) []byte {
+	req, err := http.NewRequest(method, path, bytes.NewReader(body))
+	if err != nil {
+		k.tb.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	k.h.ServeHTTP(rec, req)
+	if rec.Code != want {
+		k.tb.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+	}
+	return rec.Body.Bytes()
+}
+
+// prime replaces the session with a fresh one and posts its slot 0.
+func (k *serveKernel) prime() {
+	if k.path != "" {
+		k.do(http.MethodDelete, k.path, nil, http.StatusNoContent)
+	}
+	var created struct{ ID string }
+	if err := json.Unmarshal(k.do(http.MethodPost, "/v1/sessions", k.create, http.StatusCreated), &created); err != nil {
+		k.tb.Fatal(err)
+	}
+	k.path, k.t = "/v1/sessions/"+created.ID, 0
+	k.post()
+}
+
+func (k *serveKernel) post() {
+	k.do(http.MethodPost, k.path+"/slots", k.slots[k.t], http.StatusOK)
+	k.t++
+}
+
+func (k *serveKernel) bench(b *testing.B) {
+	benchOp(b, func() {
+		if k.t == k.in.T {
+			b.StopTimer()
+			k.prime()
+			b.StartTimer()
+		}
+		k.post()
+	})
+}
+
 // The NumKernel family runs the batch log kernel behind
 // core.Options.FastMath in isolation, over one cache-resident buffer of
 // solver-typical operands. LogStdlib is the per-element math.Log loop
@@ -326,6 +415,7 @@ func BenchmarkALMSolve(b *testing.B)   { benchOp(b, almSolve(b)) }
 func BenchmarkOnlineApproxStep(b *testing.B) { newStepKernel(b).bench(b) }
 func BenchmarkIncrementalStep(b *testing.B)  { newIncrementalKernel(b).bench(b) }
 func BenchmarkShardStep(b *testing.B)        { newShardKernel(b).bench(b) }
+func BenchmarkServeSlot(b *testing.B)        { newServeKernel(b).bench(b) }
 
 // BenchmarkNumKernel exposes the fast-math kernel family; use
 // -bench 'NumKernel/LogBatch$' to pick one kernel.
@@ -365,6 +455,22 @@ func TestHotPathAllocs(t *testing.T) {
 	grid := uint64(8 * incr.in.I * incr.in.J)
 	if got := bytesPerRun(3, incr.step); got >= grid/8 {
 		t.Errorf("IncrementalStep: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
+	}
+	// A served slot is held to the same ceiling at its own geometry, so the
+	// handler cannot come back to copying a grid per slot (the schedule it
+	// once built to price and log the slot was one). Three warm-up posts let
+	// the pooled body buffer and the session's record buffer reach their
+	// size first; four slots are measured.
+	if raceEnabled {
+		return
+	}
+	srv := newServeKernel(t)
+	for k := 0; k < 3; k++ {
+		srv.post()
+	}
+	grid = uint64(8 * srv.in.I * srv.in.J)
+	if got := bytesPerRun(4, srv.post); got >= grid/8 {
+		t.Errorf("ServeSlot: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
 	}
 }
 

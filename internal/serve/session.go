@@ -24,8 +24,10 @@ const maxBodyBytes = 256 << 20
 // session is one independent run of the online algorithm. Two locks
 // split its state: mu guards the cheap bookkeeping handlers read, and
 // stepMu serializes the slot solves (held across the whole solve, so a
-// session processes one slot at a time while status/schedule/costs stay
-// responsive).
+// session processes one slot at a time while status and costs stay
+// responsive) and everything else that reads the algorithm: snapshots,
+// and the schedule GET /schedule builds from its decision log. The
+// session keeps no decision of its own.
 type session struct {
 	id  string
 	srv *Server
@@ -45,10 +47,12 @@ type session struct {
 	stepMu sync.Mutex
 	// logOK says SnapshotDir/<id> holds the header and exactly the
 	// records of slots [0, logSlots), so newer slots can be appended to
-	// it; when false the next persist writes the file whole. Both are
-	// touched only under stepMu.
+	// it; when false the next persist writes the file whole. recBuf is the
+	// buffer appends encode their records into, kept across slots. All
+	// three are touched only under stepMu.
 	logOK    bool
 	logSlots int
+	recBuf   []byte
 
 	mu     sync.Mutex
 	queued int // solve requests enqueued, including the running one
@@ -58,10 +62,9 @@ type session struct {
 	// warm state the server has already persisted or dropped.
 	evicted  bool
 	lastUsed time.Time
-	next     int // next slot to solve
+	next     int // next slot to solve; written under both locks
 	done     bool
-	sched    model.Schedule // decisions so far: the algorithm's Schedule, shared
-	meta     []slotMeta     // per-slot costs and solver diagnostics
+	meta     []slotMeta // per-slot costs and solver diagnostics
 	costs    model.Breakdown
 	total    float64 // weighted P0 cost so far
 	summary  *conformSummary
@@ -296,8 +299,26 @@ type slotResponse struct {
 	Done        bool            `json:"done"`
 	Cost        slotCost        `json:"cost"`
 	Solve       solveDiag       `json:"solve"`
+	Phases      *slotPhases     `json:"phases,omitempty"`
 	Allocation  []float64       `json:"allocation,omitempty"`
 	Conformance *conformSummary `json:"conformance,omitempty"`
+}
+
+// slotPhases is where the handler spent a slot's wall time outside the
+// solve, whose own phases are solve's bind, solve and commit seconds. No
+// two of the seven overlap, and together they cover the handler's time
+// from the request's arrival to the reply but for the step's bookkeeping
+// around its phases and a log line: decoding (the session lookup and
+// reading and parsing the body), waiting (admission, the session queue,
+// stepMu, validating and applying the slot's data, and a solver worker),
+// recording (the slot's cost and bookkeeping, and on the final slot the
+// conformance check) and persisting (the autosnapshot append; absent
+// without one). The snapshot does not keep them.
+type slotPhases struct {
+	DecodeSeconds  float64 `json:"decodeSeconds"`
+	WaitSeconds    float64 `json:"waitSeconds"`
+	RecordSeconds  float64 `json:"recordSeconds"`
+	PersistSeconds float64 `json:"persistSeconds,omitempty"`
 }
 
 // conformSummary is the oracle's verdict for a completed session.
@@ -517,9 +538,11 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch(s.cfg.now())
-	sess.mu.Lock()
-	sched := sess.sched
-	sess.mu.Unlock()
+	// The grids Schedule builds are never written again, so they are
+	// encoded after stepMu is released.
+	sess.stepMu.Lock()
+	sched := sess.alg.Schedule()
+	sess.stepMu.Unlock()
 	if len(sched) == 0 {
 		writeError(w, http.StatusConflict, "no slots solved yet")
 		return
@@ -553,6 +576,7 @@ func (s *Server) handleCosts(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	sess, id, ok := s.lookup(r)
 	if !ok {
 		writeError(w, http.StatusNotFound, "unknown session "+id)
@@ -562,9 +586,13 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 		s.cfg.hookPostLookup(id)
 	}
 	var req slotRequest
-	if !decodeBody(w, r, &req) {
+	releaseBody, ok := decodeSlot(w, r, &req)
+	if !ok {
 		return
 	}
+	defer releaseBody()
+	decoded := time.Now()
+	phases := &slotPhases{DecodeSeconds: decoded.Sub(start).Seconds()}
 
 	release, admitted := s.admit()
 	if !admitted {
@@ -622,6 +650,8 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.StepTimeout)
 	defer cancel()
+	stepStart := time.Now()
+	phases.WaitSeconds = stepStart.Sub(decoded).Seconds()
 	if _, err := sess.alg.StepCtx(ctx, t); err != nil {
 		status := http.StatusInternalServerError
 		switch {
@@ -634,24 +664,30 @@ func (s *Server) handlePostSlot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err.Error())
 		return
 	}
+	stepped := time.Now()
 	s.mSlotsTotal.Inc()
 
 	resp := sess.recordSlot(t, s.cfg.now())
 	if req.IncludeAllocation {
-		// The schedule's copy, not StepCtx's view, which is valid only
-		// until the session's next Step.
-		resp.Allocation = sess.sched[t].X
+		// The committed decision's view, valid until the session's next
+		// Step: the reply is written before the deferred stepMu unlock.
+		_, cur := sess.alg.Transition()
+		resp.Allocation = cur.X
 	}
 	if resp.Done {
 		resp.Conformance = sess.finish()
 	}
+	recorded := time.Now()
+	phases.RecordSeconds = recorded.Sub(stepped).Seconds()
 	// The append lands before the reply is written, so an acknowledged
 	// slot is in the log.
 	if s.cfg.SnapshotDir != "" && s.cfg.Autosnapshot {
 		if err := s.persist(sess, "auto", nil); err != nil {
 			s.log.Error("autosnapshot", "session", id, "slot", t, "err", err)
 		}
+		phases.PersistSeconds = time.Since(recorded).Seconds()
 	}
+	resp.Phases = phases
 	d := sess.alg.LastStepDiag()
 	s.log.Info("slot solved", "session", id, "slot", t,
 		"seconds", d.Seconds, "outer", d.Outer, "inner", d.Inner, "converged", d.Converged)
@@ -709,24 +745,17 @@ func (sess *session) applySlotData(t int, req *slotRequest) error {
 
 // recordSlot folds slot t's decision, which StepCtx has just committed,
 // into the session bookkeeping and builds the response. Called under
-// stepMu. The session's schedule becomes the algorithm's own (Schedule
-// builds the new slot's grid and keeps it), so each decision is held once.
+// stepMu. The slot is priced from the algorithm's views of the transition
+// it committed, so no schedule is built for it.
 func (sess *session) recordSlot(t int, now time.Time) *slotResponse {
 	in := sess.inst
-	sched := sess.alg.Schedule()
-	x, prev := sched[t], in.InitialAlloc()
-	if t > 0 {
-		prev = sched[t-1]
-	}
-	op, sq := in.SlotStatic(t, x)
-	rc, mg := in.SlotDynamic(prev, x)
-	slotB := model.Breakdown{Op: op, Sq: sq, Rc: rc, Mg: mg}
+	prev, cur := sess.alg.Transition()
+	slotB := in.SlotCost(t, prev, cur)
 	slotTotal := in.Total(slotB)
 
 	diag := sess.alg.LastStepDiag()
 
 	sess.mu.Lock()
-	sess.sched = sched
 	sess.meta = append(sess.meta, slotMeta{Cost: slotB, Diag: diag})
 	sess.next = t + 1
 	sess.done = sess.next == in.T
@@ -738,7 +767,7 @@ func (sess *session) recordSlot(t int, now time.Time) *slotResponse {
 		Slot:    t,
 		Done:    sess.done,
 		Cost: slotCost{
-			Op: op, Sq: sq, Rc: rc, Mg: mg,
+			Op: slotB.Op, Sq: slotB.Sq, Rc: slotB.Rc, Mg: slotB.Mg,
 			SlotTotal: slotTotal,
 			RunTotal:  sess.total,
 		},
@@ -761,7 +790,7 @@ func (sess *session) finish() *conformSummary {
 		diag.DualResidual = cert.Feasibility.Max()
 		diag.NuCharge = cert.NuCharge
 	}
-	report := conform.Check(sess.inst, sess.sched, diag, conform.Options{})
+	report := conform.Check(sess.inst, sess.alg.Schedule(), diag, conform.Options{})
 	summary := &conformSummary{
 		OK:           report.OK(),
 		RatioBound:   diag.RatioBound,

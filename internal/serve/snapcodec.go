@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+	"sync"
 
 	"edgealloc/internal/core"
 	"edgealloc/internal/model"
@@ -88,23 +89,40 @@ func appendF64s(b []byte, v []float64) []byte {
 	return b
 }
 
+// metaEncoder renders a record's bookkeeping as json.Marshal does, into a
+// buffer it keeps, so encoding a record allocates no copy of it. meta is
+// the value encoded, copied in so that no record escapes to the heap.
+type metaEncoder struct {
+	meta slotMeta
+	buf  bytes.Buffer
+	enc  *json.Encoder
+}
+
+var metaEncoders = sync.Pool{New: func() any {
+	m := new(metaEncoder)
+	m.enc = json.NewEncoder(&m.buf)
+	return m
+}}
+
 // appendRecord frames and appends one record. The decision is stored as
 // (index, float64 bits) pairs over the entries whose bit pattern is
-// non-zero, so −0.0 and subnormals survive and +0.0 costs nothing. It fails
-// only on a non-finite cost or diagnostic, which JSON cannot carry.
+// non-zero, so −0.0 and subnormals survive and +0.0 costs nothing; the pair
+// count is patched in once the pairs are written. It fails only on a
+// non-finite cost or diagnostic, which JSON cannot carry.
 func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
-	meta, err := json.Marshal(&r.slotMeta)
+	m := metaEncoders.Get().(*metaEncoder)
+	defer metaEncoders.Put(m)
+	m.buf.Reset()
+	m.meta = r.slotMeta
+	err := m.enc.Encode(&m.meta)
+	m.meta = slotMeta{}
 	if err != nil {
 		return b, fmt.Errorf("encoding slot %d: %w", r.Diag.Slot, err)
 	}
-	nnz := 0
-	for _, v := range r.x {
-		if math.Float64bits(v) != 0 {
-			nnz++
-		}
-	}
+	meta := bytes.TrimSuffix(m.buf.Bytes(), []byte{'\n'}) // Encode ends a value with one
+
 	words := len(r.opPrice) + len(r.accessDelay) + len(r.duals)
-	b = slices.Grow(b, 4+8*words+4*len(r.attach)+4+12*nnz+len(meta)+4)
+	b = slices.Grow(b, 4+8*words+4*len(r.attach)+4+len(meta)+4)
 	start := len(b) + 4
 	b = le.AppendUint32(b, 0) // payload length, patched below
 	b = appendF64s(b, r.opPrice)
@@ -112,12 +130,15 @@ func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(l))
 	}
 	b = appendF64s(b, r.accessDelay)
-	b = le.AppendUint32(b, uint32(nnz))
+	count, nnz := len(b), 0
+	b = le.AppendUint32(b, 0)
 	for k, v := range r.x {
 		if bits := math.Float64bits(v); bits != 0 {
 			b = le.AppendUint64(le.AppendUint32(b, uint32(k)), bits)
+			nnz++
 		}
 	}
+	le.PutUint32(b[count:], uint32(nnz))
 	b = append(appendF64s(b, r.duals), meta...)
 	le.PutUint32(b[start-4:], uint32(len(b)-start))
 	return le.AppendUint32(b, crc32.Checksum(b[start:], castagnoli)), nil

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
 )
@@ -608,5 +609,95 @@ func TestReframedMutationsFailClosed(t *testing.T) {
 	}
 	if accepted == 0 {
 		t.Error("no mutation survived: the test is not reaching past validation")
+	}
+}
+
+// TestSlotRepliesCostTheBatchSchedule: a slot is priced from the algorithm's
+// views of the transition it committed, not from a schedule. On the
+// default, candidate and incremental paths, with autosnapshot on, every
+// reply's cost is bit for bit the batch schedule's SlotCost, its totals the
+// batch sums in commit order, and the allocation it was asked for the batch
+// decision.
+func TestSlotRepliesCostTheBatchSchedule(t *testing.T) {
+	in := testInstance(t, 8, 6, 67)
+	fixedChurn(in, 2)
+	for _, tc := range []struct {
+		name string
+		wire map[string]any
+		opts core.Options
+	}{
+		{"default", nil, core.Options{}},
+		{"candidates", map[string]any{"candidates": 3}, core.Options{Candidates: 3}},
+		{"incremental", map[string]any{"candidates": 3, "incremental": true, "incrementalTol": 1e3},
+			core.Options{Candidates: 3, Incremental: true, IncrementalTol: 1e3}},
+	} {
+		sched, err := core.NewOnlineApprox(in, tc.opts).Run()
+		if err != nil {
+			t.Fatalf("%s: batch run: %v", tc.name, err)
+		}
+		_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Autosnapshot: true})
+		id := createStreaming(t, ts.URL, in, tc.wire)
+		prev, run, frozen := in.InitialAlloc(), 0.0, 0
+		for slot := 0; slot < in.T; slot++ {
+			var resp slotResponse
+			code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions/"+id+"/slots", map[string]any{
+				"slot": slot, "opPrice": in.OpPrice[slot], "attach": in.Attach[slot],
+				"accessDelay": in.AccessDelay[slot], "includeAllocation": true,
+			}, &resp)
+			if code != http.StatusOK {
+				t.Fatalf("%s slot %d: status %d: %s", tc.name, slot, code, raw)
+			}
+			want := in.SlotCost(slot, prev, sched[slot])
+			run += in.Total(want)
+			got := resp.Cost
+			for k, pair := range [][2]float64{{got.Op, want.Op}, {got.Sq, want.Sq}, {got.Rc, want.Rc},
+				{got.Mg, want.Mg}, {got.SlotTotal, in.Total(want)}, {got.RunTotal, run}} {
+				if math.Float64bits(pair[0]) != math.Float64bits(pair[1]) {
+					t.Fatalf("%s slot %d: cost field %d is %v, the batch schedule's %v", tc.name, slot, k, pair[0], pair[1])
+				}
+			}
+			if !schedulesEqual(model.Schedule{{I: in.I, J: in.J, X: resp.Allocation}}, sched[slot:slot+1]) {
+				t.Fatalf("%s slot %d: allocation differs from the batch decision", tc.name, slot)
+			}
+			frozen += resp.Solve.FrozenUsers
+			prev = sched[slot]
+		}
+		if tc.opts.Incremental && frozen == 0 {
+			t.Errorf("%s: no slot froze a user; the column-logged path went unexercised", tc.name)
+		}
+	}
+}
+
+// TestSlotPhases: every slot reply of an autosnapshot session says where
+// the handler's time went, each phase positive, and the phases plus the
+// solve's bind, solve and commit seconds fit within the roundtrip the
+// client measured; the snapshot does not keep them.
+func TestSlotPhases(t *testing.T) {
+	in := testInstance(t, 6, 4, 71)
+	_, ts := newTestServer(t, Config{SnapshotDir: t.TempDir(), Autosnapshot: true})
+	id := createSession(t, ts.URL, in)
+	for slot := 0; slot < in.T; slot++ {
+		body, err := json.Marshal(map[string]any{"slot": slot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp slotResponse
+		start := time.Now()
+		code, raw := postRaw(t, ts.URL+"/v1/sessions/"+id+"/slots", body, &resp)
+		roundtrip := time.Since(start).Seconds()
+		if code != http.StatusOK {
+			t.Fatalf("slot %d: status %d: %s", slot, code, raw)
+		}
+		p, s := resp.Phases, resp.Solve
+		if p == nil || !(p.DecodeSeconds > 0 && p.WaitSeconds > 0 && p.RecordSeconds > 0 && p.PersistSeconds > 0) {
+			t.Fatalf("slot %d: phases %+v, want every one positive", slot, p)
+		}
+		if sum := p.DecodeSeconds + p.WaitSeconds + p.RecordSeconds + p.PersistSeconds +
+			s.BindSeconds + s.Seconds + s.CommitSeconds; sum > roundtrip {
+			t.Errorf("slot %d: phases add up to %v s, the roundtrip took %v s", slot, sum, roundtrip)
+		}
+	}
+	if doc := snapshotSession(t, ts.URL, id); bytes.Contains(doc, []byte("decodeSeconds")) {
+		t.Error("the snapshot keeps a slot's phases")
 	}
 }

@@ -19,15 +19,23 @@ import (
 const tmpPrefix = ".tmp-"
 
 // record views committed slot t as a snapshot record aliasing the live
-// instance, schedule and dual record. The caller must hold stepMu.
-func (sess *session) record(t int) *slotRecord {
-	rec := &slotRecord{
+// instance, decision and dual record. The last committed slot's decision
+// is the algorithm's view of it; an older one — a whole-file write after
+// several slots, or after a failed append — comes from the schedule the
+// algorithm builds from its log. The caller must hold stepMu.
+func (sess *session) record(t int) slotRecord {
+	rec := slotRecord{
 		opPrice:     sess.inst.OpPrice[t],
 		attach:      sess.inst.Attach[t],
 		accessDelay: sess.inst.AccessDelay[t],
-		x:           sess.sched[t].X,
 		duals:       sess.alg.Duals()[t],
 		slotMeta:    sess.meta[t],
+	}
+	if t == sess.next-1 {
+		_, cur := sess.alg.Transition()
+		rec.x = cur.X
+	} else {
+		rec.x = sess.alg.Schedule()[t].X
 	}
 	if t == sess.inst.T-1 {
 		rec.Summary = sess.summary
@@ -40,7 +48,8 @@ func (sess *session) record(t int) *slotRecord {
 func (sess *session) appendRecords(b []byte, from, to int) ([]byte, error) {
 	var err error
 	for t := from; t < to && err == nil; t++ {
-		b, err = appendRecord(b, sess.record(t))
+		rec := sess.record(t)
+		b, err = appendRecord(b, &rec)
 	}
 	return b, err
 }
@@ -48,7 +57,7 @@ func (sess *session) appendRecords(b []byte, from, to int) ([]byte, error) {
 // encode renders the session's whole snapshot: the header and one record
 // per committed slot. The caller must hold stepMu.
 func (sess *session) encode() ([]byte, error) {
-	return sess.appendRecords(slices.Clone(sess.header), 0, len(sess.sched))
+	return sess.appendRecords(slices.Clone(sess.header), 0, sess.next)
 }
 
 // restoreSession rebuilds a session from a decoded snapshot: the
@@ -74,8 +83,6 @@ func (s *Server) restoreSession(d *snapDoc) (*session, error) {
 		lastUsed:  s.cfg.now(),
 		next:      st.Slot,
 		done:      st.Slot == d.inst.T,
-		// As in a live session, sched is the algorithm's own schedule.
-		sched: alg.Schedule(),
 	}
 	for t, rec := range d.records {
 		req := slotRequest{OpPrice: rec.opPrice, Attach: rec.attach, AccessDelay: rec.accessDelay}
@@ -177,7 +184,9 @@ func (s *Server) snapshotPath(id string) string {
 // current, one append of the missing records when the file is known good,
 // and a whole-file write (temp + rename) only when there is no such file
 // — first write, restore from a request body, or an earlier write failed
-// and left the tail in doubt. doc, when non-nil, is the session's
+// and left the tail in doubt. An append encodes into the session's
+// recBuf, so a steady stream of slots allocates no record buffer; the
+// write itself is synchronous. doc, when non-nil, is the session's
 // encoding, reused for the whole-file case. A failure marks the log stale,
 // so the next persist rewrites the file whole. The caller must hold
 // stepMu, which is what keeps appends, explicit snapshots and eviction
@@ -188,7 +197,7 @@ func (s *Server) persist(sess *session, reason string, doc []byte) error {
 	if sess.isEvicted() {
 		return nil
 	}
-	n := len(sess.sched)
+	n := sess.next
 	if sess.logOK && sess.logSlots == n {
 		return nil
 	}
@@ -197,7 +206,8 @@ func (s *Server) persist(sess *session, reason string, doc []byte) error {
 	kind := "rewrite"
 	if sess.logOK {
 		kind = "append"
-		if doc, err = sess.appendRecords(nil, sess.logSlots, n); err == nil {
+		if doc, err = sess.appendRecords(sess.recBuf[:0], sess.logSlots, n); err == nil {
+			sess.recBuf = doc
 			err = appendFile(path, doc)
 		}
 	} else {

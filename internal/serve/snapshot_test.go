@@ -10,6 +10,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -104,10 +106,12 @@ func driveSlots(t *testing.T, base, id string, from, to int) []slotResponse {
 	return out
 }
 
-// requireSharedSchedule fails unless the session keeps each of its n
-// committed decisions once: sess.sched[t] is the algorithm's own slot t, as
-// recordSlot leaves it in a live session, and not a second copy.
-func requireSharedSchedule(t *testing.T, srv *Server, id string, n int) {
+// requireNoOwnGrid fails unless the live session id stands at n committed
+// slots, as its algorithm does, and holds no decision grid of its own: no
+// field of a session can hold one (a model.Alloc, a model.Schedule or a
+// float64 slice), so every decision it serves or logs is read from the
+// algorithm, and each is kept once.
+func requireNoOwnGrid(t *testing.T, srv *Server, id string, n int) {
 	t.Helper()
 	srv.mu.Lock()
 	sess := srv.sessions[id]
@@ -116,14 +120,17 @@ func requireSharedSchedule(t *testing.T, srv *Server, id string, n int) {
 		t.Fatalf("session %s not registered", id)
 	}
 	sess.stepMu.Lock()
-	defer sess.stepMu.Unlock()
-	alg := sess.alg.Schedule()
-	if len(sess.sched) != n || len(alg) != n {
-		t.Fatalf("session holds %d slots, algorithm %d, want %d", len(sess.sched), len(alg), n)
+	next, built := sess.next, len(sess.alg.Schedule())
+	sess.stepMu.Unlock()
+	if next != n || built != n {
+		t.Fatalf("session at slot %d, algorithm %d, want %d", next, built, n)
 	}
-	for k := range alg {
-		if &sess.sched[k].X[0] != &alg[k].X[0] {
-			t.Errorf("slot %d: the session and the algorithm each keep a copy of the decision", k)
+	grids := []reflect.Type{reflect.TypeOf(model.Alloc{}), reflect.TypeOf(model.Schedule{}),
+		reflect.TypeOf([]float64{}), reflect.TypeOf([][]float64{})}
+	st := reflect.TypeOf(session{})
+	for k := 0; k < st.NumField(); k++ {
+		if f := st.Field(k); slices.Contains(grids, f.Type) {
+			t.Errorf("session.%s (%s) can hold a decision grid of the session's own", f.Name, f.Type)
 		}
 	}
 }
@@ -149,10 +156,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if restored.ID != id || restored.Horizon != in.T {
 		t.Fatalf("restore response %+v", restored)
 	}
-	requireSharedSchedule(t, srvB, id, 3)
+	requireNoOwnGrid(t, srvB, id, 3)
 	respA := driveSlots(t, tsA.URL, id, 3, in.T)
 	respB := driveSlots(t, tsB.URL, id, 3, in.T)
-	requireSharedSchedule(t, srvB, id, in.T)
+	requireNoOwnGrid(t, srvB, id, in.T)
 	for k := range respA {
 		if respA[k].Cost != respB[k].Cost {
 			t.Fatalf("slot %d: migrated cost %+v != %+v", respA[k].Slot, respB[k].Cost, respA[k].Cost)
@@ -503,7 +510,7 @@ func TestCrashRecovery(t *testing.T) {
 	if status.NextSlot != 3 {
 		t.Fatalf("recovered at slot %d, want 3", status.NextSlot)
 	}
-	requireSharedSchedule(t, srv2, id, 3)
+	requireNoOwnGrid(t, srv2, id, 3)
 	driveSlots(t, ts2.URL, id, 3, in.T)
 	if !schedulesEqual(fetchSchedule(t, ts2.URL, id), fetchSchedule(t, tsRef.URL, ref)) {
 		t.Fatal("recovered continuation differs from uninterrupted run")

@@ -24,9 +24,11 @@ import (
 // flag, and the snapshot persistence path surfaces here as a race
 // report or a non-retryable status. Half the sessions run the incremental
 // tier, whose Step returns a view of a grid it reuses two slots later; some
-// slot posts ask for the allocation and some requests read the schedule,
-// so the schedule a session shares with its algorithm is read while that
-// algorithm extends it.
+// slot posts ask for the allocation, which is that view, and some requests
+// read the schedule, which the algorithm builds from its log under the
+// session's stepMu while other posts wait to extend it. A third of the slot
+// posts spell a key in another case ("Slot"), so the decoder's fast path
+// and its encoding/json fallback both run, over the pooled body buffer.
 //
 // The iteration budget is deliberately small so the plain `make test`
 // and `make race` sweeps stay fast; `make soak SOAK_ITERS=n` scales the
@@ -106,8 +108,7 @@ func TestServeSoak(t *testing.T) {
 						return
 					}
 				case rng.Intn(10) == 0:
-					// Read the schedule, which the session shares with its
-					// algorithm, while other posts extend it.
+					// Read the schedule while other posts extend it.
 					code, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/sessions/"+id+"/schedule", nil, nil)
 					if code != http.StatusOK && code != http.StatusConflict {
 						t.Errorf("schedule %s: status %d: %s", id, code, raw)
@@ -125,10 +126,14 @@ func TestServeSoak(t *testing.T) {
 						next[k] = 0
 					}
 					withAlloc := rng.Intn(3) == 0
+					slotKey := "slot"
+					if rng.Intn(3) == 0 {
+						slotKey = "Slot" // not canonical: decoded by encoding/json
+					}
 					var resp slotResponse
 					code, raw := doJSON(t, http.MethodPost,
 						fmt.Sprintf("%s/v1/sessions/%s/slots", ts.URL, id),
-						map[string]any{"slot": next[k], "includeAllocation": withAlloc}, &resp)
+						map[string]any{slotKey: next[k], "includeAllocation": withAlloc}, &resp)
 					switch code {
 					case http.StatusOK:
 						if withAlloc && len(resp.Allocation) != in.I*in.J {
