@@ -85,7 +85,8 @@ fuzz:
 cover:
 	./scripts/cover.sh
 
-# Solver micro-kernels and one served slot (ns/op, B/op, allocs/op);
+# Solver micro-kernels, one served slot and a finished run's certificate
+# (ns/op, B/op, allocs/op);
 # compare two runs with benchstat. Their allocs/op or bytes/op are pinned
 # in tier-1 by TestHotPathAllocs;
 # what a slot costs end to end is `bash bench/run.sh`.

@@ -291,7 +291,9 @@ func (c *checker) checkShape(in *model.Instance, s model.Schedule) bool {
 }
 
 // checkSlots runs the per-slot Theorem-1 checks: numeric hygiene,
-// nonnegativity, demand satisfaction, and capacity.
+// nonnegativity, demand satisfaction, and capacity. One pass over a slot's
+// grid checks every entry and sums both totals, each in the order
+// UserTotalsInto and CloudTotalsInto sum it.
 func (c *checker) checkSlots(in *model.Instance, s model.Schedule) {
 	tol := c.opts.FeasTol
 	served := make([]float64, in.J)
@@ -300,23 +302,33 @@ func (c *checker) checkSlots(in *model.Instance, s model.Schedule) {
 		if c.full() {
 			return
 		}
-		for k, v := range x.X {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				if !c.add(Violation{Kind: KindNumeric, Slot: t, Index: k / in.J,
-					Got: v, Detail: fmt.Sprintf("x[%d][%d] is not finite", k/in.J, k%in.J)}) {
-					return
+		clear(served)
+		for i := range used {
+			row := x.X[i*in.J : (i+1)*in.J]
+			tot := 0.0
+			for j, v := range row {
+				served[j] += v
+				tot += v
+				if v >= -tol && v <= math.MaxFloat64 {
+					continue // finite and not negative beyond tolerance
 				}
-				continue
-			}
-			if v < -tol {
-				if !c.add(Violation{Kind: KindNegative, Slot: t, Index: k / in.J,
-					Got: v, Bound: -tol,
-					Detail: fmt.Sprintf("x[%d][%d] negative", k/in.J, k%in.J)}) {
-					return
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					if !c.add(Violation{Kind: KindNumeric, Slot: t, Index: i,
+						Got: v, Detail: fmt.Sprintf("x[%d][%d] is not finite", i, j)}) {
+						return
+					}
+					continue
+				}
+				if v < -tol {
+					if !c.add(Violation{Kind: KindNegative, Slot: t, Index: i,
+						Got: v, Bound: -tol,
+						Detail: fmt.Sprintf("x[%d][%d] negative", i, j)}) {
+						return
+					}
 				}
 			}
+			used[i] = tot
 		}
-		x.UserTotalsInto(served)
 		for j, got := range served {
 			if bound := in.Workload[j] - tol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
 				if !c.add(Violation{Kind: KindDemand, Slot: t, Index: j,
@@ -326,7 +338,6 @@ func (c *checker) checkSlots(in *model.Instance, s model.Schedule) {
 				}
 			}
 		}
-		x.CloudTotalsInto(used)
 		for i, got := range used {
 			if got >= in.Capacity[i]-tol*(1+in.Capacity[i]) {
 				c.capacityTight = true
@@ -351,16 +362,19 @@ func (c *checker) checkSlots(in *model.Instance, s model.Schedule) {
 // and the gap must obey |P1 − P0| ≤ w_mg·σ with σ = Σ_i b_i^out·C_i
 // (the Lemma's additive constant; the bound follows from per-slot
 // capacity feasibility).
+//
+// The breakdowns are Evaluate's and EvaluateP1's, bit for bit, from one
+// walk over the slots: P1's static terms are P0's (SlotCost sums them in
+// SlotStatic's order), so only P1's dynamic terms are priced again.
 func (c *checker) checkGap(in *model.Instance, s model.Schedule) {
-	b0, err := in.Evaluate(s)
-	if err != nil {
-		c.add(Violation{Kind: KindShape, Slot: -1, Index: -1, Detail: err.Error()})
-		return
-	}
-	b1, err := in.EvaluateP1(s)
-	if err != nil {
-		c.add(Violation{Kind: KindShape, Slot: -1, Index: -1, Detail: err.Error()})
-		return
+	var b0, b1 model.Breakdown
+	prev := in.InitialAlloc()
+	for t, x := range s {
+		d := in.SlotCost(t, prev, x)
+		rc, mg := in.SlotDynamicP1(prev, x)
+		b0.Add(d)
+		b1.Add(model.Breakdown{Op: d.Op, Sq: d.Sq, Rc: rc, Mg: mg})
+		prev = x
 	}
 	c.rep.BreakdownP0, c.rep.BreakdownP1 = b0, b1
 

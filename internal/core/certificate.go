@@ -125,6 +125,24 @@ func (c *Certificate) LowerBoundP0() float64 {
 // Every term of slot t depends on x_t and x_{t−1} alone, so the
 // construction is one pass over the decision log with two grids in hand
 // (a slot logged whole is read in place) rather than the whole schedule.
+//
+// Cost model. A slot is two streaming passes over the I×J grid, cloud row
+// by cloud row — g, ν and the running minima θ first, then the Lemma-2
+// residuals, which need the finished θ — plus math.Log only where a pair
+// moved (x_{ij,t}+ε₂ ≠ x_{ij,t−1}+ε₂) and three per cloud for the α terms.
+// A moved pair pays g's migration log ln((x_t+ε₂)/(x_{t−1}+ε₂)) and β's
+// ln((λ_j+ε₂)/(x_t+ε₂)), the latter only if x_t ≠ 0: at a zero entry it
+// is ln((λ_j+ε₂)/ε₂), computed once per user. A pair that did not move
+// multiplies its factor by a zero log, as entropyRowGrad does, so a
+// non-finite factor still yields NaN. β's logs are carried across slots
+// in one I×J grid, rewritten in place by the residual pass: it holds
+// slot t−1's logs for x_{t−1} when slot t starts and slot t's for x_t when
+// it ends. The static coefficients are wa_i + sq_ij as bindStatic forms
+// them, sq recomputed only for users that re-attached, and the factors
+// b̂_i/τ_j are the objective's mgFac, so a call allocates the same few
+// grids whatever the horizon. Every value is the expression the direct
+// construction evaluates on the same operands, so the certificate is
+// identical to it bit for bit (TestStreamedCertificateMatchesBatch).
 func (o *OnlineApprox) Certificate() (*Certificate, error) {
 	in := o.inst
 	if o.slot != in.T {
@@ -138,33 +156,48 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 			cert.AccessConstant += in.WSq * in.AccessDelay[t][j]
 		}
 	}
+	if in.T == 0 { // no slot ran, so there is no objective to read mgFac from
+		return cert, nil
+	}
 
 	rcFac := make([]float64, in.I)  // ĉ_i/η_i
-	mgFacI := make([]float64, in.I) // b̂_i (divided by τ_ij per user below)
+	mgFacI := make([]float64, in.I) // b̂_i
 	for i := 0; i < in.I; i++ {
 		rcFac[i] = in.WRc * in.ReconfPrice[i] / math.Log1p(in.Capacity[i]/eps1)
 		mgFacI[i] = in.WMg * (in.MigOutPrice[i] + in.MigInPrice[i])
 	}
-	tau := make([]float64, in.J)
-	for j := 0; j < in.J; j++ {
-		tau[j] = math.Log1p(in.Workload[j] / eps2)
-	}
+	mgFac := o.obj.mgFac // b̂_i/τ_j per pair, both logs' factor
 
 	alpha := func(i int, tot []float64) float64 { // paper's α_{i,t} from X_{i,t−1}
 		return rcFac[i] * math.Log((in.Capacity[i]+eps1)/(tot[i]+eps1))
 	}
-	beta := func(i, j int, x model.Alloc) float64 { // β_{i,j,t} (λ_j-numerator form) from x_{t−1}
-		return mgFacI[i] / tau[j] *
-			math.Log((in.Workload[j]+eps2)/(x.At(i, j)+eps2))
+	// lnBeta is β_{i,j,t}'s log (λ_j-numerator form) at x_{ij,t−1} = x.
+	lnBeta := func(j int, x float64) float64 {
+		return math.Log((in.Workload[j] + eps2) / (x + eps2))
+	}
+	lnZero := make([]float64, in.J)
+	for j := range lnZero {
+		lnZero[j] = lnBeta(j, 0)
 	}
 
 	// prev and cur are x_{t−1} and x_t with their cloud totals; x_0 is the
-	// initial state.
+	// initial state. lnB holds β's logs at prev.
 	prev, cur := in.InitialAlloc(), model.Alloc{I: in.I, J: in.J}
 	prevTot, curTot := prev.CloudTotals(), make([]float64, in.I)
-	var grids gridPair
-	theta, nu := make([]float64, in.J), make([]float64, in.I)
-	g := make([]float64, in.I*in.J)
+	lnB := make([]float64, in.I*in.J)
+	for k, x := range prev.X {
+		lnB[k] = lnZero[k%in.J]
+		if x != 0 {
+			lnB[k] = lnBeta(k%in.J, x)
+		}
+	}
+	sq, attach := make([]float64, in.I*in.J), make([]int, in.J)
+	for j := range attach {
+		attach[j] = -1
+	}
+	// A commit lists distinct columns, so stale never outgrows J.
+	grids := gridPair{stale: make([]int, 0, in.J)}
+	theta, nu, gRow := make([]float64, in.J), make([]float64, in.I), make([]float64, in.J)
 	for t := 1; t <= in.T; t++ {
 		r := o.log[t-1]
 		cur.X = r.vals
@@ -176,17 +209,29 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 			grids.moved()
 		}
 		cur.CloudTotalsInto(curTot)
+		attachSQ(in, t-1, sq, attach)
+		price := in.OpPrice[t-1]
 
-		coef := in.StaticCoeff(t - 1)
+		// g_{ij} row by row; θ_j takes the minimum over ascending i, so ties
+		// resolve as a column-wise scan would.
 		clear(nu)
+		for j := range theta {
+			theta[j] = math.Inf(1)
+		}
 		for i := 0; i < in.I; i++ {
+			lo, hi := i*in.J, (i+1)*in.J
+			cRow, pRow, sqRow, fRow := cur.X[lo:hi], prev.X[lo:hi], sq[lo:hi], mgFac[lo:hi]
+			wa := in.WOp * price[i]
 			rcln := rcFac[i] * math.Log((curTot[i]+eps1)/(prevTot[i]+eps1))
 			minRow := math.Inf(1)
-			for j := 0; j < in.J; j++ {
-				mgln := mgFacI[i] / tau[j] *
-					math.Log((cur.At(i, j)+eps2)/(prev.At(i, j)+eps2))
-				gij := coef[i*in.J+j] + rcln + mgln
-				g[i*in.J+j] = gij
+			for j, c := range cRow {
+				num, den := c+eps2, pRow[j]+eps2
+				var lg float64
+				if num != den {
+					lg = math.Log(num / den)
+				}
+				gij := wa + sqRow[j] + rcln + fRow[j]*lg
+				gRow[j] = gij
 				if gij < minRow {
 					minRow = gij
 				}
@@ -196,43 +241,58 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 				cert.D -= in.Capacity[i] * nu[i]
 				cert.NuCharge += in.Capacity[i] * nu[i]
 			}
-		}
-		for j := 0; j < in.J; j++ {
-			m := math.Inf(1)
-			for i := 0; i < in.I; i++ {
-				if v := g[i*in.J+j] + nu[i]; v < m {
-					m = v
+			for j, gij := range gRow {
+				if v := gij + nu[i]; v < theta[j] {
+					theta[j] = v
 				}
 			}
-			theta[j] = m // ≥ 0: every cloud's lifted row is nonnegative
-			cert.D += in.Workload[j] * theta[j]
+		}
+		for j, th := range theta { // θ ≥ 0: every cloud's lifted row is nonnegative
+			cert.D += in.Workload[j] * th
 		}
 
 		// Verify S_D feasibility (Lemma 2) — a pure identity check here,
-		// but kept as a guard against regressions in the mappings.
+		// but kept as a guard against regressions in the mappings — and
+		// carry β's logs from x_{t−1} to x_t.
+		f := &cert.Feasibility
 		for i := 0; i < in.I; i++ {
 			a := alpha(i, prevTot)
-			if v := a - in.WRc*in.ReconfPrice[i]; v > cert.Feasibility.AlphaBound {
-				cert.Feasibility.AlphaBound = v
+			if v := a - in.WRc*in.ReconfPrice[i]; v > f.AlphaBound {
+				f.AlphaBound = v
 			}
-			if a < -cert.Feasibility.Negativity {
-				cert.Feasibility.Negativity = -a
+			if a < -f.Negativity {
+				f.Negativity = -a
 			}
 			da := alpha(i, curTot) - a
-			for j := 0; j < in.J; j++ {
-				bt := beta(i, j, prev)
-				if v := bt - mgFacI[i]; v > cert.Feasibility.BetaBound {
-					cert.Feasibility.BetaBound = v
+			lo, hi := i*in.J, (i+1)*in.J
+			cRow, pRow, sqRow, fRow, lnRow := cur.X[lo:hi], prev.X[lo:hi], sq[lo:hi], mgFac[lo:hi], lnB[lo:hi]
+			wa, mg, n := in.WOp*price[i], mgFacI[i], nu[i]
+			dualRow, betaBound, negativity := f.DualRow, f.BetaBound, f.Negativity
+			for j, c := range cRow {
+				lp := lnRow[j]
+				lc := lp
+				if c+eps2 != pRow[j]+eps2 {
+					if c == 0 {
+						lc = lnZero[j]
+					} else {
+						lc = lnBeta(j, c)
+					}
+					lnRow[j] = lc
 				}
-				if bt < -cert.Feasibility.Negativity {
-					cert.Feasibility.Negativity = -bt
+				bt := fRow[j] * lp
+				if v := bt - mg; v > betaBound {
+					betaBound = v
 				}
-				db := beta(i, j, cur) - bt
-				lhs := -coef[i*in.J+j] + da + db + theta[j] - nu[i]
-				if lhs > cert.Feasibility.DualRow {
-					cert.Feasibility.DualRow = lhs
+				if bt < -negativity {
+					negativity = -bt
+				}
+				db := fRow[j]*lc - bt
+				lhs := -(wa + sqRow[j]) + da + db + theta[j] - n
+				if lhs > dualRow {
+					dualRow = lhs
 				}
 			}
+			f.DualRow, f.BetaBound, f.Negativity = dualRow, betaBound, negativity
 		}
 		prev, cur = cur, prev
 		prevTot, curTot = curTot, prevTot

@@ -162,15 +162,7 @@ func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
 // add over it.
 func (o *p2Objective) bindStatic(in *model.Instance, t int) {
 	nJ := o.nJ
-	for j, a := range in.Attach[t] {
-		if o.sqAttach[j] == a {
-			continue
-		}
-		o.sqAttach[j] = a
-		for i, d := range in.InterDelay[a] {
-			o.sq[i*nJ+j] = in.WSq * d / in.Workload[j]
-		}
-	}
+	attachSQ(in, t, o.sq, o.sqAttach)
 	for i, a := range in.OpPrice[t] {
 		o.wa[i] = in.WOp * a
 	}
@@ -181,6 +173,22 @@ func (o *p2Objective) bindStatic(in *model.Instance, t int) {
 		coef, sq := o.coef[i*nJ:(i+1)*nJ], o.sq[i*nJ:(i+1)*nJ]
 		for j, q := range sq {
 			coef[j] = wa + q
+		}
+	}
+}
+
+// attachSQ brings sq, the row-major I×J service-quality terms
+// WSq·d(at[j], i)/λ_j, level with slot t's attachments: it recomputes the
+// columns whose recorded attachment at[j] differs (every column where it is
+// −1) and records the new one.
+func attachSQ(in *model.Instance, t int, sq []float64, at []int) {
+	for j, a := range in.Attach[t] {
+		if at[j] == a {
+			continue
+		}
+		at[j] = a
+		for i, d := range in.InterDelay[a] {
+			sq[i*in.J+j] = in.WSq * d / in.Workload[j]
 		}
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"edgealloc/internal/conform"
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
+	"edgealloc/internal/solver/alm"
 )
 
 // batchCertificate is Certificate built the direct way, over the whole
@@ -158,50 +161,178 @@ func logInstance(t *testing.T) *model.Instance {
 	return in
 }
 
+// runRestoring runs alg to the horizon, restoring it from its own export
+// before slot restoreAt (none if out of range), and returns the finished
+// run.
+func runRestoring(alg *OnlineApprox, restoreAt int) (*OnlineApprox, error) {
+	in := alg.inst
+	for tt := 0; tt < in.T; tt++ {
+		if tt == restoreAt {
+			st := alg.ExportState()
+			alg = NewOnlineApprox(in, alg.opts)
+			if err := alg.RestoreState(st); err != nil {
+				return nil, fmt.Errorf("restore at %d: %w", tt, err)
+			}
+		}
+		if _, err := alg.Step(tt); err != nil {
+			return nil, err
+		}
+	}
+	return alg, nil
+}
+
+// streamedMatchesBatch requires the certificate of the finished run alg to
+// equal batchCertificate's bit for bit, and returns it.
+func streamedMatchesBatch(t *testing.T, name string, alg *OnlineApprox) *Certificate {
+	t.Helper()
+	// Streamed first, so it cannot lean on a schedule Schedule built.
+	streamed, err := alg.Certificate()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	batch, err := batchCertificate(alg)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if certBits(streamed) != certBits(batch) {
+		t.Errorf("%s: streamed certificate %+v, batch %+v", name, *streamed, *batch)
+	}
+	return streamed
+}
+
 // TestStreamedCertificateMatchesBatch pins the one-pass certificate over the
 // decision log to the batch construction over the whole schedule, bit for
-// bit, on every configuration TestGoldenScheduleDigests pins and on the
-// incremental runs of logInstance.
+// bit, on every configuration TestGoldenScheduleDigests pins, on the
+// incremental runs of logInstance, after a restore, and on the corners its
+// shortcuts must get right: users with τ_j = 0 (zero workload, or one that
+// underflows against ε₂), whose pairs' factors are infinite and make the
+// certificate non-finite, extreme ε, capacity-binding slots (ν ≠ 0) and
+// over-provisioned pairs (x_ij > λ_j, so β < 0 and Negativity is nonzero).
 func TestStreamedCertificateMatchesBatch(t *testing.T) {
 	t.Parallel()
 	golden, mixed := goldenInstance(t), logInstance(t)
+	// A user of zero workload: invalid for Validate, but nothing on the
+	// path from Step to the certificate asks.
+	zeroUser := *golden
+	zeroUser.Workload = slices.Clone(golden.Workload)
+	zeroUser.Workload[3] = 0
+	binding := conform.GenInstance(conform.GenConfig{Seed: 56, I: 6, J: 3, T: 2, Tight: true})
+	overProvisioned := conform.GenInstance(conform.GenConfig{Seed: -74, I: 3, J: 4, T: -61})
+	incr := Options{Incremental: true, IncrementalTol: 0.5}
 	for _, tc := range []struct {
-		name string
-		in   *model.Instance
-		opts Options
+		name      string
+		in        *model.Instance
+		opts      Options
+		restoreAt int
+		check     func(*Certificate) bool // the corner the case is there for
 	}{
-		{"default", golden, Options{}},
-		{"DenseRows", golden, Options{denseRows: true}},
-		{"Candidates", golden, Options{Candidates: 3}},
-		{"FastMath", golden, Options{FastMath: true}},
-		{"Shards", golden, Options{Shards: 2}},
-		{"Shards+Candidates+FastMath", golden, Options{Shards: 2, Candidates: 3, FastMath: true}},
-		{"Incremental", golden, Options{Incremental: true, IncrementalTol: 0.5}},
-		{"Candidates+Incremental", golden, Options{Candidates: 3, Incremental: true, IncrementalTol: 0.5}},
+		{"default", golden, Options{}, -1, nil},
+		{"DenseRows", golden, Options{denseRows: true}, -1, nil},
+		{"Candidates", golden, Options{Candidates: 3}, -1, nil},
+		{"FastMath", golden, Options{FastMath: true}, -1, nil},
+		{"Shards", golden, Options{Shards: 2}, -1, nil},
+		{"Shards+Candidates+FastMath", golden, Options{Shards: 2, Candidates: 3, FastMath: true}, -1, nil},
+		{"Incremental", golden, incr, -1, nil},
+		{"Candidates+Incremental", golden, Options{Candidates: 3, Incremental: true, IncrementalTol: 0.5}, -1, nil},
 		{"Shards+Incremental", golden, Options{Shards: 3, Incremental: true, IncrementalTol: 0.5,
-			ShardPrimalTol: 1e-3, ShardDualTol: 0.1}},
-		{"mixed log, Incremental", mixed, Options{Incremental: true, IncrementalTol: 0.5}},
-		{"mixed log, Candidates+Incremental", mixed, Options{Candidates: 2, Incremental: true, IncrementalTol: 0.5}},
+			ShardPrimalTol: 1e-3, ShardDualTol: 0.1}, -1, nil},
+		{"mixed log, Incremental", mixed, incr, -1, nil},
+		{"mixed log, Candidates+Incremental", mixed, Options{Candidates: 2, Incremental: true, IncrementalTol: 0.5}, -1, nil},
+		{"restore at 2, default", golden, Options{}, 2, nil},
+		{"restore at 3, mixed log, Incremental", mixed, incr, 3, nil},
+		{"zero-workload user", &zeroUser, Options{}, -1, func(c *Certificate) bool { return math.IsNaN(c.D) }},
+		{"zero-workload user, Incremental", &zeroUser, incr, -1, func(c *Certificate) bool { return math.IsNaN(c.D) }},
+		{"eps=1e6", golden, Options{Epsilon1: 1e6, Epsilon2: 1e6}, -1, nil},
+		{"eps=1e-6", golden, Options{Epsilon1: 1e-6, Epsilon2: 1e-6}, -1, nil},
+		{"eps=1e-6, Incremental", mixed, Options{Epsilon1: 1e-6, Epsilon2: 1e-6, Incremental: true, IncrementalTol: 0.5}, -1, nil},
+		{"capacity-binding", binding, Options{}, -1, func(c *Certificate) bool { return c.NuCharge > 0 }},
+		{"FuzzOnlineStep (−74, 3, 4, −61, false, false)", overProvisioned, Options{Solver: tightOpts()}, -1,
+			func(c *Certificate) bool { return c.Feasibility.Negativity > 0 }},
 	} {
-		alg := NewOnlineApprox(tc.in, tc.opts)
-		for tt := 0; tt < tc.in.T; tt++ {
-			if _, err := alg.Step(tt); err != nil {
-				t.Fatalf("%s slot %d: %v", tc.name, tt, err)
-			}
-		}
-		// Streamed first, so it cannot lean on a schedule Schedule built.
-		streamed, err := alg.Certificate()
+		alg, err := runRestoring(NewOnlineApprox(tc.in, tc.opts), tc.restoreAt)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		batch, err := batchCertificate(alg)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if certBits(streamed) != certBits(batch) {
-			t.Errorf("%s: streamed certificate %+v, batch %+v", tc.name, *streamed, *batch)
+		cert := streamedMatchesBatch(t, tc.name, alg)
+		if tc.check != nil && !tc.check(cert) {
+			t.Errorf("%s: the certificate %+v misses the corner the case is for", tc.name, *cert)
 		}
 	}
+
+	// τ_j = 0 beside a finite static coefficient — λ_j = 1e-300 under
+	// ε₂ = 1e30, so λ_j/ε₂ underflows — with the user's column held at zero
+	// from the pre-horizon state on, restored whole: none of its pairs ever
+	// moves, so only the product of their infinite factor with a zero log
+	// makes its g NaN and D non-finite; a pair that skipped the product
+	// would leave D finite. (At λ_j = 0 the static coefficient is already
+	// infinite.)
+	if golden.Init != nil {
+		t.Fatal("the held column assumes a zero pre-horizon state")
+	}
+	ran, err := runRestoring(NewOnlineApprox(golden, Options{}), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ran.ExportState()
+	for _, x := range st.Schedule {
+		for i := 0; i < golden.I; i++ {
+			x[i*golden.J+3] = 0
+		}
+	}
+	tinyUser := zeroUser
+	tinyUser.Workload = slices.Clone(golden.Workload)
+	tinyUser.Workload[3] = 1e-300
+	held := NewOnlineApprox(&tinyUser, Options{Epsilon1: 1e30, Epsilon2: 1e30})
+	if err := held.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if cert := streamedMatchesBatch(t, "τ_j = 0, held at zero", held); !math.IsNaN(cert.D) && !math.IsInf(cert.D, 0) {
+		t.Errorf("τ_j = 0, held at zero: D = %v, want it non-finite", cert.D)
+	}
+}
+
+// FuzzCertificateMatchesBatch is TestStreamedCertificateMatchesBatch over
+// fuzzed instances: a tier combination (bits of tier: Candidates,
+// Incremental, FastMath, Shards), ε₁ = ε₂ = 10^k for k in [−6, 6], a
+// restore before slot restoreAt, and, for zeroUser ≥ 0, one user of zero
+// workload. A run that user makes the solver refuse is skipped; every
+// finished run must certify as the batch construction does, bit for bit.
+func FuzzCertificateMatchesBatch(f *testing.F) {
+	f.Add(int64(1), 3, 4, 3, false, uint8(0), 0, -1, -1)
+	f.Add(int64(-74), 3, 4, -61, false, uint8(0), 0, -1, -1) // over-provisioned: Negativity > 0
+	f.Add(int64(56), 6, 3, 2, true, uint8(0), 0, -1, -1)     // capacity binds: ν ≠ 0
+	f.Add(int64(7), 4, 8, 5, false, uint8(3), 0, 2, -1)      // Candidates+Incremental, restored
+	f.Add(int64(20140212), 5, 6, 4, true, uint8(12), 6, -1, -1)
+	f.Add(int64(13), 3, 5, 4, false, uint8(2), -6, 1, -1)
+	f.Add(int64(31), 2, 6, 3, false, uint8(1), 0, -1, 2) // τ_j = 0
+	f.Fuzz(func(t *testing.T, seed int64, nI, nJ, nT int, tight bool, tier uint8, epsExp, restoreAt, zeroUser int) {
+		in := conform.GenInstance(conform.GenConfig{Seed: seed, I: nI, J: nJ, T: nT, Tight: tight})
+		if zeroUser >= 0 {
+			in.Workload[zeroUser%in.J] = 0
+		}
+		eps := math.Pow(10, float64(span(epsExp, -6, 6)))
+		// A small budget: the target is after the certificate's bits, and a
+		// solve that stops short leaves a schedule as good for that as any.
+		opts := Options{Epsilon1: eps, Epsilon2: eps, FastMath: tier&4 != 0,
+			Solver: alm.Options{MaxOuter: 6, InnerIters: 100}}
+		if tier&1 != 0 {
+			opts.Candidates = 2
+		}
+		if tier&2 != 0 {
+			opts.Incremental, opts.IncrementalTol = true, 0.5
+		}
+		if tier&8 != 0 {
+			opts.Shards, opts.ShardMaxIters = 2, 6
+		}
+		alg, err := runRestoring(NewOnlineApprox(in, opts), restoreAt)
+		if err != nil {
+			if zeroUser >= 0 {
+				t.Skip(err)
+			}
+			t.Fatal(err)
+		}
+		streamedMatchesBatch(t, "fuzzed run", alg)
+	})
 }
 
 // TestTransitionViews requires Transition's two views to be, bit for bit,

@@ -283,6 +283,32 @@ func newShardKernel(tb testing.TB) *stepKernel {
 	return k
 }
 
+// newCertRun is a finished run at serve_stream's geometry (I=25, J=1000, 5%
+// of the users moving per slot, the incremental tier over candidate sets,
+// on a deployment budget) over T slots: what a session holds when its last
+// slot asks for the certificate.
+func newCertRun(tb testing.TB, T int) *core.OnlineApprox {
+	in := churnInstance(tb, 25, 1000, T, 0.05, 20140212)
+	alg := core.NewOnlineApprox(in, core.Options{
+		Solver: alm.Options{MaxOuter: 12, InnerIters: 100,
+			FeasTol: 1e-7, DualTol: 5e-2, ObjTol: 1e-2, Penalty: 2},
+		Candidates: 4, CandidateTol: 1, Incremental: true, IncrementalTol: 1,
+	})
+	if _, err := alg.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	return alg
+}
+
+// certify is the Certificate kernel's operation on a finished run.
+func certify(tb testing.TB, alg *core.OnlineApprox) func() {
+	return func() {
+		if _, err := alg.Certificate(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // serveKernel is the ServeSlot kernel: one POST …/slots per operation
 // through serve.Server's handler, on a streaming session at serve_stream's
 // geometry (I=25, J=1000, 5% of the users moving per slot, the incremental
@@ -417,6 +443,10 @@ func BenchmarkIncrementalStep(b *testing.B)  { newIncrementalKernel(b).bench(b) 
 func BenchmarkShardStep(b *testing.B)        { newShardKernel(b).bench(b) }
 func BenchmarkServeSlot(b *testing.B)        { newServeKernel(b).bench(b) }
 
+// BenchmarkCertificate is the dual certificate of a finished 28-slot run at
+// serve_stream's geometry, which a session computes in its last slot.
+func BenchmarkCertificate(b *testing.B) { benchOp(b, certify(b, newCertRun(b, 28))) }
+
 // BenchmarkNumKernel exposes the fast-math kernel family; use
 // -bench 'NumKernel/LogBatch$' to pick one kernel.
 func BenchmarkNumKernel(b *testing.B) {
@@ -461,16 +491,26 @@ func TestHotPathAllocs(t *testing.T) {
 	// once built to price and log the slot was one). Three warm-up posts let
 	// the pooled body buffer and the session's record buffer reach their
 	// size first; four slots are measured.
-	if raceEnabled {
-		return
+	if !raceEnabled {
+		srv := newServeKernel(t)
+		for k := 0; k < 3; k++ {
+			srv.post()
+		}
+		grid = uint64(8 * srv.in.I * srv.in.J)
+		if got := bytesPerRun(4, srv.post); got >= grid/8 {
+			t.Errorf("ServeSlot: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
+		}
 	}
-	srv := newServeKernel(t)
-	for k := 0; k < 3; k++ {
-		srv.post()
-	}
-	grid = uint64(8 * srv.in.I * srv.in.J)
-	if got := bytesPerRun(4, srv.post); got >= grid/8 {
-		t.Errorf("ServeSlot: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
+	// The certificate of a finished run allocates its working grids once
+	// per call, not once per slot: the same count at two horizons, so a
+	// per-slot grid cannot come back. Ten calls each, since AllocsPerRun
+	// divides in integers and the race runtime allocates once of its own
+	// during two. (Last: its runs' garbage would move the collections the
+	// served slots' pooled buffers are measured between.)
+	for _, T := range []int{6, 28} {
+		if got := testing.AllocsPerRun(10, certify(t, newCertRun(t, T))); got != 16 {
+			t.Errorf("Certificate (T=%d): %v allocs/op, pinned at 16 at every horizon", T, got)
+		}
 	}
 }
 
