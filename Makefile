@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test bench-module race bench bench-ab soak dist-soak fuzz cover
+.PHONY: check fmt vet lint build test bench-module race bench bench-ab soak dist-soak fuzz cover loc
 
 check: fmt vet lint build test bench-module race
 
@@ -79,6 +79,12 @@ fuzz:
 		done; \
 	done; \
 	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
+
+# Non-test Go lines outside bench/ in the files git tracks: the size every
+# change reports (ROADMAP). Stage new files first; untracked ones are not
+# counted.
+loc:
+	@git ls-files -z '*.go' ':(exclude)*_test.go' ':(exclude)bench' | xargs -0 cat | wc -l
 
 # Coverage with per-package floors on the guarantee-bearing packages
 # (scripts/cover.sh; floors recorded in DESIGN.md §8).

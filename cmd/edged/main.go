@@ -67,6 +67,9 @@ func run(args []string, errw io.Writer) int {
 	case len(o.cfg.Defaults.ShardWorkers) > 0 && o.cfg.Defaults.Shards == 0:
 		fmt.Fprintln(errw, "edged: -shard-workers requires -shards")
 		return 2
+	case o.cfg.Defaults.Incremental && o.cfg.Defaults.Shards > 0:
+		fmt.Fprintln(errw, "edged: -incremental does not compose with -shards")
+		return 2
 	}
 
 	var handler slog.Handler = slog.NewTextHandler(errw, nil)

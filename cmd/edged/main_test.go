@@ -21,6 +21,7 @@ func TestRunExitCodes(t *testing.T) {
 		{"unlistenable addr", []string{"-addr", "256.256.256.256:99999"}, 1, "listener failed"},
 		{"autosnapshot without dir", []string{"-autosnapshot"}, 2, "-autosnapshot requires -snapshot-dir"},
 		{"shard workers without shards", []string{"-shard-workers", "http://127.0.0.1:9711"}, 2, "-shard-workers requires -shards"},
+		{"incremental with shards", []string{"-incremental", "-shards", "2"}, 2, "-incremental does not compose with -shards"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

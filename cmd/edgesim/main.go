@@ -95,6 +95,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case len(o.p.Approx.ShardWorkers) > 0 && o.p.Approx.Shards == 0:
 		fmt.Fprintln(stderr, "edgesim: -shard-workers requires -shards")
 		return 2
+	case o.p.Approx.Incremental && o.p.Approx.Shards > 0:
+		fmt.Fprintln(stderr, "edgesim: -incremental does not compose with -shards")
+		return 2
 	}
 
 	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)

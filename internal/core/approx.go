@@ -37,7 +37,8 @@
 // active mask (incremental.go). Options.Shards is a different algorithm —
 // sharing-ADMM over blocks that are the same objective bound to a column
 // range (shard.go), optionally hosted on RPC workers (shardhost.go) — and
-// keeps its own driver built from the same bind, pricing pass and gate.
+// keeps its own solve loop built from the same bind and pricing pass; it
+// does not compose with Options.Incremental.
 // Step (this file) binds the slot, calls the driver, and records the
 // decision in the run's decision log (schedlog.go), the duals, and the
 // solve's diagnostics. The decision Step returns is a view of the carried
@@ -46,6 +47,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -94,9 +96,10 @@ type Options struct {
 	// the capacity rows — a closed-form prox per cloud — and certifies the
 	// assembled schedule primal-feasible and dual-consistent (see shard.go
 	// and DESIGN.md §7e). 0 keeps the single-program paths bitwise
-	// unchanged. Composes with Candidates and FastMath; Solver.Workers
-	// bounds the number of concurrently solving shards, and results are
-	// byte-identical for any worker count.
+	// unchanged. Composes with Candidates and FastMath, not with
+	// Incremental (Step refuses the pair); Solver.Workers bounds the number
+	// of concurrently solving shards, and results are byte-identical for
+	// any worker count.
 	Shards int
 	// ShardRho is the coordination loop's ADMM consensus penalty,
 	// ShardMaxIters its iteration cap, and ShardPrimalTol/ShardDualTol
@@ -143,9 +146,9 @@ type Options struct {
 	// decision; the reduced program solves under the residual capacities).
 	// Composes with Candidates (frozen users drop out of the ragged
 	// program entirely; without Candidates the active users solve over
-	// all I clouds) and with Shards (blocks whose whole user range is
-	// untouched skip their solve, gated the same way). Off by default;
-	// false leaves every existing path bitwise unchanged.
+	// all I clouds), not with Shards: Step and RestoreState refuse the
+	// pair (errIncrementalShards). Off by default; false leaves every
+	// existing path bitwise unchanged.
 	Incremental bool
 	// IncrementalTol is the dual-feasibility tolerance of the freeze gate,
 	// relative to 1 + |static coefficient| per pair (default 1e-7): a
@@ -172,6 +175,11 @@ type Options struct {
 	// recording never changes results.
 	Metrics *telemetry.SolverMetrics
 }
+
+// errIncrementalShards refuses Options.Incremental with Options.Shards: a
+// shard could freeze only a whole block, and a block of a thousand users
+// almost never sees a slot in which none re-attached (DESIGN.md §7f).
+var errIncrementalShards = errors.New("core: Options.Incremental does not compose with Options.Shards")
 
 func (o Options) withDefaults() Options {
 	if o.Epsilon1 <= 0 {
@@ -302,6 +310,10 @@ type StepDiag struct {
 	ShardIters      int
 	ShardResidual   float64
 	ShardMaxSeconds float64
+	// ShardRestored is the mass the capacity restoration moved on the slot
+	// (restoreCapacity): round-off unless the coordination loop stopped at
+	// ShardMaxIters. Omitted from JSON when zero, like Evals.
+	ShardRestored float64 `json:",omitempty"`
 	// LogCacheHits and LogCacheMisses are retired and always zero: the
 	// memo they counted is gone. They stay only because bench/pass.go
 	// reads them and snapshot records written with non-zero counts must
@@ -375,6 +387,9 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		// Never-cancellable context (Background/TODO): skip polling so the
 		// solver hot loop stays branch-for-branch identical to Step.
 		ctx = nil
+	}
+	if o.opts.Shards > 0 && o.opts.Incremental {
+		return model.Alloc{}, errIncrementalShards
 	}
 	if t != o.slot {
 		return model.Alloc{}, fmt.Errorf("core: Step(%d) out of order, expected %d", t, o.slot)

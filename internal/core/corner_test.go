@@ -95,8 +95,7 @@ func TestDegenerateCornersAcrossTiers(t *testing.T) {
 		{"candidates+incremental", Options{Candidates: 1, Incremental: true}},
 		{"incremental", Options{Incremental: true}},
 		{"shards", Options{Shards: 2}},
-		{"shards+candidates+incremental+fastmath",
-			Options{Shards: 2, Candidates: 1, Incremental: true, FastMath: true}},
+		{"shards+candidates+fastmath", Options{Shards: 2, Candidates: 1, FastMath: true}},
 		{"default,eps=1e-6", Options{Epsilon1: 1e-6, Epsilon2: 1e-6}},
 	}
 	for _, c := range corners {

@@ -8,11 +8,12 @@ import (
 	"edgealloc/internal/conform"
 )
 
-// allTiersFastOpts is the full tier product at certification budgets:
-// two shards, candidate sets, the incremental gate at 1e-9, fast-math.
+// allTiersFastOpts is the sharded tier product at certification budgets:
+// two shards, candidate sets, fast-math (Incremental does not compose with
+// Shards).
 func allTiersFastOpts() Options {
 	o := shardTestOpts(2)
-	o.Candidates, o.Incremental, o.IncrementalTol, o.FastMath = 2, true, 1e-9, true
+	o.Candidates, o.FastMath = 2, true
 	return o
 }
 
@@ -29,7 +30,7 @@ func TestFastMathMatchesExactSmallInstances(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	// The incremental rows pin against the dense exact solve, like the
 	// incremental tier's own property tests; the sharded row runs the
-	// whole tier product, on the first trials only (its ultra-tight
+	// sharded tier product, on the first trials only (its ultra-tight
 	// coordination costs seconds per instance).
 	rows := []struct {
 		name     string
@@ -41,7 +42,7 @@ func TestFastMathMatchesExactSmallInstances(t *testing.T) {
 			Options{Solver: ultraTightOpts(), Candidates: 2, FastMath: true}},
 		{"candidate+incremental", 8, Options{Solver: ultraTightOpts()},
 			Options{Solver: ultraTightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true}},
-		{"shard+candidate+incremental", 2, Options{Solver: ultraTightOpts()}, allTiersFastOpts()},
+		{"shard+candidate", 2, Options{Solver: ultraTightOpts()}, allTiersFastOpts()},
 	}
 	for trial := 0; trial < 8; trial++ {
 		in := smallRandomInstance(rng)
@@ -67,10 +68,10 @@ func TestFastMathConformance(t *testing.T) {
 		{Solver: tightOpts(), FastMath: true},
 		{Solver: tightOpts(), Candidates: 2, FastMath: true},
 		{Solver: tightOpts(), Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true},
-		// The whole tier product, at the table's solver budget and a
+		// The sharded tier product, at the table's solver budget and a
 		// coordination budget that converges on this instance.
 		{Solver: tightOpts(), Shards: 2, ShardMaxIters: 100, ShardPrimalTol: 1e-8, ShardDualTol: 1e-7,
-			Candidates: 2, Incremental: true, IncrementalTol: 1e-9, FastMath: true},
+			Candidates: 2, FastMath: true},
 	} {
 		in := conform.GenInstance(conform.GenConfig{Seed: 11, I: 4, J: 6, T: 4})
 		alg := NewOnlineApprox(in, opts)

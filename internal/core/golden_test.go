@@ -89,16 +89,12 @@ func TestGoldenScheduleDigests(t *testing.T) {
 			"528f699d77f4369d049e98e85309f67dd3c1b9cb7713344ab770911411c3c1c9"},
 		{"Shards+Candidates+FastMath", Options{Shards: 2, Candidates: 3, FastMath: true},
 			"2ce506fa38cae35c17e9c5eb831bd4f6cbab6430bf302ea8da7095e024862c25"},
-		// The incremental rows run the gate loose enough (and the sharded
-		// row its coordination tolerances loose enough to converge) that
-		// slots commit a mix of frozen and re-admitted users.
+		// The incremental rows run the gate loose enough that slots commit
+		// a mix of frozen and re-admitted users.
 		{"Incremental", Options{Incremental: true, IncrementalTol: 0.5},
 			"b00faa0a5736d90bd5508dc4ecb40dd97ebb52febfa91a94d43c30e0d3b972d3"},
 		{"Candidates+Incremental", Options{Candidates: 3, Incremental: true, IncrementalTol: 0.5},
 			"422cb36c1f0ea4072177a3fae6c03412376dcc58511680ca4b51b8c9f6e6dcfb"},
-		{"Shards+Incremental", Options{Shards: 3, Incremental: true, IncrementalTol: 0.5,
-			ShardPrimalTol: 1e-3, ShardDualTol: 0.1},
-			"2f5c3dc101590f213cbf9ba98bcc5c9c9b0c2ba2d13ebdd77ddeb55cc4baa1ac"},
 	} {
 		alg := NewOnlineApprox(in, tc.opts)
 		sched, err := alg.Run()

@@ -41,11 +41,10 @@ import (
 //
 //     g_ij = ā_{ij,t} + (ĉ_i/η_i)·ln((X_i+ε₁)/(X'_i+ε₁)) + ν'_i
 //
-//     (kktBase computes the per-cloud part, for the single program and
-//     the sharded path alike), and the ≥-demand row admits a dual θ_j ≥ 0
-//     with g_ij = θ_j on the support and g_ij ≥ θ_j off it exactly when
-//     every support pair sits at the column minimum min_i g_ij and that
-//     minimum is ≥ 0.
+//     (kktBase computes the per-cloud part), and the ≥-demand row admits
+//     a dual θ_j ≥ 0 with g_ij = θ_j on the support and g_ij ≥ θ_j off
+//     it exactly when every support pair sits at the column minimum
+//     min_i g_ij and that minimum is ≥ 0.
 //     The gate tests both at IncrementalTol (relative per pair, like
 //     the pricing pass): violators are re-admitted to the active set
 //     with their carryover support seeded, the reduced program is
@@ -244,17 +243,19 @@ func (o *OnlineApprox) gateFrozen(t int) int {
 	return readmitted
 }
 
-// gateColumns is gateColumn for every column of the dense slot data at
-// once, without its J walks down the grid's columns (at stride J every
-// load of a walk is a cache miss). One streaming pass over the rows leaves
-// colMin[j] = min_i g_ij — a minimum is exact, so the order the clouds are
-// taken in cannot change it, and column j's demand dual is
-// max(0, colMin[j]) as gateColumn returns it — and the support pairs
-// listed in supp are then tested against it, pair for pair as gateColumn
-// tests them: viol[j] is set where it reports a violation. supp must hold
-// the support of every column whose verdict is read (frozenFlow). It reads
-// each coefficient as wa_i + sq_ij, the sum bindStatic stores where a dense
-// grid exists, so the pass streams the service-quality grid.
+// gateColumns is the freeze gate's per-column KKT test (see the file
+// comment) on every column of the dense slot data, with base from kktBase:
+// every support pair of a carried column must sit within tol (relative per
+// pair) of the column minimum min_i g_ij, and not below −tol. One streaming
+// pass over the rows leaves colMin[j] = min_i g_ij — a minimum is exact, so
+// the order the clouds are taken in cannot change it, and column j's demand
+// dual is max(0, colMin[j]) — instead of J walks down the grid's columns (at
+// stride J every load of a walk is a cache miss); the support pairs listed
+// in supp are then tested against it, and viol[j] is set where one fails.
+// supp must hold the support of every column whose verdict is read
+// (frozenFlow). It reads each coefficient as wa_i + sq_ij, the sum
+// bindStatic stores where a dense grid exists, so the pass streams the
+// service-quality grid.
 func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportPair, base []float64, tol float64) {
 	nJ := d.nJ
 	colMin = colMin[:nJ]
@@ -286,35 +287,4 @@ func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportP
 			viol[e.j] = true
 		}
 	}
-}
-
-// gateColumn is the freeze gate's per-column KKT test (see the file
-// comment) on user j's carried column of the dense slot data, with base
-// from kktBase: every support pair must sit within tol (relative per
-// pair) of the column minimum min_i g_ij, and not below −tol. It returns
-// the column's embedded demand dual θ_j = max(0, min_i g_ij) and whether
-// the test failed.
-func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta float64, violated bool) {
-	aMin := math.Inf(1)
-	for i := 0; i < d.nI; i++ {
-		if g := d.wa[i] + d.sq[i*d.nJ+j] + base[i]; g < aMin {
-			aMin = g
-		}
-	}
-	for i := 0; i < d.nI; i++ {
-		k := i*d.nJ + j
-		if d.prev[k] <= 0 {
-			continue
-		}
-		c := d.wa[i] + d.sq[k]
-		g := c + base[i]
-		sc := tol * (1 + math.Abs(c))
-		if g-aMin > sc || g < -sc {
-			return 0, true
-		}
-	}
-	if aMin > 0 {
-		return aMin, false
-	}
-	return 0, false
 }

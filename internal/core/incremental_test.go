@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"edgealloc/internal/conform"
@@ -260,86 +262,28 @@ func TestIncrementalWorkersByteIdentical(t *testing.T) {
 	}
 }
 
-// TestIncrementalShardCompose composes the tier with the sharded path:
-// for every shard count the block-frozen incremental solve must land in
-// the dense optimum's tolerance ball (slot-coupled, 1e-8), and
-// repeating a configuration must reproduce it bitwise.
-func TestIncrementalShardCompose(t *testing.T) {
-	t.Parallel()
-	rng := rand.New(rand.NewSource(877))
-	in := smallRandomInstance(rng)
-	withChurn(in, 0.3, rng)
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{1, 2, 4} {
-		opts := shardTestOpts(shards)
-		opts.Incremental = true
-		opts.IncrementalTol = 1e-9
-		gaps := coupledPathGaps(t, in, Options{Solver: ultraTightOpts()}, opts)
-		for tt, d := range gaps {
-			if d > 1e-8 {
-				t.Errorf("S=%d slot %d (I=%d J=%d): P2 rel gap %g > 1e-8",
-					shards, tt, in.I, in.J, d)
-			}
-		}
-		a, err := NewOnlineApprox(in, opts).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewOnlineApprox(in, opts).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := range a {
-			if !allocsEqual(a[tt], b[tt]) {
-				t.Fatalf("S=%d slot %d: repeated incremental sharded run differs bitwise", shards, tt)
-			}
-		}
-	}
-}
-
-// TestIncrementalShardFreezesBlocks pins block-level freezing: with the
-// churn confined to the first half of the user range, the second
-// shard's block stays untouched and must be held frozen on a
-// slot-stationary tail (flat prices, loose gate), skipping its block
-// solves entirely while the run stays feasible.
-func TestIncrementalShardFreezesBlocks(t *testing.T) {
-	rng := rand.New(rand.NewSource(883))
-	var in *model.Instance
-	for in == nil || in.J < 4 {
-		in = smallRandomInstance(rng)
-	}
-	in.T = 8
-	for len(in.OpPrice) < in.T {
-		in.OpPrice = append(in.OpPrice, append([]float64(nil), in.OpPrice[0]...))
-		in.Attach = append(in.Attach, append([]int(nil), in.Attach[0]...))
-		in.AccessDelay = append(in.AccessDelay, append([]float64(nil), in.AccessDelay[0]...))
-	}
-	flattenPrices(in)
-	// Churn only within the first half of the user range; the second
-	// shard's block sees identical attachments every slot.
-	half := in.J / 2
-	for t2 := 1; t2 < in.T; t2++ {
-		copy(in.Attach[t2], in.Attach[t2-1])
-		in.Attach[t2][(t2-1)%half] = rng.Intn(in.I)
-	}
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	opts := shardTestOpts(2)
-	opts.Incremental = true
-	opts.IncrementalTol = 1e-3
+// TestIncrementalShardsRefused pins the refusal of the one pair of tiers
+// that does not compose: Step and RestoreState both return the error
+// naming Options.Incremental and Options.Shards, and leave the algorithm
+// unused.
+func TestIncrementalShardsRefused(t *testing.T) {
+	in := conform.GenInstance(conform.GenConfig{Seed: 3, I: 3, J: 4, T: 3})
+	opts := Options{Shards: 2, Incremental: true}
 	alg := NewOnlineApprox(in, opts)
-	sched, err := alg.Run()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := alg.Step(0); !errors.Is(err, errIncrementalShards) {
+		t.Fatalf("Step: err = %v, want %v", err, errIncrementalShards)
 	}
-	if err := in.CheckFeasible(sched, feasTol); err != nil {
-		t.Fatalf("block-frozen schedule infeasible: %v", err)
+	if _, err := alg.Run(); !errors.Is(err, errIncrementalShards) {
+		t.Fatalf("Run: err = %v, want %v", err, errIncrementalShards)
 	}
-	if st := alg.ShardStats(); st.Frozen == 0 {
-		t.Errorf("untouched block never froze (stats %+v)", st)
+	st := &WarmState{Slot: 0}
+	if err := NewOnlineApprox(in, opts).RestoreState(st); !errors.Is(err, errIncrementalShards) {
+		t.Fatalf("RestoreState: err = %v, want %v", err, errIncrementalShards)
+	}
+	for _, name := range []string{"Options.Incremental", "Options.Shards"} {
+		if !strings.Contains(errIncrementalShards.Error(), name) {
+			t.Errorf("error %q does not name %s", errIncrementalShards, name)
+		}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"edgealloc/internal/model"
 	"edgealloc/internal/scenario"
 	"edgealloc/internal/solver/shardrpc"
+	"edgealloc/internal/telemetry"
 )
 
 // TestP2CurvatureMatchesGradientDifferences checks p2Objective.Curv — the
@@ -132,10 +133,11 @@ func TestStructuredPathsSolveWithNewton(t *testing.T) {
 		{"Candidates+Incremental+FastMath", Options{Candidates: 3, Incremental: true, FastMath: true}, true},
 		{"Shards", Options{Shards: 2}, true},
 		{"Shards+Candidates+FastMath", Options{Shards: 2, Candidates: 3, FastMath: true}, true},
-		{"Shards+Incremental", Options{Shards: 3, Incremental: true}, true},
 		{"ShardWorkers", Options{Shards: 2, ShardWorkers: []string{worker.URL}}, true},
 	} {
-		alg := NewOnlineApprox(in, tc.opts)
+		opts := tc.opts
+		opts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
+		alg := NewOnlineApprox(in, opts)
 		for tt := 0; tt < 2; tt++ {
 			if _, err := alg.Step(tt); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
@@ -165,8 +167,8 @@ func TestStructuredPathsSolveWithNewton(t *testing.T) {
 					tc.name, tt, d.Inner, d.Stationarity)
 			}
 		}
-		if st := alg.ShardStats(); st.RemoteFallbacks != 0 {
-			t.Errorf("%s: %d blocks folded back", tc.name, st.RemoteFallbacks)
+		if n := opts.Metrics.RPCFallbacks.Value(); n != 0 {
+			t.Errorf("%s: %v blocks folded back", tc.name, n)
 		}
 	}
 	// The worker ran the ShardWorkers row's block solves, not the mirrors.

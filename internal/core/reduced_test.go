@@ -121,8 +121,7 @@ func TestComplementRowsImplied(t *testing.T) {
 			tc{c.name + "/incremental", c.in, Options{Incremental: true}},
 			tc{c.name + "/candidates+incremental", c.in, Options{Candidates: 1, Incremental: true}},
 			tc{c.name + "/shards", c.in, Options{Shards: 2}},
-			tc{c.name + "/shards+candidates+incremental+fastmath", c.in,
-				Options{Shards: 2, Candidates: 1, Incremental: true, FastMath: true}})
+			tc{c.name + "/shards+candidates+fastmath", c.in, Options{Shards: 2, Candidates: 1, FastMath: true}})
 	}
 	// Frozen flow at scale: the golden instance's 25% churn leaves most
 	// users frozen on most slots.

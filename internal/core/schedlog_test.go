@@ -234,8 +234,6 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 		{"Shards+Candidates+FastMath", golden, Options{Shards: 2, Candidates: 3, FastMath: true}, -1, nil},
 		{"Incremental", golden, incr, -1, nil},
 		{"Candidates+Incremental", golden, Options{Candidates: 3, Incremental: true, IncrementalTol: 0.5}, -1, nil},
-		{"Shards+Incremental", golden, Options{Shards: 3, Incremental: true, IncrementalTol: 0.5,
-			ShardPrimalTol: 1e-3, ShardDualTol: 0.1}, -1, nil},
 		{"mixed log, Incremental", mixed, incr, -1, nil},
 		{"mixed log, Candidates+Incremental", mixed, Options{Candidates: 2, Incremental: true, IncrementalTol: 0.5}, -1, nil},
 		{"restore at 2, default", golden, Options{}, 2, nil},
@@ -293,7 +291,8 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 
 // FuzzCertificateMatchesBatch is TestStreamedCertificateMatchesBatch over
 // fuzzed instances: a tier combination (bits of tier: Candidates,
-// Incremental, FastMath, Shards), ε₁ = ε₂ = 10^k for k in [−6, 6], a
+// Incremental, FastMath, Shards; Shards drops Incremental, which it does
+// not compose with), ε₁ = ε₂ = 10^k for k in [−6, 6], a
 // restore before slot restoreAt, and, for zeroUser ≥ 0, one user of zero
 // workload. A run that user makes the solver refuse is skipped; every
 // finished run must certify as the batch construction does, bit for bit.
@@ -318,7 +317,7 @@ func FuzzCertificateMatchesBatch(f *testing.F) {
 		if tier&1 != 0 {
 			opts.Candidates = 2
 		}
-		if tier&2 != 0 {
+		if tier&2 != 0 && tier&8 == 0 {
 			opts.Incremental, opts.IncrementalTol = true, 0.5
 		}
 		if tier&8 != 0 {

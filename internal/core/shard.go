@@ -38,10 +38,8 @@ type shardState struct {
 	blocks []*shardBlock
 	coord  *shard.Coordinator
 	// remotes[si] is the RPC transport placing block si on a shard worker
-	// (Options.ShardWorkers; nil when solving in-process). remoteDead
-	// tracks fold transitions for the stats counter.
-	remotes    []*shardrpc.RemoteBlock
-	remoteDead []bool
+	// (Options.ShardWorkers; nil when solving in-process).
+	remotes []*shardrpc.RemoteBlock
 	// nearest[a] lists the Options.Candidates clouds closest to cloud a
 	// (every cloud when Candidates is off).
 	nearest [][]int
@@ -51,62 +49,8 @@ type shardState struct {
 	xDense    []float64
 	blockSecs []float64 // per-shard solve seconds of the current slot
 	priced    []int     // per-shard pairs admitted by one pricing pass
-	base      []float64 // per-cloud gradient term shared by gate and pricing
+	base      []float64 // per-cloud gradient term of the pricing pass
 	restTot   []float64 // per-cloud totals scratch for restoreCapacity
-	// committed reports that at least one slot committed its warm state,
-	// so the carried duals and decision are trustworthy freeze inputs
-	// (Options.Incremental).
-	committed bool
-	stats     ShardStats
-}
-
-// ShardStats counts the work of the sharded path for observability;
-// retrieve with OnlineApprox.ShardStats.
-type ShardStats struct {
-	// Slots is the number of slots solved on the sharded path.
-	Slots int
-	// Rounds is the total number of coordination runs; Rounds − Slots is
-	// the number of candidate-expansion re-runs the pricing pass caused.
-	Rounds int
-	// CoordIters is the total number of coordination (outer dual-ascent)
-	// iterations across all slots.
-	CoordIters int
-	// Expanded is the total number of (i, j) pairs re-admitted by pricing.
-	Expanded int
-	// FinalNNZ is Σ over shards of the packed size of the most recent
-	// certified solve.
-	FinalNNZ int
-	// BlockOuter/BlockInner sum the shard subproblems' ALM outer and Newton
-	// inner iterations.
-	BlockOuter, BlockInner int
-	// MaxResidual is the final consensus/capacity residual of the most
-	// recent slot, and MaxSeconds the slowest shard's cumulative solve
-	// time on that slot.
-	MaxResidual float64
-	MaxSeconds  float64
-	// Restored is the total mass moved by the capacity restoration pass
-	// across all slots — materially nonzero only when a coordination loop
-	// exhausted ShardMaxIters above ShardPrimalTol.
-	Restored float64
-	// Frozen is the total number of users whose shard skipped its block
-	// solves (Options.Incremental; zero otherwise), and Readmitted the
-	// total number of users the freeze gate thawed back in.
-	Frozen     int
-	Readmitted int
-	// RemoteFallbacks counts remote blocks folded back into local solving
-	// (Options.ShardWorkers; zero otherwise). A folded block re-probes its
-	// worker at the next few slot boundaries, so one flapping worker can
-	// contribute several folds.
-	RemoteFallbacks int
-}
-
-// ShardStats returns the sharded-path work counters (zero value when the
-// sharded path is disabled).
-func (o *OnlineApprox) ShardStats() ShardStats {
-	if o.shrd == nil {
-		return ShardStats{}
-	}
-	return o.shrd.stats
 }
 
 // initShard builds the per-instance sharded state: the user partition,
@@ -166,7 +110,6 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		// counter.
 		run := shardRunSeq.Add(1)
 		s.remotes = make([]*shardrpc.RemoteBlock, len(parts))
-		s.remoteDead = make([]bool, len(parts))
 		for si := range parts {
 			id := fmt.Sprintf("p%d-r%d-s%d", os.Getpid(), run, si)
 			s.remotes[si] = shardrpc.NewRemoteBlock(clients[si%len(clients)], id, s.blocks[si])
@@ -193,10 +136,10 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 var shardRunSeq atomic.Uint64
 
 // solveShard runs slot t's sharded solve: per-shard candidate seeding and
-// packed binds, the coordination loop, and the freeze gate and KKT pricing
-// pass until a round changes nothing. It returns the dense image of the
-// assembled decision, the assembled [θ | ρ | ν], and the slot's
-// diagnostics; the slices alias shard scratch, valid until the next call.
+// packed binds, the coordination loop, and the KKT pricing pass until a
+// round changes nothing. It returns the dense image of the assembled
+// decision, the assembled [θ | ρ | ν], and the slot's diagnostics; the
+// slices alias shard scratch, valid until the next call.
 func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.shrd
 	var d StepDiag
@@ -204,13 +147,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	warmDense := o.warmPoint(t)
 	workers := o.opts.Solver.Workers
 	par.Each(workers, len(s.blocks), func(si int) {
-		b := s.blocks[si]
-		// Incremental freezing (Options.Incremental): a shard whose whole
-		// user range kept its attachment holds the carried decision and
-		// skips its block solves, certified by the gate below. beginSlot
-		// still runs so a mid-slot thaw re-enters with a valid bind.
-		b.frozen = o.opts.Incremental && t > 0 && s.committed && blockUntouched(in, t, b.rng)
-		b.beginSlot(o, warmDense, t, ctx)
+		s.blocks[si].beginSlot(o, warmDense, t, ctx)
 	})
 	for _, rb := range s.remotes {
 		rb.BeginSlot(t, ctx)
@@ -219,7 +156,6 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	clear(s.blockSecs)
 
 	var cres *shard.Result
-	blockOuter, blockInner := 0, 0
 	for {
 		d.CandRounds++
 		r, err := s.coord.Solve(ctx)
@@ -228,44 +164,35 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		}
 		cres = r
 		d.ShardIters += r.Iters
-		blockOuter += r.BlockOuter
-		blockInner += r.BlockInner
+		d.Outer += r.BlockOuter
+		d.Inner += r.BlockInner
 		for i, sec := range r.BlockSeconds {
 			s.blockSecs[i] += sec
 		}
-		// Pull remote post-round state into the mirrors before anything
-		// below reads block iterates or duals. A block that failed to sync
-		// reverts to its round-start state, so its contribution to the
-		// assembled result must be re-derived: lost > 0 forces another
-		// coordination round (bounded — a repeatedly failing block folds
-		// back to local solving, after which its sync is trivially clean).
-		lost := s.syncRemotes()
-		// The gate and the pricing pass are the single program's (same
-		// per-column test, same pass), evaluated with the assembled duals —
-		// θ from each user's owning shard, ν from the consensus step — and
-		// the reconfiguration gradient at the assembled totals.
-		certStart := time.Now()
-		o.obj.kktBase(s.base, r.Totals, r.NuDuals)
-		thawed := 0
-		if o.opts.Incremental {
-			if !r.Converged {
-				// An unconverged coordination certifies nothing: thaw every
-				// frozen shard and resume.
-				thawed = s.thawFrozen()
-			} else {
-				thawed = o.gateFrozenShard()
+		// Pull remote post-round state into the mirrors (no-op in-process)
+		// before anything below reads block iterates or duals. A block that
+		// failed to sync reverts to its round-start state, so its
+		// contribution to the assembled result must be re-derived: lost > 0
+		// forces another coordination round (bounded — a repeatedly failing
+		// block folds back to local solving, after which its sync is
+		// trivially clean).
+		lost := 0
+		for _, rb := range s.remotes {
+			if rb.SyncState() != nil {
+				lost++
 			}
 		}
+		// The pricing pass is the single program's, evaluated with the
+		// assembled duals — θ from each user's owning shard, ν from the
+		// consensus step — and the reconfiguration gradient at the
+		// assembled totals.
+		certStart := time.Now()
+		o.obj.kktBase(s.base, r.Totals, r.NuDuals)
 		added := 0
 		if o.opts.Candidates > 0 {
 			par.Each(workers, len(s.blocks), func(si int) {
 				b := s.blocks[si]
 				s.priced[si] = 0
-				// The gate certifies frozen users over all I clouds, which
-				// subsumes this pass; an admitted pair would never be solved.
-				if b.frozen {
-					return
-				}
 				if n := priceExpand(o.obj, s.base, b.theta, b.builder, b.users, b.rng.Lo, o.opts.CandidateTol); n > 0 {
 					s.priced[si] = n
 					b.dirty = true
@@ -276,11 +203,10 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 			}
 		}
 		d.CertifySeconds += time.Since(certStart).Seconds()
-		if thawed == 0 && added == 0 && lost == 0 {
+		if added == 0 && lost == 0 {
 			break
 		}
 		d.CandExpanded += added
-		d.ReadmittedUsers += thawed
 		for si, b := range s.blocks {
 			if b.dirty {
 				b.rebind(o)
@@ -302,7 +228,7 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		d.CandNNZ += len(b.warm)
 	}
 	copy(s.duals[in.J+in.I:in.J+2*in.I], cres.NuDuals)
-	s.stats.Restored += s.restoreCapacity(in)
+	d.ShardRestored = s.restoreCapacity(in)
 
 	// Commit the warm state only now: a slot aborted above leaves the
 	// coordinator prices and shard duals exactly as the last successful
@@ -311,110 +237,16 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 	for _, rb := range s.remotes {
 		rb.Commit()
 	}
-	s.committed = true
 	for i, b := range s.blocks {
 		copy(b.thetaWarm, b.theta)
 		if s.blockSecs[i] > d.ShardMaxSeconds {
 			d.ShardMaxSeconds = s.blockSecs[i]
 		}
-		if b.frozen {
-			d.FrozenUsers += b.rng.Len()
-		}
 		d.Evals += b.evals
 	}
-	d.Outer, d.Inner = blockOuter, blockInner
 	d.Converged = cres.Converged
 	d.ShardResidual = cres.MaxResidual
-
-	st := &s.stats
-	st.Slots++
-	st.Rounds += d.CandRounds
-	st.CoordIters += d.ShardIters
-	st.Expanded += d.CandExpanded
-	st.Readmitted += d.ReadmittedUsers
-	st.Frozen += d.FrozenUsers
-	st.BlockOuter += blockOuter
-	st.BlockInner += blockInner
-	st.FinalNNZ = d.CandNNZ
-	st.MaxResidual = d.ShardResidual
-	st.MaxSeconds = d.ShardMaxSeconds
 	return s.xDense, s.duals, d, nil
-}
-
-// blockUntouched reports whether every user in rng kept its attachment
-// from slot t−1 to t — the per-shard delta test of the incremental tier.
-// Attachment is the only per-user slot input of P2 (see incremental.go),
-// so an untouched block's subproblem differs from the previous slot's
-// only through the coordination prices, which the gate certifies.
-func blockUntouched(in *model.Instance, t int, rng shard.Range) bool {
-	for j := rng.Lo; j < rng.Hi; j++ {
-		if in.Attach[t][j] != in.Attach[t-1][j] {
-			return false
-		}
-	}
-	return true
-}
-
-// syncRemotes pulls every remote block's post-round state into its
-// mirror (no-op in-process), returning the number of blocks whose sync
-// failed — their mirrors hold round-start state, so the caller must run
-// another coordination round before assembling the result. It also
-// moves fold transitions into the stats counter.
-func (s *shardState) syncRemotes() int {
-	lost := 0
-	for si, rb := range s.remotes {
-		if err := rb.SyncState(); err != nil {
-			lost++
-		}
-		if rb.Dead() {
-			if !s.remoteDead[si] {
-				s.remoteDead[si] = true
-				s.stats.RemoteFallbacks++
-			}
-		} else {
-			s.remoteDead[si] = false
-		}
-	}
-	return lost
-}
-
-// thawFrozen re-admits every frozen shard, restoring its committed
-// demand duals, and returns the number of users thawed.
-func (s *shardState) thawFrozen() int {
-	n := 0
-	for _, b := range s.blocks {
-		if b.frozen {
-			copy(b.theta, b.thetaWarm)
-			b.frozen = false
-			n += b.rng.Len()
-		}
-	}
-	return n
-}
-
-// gateFrozenShard certifies every frozen shard's carried decision against
-// the coordination round (gateColumn under s.base). A violating user
-// thaws its whole shard, restoring the committed θ warm start; certified
-// users take θ_j = max(0, min_i g_ij) so the assembled dual record embeds
-// the full program's KKT point. Returns users thawed.
-func (o *OnlineApprox) gateFrozenShard() int {
-	thawed := 0
-	for _, b := range o.shrd.blocks {
-		if !b.frozen {
-			continue
-		}
-		for jl := range b.theta {
-			theta, viol := o.obj.gateColumn(b.rng.Lo+jl, o.shrd.base, o.opts.IncrementalTol)
-			if viol {
-				copy(b.theta, b.thetaWarm)
-				b.frozen = false
-				thawed += len(b.theta)
-				break
-			}
-			b.theta[jl] = theta
-		}
-	}
-	return thawed
 }
 
 // restoreCapacity projects the assembled schedule onto exact capacity
@@ -589,10 +421,6 @@ type shardBlock struct {
 	// success.
 	thetaWarm []float64
 	dirty     bool
-	// frozen holds this slot's incremental freeze decision: the block's
-	// users all kept their attachment and the gate has not thawed it, so
-	// Solve skips the ALM solve and reports the carried totals.
-	frozen bool
 	// evals sums alm.Result.Evals over the block's in-process solves of
 	// the slot (StepDiag.Evals).
 	evals int
@@ -645,13 +473,6 @@ func (b *shardBlock) rebind(o *OnlineApprox) {
 
 // Solve implements shard.Block.
 func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
-	if b.frozen {
-		// Frozen shard: the carried decision (the slot's warm start, which
-		// is the previous post-repair decision restricted to the block) is
-		// held fixed; only its totals feed the coordination.
-		b.totalsInto(totals)
-		return 0, 0, nil
-	}
 	outer, inner, err := b.solve(rho, target, totals)
 	b.evals += b.ws.Last().Evals
 	return outer, inner, err
@@ -659,10 +480,6 @@ func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, err
 
 // WarmTotalsInto implements shard.Block.
 func (b *shardBlock) WarmTotalsInto(totals []float64) { b.totalsInto(totals) }
-
-// Frozen implements shardrpc.Mirror: frozen blocks skip their solves
-// entirely, so the transport keeps them off the network.
-func (b *shardBlock) Frozen() bool { return b.frozen }
 
 // Spec implements shardrpc.Mirror: a deep copy of the block's current
 // bind and warm state under the given wire identity. Called at spec

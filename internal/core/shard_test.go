@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -128,21 +127,6 @@ func TestShardDeterministicForAnyWorkers(t *testing.T) {
 				}
 				return "no slot expanded a candidate set: the pricing pass is untested"
 			}},
-		// The gate and coordination tolerances are loose enough that
-		// slots commit frozen blocks and thaw others.
-		{"Incremental+Shards", Options{Shards: 5, Candidates: 3, Incremental: true,
-			IncrementalTol: 0.5, ShardPrimalTol: 1e-3, ShardDualTol: 0.1},
-			func(diags []StepDiag) string {
-				frozen, thawed := false, false
-				for _, d := range diags {
-					frozen = frozen || d.FrozenUsers > 0
-					thawed = thawed || d.ReadmittedUsers > 0
-				}
-				if !frozen || !thawed {
-					return fmt.Sprintf("froze a block: %v, thawed one: %v; both paths must run", frozen, thawed)
-				}
-				return ""
-			}},
 	} {
 		base := run(tc.opts, 1)
 		if msg := tc.check(base.diags); msg != "" {
@@ -209,14 +193,17 @@ func TestShardFullRunFeasibleAndCertified(t *testing.T) {
 	} {
 		in := conform.GenInstance(conform.GenConfig{Seed: 11, I: 4, J: 6, T: 4})
 		alg := NewOnlineApprox(in, opts)
-		sched, err := alg.Run()
-		if err != nil {
-			t.Fatal(err)
+		iters := 0
+		for tt := 0; tt < in.T; tt++ {
+			if _, err := alg.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			iters += alg.LastStepDiag().ShardIters
 		}
-		st := alg.ShardStats()
-		if st.Slots != in.T || st.CoordIters < in.T {
-			t.Errorf("S=%d: implausible shard stats %+v", opts.Shards, st)
+		if iters < in.T {
+			t.Errorf("S=%d: %d coordination iterations over %d slots", opts.Shards, iters, in.T)
 		}
+		sched := alg.Schedule()
 		cert, err := alg.Certificate()
 		if err != nil {
 			t.Fatal(err)
@@ -255,4 +242,39 @@ func TestStepCtxCancellationShards(t *testing.T) {
 	in := smallRandomInstance(rand.New(rand.NewSource(41)))
 	testCancellation(t, in, Options{Shards: 2})
 	testCancellation(t, in, Options{Shards: 3, Candidates: 2})
+}
+
+// TestShardRestoredReportsRestoration pins StepDiag.ShardRestored, the
+// mass the capacity restoration moved on a slot: a coordination loop
+// starved at ShardMaxIters = 2 leaves totals over capacity and some slot
+// reports it, while a converged tight loop moves round-off only.
+func TestShardRestoredReportsRestoration(t *testing.T) {
+	t.Parallel()
+	in := conform.GenInstance(conform.GenConfig{Seed: 11, I: 4, J: 6, T: 4})
+	load := 0.0
+	for _, w := range in.Workload {
+		load += w
+	}
+	restored := func(opts Options) (most float64) {
+		alg := NewOnlineApprox(in, opts)
+		for tt := 0; tt < in.T; tt++ {
+			if _, err := alg.Step(tt); err != nil {
+				t.Fatal(err)
+			}
+			d := alg.LastStepDiag()
+			if d.ShardRestored < 0 || (opts.ShardMaxIters > 2 && !d.Converged) {
+				t.Fatalf("%+v slot %d: restored %g, converged %v", opts, tt, d.ShardRestored, d.Converged)
+			}
+			most = max(most, d.ShardRestored)
+		}
+		return most
+	}
+	starved := shardTestOpts(2)
+	starved.ShardMaxIters = 2
+	if got := restored(starved); got < 1e-3*load {
+		t.Errorf("starved coordination: most mass restored on a slot %g, want ≥ %g", got, 1e-3*load)
+	}
+	if got := restored(shardTestOpts(2)); got > 1e-8*load {
+		t.Errorf("converged coordination: most mass restored on a slot %g, want round-off (≤ %g)", got, 1e-8*load)
+	}
 }

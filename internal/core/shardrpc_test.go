@@ -13,6 +13,7 @@ import (
 	"edgealloc/internal/conform"
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/shardrpc"
+	"edgealloc/internal/telemetry"
 )
 
 // newTestWorker starts an in-process shard worker: the production
@@ -57,8 +58,8 @@ func TestDistributedMatchesInProcessBitwise(t *testing.T) {
 			}
 			dopts := tc.opts
 			dopts.ShardWorkers = workers
-			alg := NewOnlineApprox(in, dopts)
-			dist, err := alg.Run()
+			dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
+			dist, err := NewOnlineApprox(in, dopts).Run()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,8 +68,8 @@ func TestDistributedMatchesInProcessBitwise(t *testing.T) {
 					t.Fatalf("slot %d: distributed schedule differs from in-process", tt)
 				}
 			}
-			if st := alg.ShardStats(); st.RemoteFallbacks != 0 {
-				t.Fatalf("healthy workers folded %d blocks", st.RemoteFallbacks)
+			if n := dopts.Metrics.RPCFallbacks.Value(); n != 0 {
+				t.Fatalf("healthy workers folded %v blocks", n)
 			}
 		})
 	}
@@ -146,7 +147,7 @@ func TestDistributedWorkerRestartMatchesReference(t *testing.T) {
 // TestDistributedDeadWorkersFoldToLocal pins graceful degradation: when
 // workers are unreachable from the start, every block folds back to the
 // in-process mirror and the run completes byte-identical to the purely
-// local sharded solve, with the folds visible in ShardStats.
+// local sharded solve, with the folds counted by the solver metrics.
 func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 	in := distInstance()
 	dead := httptest.NewServer(http.NotFoundHandler())
@@ -162,8 +163,8 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 		dopts := opts
 		dopts.ShardWorkers = []string{dead.URL}
 		dopts.ShardRPCRetries = -1
-		alg := NewOnlineApprox(in, dopts)
-		dist, err := alg.Run()
+		dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
+		dist, err := NewOnlineApprox(in, dopts).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +173,7 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 				t.Fatalf("slot %d: folded schedule differs from in-process", tt)
 			}
 		}
-		if st := alg.ShardStats(); st.RemoteFallbacks == 0 {
+		if dopts.Metrics.RPCFallbacks.Value() == 0 {
 			t.Fatal("dead workers produced no recorded fallbacks")
 		}
 	})
@@ -181,8 +182,8 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 		dopts := opts
 		dopts.ShardWorkers = []string{dead.URL, newTestWorker(t).URL}
 		dopts.ShardRPCRetries = -1
-		alg := NewOnlineApprox(in, dopts)
-		dist, err := alg.Run()
+		dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
+		dist, err := NewOnlineApprox(in, dopts).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +192,7 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 				t.Fatalf("slot %d: mixed-pool schedule differs from in-process", tt)
 			}
 		}
-		if st := alg.ShardStats(); st.RemoteFallbacks == 0 {
+		if dopts.Metrics.RPCFallbacks.Value() == 0 {
 			t.Fatal("the dead worker's blocks did not fold")
 		}
 	})
@@ -223,14 +224,14 @@ func TestDistSoak(t *testing.T) {
 	dopts := opts
 	dopts.ShardWorkers = workers
 	dopts.ShardRPCTimeout = 5 * time.Second
-	alg := NewOnlineApprox(in, dopts)
+	dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
 	start := time.Now()
-	dist, err := alg.Run()
+	dist, err := NewOnlineApprox(in, dopts).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := alg.ShardStats()
-	t.Logf("soak: %d workers, %v, stats %+v", len(workers), time.Since(start).Round(time.Millisecond), st)
+	t.Logf("soak: %d workers, %v, %v folds", len(workers), time.Since(start).Round(time.Millisecond),
+		dopts.Metrics.RPCFallbacks.Value())
 
 	if rep := conform.Check(in, dist, nil, conform.Options{}); !rep.OK() {
 		t.Fatalf("soak run broke feasibility: %v", rep.Err())

@@ -74,6 +74,9 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	if o.obj != nil || o.slot != 0 {
 		return errors.New("core: RestoreState on a used algorithm object")
 	}
+	if o.opts.Shards > 0 && o.opts.Incremental {
+		return errIncrementalShards
+	}
 	if err := st.validate(in); err != nil {
 		return err
 	}

@@ -45,7 +45,7 @@ func TestStaticCacheMatchesStaticCoeffInto(t *testing.T) {
 		{Candidates: 2},
 		{Incremental: true},
 		{Candidates: 2, Incremental: true},
-		{Shards: 2, Incremental: true},
+		{Shards: 2},
 	}
 	for trial := 0; trial < 20; trial++ {
 		in := smallRandomInstance(rng)
@@ -424,6 +424,37 @@ func TestGateColumnsMatchesGateColumn(t *testing.T) {
 	}
 }
 
+// gateColumn is gateColumns' per-column reference: the freeze gate's KKT
+// test on user j's carried column of the dense slot data, with base from
+// kktBase. Every support pair must sit within tol (relative per pair) of
+// the column minimum min_i g_ij, and not below −tol. It returns the
+// column's embedded demand dual θ_j = max(0, min_i g_ij) and whether the
+// test failed.
+func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta float64, violated bool) {
+	aMin := math.Inf(1)
+	for i := 0; i < d.nI; i++ {
+		if g := d.wa[i] + d.sq[i*d.nJ+j] + base[i]; g < aMin {
+			aMin = g
+		}
+	}
+	for i := 0; i < d.nI; i++ {
+		k := i*d.nJ + j
+		if d.prev[k] <= 0 {
+			continue
+		}
+		c := d.wa[i] + d.sq[k]
+		g := c + base[i]
+		sc := tol * (1 + math.Abs(c))
+		if g-aMin > sc || g < -sc {
+			return 0, true
+		}
+	}
+	if aMin > 0 {
+		return aMin, false
+	}
+	return 0, false
+}
+
 // greedyInit gives the instance a pre-horizon placement — every user whole
 // on its slot-0 cloud while capacity lasts, then on the clouds with room in
 // index order — so a large instance's slot 0 starts from a feasible point
@@ -464,7 +495,7 @@ func TestStepPhasesSumToWallTime(t *testing.T) {
 		Candidates: 3, CandidateTol: 1, Incremental: true, IncrementalTol: 1,
 	}
 	sharded := opts
-	sharded.Shards, sharded.ShardMaxIters = 2, 2
+	sharded.Shards, sharded.ShardMaxIters, sharded.Incremental = 2, 2, false
 	for _, tc := range []struct {
 		name string
 		opts Options

@@ -739,3 +739,38 @@ func TestIncrementalSession(t *testing.T) {
 		t.Errorf("negative incrementalTol: status %d, want 400", code)
 	}
 }
+
+// TestCreateRefusesIncrementalShards: "incremental" and "shards" do not
+// compose, so a create that ends up with both is a 400 naming both keys —
+// whether the request names the pair itself or the daemon's defaults
+// complete it — and a plain create on a sharded daemon still succeeds.
+func TestCreateRefusesIncrementalShards(t *testing.T) {
+	var buf bytes.Buffer
+	if err := model.WriteInstance(&buf, testInstance(t, 4, 2, 17)); err != nil {
+		t.Fatalf("encoding instance: %v", err)
+	}
+	for _, tc := range []struct {
+		name     string
+		defaults core.Options
+		options  map[string]any
+	}{
+		{"request names both", core.Options{}, map[string]any{"shards": 2, "incremental": true}},
+		{"sharded daemon", core.Options{Shards: 2}, map[string]any{"incremental": true}},
+		{"incremental daemon", core.Options{Incremental: true}, map[string]any{"shards": 2}},
+	} {
+		_, ts := newTestServer(t, Config{Defaults: tc.defaults})
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+			"instance": json.RawMessage(buf.Bytes()), "options": tc.options,
+		}, nil)
+		if code != http.StatusBadRequest || !bytes.Contains(raw, []byte("incremental")) ||
+			!bytes.Contains(raw, []byte("shards")) {
+			t.Errorf("%s: status %d: %s, want a 400 naming both keys", tc.name, code, raw)
+		}
+	}
+	_, ts := newTestServer(t, Config{Defaults: core.Options{Shards: 2}})
+	if code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+		"instance": json.RawMessage(buf.Bytes()),
+	}, nil); code != http.StatusCreated {
+		t.Errorf("plain create on a sharded daemon: status %d: %s", code, raw)
+	}
+}

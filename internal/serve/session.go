@@ -149,6 +149,9 @@ func (o solverOptions) validate() error {
 		o.Workers < 0 || o.FeasTol < 0 || o.ObjTol < 0 || o.DualTol < 0 || o.Penalty < 0 {
 		return errors.New("solver options must be nonnegative")
 	}
+	if o.Shards > 0 && o.Incremental {
+		return errors.New(`solver options "incremental" and "shards" do not compose`)
+	}
 	return nil
 }
 
@@ -242,6 +245,7 @@ type solveDiag struct {
 	CandidateNNZ    int     `json:"candidateNNZ,omitempty"`
 	ShardIterations int     `json:"shardIterations,omitempty"`
 	ShardResidual   float64 `json:"shardResidual,omitempty"`
+	ShardRestored   float64 `json:"shardRestored,omitempty"`
 	FrozenUsers     int     `json:"frozenUsers,omitempty"`
 	ReadmittedUsers int     `json:"readmittedUsers,omitempty"`
 	// Stop names how the slot's final single-program solve ended
@@ -271,6 +275,7 @@ func diagDTO(d core.StepDiag) solveDiag {
 		CandidateNNZ:    d.CandNNZ,
 		ShardIterations: d.ShardIters,
 		ShardResidual:   d.ShardResidual,
+		ShardRestored:   d.ShardRestored,
 		FrozenUsers:     d.FrozenUsers,
 		ReadmittedUsers: d.ReadmittedUsers,
 		Stop:            d.Stop,
@@ -402,8 +407,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 	}
 	// The header records the effective options, so every later restore
-	// rebuilds this algorithm whatever the restoring daemon's defaults.
+	// rebuilds this algorithm whatever the restoring daemon's defaults. The
+	// defaults can complete a pair of tiers the request alone does not name.
 	opts := req.Options.withDefaults(s.cfg.Defaults)
+	if err := opts.validate(); err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
 	header, err := encodeHeader(snapHeader{Version: snapshotVersion, ID: id,
 		Horizon: req.Horizon, Options: opts, Instance: req.Instance})
 	if err != nil {

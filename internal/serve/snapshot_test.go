@@ -306,6 +306,43 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesIncrementalShards: a header naming both "incremental"
+// and "shards", a pair no create accepts any more, is refused with a 400
+// naming both keys by the restore endpoint, and logged and skipped by boot
+// recovery.
+func TestRestoreRefusesIncrementalShards(t *testing.T) {
+	in := testInstance(t, 8, 4, 9)
+	_, ts := newTestServer(t, Config{})
+	id := createSession(t, ts.URL, in)
+	driveSlots(t, ts.URL, id, 0, 2)
+	d := mustDecode(t, snapshotSession(t, ts.URL, id))
+	d.header.Options.Shards, d.header.Options.Incremental = 2, true
+	doc := encodeDoc(t, d)
+	if !bytes.Contains(doc[:bytes.IndexByte(doc, '\n')], []byte(`"shards":2,"incremental":true`)) {
+		t.Fatalf("header does not name both keys: %.200s", doc)
+	}
+
+	_, fresh := newTestServer(t, Config{})
+	code, raw := postRaw(t, fresh.URL+"/v1/sessions/restore", doc, nil)
+	if code != http.StatusBadRequest || !bytes.Contains(raw, []byte("incremental")) ||
+		!bytes.Contains(raw, []byte("shards")) {
+		t.Errorf("restore: status %d: %s, want a 400 naming both keys", code, raw)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, id), doc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	_, boot := newTestServer(t, Config{SnapshotDir: dir, Logger: slog.New(slog.NewTextHandler(&logged, nil))})
+	if recovery := logged.String(); !strings.Contains(recovery, "file="+id) || !strings.Contains(recovery, "shards") {
+		t.Errorf("recovery log %q does not name the file and the pair", recovery)
+	}
+	if code, _ := doJSON(t, http.MethodGet, boot.URL+"/v1/sessions/"+id, nil, nil); code != http.StatusNotFound {
+		t.Errorf("boot recovery registered the session (status %d)", code)
+	}
+}
+
 // TestEvictToSnapshotAndDiskRestore drives the full disk lifecycle: TTL
 // eviction persists the warm state, the next request transparently
 // restores it, and the continuation matches the uninterrupted run

@@ -22,9 +22,6 @@ const foldProbeSlots = 3
 // implements it.
 type Mirror interface {
 	shard.Block
-	// Frozen reports whether the block skips its solves this slot
-	// (incremental tier); frozen solves never leave the process.
-	Frozen() bool
 	// Spec serializes the mirror's current bound state under the given
 	// identity — the warm state as of the last coordination round.
 	Spec(id string, slot, gen int) *BlockSpec
@@ -78,8 +75,8 @@ func NewRemoteBlock(client *Client, id string, mirror Mirror) *RemoteBlock {
 }
 
 // BeginSlot enters slot; ctx bounds every RPC of the slot (nil means
-// background). The spec push is lazy — it happens at the first remote
-// Solve — so frozen blocks never touch the network.
+// background). The spec push is lazy: it happens at the first remote
+// Solve.
 func (rb *RemoteBlock) BeginSlot(slot int, ctx context.Context) {
 	rb.slot = slot
 	rb.ctx = ctx
@@ -117,7 +114,7 @@ func (rb *RemoteBlock) FoldErr() error {
 
 // Solve implements shard.Block.
 func (rb *RemoteBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
-	if rb.dead || rb.mirror.Frozen() {
+	if rb.dead {
 		return rb.mirror.Solve(rho, target, totals)
 	}
 	resp, err := rb.solveRemote(rho, target)

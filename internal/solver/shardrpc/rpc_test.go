@@ -284,7 +284,6 @@ func (h *hookHost) counts() (begins, solves, states int) {
 // -1 into every total, so a test can tell whether a RemoteBlock solved
 // remotely (target echo) or fell back.
 type fakeMirror struct {
-	frozen      bool
 	solveCalls  int
 	specCalls   int
 	x, theta    []float64
@@ -306,8 +305,6 @@ func (m *fakeMirror) WarmTotalsInto(totals []float64) {
 		totals[i] = 0.25
 	}
 }
-
-func (m *fakeMirror) Frozen() bool { return m.frozen }
 
 func (m *fakeMirror) Spec(id string, slot, gen int) *BlockSpec {
 	m.specCalls++
@@ -369,23 +366,6 @@ func TestRemoteBlockSolvesRemotely(t *testing.T) {
 	}
 	if begins, solves, _ = host.counts(); begins != 1 || solves != 2 {
 		t.Fatalf("worker saw begins=%d solves=%d, want 1/2 (no re-push)", begins, solves)
-	}
-}
-
-func TestRemoteBlockFrozenStaysLocal(t *testing.T) {
-	rb, host, mirror, _, _ := remoteFixture(t, fastClient())
-	mirror.frozen = true
-	rb.BeginSlot(1, context.Background())
-
-	totals := make([]float64, 2)
-	if _, _, err := rb.Solve(4, []float64{1, 2}, totals); err != nil {
-		t.Fatalf("Solve: %v", err)
-	}
-	if mirror.solveCalls != 1 || totals[0] != -1 {
-		t.Fatal("frozen block did not delegate to the mirror")
-	}
-	if begins, solves, states := host.counts(); begins+solves+states != 0 {
-		t.Fatalf("frozen block touched the network: begins=%d solves=%d states=%d", begins, solves, states)
 	}
 }
 
