@@ -108,7 +108,7 @@ CHANGE ?= HEAD
 WORKLOAD ?= rome_exact
 SEED ?= 1
 RUN_SECONDS ?= 16
-PAIRS ?= 5
+PAIRS ?= 10
 
 bench-ab:
 	@test -n "$(PARENT)" || { echo "bench-ab: set PARENT=<rev>"; exit 2; }

@@ -142,7 +142,7 @@ func writeSnapshotCorpus() {
 	seeds["seed-torn-tail"] = mid[:len(mid)-7]
 	seeds["seed-bad-checksum"] = flipped
 	seeds["seed-v1-document"] = []byte(`{"version":1,"id":"x","instance":{"I":1,"J":1,"T":1},"state":{"slot":0,"schedule":[]}}`)
-	seeds["seed-bad-version"] = bytes.Replace(mid, []byte(`"version":2`), []byte(`"version":3`), 1)
+	seeds["seed-bad-version"] = bytes.Replace(mid, []byte(`"version":3`), []byte(`"version":2`), 1)
 	seeds["seed-path-escape"] = bytes.Replace(mid, []byte(`"id":"seed-rome-mid"`), []byte(`"id":"../escape"`), 1)
 	for name, body := range seeds {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)

@@ -23,8 +23,8 @@
 // alone do not keep the optimum within capacity (DESIGN.md §3b), and once
 // the capacity rows are present they are implied, so the single program
 // does not carry them. The ALM solver returns the multipliers θ', ν' of
-// the demand and capacity rows; the dual record keeps the paper's
-// [θ | ρ | ν] layout with ρ' = 0, which is the point the certificate
+// the demand and capacity rows, and the dual record keeps them as
+// [θ | ν]: the paper's ρ' is zero, the point the certificate
 // (certificate.go) constructs as well.
 //
 // P2 is one program and the package evaluates it through one type:
@@ -232,10 +232,9 @@ type OnlineApprox struct {
 	// dense schedule built from it so far, only on request (Schedule).
 	log   []slotRecord
 	sched model.Schedule
-	// duals[t] is slot t's accepted multiplier vector [θ (J) | ρ (I) | ν (I)]:
-	// the multipliers θ'_{j,t} of P2's demand rows, ρ'_{i,t} of the
-	// complement-capacity rows — zero on every path, none of which carries
-	// those rows — and ν'_{i,t} of the explicit capacity rows. The last row
+	// duals[t] is slot t's accepted multiplier vector [θ (J) | ν (I)]:
+	// the multipliers θ'_{j,t} of P2's demand rows and ν'_{i,t} of the
+	// explicit capacity rows. The last row
 	// is also the next slot's warm start. The solver's Result.Duals alias
 	// workspace memory that a later (possibly cancelled) solve scribbles
 	// over, so a row is copied out only once its slot succeeded: a Step
@@ -250,7 +249,7 @@ type OnlineApprox struct {
 	// slot's dense data; exactly one of single and shrd is the solve state.
 	// prev is the last committed decision itself — a grid of the log, or on
 	// the ragged paths one of singleState.grids — userTot is the repair
-	// scratch, and dualBuf (T rows of J+2I) backs the per-slot dual records.
+	// scratch, and dualBuf (T rows of J+I) backs the per-slot dual records.
 	// A steady-state Step allocates only its log record: the decision grid
 	// on the dense paths, the written columns on an incremental slot.
 	obj      *p2Objective
@@ -316,9 +315,7 @@ type StepDiag struct {
 	ShardRestored float64 `json:",omitempty"`
 	// LogCacheHits and LogCacheMisses are retired and always zero: the
 	// memo they counted is gone. They stay only because bench/pass.go
-	// reads them and snapshot records written with non-zero counts must
-	// keep decoding; ROADMAP item 2(a) drops them with
-	// core.logcache_hit_frac.
+	// reads them; ROADMAP item 2(a) drops them with core.logcache_hit_frac.
 	LogCacheHits, LogCacheMisses int64
 	// FrozenUsers and ReadmittedUsers describe the incremental path (zero
 	// when Options.Incremental is off): users held at their carried
@@ -523,7 +520,7 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	}
 	o.obj.carry(o.prev)
 	o.userTot = make([]float64, in.J)
-	o.dualBuf = make([]float64, in.T*(in.J+2*in.I))
+	o.dualBuf = make([]float64, in.T*(in.J+in.I))
 	o.log = make([]slotRecord, 0, in.T)
 	o.sched = make(model.Schedule, 0, in.T)
 	o.duals = make([][]float64, 0, in.T)
@@ -532,7 +529,7 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 // recordDuals copies the next slot's accepted multipliers into its row of
 // the dual record.
 func (o *OnlineApprox) recordDuals(duals []float64) {
-	n, t := o.inst.J+2*o.inst.I, len(o.duals)
+	n, t := o.inst.J+o.inst.I, len(o.duals)
 	row := o.dualBuf[t*n : (t+1)*n]
 	copy(row, duals)
 	o.duals = append(o.duals, row)
@@ -580,7 +577,7 @@ func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
 }
 
 // Duals returns the recorded multipliers of the slots processed so far,
-// one [θ (J) | ρ (I) | ν (I)] row per slot. The returned slices alias
+// one [θ (J) | ν (I)] row per slot. The returned slices alias
 // internal state and must not be modified.
 func (o *OnlineApprox) Duals() [][]float64 { return o.duals }
 

@@ -16,7 +16,7 @@ import (
 //
 //  1. Delta detection. User j is active in slot t when its attachment
 //     changed (l_{j,t} ≠ l_{j,t-1}) or there is no committed slot to
-//     carry from (t = 0, or the first slot after construction). Everyone
+//     carry from (t = 0; a restored run carries its last slot). Everyone
 //     else starts frozen at x_{·j} = x'_{·j}. Attachment is the only
 //     per-user input of P2 that varies with t — the static coefficient
 //     ā_{ij,t} = w_op·p_{i,t} + w_sq·d(l_{j,t},i)/λ_j moves per-cloud

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgealloc/internal/model"
@@ -161,13 +162,10 @@ func TestComplementRowsImplied(t *testing.T) {
 	}
 }
 
-// withComplementRows is the program the parent solved: demand, then the
-// complement rows, then capacity — p2Constraints with p2ComplementRows
-// spliced in at the ρ block of the [θ | ρ | ν] layout.
+// withComplementRows is the program with the paper's complement rows
+// kept: p2Constraints, demand then capacity, followed by p2ComplementRows.
 func withComplementRows(in *model.Instance) []alm.Constraint {
-	reduced := p2Constraints(in)
-	cons := append(reduced[:in.J:in.J], p2ComplementRows(in)...)
-	return append(cons, reduced[in.J:]...)
+	return append(p2Constraints(in), p2ComplementRows(in)...)
 }
 
 // TestReducedProgramNoWorse is the quality half of dropping the complement
@@ -222,11 +220,11 @@ func TestReducedProgramNoWorse(t *testing.T) {
 			}
 			return res
 		}
-		// The exported record is [θ | ρ=0 | ν]: the reference takes it as
-		// is, the reduced program drops the ρ block.
+		// The exported record is [θ | ν], the reduced program's row layout;
+		// the reference starts its complement rows from zero.
 		duals := st.Duals[tt-1]
-		red := solve(p2Constraints(in), append(append([]float64(nil), duals[:nJ]...), duals[nJ+nI:]...))
-		ref := solve(full, duals)
+		red := solve(p2Constraints(in), duals)
+		ref := solve(full, append(slices.Clone(duals), make([]float64, nI)...))
 
 		if slack := 1e-7 * (1 + math.Abs(ref.Objective)); red.Objective > ref.Objective+slack {
 			t.Errorf("%s: reduced objective %.10g above the with-complement reference %.10g",
@@ -274,66 +272,6 @@ func TestSlackRowCrawlCertified(t *testing.T) {
 		}
 		if v := cert.Feasibility.Max(); v > 1e-5 {
 			t.Errorf("%s: certificate residual %g > 1e-5", tier.name, v)
-		}
-	}
-}
-
-// TestRestoreFoldsComplementDuals: a warm state written while the single
-// program still carried complement rows has ρ' ≠ 0. Restored, it must
-// drive the next slot exactly as the equivalent ρ' = 0 state does — the
-// fold θ_j + Σ_i ρ'_i, ν_i + ρ'_i is an identity on every reduced
-// gradient — and the stored record itself must come back untouched.
-func TestRestoreFoldsComplementDuals(t *testing.T) {
-	in := tightCorner()
-	if err := in.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, opts := range []Options{{}, {Candidates: 1}} {
-		first := NewOnlineApprox(in, opts)
-		for tt := 0; tt < 2; tt++ {
-			if _, err := first.Step(tt); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := first.ExportState()
-		nI, nJ := in.I, in.J
-		// The same multipliers as the parent would have written them: move
-		// half of every capacity dual onto the complement row.
-		old := first.ExportState()
-		row := old.Duals[1]
-		rhoSum := 0.0
-		for i := 0; i < nI; i++ {
-			r := row[nJ+nI+i] / 2
-			row[nJ+i], row[nJ+nI+i] = r, row[nJ+nI+i]-r
-			rhoSum += r
-		}
-		if rhoSum == 0 {
-			t.Fatal("no capacity row binds on the ΣC = Σλ corner; the fold went unexercised")
-		}
-		for j := 0; j < nJ; j++ {
-			row[j] -= rhoSum
-		}
-		step := func(s *WarmState) model.Alloc {
-			alg := NewOnlineApprox(in, opts)
-			if err := alg.RestoreState(s); err != nil {
-				t.Fatal(err)
-			}
-			x, err := alg.Step(2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for k, v := range alg.Duals()[1] {
-				if v != s.Duals[1][k] {
-					t.Fatalf("restored dual record entry %d rewritten: %g, stored %g", k, v, s.Duals[1][k])
-				}
-			}
-			return x
-		}
-		want, got := step(st), step(old)
-		for k := range want.X {
-			if d := math.Abs(got.X[k] - want.X[k]); d > 1e-9 {
-				t.Errorf("candidates=%d: x[%d] = %.12g from the ρ≠0 state, %.12g from its fold", opts.Candidates, k, got.X[k], want.X[k])
-			}
 		}
 	}
 }

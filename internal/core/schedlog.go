@@ -12,10 +12,9 @@ import (
 // wrote, with their I values each, and the dense schedule is built from the
 // log only when someone asks for it (Schedule). A slot that wrote every
 // column — every slot of the dense paths, and the all-active slots of the
-// ragged ones (slot 0, the first slot after RestoreState, every slot
-// without Incremental) — is logged as its row-major grid itself, which is
-// also the carried decision and the grid Schedule hands out, so logging it
-// copies nothing. On the ragged paths the columns a slot writes are
+// ragged ones (slot 0, every slot without Incremental) — is logged as its
+// row-major grid itself, which is also the carried decision and the grid
+// Schedule hands out, so logging it copies nothing. On the ragged paths the columns a slot writes are
 // the ones repairTouched visits: scatterInto writes the active users'
 // candidate pairs and the repair its visited columns, nothing else.
 

@@ -421,7 +421,7 @@ func TestTransitionViews(t *testing.T) {
 // identity and sharded layouts and on every all-active slot, written
 // columns on a slot that froze users. Schedule is also asked mid-run (the
 // cache must extend, not restart) and one run is restored from a mid-run
-// export, whose slots the log holds whole.
+// export, whose restored slots the log holds whole.
 func TestScheduleMatchesStepViews(t *testing.T) {
 	t.Parallel()
 	in := logInstance(t)
@@ -474,14 +474,11 @@ func TestScheduleMatchesStepViews(t *testing.T) {
 				}
 			}
 			// w: logged whole, c: logged as columns. The incremental runs
-			// log columns on both sides of the whole slot 5, and after a
-			// restore the first slot whole.
+			// log columns on both sides of the whole slot 5, restored or
+			// not: a restored run carries its last slot.
 			want := "wwwwwwww"
 			if tc.opts.Incremental {
 				want = "wccccwcc"
-				if restoreAt >= 0 {
-					want = "wccwcwcc"
-				}
 			}
 			if string(kinds) != want {
 				t.Errorf("%s (restore at %d): slots logged %s, want %s", tc.name, restoreAt, kinds, want)

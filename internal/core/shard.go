@@ -24,8 +24,8 @@ import (
 // the capacity rows. The coordination prices play the role the capacity
 // multipliers play in the monolithic solve; on convergence the shard
 // demand duals assemble into θ' and the coordinator's consensus step
-// supplies ν' in the standard dual layout (ρ' = 0, as on the single-
-// program paths), so the certificate and conformance machinery consume
+// supplies ν' in the standard [θ | ν] dual layout of the single-program
+// paths, so the certificate and conformance machinery consume
 // the assembled result exactly as they consume the monolithic one.
 //
 // Candidate sets (Options.Candidates) compose per shard: each shard seeds
@@ -43,7 +43,7 @@ type shardState struct {
 	// nearest[a] lists the Options.Candidates clouds closest to cloud a
 	// (every cloud when Candidates is off).
 	nearest [][]int
-	duals   []float64 // assembled [θ(J) | ρ(I) | ν(I)]
+	duals   []float64 // assembled [θ(J) | ν(I)]
 	// xDense is the dense image of the assembled decision and, within a
 	// slot, the bridge a block's iterate crosses between candidate layouts.
 	xDense    []float64
@@ -61,7 +61,7 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		parts:     parts,
 		blocks:    make([]*shardBlock, len(parts)),
 		nearest:   nearestClouds(in, o.opts.Candidates),
-		duals:     make([]float64, in.J+2*in.I),
+		duals:     make([]float64, in.J+in.I),
 		xDense:    make([]float64, in.I*in.J),
 		blockSecs: make([]float64, len(parts)),
 		priced:    make([]int, len(parts)),
@@ -138,7 +138,7 @@ var shardRunSeq atomic.Uint64
 // solveShard runs slot t's sharded solve: per-shard candidate seeding and
 // packed binds, the coordination loop, and the KKT pricing pass until a
 // round changes nothing. It returns the dense image of the assembled
-// decision, the assembled [θ | ρ | ν], and the slot's diagnostics; the
+// decision, the assembled [θ | ν], and the slot's diagnostics; the
 // slices alias shard scratch, valid until the next call.
 func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.shrd
@@ -219,15 +219,14 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 		}
 	}
 
-	// Assemble the decision and the standard dual layout; the ρ block is
-	// never written and stays zero.
+	// Assemble the decision and the standard dual layout.
 	clear(s.xDense)
 	for _, b := range s.blocks {
 		scatterInto(s.xDense, in.J, b.rng.Lo, &b.cand, b.warm)
 		copy(s.duals[b.rng.Lo:b.rng.Hi], b.theta)
 		d.CandNNZ += len(b.warm)
 	}
-	copy(s.duals[in.J+in.I:in.J+2*in.I], cres.NuDuals)
+	copy(s.duals[in.J:], cres.NuDuals)
 	d.ShardRestored = s.restoreCapacity(in)
 
 	// Commit the warm state only now: a slot aborted above leaves the

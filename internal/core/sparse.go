@@ -70,9 +70,6 @@ type singleState struct {
 	actList  []int
 	userPos  []int
 	userCols []int
-	// committed reports that a slot has committed since construction, so
-	// the carried decision and duals are trustworthy freeze inputs.
-	committed bool
 
 	frozenTot []float64 // F_i: per-cloud flow carried by frozen users
 	// frozenSupp lists the frozen users' support pairs in the carried
@@ -83,11 +80,10 @@ type singleState struct {
 	base       []float64      // per-cloud gradient term shared by gate and pricing
 	rows       []alm.GroupRow // active demand + capacity rows
 
-	// duals are the working multipliers in the full [θ | ρ | ν] layout:
+	// duals are the working multipliers in the full [θ | ν] layout:
 	// seeded from the committed duals, updated by every round (so an
 	// expansion or re-admission round resumes from the round before it),
-	// completed by the gate for frozen users, and returned to Step. The ρ
-	// block stays zero: the program has no complement rows (buildRows).
+	// completed by the gate for frozen users, and returned to Step.
 	// packed is their gather into the program's [θ_active | ν] row layout.
 	duals  []float64
 	packed []float64
@@ -99,6 +95,7 @@ type singleState struct {
 	// demand after the repair; with the slot's active users they are the
 	// columns the next commit repairs (repairTouched). visit lists them, and
 	// they are the only columns that slot wrote: its log record's.
+	// RestoreState derives short from the carried decision (restoreShort).
 	short, visit []int
 	// grids are the ragged layer's two decision grids: a slot assembles in
 	// the spare one while the carried decision stays unwritten, and its
@@ -124,7 +121,7 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		tot:       make([]float64, in.I),
 		base:      make([]float64, in.I),
 		rows:      make([]alm.GroupRow, 0, in.J+in.I),
-		duals:     make([]float64, in.J+2*in.I),
+		duals:     make([]float64, in.J+in.I),
 		packed:    make([]float64, in.J+in.I),
 	}
 	s.groups = alm.Groups{I: in.I, J: in.J}
@@ -195,7 +192,7 @@ func (o *OnlineApprox) seedUser(t, j int, x []float64) {
 // round warm-starts from the image of the one before — and nil on the
 // identity layout. It returns the dense decision (img, or the identity
 // layout's solver iterate, valid until the next call), the multipliers in
-// the standard [θ | ρ | ν] layout (solver scratch likewise), and the
+// the standard [θ | ν] layout (solver scratch likewise), and the
 // slot's diagnostics.
 func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.single
@@ -204,12 +201,9 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 	warm := o.warmPoint(t)
 
 	// The working duals start from the committed ones, the previous slot's
-	// dual record. The incremental tier trusts only duals this object
-	// committed itself: the first slot after RestoreState re-solves every
-	// user from zero multipliers.
-	if t > 0 && (s.committed || !o.opts.Incremental) {
+	// dual record.
+	if t > 0 {
 		copy(s.duals, o.duals[t-1])
-		foldComplementDuals(s.duals, nJ, nI)
 	} else {
 		clear(s.duals)
 	}
@@ -219,7 +213,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		obj = &s.obj
 		s.builder.Reset()
 		for j := range s.active {
-			s.active[j] = !o.opts.Incremental || !s.committed || in.Attach[t][j] != in.Attach[t-1][j]
+			s.active[j] = !o.opts.Incremental || t == 0 || in.Attach[t][j] != in.Attach[t-1][j]
 			if s.active[j] {
 				o.seedUser(t, j, warm)
 			}
@@ -267,7 +261,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 			for p, j := range s.actList {
 				s.packed[p] = s.duals[j]
 			}
-			copy(s.packed[nAct:], s.duals[nJ+nI:])
+			copy(s.packed[nAct:], s.duals[nJ:])
 			sopts.WarmDuals = s.packed[:nAct+nI]
 			r, err := alm.Solve(&o.prob, sopts)
 			if err != nil {
@@ -281,7 +275,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 			for p, j := range s.actList {
 				s.duals[j] = r.Duals[p]
 			}
-			copy(s.duals[nJ+nI:], r.Duals[nAct:])
+			copy(s.duals[nJ:], r.Duals[nAct:])
 			if !ragged {
 				img = r.X
 				break
@@ -298,7 +292,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		// tolerances are what absorb it, while under the converged budgets
 		// of the property tests both tests are exact.
 		certStart := time.Now()
-		o.obj.kktBase(s.base, s.tot, s.duals[nJ+nI:])
+		o.obj.kktBase(s.base, s.tot, s.duals[nJ:])
 		added := priceExpand(o.obj, s.base, s.duals, s.builder, s.actList, 0, o.opts.CandidateTol)
 		readmitted := 0
 		if nAct < nJ {
@@ -315,7 +309,6 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		}
 		s.builder.Build(&s.cand)
 	}
-	s.committed = true
 	if ragged {
 		d.CandRounds, d.CandNNZ = rounds, nnz
 		d.FrozenUsers = nJ - nAct
@@ -339,25 +332,18 @@ func (s *singleState) repairTouched(in *model.Instance, x model.Alloc, served []
 	s.short = in.RepairColumns(x, s.visit, served, s.short[:0])
 }
 
-// foldComplementDuals rewrites a [θ | ρ | ν] record whose ρ block is
-// nonzero — a warm state committed before the single program dropped its
-// complement rows — into the equivalent multipliers of the demand +
-// capacity program: θ_j + Σ_i ρ_i, ν_i + ρ_i, ρ = 0. Complement row i is
-// the sum of the demand rows plus capacity row i, so every pair's reduced
-// gradient −θ_j − (Σ_k ρ_k − ρ_i) + ν_i is unchanged.
-func foldComplementDuals(duals []float64, nJ, nI int) {
-	rho, nu := duals[nJ:nJ+nI], duals[nJ+nI:]
-	rhoSum := 0.0
-	for i, r := range rho {
-		rhoSum += r
-		nu[i] += r
-		rho[i] = 0
-	}
-	if rhoSum == 0 {
-		return
-	}
-	for j := range duals[:nJ] {
-		duals[j] += rhoSum
+// restoreShort derives short from the carried decision x of a restored
+// run: the users x serves below their demand, each total summed in
+// ascending i as RepairColumns sums a repaired column (tot is scratch of
+// length J). Every column the last commit did not list was left serving
+// its demand, so this is the list that commit returned.
+func (s *singleState) restoreShort(in *model.Instance, x model.Alloc, tot []float64) {
+	x.UserTotalsInto(tot)
+	s.short = s.short[:0]
+	for j, served := range tot {
+		if in.Workload[j]-served > 0 {
+			s.short = append(s.short, j)
+		}
 	}
 }
 

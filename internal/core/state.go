@@ -16,14 +16,12 @@ import (
 // Schedule[t-1] (post-repair) — and the last row of Duals, the per-slot
 // dual record, is the dense warm start of the multipliers.
 //
-// Path-internal warm state (the candidate builder's sets, the sharded
-// coordinator's per-block duals) is deliberately not captured: each path
-// rebuilds it from the carried decision. The incremental tier trusts
-// neither the decision nor Duals of a slot it did not commit itself: its
-// delta detector treats the first post-restore slot as having no
-// committed predecessor, so it re-solves every user from zero multipliers
-// — a full, certified solve — before resuming delta-driven slots. Restored runs therefore match uninterrupted runs to the solver
-// tolerance (pinned to 1e-8 by the serve-layer tests), not bitwise.
+// Path-internal warm state is deliberately not captured: the candidate
+// builder's sets and the incremental tier's short columns are rebuilt from
+// the carried decision, so every single-program tier resumes bit for bit.
+// The sharded coordinator's per-block demand duals and consensus prices
+// are not rebuilt — its blocks restart from zero — so a restored sharded
+// run matches the uninterrupted one to the solver tolerance only.
 type WarmState struct {
 	// Slot is the next unsolved slot; len(Schedule) committed decisions
 	// precede it.
@@ -31,13 +29,9 @@ type WarmState struct {
 	// Schedule holds the committed decisions, one dense row-major I×J
 	// matrix per solved slot.
 	Schedule [][]float64 `json:"schedule"`
-	// Duals holds one row per solved slot: the multipliers of P2's demand,
-	// complement-capacity, and explicit capacity rows in the
-	// [θ (J) | ρ (I) | ν (I)] layout. Every path writes ρ = 0 (they solve
-	// demand + capacity only); a state whose ρ is nonzero — one exported
-	// before the complement rows were dropped — is folded into θ and ν
-	// when a single-program solve warm-starts from it
-	// (foldComplementDuals), so it restores unchanged.
+	// Duals holds one row per solved slot: the multipliers of P2's demand
+	// and capacity rows in the [θ (J) | ν (I)] layout, each finite and
+	// nonnegative.
 	Duals [][]float64 `json:"duals"`
 }
 
@@ -91,6 +85,9 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	if st.Slot > 0 {
 		o.prev = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-1].vals}
 		o.obj.carry(o.prev)
+		if o.single != nil {
+			o.single.restoreShort(in, o.prev, o.userTot)
+		}
 	}
 	o.slot = st.Slot
 	return nil
@@ -123,12 +120,12 @@ func (st *WarmState) validate(in *model.Instance) error {
 		return fail("%d dual rows, want %d", len(st.Duals), st.Slot)
 	}
 	for t, r := range st.Duals {
-		if len(r) != in.J+2*in.I {
-			return fail("duals[%d] has %d entries, want %d", t, len(r), in.J+2*in.I)
+		if len(r) != in.J+in.I {
+			return fail("duals[%d] has %d entries, want %d", t, len(r), in.J+in.I)
 		}
 		for k, v := range r {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return fail("duals[%d][%d] = %g not finite", t, k, v)
+			if !(v >= 0) || math.IsInf(v, 0) {
+				return fail("duals[%d][%d] = %g must be finite and nonnegative", t, k, v)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -33,12 +34,12 @@ func roundtripState(t *testing.T, st *WarmState) *WarmState {
 
 // TestRestoreMatchesUninterrupted holds the restored continuation to the
 // uninterrupted run on every solving path: byte-identical decisions on
-// the single-program paths (the warm state is the entire cross-slot
-// input of Step), and slot-coupled P2 cost within the path's certified
-// tolerance of the dense reference on the paths that rebuild internal
-// warm state after a restore — the same coupled measure the
-// candidate/shard/incremental equivalence tests use, with the same
-// ultra-tight budgets.
+// every single-program tier (the warm state is the entire cross-slot
+// input of Step), and on the sharded path, which restarts its per-block
+// duals and consensus prices from zero after a restore, slot-coupled P2
+// cost within its certified tolerance of the dense reference — the same
+// coupled measure the candidate/shard equivalence tests use, with the
+// same ultra-tight budgets.
 func TestRestoreMatchesUninterrupted(t *testing.T) {
 	t.Parallel()
 	ultra := ultraTightOpts()
@@ -47,8 +48,7 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 	// residuals, and the residual-to-objective mapping is warm-start
 	// dependent, so two solves with different (but both certified) warm
 	// histories agree with the dense optimum only to ~1e-8 scale, not
-	// strictly within it. The serve-layer chaos test pins 1e-8 on the
-	// exact default path.
+	// strictly within it.
 	// cuts limits which snapshot points a case exercises (nil = every
 	// cut 0..T). The sharded case is restricted to a mid-run cut: its
 	// ultra-tight coordination budget costs seconds per slot, and the
@@ -62,27 +62,27 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 	}{
 		{"default", Options{}, 0, nil},
 		{"dense-rows", Options{denseRows: true}, 0, nil},
-		{"candidates", Options{Candidates: 2, Solver: ultra}, 1e-8, nil},
-		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultra}, 1e-8, nil},
+		{"candidates", Options{Candidates: 2, Solver: ultra}, 0, nil},
+		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultra}, 0, nil},
+		{"churn", churnTierOpts(), 0, nil},
 		{"shards", shardTestOpts(2), 1e-7, []int{2}},
 		{"fastmath", Options{FastMath: true}, 0, nil},
 	}
-	// Seed 10 keeps every inexact path inside the certified 1e-8 coupled
-	// ball with margin; a few generator seeds land the shard coordination
-	// right at the tolerance boundary and would make this test flaky.
+	// Seed 10 keeps the sharded path inside the certified coupled ball with
+	// margin; a few generator seeds land its coordination right at the
+	// tolerance boundary and would make this test flaky.
 	in := stateTestInstance(10)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// The inexact paths rebuild internal warm state after a restore,
-			// so the uninterrupted and restored continuations are independent
-			// solves: each lands within the certified 1e-8 of the per-slot
-			// optimum, and comparing them to each other would honestly bound
-			// at 2e-8. Hold both to the established coupledPathGaps guarantee
-			// instead — per-slot P2 cost within 1e-8 of the dense ultra-tight
-			// reference, with every run re-coupled to the reference decision
-			// each slot so the trajectory is the one the guarantee is
-			// certified on. Full warm-state fidelity (the carried prev
-			// included) is proven bitwise by the exact paths.
+			// The sharded path rebuilds its coordination state after a
+			// restore, so the uninterrupted and restored continuations are
+			// independent solves: each lands within the certified 1e-8 of the
+			// per-slot optimum, and comparing them to each other would
+			// honestly bound at 2e-8. Hold both to the established
+			// coupledPathGaps guarantee instead — per-slot P2 cost within the
+			// tolerance of the dense ultra-tight reference, with every run
+			// re-coupled to the reference decision each slot so the
+			// trajectory is the one the guarantee is certified on.
 			var xd [][]float64
 			if tc.tol > 0 {
 				d := NewOnlineApprox(in, Options{Solver: ultra})
@@ -128,11 +128,8 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 						t.Fatalf("cut %d: restored slot %d: %v", cut, s, err)
 					}
 					if tc.tol == 0 {
-						for k := range xa.X {
-							if xa.X[k] != xb.X[k] {
-								t.Fatalf("cut %d: slot %d entry %d differs: %g != %g",
-									cut, s, k, xa.X[k], xb.X[k])
-							}
+						if err := sameRunBits(xa.X, xb.X, a.Duals()[s], b.Duals()[s]); err != nil {
+							t.Fatalf("cut %d: slot %d: %v", cut, s, err)
 						}
 						continue
 					}
@@ -155,6 +152,84 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 					t.Fatalf("cut %d: restored run committed %d slots, want %d", cut, len(sched), in.T)
 				}
 			}
+		})
+	}
+}
+
+// churnTierOpts is the benchmark's low-churn tier: candidate sets and
+// incremental re-solving at deployment tolerances.
+func churnTierOpts() Options {
+	return Options{Candidates: 4, CandidateTol: 1, Incremental: true, IncrementalTol: 1}
+}
+
+// sameRunBits compares one slot of two runs bit for bit: the decisions
+// and the dual records.
+func sameRunBits(xa, xb, da, db []float64) error {
+	for k := range xa {
+		if math.Float64bits(xa[k]) != math.Float64bits(xb[k]) {
+			return fmt.Errorf("entry %d differs: %v != %v", k, xa[k], xb[k])
+		}
+	}
+	for k := range da {
+		if math.Float64bits(da[k]) != math.Float64bits(db[k]) {
+			return fmt.Errorf("dual %d differs: %v != %v", k, da[k], db[k])
+		}
+	}
+	return nil
+}
+
+// TestRestoreIncrementalBitwise restores the two incremental tiers at every
+// cut of many generated instances and holds each continuation to the
+// uninterrupted run bit for bit. The one piece of carried incremental state
+// a restore must rebuild rather than read is the short list — the columns
+// the last repair left below their demand, which the next commit repairs
+// again — so the test also requires that some cut restored a nonempty one.
+func TestRestoreIncrementalBitwise(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"churn", churnTierOpts()},
+		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultraTightOpts()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			shortCuts := 0
+			for seed := int64(1); seed <= 60; seed++ {
+				in := conform.GenInstance(conform.GenConfig{Seed: seed, I: 5, J: 8, T: 6})
+				a := NewOnlineApprox(in, tc.opts)
+				var states []*WarmState
+				for s := 0; s < in.T; s++ {
+					states = append(states, a.ExportState())
+					if _, err := a.Step(s); err != nil {
+						t.Fatalf("seed %d: slot %d: %v", seed, s, err)
+					}
+				}
+				want := a.Schedule()
+				for cut, st := range states {
+					b := NewOnlineApprox(in, tc.opts)
+					if err := b.RestoreState(st); err != nil {
+						t.Fatalf("seed %d cut %d: restore: %v", seed, cut, err)
+					}
+					if len(b.single.short) > 0 {
+						shortCuts++
+					}
+					for s := cut; s < in.T; s++ {
+						x, err := b.Step(s)
+						if err != nil {
+							t.Fatalf("seed %d cut %d: slot %d: %v", seed, cut, s, err)
+						}
+						if err := sameRunBits(want[s].X, x.X, a.Duals()[s], b.Duals()[s]); err != nil {
+							t.Fatalf("seed %d cut %d: slot %d: %v", seed, cut, s, err)
+						}
+					}
+				}
+			}
+			if shortCuts == 0 {
+				t.Error("no cut restored a nonempty short list; its derivation went unexercised")
+			}
+			t.Logf("%d cuts restored a nonempty short list", shortCuts)
 		})
 	}
 }
@@ -251,7 +326,10 @@ func TestRestoreStateValidation(t *testing.T) {
 		"missing-duals":     mutate(func(s *WarmState) { s.Duals = nil }),
 		"short-dual-row":    mutate(func(s *WarmState) { s.Duals[0] = s.Duals[0][:1] }),
 		"inf-theta":         mutate(func(s *WarmState) { s.Duals[0][0] = math.Inf(1) }),
-		"nonfinite-nu":      mutate(func(s *WarmState) { s.Duals[0][in.J+2*in.I-1] = math.Inf(-1) }),
+		"nonfinite-nu":      mutate(func(s *WarmState) { s.Duals[0][in.J+in.I-1] = math.Inf(-1) }),
+		"negative-theta":    mutate(func(s *WarmState) { s.Duals[0][0] = -1e-3 }),
+		"negative-nu":       mutate(func(s *WarmState) { s.Duals[0][in.J] = -1e-3 }),
+		"long-dual-row":     mutate(func(s *WarmState) { s.Duals[0] = append(s.Duals[0], make([]float64, in.I)...) }),
 	}
 	for name, st := range cases {
 		if err := NewOnlineApprox(in, Options{}).RestoreState(st); err == nil {

@@ -136,9 +136,9 @@ func TestOnlineApproxReuseAcrossInstances(t *testing.T) {
 		compare("B", gotB, wantB)
 		// The dual record left on the shared object must be instance B's.
 		duals := shared.Duals()
-		if len(duals) != inB.T || len(duals[0]) != inB.J+2*inB.I {
+		if len(duals) != inB.T || len(duals[0]) != inB.J+inB.I {
 			t.Errorf("candidates=%d: stale dual record %dx%d, want %dx%d",
-				candidates, len(duals), len(duals[0]), inB.T, inB.J+2*inB.I)
+				candidates, len(duals), len(duals[0]), inB.T, inB.J+inB.I)
 		}
 	}
 }

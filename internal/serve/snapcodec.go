@@ -25,13 +25,14 @@ import (
 //	header   := JSON {version, id, horizon, options, instance}
 //	record   := len:u32 payload[len] crc:u32        crc = CRC-32C(payload)
 //	payload  := opPrice:f64[I] attach:u32[J] accessDelay:f64[J]
-//	            nnz:u32 (index:u32 bits:u64)[nnz] duals:f64[J+2I] meta
+//	            nnz:u32 (index:u32 bits:u64)[nnz] duals:f64[J+I] meta
 //	meta     := JSON {cost, diag, summary?}, to the end of the payload
 //
-// Integers and float64 bit patterns are little-endian and fixed-width.
+// Integers and float64 bit patterns are little-endian and fixed-width. The
+// duals are the slot's [θ (J) | ν (I)] record (core.WarmState.Duals).
 
 // snapshotVersion is the header's format version; restore rejects others.
-const snapshotVersion = 2
+const snapshotVersion = 3
 
 var (
 	le         = binary.LittleEndian
@@ -69,7 +70,7 @@ type slotMeta struct {
 }
 
 // slotRecord is one committed slot: the inputs revealed at the slot, the
-// decision, the slot's multipliers [θ|ρ|ν] (after a commit both the slot's
+// decision, the slot's multipliers [θ|ν] (after a commit both the slot's
 // dual record and the next slot's warm duals) and the bookkeeping. The
 // encoder reads records that alias live session state; the decoder fills
 // owned slices.
@@ -78,7 +79,7 @@ type slotRecord struct {
 	attach      []int
 	accessDelay []float64
 	x           []float64 // dense row-major I×J
-	duals       []float64 // [θ|ρ|ν], length J+2I
+	duals       []float64 // [θ|ν], length J+I
 	slotMeta
 }
 
@@ -170,7 +171,7 @@ func decodeRecord(p []byte, nI, nJ, k int) (*slotRecord, error) {
 	}
 	rec.accessDelay, p = takeF64s(p[4*nJ:], nJ)
 	nnz := int(le.Uint32(p))
-	if p = p[4:]; nnz > nI*nJ || len(p) < 12*nnz+8*(nJ+2*nI) {
+	if p = p[4:]; nnz > nI*nJ || len(p) < 12*nnz+8*(nJ+nI) {
 		return nil, errors.New("truncated decision or duals")
 	}
 	rec.x = make([]float64, nI*nJ)
@@ -181,7 +182,7 @@ func decodeRecord(p []byte, nI, nJ, k int) (*slotRecord, error) {
 		}
 		rec.x[idx], prev = math.Float64frombits(bits), idx
 	}
-	duals, meta := takeF64s(p, nJ+2*nI)
+	duals, meta := takeF64s(p, nJ+nI)
 	rec.duals = duals
 
 	dec := json.NewDecoder(bytes.NewReader(meta))

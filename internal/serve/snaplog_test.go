@@ -104,7 +104,7 @@ func TestRecordCodecBitExact(t *testing.T) {
 		rec := &slotRecord{
 			opPrice: []float64{1, 2}, attach: []int{0, 1, 1}, accessDelay: []float64{0, negZero, 0.5},
 			x:     x,
-			duals: []float64{1, -2, 3, 0, negZero, 4, 5},
+			duals: []float64{1, -2, 3, negZero, 4},
 		}
 		rec.Cost = model.Breakdown{Op: 1, Sq: 0.1 + 0.2, Rc: 3, Mg: 1e-300}
 		rec.Summary = &conformSummary{OK: true, RatioBound: 1.5, Violations: map[string]int{"b": 2, "a<": 1}}
@@ -123,7 +123,7 @@ func TestRecordCodecBitExact(t *testing.T) {
 				t.Errorf("%s: x[%d] = %x, want %x", name, k, math.Float64bits(got.x[k]), math.Float64bits(x[k]))
 			}
 		}
-		if math.Float64bits(got.duals[nJ+1]) != math.Float64bits(negZero) || got.Diag != rec.Diag ||
+		if math.Float64bits(got.duals[nJ]) != math.Float64bits(negZero) || got.Diag != rec.Diag ||
 			got.Cost != rec.Cost || got.Summary.Violations["a<"] != 1 || !got.Summary.OK {
 			t.Errorf("%s: record fields did not survive: %+v", name, got)
 		}
@@ -149,7 +149,8 @@ func TestRecordCodecBitExact(t *testing.T) {
 // slot's diagnostics gained are omitted when zero, so the bookkeeping of a record
 // written before they existed (the literal below is that version's
 // rendering) decodes and re-renders byte for byte, and a record that
-// carries them round-trips too. The snapshot version stays 2.
+// carries them round-trips too. The snapshot version is 3, the version of
+// the [θ | ν] dual record; the diagnostics did not change it.
 func TestStopDiagRecordCompat(t *testing.T) {
 	const old = `{"cost":{"Op":1,"Sq":0.5,"Rc":3,"Mg":0.25},"diag":{"Slot":7,"Seconds":0.125,"Outer":60,"Inner":2949,"Converged":false,"CandRounds":2,"CandExpanded":0,"CandNNZ":0,"ShardIters":0,"ShardResidual":0,"ShardMaxSeconds":0,"LogCacheHits":0,"LogCacheMisses":0,"FrozenUsers":5,"ReadmittedUsers":0}}`
 	var m slotMeta
@@ -166,7 +167,7 @@ func TestStopDiagRecordCompat(t *testing.T) {
 	const nI, nJ = 2, 3
 	rec := &slotRecord{
 		opPrice: []float64{1, 2}, attach: []int{0, 1, 1}, accessDelay: []float64{0, 0, 0.5},
-		x: []float64{0, 1, 0, 2, 0, 0.5}, duals: make([]float64, nJ+2*nI), slotMeta: m,
+		x: []float64{0, 1, 0, 2, 0, 0.5}, duals: make([]float64, nJ+nI), slotMeta: m,
 	}
 	rec.Diag.Stop, rec.Diag.Residual, rec.Diag.Stationarity = alm.StopObjective, 2.31e-9, 4.7e-11
 	enc, err := appendRecord(nil, rec)
@@ -191,8 +192,8 @@ func TestStopDiagRecordCompat(t *testing.T) {
 	if again, err := appendRecord(nil, got); err != nil || !bytes.Equal(again, enc) {
 		t.Errorf("decoded record re-encodes differently (%v)", err)
 	}
-	if snapshotVersion != 2 {
-		t.Errorf("snapshot version %d, want 2: the record layout did not change", snapshotVersion)
+	if snapshotVersion != 3 {
+		t.Errorf("snapshot version %d, want 3: the record layout did not change", snapshotVersion)
 	}
 }
 
@@ -327,7 +328,7 @@ func TestTornTail(t *testing.T) {
 // TestRestoredWarmStateOnReducedPaths: the codec is path-agnostic, so on
 // the sparse-decision tiers (Candidates + Incremental) the state rebuilt
 // from a log must equal the live algorithm's exported state bit for bit;
-// core's restore tests turn that into the 1e-8 continuation bound.
+// core's restore tests turn that into a bitwise continuation.
 func TestRestoredWarmStateOnReducedPaths(t *testing.T) {
 	in := testInstance(t, 8, 5, 37)
 	fixedChurn(in, 1)

@@ -265,7 +265,7 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"slot-gap":       mutate(func(d *snapDoc) { d.records = d.records[1:] }),
 		"bad-options":    mutate(func(d *snapDoc) { d.header.Options.Candidates = -1 }),
 		"unknown-option": bytes.Replace(good, []byte(`"options":{`), []byte(`"options":{"bogusTier":true`), 1),
-		"unknown-key":    bytes.Replace(good, []byte(`{"version":2,`), []byte(`{"version":2,"bogusKey":1,`), 1),
+		"unknown-key":    bytes.Replace(good, []byte(`{"version":3,`), []byte(`{"version":3,"bogusKey":1,`), 1),
 		"bad-checksum":   flipped,
 		"torn-record":    good[:len(good)-9],
 		"trailing-bytes": append(bytes.Clone(good), 0, 0, 0),
@@ -276,6 +276,18 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		if code, _ := postRaw(t, ts.URL+"/v1/sessions/restore", snap, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
+	}
+	// A version-2 document, whose dual records carry a zero ρ block between
+	// θ and ν, is refused by version, naming both.
+	v2 := mutate(func(d *snapDoc) {
+		d.header.Version = 2
+		for _, r := range d.records {
+			r.duals = slices.Insert(r.duals, d.inst.J, make([]float64, d.inst.I)...)
+		}
+	})
+	if code, raw := postRaw(t, ts.URL+"/v1/sessions/restore", v2, nil); code != http.StatusBadRequest ||
+		!bytes.Contains(raw, []byte("snapshot version 2, want 3")) {
+		t.Errorf("v2 document: status %d: %s, want a 400 naming versions 2 and 3", code, raw)
 	}
 	// A header naming an option or key this binary does not have is
 	// refused by name, by the restore endpoint and by boot recovery alike,
@@ -595,13 +607,20 @@ func TestTierDecidedAtCreateMigration(t *testing.T) {
 // TestTierDecidedAtCreateRecovery is the same guarantee through the
 // on-disk path: autosnapshots written by a daemon started with the
 // incremental default are recovered once by a daemon started without it
-// and once (from a copy of the log) by one started with it. The
-// incremental path resumes to 1e-8 rather than bitwise (DESIGN.md §7g), so
-// the pin is between the two recoveries: same log, same options, same
-// bits — and the tail still freezes users.
+// and once (from a copy of the log) by one started with it. Both finish
+// with the schedule of the uninterrupted incremental run, bit for bit —
+// and the tail still freezes users.
 func TestTierDecidedAtCreateRecovery(t *testing.T) {
 	in := testInstance(t, 12, 6, 19)
 	tier := core.Options{Incremental: true, IncrementalTol: 1e3}
+	run, err := sim.Execute(in, core.NewOnlineApprox(nil, tier))
+	if err != nil {
+		t.Fatalf("incremental reference run: %v", err)
+	}
+	want := run.Schedule
+	if schedulesEqual(want, reference(t, in).Schedule) {
+		t.Fatal("incremental and exact schedules coincide; the instance cannot tell the tiers apart")
+	}
 	dir, dirSame := t.TempDir(), t.TempDir()
 
 	crashed, tsA := newTestServer(t, Config{SnapshotDir: dir, Autosnapshot: true, Defaults: tier})
@@ -627,8 +646,11 @@ func TestTierDecidedAtCreateRecovery(t *testing.T) {
 		t.Error("recovered tail froze no user: the session fell back to full re-solves")
 	}
 	driveSlots(t, tsSame.URL, id, 2, in.T)
-	if !schedulesEqual(fetchSchedule(t, tsPlain.URL, id), fetchSchedule(t, tsSame.URL, id)) {
+	if !schedulesEqual(fetchSchedule(t, tsPlain.URL, id), want) {
 		t.Fatal("session recovered by a daemon without -incremental left the incremental path")
+	}
+	if !schedulesEqual(fetchSchedule(t, tsSame.URL, id), want) {
+		t.Fatal("session recovered by a daemon with -incremental differs from the uninterrupted run")
 	}
 }
 

@@ -14,12 +14,15 @@
 #   scripts/bench_ab.sh [--workload W] [--seed S] [--seconds N] [--pairs K] PARENT [CHANGE]
 #   make bench-ab PARENT=<rev> [CHANGE=<rev>] [WORKLOAD=W] [SEED=S] [RUN_SECONDS=N] [PAIRS=K]
 #
-# Defaults: rome_exact, seed 1, 16 s, 5 pairs, CHANGE = HEAD. Uncommitted
-# work is not in any worktree: commit it (or pass a stash's revision) first.
-# Keep the machine otherwise idle while it runs.
+# Defaults: rome_exact, seed 1, 16 s, 10 pairs, CHANGE = HEAD. Ten pairs is
+# the least a claimed gain is judged on: the change must win at least nine
+# of ten, and its median must beat the parent's by more than the parent's
+# interquartile range. Uncommitted work is not in any worktree: commit it
+# (or pass a stash's revision) first. Keep the machine otherwise idle while
+# it runs.
 set -euo pipefail
 
-workload=rome_exact seed=1 secs=16 pairs=5
+workload=rome_exact seed=1 secs=16 pairs=10
 while [ $# -gt 0 ]; do
     case "$1" in
     --workload) workload="$2"; shift 2 ;;
