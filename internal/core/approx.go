@@ -30,11 +30,12 @@
 // P2 is one program and the package evaluates it through one type:
 // p2Objective (objective.go) over a cloud-major CSR layout, whose per-row
 // loops live in entropy.go. The solve paths differ only in the data they
-// bind to it. The single-program loop (sparse.go) solves, prices pruned
-// pairs, and gates frozen users until a round changes nothing: the
-// default path is the identity layout (nothing pruned, nobody frozen, one
-// round), Options.Candidates a ragged layout, Options.Incremental an
-// active mask (incremental.go). Options.Shards is a different algorithm —
+// bind to it. The single-program loop (sparse.go) solves one ragged
+// program, prices pruned pairs, and gates frozen users until a round
+// changes nothing: the default path lays it over every pair (nothing
+// pruned, nobody frozen, one round), Options.Candidates over each user's
+// nearest clouds, and Options.Incremental adds an active mask
+// (incremental.go). Options.Shards is a different algorithm —
 // sharing-ADMM over blocks that are the same objective bound to a column
 // range (shard.go), optionally hosted on RPC workers (shardhost.go) — and
 // keeps its own solve loop built from the same bind and pricing pass; it
@@ -75,7 +76,9 @@ type Options struct {
 	// denseRows switches P2's constraints to the generic sparse-row
 	// reference path (p2Constraints) instead of the structured group-sum
 	// kernel (singleState.buildRows): O(I²·J) per Lagrangian evaluation
-	// versus O(I·J). Unexported: only this package's structured-vs-dense
+	// versus O(I·J). Its rows index the full layout with every user
+	// active, so it is meaningful with Candidates, Incremental and Shards
+	// off only. Unexported: only this package's structured-vs-dense
 	// property tests set it.
 	denseRows bool
 	// Candidates > 0 enables the certified candidate-set solving path:
@@ -84,8 +87,8 @@ type Options struct {
 	// plus every cloud carrying flow from the previous slot, and the
 	// reduced optimum is certified equal to the full P2 optimum by a
 	// dual-feasibility pricing pass that re-admits mispriced pairs and
-	// re-solves warm (see sparse.go). 0 solves the full dense variable
-	// space directly.
+	// re-solves warm (see sparse.go). 0 keeps every pair, the program
+	// Candidates = I builds.
 	Candidates int
 	// Shards > 0 enables the user-sharded dual-decomposition path: the J
 	// users are split into Shards contiguous shards, each solving its
@@ -245,13 +248,13 @@ type OnlineApprox struct {
 	// Per-instance caches, lazily built on the first Step: P2's constraint
 	// geometry and the objective's entropy constants are slot-independent,
 	// and the ALM workspace makes repeated Step calls allocation-free in
-	// the solver hot path. obj is the identity-layout objective holding the
-	// slot's dense data; exactly one of single and shrd is the solve state.
-	// prev is the last committed decision itself — a grid of the log, or on
-	// the ragged paths one of singleState.grids — userTot is the repair
-	// scratch, and dualBuf (T rows of J+I) backs the per-slot dual records.
-	// A steady-state Step allocates only its log record: the decision grid
-	// on the dense paths, the written columns on an incremental slot.
+	// the solver hot path. obj holds the slot's dense data, which every
+	// layout gathers from; exactly one of single and shrd is the solve
+	// state. prev is the last committed decision itself — a grid of the
+	// log, or one of singleState.grids — userTot is the repair scratch, and
+	// dualBuf (T rows of J+I) backs the per-slot dual records. A
+	// steady-state Step allocates only its log record: the decision grid
+	// on an all-active slot, the written columns on an incremental one.
 	obj      *p2Objective
 	single   *singleState
 	shrd     *shardState
@@ -274,13 +277,12 @@ type StepDiag struct {
 	// BindSeconds, CertifySeconds and CommitSeconds are the slot's other
 	// phases: writing the slot's static coefficients before the solve; the
 	// pricing pass and the freeze gate, summed over the rounds (a part of
-	// Seconds; zero on the paths that run neither); and everything that
-	// turns the solution into the committed decision — on the ragged paths
-	// bringing the spare grid level with the carried one before the solve,
-	// on the others copying the solver's iterate out, then the repair, the
-	// log record, the carried totals and the dual record. Bind, solve and
-	// commit add up to the Step's wall time. Omitted from JSON when zero,
-	// like Stop and Residual.
+	// Seconds); and everything that turns the solution into the committed
+	// decision — on the single program bringing the spare grid level with
+	// the carried one before the solve, on the sharded path copying the
+	// assembled decision out, then the repair, the log record, the carried
+	// totals and the dual record. Bind, solve and commit add up to the
+	// Step's wall time. Omitted from JSON when zero, like Stop and Residual.
 	BindSeconds    float64 `json:",omitempty"`
 	CertifySeconds float64 `json:",omitempty"`
 	CommitSeconds  float64 `json:",omitempty"`
@@ -298,9 +300,10 @@ type StepDiag struct {
 	Evals int `json:",omitempty"`
 	// Converged reports whether the final ALM solve met its tolerances.
 	Converged bool
-	// CandRounds, CandExpanded, and CandNNZ describe the candidate-set
-	// path (zero when Options.Candidates is off): reduced solves, pairs
-	// re-admitted by pricing, and the certified solve's packed size.
+	// CandRounds, CandExpanded, and CandNNZ describe the certified solve
+	// loop: reduced solves, pairs re-admitted by pricing, and the certified
+	// solve's packed size. Every slot reports them; with Candidates off the
+	// single program reports one round over I·J pairs.
 	CandRounds, CandExpanded, CandNNZ int
 	// ShardIters, ShardResidual, and ShardMaxSeconds describe the sharded
 	// coordination path (zero when Options.Shards is off): outer dual-
@@ -396,15 +399,14 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	bindStart := time.Now()
 	o.obj.bindStatic(in, t)
 
-	// The ragged single-program paths assemble the decision in place, in
-	// the spare of their two grids brought level with the carried decision
-	// (solveSingle), which stays unwritten; the others return solver
-	// scratch that is copied out once the slot has succeeded.
+	// The single program assembles the decision in place, in the spare of
+	// its two grids brought level with the carried decision (solveSingle),
+	// which stays unwritten; the sharded path returns scratch that is
+	// copied out once the slot has succeeded.
 	copyStart := time.Now()
 	s := o.single
-	ragged := s != nil && s.builder != nil
 	var img []float64
-	if ragged {
+	if s != nil {
 		img = s.grids.level(o.prev.X, in.J)
 	}
 
@@ -412,13 +414,13 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	var xSrc, duals []float64
 	var diag StepDiag
 	var err error
-	if o.shrd != nil {
+	if s == nil {
 		xSrc, duals, diag, err = o.solveShard(ctx, t)
 	} else {
 		xSrc, duals, diag, err = o.solveSingle(ctx, t, img)
 	}
 	if err != nil {
-		if ragged {
+		if s != nil {
 			// Its rounds may have scattered into the active columns.
 			s.grids.dirty(s.actList)
 		}
@@ -430,7 +432,7 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	// returned decision is also the next slot's carried one.
 	commitStart := time.Now()
 	x := model.Alloc{I: in.I, J: in.J, X: xSrc}
-	if ragged {
+	if s != nil {
 		s.repairTouched(in, x, o.userTot)
 		if len(s.visit) == in.J {
 			o.log = append(o.log, slotRecord{vals: s.grids.release()})
@@ -463,9 +465,7 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 	if m := o.opts.Metrics; m != nil {
 		d := &o.lastDiag
 		m.ObserveStep(d.Seconds, d.Outer, d.Inner, d.Converged)
-		if o.opts.Candidates > 0 || o.opts.Incremental || o.shrd != nil {
-			m.ObserveCandidates(d.CandRounds, d.CandExpanded, d.CandNNZ)
-		}
+		m.ObserveCandidates(d.CandRounds, d.CandExpanded, d.CandNNZ)
 		if o.shrd != nil {
 			m.ObserveShards(d.ShardIters, d.ShardResidual, o.shrd.blockSecs)
 		}
@@ -543,7 +543,7 @@ func (o *OnlineApprox) LastStepDiag() StepDiag { return o.lastDiag }
 // it moved away from, prev, as views that Schedule's slots t−1 and t equal
 // bit for bit, without building either; for slot 0, prev is a fresh copy
 // of the pre-horizon allocation. Both are valid until the next Step; cur
-// also survives a Step that fails, prev does not (the incremental path
+// also survives a Step that fails, prev does not (the single program
 // assembles the next decision in prev's buffer). Before any slot is
 // committed both are meaningless.
 func (o *OnlineApprox) Transition() (prev, cur model.Alloc) {

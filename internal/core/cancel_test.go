@@ -56,10 +56,10 @@ func allocsEqual(a, b model.Alloc) bool {
 // The early aborts can all land in a slot's first round, before anything
 // was written. The last one lands at the slot's final poll, the reference
 // slot's outer plus inner iteration count: past every round but the last,
-// so on the ragged paths after earlier rounds scattered into the spare
-// decision grid, which the retry must bring level again. The retry reads
-// that grid where a round warm-starts pairs admitted after the first, so
-// on those paths at least one slot must take three rounds, or the abort
+// so after earlier rounds scattered into the spare decision grid, which
+// the retry must bring level again. The retry reads that grid where a
+// round warm-starts pairs admitted after the first, so on the paths that
+// prune or freeze at least one slot must take three rounds, or the abort
 // proves nothing.
 func testCancellation(t *testing.T, in *model.Instance, opts Options) {
 	t.Helper()
@@ -122,7 +122,7 @@ func testCancellation(t *testing.T, in *model.Instance, opts Options) {
 	}
 }
 
-// TestStepCtxCancellationDense exercises the default dense path.
+// TestStepCtxCancellationDense exercises the default path, over every pair.
 func TestStepCtxCancellationDense(t *testing.T) {
 	in := smallRandomInstance(rand.New(rand.NewSource(9)))
 	testCancellation(t, in, Options{})

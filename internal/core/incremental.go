@@ -164,7 +164,7 @@ func (s *singleState) frozenFlow(prev []float64) {
 // supportIndex lists, per user, the clouds that carry its flow in the
 // carried decision: the i with x'_ij > 0, ascending. It is the carried
 // decision's support read column by column without a pass over the grid,
-// kept current by the ragged commit on the columns a slot wrote (StepCtx).
+// kept current by the single program's commit on the columns a slot wrote (StepCtx).
 // A commit of every column, and the state a run starts or restores from,
 // leave it stale; the next slot that freezes users rebuilds it (buildRows).
 // The incremental tier alone keeps one.

@@ -15,7 +15,7 @@ import (
 // TestP2CurvatureMatchesGradientDifferences checks p2Objective.Curv — the
 // diagonal-plus-cloud-rank-one Hessian the Newton inner solve factors —
 // against central differences of the objective's own gradient, column by
-// column, on the three bindings of the total term (identity layout with the
+// column, on the three bindings of the total term (dense layout with the
 // entropy total, ragged layout with frozen flow totOff, consensus target)
 // and on both evaluation tiers, to 1e-6 relative.
 func TestP2CurvatureMatchesGradientDifferences(t *testing.T) {
@@ -70,7 +70,7 @@ func TestP2CurvatureMatchesGradientDifferences(t *testing.T) {
 		for _, tc := range []struct {
 			name string
 			obj  *p2Objective
-		}{{"identity", dense}, {"ragged+totOff", frozen}, {"consensus", consensus}} {
+		}{{"dense", dense}, {"ragged+totOff", frozen}, {"consensus", consensus}} {
 			o := tc.obj
 			n := o.rowPtr[o.nI]
 			cloudOf := make([]int, n)

@@ -22,11 +22,12 @@ var evalParGrain = 4096
 // coefficient, previous decision, migration factor) packed alongside.
 // Every solve path is this type under a different layout:
 //
-//   - the identity layout (rowPtr[i] = i·J, packed arrays aliasing the
-//     dense slot data, no gather) is the default dense program, and
-//     doubles as the dense slot data the other layouts gather from;
-//   - a ragged candidate layout over all users, or over a slot's active
-//     users only, is the candidate-set / incremental program;
+//   - the dense layout (rowPtr[i] = i·J, no gather) holds the slot's data
+//     every other layout gathers from, and is evaluated only as the
+//     tests' reference (newP2Objective);
+//   - a ragged candidate layout over all users — every pair by default,
+//     each user's nearest clouds with Options.Candidates — or over a
+//     slot's active users only, is the single program;
 //   - a ragged layout over one shard's column range — gathered locally or
 //     received as a shardrpc.BlockSpec — is a shard block.
 //
@@ -48,15 +49,15 @@ type p2Objective struct {
 	rowPtr []int // len nI+1
 
 	// coef holds the weighted static coefficients ā_k the layout's Eval
-	// reads: packed by gather on a ragged layout; on the identity layout a
-	// dense grid that bindStatic writes, allocated only by the identity
-	// program, which evaluates it. The ragged and sharded paths leave it
-	// nil and read a coefficient as wa_i + sq_ij where they need one.
+	// reads: packed by gather on a ragged layout; on the dense layout a
+	// grid that bindStatic writes, allocated only by the reference
+	// evaluator (newP2Objective). A run's dense slot data leaves it nil and
+	// is read as wa_i + sq_ij where a coefficient is needed.
 	coef  []float64
 	prev  []float64 // x'_{ij}
 	mgFac []float64 // wMg·b_i/τ_ij
 
-	// The identity layout's two parts of ā_{ij,t}, bit for bit
+	// The dense layout's two parts of ā_{ij,t}, bit for bit
 	// wa[i] + sq[i·J+j]: wa[i] = WOp·a_{i,t}, rewritten every slot, and
 	// sq[i·J+j] = WSq·d(sqAttach[j], i)/λ_j, the service-quality term, kept
 	// per pair across slots with the attachment it was computed for
@@ -100,7 +101,7 @@ func newPackedObjective(nI int, eps1, eps2 float64, fast bool) p2Objective {
 	}
 }
 
-// newP2ObjectiveConst builds the identity-layout objective and computes
+// newP2ObjectiveConst builds the dense-layout objective and computes
 // the slot-independent constants of P2's objective — the entropy scale
 // factors η_i and τ_ij of the paper — once per (instance, ε) pair. bind
 // attaches the per-slot data. Evaluating the objective itself additionally
@@ -132,8 +133,8 @@ func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2O
 	return &o
 }
 
-// newP2Objective is the identity-layout objective bound to slot t and
-// ready to evaluate.
+// newP2Objective is the dense-layout objective bound to slot t and ready
+// to evaluate: the reference evaluator of P2 over every pair.
 func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 float64) *p2Objective {
 	o := newP2ObjectiveConst(in, eps1, eps2, false)
 	o.coef = make([]float64, in.I*in.J)
@@ -142,7 +143,7 @@ func newP2Objective(in *model.Instance, t int, prev model.Alloc, eps1, eps2 floa
 	return o
 }
 
-// bind points the identity-layout objective at slot t's prices and the
+// bind points the dense-layout objective at slot t's prices and the
 // previous decision: the dense slot data every layout of the slot reads.
 // Evaluating it directly additionally needs prepare.
 func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
@@ -158,8 +159,8 @@ func (o *p2Objective) bind(in *model.Instance, t int, prev model.Alloc) {
 // recomputes the columns whose attachment differs (all of them the first
 // time) and the I price terms. Binding a slot twice, as the retry of a
 // cancelled Step does, finds nothing to recompute. Where the dense grid
-// exists (the identity program) the coefficients are then one streaming
-// add over it.
+// exists (the reference evaluator) the coefficients are then one
+// streaming add over it.
 func (o *p2Objective) bindStatic(in *model.Instance, t int) {
 	nJ := o.nJ
 	attachSQ(in, t, o.sq, o.sqAttach)
@@ -232,7 +233,7 @@ type p2Program struct {
 // coefficients, previous decision, and migration factors from the dense
 // slot data d and the warm iterate from the dense image img. It is the
 // one bind of every ragged path: the whole grid (colLo = 0) for the
-// candidate-set program, a shard's column range for a block.
+// single program, a shard's column range for a block.
 func (p *p2Program) gather(d *p2Objective, cs *model.CandidateSet, colLo int, img []float64) {
 	o := &p.obj
 	nnz := cs.NNZ()

@@ -13,7 +13,7 @@ import (
 // as every layout the solve loops build does) and for each total term —
 // the reconfiguration entropy, the entropy with a frozen offset, the
 // consensus penalty — the packed objective's value and gradient equal the
-// identity layout's at the embedded point exactly, on the exact and fast
+// dense layout's at the embedded point exactly, on the exact and fast
 // tiers. ε₂ is a power of two so the fast tier's reciprocal is exact and a
 // pruned pair's ratio is exactly 1.
 func TestObjectiveLayoutInvariant(t *testing.T) {
@@ -79,7 +79,7 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 				fd, fp := dense.Eval(x, gd), p.obj.Eval(p.warm, gp)
 				vd, vp := dense.Eval(x, nil), p.obj.Eval(p.warm, nil)
 				if math.Float64bits(fd) != math.Float64bits(fp) || math.Float64bits(vd) != math.Float64bits(vp) {
-					t.Fatalf("trial %d %s fast=%v: value %v/%v packed vs %v/%v identity",
+					t.Fatalf("trial %d %s fast=%v: value %v/%v packed vs %v/%v dense",
 						trial, term.name, fast, fp, vp, fd, vd)
 				}
 				// alm's Newton path reports the gradient pass's value as f(x);
@@ -90,7 +90,7 @@ func TestObjectiveLayoutInvariant(t *testing.T) {
 				for i := 0; i < in.I; i++ {
 					for k := cs.RowPtr[i]; k < cs.RowPtr[i+1]; k++ {
 						if want := gd[i*in.J+cs.Cols[k]]; math.Float64bits(gp[k]) != math.Float64bits(want) {
-							t.Fatalf("trial %d %s fast=%v: grad(%d,%d) = %v packed vs %v identity",
+							t.Fatalf("trial %d %s fast=%v: grad(%d,%d) = %v packed vs %v dense",
 								trial, term.name, fast, i, cs.Cols[k], gp[k], want)
 						}
 					}

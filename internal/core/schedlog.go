@@ -11,12 +11,13 @@ import (
 // to solve: slot t's entry in the decision log is the columns the slot
 // wrote, with their I values each, and the dense schedule is built from the
 // log only when someone asks for it (Schedule). A slot that wrote every
-// column — every slot of the dense paths, and the all-active slots of the
-// ragged ones (slot 0, every slot without Incremental) — is logged as its
-// row-major grid itself, which is also the carried decision and the grid
-// Schedule hands out, so logging it copies nothing. On the ragged paths the columns a slot writes are
-// the ones repairTouched visits: scatterInto writes the active users'
-// candidate pairs and the repair its visited columns, nothing else.
+// column — every slot of the sharded path, and the all-active slots of the
+// single program (slot 0, every slot without Incremental) — is logged as
+// its row-major grid itself, which is also the carried decision and the
+// grid Schedule hands out, so logging it copies nothing. On the single
+// program the columns a slot writes are the ones repairTouched visits:
+// scatterInto writes the active users' candidate pairs and the repair its
+// visited columns, nothing else.
 
 // slotRecord is one slot's entry in the decision log: the columns cols the
 // slot wrote, column p's I values at vals[p·I:(p+1)·I]; or, cols nil, the

@@ -418,7 +418,7 @@ func TestTransitionViews(t *testing.T) {
 // TestScheduleMatchesStepViews requires the schedule the decision log
 // materialises to be, bit for bit, a copy taken of every decision Step
 // returned, on every path that logs differently: whole grids on the
-// identity and sharded layouts and on every all-active slot, written
+// sharded path and on every all-active slot, written
 // columns on a slot that froze users. Schedule is also asked mid-run (the
 // cache must extend, not restart) and one run is restored from a mid-run
 // export, whose restored slots the log holds whole.
@@ -429,7 +429,7 @@ func TestScheduleMatchesStepViews(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"identity", Options{}},
+		{"default", Options{}},
 		{"Candidates", Options{Candidates: 2}},
 		{"Incremental", Options{Incremental: true, IncrementalTol: 0.5}},
 		{"Candidates+Incremental", Options{Candidates: 2, Incremental: true, IncrementalTol: 0.5}},

@@ -41,21 +41,18 @@ import (
 // case at the dense grid, which costs what the dense solve always cost.
 //
 // The loop below is the one certified solve loop of every single-program
-// path; the tiers differ only in the data they hand it. The default
-// dense path is the identity layout (no builder): nothing is pruned and
-// nobody is frozen, so its first round is certified by construction.
-// Options.Candidates supplies a ragged layout, Options.Incremental an
-// active mask (incremental.go); with every user active the two coincide.
+// tier, on the one ragged program; the tiers differ only in the data they
+// hand it. Options.Candidates = k seeds each user with its k nearest
+// clouds, and the default (0) with all I, which lays the program out over
+// the full grid in dense order: nothing is pruned, so its first round is
+// certified. Options.Incremental adds an active mask (incremental.go).
 type singleState struct {
-	// p2Program is the ragged program of the candidate / incremental
-	// paths; the identity layout solves OnlineApprox.obj directly and uses
-	// only the program's rows over the full grid and its lower bound.
 	p2Program
-	// builder is nil on the identity layout.
 	builder *model.CandidateBuilder
 	cand    model.CandidateSet
-	// nearest[a] lists the Options.Candidates clouds closest to cloud a
-	// by inter-cloud delay; users are seeded with nearest[l_{j,t}].
+	// nearest[a] lists the Options.Candidates clouds (all I when 0)
+	// closest to cloud a by inter-cloud delay; users are seeded with
+	// nearest[l_{j,t}].
 	nearest [][]int
 	cons    []alm.Constraint // Options.denseRows reference rows
 
@@ -97,10 +94,10 @@ type singleState struct {
 	// they are the only columns that slot wrote: its log record's.
 	// RestoreState derives short from the carried decision (restoreShort).
 	short, visit []int
-	// grids are the ragged layer's two decision grids: a slot assembles in
-	// the spare one while the carried decision stays unwritten, and its
-	// commit makes the spare the carried decision (StepCtx). Both exist from
-	// the start so that only a slot that writes every column allocates one.
+	// grids are the two decision grids: a slot assembles in the spare one
+	// while the carried decision stays unwritten, and its commit makes the
+	// spare the carried decision (StepCtx). Both exist from the start so
+	// that only a slot that writes every column allocates one.
 	grids gridPair
 	// support indexes the carried decision's support per user, for
 	// frozenFlow (allocated with Incremental only).
@@ -108,12 +105,14 @@ type singleState struct {
 }
 
 // initSingle builds the per-instance single-program state: the rows, the
-// working duals, and — with Candidates or Incremental on — the ragged
-// layer. Incremental without Candidates still routes through the ragged
-// layer (frozen users must drop out of the program); the active users
-// then solve over all I clouds, so the reduction itself prunes nothing.
+// working duals, and the ragged layer. With Candidates = 0 every user is
+// seeded with all I clouds, so the layout is the full grid in dense order
+// and the reduction prunes nothing; Incremental without Candidates solves
+// its active users over all I clouds the same way.
 func (o *OnlineApprox) initSingle(in *model.Instance) {
 	s := &singleState{
+		builder:   model.NewCandidateBuilder(in.I, in.J),
+		nearest:   nearestClouds(in, o.opts.Candidates),
 		active:    make([]bool, in.J),
 		actList:   make([]int, 0, in.J),
 		userPos:   make([]int, in.J),
@@ -123,37 +122,24 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		rows:      make([]alm.GroupRow, 0, in.J+in.I),
 		duals:     make([]float64, in.J+in.I),
 		packed:    make([]float64, in.J+in.I),
+		colMin:    make([]float64, in.J),
+		viol:      make([]bool, in.J),
+		grids:     gridPair{all: true, stale: make([]int, 0, in.J)},
 	}
 	s.groups = alm.Groups{I: in.I, J: in.J}
 	for j := range s.active {
 		s.active[j] = true
 	}
 	s.buildRows(in, nil)
-	if o.opts.Candidates > 0 || o.opts.Incremental {
-		s.builder = model.NewCandidateBuilder(in.I, in.J)
-		s.nearest = nearestClouds(in, o.opts.Candidates)
-		s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
-		s.obj.workers = o.opts.Solver.Workers
-		s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
-		s.colMin = make([]float64, in.J)
-		s.viol = make([]bool, in.J)
-		s.grids = gridPair{all: true, stale: make([]int, 0, in.J)}
-		s.grids.buf[0], s.grids.buf[1] = make([]float64, in.I*in.J), make([]float64, in.I*in.J)
-		if o.opts.Incremental {
-			s.support = newSupportIndex(in.I, in.J)
-		}
-	} else {
-		// The identity layout is alm's full grid over the dense objective,
-		// whose Eval reads the dense coefficient grid.
-		o.obj.coef = make([]float64, in.I*in.J)
-		s.groups.RowPtr, s.groups.Cols = o.obj.rowPtr, make([]int, in.I*in.J)
-		for k := range s.groups.Cols {
-			s.groups.Cols[k] = k % in.J
-		}
-		s.lower = make([]float64, in.I*in.J)
-		if o.opts.denseRows {
-			s.cons = p2Constraints(in)
-		}
+	s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
+	s.obj.workers = o.opts.Solver.Workers
+	s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
+	s.grids.buf[0], s.grids.buf[1] = make([]float64, in.I*in.J), make([]float64, in.I*in.J)
+	if o.opts.Incremental {
+		s.support = newSupportIndex(in.I, in.J)
+	}
+	if o.opts.denseRows {
+		s.cons = p2Constraints(in)
 	}
 	o.single = s
 }
@@ -186,13 +172,11 @@ func (o *OnlineApprox) seedUser(t, j int, x []float64) {
 
 // solveSingle runs slot t's certified single-program solve: seed the
 // layout, then solve, price, and gate until a round changes nothing. img
-// is the ragged paths' decision under assembly — a copy of the carried
-// decision that every round's packed solution is scattered into, so
-// frozen columns and pruned pairs keep their carried values and a later
-// round warm-starts from the image of the one before — and nil on the
-// identity layout. It returns the dense decision (img, or the identity
-// layout's solver iterate, valid until the next call), the multipliers in
-// the standard [θ | ν] layout (solver scratch likewise), and the
+// is the decision under assembly — a copy of the carried decision that
+// every round's packed solution is scattered into, so frozen columns and
+// pruned pairs keep their carried values and a later round warm-starts
+// from the image of the one before. It returns img, the multipliers in the
+// standard [θ | ν] layout (s.duals, valid until the next call), and the
 // slot's diagnostics.
 func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([]float64, []float64, StepDiag, error) {
 	in, s := o.inst, o.single
@@ -208,52 +192,40 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		clear(s.duals)
 	}
 
-	obj, ragged := o.obj, s.builder != nil
-	if ragged {
-		obj = &s.obj
-		s.builder.Reset()
-		for j := range s.active {
-			s.active[j] = !o.opts.Incremental || t == 0 || in.Attach[t][j] != in.Attach[t-1][j]
-			if s.active[j] {
-				o.seedUser(t, j, warm)
-			}
+	s.builder.Reset()
+	for j := range s.active {
+		s.active[j] = !o.opts.Incremental || t == 0 || in.Attach[t][j] != in.Attach[t-1][j]
+		if s.active[j] {
+			o.seedUser(t, j, warm)
 		}
-		s.builder.Build(&s.cand)
-		s.buildRows(in, o.prev.X)
-	} else {
-		obj.prepare()
 	}
+	s.builder.Build(&s.cand)
+	s.buildRows(in, o.prev.X)
 
 	sopts := o.opts.Solver
 	sopts.Workspace = &o.ws
 	sopts.Ctx = ctx
 	nAct, nnz, rounds := 0, 0, 0
 	for {
-		nAct, nnz = len(s.actList), nI*nJ
-		if ragged {
-			nnz = s.cand.NNZ()
-		}
+		nAct, nnz = len(s.actList), s.cand.NNZ()
 		// With every user frozen there is no program to solve: the gate
 		// tests the carried decision at the committed prices, and any
 		// violation re-enters the loop with a nonempty active set.
 		d.Converged = true
 		copy(s.tot, s.frozenTot)
 		if nAct > 0 {
-			sopts.WarmX = warm
-			if ragged {
-				s.gather(o.obj, &s.cand, 0, warm)
-				s.userCols = s.userCols[:0]
-				for _, j := range s.cand.Cols {
-					s.userCols = append(s.userCols, s.userPos[j])
-				}
-				s.groups.J, s.groups.Cols = nAct, s.userCols
-				obj.totOff = nil
-				if nAct < nJ {
-					obj.totOff = s.frozenTot
-				}
-				sopts.WarmX = s.warm
+			s.gather(o.obj, &s.cand, 0, warm)
+			s.userCols = s.userCols[:0]
+			for _, j := range s.cand.Cols {
+				s.userCols = append(s.userCols, s.userPos[j])
 			}
-			o.prob = alm.Problem{Obj: obj, N: nnz, Lower: s.lower[:nnz], Cons: s.cons}
+			s.groups.J, s.groups.Cols = nAct, s.userCols
+			s.obj.totOff = nil
+			if nAct < nJ {
+				s.obj.totOff = s.frozenTot
+			}
+			sopts.WarmX = s.warm
+			o.prob = alm.Problem{Obj: &s.obj, N: nnz, Lower: s.lower[:nnz], Cons: s.cons}
 			if s.cons == nil {
 				o.prob.Groups = &s.groups
 			}
@@ -276,10 +248,6 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 				s.duals[j] = r.Duals[p]
 			}
 			copy(s.duals[nJ:], r.Duals[nAct:])
-			if !ragged {
-				img = r.X
-				break
-			}
 			scatterInto(img, nJ, 0, &s.cand, r.X)
 			s.obj.addTotals(s.tot, r.X)
 		}
@@ -309,14 +277,12 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 		}
 		s.builder.Build(&s.cand)
 	}
-	if ragged {
-		d.CandRounds, d.CandNNZ = rounds, nnz
-		d.FrozenUsers = nJ - nAct
-	}
+	d.CandRounds, d.CandNNZ = rounds, nnz
+	d.FrozenUsers = nJ - nAct
 	return img, s.duals, d, nil
 }
 
-// repairTouched is the model-layer repair of a ragged slot's assembled
+// repairTouched is the model-layer repair of a slot's assembled
 // decision x, on the columns that can need it: the active users', which
 // the slot wrote, and the ones the previous commit left short of their
 // demand. Every other column is the carried decision's, which that commit

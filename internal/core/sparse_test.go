@@ -103,7 +103,7 @@ func smallRandomInstance(rng *rand.Rand) *model.Instance {
 // if alg had committed it itself; the coupled-run tests steer two
 // algorithms along one trajectory with it. Everything a commit derives from
 // the decision is derived again: the slot's log record (now the whole
-// copy, which the ragged paths' spare grid must be levelled with in full),
+// copy, which the single program's spare grid must be levelled with in full),
 // the carried totals, and the columns the next touched-column repair still
 // owes a visit.
 func recouple(alg *OnlineApprox, x []float64) {
@@ -354,26 +354,39 @@ func TestSparseWorkersByteIdentical(t *testing.T) {
 // TestSparseFullCandidateSetMatchesDenseExactly pins the layout
 // equivalence underlying everything above: with Candidates = I nothing
 // is pruned, the packed CSR layout enumerates the grid in dense order,
-// and the candidate path must reproduce the dense path bit-for-bit.
+// and the candidate path must reproduce the default path bit-for-bit —
+// decisions, dual records, and the work each slot reports, down to one
+// certified round over I·J pairs.
 func TestSparseFullCandidateSetMatchesDenseExactly(t *testing.T) {
 	in, _, err := scenario.Rome(scenario.Config{Users: 6, Horizon: 3, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
+	work := func(d StepDiag) StepDiag {
+		return StepDiag{Outer: d.Outer, Inner: d.Inner, Evals: d.Evals,
+			CandRounds: d.CandRounds, CandExpanded: d.CandExpanded, CandNNZ: d.CandNNZ}
+	}
 	dense := NewOnlineApprox(in, Options{})
-	ds, err := dense.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, st := runSummed(t, NewOnlineApprox(in, Options{Candidates: in.I}))
-	if st.CandExpanded != 0 || st.CandRounds != in.T {
-		t.Errorf("full candidate set expanded: run totals %+v", st)
-	}
-	for tt := range ds {
-		for k := range ds[tt].X {
-			if ss[tt].X[k] != ds[tt].X[k] {
-				t.Fatalf("slot %d: x[%d] = %v sparse != %v dense", tt, k, ss[tt].X[k], ds[tt].X[k])
+	full := NewOnlineApprox(in, Options{Candidates: in.I})
+	for tt := 0; tt < in.T; tt++ {
+		for _, a := range []*OnlineApprox{dense, full} {
+			if _, err := a.Step(tt); err != nil {
+				t.Fatal(err)
 			}
+		}
+		dd, fd := work(dense.LastStepDiag()), work(full.LastStepDiag())
+		if dd != fd || dd.CandRounds != 1 || dd.CandExpanded != 0 || dd.CandNNZ != in.I*in.J {
+			t.Errorf("slot %d: default reports %+v, Candidates = I %+v; want both one round over %d pairs",
+				tt, dd, fd, in.I*in.J)
+		}
+		if k := sameBits(full.duals[tt], dense.duals[tt]); k >= 0 {
+			t.Fatalf("slot %d: dual %d = %v sparse != %v dense", tt, k, full.duals[tt][k], dense.duals[tt][k])
+		}
+	}
+	ds, ss := dense.Schedule(), full.Schedule()
+	for tt := range ds {
+		if k := sameBits(ss[tt].X, ds[tt].X); k >= 0 {
+			t.Fatalf("slot %d: x[%d] = %v sparse != %v dense", tt, k, ss[tt].X[k], ds[tt].X[k])
 		}
 	}
 }

@@ -421,6 +421,12 @@ func TestMetricsMatchSolverDiagnostics(t *testing.T) {
 		if s := r.Solve.Stationarity; s <= 0 || (r.Solve.Converged && s > 1e-7) {
 			t.Errorf("slot %d: stationarity %g with converged=%v", r.Slot, s, r.Solve.Converged)
 		}
+		// Every single-program slot reports its certified loop: on the
+		// default tier one round over every pair.
+		if c := r.Solve; c.CandidateRounds != 1 || c.CandidateNNZ != in.I*in.J {
+			t.Errorf("slot %d: candidateRounds %d, candidateNNZ %d; want 1 and %d",
+				r.Slot, c.CandidateRounds, c.CandidateNNZ, in.I*in.J)
+		}
 	}
 
 	var doc map[string]any

@@ -234,7 +234,9 @@ type slotRequest struct {
 	IncludeAllocation bool      `json:"includeAllocation,omitempty"`
 }
 
-// solveDiag is core.StepDiag on the wire.
+// solveDiag is core.StepDiag on the wire. Every slot carries the candidate
+// fields of its certified loop: one round over I·J pairs on the default
+// tier.
 type solveDiag struct {
 	Seconds         float64 `json:"seconds"`
 	OuterIterations int     `json:"outerIterations"`

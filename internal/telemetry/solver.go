@@ -12,7 +12,7 @@ import "strconv"
 //	edgealloc_solver_steps_nonconverged_total  counter    slots where ALM hit MaxOuter
 //	edgealloc_solver_alm_outer_iterations_total    counter  ALM multiplier updates
 //	edgealloc_solver_inner_iterations_total        counter  inner-solver iterations (Newton steps; FISTA on the sparse-row reference)
-//	edgealloc_solver_candidate_rounds_total        counter  candidate-set solves (≥1/slot)
+//	edgealloc_solver_candidate_rounds_total        counter  certified solve rounds (≥1/slot)
 //	edgealloc_solver_candidate_expanded_pairs_total counter pairs re-admitted by pricing
 //	edgealloc_solver_candidate_nnz                 gauge    Σ_j|K_j| of the last certified solve
 //	edgealloc_solver_shard_outer_iterations_total  counter  shard coordination (dual-ascent) iterations
@@ -74,11 +74,11 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 		InnerIters: r.Counter("edgealloc_solver_inner_iterations_total",
 			"Inner-solver iterations across all subproblems (projected Newton steps; FISTA iterations on the sparse-row reference)."),
 		CandRounds: r.Counter("edgealloc_solver_candidate_rounds_total",
-			"Candidate-set reduced solves (rounds beyond one per slot are pricing expansions)."),
+			"Certified solve rounds, at least one per slot (rounds beyond one are pricing expansions, freeze-gate re-admissions, or on the sharded path further coordination rounds)."),
 		CandExpanded: r.Counter("edgealloc_solver_candidate_expanded_pairs_total",
 			"(cloud,user) pairs re-admitted by the dual pricing pass."),
 		CandNNZ: r.Gauge("edgealloc_solver_candidate_nnz",
-			"Packed variable count of the most recent certified candidate solve."),
+			"Packed variable count of the most recent certified solve (I·J when nothing is pruned)."),
 		ShardIters: r.Counter("edgealloc_solver_shard_outer_iterations_total",
 			"Shard-coordination outer dual-ascent iterations (zero when sharding is off)."),
 		ShardResid: r.Gauge("edgealloc_solver_shard_max_residual",
