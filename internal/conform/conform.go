@@ -251,20 +251,32 @@ func (c *checker) full() bool { return c.rep.Truncated }
 // realized schedule and the solver's diagnostics. diag may be nil when no
 // certificate is available; the schedule-level checks always run.
 func Check(in *model.Instance, s model.Schedule, diag *Diagnostics, opts Options) *Report {
-	opts = opts.withDefaults()
-	c := &checker{rep: &Report{}, opts: opts}
-
+	c := newChecker(opts)
 	if !c.checkShape(in, s) {
 		// Dimensions are wrong: every later check would index out of
 		// bounds, so the report carries the shape violations alone.
 		return c.rep
 	}
-	c.checkSlots(in, s)
-	c.checkGap(in, s)
-	if diag != nil {
-		c.checkCertificate(in, diag)
-	}
-	return c.rep
+	return c.run(in, s.Walk, diag)
+}
+
+// CheckWalk is Check over a schedule read through walk, so the caller
+// need not hold the whole schedule at once. A walk that yields a slot of
+// the wrong shape, or another number of slots than the horizon, gets a
+// shape violation after those the slots before it drew.
+func CheckWalk(in *model.Instance, walk model.Walk, diag *Diagnostics, opts Options) *Report {
+	return newChecker(opts).run(in, walk, diag)
+}
+
+func newChecker(opts Options) *checker {
+	return &checker{rep: &Report{}, opts: opts.withDefaults()}
+}
+
+// horizon records a schedule of n slots on an instance of another horizon.
+func (c *checker) horizon(in *model.Instance, n int) {
+	c.add(Violation{Kind: KindShape, Slot: -1, Index: -1,
+		Got: float64(n), Bound: float64(in.T),
+		Detail: "schedule horizon differs from instance"})
 }
 
 // checkShape verifies the horizon length and every slot's dimensions.
@@ -272,16 +284,12 @@ func Check(in *model.Instance, s model.Schedule, diag *Diagnostics, opts Options
 func (c *checker) checkShape(in *model.Instance, s model.Schedule) bool {
 	ok := true
 	if len(s) != in.T {
-		c.add(Violation{Kind: KindShape, Slot: -1, Index: -1,
-			Got: float64(len(s)), Bound: float64(in.T),
-			Detail: "schedule horizon differs from instance"})
+		c.horizon(in, len(s))
 		ok = false
 	}
 	for t, x := range s {
-		if x.I != in.I || x.J != in.J || len(x.X) != in.I*in.J {
-			if !c.add(Violation{Kind: KindShape, Slot: t, Index: -1,
-				Got: float64(len(x.X)), Bound: float64(in.I * in.J),
-				Detail: fmt.Sprintf("slot allocation is %dx%d, want %dx%d", x.I, x.J, in.I, in.J)}) {
+		if !c.slotShape(in, t, x) {
+			if c.full() {
 				return false
 			}
 			ok = false
@@ -290,92 +298,126 @@ func (c *checker) checkShape(in *model.Instance, s model.Schedule) bool {
 	return ok
 }
 
-// checkSlots runs the per-slot Theorem-1 checks: numeric hygiene,
-// nonnegativity, demand satisfaction, and capacity. One pass over a slot's
-// grid checks every entry and sums both totals, each in the order
-// UserTotalsInto and CloudTotalsInto sum it.
-func (c *checker) checkSlots(in *model.Instance, s model.Schedule) {
-	tol := c.opts.FeasTol
+// slotShape verifies slot t's dimensions, recording a violation if they
+// are wrong.
+func (c *checker) slotShape(in *model.Instance, t int, x model.Alloc) bool {
+	if x.I == in.I && x.J == in.J && len(x.X) == in.I*in.J {
+		return true
+	}
+	c.add(Violation{Kind: KindShape, Slot: t, Index: -1,
+		Got: float64(len(x.X)), Bound: float64(in.I * in.J),
+		Detail: fmt.Sprintf("slot allocation is %dx%d, want %dx%d", x.I, x.J, in.I, in.J)})
+	return false
+}
+
+// run checks a schedule read through walk: one pass runs every slot's
+// Theorem-1 checks (checkSlot, until the violation cap is hit) and prices
+// the slot for the gap check, which follows with the certificate's. A
+// slot of the wrong shape ends the pass.
+func (c *checker) run(in *model.Instance, walk model.Walk, diag *Diagnostics) *Report {
+	// b0 and b1 are Evaluate's and EvaluateP1's breakdowns, bit for bit:
+	// P1's static terms are P0's (SlotCost sums them in SlotStatic's
+	// order), so only P1's dynamic terms are priced again.
+	var b0, b1 model.Breakdown
+	prev := in.InitialAlloc()
 	served := make([]float64, in.J)
 	used := make([]float64, in.I)
-	for t, x := range s {
-		if c.full() {
-			return
+	n, ok := 0, true
+	walk(func(t int, x model.Alloc) bool {
+		if ok = c.slotShape(in, t, x); !ok {
+			return false
 		}
-		clear(served)
-		for i := range used {
-			row := x.X[i*in.J : (i+1)*in.J]
-			tot := 0.0
-			for j, v := range row {
-				served[j] += v
-				tot += v
-				if v >= -tol && v <= math.MaxFloat64 {
-					continue // finite and not negative beyond tolerance
-				}
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					if !c.add(Violation{Kind: KindNumeric, Slot: t, Index: i,
-						Got: v, Detail: fmt.Sprintf("x[%d][%d] is not finite", i, j)}) {
-						return
-					}
-					continue
-				}
-				if v < -tol {
-					if !c.add(Violation{Kind: KindNegative, Slot: t, Index: i,
-						Got: v, Bound: -tol,
-						Detail: fmt.Sprintf("x[%d][%d] negative", i, j)}) {
-						return
-					}
-				}
+		if !c.full() {
+			c.checkSlot(in, t, x, served, used)
+		}
+		d := in.SlotCost(t, prev, x)
+		rc, mg := in.SlotDynamicP1(prev, x)
+		b0.Add(d)
+		b1.Add(model.Breakdown{Op: d.Op, Sq: d.Sq, Rc: rc, Mg: mg})
+		prev = x
+		n++
+		return true
+	})
+	if !ok {
+		return c.rep
+	}
+	if n != in.T {
+		c.horizon(in, n)
+		return c.rep
+	}
+	c.checkGap(in, b0, b1, prev)
+	if diag != nil {
+		c.checkCertificate(in, diag)
+	}
+	return c.rep
+}
+
+// checkSlot runs slot t's Theorem-1 checks: numeric hygiene,
+// nonnegativity, demand satisfaction, and capacity. One pass over the
+// grid checks every entry and sums both totals, into the scratch served
+// and used, each in the order UserTotalsInto and CloudTotalsInto sum it.
+func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, used []float64) {
+	tol := c.opts.FeasTol
+	clear(served)
+	for i := range used {
+		row := x.X[i*in.J : (i+1)*in.J]
+		tot := 0.0
+		for j, v := range row {
+			served[j] += v
+			tot += v
+			if v >= -tol && v <= math.MaxFloat64 {
+				continue // finite and not negative beyond tolerance
 			}
-			used[i] = tot
-		}
-		for j, got := range served {
-			if bound := in.Workload[j] - tol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
-				if !c.add(Violation{Kind: KindDemand, Slot: t, Index: j,
-					Got: got, Bound: in.Workload[j],
-					Detail: "user served below workload (Theorem 1)"}) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				if !c.add(Violation{Kind: KindNumeric, Slot: t, Index: i,
+					Got: v, Detail: fmt.Sprintf("x[%d][%d] is not finite", i, j)}) {
+					return
+				}
+				continue
+			}
+			if v < -tol {
+				if !c.add(Violation{Kind: KindNegative, Slot: t, Index: i,
+					Got: v, Bound: -tol,
+					Detail: fmt.Sprintf("x[%d][%d] negative", i, j)}) {
 					return
 				}
 			}
 		}
-		for i, got := range used {
-			if got >= in.Capacity[i]-tol*(1+in.Capacity[i]) {
-				c.capacityTight = true
+		used[i] = tot
+	}
+	for j, got := range served {
+		if bound := in.Workload[j] - tol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
+			if !c.add(Violation{Kind: KindDemand, Slot: t, Index: j,
+				Got: got, Bound: in.Workload[j],
+				Detail: "user served below workload (Theorem 1)"}) {
+				return
 			}
-			if bound := in.Capacity[i] + tol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
-				if !c.add(Violation{Kind: KindCapacity, Slot: t, Index: i,
-					Got: got, Bound: in.Capacity[i],
-					Detail: "cloud loaded beyond capacity (Theorem 1)"}) {
-					return
-				}
+		}
+	}
+	for i, got := range used {
+		if got >= in.Capacity[i]-tol*(1+in.Capacity[i]) {
+			c.capacityTight = true
+		}
+		if bound := in.Capacity[i] + tol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
+			if !c.add(Violation{Kind: KindCapacity, Slot: t, Index: i,
+				Got: got, Bound: in.Capacity[i],
+				Detail: "cloud loaded beyond capacity (Theorem 1)"}) {
+				return
 			}
 		}
 	}
 }
 
-// checkGap verifies Lemma 1 differentially: the P0 and P1 evaluations —
-// two independent cost implementations — must satisfy the exact
-// telescoping identity
+// checkGap verifies Lemma 1 differentially: the P0 and P1 evaluations of
+// the schedule ending in last — two independent cost implementations —
+// must satisfy the exact telescoping identity
 //
 //	P1 − P0 = w_mg·Σ_i b_i^out·Σ_j (x_{ij,T} − x_{ij,0}),
 //
 // and the gap must obey |P1 − P0| ≤ w_mg·σ with σ = Σ_i b_i^out·C_i
 // (the Lemma's additive constant; the bound follows from per-slot
 // capacity feasibility).
-//
-// The breakdowns are Evaluate's and EvaluateP1's, bit for bit, from one
-// walk over the slots: P1's static terms are P0's (SlotCost sums them in
-// SlotStatic's order), so only P1's dynamic terms are priced again.
-func (c *checker) checkGap(in *model.Instance, s model.Schedule) {
-	var b0, b1 model.Breakdown
-	prev := in.InitialAlloc()
-	for t, x := range s {
-		d := in.SlotCost(t, prev, x)
-		rc, mg := in.SlotDynamicP1(prev, x)
-		b0.Add(d)
-		b1.Add(model.Breakdown{Op: d.Op, Sq: d.Sq, Rc: rc, Mg: mg})
-		prev = x
-	}
+func (c *checker) checkGap(in *model.Instance, b0, b1 model.Breakdown, last model.Alloc) {
 	c.rep.BreakdownP0, c.rep.BreakdownP1 = b0, b1
 
 	for _, v := range []float64{b0.Op, b0.Sq, b0.Rc, b0.Mg, b1.Mg} {
@@ -390,7 +432,6 @@ func (c *checker) checkGap(in *model.Instance, s model.Schedule) {
 	gap := t1 - t0
 	// The identity's right-hand side, straight from the allocations.
 	init := in.InitialAlloc()
-	last := s[len(s)-1]
 	want := 0.0
 	for i := 0; i < in.I; i++ {
 		d := 0.0

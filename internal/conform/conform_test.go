@@ -2,6 +2,7 @@ package conform_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -37,10 +38,21 @@ func feasibleSchedule(in *model.Instance) model.Schedule {
 	return s
 }
 
+// requireWalkReport requires CheckWalk over the schedule's walk to report
+// exactly what Check reported for the schedule itself.
+func requireWalkReport(t *testing.T, in *model.Instance, s model.Schedule, diag *conform.Diagnostics, opts conform.Options, want *conform.Report) {
+	t.Helper()
+	got := conform.CheckWalk(in, s.Walk, diag, opts)
+	if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", *want); g != w {
+		t.Fatalf("CheckWalk reports\n%s\nCheck\n%s", g, w)
+	}
+}
+
 func TestCheckCleanSchedule(t *testing.T) {
 	in := genInstance(t)
 	s := feasibleSchedule(in)
 	rep := conform.Check(in, s, nil, conform.Options{})
+	requireWalkReport(t, in, s, nil, conform.Options{}, rep)
 	if !rep.OK() {
 		t.Fatalf("clean schedule flagged: %v", rep.Err())
 	}
@@ -96,7 +108,9 @@ func TestCheckDetectsViolations(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			rep := conform.Check(in, tt.mutate(feasibleSchedule(in)), nil, conform.Options{})
+			s := tt.mutate(feasibleSchedule(in))
+			rep := conform.Check(in, s, nil, conform.Options{})
+			requireWalkReport(t, in, s, nil, conform.Options{}, rep)
 			if rep.OK() {
 				t.Fatal("violation not detected")
 			}
@@ -200,6 +214,7 @@ func TestCheckCertificateDiagnostics(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			d := tt.mutate(good)
 			rep := conform.Check(in, s, &d, conform.Options{})
+			requireWalkReport(t, in, s, &d, conform.Options{}, rep)
 			found := false
 			for _, v := range rep.Violations {
 				if v.Kind == tt.want {
@@ -264,6 +279,7 @@ func TestCheckTruncates(t *testing.T) {
 		}
 	}
 	rep := conform.Check(in, s, nil, conform.Options{MaxViolations: 5})
+	requireWalkReport(t, in, s, nil, conform.Options{MaxViolations: 5}, rep)
 	if len(rep.Violations) != 5 || !rep.Truncated {
 		t.Fatalf("got %d violations (truncated=%v), want 5 truncated",
 			len(rep.Violations), rep.Truncated)

@@ -231,10 +231,8 @@ type OnlineApprox struct {
 	before model.Alloc
 	slot   int
 
-	// log holds one record per committed slot (schedlog.go) and sched the
-	// dense schedule built from it so far, only on request (Schedule).
-	log   []slotRecord
-	sched model.Schedule
+	// log holds one record per committed slot (schedlog.go).
+	log []slotRecord
 	// duals[t] is slot t's accepted multiplier vector [θ (J) | ν (I)]:
 	// the multipliers θ'_{j,t} of P2's demand rows and ν'_{i,t} of the
 	// explicit capacity rows. The last row
@@ -522,7 +520,6 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 	o.userTot = make([]float64, in.J)
 	o.dualBuf = make([]float64, in.T*(in.J+in.I))
 	o.log = make([]slotRecord, 0, in.T)
-	o.sched = make(model.Schedule, 0, in.T)
 	o.duals = make([][]float64, 0, in.T)
 }
 

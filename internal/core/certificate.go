@@ -123,8 +123,8 @@ func (c *Certificate) LowerBoundP0() float64 {
 // reduced duals is needed.
 //
 // Every term of slot t depends on x_t and x_{t−1} alone, so the
-// construction is one pass over the decision log with two grids in hand
-// (a slot logged whole is read in place) rather than the whole schedule.
+// construction is one walk of the decision log (walkLog) rather than the
+// whole schedule.
 //
 // Cost model. A slot is two streaming passes over the I×J grid, cloud row
 // by cloud row — g, ν and the running minima θ first, then the Lemma-2
@@ -180,9 +180,9 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 		lnZero[j] = lnBeta(j, 0)
 	}
 
-	// prev and cur are x_{t−1} and x_t with their cloud totals; x_0 is the
-	// initial state. lnB holds β's logs at prev.
-	prev, cur := in.InitialAlloc(), model.Alloc{I: in.I, J: in.J}
+	// prev is x_{t−1} and the walk yields x_t, with their cloud totals;
+	// x_0 is the initial state. lnB holds β's logs at prev.
+	prev := in.InitialAlloc()
 	prevTot, curTot := prev.CloudTotals(), make([]float64, in.I)
 	lnB := make([]float64, in.I*in.J)
 	for k, x := range prev.X {
@@ -195,19 +195,9 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 	for j := range attach {
 		attach[j] = -1
 	}
-	// A commit lists distinct columns, so stale never outgrows J.
-	grids := gridPair{stale: make([]int, 0, in.J)}
 	theta, nu, gRow := make([]float64, in.J), make([]float64, in.I), make([]float64, in.J)
-	for t := 1; t <= in.T; t++ {
-		r := o.log[t-1]
-		cur.X = r.vals
-		if r.cols != nil {
-			cur.X = grids.level(prev.X, in.J)
-			r.apply(cur.X, in.I, in.J)
-			grids.commit(r.cols)
-		} else {
-			grids.moved()
-		}
+	walkLog(in, o.log, func(s int, cur model.Alloc) bool {
+		t := s + 1
 		cur.CloudTotalsInto(curTot)
 		attachSQ(in, t-1, sq, attach)
 		price := in.OpPrice[t-1]
@@ -294,8 +284,9 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 			}
 			f.DualRow, f.BetaBound, f.Negativity = dualRow, betaBound, negativity
 		}
-		prev, cur = cur, prev
+		prev = cur
 		prevTot, curTot = curTot, prevTot
-	}
+		return true
+	})
 	return cert, nil
 }

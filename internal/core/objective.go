@@ -120,14 +120,17 @@ func newP2ObjectiveConst(in *model.Instance, eps1, eps2 float64, fast bool) *p2O
 	}
 	o.rcFac = make([]float64, in.I)
 	o.prevTot = make([]float64, in.I)
+	tau := make([]float64, in.J)
+	for j := range tau {
+		tau[j] = math.Log1p(in.Workload[j] / eps2)
+	}
 	for i := 0; i < in.I; i++ {
 		o.rowPtr[i+1] = (i + 1) * in.J
 		eta := math.Log1p(in.Capacity[i] / eps1)
 		o.rcFac[i] = in.WRc * in.ReconfPrice[i] / eta
 		b := in.WMg * (in.MigOutPrice[i] + in.MigInPrice[i])
-		for j := 0; j < in.J; j++ {
-			tau := math.Log1p(in.Workload[j] / eps2)
-			o.mgFac[i*in.J+j] = b / tau
+		for j, tj := range tau {
+			o.mgFac[i*in.J+j] = b / tj
 		}
 	}
 	return &o

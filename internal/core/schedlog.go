@@ -9,15 +9,17 @@ import (
 // This file keeps the run's decisions. P2 reads nothing older than
 // x_{t−1}, so OnlineApprox retains no dense schedule beside what it needs
 // to solve: slot t's entry in the decision log is the columns the slot
-// wrote, with their I values each, and the dense schedule is built from the
-// log only when someone asks for it (Schedule). A slot that wrote every
-// column — every slot of the sharded path, and the all-active slots of the
-// single program (slot 0, every slot without Incremental) — is logged as
-// its row-major grid itself, which is also the carried decision and the
-// grid Schedule hands out, so logging it copies nothing. On the single
-// program the columns a slot writes are the ones repairTouched visits:
-// scatterInto writes the active users' candidate pairs and the repair its
-// visited columns, nothing else.
+// wrote, with their I values each. A slot that wrote every column — every
+// slot of the sharded path, and the all-active slots of the single program
+// (slot 0, every slot without Incremental) — is logged as its row-major
+// grid itself, which is also the carried decision, so logging it copies
+// nothing. On the single program the columns a slot writes are the ones
+// repairTouched visits: scatterInto writes the active users' candidate
+// pairs and the repair its visited columns, nothing else. Every read of
+// the whole horizon — Schedule, ExportState, the certificate, and through
+// Decisions the serving layer's schedule, conformance check and snapshots
+// — walks the log (walkLog) with two working grids, so no read keeps a
+// dense schedule and none copies a grid the log holds whole.
 
 // slotRecord is one slot's entry in the decision log: the columns cols the
 // slot wrote, column p's I values at vals[p·I:(p+1)·I]; or, cols nil, the
@@ -108,27 +110,76 @@ func (g *gridPair) release() []float64 {
 	return b
 }
 
-// Schedule returns the decisions of the slots committed so far, one dense
-// I×J grid per slot, building them from the decision log on demand: from
-// the last slot an earlier call built, a grid logged whole as it is, any
-// other as a copy of its predecessor with the slot's columns written. The
-// grids are kept, so a caller that asks once per slot pays one grid per
-// slot and one that never asks pays none. The result is shared with later
-// calls and must not be modified.
-func (o *OnlineApprox) Schedule() model.Schedule {
-	in := o.inst
-	for t := len(o.sched); t < len(o.log); t++ {
-		r := o.log[t]
+// walkLog calls yield with each logged slot's decision in slot order,
+// stopping early when yield returns false: a grid logged whole as it is,
+// any other built in one of two working grids as a copy of its
+// predecessor with the slot's columns written. The grid yielded for slot
+// t−1 stays valid while slot t's is yielded, and the last one yielded
+// after the walk returns; a caller that keeps a built grid copies it. No
+// grid logged whole may be modified.
+func walkLog(in *model.Instance, log []slotRecord, yield func(t int, x model.Alloc) bool) {
+	var grids gridPair
+	var prev []float64
+	for t, r := range log {
 		x := model.Alloc{I: in.I, J: in.J, X: r.vals}
-		if r.cols != nil {
+		if r.cols == nil {
+			grids.moved()
+		} else {
 			if t == 0 {
-				x = in.InitialAlloc()
-			} else {
-				x = o.sched[t-1].Clone()
+				prev = in.InitialAlloc().X
 			}
+			if grids.stale == nil {
+				// A commit lists distinct columns, so stale never outgrows J.
+				grids.stale = make([]int, 0, in.J)
+			}
+			x.X = grids.level(prev, in.J)
+			grids.commit(r.cols)
 			r.apply(x.X, in.I, in.J)
 		}
-		o.sched = append(o.sched, x)
+		if !yield(t, x) {
+			return
+		}
+		prev = x.X
 	}
-	return o.sched
+}
+
+// Decisions is a view of the decisions a run had committed when the view
+// was taken. A log record is never written once appended — a grid logged
+// whole is a buffer the run has given up (gridPair.release) — so the view
+// stays valid, and may be walked from another goroutine, while the run
+// goes on.
+type Decisions struct {
+	in  *model.Instance
+	log []slotRecord
+}
+
+// Decisions returns a view of the slots committed so far. It copies no
+// grid; the caller must not run it concurrently with a Step, but may walk
+// the view concurrently with later ones.
+func (o *OnlineApprox) Decisions() Decisions { return Decisions{o.inst, o.log} }
+
+// Len is the number of committed slots in the view.
+func (d Decisions) Len() int { return len(d.log) }
+
+// Walk is a model.Walk over the view's decisions (walkLog): two working
+// grids whatever the horizon, none when every slot was logged whole.
+func (d Decisions) Walk(yield func(t int, x model.Alloc) bool) {
+	walkLog(d.in, d.log, yield)
+}
+
+// Schedule returns the decisions of the slots committed so far, one dense
+// I×J grid per slot, built by walking the decision log: a grid logged
+// whole is handed out as it is, any other is copied out of the walk.
+// Nothing is kept, so a caller that never asks pays nothing; the result
+// shares the log's grids and must not be modified.
+func (o *OnlineApprox) Schedule() model.Schedule {
+	s := make(model.Schedule, 0, len(o.log))
+	walkLog(o.inst, o.log, func(t int, x model.Alloc) bool {
+		if o.log[t].cols != nil {
+			x.X = slices.Clone(x.X)
+		}
+		s = append(s, x)
+		return true
+	})
+	return s
 }

@@ -419,9 +419,11 @@ func TestTransitionViews(t *testing.T) {
 // materialises to be, bit for bit, a copy taken of every decision Step
 // returned, on every path that logs differently: whole grids on the
 // sharded path and on every all-active slot, written
-// columns on a slot that froze users. Schedule is also asked mid-run (the
-// cache must extend, not restart) and one run is restored from a mid-run
-// export, whose restored slots the log holds whole.
+// columns on a slot that froze users. Schedule is also asked mid-run, one
+// run is restored from a mid-run export, whose restored slots the log
+// holds whole, and a Decisions view taken mid-run must walk the same
+// grids after the run has gone on. A grid logged whole is handed out as
+// it is, not copied.
 func TestScheduleMatchesStepViews(t *testing.T) {
 	t.Parallel()
 	in := logInstance(t)
@@ -439,6 +441,7 @@ func TestScheduleMatchesStepViews(t *testing.T) {
 			alg := NewOnlineApprox(in, tc.opts)
 			var views [][]float64
 			var kinds []byte
+			var view Decisions
 			for tt := 0; tt < in.T; tt++ {
 				if tt == restoreAt {
 					st := alg.ExportState()
@@ -460,6 +463,9 @@ func TestScheduleMatchesStepViews(t *testing.T) {
 				if tt == 2 || tt == restoreAt+1 {
 					alg.Schedule()
 				}
+				if tt == 3 {
+					view = alg.Decisions()
+				}
 			}
 			sched := alg.Schedule()
 			if len(sched) != in.T {
@@ -472,6 +478,23 @@ func TestScheduleMatchesStepViews(t *testing.T) {
 							tc.name, restoreAt, tt, k, v, views[tt][k])
 					}
 				}
+				if alg.log[tt].cols == nil && &x.X[0] != &alg.log[tt].vals[0] {
+					t.Fatalf("%s: slot %d, logged whole, was copied", tc.name, tt)
+				}
+			}
+			walked := 0
+			view.Walk(func(tt int, x model.Alloc) bool {
+				for k, v := range x.X {
+					if math.Float64bits(v) != math.Float64bits(views[tt][k]) {
+						t.Fatalf("%s (restore at %d): slot %d entry %d is %v in the mid-run view, %v in Step's",
+							tc.name, restoreAt, tt, k, v, views[tt][k])
+					}
+				}
+				walked++
+				return true
+			})
+			if view.Len() != 4 || walked != 4 {
+				t.Errorf("%s: the mid-run view holds %d slots and walks %d, want 4", tc.name, view.Len(), walked)
 			}
 			// w: logged whole, c: logged as columns. The incremental runs
 			// log columns on both sides of the whole slot 5, restored or

@@ -111,7 +111,6 @@ func recouple(alg *OnlineApprox, x []float64) {
 	alg.prev = model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), x...)}
 	last := len(alg.log) - 1
 	alg.log[last] = slotRecord{vals: alg.prev.X}
-	alg.sched = alg.sched[:min(len(alg.sched), last)]
 	alg.obj.carry(alg.prev)
 	if s := alg.single; s != nil {
 		s.grids.moved()

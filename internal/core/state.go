@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"edgealloc/internal/model"
 )
@@ -39,12 +40,12 @@ type WarmState struct {
 // as Schedule builds it. The snapshot is independent of the algorithm
 // object: later Steps do not mutate it.
 func (o *OnlineApprox) ExportState() *WarmState {
-	sched := o.Schedule()
 	st := &WarmState{Slot: o.slot, Duals: copyRows(o.duals)}
-	st.Schedule = make([][]float64, len(sched))
-	for t, x := range sched {
-		st.Schedule[t] = append([]float64(nil), x.X...)
-	}
+	st.Schedule = make([][]float64, 0, len(o.log))
+	walkLog(o.inst, o.log, func(_ int, x model.Alloc) bool {
+		st.Schedule = append(st.Schedule, slices.Clone(x.X))
+		return true
+	})
 	return st
 }
 

@@ -227,6 +227,7 @@ func Taxi(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) (*Trace, error) {
 		dst[j] = randomPoint()
 	}
 
+	near := geo.NewSites(sites)
 	tr := &Trace{T: cfg.Horizon, J: cfg.Users}
 	for t := 0; t < cfg.Horizon; t++ {
 		att := make([]int, cfg.Users)
@@ -246,7 +247,7 @@ func Taxi(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) (*Trace, error) {
 					pos[j] = geo.Interpolate(pos[j], dst[j], step/remain)
 				}
 			}
-			idx, d := geo.Nearest(pos[j], sites)
+			idx, d := near.Nearest(pos[j])
 			att[j] = idx
 			acc[j] = d
 		}

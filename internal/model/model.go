@@ -318,6 +318,22 @@ func (a Alloc) UserTotalsInto(dst []float64) {
 // Schedule is an allocation for every slot of the horizon.
 type Schedule []Alloc
 
+// Walk reads a schedule slot by slot: it calls yield with slot t's
+// decision for t = 0, 1, … in order and stops early when yield returns
+// false. The decision yielded for slot t−1 stays valid while slot t's is
+// yielded, and the last one yielded after the walk returns; none may be
+// modified.
+type Walk func(yield func(t int, x Alloc) bool)
+
+// Walk is the schedule as a Walk.
+func (s Schedule) Walk(yield func(t int, x Alloc) bool) {
+	for t, x := range s {
+		if !yield(t, x) {
+			return
+		}
+	}
+}
+
 // Breakdown is the unweighted value of each cost component.
 type Breakdown struct {
 	Op, Sq, Rc, Mg float64

@@ -26,8 +26,8 @@ const maxBodyBytes = 256 << 20
 // stepMu serializes the slot solves (held across the whole solve, so a
 // session processes one slot at a time while status and costs stay
 // responsive) and everything else that reads the algorithm: snapshots,
-// and the schedule GET /schedule builds from its decision log. The
-// session keeps no decision of its own.
+// and the view of its decision log GET /schedule takes. The session keeps
+// no decision of its own.
 type session struct {
 	id  string
 	srv *Server
@@ -543,6 +543,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleSchedule streams the session's decisions from its decision log.
+// The view of the log is taken under stepMu and walked after it is
+// released: committed records are never written again, so a slow reader
+// holds up no slot, and sees the slots committed when it asked.
 func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	sess, id, ok := s.lookup(r)
 	if !ok {
@@ -550,17 +554,15 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sess.touch(s.cfg.now())
-	// The grids Schedule builds are never written again, so they are
-	// encoded after stepMu is released.
 	sess.stepMu.Lock()
-	sched := sess.alg.Schedule()
+	decisions := sess.alg.Decisions()
 	sess.stepMu.Unlock()
-	if len(sched) == 0 {
+	if decisions.Len() == 0 {
 		writeError(w, http.StatusConflict, "no slots solved yet")
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := model.WriteSchedule(w, sched); err != nil {
+	if err := model.WriteScheduleWalk(w, decisions.Walk); err != nil {
 		s.log.Error("encoding schedule", "session", id, "err", err)
 	}
 }
@@ -789,8 +791,9 @@ func (sess *session) recordSlot(t int, now time.Time) *slotResponse {
 	return resp
 }
 
-// finish runs the paper-conformance oracle over the completed schedule,
-// cross-checking the dual certificate and Theorem-2 ratio. Findings are
+// finish runs the paper-conformance oracle over the completed run,
+// cross-checking the dual certificate and Theorem-2 ratio; both read the
+// decisions by walking the algorithm's log. Findings are
 // recorded as metrics and structured log lines; the session itself stays
 // queryable either way. Called under stepMu on the final slot.
 func (sess *session) finish() *conformSummary {
@@ -802,7 +805,7 @@ func (sess *session) finish() *conformSummary {
 		diag.DualResidual = cert.Feasibility.Max()
 		diag.NuCharge = cert.NuCharge
 	}
-	report := conform.Check(sess.inst, sess.alg.Schedule(), diag, conform.Options{})
+	report := conform.CheckWalk(sess.inst, sess.alg.Decisions().Walk, diag, conform.Options{})
 	summary := &conformSummary{
 		OK:           report.OK(),
 		RatioBound:   diag.RatioBound,

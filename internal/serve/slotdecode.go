@@ -3,10 +3,10 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"net/http"
-	"strconv"
 	"sync"
+
+	"edgealloc/internal/jsonscan"
 )
 
 // A slot request is read whole into a pooled buffer and parsed on a fast
@@ -63,11 +63,7 @@ func decodeSlot(w http.ResponseWriter, r *http.Request, req *slotRequest) (relea
 		return release, true
 	}
 	*req = slotRequest{}
-	var rd io.Reader = bytes.NewReader(body)
-	if err != nil {
-		rd = io.MultiReader(rd, errReader{err})
-	}
-	dec := json.NewDecoder(rd)
+	dec := json.NewDecoder(jsonscan.Replay(body, err))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(req); err != nil {
 		release()
@@ -76,11 +72,6 @@ func decodeSlot(w http.ResponseWriter, r *http.Request, req *slotRequest) (relea
 	}
 	return release, true
 }
-
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // Key bits of the fast path's at-most-once check.
 const (
@@ -94,223 +85,51 @@ const (
 // parse decodes body into req on the fast path and reports whether it was
 // canonical; on false req holds a partial decode.
 func (d *slotDecoder) parse(body []byte, req *slotRequest) bool {
-	p := scanner{b: body}
-	if !p.byte('{') {
+	p := jsonscan.New(body)
+	if !p.Byte('{') {
 		return false
 	}
-	if p.byte('}') {
-		return p.end()
+	if p.Byte('}') {
+		return p.End()
 	}
 	seen := 0
 	for {
-		key, ok := p.key()
-		if !ok || !p.byte(':') {
+		key, ok := p.Key()
+		if !ok || !p.Byte(':') {
 			return false
 		}
 		var bit int
 		switch string(key) {
 		case "slot":
 			bit = keySlot
-			if d.slot, ok = p.int(); ok {
+			if d.slot, ok = p.Int(); ok {
 				req.Slot = &d.slot
 			}
 		case "opPrice":
 			bit = keyOpPrice
-			d.opPrice, ok = array(&p, d.opPrice, p.float)
+			d.opPrice, ok = jsonscan.Array(&p, d.opPrice, p.Float)
 			req.OpPrice = d.opPrice
 		case "attach":
 			bit = keyAttach
-			d.attach, ok = array(&p, d.attach, p.int)
+			d.attach, ok = jsonscan.Array(&p, d.attach, p.Int)
 			req.Attach = d.attach
 		case "accessDelay":
 			bit = keyAccessDelay
-			d.accessDelay, ok = array(&p, d.accessDelay, p.float)
+			d.accessDelay, ok = jsonscan.Array(&p, d.accessDelay, p.Float)
 			req.AccessDelay = d.accessDelay
 		case "includeAllocation":
 			bit = keyIncludeAllocation
-			req.IncludeAllocation, ok = p.bool()
+			req.IncludeAllocation, ok = p.Bool()
 		}
 		if !ok || bit == 0 || seen&bit != 0 {
 			return false
 		}
 		seen |= bit
-		if p.byte('}') {
-			return p.end()
+		if p.Byte('}') {
+			return p.End()
 		}
-		if !p.byte(',') {
+		if !p.Byte(',') {
 			return false
-		}
-	}
-}
-
-// scanner walks a JSON text for the fast path. Its methods skip the
-// whitespace in front of what they read, but for accept and digits, which
-// read inside a number.
-type scanner struct {
-	b []byte
-	i int
-}
-
-func (p *scanner) skip() {
-	for p.i < len(p.b) {
-		switch p.b[p.i] {
-		case ' ', '\t', '\n', '\r':
-			p.i++
-		default:
-			return
-		}
-	}
-}
-
-// byte consumes c if it comes next.
-func (p *scanner) byte(c byte) bool {
-	p.skip()
-	if p.i < len(p.b) && p.b[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// end reports whether only whitespace is left.
-func (p *scanner) end() bool {
-	p.skip()
-	return p.i == len(p.b)
-}
-
-// key reads a string of ASCII letters, the only keys the fast path knows.
-func (p *scanner) key() ([]byte, bool) {
-	if !p.byte('"') {
-		return nil, false
-	}
-	start := p.i
-	for p.i < len(p.b) {
-		c := p.b[p.i]
-		switch {
-		case c == '"':
-			p.i++
-			return p.b[start : p.i-1], true
-		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z':
-			p.i++
-		default:
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-// number reads a token of the JSON number grammar
-// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? and reports whether it
-// has neither a fraction nor an exponent.
-func (p *scanner) number() (tok []byte, integer, ok bool) {
-	p.skip()
-	start := p.i
-	p.accept('-')
-	switch {
-	case p.accept('0'):
-	case p.digits() == 0:
-		return nil, false, false
-	}
-	integer = true
-	if p.accept('.') {
-		if p.digits() == 0 {
-			return nil, false, false
-		}
-		integer = false
-	}
-	if p.accept('e') || p.accept('E') {
-		if !p.accept('+') {
-			p.accept('-')
-		}
-		if p.digits() == 0 {
-			return nil, false, false
-		}
-		integer = false
-	}
-	return p.b[start:p.i], integer, true
-}
-
-// accept consumes c if it comes next, without skipping whitespace.
-func (p *scanner) accept(c byte) bool {
-	if p.i < len(p.b) && p.b[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (p *scanner) digits() int {
-	start := p.i
-	for p.i < len(p.b) && '0' <= p.b[p.i] && p.b[p.i] <= '9' {
-		p.i++
-	}
-	return p.i - start
-}
-
-// float reads a number as encoding/json does into a float64.
-func (p *scanner) float() (float64, bool) {
-	tok, _, ok := p.number()
-	if !ok {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(string(tok), 64)
-	return v, err == nil
-}
-
-// int reads a number as encoding/json does into an int: digits only, in
-// range.
-func (p *scanner) int() (int, bool) {
-	tok, integer, ok := p.number()
-	if !ok || !integer {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-	return int(v), err == nil
-}
-
-// literal consumes lit if it comes next.
-func (p *scanner) literal(lit string) bool {
-	p.skip()
-	if len(p.b)-p.i >= len(lit) && string(p.b[p.i:p.i+len(lit)]) == lit {
-		p.i += len(lit)
-		return true
-	}
-	return false
-}
-
-// bool reads true or false.
-func (p *scanner) bool() (bool, bool) {
-	if p.literal("true") {
-		return true, true
-	}
-	return false, p.literal("false")
-}
-
-// array reads a JSON array of elem's values into dst[:0]; [] gives an
-// empty non-nil slice, as encoding/json does.
-func array[T any](p *scanner, dst []T, elem func() (T, bool)) ([]T, bool) {
-	dst = dst[:0]
-	if dst == nil {
-		dst = []T{}
-	}
-	if !p.byte('[') {
-		return dst, false
-	}
-	if p.byte(']') {
-		return dst, true
-	}
-	for {
-		v, ok := elem()
-		if !ok {
-			return dst, false
-		}
-		dst = append(dst, v)
-		if p.byte(']') {
-			return dst, true
-		}
-		if !p.byte(',') {
-			return dst, false
 		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"edgealloc/internal/model"
 )
 
 // tmpPrefix starts the name of every temp file a whole-file write leaves
@@ -18,24 +20,17 @@ import (
 // sweep the ones a crash orphaned.
 const tmpPrefix = ".tmp-"
 
-// record views committed slot t as a snapshot record aliasing the live
-// instance, decision and dual record. The last committed slot's decision
-// is the algorithm's view of it; an older one — a whole-file write after
-// several slots, or after a failed append — comes from the schedule the
-// algorithm builds from its log. The caller must hold stepMu.
-func (sess *session) record(t int) slotRecord {
+// record views committed slot t, whose decision is x, as a snapshot
+// record aliasing the live instance, decision and dual record. The caller
+// must hold stepMu.
+func (sess *session) record(t int, x []float64) slotRecord {
 	rec := slotRecord{
 		opPrice:     sess.inst.OpPrice[t],
 		attach:      sess.inst.Attach[t],
 		accessDelay: sess.inst.AccessDelay[t],
+		x:           x,
 		duals:       sess.alg.Duals()[t],
 		slotMeta:    sess.meta[t],
-	}
-	if t == sess.next-1 {
-		_, cur := sess.alg.Transition()
-		rec.x = cur.X
-	} else {
-		rec.x = sess.alg.Schedule()[t].X
 	}
 	if t == sess.inst.T-1 {
 		rec.Summary = sess.summary
@@ -43,21 +38,31 @@ func (sess *session) record(t int) slotRecord {
 	return rec
 }
 
-// appendRecords appends the records of committed slots [from, to). The
-// caller must hold stepMu.
-func (sess *session) appendRecords(b []byte, from, to int) ([]byte, error) {
+// appendRecords appends the records of the committed slots from on. The
+// last committed slot's decision is the algorithm's view of it; older ones
+// — a whole-file write, or an append after a failed one — come from one
+// walk of the algorithm's decision log. The caller must hold stepMu.
+func (sess *session) appendRecords(b []byte, from int) ([]byte, error) {
 	var err error
-	for t := from; t < to && err == nil; t++ {
-		rec := sess.record(t)
-		b, err = appendRecord(b, &rec)
+	if from == sess.next-1 {
+		_, cur := sess.alg.Transition()
+		rec := sess.record(from, cur.X)
+		return appendRecord(b, &rec)
 	}
+	sess.alg.Decisions().Walk(func(t int, x model.Alloc) bool {
+		if t >= from {
+			rec := sess.record(t, x.X)
+			b, err = appendRecord(b, &rec)
+		}
+		return err == nil
+	})
 	return b, err
 }
 
 // encode renders the session's whole snapshot: the header and one record
 // per committed slot. The caller must hold stepMu.
 func (sess *session) encode() ([]byte, error) {
-	return sess.appendRecords(slices.Clone(sess.header), 0, sess.next)
+	return sess.appendRecords(slices.Clone(sess.header), 0)
 }
 
 // restoreSession rebuilds a session from a decoded snapshot: the
@@ -206,7 +211,7 @@ func (s *Server) persist(sess *session, reason string, doc []byte) error {
 	kind := "rewrite"
 	if sess.logOK {
 		kind = "append"
-		if doc, err = sess.appendRecords(sess.recBuf[:0], sess.logSlots, n); err == nil {
+		if doc, err = sess.appendRecords(sess.recBuf[:0], sess.logSlots); err == nil {
 			sess.recBuf = doc
 			err = appendFile(path, doc)
 		}

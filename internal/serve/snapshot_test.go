@@ -120,7 +120,7 @@ func requireNoOwnGrid(t *testing.T, srv *Server, id string, n int) {
 		t.Fatalf("session %s not registered", id)
 	}
 	sess.stepMu.Lock()
-	next, built := sess.next, len(sess.alg.Schedule())
+	next, built := sess.next, sess.alg.Decisions().Len()
 	sess.stepMu.Unlock()
 	if next != n || built != n {
 		t.Fatalf("session at slot %d, algorithm %d, want %d", next, built, n)
