@@ -206,7 +206,7 @@ func TestReducedProgramNoWorse(t *testing.T) {
 		}
 		st := alg.ExportState()
 		tt, nI, nJ := st.Slot, in.I, in.J
-		prev := model.Alloc{I: nI, J: nJ, X: st.Schedule[tt-1]}
+		prev := model.Alloc{I: nI, J: nJ, X: denseOf(nI*nJ, st.Schedule[tt-1])}
 		full := withComplementRows(in)
 		solve := func(cons []alm.Constraint, warmDuals []float64) *alm.Result {
 			sopts := alg.opts.Solver

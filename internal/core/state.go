@@ -13,9 +13,9 @@ import (
 // everything a fresh algorithm object needs to resume the online
 // algorithm at the next unsolved slot as if it had solved the previous
 // ones itself. The committed decisions double as the warm iterate — the
-// slot-t solve warm-starts from x*_{·,·,t-1}, which is exactly
-// Schedule[t-1] (post-repair) — and the last row of Duals, the per-slot
-// dual record, is the dense warm start of the multipliers.
+// slot-t solve warm-starts from x*_{·,·,t-1}, the last row of Schedule
+// (post-repair) — and the last row of Duals, the per-slot dual record, is
+// the dense warm start of the multipliers.
 //
 // Path-internal warm state is deliberately not captured: the candidate
 // builder's sets and the incremental tier's short columns are rebuilt from
@@ -27,40 +27,54 @@ type WarmState struct {
 	// Slot is the next unsolved slot; len(Schedule) committed decisions
 	// precede it.
 	Slot int `json:"slot"`
-	// Schedule holds the committed decisions, one dense row-major I×J
-	// matrix per solved slot.
-	Schedule [][]float64 `json:"schedule"`
+	// Schedule holds the committed decisions, one row per solved slot, in
+	// the snapshot codec's form: the entries of the row-major I×J grid
+	// whose bit pattern is not zero, in ascending index order, so +0.0 is
+	// omitted and −0.0 and subnormals are kept.
+	Schedule [][]Entry `json:"schedule"`
 	// Duals holds one row per solved slot: the multipliers of P2's demand
 	// and capacity rows in the [θ (J) | ν (I)] layout, each finite and
 	// nonnegative.
 	Duals [][]float64 `json:"duals"`
 }
 
-// ExportState deep-copies the algorithm's cross-slot state, the schedule
-// as Schedule builds it. The snapshot is independent of the algorithm
-// object: later Steps do not mutate it.
+// Entry is one stored entry of a decision grid: its row-major index into
+// the I×J grid and its value.
+type Entry struct {
+	Index int     `json:"index"`
+	Value float64 `json:"value"`
+}
+
+// ExportState deep-copies the algorithm's cross-slot state, each decision
+// read off one walk of the decision log as its stored entries. The
+// snapshot is independent of the algorithm object: later Steps do not
+// mutate it.
 func (o *OnlineApprox) ExportState() *WarmState {
-	st := &WarmState{Slot: o.slot, Duals: copyRows(o.duals)}
-	st.Schedule = make([][]float64, 0, len(o.log))
+	st := &WarmState{Slot: o.slot}
+	for _, r := range o.duals {
+		st.Duals = append(st.Duals, slices.Clone(r))
+	}
 	walkLog(o.inst, o.log, func(_ int, x model.Alloc) bool {
-		st.Schedule = append(st.Schedule, slices.Clone(x.X))
+		var row []Entry
+		for k, v := range x.X {
+			if math.Float64bits(v) != 0 {
+				row = append(row, Entry{k, v})
+			}
+		}
+		st.Schedule = append(st.Schedule, row)
 		return true
 	})
 	return st
-}
-
-func copyRows(rows [][]float64) [][]float64 {
-	out := make([][]float64, len(rows))
-	for k, r := range rows {
-		out[k] = append([]float64(nil), r...)
-	}
-	return out
 }
 
 // RestoreState loads an exported state into a freshly constructed
 // algorithm (same instance shape and options as the exporting run).
 // After a successful restore the next Step must be for slot st.Slot; a
 // used algorithm object refuses to restore.
+//
+// Each slot is rebuilt in one of two working grids and logged by the
+// columns whose bits differ from its predecessor's, whole where all do;
+// the last two are logged as the working grids themselves.
 func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	in := o.inst
 	if in == nil {
@@ -76,15 +90,30 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 		return err
 	}
 	o.ensureInit(in)
+	var grids [2][]float64
+	prev, cols := o.prev.X, []int(nil) // slot 0 follows the pre-horizon allocation
 	for t, row := range st.Schedule {
-		o.log = append(o.log, slotRecord{vals: append([]float64(nil), row...)})
+		x := grids[t%2]
+		if x == nil {
+			x = make([]float64, in.I*in.J)
+		}
+		clear(x)
+		for _, e := range row {
+			x[e.Index] = e.Value
+		}
+		if t >= st.Slot-2 {
+			// Carried as prev and before: no later slot is built in x.
+			o.log = append(o.log, slotRecord{vals: x})
+			o.before, o.prev = o.prev, model.Alloc{I: in.I, J: in.J, X: x}
+		} else if cols = changedColumns(cols[:0], prev, x, in.J); len(cols) == in.J {
+			o.log = append(o.log, slotRecord{vals: slices.Clone(x)})
+		} else {
+			o.log = append(o.log, columnRecord(x, in.I, in.J, cols))
+		}
+		grids[t%2], prev = x, x
 		o.recordDuals(st.Duals[t])
 	}
-	if st.Slot > 1 {
-		o.before = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-2].vals}
-	}
 	if st.Slot > 0 {
-		o.prev = model.Alloc{I: in.I, J: in.J, X: o.log[st.Slot-1].vals}
 		o.obj.carry(o.prev)
 		if o.single != nil {
 			o.single.restoreShort(in, o.prev, o.userTot)
@@ -92,6 +121,20 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	}
 	o.slot = st.Slot
 	return nil
+}
+
+// changedColumns appends to cols, ascending, the columns of the I×J grids
+// a and b that differ in some bit.
+func changedColumns(cols []int, a, b []float64, nJ int) []int {
+	for j := 0; j < nJ; j++ {
+		for k := j; k < len(a); k += nJ {
+			if math.Float64bits(a[k]) != math.Float64bits(b[k]) {
+				cols = append(cols, j)
+				break
+			}
+		}
+	}
+	return cols
 }
 
 // validate checks the state's shape and values against the instance, so
@@ -108,12 +151,10 @@ func (st *WarmState) validate(in *model.Instance) error {
 		return fail("%d committed slots, want %d", len(st.Schedule), st.Slot)
 	}
 	for t, row := range st.Schedule {
-		if len(row) != in.I*in.J {
-			return fail("schedule slot %d has %d entries, want %d", t, len(row), in.I*in.J)
-		}
-		for k, v := range row {
-			if !(v >= 0) || math.IsInf(v, 0) {
-				return fail("schedule slot %d entry %d = %g must be finite and nonnegative", t, k, v)
+		for k, e := range row {
+			if e.Index < 0 || e.Index >= in.I*in.J || k > 0 && e.Index <= row[k-1].Index || !(e.Value >= 0) || math.IsInf(e.Value, 0) {
+				return fail("schedule slot %d entry %d (index %d, value %g): want ascending indices in [0, %d), finite nonnegative values",
+					t, k, e.Index, e.Value, in.I*in.J)
 			}
 		}
 	}

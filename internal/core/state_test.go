@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -234,6 +235,177 @@ func TestRestoreIncrementalBitwise(t *testing.T) {
 	}
 }
 
+// walkCopies walks a run's decisions and copies each grid out of the walk.
+func walkCopies(alg *OnlineApprox) [][]float64 {
+	var out [][]float64
+	alg.Decisions().Walk(func(_ int, x model.Alloc) bool {
+		out = append(out, slices.Clone(x.X))
+		return true
+	})
+	return out
+}
+
+// sameGrids reports the first slot and entry where two walks differ in a
+// bit, or an error naming their lengths.
+func sameGrids(a, b [][]float64) error {
+	if len(a) != len(b) {
+		return fmt.Errorf("%d slots walked, want %d", len(b), len(a))
+	}
+	for t := range a {
+		if k := sameBits(a[t], b[t]); k >= 0 {
+			return fmt.Errorf("slot %d entry %d: %v, want %v", t, k, b[t][k], a[t][k])
+		}
+	}
+	return nil
+}
+
+// wholeRecords counts the slots a run logged as whole grids.
+func wholeRecords(alg *OnlineApprox) int {
+	n := 0
+	for _, r := range alg.log {
+		if r.cols == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRestoredLogKeepsColumns restores at every cut of mixed-log runs on
+// the default, candidate and incremental tiers and finishes each: the
+// restored run's decisions walk as the uninterrupted run's, bit for bit,
+// and its log holds no more whole grids than the uninterrupted run's plus
+// the two carried slots a restore logs whole — a restored slot that kept
+// some column of its predecessor is logged by the columns that changed.
+func TestRestoredLogKeepsColumns(t *testing.T) {
+	t.Parallel()
+	in := logInstance(t)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"default", Options{}},
+		{"candidates", Options{Candidates: 3}},
+		{"incremental", Options{Incremental: true, IncrementalTol: 0.5}},
+		{"churn", churnTierOpts()},
+	} {
+		ref := NewOnlineApprox(in, tc.opts)
+		if _, err := ref.Run(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want, refWhole := walkCopies(ref), wholeRecords(ref)
+		columns := 0
+		for cut := 0; cut <= in.T; cut++ {
+			var alg *OnlineApprox
+			var err error
+			if cut < in.T {
+				alg, err = runRestoring(NewOnlineApprox(in, tc.opts), cut)
+			} else {
+				alg = NewOnlineApprox(in, tc.opts)
+				err = alg.RestoreState(ref.ExportState())
+			}
+			if err != nil {
+				t.Fatalf("%s cut %d: %v", tc.name, cut, err)
+			}
+			if err := sameGrids(want, walkCopies(alg)); err != nil {
+				t.Fatalf("%s cut %d: %v", tc.name, cut, err)
+			}
+			if got := wholeRecords(alg); got > refWhole+2 {
+				t.Errorf("%s cut %d: %d whole grids logged, the uninterrupted run %d (+2 carried)", tc.name, cut, got, refWhole)
+			}
+			for _, r := range alg.log[:max(cut-2, 0)] {
+				if r.cols != nil {
+					columns++
+				}
+			}
+		}
+		if tc.opts.Incremental && columns == 0 {
+			t.Errorf("%s: no restored slot was logged by its columns", tc.name)
+		}
+		t.Logf("%s: %d of the uninterrupted run's %d slots logged whole; %d restored slots logged by columns",
+			tc.name, refWhole, in.T, columns)
+	}
+}
+
+// TestRestoreSpecialValues exports, restores and continues a candidate-tier
+// run whose every decision holds −0.0 and the smallest subnormal at two
+// pairs the solver left at +0 in every slot — old slots, some of which the
+// restore logs by columns, and the two it carries — and requires the
+// restored run to walk and continue bit for bit: the stored entries keep
+// every bit pattern but +0.0's.
+func TestRestoreSpecialValues(t *testing.T) {
+	in := logInstance(t)
+	opts := Options{Candidates: 3}
+	negZero, tiny := math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	cut := in.T - 2
+	a := NewOnlineApprox(in, opts)
+	for tt := 0; tt < cut; tt++ {
+		if _, err := a.Step(tt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Without Incremental every slot is logged whole, the carried decision
+	// included, so the log's grids are the run's own decisions.
+	var zeros []int
+	for k := 0; k < in.I*in.J && len(zeros) < 2; k++ {
+		if !slices.ContainsFunc(a.log, func(r slotRecord) bool { return r.cols != nil || r.vals[k] != 0 }) {
+			zeros = append(zeros, k)
+		}
+	}
+	if len(zeros) < 2 {
+		t.Fatal("fewer than two pairs held at zero in every slot")
+	}
+	for _, r := range a.log {
+		r.vals[zeros[0]], r.vals[zeros[1]] = negZero, tiny
+	}
+	st := roundtripState(t, a.ExportState())
+	specials := 0
+	for _, row := range st.Schedule {
+		for _, e := range row {
+			if b := math.Float64bits(e.Value); b == math.Float64bits(negZero) || b == math.Float64bits(tiny) {
+				specials++
+			}
+		}
+	}
+	if want := 2 * cut; specials != want {
+		t.Fatalf("export kept %d of the %d special entries", specials, want)
+	}
+	b := NewOnlineApprox(in, opts)
+	if err := b.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(b.log, func(r slotRecord) bool { return r.cols != nil }) {
+		t.Error("every restored slot was logged whole; column records went unexercised")
+	}
+	for tt := cut; tt < in.T; tt++ {
+		xa, err := a.Step(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xb, err := b.Step(tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameRunBits(xa.X, xb.X, a.Duals()[tt], b.Duals()[tt]); err != nil {
+			t.Fatalf("slot %d: %v", tt, err)
+		}
+	}
+	if err := sameGrids(walkCopies(a), walkCopies(b)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChangedColumnsComparesBits: a column that differs from its
+// predecessor in a sign bit alone, or by a subnormal, has changed, so a
+// restored run logs it.
+func TestChangedColumnsComparesBits(t *testing.T) {
+	prev := []float64{0, 0, 1, 2, 0, 3} // 2×3, row-major
+	x := slices.Clone(prev)
+	x[0], x[4] = math.Copysign(0, -1), math.SmallestNonzeroFloat64
+	if got := changedColumns(nil, prev, x, 3); !slices.Equal(got, []int{0, 1}) {
+		t.Errorf("changed columns %v, want [0 1]", got)
+	}
+}
+
 // TestRestorePreservesDualRecord requires the certificate machinery to
 // survive a mid-run snapshot: the restored run's conformance report must
 // be clean, like the uninterrupted run's.
@@ -281,6 +453,27 @@ func TestRestorePreservesDualRecord(t *testing.T) {
 	}
 }
 
+// entries lists the entries of x whose bit pattern is not zero, as
+// ExportState stores a decision.
+func entries(x []float64) (row []Entry) {
+	for k, v := range x {
+		if math.Float64bits(v) != 0 {
+			row = append(row, Entry{k, v})
+		}
+	}
+	return row
+}
+
+// denseOf builds the grid of n entries that a row of stored entries
+// describes.
+func denseOf(n int, row []Entry) []float64 {
+	x := make([]float64, n)
+	for _, e := range row {
+		x[e.Index] = e.Value
+	}
+	return x
+}
+
 // TestExportStateIsDeepCopy mutates the algorithm after an export and
 // requires the snapshot to stay frozen.
 func TestExportStateIsDeepCopy(t *testing.T) {
@@ -290,14 +483,12 @@ func TestExportStateIsDeepCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := alg.ExportState()
-	want := append([]float64(nil), st.Schedule[0]...)
+	want := slices.Clone(st.Schedule[0])
 	if _, err := alg.Step(1); err != nil {
 		t.Fatal(err)
 	}
-	for k := range want {
-		if st.Schedule[0][k] != want[k] {
-			t.Fatalf("export aliased live state at entry %d", k)
-		}
+	if !slices.Equal(st.Schedule[0], want) {
+		t.Fatal("export aliased live state")
 	}
 }
 
@@ -317,12 +508,20 @@ func TestRestoreStateValidation(t *testing.T) {
 		f(&st)
 		return &st
 	}
+	// Unchanged, the deep copy is the state: it carries every field.
+	if rt := mutate(func(*WarmState) {}); !reflect.DeepEqual(rt, good) {
+		t.Fatalf("JSON deep copy %+v, want %+v", rt, good)
+	}
 	cases := map[string]*WarmState{
 		"slot-out-of-range": mutate(func(s *WarmState) { s.Slot = in.T + 1 }),
 		"slot-mismatch":     mutate(func(s *WarmState) { s.Slot = 2 }),
-		"short-row":         mutate(func(s *WarmState) { s.Schedule[0] = s.Schedule[0][:3] }),
-		"negative-flow":     mutate(func(s *WarmState) { s.Schedule[0][0] = -1 }),
-		"nan-flow":          mutate(func(s *WarmState) { s.Schedule[0][0] = math.NaN() }),
+		"index-past-grid":   mutate(func(s *WarmState) { s.Schedule[0][len(s.Schedule[0])-1].Index = in.I * in.J }),
+		"negative-index":    mutate(func(s *WarmState) { s.Schedule[0][0].Index = -1 }),
+		"repeated-index":    mutate(func(s *WarmState) { s.Schedule[0][1].Index = s.Schedule[0][0].Index }),
+		"descending-index":  mutate(func(s *WarmState) { s.Schedule[0][0], s.Schedule[0][1] = s.Schedule[0][1], s.Schedule[0][0] }),
+		"negative-flow":     mutate(func(s *WarmState) { s.Schedule[0][0].Value = -1 }),
+		"nan-flow":          mutate(func(s *WarmState) { s.Schedule[0][0].Value = math.NaN() }),
+		"inf-flow":          mutate(func(s *WarmState) { s.Schedule[0][0].Value = math.Inf(1) }),
 		"missing-duals":     mutate(func(s *WarmState) { s.Duals = nil }),
 		"short-dual-row":    mutate(func(s *WarmState) { s.Duals[0] = s.Duals[0][:1] }),
 		"inf-theta":         mutate(func(s *WarmState) { s.Duals[0][0] = math.Inf(1) }),

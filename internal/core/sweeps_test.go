@@ -273,12 +273,13 @@ func TestSupportIndexMatchesGrid(t *testing.T) {
 			check(fmt.Sprintf("%s slot %d", tc.name, tt), a)
 		}
 		st := a.ExportState()
-		last := st.Schedule[cut-1]
+		last := denseOf(in.I*in.J, st.Schedule[cut-1])
 		k := slices.Index(last, 0)
 		if k < 0 {
 			t.Fatalf("%s: slot %d's decision has no zero entry to sign", tc.name, cut-1)
 		}
 		last[k] = math.Copysign(0, -1)
+		st.Schedule[cut-1] = entries(last)
 		b := NewOnlineApprox(in, opts)
 		if err := b.RestoreState(st); err != nil {
 			t.Fatal(err)

@@ -324,10 +324,10 @@ type serveKernel struct {
 	t      int
 }
 
-func newServeKernel(tb testing.TB) *serveKernel {
+func newServeKernel(tb testing.TB, T int) *serveKernel {
 	srv := serve.New(serve.Config{SnapshotDir: tb.TempDir(), Autosnapshot: true})
 	tb.Cleanup(func() { _ = srv.Close() })
-	k := &serveKernel{tb: tb, h: srv.Handler(), in: churnInstance(tb, 25, 1000, 10, 0.05, 20140212)}
+	k := &serveKernel{tb: tb, h: srv.Handler(), in: churnInstance(tb, 25, 1000, T, 0.05, 20140212)}
 	skeleton := *k.in
 	skeleton.T, skeleton.OpPrice, skeleton.Attach, skeleton.AccessDelay = 0, nil, nil, nil
 	var err error
@@ -393,6 +393,24 @@ func (k *serveKernel) bench(b *testing.B) {
 	})
 }
 
+// restoreKernel is the Restore kernel: a session of serveKernel's run to
+// its horizon of T slots, snapshotted and deleted off the clock; each
+// operation restores it from the snapshot through the server's POST
+// /v1/sessions/restore and deletes it again — what a migration, an
+// eviction or the benchmark's close-out gate pays per session.
+func restoreKernel(tb testing.TB, T int) (op func(), grid uint64) {
+	k := newServeKernel(tb, T)
+	for k.t < T {
+		k.post()
+	}
+	doc := bytes.Clone(k.do(http.MethodPost, k.path+"/snapshot", nil, http.StatusOK))
+	k.do(http.MethodDelete, k.path, nil, http.StatusNoContent)
+	return func() {
+		k.do(http.MethodPost, "/v1/sessions/restore", doc, http.StatusCreated)
+		k.do(http.MethodDelete, k.path, nil, http.StatusNoContent)
+	}, uint64(8 * k.in.I * k.in.J)
+}
+
 // The NumKernel family runs the batch log kernel behind
 // core.Options.FastMath in isolation, over one cache-resident buffer of
 // solver-typical operands. LogStdlib is the per-element math.Log loop
@@ -441,7 +459,14 @@ func BenchmarkALMSolve(b *testing.B)   { benchOp(b, almSolve(b)) }
 func BenchmarkOnlineApproxStep(b *testing.B) { newStepKernel(b).bench(b) }
 func BenchmarkIncrementalStep(b *testing.B)  { newIncrementalKernel(b).bench(b) }
 func BenchmarkShardStep(b *testing.B)        { newShardKernel(b).bench(b) }
-func BenchmarkServeSlot(b *testing.B)        { newServeKernel(b).bench(b) }
+func BenchmarkServeSlot(b *testing.B)        { newServeKernel(b, 10).bench(b) }
+
+// BenchmarkRestore restores a finished 28-slot session at serve_stream's
+// geometry from its snapshot through the server's handler.
+func BenchmarkRestore(b *testing.B) {
+	op, _ := restoreKernel(b, 28)
+	benchOp(b, op)
+}
 
 // BenchmarkCertificate is the dual certificate of a finished 28-slot run at
 // serve_stream's geometry, which a session computes in its last slot.
@@ -492,7 +517,7 @@ func TestHotPathAllocs(t *testing.T) {
 	// the pooled body buffer and the session's record buffer reach their
 	// size first; four slots are measured.
 	if !raceEnabled {
-		srv := newServeKernel(t)
+		srv := newServeKernel(t, 10)
 		for k := 0; k < 3; k++ {
 			srv.post()
 		}
@@ -500,6 +525,22 @@ func TestHotPathAllocs(t *testing.T) {
 		if got := bytesPerRun(4, srv.post); got >= grid/8 {
 			t.Errorf("ServeSlot: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
 		}
+	}
+	// A restore allocates what the snapshot holds — the body, each slot's
+	// inputs, duals and stored entries, the columns its log keeps — beside a
+	// fixed cost for the instance and the solver state, and no grid per
+	// slot: from a 6- to a 28-slot session its bytes per operation grow by
+	// under one and a half decision grids a slot (0.93 today). Decoding
+	// each record into a grid, or logging each restored slot whole, adds
+	// one grid a slot; the restore that did both grew by 3.8.
+	var restored [2]uint64
+	for k, T := range []int{6, 28} {
+		op, g := restoreKernel(t, T)
+		restored[k], grid = bytesPerRun(4, op), g
+	}
+	if perSlot := float64(restored[1]-restored[0]) / 22 / float64(grid); perSlot >= 1.5 {
+		t.Errorf("Restore: %d bytes/op at T=6, %d at T=28: %.2f decision grids a slot, want under 1.5",
+			restored[0], restored[1], perSlot)
 	}
 	// The certificate of a finished run allocates its working grids once
 	// per call, not once per slot: the same count at two horizons, so a

@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -19,9 +21,10 @@ import (
 //     snapshots can be compared, content-hashed and shipped between
 //     replicas without drift.
 //  2. Warm-state equivalence: the algorithm rebuilt by restoreSession
-//     exports exactly the warm state the records carried — nothing of
-//     the iterate, the duals, or the per-slot dual record is lost or
-//     invented on the way through the codec.
+//     walks exactly the decisions the records carried and holds exactly
+//     their dual rows, bit for bit — nothing of the iterate, the duals,
+//     or the per-slot dual record is lost or invented on the way through
+//     the codec.
 //  3. File-mode tolerance only ever drops a tail: whatever the lenient
 //     decoder accepts re-encodes to a prefix of the input.
 //
@@ -92,7 +95,8 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 
 		// (2) Warm-state fidelity through restore.
-		if msg := warmStatesEquiv(d.warmState(), sess.alg.ExportState()); msg != "" {
+		want := d.warmState()
+		if msg := runEquiv(want.Schedule, want.Duals, sess.alg); msg != "" {
 			t.Fatalf("restored warm state diverged: %s", msg)
 		}
 
@@ -108,36 +112,54 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	})
 }
 
-// warmStatesEquiv compares warm states semantically: float-for-float
-// equality, with nil and empty slices identified (JSON does not
-// distinguish an absent list from an empty one).
-func warmStatesEquiv(a, b *core.WarmState) string {
-	if a == nil || b == nil {
-		if a != b {
-			return "one state nil"
+// sameEntries reports how the stored entries nz differ from the entries of
+// the grid x whose bit pattern is not zero, or "" if they do not.
+func sameEntries(x []float64, nz []core.Entry) string {
+	k := 0
+	for idx, v := range x {
+		if math.Float64bits(v) == 0 {
+			continue
 		}
-		return ""
+		if k == len(nz) || nz[k].Index != idx || math.Float64bits(nz[k].Value) != math.Float64bits(v) {
+			return fmt.Sprintf("entry %d = %v is not stored entry %d", idx, v, k)
+		}
+		k++
 	}
-	if a.Slot != b.Slot {
-		return "slot differs"
+	if k != len(nz) {
+		return fmt.Sprintf("%d entries stored, %d nonzero", len(nz), k)
 	}
-	if msg := rowsEquiv("schedule", a.Schedule, b.Schedule); msg != "" {
-		return msg
-	}
-	return rowsEquiv("duals", a.Duals, b.Duals)
+	return ""
 }
 
-func rowsEquiv(name string, a, b [][]float64) string {
-	if len(a) != len(b) {
-		return name + " row count differs"
+// runEquiv compares the decisions alg's Decisions view walks and its dual
+// record with the given ones (decisions as their stored entries), bit for
+// bit, with nil and empty slices identified.
+func runEquiv(sched [][]core.Entry, duals [][]float64, alg *core.OnlineApprox) string {
+	view := alg.Decisions()
+	if view.Len() != len(sched) {
+		return fmt.Sprintf("%d decisions walked, want %d", view.Len(), len(sched))
 	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return name + " row length differs"
+	msg := ""
+	view.Walk(func(t int, x model.Alloc) bool {
+		if msg = sameEntries(x.X, sched[t]); msg != "" {
+			msg = fmt.Sprintf("slot %d: %s", t, msg)
 		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return name + " values differ"
+		return msg == ""
+	})
+	if msg != "" {
+		return msg
+	}
+	got := alg.Duals()
+	if len(got) != len(duals) {
+		return "dual row count differs"
+	}
+	for t := range duals {
+		if len(got[t]) != len(duals[t]) {
+			return "dual row length differs"
+		}
+		for k := range duals[t] {
+			if math.Float64bits(got[t][k]) != math.Float64bits(duals[t][k]) {
+				return fmt.Sprintf("duals[%d][%d] differ", t, k)
 			}
 		}
 	}

@@ -72,14 +72,16 @@ type slotMeta struct {
 // slotRecord is one committed slot: the inputs revealed at the slot, the
 // decision, the slot's multipliers [θ|ν] (after a commit both the slot's
 // dual record and the next slot's warm duals) and the bookkeeping. The
-// encoder reads records that alias live session state; the decoder fills
-// owned slices.
+// encoder reads records that alias live session state, the decision as
+// its dense grid x; the decoder fills owned slices, the decision as the
+// stored entries nz it parsed.
 type slotRecord struct {
 	opPrice     []float64
 	attach      []int
 	accessDelay []float64
-	x           []float64 // dense row-major I×J
-	duals       []float64 // [θ|ν], length J+I
+	x           []float64    // dense row-major I×J
+	nz          []core.Entry // the stored entries, when x is nil
+	duals       []float64    // [θ|ν], length J+I
 	slotMeta
 }
 
@@ -108,7 +110,8 @@ var metaEncoders = sync.Pool{New: func() any {
 // appendRecord frames and appends one record. The decision is stored as
 // (index, float64 bits) pairs over the entries whose bit pattern is
 // non-zero, so −0.0 and subnormals survive and +0.0 costs nothing; the pair
-// count is patched in once the pairs are written. It fails only on a
+// count is patched in once the pairs are written. A record without a dense
+// grid writes its stored entries as they are. It fails only on a
 // non-finite cost or diagnostic, which JSON cannot carry.
 func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
 	m := metaEncoders.Get().(*metaEncoder)
@@ -131,8 +134,11 @@ func appendRecord(b []byte, r *slotRecord) ([]byte, error) {
 		b = le.AppendUint32(b, uint32(l))
 	}
 	b = appendF64s(b, r.accessDelay)
-	count, nnz := len(b), 0
+	count, nnz := len(b), len(r.nz)
 	b = le.AppendUint32(b, 0)
+	for _, e := range r.nz {
+		b = le.AppendUint64(le.AppendUint32(b, uint32(e.Index)), math.Float64bits(e.Value))
+	}
 	for k, v := range r.x {
 		if bits := math.Float64bits(v); bits != 0 {
 			b = le.AppendUint64(le.AppendUint32(b, uint32(k)), bits)
@@ -155,11 +161,12 @@ func takeF64s(p []byte, n int) ([]float64, []byte) {
 	return out, p[8*n:]
 }
 
-// decodeRecord parses the payload of record k for an I×J instance. It
-// accepts exactly what appendRecord writes — ascending decision indices,
-// no stored +0.0, bookkeeping in encoding/json's own rendering — so an
-// accepted record re-encodes to the same bytes. Value ranges (finite,
-// nonnegative, attach within [0, I)) are the restore's to check.
+// decodeRecord parses the payload of record k for an I×J instance, the
+// decision as the stored entries it lists. It accepts exactly what
+// appendRecord writes — ascending decision indices, no stored +0.0,
+// bookkeeping in encoding/json's own rendering — so an accepted record
+// re-encodes to the same bytes. Value ranges (finite, nonnegative, attach
+// within [0, I)) are the restore's to check.
 func decodeRecord(p []byte, nI, nJ, k int) (*slotRecord, error) {
 	rec := &slotRecord{attach: make([]int, nJ)}
 	if len(p) < 8*nI+12*nJ+4 {
@@ -174,13 +181,14 @@ func decodeRecord(p []byte, nI, nJ, k int) (*slotRecord, error) {
 	if p = p[4:]; nnz > nI*nJ || len(p) < 12*nnz+8*(nJ+nI) {
 		return nil, errors.New("truncated decision or duals")
 	}
-	rec.x = make([]float64, nI*nJ)
-	for prev := -1; nnz > 0; nnz, p = nnz-1, p[12:] {
+	rec.nz = make([]core.Entry, nnz)
+	prev := -1
+	for e := range rec.nz {
 		idx, bits := int(le.Uint32(p)), le.Uint64(p[4:])
-		if idx <= prev || idx >= len(rec.x) || bits == 0 {
+		if idx <= prev || idx >= nI*nJ || bits == 0 {
 			return nil, fmt.Errorf("decision entry %d after %d not canonical", idx, prev)
 		}
-		rec.x[idx], prev = math.Float64frombits(bits), idx
+		rec.nz[e], prev, p = core.Entry{Index: idx, Value: math.Float64frombits(bits)}, idx, p[12:]
 	}
 	duals, meta := takeF64s(p, nJ+nI)
 	rec.duals = duals
@@ -288,13 +296,14 @@ func decodeSnapshot(doc []byte, file bool) (*snapDoc, error) {
 	return d, nil
 }
 
-// warmState assembles the algorithm state the records carry. Rows alias
-// the records; RestoreState copies what it keeps.
+// warmState assembles the algorithm state the records carry: each
+// decision is the stored entries its record parsed, and each dual row the
+// record's own. Rows alias the records; RestoreState copies what it keeps.
 func (d *snapDoc) warmState() *core.WarmState {
 	n := len(d.records)
-	st := &core.WarmState{Slot: n, Schedule: make([][]float64, n), Duals: make([][]float64, n)}
+	st := &core.WarmState{Slot: n, Schedule: make([][]core.Entry, n), Duals: make([][]float64, n)}
 	for t, rec := range d.records {
-		st.Schedule[t], st.Duals[t] = rec.x, rec.duals
+		st.Schedule[t], st.Duals[t] = rec.nz, rec.duals
 	}
 	return st
 }

@@ -118,10 +118,8 @@ func TestRecordCodecBitExact(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for k := range x {
-			if math.Float64bits(got.x[k]) != math.Float64bits(x[k]) {
-				t.Errorf("%s: x[%d] = %x, want %x", name, k, math.Float64bits(got.x[k]), math.Float64bits(x[k]))
-			}
+		if msg := sameEntries(x, got.nz); msg != "" {
+			t.Errorf("%s: decoded decision: %s", name, msg)
 		}
 		if math.Float64bits(got.duals[nJ]) != math.Float64bits(negZero) || got.Diag != rec.Diag ||
 			got.Cost != rec.Cost || got.Summary.Violations["a<"] != 1 || !got.Summary.OK {
@@ -345,20 +343,14 @@ func TestRestoredWarmStateOnReducedPaths(t *testing.T) {
 	live.stepMu.Unlock()
 
 	d := mustDecode(t, doc)
-	zeros := 0
-	for _, v := range d.records[2].x {
-		if v == 0 {
-			zeros++
-		}
-	}
-	if zeros == 0 {
+	if len(d.records[2].nz) == in.I*in.J {
 		t.Error("candidate-path decision has no zero entry; the sparse encoding went unexercised")
 	}
 	sess, err := srv.restoreSession(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if msg := warmStatesEquiv(want, sess.alg.ExportState()); msg != "" {
+	if msg := runEquiv(want.Schedule, want.Duals, sess.alg); msg != "" {
 		t.Fatalf("restored warm state differs from the live one: %s", msg)
 	}
 	if sess.total != live.total || sess.costs != live.costs {

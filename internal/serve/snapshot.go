@@ -393,7 +393,17 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	doc, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	// A snapshot is the largest body the server reads whole: one of known
+	// length is read into a buffer of that size, not grown to it.
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var doc []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= maxBodyBytes {
+		doc = make([]byte, n)
+		_, err = io.ReadFull(body, doc)
+	} else {
+		doc, err = io.ReadAll(body)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
 		return

@@ -257,7 +257,12 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 		"bad-version":    mutate(func(d *snapDoc) { d.header.Version = 99 }),
 		"no-instance":    mutate(func(d *snapDoc) { d.header.Instance = nil }),
 		"bad-id":         mutate(func(d *snapDoc) { d.header.ID = "../escape" }),
-		"tampered-state": mutate(func(d *snapDoc) { d.records[0].x[0] = -1 }),
+		"tampered-state": mutate(func(d *snapDoc) { d.records[0].nz[0].Value = -1 }),
+		"nan-state":      mutate(func(d *snapDoc) { d.records[0].nz[0].Value = math.NaN() }),
+		"inf-state":      mutate(func(d *snapDoc) { d.records[0].nz[0].Value = math.Inf(1) }),
+		"index-past-end": mutate(func(d *snapDoc) { nz := d.records[0].nz; nz[len(nz)-1].Index = d.inst.I * d.inst.J }),
+		"repeat-index":   mutate(func(d *snapDoc) { d.records[0].nz[1].Index = d.records[0].nz[0].Index }),
+		"descend-index":  mutate(func(d *snapDoc) { nz := d.records[1].nz; nz[0], nz[1] = nz[1], nz[0] }),
 		"tampered-input": mutate(func(d *snapDoc) { d.records[1].attach[0] = in.I }),
 		"tampered-dual":  mutate(func(d *snapDoc) { d.records[1].duals[d.inst.J] = math.Inf(1) }),
 		"slot-mismatch":  mutate(func(d *snapDoc) { d.records[1].Diag.Slot = 0 }),
