@@ -296,6 +296,13 @@ type StepDiag struct {
 	// Omitted from JSON when zero, so slot records written before the field
 	// existed decode and re-encode unchanged.
 	Evals int `json:",omitempty"`
+	// DualSteps and DualRefused count the multiplier updates of the same
+	// solves that took the second-order step and those that were eligible
+	// for it but refused it on a singular system (alm.Result), summed the
+	// same way as Evals; every other update was first order. Omitted from
+	// JSON when zero, like Evals.
+	DualSteps   int `json:",omitempty"`
+	DualRefused int `json:",omitempty"`
 	// Converged reports whether the final ALM solve met its tolerances.
 	Converged bool
 	// CandRounds, CandExpanded, and CandNNZ describe the certified solve

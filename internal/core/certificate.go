@@ -30,9 +30,12 @@ import (
 //	ρ_{i,t} = 0,   D = Σ_t [Σ_j λ_j θ_{j,t} − Σ_i C_i ν_{i,t}].
 //
 // With the paper's α/β mappings the telescoped differences satisfy
-// α_{t+1}−α_t + β_{t+1}−β_t = ā_{ij,t} − g_{ij,t} exactly, so constraint
-// (14a) reduces to θ_{j,t} ≤ g_{ij,t} + ν_{i,t}, which holds by
-// construction: the point is dual-feasible up to float round-off
+// α_{t+1}−α_t + β_{t+1}−β_t = ā_{ij,t} − g_{ij,t} exactly. β is negative
+// where a pair serves more than its user's demand (x_ij > λ_j, which P2
+// does not forbid), violating (14d), so the point uses β̃ = max(β, 0) and,
+// on the pairs where the clamp acts at t or t+1, g̃ = ā − Δα − Δβ̃ in place
+// of g. Constraint (14a) then reduces to θ_{j,t} ≤ g_{ij,t} + ν_{i,t},
+// which holds by construction: the point is dual-feasible up to float round-off
 // regardless of how accurately P2 was solved. The ν_{i,t} are the duals
 // of the explicit capacity rows Σ_j x_{ij,t} ≤ C_i: when a binding cloud
 // makes min_j g_{ij,t} negative (stationarity pushes its reduced costs
@@ -81,8 +84,8 @@ type Feasibility struct {
 	AlphaBound float64
 	// BetaBound is (14c): β_{i,j,t} ≤ w_mg·b_i.
 	BetaBound float64
-	// Negativity is (14d)/(14e): all of α, β, θ, ν, ρ ≥ 0 (θ and ν are
-	// nonnegative by construction; α and β are measured).
+	// Negativity is (14d)/(14e): all of α, β, θ, ν, ρ ≥ 0 (β, θ and ν are
+	// nonnegative by construction; α is measured).
 	Negativity float64
 }
 
@@ -179,6 +182,12 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 	for j := range lnZero {
 		lnZero[j] = lnBeta(j, 0)
 	}
+	lnAt := func(j int, x float64) float64 {
+		if x == 0 {
+			return lnZero[j]
+		}
+		return lnBeta(j, x)
+	}
 
 	// prev is x_{t−1} and the walk yields x_t, with their cloud totals;
 	// x_0 is the initial state. lnB holds β's logs at prev.
@@ -186,10 +195,7 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 	prevTot, curTot := prev.CloudTotals(), make([]float64, in.I)
 	lnB := make([]float64, in.I*in.J)
 	for k, x := range prev.X {
-		lnB[k] = lnZero[k%in.J]
-		if x != 0 {
-			lnB[k] = lnBeta(k%in.J, x)
-		}
+		lnB[k] = lnAt(k%in.J, x)
 	}
 	sq, attach := make([]float64, in.I*in.J), make([]int, in.J)
 	for j := range attach {
@@ -210,7 +216,7 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 		}
 		for i := 0; i < in.I; i++ {
 			lo, hi := i*in.J, (i+1)*in.J
-			cRow, pRow, sqRow, fRow := cur.X[lo:hi], prev.X[lo:hi], sq[lo:hi], mgFac[lo:hi]
+			cRow, pRow, sqRow, fRow, lnRow := cur.X[lo:hi], prev.X[lo:hi], sq[lo:hi], mgFac[lo:hi], lnB[lo:hi]
 			wa := in.WOp * price[i]
 			rcln := rcFac[i] * math.Log((curTot[i]+eps1)/(prevTot[i]+eps1))
 			minRow := math.Inf(1)
@@ -220,7 +226,17 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 				if num != den {
 					lg = math.Log(num / den)
 				}
-				gij := wa + sqRow[j] + rcln + fRow[j]*lg
+				mgln := fRow[j] * lg
+				if wl := in.Workload[j] + eps2; num > wl || den > wl {
+					// β̃ = max(β, 0) differs from β at x_{t−1} or x_t:
+					// g̃ takes the clamped difference, −Δβ̃.
+					lc := lnRow[j]
+					if num != den {
+						lc = lnAt(j, c)
+					}
+					mgln = max(fRow[j]*lnRow[j], 0) - max(fRow[j]*lc, 0)
+				}
+				gij := wa + sqRow[j] + rcln + mgln
 				gRow[j] = gij
 				if gij < minRow {
 					minRow = gij
@@ -257,32 +273,25 @@ func (o *OnlineApprox) Certificate() (*Certificate, error) {
 			lo, hi := i*in.J, (i+1)*in.J
 			cRow, pRow, sqRow, fRow, lnRow := cur.X[lo:hi], prev.X[lo:hi], sq[lo:hi], mgFac[lo:hi], lnB[lo:hi]
 			wa, mg, n := in.WOp*price[i], mgFacI[i], nu[i]
-			dualRow, betaBound, negativity := f.DualRow, f.BetaBound, f.Negativity
+			dualRow, betaBound := f.DualRow, f.BetaBound
 			for j, c := range cRow {
 				lp := lnRow[j]
 				lc := lp
 				if c+eps2 != pRow[j]+eps2 {
-					if c == 0 {
-						lc = lnZero[j]
-					} else {
-						lc = lnBeta(j, c)
-					}
+					lc = lnAt(j, c)
 					lnRow[j] = lc
 				}
-				bt := fRow[j] * lp
+				bt := max(fRow[j]*lp, 0)
 				if v := bt - mg; v > betaBound {
 					betaBound = v
 				}
-				if bt < -negativity {
-					negativity = -bt
-				}
-				db := fRow[j]*lc - bt
+				db := max(fRow[j]*lc, 0) - bt
 				lhs := -(wa + sqRow[j]) + da + db + theta[j] - n
 				if lhs > dualRow {
 					dualRow = lhs
 				}
 			}
-			f.DualRow, f.BetaBound, f.Negativity = dualRow, betaBound, negativity
+			f.DualRow, f.BetaBound = dualRow, betaBound
 		}
 		prev = cur
 		prevTot, curTot = curTot, prevTot

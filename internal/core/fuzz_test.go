@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -163,4 +165,52 @@ func FuzzStructuredVsDenseRows(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCertificateClampsBeta runs the FuzzOnlineStep inputs whose decisions
+// over-provision a pair (x_ij > λ_j, where the paper's β_{ij,t+1} is
+// negative) and requires the certificate, built on β̃ = max(β, 0), to be
+// dual-feasible to 1e-5 and the run conformance-clean. With the unclamped
+// β their whole residual was Negativity: 0.021, 0.092 and 0.300.
+func TestCertificateClampsBeta(t *testing.T) {
+	for _, c := range []struct {
+		seed       int64
+		nI, nJ, nT int
+	}{{20140218, 183, 79, 4}, {-7, 3, 14, 130}, {79, -273, -204, -55}} {
+		name := fmt.Sprintf("(%d, %d, %d, %d)", c.seed, c.nI, c.nJ, c.nT)
+		in := conform.GenInstance(conform.GenConfig{Seed: c.seed, I: c.nI, J: c.nJ, T: c.nT})
+		alg := NewOnlineApprox(in, Options{Solver: tightOpts()})
+		sched, err := alg.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		over := math.Inf(-1)
+		for _, x := range sched {
+			for k, v := range x.X {
+				over = max(over, v-in.Workload[k%in.J])
+			}
+		}
+		if !(over > 0) {
+			t.Errorf("%s: no pair over-provisioned (max x−λ %g)", name, over)
+		}
+		cert, err := alg.Certificate()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if r := cert.Feasibility.Max(); !(r <= 1e-5) {
+			t.Errorf("%s: dual residual %g > 1e-5 (%+v)", name, r, cert.Feasibility)
+		}
+		t.Logf("%s: I=%d J=%d T=%d, max x−λ %.3g, dual residual %.3g", name, in.I, in.J, in.T, over, cert.Feasibility.Max())
+		diag := &conform.Diagnostics{
+			HasCertificate: true,
+			LowerBoundP0:   cert.LowerBoundP0(),
+			LowerBoundP1:   cert.LowerBoundP1(),
+			DualResidual:   cert.Feasibility.Max(),
+			NuCharge:       cert.NuCharge,
+			RatioBound:     alg.CompetitiveRatioBound(),
+		}
+		if rep := conform.Check(in, sched, diag, conform.Options{}); !rep.OK() {
+			t.Errorf("%s: %v", name, rep.Err())
+		}
+	}
 }

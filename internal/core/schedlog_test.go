@@ -71,6 +71,9 @@ func batchCertificate(o *OnlineApprox) (*Certificate, error) {
 			for j := 0; j < in.J; j++ {
 				mgln := mgFacI[i] / tau[j] *
 					math.Log((allocs[t].At(i, j)+eps2)/(allocs[t-1].At(i, j)+eps2))
+				if wl := in.Workload[j] + eps2; allocs[t].At(i, j)+eps2 > wl || allocs[t-1].At(i, j)+eps2 > wl {
+					mgln = max(beta(i, j, t), 0) - max(beta(i, j, t+1), 0)
+				}
 				gij := coef[i*in.J+j] + rcln + mgln
 				g[i*in.J+j] = gij
 				if gij < minRow {
@@ -110,14 +113,11 @@ func batchCertificate(o *OnlineApprox) (*Certificate, error) {
 			}
 			da := alpha(i, t+1) - a
 			for j := 0; j < in.J; j++ {
-				bt := beta(i, j, t)
+				bt := max(beta(i, j, t), 0)
 				if v := bt - mgFacI[i]; v > cert.Feasibility.BetaBound {
 					cert.Feasibility.BetaBound = v
 				}
-				if bt < -cert.Feasibility.Negativity {
-					cert.Feasibility.Negativity = -bt
-				}
-				db := beta(i, j, t+1) - bt
+				db := max(beta(i, j, t+1), 0) - bt
 				lhs := -coef[i*in.J+j] + da + db + thetas[t-1][j] - nus[t-1][i]
 				if lhs > cert.Feasibility.DualRow {
 					cert.Feasibility.DualRow = lhs
@@ -207,7 +207,8 @@ func streamedMatchesBatch(t *testing.T, name string, alg *OnlineApprox) *Certifi
 // shortcuts must get right: users with τ_j = 0 (zero workload, or one that
 // underflows against ε₂), whose pairs' factors are infinite and make the
 // certificate non-finite, extreme ε, capacity-binding slots (ν ≠ 0) and
-// over-provisioned pairs (x_ij > λ_j, so β < 0 and Negativity is nonzero).
+// over-provisioned pairs (x_ij > λ_j, where β < 0 and the certificate
+// builds on β̃ = max(β, 0), so Negativity stays zero).
 func TestStreamedCertificateMatchesBatch(t *testing.T) {
 	t.Parallel()
 	golden, mixed := goldenInstance(t), logInstance(t)
@@ -245,7 +246,7 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 		{"eps=1e-6, Incremental", mixed, Options{Epsilon1: 1e-6, Epsilon2: 1e-6, Incremental: true, IncrementalTol: 0.5}, -1, nil},
 		{"capacity-binding", binding, Options{}, -1, func(c *Certificate) bool { return c.NuCharge > 0 }},
 		{"FuzzOnlineStep (−74, 3, 4, −61, false, false)", overProvisioned, Options{Solver: tightOpts()}, -1,
-			func(c *Certificate) bool { return c.Feasibility.Negativity > 0 }},
+			func(c *Certificate) bool { return c.Feasibility.Negativity == 0 && c.Feasibility.Max() < 1e-12 }},
 	} {
 		alg, err := runRestoring(NewOnlineApprox(tc.in, tc.opts), tc.restoreAt)
 		if err != nil {
@@ -300,7 +301,7 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 // finished run must certify as the batch construction does, bit for bit.
 func FuzzCertificateMatchesBatch(f *testing.F) {
 	f.Add(int64(1), 3, 4, 3, false, uint8(0), 0, -1, -1)
-	f.Add(int64(-74), 3, 4, -61, false, uint8(0), 0, -1, -1) // over-provisioned: Negativity > 0
+	f.Add(int64(-74), 3, 4, -61, false, uint8(0), 0, -1, -1) // over-provisioned: β < 0, clamped
 	f.Add(int64(56), 6, 3, 2, true, uint8(0), 0, -1, -1)     // capacity binds: ν ≠ 0
 	f.Add(int64(7), 4, 8, 5, false, uint8(3), 0, 2, -1)      // Candidates+Incremental, restored
 	f.Add(int64(20140212), 5, 6, 4, true, uint8(12), 6, -1, -1)

@@ -242,6 +242,8 @@ func (o *OnlineApprox) solveShard(ctx context.Context, t int) ([]float64, []floa
 			d.ShardMaxSeconds = s.blockSecs[i]
 		}
 		d.Evals += b.evals
+		d.DualSteps += b.dualSteps
+		d.DualRefused += b.dualRefused
 	}
 	d.Converged = cres.Converged
 	d.ShardResidual = cres.MaxResidual
@@ -420,9 +422,10 @@ type shardBlock struct {
 	// success.
 	thetaWarm []float64
 	dirty     bool
-	// evals sums alm.Result.Evals over the block's in-process solves of
-	// the slot (StepDiag.Evals).
-	evals int
+	// evals, dualSteps and dualRefused sum alm.Result's Evals, DualSteps
+	// and DualRefused over the block's in-process solves of the slot
+	// (StepDiag).
+	evals, dualSteps, dualRefused int
 }
 
 var (
@@ -452,7 +455,7 @@ func (b *shardBlock) beginSlot(o *OnlineApprox, warmDense []float64, t int, ctx 
 	copy(b.theta, b.thetaWarm)
 	b.sopts.Ctx = ctx
 	b.dirty = false
-	b.evals = 0
+	b.evals, b.dualSteps, b.dualRefused = 0, 0, 0
 }
 
 // rebind relayouts the block after a candidate expansion: the current
@@ -473,7 +476,10 @@ func (b *shardBlock) rebind(o *OnlineApprox) {
 // Solve implements shard.Block.
 func (b *shardBlock) Solve(rho float64, target, totals []float64) (int, int, error) {
 	outer, inner, err := b.solve(rho, target, totals)
-	b.evals += b.ws.Last().Evals
+	last := b.ws.Last()
+	b.evals += last.Evals
+	b.dualSteps += last.DualSteps
+	b.dualRefused += last.DualRefused
 	return outer, inner, err
 }
 

@@ -243,6 +243,8 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 			d.Outer += r.Outer
 			d.Inner += r.InnerIters
 			d.Evals += r.Evals
+			d.DualSteps += r.DualSteps
+			d.DualRefused += r.DualRefused
 			d.Converged, d.Stop, d.Residual, d.Stationarity = r.Converged, r.Stop, r.Sigma, r.ProjGrad
 			for p, j := range s.actList {
 				s.duals[j] = r.Duals[p]

@@ -328,10 +328,12 @@ func TestRestoredLogKeepsColumns(t *testing.T) {
 
 // TestRestoreSpecialValues exports, restores and continues a candidate-tier
 // run whose every decision holds −0.0 and the smallest subnormal at two
-// pairs the solver left at +0 in every slot — old slots, some of which the
+// pairs the solver left at +0 in every slot — old slots, one of which the
 // restore logs by columns, and the two it carries — and requires the
 // restored run to walk and continue bit for bit: the stored entries keep
-// every bit pattern but +0.0's.
+// every bit pattern but +0.0's. The solver moves every user's column in
+// every slot of this run, so the test makes slot 2 repeat slot 1's first
+// column, as it writes the special values, to have a column record.
 func TestRestoreSpecialValues(t *testing.T) {
 	in := logInstance(t)
 	opts := Options{Candidates: 3}
@@ -356,6 +358,9 @@ func TestRestoreSpecialValues(t *testing.T) {
 	}
 	for _, r := range a.log {
 		r.vals[zeros[0]], r.vals[zeros[1]] = negZero, tiny
+	}
+	for i := 0; i < in.I; i++ {
+		a.log[2].vals[i*in.J] = a.log[1].vals[i*in.J]
 	}
 	st := roundtripState(t, a.ExportState())
 	specials := 0

@@ -408,8 +408,9 @@ func TestMetricsMatchSolverDiagnostics(t *testing.T) {
 	resps := driveSession(t, ts.URL, id, horizon)
 
 	var wantSeconds float64
-	var wantOuter, wantInner int
+	var wantOuter, wantInner, dualSteps int
 	for _, r := range resps {
+		dualSteps += r.Solve.DualSteps
 		wantSeconds += r.Solve.Seconds
 		wantOuter += r.Solve.OuterIterations
 		wantInner += r.Solve.InnerIterations
@@ -427,6 +428,10 @@ func TestMetricsMatchSolverDiagnostics(t *testing.T) {
 			t.Errorf("slot %d: candidateRounds %d, candidateNNZ %d; want 1 and %d",
 				r.Slot, c.CandidateRounds, c.CandidateNNZ, in.I*in.J)
 		}
+	}
+	// The reply says which multiplier update the solves took.
+	if dualSteps == 0 {
+		t.Error("no slot reports a second-order multiplier step")
 	}
 
 	var doc map[string]any

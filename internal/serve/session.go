@@ -258,6 +258,11 @@ type solveDiag struct {
 	Stop         alm.Stop `json:"stop,omitempty"`
 	Residual     float64  `json:"residual,omitempty"`
 	Stationarity float64  `json:"stationarity,omitempty"`
+	// DualSteps and DualRefused count the slot's multiplier updates that
+	// took the solver's second-order step and those that refused it on a
+	// singular system; the rest were first order.
+	DualSteps   int `json:"dualSteps,omitempty"`
+	DualRefused int `json:"dualRefused,omitempty"`
 	// The slot's phases beside Seconds (core.StepDiag): binding the slot's
 	// coefficients before the solve, pricing and gating within it, and
 	// committing the decision after it.
@@ -283,6 +288,8 @@ func diagDTO(d core.StepDiag) solveDiag {
 		Stop:            d.Stop,
 		Residual:        d.Residual,
 		Stationarity:    d.Stationarity,
+		DualSteps:       d.DualSteps,
+		DualRefused:     d.DualRefused,
 		BindSeconds:     d.BindSeconds,
 		CertifySeconds:  d.CertifySeconds,
 		CommitSeconds:   d.CommitSeconds,

@@ -143,8 +143,9 @@ func TestRecordCodecBitExact(t *testing.T) {
 	}
 }
 
-// TestStopDiagRecordCompat: the stop reason, residual and stationarity a
-// slot's diagnostics gained are omitted when zero, so the bookkeeping of a record
+// TestStopDiagRecordCompat: the stop reason, residual, stationarity and
+// second-order step counts a slot's diagnostics gained are omitted when
+// zero, so the bookkeeping of a record
 // written before they existed (the literal below is that version's
 // rendering) decodes and re-renders byte for byte, and a record that
 // carries them round-trips too. The snapshot version is 3, the version of
@@ -168,6 +169,7 @@ func TestStopDiagRecordCompat(t *testing.T) {
 		x: []float64{0, 1, 0, 2, 0, 0.5}, duals: make([]float64, nJ+nI), slotMeta: m,
 	}
 	rec.Diag.Stop, rec.Diag.Residual, rec.Diag.Stationarity = alm.StopObjective, 2.31e-9, 4.7e-11
+	rec.Diag.DualSteps, rec.Diag.DualRefused = 4, 1
 	enc, err := appendRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)

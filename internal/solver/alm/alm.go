@@ -39,6 +39,20 @@
 // solve has no such floor — one that ends in two iterations is converged,
 // not stalled — so the iteration clause is FISTA's alone.
 //
+// The multiplier update. y ← max(0, y+ρs) is gradient ascent on the
+// augmented dual, and near the solution it shrinks the multiplier error by
+// a steady factor per outer iteration. On the Newton path the rows it keeps
+// active take the Newton ascent step instead, Δy = ρs + M⁻¹s with M =
+// A·H_f⁻¹·Aᵀ over those rows (newton.go's dualStep), when the inner solve
+// met its tolerance, no row changed activity since the previous outer
+// iteration, M can be factored and the budget allows another outer
+// iteration; Result.DualSteps and DualRefused count the steps taken and
+// those refused on a singular M. The stop rule reads σ, the violation and
+// the dual movement off the first-order update either way, and the loop
+// ends on one, so Result.Duals are always the first-order update at X —
+// the multipliers X is stationary for — and what Converged certifies does
+// not depend on which update ran.
+//
 // What Converged certifies depends on the inner solver. The Newton solves
 // stop on the projected-gradient norm ‖x − P(x − ∇L)‖∞ ≤ tol·(1+|L|), with
 // tol following the 1e-5·0.2^k schedule but never looser than FeasTol (a
@@ -289,6 +303,11 @@ type Result struct {
 	Newton    bool
 	ProjGrad  float64
 	Fallbacks int
+	// DualSteps counts the multiplier updates that took dualStep's
+	// second-order step and DualRefused those it refused on a singular
+	// system, both over the whole solve; every other update is first
+	// order. Both are zero on the FISTA path.
+	DualSteps, DualRefused int
 }
 
 // Stop classifies how a solve ended: converged, or at MaxOuter with the
@@ -353,6 +372,10 @@ func errf(format string, args ...any) error {
 }
 
 const maxPenalty = 1e9
+
+// firstOrderDuals, set by tests, makes every multiplier update the first-
+// order one.
+var firstOrderDuals bool
 
 // Solve runs the augmented-Lagrangian loop. The error is non-nil only for
 // malformed input; lack of convergence is reported via Result.Converged.
@@ -503,9 +526,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// when it did not leave on its stagnation test at the first
 		// opportunity (see the penalty rule below).
 		var moved bool
+		tol := min(innerTol, feasTol)
 		if res.Newton {
 			var err error
-			if x, err = ws.newton(lag, cur, x, outer > 0, min(innerTol, feasTol), innerIters, opts.Ctx); err != nil {
+			if x, err = ws.newton(lag, cur, x, outer > 0, tol, innerIters, opts.Ctx); err != nil {
 				return nil, err
 			}
 			moved = true
@@ -528,11 +552,14 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// σ (the step |Δy_k|/ρ, row-scaled) and the relative dual movement.
 		// It reads A·x at the iterate from axI, not the last evaluation's ax:
 		// a Newton solve that ends on a rejected arc leaves a trial's there.
+		// settled: no row changed activity since the previous outer iteration.
 		viol, sigma, dualMove := 0.0, 0.0, 0.0
+		settled := outer > 0
 		for k, a := range ws.axI {
 			rhs := p.rowRHS(k)
 			s := rhs - a
 			yNew := math.Max(0, y[k]+rho*s)
+			settled = settled && (yNew > 0) == (y[k] > 0)
 			step := math.Abs(yNew - y[k])
 			if d := step / (1 + yNew); d > dualMove {
 				dualMove = d
@@ -564,6 +591,16 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 		if res.Converged {
 			break
+		}
+		// The second-order step (see the package comment), never on the
+		// last outer iteration: a solve its budget stops returns the
+		// multipliers its last inner solve saw.
+		if res.Newton && settled && outer+1 < maxOuter && !(res.ProjGrad > tol) && !firstOrderDuals {
+			if ws.dualStep(lag, cur, x) {
+				res.DualSteps++
+			} else {
+				res.DualRefused++
+			}
 		}
 
 		// Grow the penalty when the residual fails to fall 4×. While a row

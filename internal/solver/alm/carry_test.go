@@ -25,9 +25,11 @@ func (c pollCtx) Err() error { return c.poll() }
 // Result.Objective, ∇f in nt.gf, A·x in axI — to a fresh Lagrangian
 // evaluation at ws.x, bit for bit, and then what the solver made of them:
 // when the multipliers moved since the last poll (yPrev), the update that
-// moved them must have read the iterate's A·x; otherwise the inner
-// solve's gradient nt.g must be ∇L at the iterate under y and ρ.
-func checkIterate(p *Problem, ws *Workspace, workers int, yPrev []float64) error {
+// moved them must have read the iterate's A·x — the first-order update
+// exactly, and a second-order one (second) on the rows the first-order
+// update leaves active only; otherwise the inner solve's gradient nt.g
+// must be ∇L at the iterate under y and ρ.
+func checkIterate(p *Problem, ws *Workspace, workers int, yPrev []float64, second bool) error {
 	fresh := lagrangian{p: p, y: ws.y, rho: ws.lag.rho, ws: workspaceFor(p), workers: workers}
 	src, grad := make([]float64, p.N), make([]float64, p.N)
 	fresh.eval(ws.x, src, grad)
@@ -44,6 +46,9 @@ func checkIterate(p *Problem, ws *Workspace, workers int, yPrev []float64) error
 		want := make([]float64, len(yPrev))
 		for k, a := range fresh.ws.ax {
 			want[k] = math.Max(0, yPrev[k]+ws.lag.rho*(p.rowRHS(k)-a))
+			if second && want[k] > 0 {
+				want[k] = ws.y[k]
+			}
 		}
 		return sameBits("updated y", ws.y, want)
 	}
@@ -109,6 +114,7 @@ func TestNewtonCarriesTheIterate(t *testing.T) {
 			var ws Workspace
 			var bad error
 			var yPrev []float64
+			var stepsPrev int
 			last := &lastPoint{Curvature: pr.p.Obj.(Curvature)}
 			traced := *pr.p
 			traced.Obj = last
@@ -123,9 +129,10 @@ func TestNewtonCarriesTheIterate(t *testing.T) {
 					if sameBits("", ws.x, last.x) != nil {
 						afterRejected++
 					}
-					bad = checkIterate(pr.p, &ws, workers, yPrev)
+					bad = checkIterate(pr.p, &ws, workers, yPrev, ws.res.DualSteps > stepsPrev)
 				}
 				yPrev = append(yPrev[:0], ws.y...)
+				stepsPrev = ws.res.DualSteps
 				return nil
 			}}
 			res, err := Solve(&traced, opts)

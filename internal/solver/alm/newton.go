@@ -47,6 +47,10 @@ import (
 // factorization runs at the adder's throughput, not its latency, and
 // keeps every bit (BenchmarkCholSolve: m = 44 in 5.1 µs against 10.8 µs
 // one row at a time, on a 2-vCPU Xeon).
+//
+// The outer loop's second-order multiplier step (dualStep) solves the same
+// system with the active rows' weights taken to infinity, so schur builds
+// S for both.
 
 // Curvature is an objective over a Groups grid whose Hessian is a
 // diagonal plus one rank-one term per cloud row of the grid,
@@ -106,6 +110,9 @@ type newtonScratch struct {
 
 	uw, a, tu, zu []float64 // per user: weight, Σ1/d, Σ−g/d, solution
 	uptr          []int     // per user: start in order (J+1)
+
+	nF int       // the free variables at the iterate newton returned
+	qs []float64 // per cloud: dualStep's w_i − κ_i
 }
 
 func (nt *newtonScratch) ensure(n, nI, nJ int) {
@@ -137,9 +144,10 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 		nt.rhs = make([]float64, nI)
 		nt.pci = make([]int, nI)
 		nt.pv = make([]float64, nI)
+		nt.qs = make([]float64, nI)
 	}
 	nt.cw, nt.c, nt.tc, nt.zc = nt.cw[:nI], nt.c[:nI], nt.tc[:nI], nt.zc[:nI]
-	nt.cidx = nt.cidx[:nI]
+	nt.cidx, nt.qs = nt.cidx[:nI], nt.qs[:nI]
 	if cap(nt.uw) < nJ {
 		nt.uw = make([]float64, nJ)
 		nt.a = make([]float64, nJ)
@@ -197,6 +205,7 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bo
 		}
 		res.ProjGrad = pg / (1 + math.Abs(L))
 		if !(res.ProjGrad > tol) || iters >= maxIters {
+			nt.nF = nF
 			return x, nil
 		}
 		if ctx != nil {
@@ -248,7 +257,7 @@ func (ws *Workspace) keep() {
 // or the step is not a descent direction.
 func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool {
 	gr, rho := lag.p.Groups, lag.rho
-	nI, nJ, cols := gr.I, gr.J, gr.Cols
+	cols := gr.Cols
 	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
 
 	// Weights: the objective's cloud curvature is in cw; every active row
@@ -265,23 +274,56 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 		}
 	}
 
+	m := nt.schur(gr, nF, grad)
+	if !cholSolve(nt.chol[:m*m], nt.rhs[:m], m) {
+		return false
+	}
+	nt.unfold(gr, nF)
+	gp := 0.0
+	for q, k := range fk {
+		i := fi[q]
+		step := (-grad[k] - nt.zu[cols[k]] - nt.zc[i]) * fv[q]
+		fv[q] = step
+		gp += grad[k] * step
+	}
+	return gp < 0
+}
+
+// schur assembles the Woodbury system of the nF free variables under the
+// weights uw and cw — the Schur complement S over the clouds in chol and
+// its right-hand side in rhs — and returns S's order m. It writes 1/d into
+// fv, the row and column sums of B into a and c, the user-major order of
+// the free list into order (uptr[j] ending user j's entries), and e_j =
+// 1/(1/uw_j + a_j) into a for every weighted user with a free variable. A
+// weight of +Inf is a row whose penalty has gone to infinity: it adds
+// nothing to S's diagonal and makes e_j = 1/a_j. The right-hand side is
+// Eᵀ D⁻¹ (−grad) reduced onto the clouds when grad is given; with grad nil
+// it is the caller's per-user tu and per-cloud tc reduced the same way.
+func (nt *newtonScratch) schur(gr *Groups, nF int, grad []float64) int {
+	nI, nJ, cols := gr.I, gr.J, gr.Cols
+	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
+
 	// a, c = row and column sums of B; tu, tc = Eᵀ D⁻¹ (−g); uptr counts.
 	clear(nt.a)
-	clear(nt.tu)
 	clear(nt.c)
-	clear(nt.tc)
 	clear(nt.uptr)
+	if grad != nil {
+		clear(nt.tu)
+		clear(nt.tc)
+	}
 	for q, k := range fk {
 		i := fi[q]
 		j := cols[k]
 		inv := 1 / (nt.diag[k] + newtonDamp)
 		fv[q] = inv
-		r := -grad[k] * inv
 		nt.a[j] += inv
-		nt.tu[j] += r
 		nt.c[i] += inv
-		nt.tc[i] += r
 		nt.uptr[j+1]++
+		if grad != nil {
+			r := -grad[k] * inv
+			nt.tu[j] += r
+			nt.tc[i] += r
+		}
 	}
 
 	// The clouds of S: positive weight and at least one free variable.
@@ -339,18 +381,22 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 		}
 		start = end
 	}
+	return m
+}
 
-	if !cholSolve(S, rhs, m) {
-		return false
-	}
+// unfold reads the solution of the system schur assembled, once cholSolve
+// has left it in rhs, into the cloud part zc and the user part zu =
+// e_j·(tu_j − Σ_i B_ji·zc_i); both are zero off the system.
+func (nt *newtonScratch) unfold(gr *Groups, nF int) {
+	fi, fv := nt.fi[:nF], nt.fv[:nF]
 	for i, ci := range nt.cidx {
 		nt.zc[i] = 0
 		if ci >= 0 {
-			nt.zc[i] = rhs[ci]
+			nt.zc[i] = nt.rhs[ci]
 		}
 	}
-	start = 0
-	for j := 0; j < nJ; j++ {
+	start := 0
+	for j := 0; j < gr.J; j++ {
 		end := nt.uptr[j]
 		nt.zu[j] = 0
 		if nt.uw[j] > 0 && end > start {
@@ -362,14 +408,92 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 		}
 		start = end
 	}
-	gp := 0.0
-	for q, k := range fk {
-		i := fi[q]
-		step := (-grad[k] - nt.zu[cols[k]] - nt.zc[i]) * fv[q]
-		fv[q] = step
-		gp += grad[k] * step
+}
+
+// pivotTol is the smallest squared Cholesky pivot, relative to its row's
+// diagonal before the users' downdates (1/cw_i + c_i), that dualStep
+// accepts. Below it S is
+// singular to working precision — the active rows are dependent, as when
+// every demand and every capacity row binds with Λ = ΣC — and the step
+// would be round-off.
+const pivotTol = 1e-10
+
+// dualStep takes the Newton ascent step of the augmented dual on the rows
+// the first-order update y = max(0, y⁰+ρs), which the outer loop has just
+// written, keeps active. At the minimizer x of the augmented Lagrangian
+// that step is y⁰ + ρs + w with M·w = s, where M = A·H_f⁻¹·Aᵀ over the
+// active rows and H_f is the objective's Hessian on the last inner solve's
+// free variables (see Curvature). Writing M·w = s as the system direction
+// solves, with every active row's penalty weight taken to infinity (uw_j
+// and cw_i set to +Inf, so e_j = 1/a_j and 1/cw_i = 0; an inactive
+// cloud keeps its curvature q_i alone), schur reduces it onto the clouds:
+// S·κ = rhs with tu_j = −s_j on each active demand row and tc_i = s_i on
+// each active capacity row, after which w_j = −zu_j and w_i = κ_i + q_i·s_i.
+// The multipliers become max(0, y + w) on the active rows.
+//
+// It reports false and leaves y alone where M is singular or too close to
+// it for the step to mean anything: two active rows on one user or cloud,
+// an active row without a free variable, a pivot below pivotTol, or a
+// non-finite w.
+func (ws *Workspace) dualStep(lag *lagrangian, cur Curvature, x []float64) bool {
+	nt, gr, y := &ws.nt, lag.p.Groups, lag.y
+	cur.Curv(x, nt.diag, nt.cw)
+	clear(nt.uw)
+	clear(nt.tu)
+	clear(nt.tc)
+	inf := math.Inf(1)
+	for k, r := range gr.Rows {
+		if y[k] <= 0 {
+			continue
+		}
+		s := r.RHS - ws.axI[k]
+		if i := r.Index; r.Kind == GroupUserSum {
+			if nt.uw[i] == inf {
+				return false
+			}
+			nt.uw[i], nt.tu[i] = inf, -s
+		} else {
+			if nt.cw[i] == inf {
+				return false
+			}
+			nt.qs[i] = nt.cw[i] * s
+			nt.cw[i], nt.tc[i] = inf, s
+		}
 	}
-	return gp < 0
+	m := nt.schur(gr, nt.nF, nil)
+	S := nt.chol[:m*m]
+	if !cholSolve(S, nt.rhs[:m], m) {
+		return false
+	}
+	for i, ci := range nt.cidx {
+		if ci >= 0 && S[ci*m+ci]*S[ci*m+ci] < pivotTol*(1/nt.cw[i]+nt.c[i]) {
+			return false
+		}
+	}
+	nt.unfold(gr, nt.nF)
+	w := func(r GroupRow) float64 {
+		if r.Kind == GroupUserSum {
+			return -nt.zu[r.Index]
+		}
+		return nt.zc[r.Index] + nt.qs[r.Index]
+	}
+	for k, r := range gr.Rows {
+		if y[k] <= 0 {
+			continue
+		}
+		if r.Kind == GroupUserSum && !(nt.a[r.Index] > 0) || r.Kind == GroupCloudSumNeg && nt.cidx[r.Index] < 0 {
+			return false // the row has no free variable
+		}
+		if v := w(r); math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	for k, r := range gr.Rows {
+		if y[k] > 0 {
+			y[k] = max(0, y[k]+w(r))
+		}
+	}
+	return true
 }
 
 // cholSolve factors the SPD matrix S (m×m, lower triangle, row-major) in

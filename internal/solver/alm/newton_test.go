@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"edgealloc/internal/solver/fista"
@@ -722,4 +723,66 @@ func FuzzNewtonVsFista(f *testing.F) {
 		}
 		checkAgreement(t, p, rn, rf, 1e-10, 1e-6, dualTol)
 	})
+}
+
+// TestDualStepRefusesSingularSystem solves programs whose capacity is
+// exactly the demand, Λ = ΣC: every demand and every capacity row binds
+// and the rows sum to zero. Their multipliers are determined up to a
+// common shift, which the warm start sets high enough to keep every row
+// active, so M = A·H_f⁻¹·Aᵀ — the Schur complement dualStep factors — is
+// singular at every update. The second-order step must be refused each
+// time, the update fall back to first order, and the solve converge to
+// the point of a run that never tries it, bit for bit.
+func TestDualStepRefusesSingularSystem(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 8; trial++ {
+		g := gridGroups(1, 2+rng.Intn(4), 2+rng.Intn(6), nil)
+		n := len(g.Cols)
+		o := &entropic{g: g, c: make([]float64, n), mg: make([]float64, n), p: make([]float64, n),
+			rc: make([]float64, g.I), prevTot: make([]float64, g.I)}
+		demand, capacity := make([]float64, g.J), make([]float64, g.I)
+		for k, j := range g.Cols {
+			v := 0.1 + rng.Float64()
+			demand[j] += v
+			capacity[k/g.J] += v
+			o.c[k] = 3 * rng.Float64()
+			o.mg[k] = 0.1 + rng.Float64()
+			o.p[k] = rng.Float64()
+			o.prevTot[k/g.J] += o.p[k]
+		}
+		g.Rows = g.Rows[:0]
+		for j, d := range demand {
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: j, RHS: d})
+		}
+		for i, c := range capacity {
+			o.rc[i] = rng.Float64()
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupCloudSumNeg, Index: i, RHS: -c})
+		}
+		p := &Problem{Obj: o, N: n, Lower: make([]float64, n), Groups: g}
+		warm := make([]float64, len(g.Rows))
+		for k := range warm {
+			warm[k] = 100
+		}
+		opts := Options{MaxOuter: 200, FeasTol: 1e-8, WarmDuals: warm}
+		r, err := Solve(p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Converged || r.DualSteps != 0 || r.DualRefused == 0 {
+			t.Errorf("trial %d (I=%d J=%d): converged %v after %d outer, %d second-order steps, %d refused",
+				trial, g.I, g.J, r.Converged, r.Outer, r.DualSteps, r.DualRefused)
+		}
+		x := slices.Clone(r.X)
+		firstOrderDuals = true
+		ref, err := Solve(p, opts)
+		firstOrderDuals = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameBits("x", x, ref.X); err != nil {
+			t.Errorf("trial %d: %v against the first-order run", trial, err)
+		}
+		t.Logf("trial %d (I=%d J=%d): %d outer (first order %d), %d second-order steps, %d refused",
+			trial, g.I, g.J, r.Outer, ref.Outer, r.DualSteps, r.DualRefused)
+	}
 }
