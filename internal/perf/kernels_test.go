@@ -515,8 +515,13 @@ func TestHotPathAllocs(t *testing.T) {
 	// handler cannot come back to copying a grid per slot (the schedule it
 	// once built to price and log the slot was one). Three warm-up posts let
 	// the pooled body buffer and the session's record buffer reach their
-	// size first; four slots are measured.
+	// size first; four slots are measured. They run on one P: sync.Pool
+	// keeps a returned object in the private slot of the P that put it,
+	// where a Get on another P cannot reach it, so a post the scheduler
+	// moved between Ps — as it does on a loaded machine — would allocate
+	// a second body buffer.
 	if !raceEnabled {
+		procs := runtime.GOMAXPROCS(1)
 		srv := newServeKernel(t, 10)
 		for k := 0; k < 3; k++ {
 			srv.post()
@@ -525,6 +530,7 @@ func TestHotPathAllocs(t *testing.T) {
 		if got := bytesPerRun(4, srv.post); got >= grid/8 {
 			t.Errorf("ServeSlot: %d bytes/op, want under %d (an eighth of the %d-byte decision grid)", got, grid/8, grid)
 		}
+		runtime.GOMAXPROCS(procs)
 	}
 	// A restore allocates what the snapshot holds — the body, each slot's
 	// inputs, duals and stored entries, the columns its log keeps — beside a

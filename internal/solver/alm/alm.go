@@ -41,13 +41,16 @@
 //
 // The multiplier update. y ← max(0, y+ρs) is gradient ascent on the
 // augmented dual, and near the solution it shrinks the multiplier error by
-// a steady factor per outer iteration. On the Newton path the rows it keeps
-// active take the Newton ascent step instead, Δy = ρs + M⁻¹s with M =
-// A·H_f⁻¹·Aᵀ over those rows (newton.go's dualStep), when the inner solve
-// met its tolerance, no row changed activity since the previous outer
-// iteration, M can be factored and the budget allows another outer
-// iteration; Result.DualSteps and DualRefused count the steps taken and
-// those refused on a singular M. The stop rule reads σ, the violation and
+// a steady factor per outer iteration. On the Newton path the update is
+// instead the Newton step of the KKT system on the rows it keeps active,
+// primal and dual half at once (newton.go's dualStep): x moves by the
+// projected p and those rows' multipliers by w, where H_f·p − Aᵀ·w = −∇L
+// and A·p = s, with H_f the objective's Hessian on the free variables. It
+// is taken when the inner solve met its tolerance, the system can be
+// factored and another outer iteration follows — on an active set the
+// update changed (or, at the first, the warm multipliers') only while three
+// do; Result.DualSteps and DualRefused count the steps taken and those
+// refused on a singular system. The stop rule reads σ, the violation and
 // the dual movement off the first-order update either way, and the loop
 // ends on one, so Result.Duals are always the first-order update at X —
 // the multipliers X is stationary for — and what Converged certifies does
@@ -282,8 +285,9 @@ type Result struct {
 	InnerIters   int
 	// Evals counts the solve's gradient evaluations of the objective: one
 	// per FISTA iteration; on the Newton path the first inner solve's entry
-	// evaluation and every arc trial, later inner solves starting from the
-	// iterate the one before them evaluated.
+	// evaluation, every arc trial and every new point a second-order step
+	// moved to, later inner solves starting from the iterate evaluated
+	// before them.
 	Evals     int
 	Converged bool
 	// Stop says which test ended the outer loop, and Sigma, RelObjChange
@@ -552,9 +556,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// σ (the step |Δy_k|/ρ, row-scaled) and the relative dual movement.
 		// It reads A·x at the iterate from axI, not the last evaluation's ax:
 		// a Newton solve that ends on a rejected arc leaves a trial's there.
-		// settled: no row changed activity since the previous outer iteration.
+		// settled: no row changed activity since the previous outer iteration
+		// (at the first, since the warm multipliers).
 		viol, sigma, dualMove := 0.0, 0.0, 0.0
-		settled := outer > 0
+		settled := true
 		for k, a := range ws.axI {
 			rhs := p.rowRHS(k)
 			s := rhs - a
@@ -594,8 +599,10 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		}
 		// The second-order step (see the package comment), never on the
 		// last outer iteration: a solve its budget stops returns the
-		// multipliers its last inner solve saw.
-		if res.Newton && settled && outer+1 < maxOuter && !(res.ProjGrad > tol) && !firstOrderDuals {
+		// point and multipliers its last inner solve saw. A step on an active
+		// set the update has just changed is a guess, taken only while three
+		// outer iterations remain to correct it in.
+		if res.Newton && (settled && outer+1 < maxOuter || outer+3 < maxOuter) && !(res.ProjGrad > tol) && !firstOrderDuals {
 			if ws.dualStep(lag, cur, x) {
 				res.DualSteps++
 			} else {

@@ -26,10 +26,12 @@ func (c pollCtx) Err() error { return c.poll() }
 // evaluation at ws.x, bit for bit, and then what the solver made of them:
 // when the multipliers moved since the last poll (yPrev), the update that
 // moved them must have read the iterate's A·x — the first-order update
-// exactly, and a second-order one (second) on the rows the first-order
-// update leaves active only; otherwise the inner solve's gradient nt.g
-// must be ∇L at the iterate under y and ρ.
-func checkIterate(p *Problem, ws *Workspace, workers int, yPrev []float64, second bool) error {
+// exactly, and a second-order one on the rows the first-order update leaves
+// active only. A second-order step moves the iterate too; from is then the
+// point it was taken at, whose A·x the update read (nil otherwise). When
+// the multipliers did not move, the inner solve's gradient nt.g must be ∇L
+// at the iterate under y and ρ.
+func checkIterate(p *Problem, ws *Workspace, workers int, yPrev, from []float64) error {
 	fresh := lagrangian{p: p, y: ws.y, rho: ws.lag.rho, ws: workspaceFor(p), workers: workers}
 	src, grad := make([]float64, p.N), make([]float64, p.N)
 	fresh.eval(ws.x, src, grad)
@@ -43,8 +45,13 @@ func checkIterate(p *Problem, ws *Workspace, workers int, yPrev []float64, secon
 		return err
 	}
 	if sameBits("", ws.y, yPrev) != nil {
+		second, read := from != nil, fresh.ws.ax
+		if second {
+			read = make([]float64, len(yPrev))
+			p.axInto(from, read, &fresh.ws.gs, workers)
+		}
 		want := make([]float64, len(yPrev))
-		for k, a := range fresh.ws.ax {
+		for k, a := range read {
 			want[k] = math.Max(0, yPrev[k]+ws.lag.rho*(p.rowRHS(k)-a))
 			if second && want[k] > 0 {
 				want[k] = ws.y[k]
@@ -129,7 +136,11 @@ func TestNewtonCarriesTheIterate(t *testing.T) {
 					if sameBits("", ws.x, last.x) != nil {
 						afterRejected++
 					}
-					bad = checkIterate(pr.p, &ws, workers, yPrev, ws.res.DualSteps > stepsPrev)
+					var from []float64
+					if ws.res.DualSteps > stepsPrev {
+						from = last.curv
+					}
+					bad = checkIterate(pr.p, &ws, workers, yPrev, from)
 				}
 				yPrev = append(yPrev[:0], ws.y...)
 				stepsPrev = ws.res.DualSteps
@@ -154,10 +165,16 @@ func TestNewtonCarriesTheIterate(t *testing.T) {
 }
 
 // lastPoint keeps a copy of the last point an objective evaluated with a
-// gradient.
+// gradient, and of the last point its curvature was read at: the point a
+// second-order multiplier step is taken at.
 type lastPoint struct {
 	Curvature
-	x []float64
+	x, curv []float64
+}
+
+func (l *lastPoint) Curv(x, diag, cloud []float64) {
+	l.curv = append(l.curv[:0], x...)
+	l.Curvature.Curv(x, diag, cloud)
 }
 
 func (l *lastPoint) Eval(x, grad []float64) float64 {

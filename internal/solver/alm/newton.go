@@ -48,9 +48,9 @@ import (
 // keeps every bit (BenchmarkCholSolve: m = 44 in 5.1 µs against 10.8 µs
 // one row at a time, on a 2-vCPU Xeon).
 //
-// The outer loop's second-order multiplier step (dualStep) solves the same
-// system with the active rows' weights taken to infinity, so schur builds
-// S for both.
+// The outer loop's Newton-KKT step (dualStep) solves the same system with
+// the active rows' weights taken to infinity and their slacks added to the
+// right-hand side, so schur builds S for both.
 
 // Curvature is an objective over a Groups grid whose Hessian is a
 // diagonal plus one rank-one term per cloud row of the grid,
@@ -112,7 +112,13 @@ type newtonScratch struct {
 	uptr          []int     // per user: start in order (J+1)
 
 	nF int       // the free variables at the iterate newton returned
-	qs []float64 // per cloud: dualStep's w_i − κ_i
+	qs []float64 // per cloud: dualStep's w_i − κ_i = q_i·s_i
+
+	// back tells dualStep that xt holds the point newton's last accepted
+	// trial moved away from, with its f in fBack, its ∇f in gft and its A·x
+	// in the workspace's ax.
+	back  bool
+	fBack float64
 }
 
 func (nt *newtonScratch) ensure(n, nI, nJ int) {
@@ -165,16 +171,17 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 // steps. Every trial of the arc search is evaluated with its gradient, so
 // an accepted trial is the next iteration's evaluation, and — its f, ∇f
 // and A·x kept — the next outer iteration's: a warm call, whose x is the
-// iterate the previous call returned, evaluates nothing on entry and only
-// penalizes the kept values under the new y and ρ. It keeps the solve's
-// InnerIters, Fallbacks and ProjGrad in the workspace's Result, and in its
-// Objective f at the iterate: the first entry evaluation's, then each
-// accepted trial's, never a rejected one's.
+// iterate the previous call returned or the point dualStep moved it to,
+// evaluates nothing on entry and only penalizes the kept values under the
+// new y and ρ. It keeps the solve's InnerIters, Fallbacks and ProjGrad in
+// the workspace's Result, and in its Objective f at the iterate: the first
+// entry evaluation's, then each accepted trial's, never a rejected one's.
 func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bool, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
 	nt, res := &ws.nt, &ws.res
 	gr, lower := lag.p.Groups, lag.p.Lower
 	grad, xt, gt := nt.g, nt.xt, nt.gt
 	var L float64
+	nt.back = false
 	if warm {
 		L = lag.penalize(res.Objective, ws.axI, nt.gf, grad)
 	} else {
@@ -214,6 +221,7 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bo
 			}
 		}
 		res.InnerIters++
+		nt.back = false
 
 		// The Newton step's arc, or — where the system could not be
 		// factored, the step is no descent direction, or its arc holds no
@@ -240,6 +248,7 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bo
 		grad, gt = gt, grad
 		ws.x, nt.xt, nt.g, nt.gt = x, xt, grad, gt
 		L = Lt
+		nt.fBack, nt.back = res.Objective, true
 		ws.keep()
 	}
 }
@@ -257,8 +266,6 @@ func (ws *Workspace) keep() {
 // or the step is not a descent direction.
 func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool {
 	gr, rho := lag.p.Groups, lag.rho
-	cols := gr.Cols
-	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
 
 	// Weights: the objective's cloud curvature is in cw; every active row
 	// adds ρ on its user or cloud.
@@ -274,19 +281,26 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 		}
 	}
 
+	clear(nt.tu)
+	clear(nt.tc)
 	m := nt.schur(gr, nF, grad)
 	if !cholSolve(nt.chol[:m*m], nt.rhs[:m], m) {
 		return false
 	}
 	nt.unfold(gr, nF)
-	gp := 0.0
-	for q, k := range fk {
-		i := fi[q]
-		step := (-grad[k] - nt.zu[cols[k]] - nt.zc[i]) * fv[q]
-		fv[q] = step
-		gp += grad[k] * step
+	return nt.step(gr, nF, grad) < 0
+}
+
+// step turns the 1/d that schur left in fv into the step p_k = (−g_k − zu_j
+// − zc_i)/d_k of the system unfold read back, and returns its slope gᵀp.
+func (nt *newtonScratch) step(gr *Groups, nF int, grad []float64) float64 {
+	fv, gp := nt.fv[:nF], 0.0
+	for q, k := range nt.fk[:nF] {
+		p := (-grad[k] - nt.zu[gr.Cols[k]] - nt.zc[nt.fi[q]]) * fv[q]
+		fv[q] = p
+		gp += grad[k] * p
 	}
-	return gp < 0
+	return gp
 }
 
 // schur assembles the Woodbury system of the nF free variables under the
@@ -297,20 +311,16 @@ func (nt *newtonScratch) direction(lag *lagrangian, nF int, grad []float64) bool
 // 1/(1/uw_j + a_j) into a for every weighted user with a free variable. A
 // weight of +Inf is a row whose penalty has gone to infinity: it adds
 // nothing to S's diagonal and makes e_j = 1/a_j. The right-hand side is
-// Eᵀ D⁻¹ (−grad) reduced onto the clouds when grad is given; with grad nil
-// it is the caller's per-user tu and per-cloud tc reduced the same way.
+// the caller's per-user tu and per-cloud tc plus Eᵀ D⁻¹ (−grad), reduced
+// onto the clouds.
 func (nt *newtonScratch) schur(gr *Groups, nF int, grad []float64) int {
 	nI, nJ, cols := gr.I, gr.J, gr.Cols
 	fk, fi, fv := nt.fk[:nF], nt.fi[:nF], nt.fv[:nF]
 
-	// a, c = row and column sums of B; tu, tc = Eᵀ D⁻¹ (−g); uptr counts.
+	// a, c = row and column sums of B; tu, tc += Eᵀ D⁻¹ (−g); uptr counts.
 	clear(nt.a)
 	clear(nt.c)
 	clear(nt.uptr)
-	if grad != nil {
-		clear(nt.tu)
-		clear(nt.tc)
-	}
 	for q, k := range fk {
 		i := fi[q]
 		j := cols[k]
@@ -319,11 +329,9 @@ func (nt *newtonScratch) schur(gr *Groups, nF int, grad []float64) int {
 		nt.a[j] += inv
 		nt.c[i] += inv
 		nt.uptr[j+1]++
-		if grad != nil {
-			r := -grad[k] * inv
-			nt.tu[j] += r
-			nt.tc[i] += r
-		}
+		r := -grad[k] * inv
+		nt.tu[j] += r
+		nt.tc[i] += r
 	}
 
 	// The clouds of S: positive weight and at least one free variable.
@@ -418,23 +426,30 @@ func (nt *newtonScratch) unfold(gr *Groups, nF int) {
 // would be round-off.
 const pivotTol = 1e-10
 
-// dualStep takes the Newton ascent step of the augmented dual on the rows
-// the first-order update y = max(0, y⁰+ρs), which the outer loop has just
-// written, keeps active. At the minimizer x of the augmented Lagrangian
-// that step is y⁰ + ρs + w with M·w = s, where M = A·H_f⁻¹·Aᵀ over the
-// active rows and H_f is the objective's Hessian on the last inner solve's
-// free variables (see Curvature). Writing M·w = s as the system direction
-// solves, with every active row's penalty weight taken to infinity (uw_j
-// and cw_i set to +Inf, so e_j = 1/a_j and 1/cw_i = 0; an inactive
-// cloud keeps its curvature q_i alone), schur reduces it onto the clouds:
-// S·κ = rhs with tu_j = −s_j on each active demand row and tc_i = s_i on
-// each active capacity row, after which w_j = −zu_j and w_i = κ_i + q_i·s_i.
-// The multipliers become max(0, y + w) on the active rows.
+// dualStep takes the Newton step of the KKT system on the rows the
+// first-order update y = max(0, y⁰+ρs), which the outer loop has just
+// written, keeps active, from the iterate x of the last inner solve: with
+// g = ∇L(x; y⁰, ρ) = ∇f(x) − Aᵀy on that solve's free variables, H_f the
+// objective's Hessian there (see Curvature) and s the active rows' slacks,
 //
-// It reports false and leaves y alone where M is singular or too close to
-// it for the step to mean anything: two active rows on one user or cloud,
-// an active row without a free variable, a pivot below pivotTol, or a
-// non-finite w.
+//	H_f·p − Aᵀ·w = −g,   A·p = s.
+//
+// At the Lagrangian's minimizer (g = 0) w = M⁻¹s, M = A·H_f⁻¹·Aᵀ over the
+// active rows, and y + w is the Newton ascent step of the augmented dual;
+// p = H_f⁻¹·Aᵀw is its primal half, and g is what the inner solve left
+// undone. It is the system direction solves with every active row's
+// penalty weight taken to infinity (uw_j and cw_i set to +Inf, so e_j =
+// 1/a_j and 1/cw_i = 0; an inactive cloud keeps its curvature q_i alone):
+// schur reduces it onto the clouds, S·κ = rhs, with tu_j = −s_j on each
+// active demand row and tc_i = s_i on each active capacity row added to
+// −g's reduction, after which w_j = −zu_j, w_i = κ_i + q_i·s_i and, as in
+// direction, D·p = −g − zu_j − zc_i. The multipliers become max(0, y + w)
+// on the active rows and x becomes max(lower, x + p).
+//
+// It reports false and leaves x and y alone where the system is singular or
+// too close to it for the step to mean anything: two active rows on one
+// user or cloud, an active row without a free variable, a pivot below
+// pivotTol, or a non-finite w.
 func (ws *Workspace) dualStep(lag *lagrangian, cur Curvature, x []float64) bool {
 	nt, gr, y := &ws.nt, lag.p.Groups, lag.y
 	cur.Curv(x, nt.diag, nt.cw)
@@ -460,7 +475,7 @@ func (ws *Workspace) dualStep(lag *lagrangian, cur Curvature, x []float64) bool 
 			nt.cw[i], nt.tc[i] = inf, s
 		}
 	}
-	m := nt.schur(gr, nt.nF, nil)
+	m := nt.schur(gr, nt.nF, nt.g)
 	S := nt.chol[:m*m]
 	if !cholSolve(S, nt.rhs[:m], m) {
 		return false
@@ -491,6 +506,39 @@ func (ws *Workspace) dualStep(lag *lagrangian, cur Curvature, x []float64) bool 
 	for k, r := range gr.Rows {
 		if y[k] > 0 {
 			y[k] = max(0, y[k]+w(r))
+		}
+	}
+	// The primal half, projected onto the bounds. A point that moved is
+	// evaluated here, so that f, ∇f and A·x stay the iterate's and the next
+	// inner solve enters warm — unless it moved back to the point the inner
+	// solve accepted its iterate from, as it does at a vertex (as many
+	// active rows as free variables fix the point), whose evaluation the
+	// arc search's buffers still hold.
+	lower, moved := lag.p.Lower, false
+	nt.step(gr, nt.nF, nt.g)
+	for q, k := range nt.fk[:nt.nF] {
+		v := max(lower[k], x[k]+nt.fv[q])
+		moved = moved || v != x[k]
+		x[k] = v
+	}
+	switch {
+	case !moved:
+	case nt.back && samePoint(x, nt.xt):
+		lag.obj = nt.fBack
+		ws.keep()
+		lag.penalize(lag.obj, ws.axI, nt.gf, nt.g)
+	default:
+		lag.eval(x, nt.gft, nt.g)
+		ws.keep()
+	}
+	return true
+}
+
+// samePoint reports whether a and b hold the same bits.
+func samePoint(a, b []float64) bool {
+	for k, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[k]) {
+			return false
 		}
 	}
 	return true
