@@ -62,7 +62,6 @@ func newFlagSet(o *options, stderr io.Writer) *flag.FlagSet {
 	fs.IntVar(&p.Workers, "workers", 0, "concurrent (case, rep, algorithm) runs (0 = all CPUs); results are identical for any value")
 	fs.IntVar(&p.Approx.Candidates, "candidates", 0, "per-user candidate-set size for the paper's algorithm (0 = full variable space; any value is certified equal to the full solve)")
 	p.Approx.BindFlags(fs)
-	fs.BoolVar(&p.SkipConformance, "noconform", false, "disable the paper-conformance oracle on every run (it is on by default)")
 	fs.StringVar(&sc.WorkloadDist, "dist", "", "workload distribution override (power|uniform|normal)")
 	fs.Float64Var(&sc.Mu, "mu", 0, "dynamic/static weight ratio μ (0 = default 1)")
 	fs.Float64Var(&sc.MigScale, "migscale", 0, "migration price scale (0 = default 1)")

@@ -124,26 +124,6 @@ func TestRunFigure2Plumbing(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	// The same run with the oracle disabled must agree: -noconform only
-	// removes checking, never changes results.
-	var stdout2, stderr2 bytes.Buffer
-	if got := run(append(args, "-noconform"), &stdout2, &stderr2); got != 0 {
-		t.Fatalf("-noconform exit %d, stderr %q", got, stderr2.String())
-	}
-	strip := func(s string) string {
-		// Drop the timing lines; they differ run to run.
-		var keep []string
-		for _, l := range strings.Split(s, "\n") {
-			if !strings.Contains(l, " in ") {
-				keep = append(keep, l)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	if strip(stdout.String()) != strip(stdout2.String()) {
-		t.Errorf("-noconform changed the results:\n--- with oracle\n%s\n--- without\n%s",
-			stdout.String(), stdout2.String())
-	}
 }
 
 // TestFlagNamesGolden lists every flag edgesim accepts: none is added,
@@ -152,7 +132,7 @@ func TestFlagNamesGolden(t *testing.T) {
 	want := []string{
 		"ablation", "candidates", "cases", "cpuprofile", "dist", "fastmath",
 		"fig", "horizon", "incremental", "incremental-tol", "memprofile",
-		"metrics", "migscale", "mu", "noconform", "reconf", "reps", "seed",
+		"metrics", "migscale", "mu", "reconf", "reps", "seed",
 		"shard-workers", "shards", "sqprice", "users", "vol", "workers",
 	}
 	var got []string

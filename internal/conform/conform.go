@@ -9,7 +9,8 @@
 // The oracle returns structured Violations instead of failing a test
 // directly, so the same code path serves unit tests, Go fuzz targets, the
 // metamorphic suite, benchmarks, and the production simulation harness
-// (sim.Execute consults it on every run unless explicitly disabled).
+// (sim.Execute consults it on every run, and prices the run from its
+// walk).
 package conform
 
 import (
@@ -163,9 +164,9 @@ type Report struct {
 	// were skipped.
 	Truncated bool
 	// BreakdownP0 and BreakdownP1 are the schedule's cost breakdowns under
-	// the two objectives, computed as a side effect of the gap check and
-	// exposed so callers need not re-evaluate. Valid only when the shape
-	// checks passed.
+	// the two objectives, Evaluate's and EvaluateP1's bit for bit, computed
+	// for the gap check and exposed so callers need not re-evaluate. Valid
+	// only when the shape checks passed.
 	BreakdownP0, BreakdownP1 model.Breakdown
 }
 
@@ -186,13 +187,10 @@ func (r *Report) Counts() map[Kind]int {
 	return counts
 }
 
-// Log emits one structured warning line per collected violation to l
-// (nil-safe on both receiver and logger), tagging each with the run
-// label so concurrent runs stay distinguishable in daemon logs.
+// Log emits one structured warning line per collected violation to l,
+// tagging each with the run label so concurrent runs stay
+// distinguishable in daemon logs.
 func (r *Report) Log(l *slog.Logger, run string) {
-	if r == nil || l == nil {
-		return
-	}
 	for _, v := range r.Violations {
 		l.Warn("conformance violation", "run", run, "violation", v)
 	}
@@ -245,31 +243,22 @@ func (c *checker) add(v Violation) bool {
 	return true
 }
 
-func (c *checker) full() bool { return c.rep.Truncated }
-
-// Check runs every applicable guarantee check of the paper against the
-// realized schedule and the solver's diagnostics. diag may be nil when no
-// certificate is available; the schedule-level checks always run.
+// Check is CheckWalk over a dense schedule.
 func Check(in *model.Instance, s model.Schedule, diag *Diagnostics, opts Options) *Report {
-	c := newChecker(opts)
-	if !c.checkShape(in, s) {
-		// Dimensions are wrong: every later check would index out of
-		// bounds, so the report carries the shape violations alone.
-		return c.rep
-	}
-	return c.run(in, s.Walk, diag)
+	return CheckWalk(in, s.Walk, diag, opts)
 }
 
-// CheckWalk is Check over a schedule read through walk, so the caller
-// need not hold the whole schedule at once. A walk that yields a slot of
-// the wrong shape, or another number of slots than the horizon, gets a
-// shape violation after those the slots before it drew.
+// CheckWalk runs every applicable guarantee check of the paper against
+// the realized schedule, read through walk so the caller need not hold it
+// whole, and the solver's diagnostics. diag may be nil when no
+// certificate is available; the schedule-level checks always run. A walk
+// that yields a slot of the wrong shape, or another number of slots than
+// the horizon, gets a shape violation after those the slots before it
+// drew, and no horizon-level check; slots past the horizon are counted,
+// never checked or priced.
 func CheckWalk(in *model.Instance, walk model.Walk, diag *Diagnostics, opts Options) *Report {
-	return newChecker(opts).run(in, walk, diag)
-}
-
-func newChecker(opts Options) *checker {
-	return &checker{rep: &Report{}, opts: opts.withDefaults()}
+	c := &checker{rep: &Report{}, opts: opts.withDefaults()}
+	return c.run(in, walk, diag)
 }
 
 // horizon records a schedule of n slots on an instance of another horizon.
@@ -277,25 +266,6 @@ func (c *checker) horizon(in *model.Instance, n int) {
 	c.add(Violation{Kind: KindShape, Slot: -1, Index: -1,
 		Got: float64(n), Bound: float64(in.T),
 		Detail: "schedule horizon differs from instance"})
-}
-
-// checkShape verifies the horizon length and every slot's dimensions.
-// It returns false when indexing into the schedule would be unsafe.
-func (c *checker) checkShape(in *model.Instance, s model.Schedule) bool {
-	ok := true
-	if len(s) != in.T {
-		c.horizon(in, len(s))
-		ok = false
-	}
-	for t, x := range s {
-		if !c.slotShape(in, t, x) {
-			if c.full() {
-				return false
-			}
-			ok = false
-		}
-	}
-	return ok
 }
 
 // slotShape verifies slot t's dimensions, recording a violation if they
@@ -324,10 +294,15 @@ func (c *checker) run(in *model.Instance, walk model.Walk, diag *Diagnostics) *R
 	used := make([]float64, in.I)
 	n, ok := 0, true
 	walk(func(t int, x model.Alloc) bool {
+		if n++; n > in.T {
+			// A slot past the horizon has no prices to index: it is only
+			// counted, for the horizon violation below.
+			return true
+		}
 		if ok = c.slotShape(in, t, x); !ok {
 			return false
 		}
-		if !c.full() {
+		if !c.rep.Truncated {
 			c.checkSlot(in, t, x, served, used)
 		}
 		d := in.SlotCost(t, prev, x)
@@ -335,7 +310,6 @@ func (c *checker) run(in *model.Instance, walk model.Walk, diag *Diagnostics) *R
 		b0.Add(d)
 		b1.Add(model.Breakdown{Op: d.Op, Sq: d.Sq, Rc: rc, Mg: mg})
 		prev = x
-		n++
 		return true
 	})
 	if !ok {

@@ -38,21 +38,10 @@ func feasibleSchedule(in *model.Instance) model.Schedule {
 	return s
 }
 
-// requireWalkReport requires CheckWalk over the schedule's walk to report
-// exactly what Check reported for the schedule itself.
-func requireWalkReport(t *testing.T, in *model.Instance, s model.Schedule, diag *conform.Diagnostics, opts conform.Options, want *conform.Report) {
-	t.Helper()
-	got := conform.CheckWalk(in, s.Walk, diag, opts)
-	if g, w := fmt.Sprintf("%#v", *got), fmt.Sprintf("%#v", *want); g != w {
-		t.Fatalf("CheckWalk reports\n%s\nCheck\n%s", g, w)
-	}
-}
-
 func TestCheckCleanSchedule(t *testing.T) {
 	in := genInstance(t)
 	s := feasibleSchedule(in)
 	rep := conform.Check(in, s, nil, conform.Options{})
-	requireWalkReport(t, in, s, nil, conform.Options{}, rep)
 	if !rep.OK() {
 		t.Fatalf("clean schedule flagged: %v", rep.Err())
 	}
@@ -78,6 +67,9 @@ func TestCheckDetectsViolations(t *testing.T) {
 	}{
 		{"short horizon", func(s model.Schedule) model.Schedule {
 			return s[:len(s)-1]
+		}, conform.KindShape},
+		{"long horizon", func(s model.Schedule) model.Schedule {
+			return append(s, model.NewAlloc(in.I, in.J), model.NewAlloc(in.I, in.J))
 		}, conform.KindShape},
 		{"wrong slot shape", func(s model.Schedule) model.Schedule {
 			s[1] = model.NewAlloc(in.I+1, in.J)
@@ -110,7 +102,6 @@ func TestCheckDetectsViolations(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			s := tt.mutate(feasibleSchedule(in))
 			rep := conform.Check(in, s, nil, conform.Options{})
-			requireWalkReport(t, in, s, nil, conform.Options{}, rep)
 			if rep.OK() {
 				t.Fatal("violation not detected")
 			}
@@ -127,6 +118,48 @@ func TestCheckDetectsViolations(t *testing.T) {
 				t.Error("Err() does not wrap ErrNonConformant")
 			}
 		})
+	}
+}
+
+// TestCheckStopsAtMisshapenSlot pins Check's report on a schedule whose
+// slot 0 has a negative entry and whose slot 2 has the wrong shape: slot
+// 0's findings, then slot 2's shape, and nothing checked or priced after.
+func TestCheckStopsAtMisshapenSlot(t *testing.T) {
+	in := genInstance(t)
+	s := feasibleSchedule(in)
+	i, j := (in.Attach[0][0]+1)%in.I, 0
+	if s[0].At(i, j) != 0 {
+		t.Fatalf("x[%d][%d] = %g, want a pair the schedule leaves empty", i, j, s[0].At(i, j))
+	}
+	s[0].Set(i, j, -0.5)
+	s[2] = model.NewAlloc(in.I, in.J+1)
+	rep := conform.Check(in, s, nil, conform.Options{})
+	want := []conform.Violation{
+		{Kind: conform.KindNegative, Slot: 0, Index: i, Got: -0.5, Bound: -1e-4,
+			Detail: fmt.Sprintf("x[%d][%d] negative", i, j)},
+		{Kind: conform.KindDemand, Slot: 0, Index: j, Got: in.Workload[j] - 0.5, Bound: in.Workload[j],
+			Detail: "user served below workload (Theorem 1)"},
+		{Kind: conform.KindShape, Slot: 2, Index: -1,
+			Got: float64(in.I * (in.J + 1)), Bound: float64(in.I * in.J),
+			Detail: fmt.Sprintf("slot allocation is %dx%d, want %dx%d", in.I, in.J+1, in.I, in.J)},
+	}
+	if got, w := fmt.Sprintf("%#v", *rep), fmt.Sprintf("%#v", conform.Report{Violations: want}); got != w {
+		t.Fatalf("report\n%s\nwant\n%s", got, w)
+	}
+}
+
+// TestCheckLongHorizon pins Check's report on a schedule of T+2 clean
+// slots: the horizon violation counts every slot, and the slots past the
+// horizon are neither checked nor priced.
+func TestCheckLongHorizon(t *testing.T) {
+	in := genInstance(t)
+	s := append(feasibleSchedule(in), model.NewAlloc(in.I, in.J), model.NewAlloc(in.I+1, in.J))
+	rep := conform.Check(in, s, nil, conform.Options{})
+	want := []conform.Violation{{Kind: conform.KindShape, Slot: -1, Index: -1,
+		Got: float64(in.T + 2), Bound: float64(in.T),
+		Detail: "schedule horizon differs from instance"}}
+	if got, w := fmt.Sprintf("%#v", rep.Violations), fmt.Sprintf("%#v", want); got != w {
+		t.Fatalf("violations\n%s\nwant\n%s", got, w)
 	}
 }
 
@@ -214,7 +247,6 @@ func TestCheckCertificateDiagnostics(t *testing.T) {
 		t.Run(tt.name, func(t *testing.T) {
 			d := tt.mutate(good)
 			rep := conform.Check(in, s, &d, conform.Options{})
-			requireWalkReport(t, in, s, &d, conform.Options{}, rep)
 			found := false
 			for _, v := range rep.Violations {
 				if v.Kind == tt.want {
@@ -279,7 +311,6 @@ func TestCheckTruncates(t *testing.T) {
 		}
 	}
 	rep := conform.Check(in, s, nil, conform.Options{MaxViolations: 5})
-	requireWalkReport(t, in, s, nil, conform.Options{MaxViolations: 5}, rep)
 	if len(rep.Violations) != 5 || !rep.Truncated {
 		t.Fatalf("got %d violations (truncated=%v), want 5 truncated",
 			len(rep.Violations), rep.Truncated)

@@ -14,13 +14,10 @@ import (
 // referenceCheck is Check built the direct way: a hygiene scan and two
 // total passes per slot, and the breakdowns from Evaluate and EvaluateP1.
 // It is the reference TestCheckMatchesReference pins Check's fused passes
-// to.
+// to, on schedules of the instance's shape.
 func referenceCheck(in *model.Instance, s model.Schedule, diag *Diagnostics, opts Options) *Report {
 	opts = opts.withDefaults()
 	c := &checker{rep: &Report{}, opts: opts}
-	if !c.checkShape(in, s) {
-		return c.rep
-	}
 	c.referenceSlots(in, s)
 	c.referenceGap(in, s)
 	if diag != nil {
@@ -34,7 +31,7 @@ func (c *checker) referenceSlots(in *model.Instance, s model.Schedule) {
 	served := make([]float64, in.J)
 	used := make([]float64, in.I)
 	for t, x := range s {
-		if c.full() {
+		if c.rep.Truncated {
 			return
 		}
 		for k, v := range x.X {

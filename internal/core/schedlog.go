@@ -23,15 +23,17 @@ import (
 
 // slotRecord is one slot's entry in the decision log: the columns cols the
 // slot wrote, column p's I values at vals[p·I:(p+1)·I]; or, cols nil, the
-// whole decision, vals being its row-major grid.
+// whole decision, vals being its row-major grid. A slot that wrote no
+// column has a column record, cols empty but not nil.
 type slotRecord struct {
 	cols []int
 	vals []float64
 }
 
-// columnRecord copies the listed columns of the I×J grid x into a record.
+// columnRecord copies the listed columns of the I×J grid x into a record,
+// a column record even when cols is nil.
 func columnRecord(x []float64, nI, nJ int, cols []int) slotRecord {
-	r := slotRecord{cols: slices.Clone(cols), vals: make([]float64, nI*len(cols))}
+	r := slotRecord{cols: append(make([]int, 0, len(cols)), cols...), vals: make([]float64, nI*len(cols))}
 	for p, j := range cols {
 		for i := 0; i < nI; i++ {
 			r.vals[p*nI+i] = x[i*nJ+j]

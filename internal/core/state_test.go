@@ -240,6 +240,39 @@ func TestRestoreIncrementalBitwise(t *testing.T) {
 	}
 }
 
+// TestRestoreBeforeSlotWithoutMovers restores an incremental run before a
+// slot that moves no user and leaves none short, so the slot writes no
+// column, and requires the restored run to walk and certify as the
+// uninterrupted one, bit for bit: the slot's record is a column record of
+// no columns, not a grid logged whole with no values.
+func TestRestoreBeforeSlotWithoutMovers(t *testing.T) {
+	t.Parallel()
+	const k = 2
+	in := conform.GenInstance(conform.GenConfig{Seed: 2, I: 3, J: 6, T: 4})
+	for tt := k; tt < in.T; tt++ {
+		copy(in.Attach[tt], in.Attach[k-1])
+	}
+	opts := Options{Incremental: true, IncrementalTol: 0.5}
+	a, err := runRestoring(NewOnlineApprox(in, opts), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := a.log[k]; r.cols == nil || len(r.cols) > 0 {
+		t.Fatalf("slot %d logged columns %v, want none: the case is not exercised", k, r.cols)
+	}
+	b, err := runRestoring(NewOnlineApprox(in, opts), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameGrids(walkCopies(a), walkCopies(b)); err != nil {
+		t.Fatalf("restored run: %v", err)
+	}
+	want := certBits(streamedMatchesBatch(t, "uninterrupted", a))
+	if got := certBits(streamedMatchesBatch(t, "restored", b)); got != want {
+		t.Errorf("restored certificate %x, uninterrupted %x", got, want)
+	}
+}
+
 // walkCopies walks a run's decisions and copies each grid out of the walk.
 func walkCopies(alg *OnlineApprox) [][]float64 {
 	var out [][]float64

@@ -122,7 +122,7 @@ func runRows(p Params, rows []rowSpec) ([]Row, error) {
 		} else {
 			alg = rows[u.row].Algs()[u.alg]
 		}
-		run, err := sim.ExecuteOpts(in, alg, p.simOptions())
+		run, err := sim.ExecuteOpts(in, alg, sim.Options{Metrics: p.Approx.Metrics})
 		if err != nil {
 			return err
 		}
@@ -161,12 +161,4 @@ func (p Params) workers() int {
 		return p.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// simOptions maps the experiment parameters onto the per-run harness
-// options: the conformance oracle is consulted on every unit of work
-// unless explicitly disabled, and run-level telemetry flows into the
-// shared instrument bundle when one is configured.
-func (p Params) simOptions() sim.Options {
-	return sim.Options{SkipConformance: p.SkipConformance, Metrics: p.Approx.Metrics}
 }

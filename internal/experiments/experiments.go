@@ -43,12 +43,6 @@ type Params struct {
 	// every worker count: each unit of work derives its RNG seed from
 	// (Seed, case, rep) alone and owns all of its state.
 	Workers int
-	// SkipConformance disables the paper-conformance oracle that the
-	// engine otherwise runs on every produced schedule (Theorem-1
-	// feasibility, Lemma-1 gap, certificate validity; see
-	// internal/conform). Only the seed harness's basic feasibility check
-	// runs then.
-	SkipConformance bool
 	// Approx is the option set of the paper's algorithm in every figure:
 	// core.Options declares and documents the fields, edgesim's tier flags
 	// bind straight into it, and zero Solver fields take the experiment
@@ -309,11 +303,11 @@ func Fig1(p Params) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
 		}
-		greedyRun, err := sim.ExecuteOpts(tc.inst, fastGreedy(), p.simOptions())
+		greedyRun, err := sim.ExecuteOpts(tc.inst, fastGreedy(), sim.Options{Metrics: p.Approx.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
 		}
-		apRun, err := sim.ExecuteOpts(tc.inst, approx, p.simOptions())
+		apRun, err := sim.ExecuteOpts(tc.inst, approx, sim.Options{Metrics: p.Approx.Metrics})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig1 %s: %w", tc.label, err)
 		}

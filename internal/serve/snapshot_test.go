@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"edgealloc/internal/conform"
 	"edgealloc/internal/core"
 	"edgealloc/internal/model"
 	"edgealloc/internal/sim"
@@ -656,6 +657,39 @@ func TestTierDecidedAtCreateRecovery(t *testing.T) {
 	}
 	if !schedulesEqual(fetchSchedule(t, tsSame.URL, id), want) {
 		t.Fatal("session recovered by a daemon with -incremental differs from the uninterrupted run")
+	}
+}
+
+// TestRestoreBeforeSlotWithoutMovers: an incremental session restored
+// before a slot that moves no user and leaves none short — a slot that
+// writes no column of the decision — finishes conformance-clean, with the
+// schedule of the uninterrupted run.
+func TestRestoreBeforeSlotWithoutMovers(t *testing.T) {
+	const k = 2
+	in := conform.GenInstance(conform.GenConfig{Seed: 2, I: 3, J: 6, T: 4})
+	for tt := k; tt < in.T; tt++ {
+		copy(in.Attach[tt], in.Attach[k-1])
+	}
+	tier := core.Options{Incremental: true, IncrementalTol: 0.5}
+	run, err := sim.Execute(in, core.NewOnlineApprox(nil, tier))
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	_, tsA := newTestServer(t, Config{Defaults: tier})
+	_, tsB := newTestServer(t, Config{})
+	id := createSession(t, tsA.URL, in)
+	driveSlots(t, tsA.URL, id, 0, k)
+	restoreSessionHTTP(t, tsB.URL, snapshotSession(t, tsA.URL, id))
+	tail := driveSlots(t, tsB.URL, id, k, in.T)
+	if sr := tail[0]; sr.Solve.FrozenUsers != in.J {
+		t.Fatalf("slot %d froze %d of %d users: the case is not exercised", k, sr.Solve.FrozenUsers, in.J)
+	}
+	if c := tail[len(tail)-1].Conformance; c == nil || !c.OK {
+		t.Errorf("conformance summary = %+v, want clean", c)
+	}
+	if !schedulesEqual(fetchSchedule(t, tsB.URL, id), run.Schedule) {
+		t.Fatal("restored session's schedule differs from the uninterrupted run")
 	}
 }
 

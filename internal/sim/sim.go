@@ -1,13 +1,12 @@
 // Package sim is the discrete-time simulation harness: it runs an
-// allocation algorithm over an instance, evaluates the resulting schedule
-// under the true objective P0, verifies feasibility, and aggregates
-// statistics across repetitions — the role played by the authors' Python
-// simulator in §V.
+// allocation algorithm over an instance, checks the resulting schedule
+// against the paper's guarantees and prices it under the true objective
+// P0 in the same pass, and aggregates statistics across repetitions —
+// the role played by the authors' Python simulator in §V.
 package sim
 
 import (
 	"fmt"
-	"log/slog"
 	"math"
 	"time"
 
@@ -51,47 +50,29 @@ type Run struct {
 	Breakdown model.Breakdown
 	// Total is the weighted P0 objective of the schedule.
 	Total float64
-	// Conformance is the paper-conformance oracle's report for the run
-	// (nil when the check was skipped). A run with violations is never
-	// returned — Execute surfaces it as an error instead — so a non-nil
-	// report here is always clean.
+	// Conformance is the paper-conformance oracle's report for the run.
+	// A run with violations is never returned — Execute surfaces it as an
+	// error instead — so the report here is always clean.
 	Conformance *conform.Report
 	// Elapsed is the wall-clock time of the algorithm's Solve call alone.
-	// Feasibility verification and cost evaluation are excluded (they are
-	// harness overhead, tracked by EvalElapsed), so per-algorithm timings
-	// stay meaningful when many runs execute concurrently.
+	// The conformance check, which also prices the schedule, is excluded
+	// (it is harness overhead, tracked by EvalElapsed), so per-algorithm
+	// timings stay meaningful when many runs execute concurrently.
 	Elapsed time.Duration
-	// EvalElapsed is the time the harness spent verifying feasibility and
-	// evaluating the schedule's true cost after Solve returned.
+	// EvalElapsed is the time the harness spent checking and pricing the
+	// schedule after Solve returned.
 	EvalElapsed time.Duration
 }
 
-// feasTol is the feasibility tolerance applied to every produced
-// schedule; the first-order solvers meet it with two orders of margin.
-const feasTol = 1e-4
-
 // Options tunes the harness around one algorithm execution. The zero
-// value is the default configuration: the conformance oracle runs on
-// every produced schedule.
+// value records nothing.
 type Options struct {
-	// SkipConformance disables the paper-conformance oracle and falls back
-	// to the seed harness's basic feasibility check alone. The oracle is
-	// on by default because its cost — a few cost evaluations — is
-	// negligible next to any Solve.
-	SkipConformance bool
-	// Conform tunes the oracle's tolerances; zero values take the
-	// conform package defaults.
-	Conform conform.Options
 	// Metrics optionally records run-level telemetry — completed runs,
 	// Solve latency, and conformance-oracle findings by kind — into the
 	// same instrument bundle the per-slot solver hooks use, so batch CLIs
 	// and the serving daemon expose one metric namespace. Nil records
 	// nothing.
 	Metrics *telemetry.SolverMetrics
-	// Logger optionally receives one structured warning line per
-	// conformance violation (the findings are also returned as the
-	// wrapped error). Nil logs nothing.
-	Logger *slog.Logger
 }
 
 // Execute runs the algorithm with default options: the schedule is
@@ -101,50 +82,39 @@ func Execute(in *model.Instance, alg Algorithm) (*Run, error) {
 	return ExecuteOpts(in, alg, Options{})
 }
 
-// ExecuteOpts runs the algorithm, verifies its schedule — through the
-// paper-conformance oracle unless opts.SkipConformance — and evaluates
-// the true weighted cost. Conformance violations are returned as errors
-// wrapping conform.ErrNonConformant.
+// ExecuteOpts runs the algorithm and checks its schedule through the
+// paper-conformance oracle, whose one walk also prices it: the run's
+// Breakdown is the report's P0 breakdown, which sums SlotCost in the
+// order Evaluate does, bit for bit. Conformance violations are returned
+// as errors wrapping conform.ErrNonConformant.
 func ExecuteOpts(in *model.Instance, alg Algorithm, opts Options) (*Run, error) {
 	start := time.Now()
 	sched, err := alg.Solve(in)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %s: %w", alg.Name(), err)
 	}
-	// Elapsed covers Solve only; verification and evaluation below are
-	// timed separately into EvalElapsed.
+	// Elapsed covers Solve only; the check below is timed separately
+	// into EvalElapsed.
 	elapsed := time.Since(start)
 	opts.Metrics.ObserveRun(elapsed.Seconds())
 	evalStart := time.Now()
-	var report *conform.Report
-	if opts.SkipConformance {
-		if err := in.CheckFeasible(sched, feasTol); err != nil {
-			return nil, fmt.Errorf("sim: %s produced infeasible schedule: %w", alg.Name(), err)
-		}
-	} else {
-		report = conform.Check(in, sched, diagnose(alg), opts.Conform)
-		if err := report.Err(); err != nil {
-			// Surface the findings through telemetry and structured logs
-			// before failing the run: a scrape shows which guarantee broke
-			// even when the caller only sees the wrapped error.
-			for kind, n := range report.Counts() {
-				for k := 0; k < n; k++ {
-					opts.Metrics.CountViolation(string(kind))
-				}
+	report := conform.Check(in, sched, diagnose(alg), conform.Options{})
+	if err := report.Err(); err != nil {
+		// Surface the findings through telemetry before failing the run:
+		// a scrape shows which guarantee broke even when the caller only
+		// sees the wrapped error.
+		for kind, n := range report.Counts() {
+			for k := 0; k < n; k++ {
+				opts.Metrics.CountViolation(string(kind))
 			}
-			report.Log(opts.Logger, alg.Name())
-			return nil, fmt.Errorf("sim: %s failed conformance: %w", alg.Name(), err)
 		}
-	}
-	b, err := in.Evaluate(sched)
-	if err != nil {
-		return nil, fmt.Errorf("sim: %s: %w", alg.Name(), err)
+		return nil, fmt.Errorf("sim: %s failed conformance: %w", alg.Name(), err)
 	}
 	return &Run{
 		Algorithm:   alg.Name(),
 		Schedule:    sched,
-		Breakdown:   b,
-		Total:       in.Total(b),
+		Breakdown:   report.BreakdownP0,
+		Total:       in.Total(report.BreakdownP0),
 		Conformance: report,
 		Elapsed:     elapsed,
 		EvalElapsed: time.Since(evalStart),

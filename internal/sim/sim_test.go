@@ -37,24 +37,47 @@ func feasibleSchedule(in *model.Instance) model.Schedule {
 	return s
 }
 
+// TestExecuteHappyPath runs a canned schedule and the paper's algorithm,
+// which also hands the oracle its certificate and ratio, and requires the
+// run's price, which the conformance oracle's walk computed, to be
+// Evaluate's over the run's schedule: all four components and the total,
+// bit for bit.
 func TestExecuteHappyPath(t *testing.T) {
-	in := model.ToyExampleA()
-	run, err := Execute(in, &fixedAlg{name: "canned", sched: feasibleSchedule(in)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Algorithm != "canned" {
-		t.Errorf("Algorithm = %q", run.Algorithm)
-	}
-	if run.Total <= 0 {
-		t.Errorf("Total = %g", run.Total)
-	}
-	want, err := in.Evaluate(run.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := in.Total(want); math.Abs(got-run.Total) > 1e-12 {
-		t.Errorf("Total %g != evaluated %g", run.Total, got)
+	toy := model.ToyExampleA()
+	for _, tc := range []struct {
+		in  *model.Instance
+		alg Algorithm
+	}{
+		{toy, &fixedAlg{name: "canned", sched: feasibleSchedule(toy)}},
+		{conform.GenInstance(conform.GenConfig{Seed: 3, I: 3, J: 5, T: 4}), core.NewOnlineApprox(nil, core.Options{})},
+	} {
+		run, err := Execute(tc.in, tc.alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.Algorithm != tc.alg.Name() {
+			t.Errorf("Algorithm = %q, want %q", run.Algorithm, tc.alg.Name())
+		}
+		if run.Total <= 0 {
+			t.Errorf("%s: Total = %g", run.Algorithm, run.Total)
+		}
+		want, err := tc.in.Evaluate(run.Schedule)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := run.Breakdown
+		for _, c := range []struct {
+			name      string
+			got, want float64
+		}{
+			{"Op", got.Op, want.Op}, {"Sq", got.Sq, want.Sq},
+			{"Rc", got.Rc, want.Rc}, {"Mg", got.Mg, want.Mg},
+			{"Total", run.Total, tc.in.Total(want)},
+		} {
+			if math.Float64bits(c.got) != math.Float64bits(c.want) {
+				t.Errorf("%s: %s = %v, Evaluate says %v", run.Algorithm, c.name, c.got, c.want)
+			}
+		}
 	}
 }
 
@@ -89,28 +112,6 @@ func TestExecuteRejectsInfeasibleSchedule(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
-	}
-}
-
-// TestExecuteSkipConformance pins the escape hatch: with SkipConformance
-// the cheap legacy feasibility check still rejects the schedule, but the
-// structured conformance report is absent from passing runs.
-func TestExecuteSkipConformance(t *testing.T) {
-	in := model.ToyExampleA()
-	bad := make(model.Schedule, in.T)
-	for t2 := range bad {
-		bad[t2] = model.NewAlloc(in.I, in.J)
-	}
-	opts := Options{SkipConformance: true}
-	if _, err := ExecuteOpts(in, &fixedAlg{name: "cheater", sched: bad}, opts); err == nil {
-		t.Fatal("ExecuteOpts(SkipConformance) accepted an infeasible schedule")
-	}
-	run, err := ExecuteOpts(in, &fixedAlg{name: "ok", sched: feasibleSchedule(in)}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Conformance != nil {
-		t.Error("SkipConformance run still carries a conformance report")
 	}
 }
 
@@ -166,11 +167,19 @@ func TestExecuteRejectsLyingCertificate(t *testing.T) {
 	}
 }
 
+// TestExecuteRejectsWrongLengthSchedule requires a schedule of too few
+// or too many slots to fail conformance, not to panic on a slot past the
+// instance's price series.
 func TestExecuteRejectsWrongLengthSchedule(t *testing.T) {
 	in := model.ToyExampleA()
-	short := feasibleSchedule(in)[:1]
-	if _, err := Execute(in, &fixedAlg{name: "short", sched: short}); err == nil {
-		t.Fatal("Execute accepted a short schedule")
+	full := feasibleSchedule(in)
+	for name, s := range map[string]model.Schedule{
+		"short": full[:1],
+		"long":  append(full, feasibleSchedule(in)[0]),
+	} {
+		if _, err := Execute(in, &fixedAlg{name: name, sched: s}); !errors.Is(err, conform.ErrNonConformant) {
+			t.Errorf("%s schedule: err = %v, want ErrNonConformant", name, err)
+		}
 	}
 }
 
@@ -190,7 +199,7 @@ func (s *sleepAlg) Solve(*model.Instance) (model.Schedule, error) {
 
 // TestElapsedMeasuresSolveOnly pins down the timing contract: Elapsed
 // covers exactly the algorithm's Solve call, and the harness's
-// feasibility verification plus cost evaluation land in EvalElapsed —
+// conformance check, which prices the schedule, lands in EvalElapsed —
 // not in Elapsed — so per-algorithm timings stay meaningful when many
 // runs execute concurrently.
 func TestElapsedMeasuresSolveOnly(t *testing.T) {
@@ -206,8 +215,8 @@ func TestElapsedMeasuresSolveOnly(t *testing.T) {
 	if run.Elapsed < pause {
 		t.Errorf("Elapsed = %v, want ≥ the %v spent in Solve", run.Elapsed, pause)
 	}
-	// The toy evaluation takes microseconds; if Solve's pause leaked into
-	// the evaluation timer the two phases were not measured disjointly.
+	// The toy check takes microseconds; if Solve's pause leaked into the
+	// evaluation timer the two phases were not measured disjointly.
 	if run.EvalElapsed >= pause {
 		t.Errorf("EvalElapsed = %v absorbed the Solve pause %v — phases not disjoint",
 			run.EvalElapsed, pause)

@@ -162,7 +162,9 @@ func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch, workers i
 	}
 }
 
-// Options tunes the outer loop. Zero values select defaults.
+// Options tunes the outer loop. Zero values select defaults; Solve
+// rejects a negative or NaN budget or tolerance, and a nonzero
+// PenaltyGrowth not above 1, as ErrBadProblem.
 type Options struct {
 	// MaxOuter bounds multiplier updates (default 80).
 	MaxOuter int
@@ -422,34 +424,17 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			ErrBadProblem, len(opts.WarmDuals), p.numRows())
 	}
 
-	maxOuter := opts.MaxOuter
-	if maxOuter <= 0 {
-		maxOuter = 80
+	if opts.MaxOuter < 0 || opts.InnerIters < 0 || !(opts.Penalty >= 0) ||
+		!(opts.FeasTol >= 0) || !(opts.ObjTol >= 0) || !(opts.DualTol >= 0) {
+		return nil, errf("MaxOuter=%d InnerIters=%d Penalty=%g FeasTol=%g ObjTol=%g DualTol=%g: want none negative",
+			opts.MaxOuter, opts.InnerIters, opts.Penalty, opts.FeasTol, opts.ObjTol, opts.DualTol)
 	}
-	innerIters := opts.InnerIters
-	if innerIters <= 0 {
-		innerIters = 1500
+	if g := opts.PenaltyGrowth; g != 0 && !(g > 1) {
+		return nil, errf("PenaltyGrowth=%g, want above 1", g)
 	}
-	rho := opts.Penalty
-	if rho <= 0 {
-		rho = 1
-	}
-	growth := opts.PenaltyGrowth
-	if growth <= 1 {
-		growth = 4
-	}
-	feasTol := opts.FeasTol
-	if feasTol <= 0 {
-		feasTol = 1e-7
-	}
-	objTol := opts.ObjTol
-	if objTol <= 0 {
-		objTol = 1e-9
-	}
-	dualTol := opts.DualTol
-	if dualTol <= 0 {
-		dualTol = 1e-6
-	}
+	opts = opts.Or(Options{MaxOuter: 80, InnerIters: 1500, Penalty: 1, PenaltyGrowth: 4, FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6})
+	maxOuter, innerIters, rho, growth := opts.MaxOuter, opts.InnerIters, opts.Penalty, opts.PenaltyGrowth
+	feasTol, objTol, dualTol := opts.FeasTol, opts.ObjTol, opts.DualTol
 
 	ws := opts.Workspace
 	if ws == nil {

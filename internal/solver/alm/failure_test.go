@@ -1,6 +1,7 @@
 package alm
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -98,5 +99,41 @@ func TestSolveZeroObjective(t *testing.T) {
 	}
 	if res.X[0]+res.X[1] < 1-1e-6 {
 		t.Errorf("constraint unmet: %v", res.X)
+	}
+}
+
+// TestSolveRejectsBadOptions: a zero budget or tolerance takes Solve's
+// default, and a negative or NaN one, or a nonzero PenaltyGrowth not above
+// 1, is refused as ErrBadProblem instead of silently taking it.
+func TestSolveRejectsBadOptions(t *testing.T) {
+	p := &Problem{
+		Obj:   linear([]float64{3, 1}),
+		N:     2,
+		Cons:  []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2}},
+		Lower: []float64{0, 0},
+	}
+	for _, tc := range []struct {
+		name string
+		opts Options
+		bad  bool
+	}{
+		{"defaults", Options{}, false},
+		{"growth above 1", Options{PenaltyGrowth: 1.5}, false},
+		{"negative MaxOuter", Options{MaxOuter: -1}, true},
+		{"negative InnerIters", Options{InnerIters: -1}, true},
+		{"negative Penalty", Options{Penalty: -1}, true},
+		{"NaN Penalty", Options{Penalty: math.NaN()}, true},
+		{"negative FeasTol", Options{FeasTol: -1e-7}, true},
+		{"negative ObjTol", Options{ObjTol: -1e-9}, true},
+		{"NaN DualTol", Options{DualTol: math.NaN()}, true},
+		{"negative DualTol", Options{DualTol: -1e-6}, true},
+		{"growth 1", Options{PenaltyGrowth: 1}, true},
+		{"growth below 1", Options{PenaltyGrowth: 0.5}, true},
+		{"negative growth", Options{PenaltyGrowth: -4}, true},
+	} {
+		_, err := Solve(p, tc.opts)
+		if got := errors.Is(err, ErrBadProblem); got != tc.bad {
+			t.Errorf("%s: Solve = %v, want ErrBadProblem %v", tc.name, err, tc.bad)
+		}
 	}
 }
