@@ -59,16 +59,14 @@ func run(args []string, errw io.Writer) int {
 	if err := newFlagSet(&o, errw).Parse(args); err != nil {
 		return 2
 	}
-	// A flag that does nothing without another is a mistake, not a no-op.
-	switch {
-	case o.cfg.Autosnapshot && o.cfg.SnapshotDir == "":
+	// A flag that does nothing without another is a mistake, not a no-op;
+	// the tier flags are checked, by field and flag, by core.Options.
+	if o.cfg.Autosnapshot && o.cfg.SnapshotDir == "" {
 		fmt.Fprintln(errw, "edged: -autosnapshot requires -snapshot-dir")
 		return 2
-	case len(o.cfg.Defaults.ShardWorkers) > 0 && o.cfg.Defaults.Shards == 0:
-		fmt.Fprintln(errw, "edged: -shard-workers requires -shards")
-		return 2
-	case o.cfg.Defaults.Incremental && o.cfg.Defaults.Shards > 0:
-		fmt.Fprintln(errw, "edged: -incremental does not compose with -shards")
+	}
+	if err := o.cfg.Defaults.Validate(); err != nil {
+		fmt.Fprintf(errw, "edged: %v\n", err)
 		return 2
 	}
 

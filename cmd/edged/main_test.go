@@ -20,8 +20,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"non-duration ttl", []string{"-session-ttl", "soon"}, 2, "invalid"},
 		{"unlistenable addr", []string{"-addr", "256.256.256.256:99999"}, 1, "listener failed"},
 		{"autosnapshot without dir", []string{"-autosnapshot"}, 2, "-autosnapshot requires -snapshot-dir"},
-		{"shard workers without shards", []string{"-shard-workers", "http://127.0.0.1:9711"}, 2, "-shard-workers requires -shards"},
-		{"incremental with shards", []string{"-incremental", "-shards", "2"}, 2, "-incremental does not compose with -shards"},
+		{"shard workers without shards", []string{"-shard-workers", "http://127.0.0.1:9711"}, 2, "Options.ShardWorkers (-shard-workers) requires Options.Shards (-shards)"},
+		{"incremental with shards", []string{"-incremental", "-shards", "2"}, 2, "Options.Incremental (-incremental) does not compose with Options.Shards (-shards)"},
+		{"inf incremental tol", []string{"-incremental-tol", "Inf"}, 2, "Options.IncrementalTol (-incremental-tol) = +Inf"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -91,11 +91,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case o.ablation != "" && o.fig != "all":
 		fmt.Fprintln(stderr, "edgesim: -ablation and -fig are mutually exclusive")
 		return 2
-	case len(o.p.Approx.ShardWorkers) > 0 && o.p.Approx.Shards == 0:
-		fmt.Fprintln(stderr, "edgesim: -shard-workers requires -shards")
-		return 2
-	case o.p.Approx.Incremental && o.p.Approx.Shards > 0:
-		fmt.Fprintln(stderr, "edgesim: -incremental does not compose with -shards")
+	}
+	if err := o.p.Approx.Validate(); err != nil {
+		fmt.Fprintf(stderr, "edgesim: %v\n", err)
 		return 2
 	}
 

@@ -25,8 +25,9 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown ablation", []string{"-ablation", "bogus"}, 1, "bogus"},
 		{"ablation with figure", []string{"-ablation", "adversarial", "-fig", "2"}, 2, "mutually exclusive"},
 		{"bad profile path", []string{"-fig", "1", "-cpuprofile", "/no/such/dir/cpu.prof"}, 1, "cpu.prof"},
-		{"shard workers without shards", []string{"-fig", "1", "-shard-workers", "http://127.0.0.1:9711"}, 2, "-shard-workers requires -shards"},
-		{"incremental with shards", []string{"-fig", "1", "-incremental", "-shards", "2"}, 2, "-incremental does not compose with -shards"},
+		{"shard workers without shards", []string{"-fig", "1", "-shard-workers", "http://127.0.0.1:9711"}, 2, "Options.ShardWorkers (-shard-workers) requires Options.Shards (-shards)"},
+		{"incremental with shards", []string{"-fig", "1", "-incremental", "-shards", "2"}, 2, "Options.Incremental (-incremental) does not compose with Options.Shards (-shards)"},
+		{"nan incremental tol", []string{"-fig", "1", "-incremental", "-incremental-tol", "NaN"}, 2, "Options.IncrementalTol (-incremental-tol) = NaN"},
 		{"blank shard workers are none", []string{"-fig", "9", "-shard-workers", " , "}, 1, "9"},
 	}
 	for _, tt := range tests {

@@ -86,8 +86,7 @@ func BenchmarkAtomisticTransportVsALM(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			_, err := alm.Solve(&alm.Problem{
 				Obj: obj, N: in.I * in.J,
-				Lower: make([]float64, in.I*in.J),
-				Cons:  cons,
+				Cons: cons,
 			}, alm.Options{MaxOuter: 60, InnerIters: 600, FeasTol: 1e-6, Penalty: 2})
 			if err != nil {
 				b.Fatal(err)

@@ -53,7 +53,6 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 		obj.bOut[i] = in.WMg * in.MigOutPrice[i]
 		obj.bIn[i] = in.WMg * in.MigInPrice[i]
 	}
-	lower := make([]float64, in.I*in.J)
 	served := make([]float64, in.J)
 	var ws alm.Workspace
 
@@ -79,7 +78,6 @@ func (g *Greedy) Solve(in *model.Instance) (model.Schedule, error) {
 			res, err = alm.Solve(&alm.Problem{
 				Obj:    obj,
 				N:      in.I * in.J,
-				Lower:  lower,
 				Groups: cons,
 			}, opts)
 			if err != nil {

@@ -40,7 +40,6 @@ type shapeKey struct{ i, j, t int }
 type offlineState struct {
 	obj     *offlineObjective
 	groups  *alm.Groups
-	lower   []float64
 	warm    []float64
 	coefBuf []float64 // backing array for obj.coefs
 	ws      alm.Workspace
@@ -63,7 +62,6 @@ func (o *Offline) state(in *model.Instance) *offlineState {
 				tot:   make([]float64, in.I*(in.T+1)),
 			},
 			groups:  slotGroups(in, in.T),
-			lower:   make([]float64, in.T*nIJ),
 			warm:    make([]float64, in.T*nIJ),
 			coefBuf: make([]float64, in.T*nIJ),
 		}
@@ -121,7 +119,6 @@ func (o *Offline) Solve(in *model.Instance) (model.Schedule, error) {
 		res, err = alm.Solve(&alm.Problem{
 			Obj:    st.obj,
 			N:      in.T * nIJ,
-			Lower:  st.lower,
 			Groups: st.groups,
 		}, opts)
 		if err != nil {

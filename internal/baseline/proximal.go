@@ -33,7 +33,6 @@ type Proximal struct {
 	// changes and refreshed (RHS, prices) on every call.
 	obj    *proximalObjective
 	groups *alm.Groups
-	lower  []float64
 	served []float64
 	ws     alm.Workspace
 }
@@ -56,7 +55,6 @@ func (p *Proximal) prepare(in *model.Instance, sigma float64) {
 			tot:     make([]float64, in.I),
 		}
 		p.groups = slotGroups(in, 1)
-		p.lower = make([]float64, in.I*in.J)
 		p.served = make([]float64, in.J)
 	}
 	// Demand and explicit capacity rows (the complement rows exist for
@@ -94,7 +92,6 @@ func (p *Proximal) Solve(in *model.Instance) (model.Schedule, error) {
 		opts.WarmDuals = warmDuals
 		res, err := alm.Solve(&alm.Problem{
 			Obj: obj, N: in.I * in.J,
-			Lower:  p.lower,
 			Groups: p.groups,
 		}, opts)
 		if err != nil {

@@ -129,30 +129,27 @@ type Options struct {
 	// 1 + |constraint| per row (default 1e-4, the harness-wide tolerance
 	// the first-order solvers meet with two orders of margin).
 	FeasTol float64
-	// CostTol is the relative tolerance on cost identities such as the
-	// Lemma-1 gap (default 1e-6).
-	CostTol float64
 	// DualTol bounds the certificate's own feasibility residual
 	// (default 1e-5; the construction is exact up to float round-off).
 	DualTol float64
-	// MaxViolations caps how many violations are collected before the
-	// oracle stops looking (default 32); the count keeps pathological
-	// inputs from producing megabyte error messages.
-	MaxViolations int
 }
+
+const (
+	// costTol is the relative tolerance on cost identities such as the
+	// Lemma-1 gap.
+	costTol = 1e-6
+	// maxViolations caps how many violations are collected before the
+	// oracle stops looking; the count keeps pathological inputs from
+	// producing megabyte error messages.
+	maxViolations = 32
+)
 
 func (o Options) withDefaults() Options {
 	if o.FeasTol == 0 {
 		o.FeasTol = 1e-4
 	}
-	if o.CostTol == 0 {
-		o.CostTol = 1e-6
-	}
 	if o.DualTol == 0 {
 		o.DualTol = 1e-5
-	}
-	if o.MaxViolations == 0 {
-		o.MaxViolations = 32
 	}
 	return o
 }
@@ -160,7 +157,7 @@ func (o Options) withDefaults() Options {
 // Report is the oracle's structured outcome.
 type Report struct {
 	Violations []Violation
-	// Truncated reports that MaxViolations was reached and later checks
+	// Truncated reports that maxViolations (32) were collected and later checks
 	// were skipped.
 	Truncated bool
 	// BreakdownP0 and BreakdownP1 are the schedule's cost breakdowns under
@@ -235,7 +232,7 @@ type checker struct {
 }
 
 func (c *checker) add(v Violation) bool {
-	if len(c.rep.Violations) >= c.opts.MaxViolations {
+	if len(c.rep.Violations) >= maxViolations {
 		c.rep.Truncated = true
 		return false
 	}
@@ -395,7 +392,7 @@ func (c *checker) checkGap(in *model.Instance, b0, b1 model.Breakdown, last mode
 	c.rep.BreakdownP0, c.rep.BreakdownP1 = b0, b1
 
 	for _, v := range []float64{b0.Op, b0.Sq, b0.Rc, b0.Mg, b1.Mg} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < -c.opts.CostTol {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < -costTol {
 			c.add(Violation{Kind: KindNumeric, Slot: -1, Index: -1, Got: v,
 				Detail: "cost component not finite and nonnegative"})
 			return
@@ -416,7 +413,7 @@ func (c *checker) checkGap(in *model.Instance, b0, b1 model.Breakdown, last mode
 	}
 	want *= in.WMg
 	scale := 1 + math.Abs(t0) + math.Abs(t1)
-	if math.Abs(gap-want) > c.opts.CostTol*scale {
+	if math.Abs(gap-want) > costTol*scale {
 		c.add(Violation{Kind: KindGap, Slot: -1, Index: -1, Got: gap, Bound: want,
 			Detail: "P1−P0 gap disagrees with the Lemma-1 telescoping identity"})
 	}
@@ -456,12 +453,12 @@ func (c *checker) checkCertificate(in *model.Instance, d *Diagnostics) {
 			Detail: "dual point violates constraints (14a)-(14e)"})
 	}
 	t0, t1 := in.Total(c.rep.BreakdownP0), in.Total(c.rep.BreakdownP1)
-	if slack := c.opts.CostTol * (1 + math.Abs(t0)); d.LowerBoundP0 > t0+slack {
+	if slack := costTol * (1 + math.Abs(t0)); d.LowerBoundP0 > t0+slack {
 		c.add(Violation{Kind: KindLowerBound, Slot: -1, Index: -1,
 			Got: d.LowerBoundP0, Bound: t0,
 			Detail: "certified P0 lower bound exceeds achieved P0 cost"})
 	}
-	if slack := c.opts.CostTol * (1 + math.Abs(t1)); d.LowerBoundP1 > t1+slack {
+	if slack := costTol * (1 + math.Abs(t1)); d.LowerBoundP1 > t1+slack {
 		c.add(Violation{Kind: KindLowerBound, Slot: -1, Index: -1,
 			Got: d.LowerBoundP1, Bound: t1,
 			Detail: "certified P1 lower bound exceeds achieved P1 cost"})
@@ -469,7 +466,7 @@ func (c *checker) checkCertificate(in *model.Instance, d *Diagnostics) {
 	// Lemma 1 on the bounds themselves: LB(P1) − LB(P0) = w_mg·σ by
 	// construction of the gap-preserving transformation.
 	sigma := in.WMg * in.Sigma()
-	if gap := d.LowerBoundP1 - d.LowerBoundP0; math.Abs(gap-sigma) > c.opts.CostTol*(1+sigma) {
+	if gap := d.LowerBoundP1 - d.LowerBoundP0; math.Abs(gap-sigma) > costTol*(1+sigma) {
 		c.add(Violation{Kind: KindGap, Slot: -1, Index: -1, Got: gap, Bound: sigma,
 			Detail: "certificate's P0/P1 bounds do not differ by w_mg·σ"})
 	}
@@ -483,7 +480,7 @@ func (c *checker) checkCertificate(in *model.Instance, d *Diagnostics) {
 	// chain analyzes, and only the weaker cost ≤ r·OPT claim survives,
 	// which a lower bound alone cannot falsify.
 	if ref := d.LowerBoundP1 + d.NuCharge; d.RatioBound >= 1 && ref > 0 && !c.capacityTight {
-		if limit := d.RatioBound * ref; t1 > limit*(1+c.opts.CostTol) {
+		if limit := d.RatioBound * ref; t1 > limit*(1+costTol) {
 			c.add(Violation{Kind: KindRatio, Slot: -1, Index: -1, Got: t1, Bound: limit,
 				Detail: "achieved P1 cost exceeds r·(certified bound) (Theorem 2)"})
 		}

@@ -300,8 +300,8 @@ func TestCheckRatioSkippedWhenCapacityBinds(t *testing.T) {
 	}
 }
 
-// A flood of bad entries must truncate at MaxViolations instead of
-// producing an unbounded report.
+// A flood of bad entries (36 non-finite ones) must truncate at the cap of
+// 32 violations instead of producing an unbounded report.
 func TestCheckTruncates(t *testing.T) {
 	in := genInstance(t)
 	s := feasibleSchedule(in)
@@ -310,9 +310,9 @@ func TestCheckTruncates(t *testing.T) {
 			s[t].X[k] = math.NaN()
 		}
 	}
-	rep := conform.Check(in, s, nil, conform.Options{MaxViolations: 5})
-	if len(rep.Violations) != 5 || !rep.Truncated {
-		t.Fatalf("got %d violations (truncated=%v), want 5 truncated",
+	rep := conform.Check(in, s, nil, conform.Options{})
+	if len(rep.Violations) != 32 || !rep.Truncated {
+		t.Fatalf("got %d violations (truncated=%v), want 32 truncated",
 			len(rep.Violations), rep.Truncated)
 	}
 	if !strings.Contains(rep.Err().Error(), "truncated") {

@@ -35,8 +35,7 @@ func BenchmarkP2SlotWarmStart(b *testing.B) {
 	obj := newP2Objective(in, 1, prev, 1, 1)
 	prob := &alm.Problem{
 		Obj: obj, N: in.I * in.J,
-		Lower: make([]float64, in.I*in.J),
-		Cons:  p2Constraints(in),
+		Cons: p2Constraints(in),
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -63,8 +62,7 @@ func BenchmarkP2SlotColdStart(b *testing.B) {
 	obj := newP2Objective(in, 1, prev, 1, 1)
 	prob := &alm.Problem{
 		Obj: obj, N: in.I * in.J,
-		Lower: make([]float64, in.I*in.J),
-		Cons:  p2Constraints(in),
+		Cons: p2Constraints(in),
 	}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

@@ -150,7 +150,7 @@ type Options struct {
 	// Composes with Candidates (frozen users drop out of the ragged
 	// program entirely; without Candidates the active users solve over
 	// all I clouds), not with Shards: Step and RestoreState refuse the
-	// pair (errIncrementalShards). Off by default; false leaves every
+	// pair (Validate). Off by default; false leaves every
 	// existing path bitwise unchanged.
 	Incremental bool
 	// IncrementalTol is the dual-feasibility tolerance of the freeze gate,
@@ -182,7 +182,41 @@ type Options struct {
 // errIncrementalShards refuses Options.Incremental with Options.Shards: a
 // shard could freeze only a whole block, and a block of a thousand users
 // almost never sees a slot in which none re-attached (DESIGN.md §7f).
-var errIncrementalShards = errors.New("core: Options.Incremental does not compose with Options.Shards")
+var errIncrementalShards = errors.New("core: Options.Incremental (-incremental) does not compose with Options.Shards (-shards)")
+
+// Validate reports options no run can take, naming the field and, where
+// it has one, the flag BindFlags gives it. Zero means the default
+// everywhere; a negative, NaN or infinite ε or tier tolerance is refused,
+// as are negative counts, Incremental with Shards, ShardWorkers without
+// Shards, and the Solver options alm.Options.Validate refuses.
+func (o Options) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Epsilon1", o.Epsilon1}, {"Epsilon2", o.Epsilon2},
+		{"CandidateTol", o.CandidateTol},
+		{"IncrementalTol (-incremental-tol)", o.IncrementalTol},
+		{"ShardPrimalTol", o.ShardPrimalTol}, {"ShardDualTol", o.ShardDualTol},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("core: Options.%s = %g, want finite and ≥ 0 (0 = default)", f.name, f.v)
+		}
+	}
+	switch {
+	case o.Candidates < 0:
+		return fmt.Errorf("core: Options.Candidates = %d, want ≥ 0", o.Candidates)
+	case o.Shards < 0:
+		return fmt.Errorf("core: Options.Shards (-shards) = %d, want ≥ 0", o.Shards)
+	case o.Solver.Workers < 0:
+		return fmt.Errorf("core: Options.Solver.Workers = %d, want ≥ 0", o.Solver.Workers)
+	case o.Incremental && o.Shards > 0:
+		return errIncrementalShards
+	case len(o.ShardWorkers) > 0 && o.Shards == 0:
+		return errors.New("core: Options.ShardWorkers (-shard-workers) requires Options.Shards (-shards)")
+	}
+	return o.Solver.Validate()
+}
 
 func (o Options) withDefaults() Options {
 	if o.Epsilon1 <= 0 {
@@ -224,6 +258,9 @@ func (o *Options) BindFlags(fs *flag.FlagSet) {
 type OnlineApprox struct {
 	inst *model.Instance
 	opts Options
+	// err is what Validate said of the options; Step, Solve and
+	// RestoreState return it.
+	err error
 
 	prev model.Alloc // x*_{·,·,t-1}
 	// before is prev's predecessor, the decision the last committed slot
@@ -350,7 +387,8 @@ type StepDiag struct {
 	Stationarity float64 `json:",omitempty"`
 }
 
-// NewOnlineApprox prepares a run over a validated instance. A nil
+// NewOnlineApprox prepares a run over a validated instance; options that
+// Validate refuses make Step, Solve and RestoreState fail with its error. A nil
 // instance is allowed for an algorithm object that will only be used
 // through Solve (which binds the instance passed to it); Step and Run
 // require a non-nil instance.
@@ -358,6 +396,7 @@ func NewOnlineApprox(inst *model.Instance, opts Options) *OnlineApprox {
 	o := &OnlineApprox{
 		inst: inst,
 		opts: opts.withDefaults(),
+		err:  opts.Validate(),
 	}
 	if inst != nil {
 		o.prev = inst.InitialAlloc()
@@ -393,8 +432,8 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		// solver hot loop stays branch-for-branch identical to Step.
 		ctx = nil
 	}
-	if o.opts.Shards > 0 && o.opts.Incremental {
-		return model.Alloc{}, errIncrementalShards
+	if o.err != nil {
+		return model.Alloc{}, o.err
 	}
 	if t != o.slot {
 		return model.Alloc{}, fmt.Errorf("core: Step(%d) out of order, expected %d", t, o.slot)
@@ -570,6 +609,9 @@ func (o *OnlineApprox) Run() (model.Schedule, error) {
 // Solve runs the algorithm on a fresh state over the whole instance. It
 // is the entry point used by the simulator.
 func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
+	if o.err != nil {
+		return nil, o.err
+	}
 	fresh := NewOnlineApprox(in, o.opts)
 	s, err := fresh.Run()
 	if err != nil {

@@ -222,12 +222,10 @@ func (o *p2Objective) prepare() {
 }
 
 // p2Program is a p2Objective together with what alm.Solve needs around
-// it: the structured rows over the same layout, the all-zero lower bound,
-// and the packed warm iterate.
+// it: the structured rows over the same layout and the packed warm iterate.
 type p2Program struct {
 	obj    p2Objective
 	groups alm.Groups
-	lower  []float64 // packed zeros, grown on demand
 	warm   []float64 // packed iterate: warm start in
 }
 
@@ -244,7 +242,6 @@ func (p *p2Program) gather(d *p2Objective, cs *model.CandidateSet, colLo int, im
 	o.coef = growFloats(o.coef, nnz)
 	o.prev = growFloats(o.prev, nnz)
 	o.mgFac = growFloats(o.mgFac, nnz)
-	p.lower = growFloats(p.lower, nnz) // stays all-zero
 	p.warm = growFloats(p.warm, nnz)
 	for i := 0; i < o.nI; i++ {
 		base, wa := i*d.nJ+colLo, d.wa[i]

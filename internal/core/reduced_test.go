@@ -213,7 +213,7 @@ func TestReducedProgramNoWorse(t *testing.T) {
 			sopts.WarmX, sopts.WarmDuals = prev.X, warmDuals
 			res, err := alm.Solve(&alm.Problem{
 				Obj: newP2Objective(in, tt, prev, alg.opts.Epsilon1, alg.opts.Epsilon2),
-				N:   nI * nJ, Lower: make([]float64, nI*nJ), Cons: cons,
+				N:   nI * nJ, Cons: cons,
 			}, sopts)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)

@@ -354,7 +354,7 @@ func (b *p2Block) setDemand(nI int, demand []float64) {
 // theta and its per-cloud totals land in totals.
 func (b *p2Block) solve(rho float64, target, totals []float64) (outer, inner int, err error) {
 	b.obj.rho, b.obj.target = rho, target
-	prob := alm.Problem{Obj: &b.obj, N: len(b.warm), Lower: b.lower, Groups: &b.groups}
+	prob := alm.Problem{Obj: &b.obj, N: len(b.warm), Groups: &b.groups}
 	sopts := b.sopts
 	sopts.Workspace = &b.ws
 	sopts.WarmX = b.warm

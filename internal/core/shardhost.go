@@ -167,9 +167,6 @@ func (b *hostedBlock) load(spec *shardrpc.BlockSpec, now time.Time) {
 	o.prepare()
 	b.setDemand(spec.NI, spec.Demand)
 	b.groups.RowPtr, b.groups.Cols = spec.RowPtr, spec.Cols
-	// growFloats zero-fills fresh tail capacity and lower is never
-	// written, so it stays the all-zero bound vector.
-	b.lower = growFloats(b.lower, len(spec.Cols))
 	b.warm = append(b.warm[:0], spec.Warm...)
 	b.theta = append(b.theta[:0], spec.Theta...)
 	b.sopts = alm.Options{

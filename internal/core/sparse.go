@@ -225,7 +225,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 				s.obj.totOff = s.frozenTot
 			}
 			sopts.WarmX = s.warm
-			o.prob = alm.Problem{Obj: &s.obj, N: nnz, Lower: s.lower[:nnz], Cons: s.cons}
+			o.prob = alm.Problem{Obj: &s.obj, N: nnz, Cons: s.cons}
 			if s.cons == nil {
 				o.prob.Groups = &s.groups
 			}

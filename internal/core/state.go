@@ -83,8 +83,8 @@ func (o *OnlineApprox) RestoreState(st *WarmState) error {
 	if o.obj != nil || o.slot != 0 {
 		return errors.New("core: RestoreState on a used algorithm object")
 	}
-	if o.opts.Shards > 0 && o.opts.Incremental {
-		return errIncrementalShards
+	if o.err != nil {
+		return o.err
 	}
 	if err := st.validate(in); err != nil {
 		return err

@@ -58,8 +58,7 @@ func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 	solve := func(cons []alm.Constraint) *alm.Result {
 		res, err := alm.Solve(&alm.Problem{
 			Obj: obj, N: in.I * in.J,
-			Lower: make([]float64, in.I*in.J),
-			Cons:  cons,
+			Cons: cons,
 		}, alm.Options{MaxOuter: 80, InnerIters: 1200, FeasTol: 1e-7, Penalty: 2, WarmX: warm})
 		if err != nil {
 			t.Fatal(err)

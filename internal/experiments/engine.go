@@ -11,11 +11,11 @@ package experiments
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/sim"
+	"edgealloc/internal/solver/par"
 )
 
 // rowSpec describes one labeled row of a figure for the grid engine.
@@ -32,49 +32,30 @@ type rowSpec struct {
 	Algs func() []sim.Algorithm
 }
 
-// forEachIndex runs fn(0..n-1) across min(workers, n) goroutines pulling
-// indices from a shared counter. fn must write its result to a disjoint,
-// pre-sized slot. The first error stops the remaining work and is
-// returned. workers ≤ 1 runs inline, preserving strict sequential order.
+// forEachIndex runs fn(0..n-1) on par.Each's pool. fn must write its
+// result to a disjoint, pre-sized slot; its error goes to a slot of its
+// own. An index skips its work once a lower one has failed, and the
+// lowest-index error is returned: the one a sequential run stops at,
+// whatever the schedule.
 func forEachIndex(workers, n int, fn func(int) error) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
+	errs := make([]error, n)
+	var failed atomic.Int64 // the lowest failed index so far; n while none
+	failed.Store(int64(n))
+	par.Each(workers, n, func(i int) {
+		if int64(i) > failed.Load() {
+			return
+		}
+		if errs[i] = fn(i); errs[i] != nil {
+			for f := failed.Load(); int64(i) < f && !failed.CompareAndSwap(f, int64(i)); f = failed.Load() {
 			}
 		}
-		return nil
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		once     sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n || failed.Load() {
-					return
-				}
-				if err := fn(i); err != nil {
-					once.Do(func() { firstErr = err })
-					failed.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // runRows executes the full (row, rep, algorithm) grid on the worker pool

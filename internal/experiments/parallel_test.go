@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestWorkersDeterminism is the regression guard for the parallel engine:
@@ -32,33 +33,37 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-func TestForEachIndexCoversAllIndices(t *testing.T) {
-	for _, workers := range []int{1, 3, 16} {
-		var hits [37]atomic.Int32
-		if err := forEachIndex(workers, len(hits), func(i int) error {
-			hits[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range hits {
-			if n := hits[i].Load(); n != 1 {
-				t.Errorf("workers=%d: index %d ran %d times", workers, i, n)
+// TestForEachIndexPropagatesFirstError requires the lowest-index error on
+// any worker count, however the later failing index races it, every index
+// below it run, and none run after it on one worker.
+func TestForEachIndexPropagatesFirstError(t *testing.T) {
+	first, later := errors.New("index 17"), errors.New("index 18")
+	for _, workers := range []int{1, 2, 4} {
+		for range 20 {
+			var ran [100]atomic.Bool
+			err := forEachIndex(workers, len(ran), func(i int) error {
+				ran[i].Store(true)
+				switch i {
+				case 17:
+					time.Sleep(100 * time.Microsecond) // let index 18 fail first
+					return first
+				case 18:
+					return later
+				}
+				return nil
+			})
+			if err != first {
+				t.Fatalf("workers=%d: err = %v, want %v", workers, err, first)
+			}
+			for i := range 18 {
+				if !ran[i].Load() {
+					t.Fatalf("workers=%d: index %d below the failure skipped", workers, i)
+				}
+			}
+			if workers == 1 && ran[18].Load() {
+				t.Fatal("workers=1: index 18 ran after index 17 failed")
 			}
 		}
-	}
-}
-
-func TestForEachIndexPropagatesFirstError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := forEachIndex(4, 100, func(i int) error {
-		if i == 17 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
 

@@ -55,25 +55,25 @@ func (q *quadObjective) Eval(x, grad []float64) float64 {
 	return f
 }
 
-func newQuad(n int) (*quadObjective, []float64) {
+func newQuad(n int) *quadObjective {
 	q := &quadObjective{c: make([]float64, n), a: make([]float64, n)}
 	for k := 0; k < n; k++ {
 		// Deterministic, irregular coefficients; no RNG needed.
 		q.c[k] = 1 + float64(k%7)/3
 		q.a[k] = float64((k*2689+13)%100) / 25
 	}
-	return q, make([]float64, n)
+	return q
 }
 
-// fistaSolve is the FISTASolve kernel: a box-constrained minimization of
+// fistaSolve is the FISTASolve kernel: a minimization over x ≥ 0 of
 // a fixed quadratic reusing one workspace.
 func fistaSolve(tb testing.TB) func() {
-	q, lower := newQuad(fistaDim)
+	q := newQuad(fistaDim)
 	x0 := make([]float64, fistaDim)
 	var ws fista.Workspace
 	return func() {
 		res, err := fista.Minimize(q, x0, fista.Options{
-			MaxIters: 200, Lower: lower, Workspace: &ws,
+			MaxIters: 200, Workspace: &ws,
 		})
 		if err != nil {
 			tb.Fatal(err)
@@ -89,7 +89,7 @@ func fistaSolve(tb testing.TB) func() {
 // from the previous solution like the per-slot loops do.
 func almSolve(tb testing.TB) func() {
 	const n, rows = fistaDim, 40
-	q, lower := newQuad(n)
+	q := newQuad(n)
 	cons := make([]alm.Constraint, rows)
 	per := n / rows
 	for r := 0; r < rows; r++ {
@@ -101,7 +101,7 @@ func almSolve(tb testing.TB) func() {
 		}
 		cons[r] = alm.Constraint{Idx: idx, Coeffs: coef, RHS: float64(per) * 2.5}
 	}
-	prob := &alm.Problem{Obj: q, N: n, Lower: lower, Cons: cons}
+	prob := &alm.Problem{Obj: q, N: n, Cons: cons}
 	var ws alm.Workspace
 	opts := alm.Options{MaxOuter: 20, InnerIters: 300, FeasTol: 1e-6, Workspace: &ws}
 	return func() {

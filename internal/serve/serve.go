@@ -17,7 +17,7 @@
 //
 // Robustness model: slot solves run on a bounded worker pool shared by
 // all sessions, with a bounded wait queue on top — requests beyond
-// Workers+QueueDepth (or waiting longer than AcquireWait) are rejected
+// Workers+QueueDepth (or waiting longer than acquireWait) are rejected
 // with 429 so overload degrades by shedding rather than by piling up
 // goroutines. Each session solves at most one slot at a time and bounds
 // its own queue (SessionQueue). Every solve runs under a per-request
@@ -52,9 +52,6 @@ type Config struct {
 	// slot beyond the ones running (default 4×Workers). Requests beyond
 	// the bound are rejected with 429 immediately.
 	QueueDepth int
-	// AcquireWait bounds how long an admitted request waits for a worker
-	// slot before it is rejected with 429 (default 10s).
-	AcquireWait time.Duration
 	// SessionQueue bounds the solve requests queued on one session,
 	// including the running one (default 4); more return 429.
 	SessionQueue int
@@ -111,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 && c.QueueDepth != -1 {
 		c.QueueDepth = 4 * c.Workers
-	}
-	if c.AcquireWait <= 0 {
-		c.AcquireWait = 10 * time.Second
 	}
 	if c.SessionQueue <= 0 {
 		c.SessionQueue = 4
@@ -295,6 +289,10 @@ func (s *Server) admit() (release func(), ok bool) {
 	return func() { s.inflight.Done() }, true
 }
 
+// acquireWait bounds how long an admitted request waits for a worker slot
+// before it is rejected with 429.
+const acquireWait = 10 * time.Second
+
 // acquireWorker claims a worker slot, waiting in the bounded queue. The
 // returned status is 0 on success, or the HTTP status to shed with.
 func (s *Server) acquireWorker(ctx context.Context) (release func(), status int, reason string) {
@@ -308,7 +306,7 @@ func (s *Server) acquireWorker(ctx context.Context) (release func(), status int,
 		return nil, http.StatusTooManyRequests, "queue-full"
 	}
 	defer s.waiting.Add(-1)
-	timer := time.NewTimer(s.cfg.AcquireWait)
+	timer := time.NewTimer(acquireWait)
 	defer timer.Stop()
 	select {
 	case s.sem <- struct{}{}:

@@ -751,6 +751,45 @@ func TestIncrementalSession(t *testing.T) {
 	}
 }
 
+// TestInvalidTierToleranceRefused: a gate tolerance that is NaN, infinite
+// or negative in a session's effective options is a 400 naming the field,
+// at create — whether the request sets it or a daemon default the merge
+// keeps — and at restore.
+func TestInvalidTierToleranceRefused(t *testing.T) {
+	in := testInstance(t, 4, 2, 17)
+	var buf bytes.Buffer
+	if err := model.WriteInstance(&buf, in); err != nil {
+		t.Fatalf("encoding instance: %v", err)
+	}
+	named := func(what string, code int, raw []byte) {
+		t.Helper()
+		if code != http.StatusBadRequest || !bytes.Contains(raw, []byte("IncrementalTol")) {
+			t.Errorf("%s: status %d: %s, want a 400 naming IncrementalTol", what, code, raw)
+		}
+	}
+	for _, tol := range []float64{math.NaN(), math.Inf(1)} {
+		_, ts := newTestServer(t, Config{Defaults: core.Options{Incremental: true, IncrementalTol: tol}})
+		code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+			"instance": json.RawMessage(buf.Bytes()),
+		}, nil)
+		named(fmt.Sprintf("daemon default %g", tol), code, raw)
+	}
+	_, ts := newTestServer(t, Config{})
+	code, raw := doJSON(t, http.MethodPost, ts.URL+"/v1/sessions", map[string]any{
+		"instance": json.RawMessage(buf.Bytes()),
+		"options":  map[string]any{"incremental": true, "incrementalTol": -1},
+	}, nil)
+	named("request -1", code, raw)
+
+	id := createSession(t, ts.URL, in)
+	driveSlots(t, ts.URL, id, 0, 1)
+	d := mustDecode(t, snapshotSession(t, ts.URL, id))
+	d.header.Options.IncrementalTol = -1
+	_, fresh := newTestServer(t, Config{})
+	code, raw = postRaw(t, fresh.URL+"/v1/sessions/restore", encodeDoc(t, d), nil)
+	named("restore -1", code, raw)
+}
+
 // TestCreateRefusesIncrementalShards: "incremental" and "shards" do not
 // compose, so a create that ends up with both is a 400 naming both keys —
 // whether the request names the pair itself or the daemon's defaults

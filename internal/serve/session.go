@@ -143,18 +143,6 @@ type solverOptions struct {
 	Penalty        float64 `json:"penalty,omitempty"`
 }
 
-func (o solverOptions) validate() error {
-	if o.Epsilon1 < 0 || o.Epsilon2 < 0 || o.Candidates < 0 || o.CandidateTol < 0 ||
-		o.Shards < 0 || o.IncrementalTol < 0 || o.MaxOuter < 0 || o.InnerIters < 0 ||
-		o.Workers < 0 || o.FeasTol < 0 || o.ObjTol < 0 || o.DualTol < 0 || o.Penalty < 0 {
-		return errors.New("solver options must be nonnegative")
-	}
-	if o.Shards > 0 && o.Incremental {
-		return errors.New(`solver options "incremental" and "shards" do not compose`)
-	}
-	return nil
-}
-
 // withDefaults merges the creating daemon's tier defaults into a session's
 // options: bool OR, numeric max. It runs once, in handleCreate; what it
 // returns is what the snapshot header records.
@@ -191,11 +179,14 @@ func (o solverOptions) coreOptions() core.Options {
 
 // newAlg builds a session's algorithm from its effective options — the
 // create-time merge, or a snapshot header as it stands. What belongs to
-// this server rather than to the session is added here: the shard-worker
-// addresses and the metrics bundle.
+// this server rather than to the session is added here: the metrics bundle
+// and, for a sharded session, the shard-worker addresses.
 func (s *Server) newAlg(inst *model.Instance, o solverOptions) *core.OnlineApprox {
 	opts := o.coreOptions()
-	opts.ShardWorkers, opts.Metrics = s.cfg.Defaults.ShardWorkers, s.solver
+	opts.Metrics = s.solver
+	if opts.Shards > 0 {
+		opts.ShardWorkers = s.cfg.Defaults.ShardWorkers
+	}
 	return core.NewOnlineApprox(inst, opts)
 }
 
@@ -392,7 +383,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing instance")
 		return
 	}
-	if err := req.Options.validate(); err != nil {
+	if err := req.Options.coreOptions().Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -419,7 +410,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// rebuilds this algorithm whatever the restoring daemon's defaults. The
 	// defaults can complete a pair of tiers the request alone does not name.
 	opts := req.Options.withDefaults(s.cfg.Defaults)
-	if err := opts.validate(); err != nil {
+	if err := opts.coreOptions().Validate(); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}

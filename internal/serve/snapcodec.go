@@ -264,7 +264,7 @@ func decodeSnapshot(doc []byte, file bool) (*snapDoc, error) {
 	if err := validSessionID(d.header.ID); err != nil {
 		return nil, err
 	}
-	if err := d.header.Options.validate(); err != nil {
+	if err := d.header.Options.coreOptions().Validate(); err != nil {
 		return nil, err
 	}
 	if len(d.header.Instance) == 0 {

@@ -1,19 +1,20 @@
 // Package alm implements an augmented-Lagrangian method for smooth convex
-// minimization under sparse linear inequality constraints and box bounds:
+// minimization under sparse linear inequality constraints over the
+// nonnegative orthant, the feasible set of every program of the paper:
 //
 //	minimize    f(x)
 //	subject to  A_k·x ≥ b_k   for every row k
-//	            lower ≤ x ≤ upper.
+//	            x ≥ 0.
 //
-// Each outer iteration minimizes the augmented Lagrangian over the box and
+// Each outer iteration minimizes the augmented Lagrangian over x ≥ 0 and
 // then updates the multiplier estimates; the converged multipliers are the
 // dual variables of the constraints, which the competitive analysis of the
 // paper's algorithm consumes directly (the θ'_{j,t} and ρ'_{i,t} of its KKT
 // system). This package replaces the role of IPOPT in the paper's
 // evaluation pipeline. The inner minimization has two solvers, chosen by
 // the program's structure and by nothing a caller sets: the per-slot
-// programs of the online algorithm — Groups rows, a lower bound only, an
-// objective that exposes its curvature — are solved by a projected Newton
+// programs of the online algorithm — Groups rows and an objective that
+// exposes its curvature — are solved by a projected Newton
 // method (newton.go), second-order like IPOPT; every other program —
 // generic gradient-oracle objectives such as the smoothed baselines', the
 // sparse-row reference form — by FISTA (internal/solver/fista).
@@ -88,7 +89,7 @@ type Constraint struct {
 	RHS    float64
 }
 
-// Problem is a smooth convex program over a box with GE rows. Rows are
+// Problem is a smooth convex program over x ≥ 0 with GE rows. Rows are
 // given either as generic sparse Cons or as structured group-sum Groups
 // over a CSR grid (see groups.go) — never both. The structured form is
 // the production path for the paper's programs; the sparse form is the
@@ -105,9 +106,6 @@ type Problem struct {
 	// O(N + rows). Mutually exclusive with Cons. Groups.Rows[k] owns
 	// Result.Duals[k], exactly like Cons[k] would.
 	Groups *Groups
-	// Lower and Upper are optional box bounds of length N passed through to
-	// the inner solver; nil means unbounded on that side.
-	Lower, Upper []float64
 }
 
 // numRows returns the dual dimension of the constraint set.
@@ -163,8 +161,7 @@ func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch, workers i
 }
 
 // Options tunes the outer loop. Zero values select defaults; Solve
-// rejects a negative or NaN budget or tolerance, and a nonzero
-// PenaltyGrowth not above 1, as ErrBadProblem.
+// refuses what Validate does.
 type Options struct {
 	// MaxOuter bounds multiplier updates (default 80).
 	MaxOuter int
@@ -213,6 +210,20 @@ type Options struct {
 	// means never cancelled. Polling does not perturb the math: results
 	// are bitwise identical to an uncancelled run.
 	Ctx context.Context
+}
+
+// Validate reports a negative or NaN budget or tolerance, and a nonzero
+// PenaltyGrowth not above 1, as ErrBadProblem.
+func (o Options) Validate() error {
+	if o.MaxOuter < 0 || o.InnerIters < 0 || !(o.Penalty >= 0) ||
+		!(o.FeasTol >= 0) || !(o.ObjTol >= 0) || !(o.DualTol >= 0) {
+		return errf("MaxOuter=%d InnerIters=%d Penalty=%g FeasTol=%g ObjTol=%g DualTol=%g: want none negative",
+			o.MaxOuter, o.InnerIters, o.Penalty, o.FeasTol, o.ObjTol, o.DualTol)
+	}
+	if g := o.PenaltyGrowth; g != 0 && !(g > 1) {
+		return errf("PenaltyGrowth=%g, want above 1", g)
+	}
+	return nil
 }
 
 // Or returns o with every zero budget or tolerance taken from d — the
@@ -410,12 +421,6 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			}
 		}
 	}
-	if p.Lower != nil && len(p.Lower) != p.N {
-		return nil, errf("len(Lower)=%d, want %d", len(p.Lower), p.N)
-	}
-	if p.Upper != nil && len(p.Upper) != p.N {
-		return nil, errf("len(Upper)=%d, want %d", len(p.Upper), p.N)
-	}
 	if opts.WarmX != nil && len(opts.WarmX) != p.N {
 		return nil, fmt.Errorf("%w: len(WarmX)=%d, want %d", ErrBadProblem, len(opts.WarmX), p.N)
 	}
@@ -424,13 +429,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			ErrBadProblem, len(opts.WarmDuals), p.numRows())
 	}
 
-	if opts.MaxOuter < 0 || opts.InnerIters < 0 || !(opts.Penalty >= 0) ||
-		!(opts.FeasTol >= 0) || !(opts.ObjTol >= 0) || !(opts.DualTol >= 0) {
-		return nil, errf("MaxOuter=%d InnerIters=%d Penalty=%g FeasTol=%g ObjTol=%g DualTol=%g: want none negative",
-			opts.MaxOuter, opts.InnerIters, opts.Penalty, opts.FeasTol, opts.ObjTol, opts.DualTol)
-	}
-	if g := opts.PenaltyGrowth; g != 0 && !(g > 1) {
-		return nil, errf("PenaltyGrowth=%g, want above 1", g)
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	opts = opts.Or(Options{MaxOuter: 80, InnerIters: 1500, Penalty: 1, PenaltyGrowth: 4, FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6})
 	maxOuter, innerIters, rho, growth := opts.MaxOuter, opts.InnerIters, opts.Penalty, opts.PenaltyGrowth
@@ -470,30 +470,12 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 
 	res := &ws.res
 	*res = Result{}
-	if p.numRows() == 0 {
-		inner, err := fista.Minimize(p.Obj, x, fista.Options{
-			MaxIters: innerIters, Tol: objTol, Lower: p.Lower, Upper: p.Upper,
-			Workspace: &ws.inner, Ctx: opts.Ctx,
-		})
-		if err != nil {
-			return nil, err
-		}
-		res.X, res.Objective, res.Converged = inner.X, inner.F, inner.Converged
-		res.InnerIters, res.Evals = inner.Iters, inner.Iters
-		res.Duals = y
-		res.Stop = StopConverged
-		if !inner.Converged {
-			res.Stop = StopObjective
-		}
-		return res, nil
-	}
-
 	ws.lag = lagrangian{p: p, y: y, rho: rho, ws: ws, workers: opts.Workers}
 	lag := &ws.lag
 	// The inner solver is a property of the program, not a setting: see
 	// the package comment and newton.go.
 	var cur Curvature
-	if g := p.Groups; g != nil && p.Lower != nil && p.Upper == nil {
+	if g := p.Groups; g != nil {
 		if cur, res.Newton = p.Obj.(Curvature); res.Newton {
 			ws.nt.ensure(p.N, g.I, g.J)
 		}
@@ -524,8 +506,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			moved = true
 		} else {
 			inner, err := fista.Minimize(lag, x, fista.Options{
-				MaxIters: innerIters, Tol: innerTol, Lower: p.Lower, Upper: p.Upper,
-				Workspace: &ws.inner, Ctx: opts.Ctx,
+				MaxIters: innerIters, Tol: innerTol, Workspace: &ws.inner, Ctx: opts.Ctx,
 			})
 			if err != nil {
 				return nil, err

@@ -35,10 +35,9 @@ func denseRow(coeffs []float64, rhs float64) Constraint {
 func TestSolveSimpleLP(t *testing.T) {
 	// min 2x + y s.t. x + y >= 3, x,y >= 0 → (0,3), objective 3.
 	p := &Problem{
-		Obj:   linear([]float64{2, 1}),
-		N:     2,
-		Cons:  []Constraint{denseRow([]float64{1, 1}, 3)},
-		Lower: []float64{0, 0},
+		Obj:  linear([]float64{2, 1}),
+		N:    2,
+		Cons: []Constraint{denseRow([]float64{1, 1}, 3)},
 	}
 	res, err := Solve(p, Options{})
 	if err != nil {
@@ -75,10 +74,9 @@ func TestSolveProjectionQP(t *testing.T) {
 		return f
 	})
 	p := &Problem{
-		Obj:   obj,
-		N:     2,
-		Cons:  []Constraint{denseRow([]float64{1, 1}, 5)},
-		Lower: []float64{0, 0},
+		Obj:  obj,
+		N:    2,
+		Cons: []Constraint{denseRow([]float64{1, 1}, 5)},
 	}
 	res, err := Solve(p, Options{})
 	if err != nil {
@@ -99,7 +97,7 @@ func TestSolveNoConstraints(t *testing.T) {
 		}
 		return x[0]*x[0] - 4*x[0]
 	})
-	res, err := Solve(&Problem{Obj: obj, N: 1, Lower: []float64{0}}, Options{})
+	res, err := Solve(&Problem{Obj: obj, N: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +108,9 @@ func TestSolveNoConstraints(t *testing.T) {
 
 func TestSolveWarmStartConsistency(t *testing.T) {
 	p := &Problem{
-		Obj:   linear([]float64{1, 3}),
-		N:     2,
-		Cons:  []Constraint{denseRow([]float64{1, 1}, 2)},
-		Lower: []float64{0, 0},
+		Obj:  linear([]float64{1, 3}),
+		N:    2,
+		Cons: []Constraint{denseRow([]float64{1, 1}, 2)},
 	}
 	cold, err := Solve(p, Options{})
 	if err != nil {
@@ -175,7 +172,7 @@ func TestSolveAgreesWithSimplex(t *testing.T) {
 			x0[j] = 3 * rng.Float64()
 		}
 		lp := &simplex.Problem{C: c}
-		ap := &Problem{Obj: linear(c), N: n, Lower: make([]float64, n)}
+		ap := &Problem{Obj: linear(c), N: n}
 		for k := 0; k < m; k++ {
 			row := make([]float64, n)
 			lhs := 0.0
@@ -216,7 +213,6 @@ func TestSolveDualObjectiveMatches(t *testing.T) {
 			denseRow([]float64{1, 1}, 4),
 			denseRow([]float64{1, 3}, 6),
 		},
-		Lower: []float64{0, 0},
 	}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
@@ -242,7 +238,7 @@ func TestSlackRowMultiplierGrowsPenalty(t *testing.T) {
 		}
 		return (x[0] - 1) * (x[0] - 1)
 	})
-	p := &Problem{Obj: obj, N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}, Lower: []float64{0}}
+	p := &Problem{Obj: obj, N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}}
 	res, err := Solve(p, Options{
 		Penalty: 1e-3, MaxOuter: 40,
 		WarmX: []float64{1}, WarmDuals: []float64{5},
@@ -266,10 +262,9 @@ func TestSlackRowMultiplierGrowsPenalty(t *testing.T) {
 // MaxOuter: the first failing test of feasibility, objective, dual.
 func TestStopReasonAtCap(t *testing.T) {
 	p := &Problem{
-		Obj:   linear([]float64{2, 1}),
-		N:     2,
-		Cons:  []Constraint{denseRow([]float64{1, 1}, 3)},
-		Lower: []float64{0, 0},
+		Obj:  linear([]float64{2, 1}),
+		N:    2,
+		Cons: []Constraint{denseRow([]float64{1, 1}, 3)},
 	}
 	res, err := Solve(p, Options{MaxOuter: 1})
 	if err != nil {
@@ -301,7 +296,7 @@ func TestStopReasonAtCap(t *testing.T) {
 			}
 			return (x[0] - 1) * (x[0] - 1)
 		}),
-		N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}, Lower: []float64{0},
+		N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)},
 	}
 	res, err = Solve(q, Options{Penalty: 1e-3, MaxOuter: 2, ObjTol: 1e-2,
 		WarmX: []float64{1}, WarmDuals: []float64{5}})
@@ -311,8 +306,8 @@ func TestStopReasonAtCap(t *testing.T) {
 	if res.Converged || res.Stop != StopDual || res.DualMove <= 1e-6 {
 		t.Errorf("multiplier on a slack row: stop %q converged %v Δy %g, want dual", res.Stop, res.Converged, res.DualMove)
 	}
-	// No rows at all: the inner solver's own verdict.
-	res, err = Solve(&Problem{Obj: q.Obj, N: 1, Lower: []float64{0}}, Options{})
+	// No rows at all: the outer loop converges once the objective settles.
+	res, err = Solve(&Problem{Obj: q.Obj, N: 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,5 +327,39 @@ func TestStopReasonAtCap(t *testing.T) {
 	}
 	if err := new(Stop).UnmarshalText([]byte("stalled")); err == nil {
 		t.Error("unknown stop name decoded")
+	}
+}
+
+// TestSolveStaysNonnegative holds both inner solvers to x ≥ 0 on a program
+// whose unconstrained minimizer, a = (−2, 1/2, −1), is negative, and whose
+// minimizer under its one row alone, a + 7/6, is too: three clouds serving
+// one user of demand 1 under Σ_k (x_k − a_k)²/2. Over x ≥ 0 the optimum is
+// (0, 1, 0) with the row's multiplier 1/2. The warm start is negative, so
+// the projection of the entry point is exercised as well.
+func TestSolveStaysNonnegative(t *testing.T) {
+	g := gridGroups(1, 3, 1, nil)
+	g.Rows = []GroupRow{{Kind: GroupUserSum, Index: 0, RHS: 1}}
+	o := &quadratic{g: g, d: []float64{1, 1, 1}, a: []float64{-2, 0.5, -1}, q: make([]float64, 3)}
+	want := []float64{0, 1, 0}
+	for _, tc := range []struct {
+		name string
+		obj  fista.Objective
+	}{{"newton", o}, {"fista", fista.Func(o.Eval)}} {
+		res, err := Solve(&Problem{Obj: tc.obj, N: 3, Groups: g}, Options{WarmX: []float64{-3, -3, -3}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Newton != (tc.name == "newton") || !res.Converged {
+			t.Fatalf("%s: Newton %v, stop %q", tc.name, res.Newton, res.Stop)
+		}
+		for k, v := range res.X {
+			if !(v >= 0) || math.Abs(v-want[k]) > 1e-6 {
+				t.Errorf("%s: x = %v, want %v", tc.name, res.X, want)
+				break
+			}
+		}
+		if math.Abs(res.Duals[0]-0.5) > 1e-5 {
+			t.Errorf("%s: dual = %g, want 1/2", tc.name, res.Duals[0])
+		}
 	}
 }

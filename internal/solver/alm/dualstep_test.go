@@ -76,7 +76,7 @@ func quadProgram(rng *rand.Rand) (p *Problem, xs, ys []float64) {
 		i := k / g.J
 		o.a[k] = xs[k] - (ys[j]-ys[g.J+i]-o.q[i]*tot[i])/o.d[k]
 	}
-	return &Problem{Obj: o, N: n, Lower: make([]float64, n), Groups: g}, xs, ys
+	return &Problem{Obj: o, N: n, Groups: g}, xs, ys
 }
 
 // stepLog is what classifySteps saw of one solve.

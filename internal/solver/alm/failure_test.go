@@ -18,7 +18,6 @@ func TestSolveInfeasibleReportsViolation(t *testing.T) {
 			{Idx: []int{0}, Coeffs: []float64{-1}, RHS: -1},
 			{Idx: []int{0}, Coeffs: []float64{1}, RHS: 3},
 		},
-		Lower: []float64{0},
 	}
 	res, err := Solve(p, Options{MaxOuter: 30})
 	if err != nil {
@@ -43,7 +42,6 @@ func TestSolveTightEqualityViaOpposedRows(t *testing.T) {
 			{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2},
 			{Idx: []int{0, 1}, Coeffs: []float64{-1, -1}, RHS: -2},
 		},
-		Lower: []float64{0, 0},
 	}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
@@ -71,7 +69,6 @@ func TestSolveHugeScaleDifference(t *testing.T) {
 			{Idx: []int{0}, Coeffs: []float64{1}, RHS: 0.5},
 			{Idx: []int{1}, Coeffs: []float64{1}, RHS: 5000},
 		},
-		Lower: []float64{0, 0},
 	}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
@@ -88,10 +85,9 @@ func TestSolveHugeScaleDifference(t *testing.T) {
 // TestSolveZeroObjective exercises the pure-feasibility case.
 func TestSolveZeroObjective(t *testing.T) {
 	p := &Problem{
-		Obj:   linear([]float64{0, 0}),
-		N:     2,
-		Cons:  []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 1}},
-		Lower: []float64{0, 0},
+		Obj:  linear([]float64{0, 0}),
+		N:    2,
+		Cons: []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 1}},
 	}
 	res, err := Solve(p, Options{})
 	if err != nil {
@@ -107,10 +103,9 @@ func TestSolveZeroObjective(t *testing.T) {
 // 1, is refused as ErrBadProblem instead of silently taking it.
 func TestSolveRejectsBadOptions(t *testing.T) {
 	p := &Problem{
-		Obj:   linear([]float64{3, 1}),
-		N:     2,
-		Cons:  []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2}},
-		Lower: []float64{0, 0},
+		Obj:  linear([]float64{3, 1}),
+		N:    2,
+		Cons: []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2}},
 	}
 	for _, tc := range []struct {
 		name string

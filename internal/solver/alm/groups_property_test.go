@@ -289,14 +289,13 @@ func solveBothRows(t *testing.T, trial int, rng *rand.Rand, pruned bool, maxOute
 	if maxOuter == 0 {
 		return 0, 0
 	}
-	lower := make([]float64, n)
 	opts := Options{MaxOuter: maxOuter}
 
-	rg, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Groups: g}, opts)
+	rg, err := Solve(&Problem{Obj: obj, N: n, Groups: g}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Cons: consFromGroups(g)}, opts)
+	rd, err := Solve(&Problem{Obj: obj, N: n, Cons: consFromGroups(g)}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,9 +373,8 @@ func checkWorkersByteIdentical(t *testing.T, rng *rand.Rand, pruned bool) {
 	g := randomGrid(rng, pruned)
 	n := len(g.Cols)
 	obj := quadObj(n, rng)
-	lower := make([]float64, n)
 	solve := func(workers int) *Result {
-		res, err := Solve(&Problem{Obj: obj, N: n, Lower: lower, Groups: g},
+		res, err := Solve(&Problem{Obj: obj, N: n, Groups: g},
 			Options{MaxOuter: 60, Workers: workers})
 		if err != nil {
 			t.Fatal(err)

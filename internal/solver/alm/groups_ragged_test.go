@@ -155,8 +155,8 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 }
 
 // TestSolveRejectsMalformedGroups feeds Solve a small valid program on
-// either inner solver with one thing broken — the CSR geometry, a row, or
-// a bound's length — and requires ErrBadProblem, never a panic: validation
+// either inner solver with one thing broken — the CSR geometry or a row —
+// and requires ErrBadProblem, never a panic: validation
 // indexes no slice it has not length-checked.
 func TestSolveRejectsMalformedGroups(t *testing.T) {
 	base := func() *Problem {
@@ -164,7 +164,7 @@ func TestSolveRejectsMalformedGroups(t *testing.T) {
 			Rows: []GroupRow{{Kind: GroupUserSum, Index: 1, RHS: 1}, {Kind: GroupCloudSumNeg, Index: 0, RHS: -2}}}
 		o := &entropic{g: g, c: []float64{1, 2, 3, 4}, mg: []float64{1, 1, 1, 1}, p: make([]float64, 4),
 			rc: []float64{1, 1}, prevTot: make([]float64, 2)}
-		return &Problem{Obj: o, N: 4, Lower: make([]float64, 4), Groups: g}
+		return &Problem{Obj: o, N: 4, Groups: g}
 	}
 	hide := func(p *Problem) { p.Obj = fista.Func(p.Obj.Eval) }
 	for _, newton := range []bool{true, false} {
@@ -192,9 +192,6 @@ func TestSolveRejectsMalformedGroups(t *testing.T) {
 		{"row-cloud", func(p *Problem) { p.Groups.Rows[1].Index = 2 }},
 		{"row-kind", func(p *Problem) { p.Groups.Rows[0].Kind = 7 }},
 		{"cons-and-groups", func(p *Problem) { p.Cons = []Constraint{{RHS: 1}} }},
-		{"lower-short", func(p *Problem) { p.Lower = p.Lower[:3] }},
-		{"lower-short-fista", func(p *Problem) { hide(p); p.Lower = p.Lower[:3] }},
-		{"upper-long", func(p *Problem) { p.Upper = make([]float64, 5) }},
 	} {
 		p := base()
 		tc.mut(p)

@@ -11,9 +11,8 @@ import (
 // This file is the second-order inner solver: a projected (two-metric)
 // Newton method on the augmented Lagrangian of a Groups program whose
 // objective exposes its curvature. Solve selects it from the problem's
-// structure — Groups rows, a lower bound and no upper bound, an Obj that
-// implements Curvature — and from nothing a caller can set; every other
-// program keeps FISTA.
+// structure — Groups rows and an Obj that implements Curvature — and from
+// nothing a caller can set; every other program keeps FISTA.
 //
 // It works because the Hessian of such a Lagrangian is not a general
 // matrix. With j(k), i(k) the user and cloud of variable k, on the free
@@ -165,7 +164,7 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 	nt.uptr = nt.uptr[:nJ+1]
 }
 
-// newton minimizes the augmented Lagrangian lag over x ≥ lower from x
+// newton minimizes the augmented Lagrangian lag over x ≥ 0 from x
 // (which it may overwrite) and returns the minimizer's buffer, stopping
 // when the projected gradient is within tol·(1+|L|) or after maxIters
 // steps. Every trial of the arc search is evaluated with its gradient, so
@@ -178,16 +177,16 @@ func (nt *newtonScratch) ensure(n, nI, nJ int) {
 // entry evaluation's, then each accepted trial's, never a rejected one's.
 func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bool, tol float64, maxIters int, ctx context.Context) ([]float64, error) {
 	nt, res := &ws.nt, &ws.res
-	gr, lower := lag.p.Groups, lag.p.Lower
+	gr := lag.p.Groups
 	grad, xt, gt := nt.g, nt.xt, nt.gt
 	var L float64
 	nt.back = false
 	if warm {
 		L = lag.penalize(res.Objective, ws.axI, nt.gf, grad)
 	} else {
-		for k, lo := range lower {
-			if x[k] < lo {
-				x[k] = lo
+		for k, v := range x {
+			if v < 0 {
+				x[k] = 0
 			}
 		}
 		L = lag.eval(x, nt.gft, grad)
@@ -198,12 +197,12 @@ func (ws *Workspace) newton(lag *lagrangian, cur Curvature, x []float64, warm bo
 		nF, pg := 0, 0.0
 		for i := 0; i < gr.I; i++ {
 			for k, hi := gr.RowPtr[i], gr.RowPtr[i+1]; k < hi; k++ {
-				gk, room := grad[k], x[k]-lower[k]
+				gk := grad[k]
 				if gk > 0 {
-					if room <= 0 {
+					if x[k] <= 0 {
 						continue
 					}
-					gk = min(gk, room)
+					gk = min(gk, x[k])
 				}
 				pg = max(pg, math.Abs(gk))
 				nt.fk[nF], nt.fi[nF] = k, i
@@ -444,7 +443,7 @@ const pivotTol = 1e-10
 // active demand row and tc_i = s_i on each active capacity row added to
 // −g's reduction, after which w_j = −zu_j, w_i = κ_i + q_i·s_i and, as in
 // direction, D·p = −g − zu_j − zc_i. The multipliers become max(0, y + w)
-// on the active rows and x becomes max(lower, x + p).
+// on the active rows and x becomes max(0, x + p).
 //
 // It reports false and leaves x and y alone where the system is singular or
 // too close to it for the step to mean anything: two active rows on one
@@ -508,16 +507,16 @@ func (ws *Workspace) dualStep(lag *lagrangian, cur Curvature, x []float64) bool 
 			y[k] = max(0, y[k]+w(r))
 		}
 	}
-	// The primal half, projected onto the bounds. A point that moved is
+	// The primal half, projected onto x ≥ 0. A point that moved is
 	// evaluated here, so that f, ∇f and A·x stay the iterate's and the next
 	// inner solve enters warm — unless it moved back to the point the inner
 	// solve accepted its iterate from, as it does at a vertex (as many
 	// active rows as free variables fix the point), whose evaluation the
 	// arc search's buffers still hold.
-	lower, moved := lag.p.Lower, false
+	moved := false
 	nt.step(gr, nt.nF, nt.g)
 	for q, k := range nt.fk[:nt.nF] {
-		v := max(lower[k], x[k]+nt.fv[q])
+		v := max(0, x[k]+nt.fv[q])
 		moved = moved || v != x[k]
 		x[k] = v
 	}
@@ -711,12 +710,12 @@ func (nt *newtonScratch) scaledGradient(gr *Groups, nF int, grad []float64) {
 	}
 }
 
-// arcSearch backtracks along the projection arc x(α) = max(lower, x + α·fv)
+// arcSearch backtracks along the projection arc x(α) = max(0, x + α·fv)
 // from α = 1, writing each trial into xt (whose other entries already equal
 // x) and evaluating it with its gradient into gt, ∇f into gft. It returns
 // the accepted trial's value.
 func (nt *newtonScratch) arcSearch(lag *lagrangian, nF int, x, grad []float64, L float64) (float64, bool) {
-	lower, xt, gt := lag.p.Lower, nt.xt, nt.gt
+	xt, gt := nt.xt, nt.gt
 	fk, fv := nt.fk[:nF], nt.fv[:nF]
 	flat := flatTol * (1 + math.Abs(L))
 	scale, reach := 1.0, 0.0
@@ -727,7 +726,7 @@ func (nt *newtonScratch) arcSearch(lag *lagrangian, nF int, x, grad []float64, L
 	for alpha := 1.0; alpha*reach >= minArcMove*scale; alpha *= 0.5 {
 		gd := 0.0
 		for q, k := range fk {
-			v := max(x[k]+alpha*fv[q], lower[k])
+			v := max(x[k]+alpha*fv[q], 0)
 			xt[k] = v
 			gd += grad[k] * (v - x[k])
 		}

@@ -112,7 +112,7 @@ func curvProgram(rng *rand.Rand, pruned bool, class int) (*Problem, *entropic) {
 		g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: j, RHS: d})
 	}
 	g.Rows = append(g.Rows, capRows...)
-	return &Problem{Obj: o, N: n, Lower: make([]float64, n), Groups: g}, o
+	return &Problem{Obj: o, N: n, Groups: g}, o
 }
 
 // tightNewtonOpts are budgets under which FISTA, too, reaches the optimum
@@ -300,7 +300,7 @@ func kktResidual(p *Problem, r Result) float64 {
 	res := 0.0
 	for k, v := range g {
 		if v > 0 {
-			v = min(v, r.X[k]-p.Lower[k])
+			v = min(v, r.X[k])
 		}
 		res = max(res, math.Abs(v))
 	}
@@ -598,8 +598,7 @@ func BenchmarkCholSolve(b *testing.B) {
 }
 
 // TestNewtonSelectedByStructure pins the dispatch: Newton needs Groups
-// rows, a lower bound, no upper bound and an objective with Curv; anything
-// else is FISTA's.
+// rows and an objective with Curv; anything else is FISTA's.
 func TestNewtonSelectedByStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base, _ := curvProgram(rng, false, curved)
@@ -609,13 +608,6 @@ func TestNewtonSelectedByStructure(t *testing.T) {
 		newton bool
 	}{
 		{"structured", func(p *Problem) {}, true},
-		{"no lower bound", func(p *Problem) { p.Lower = nil }, false},
-		{"upper bound", func(p *Problem) {
-			p.Upper = make([]float64, p.N)
-			for k := range p.Upper {
-				p.Upper[k] = 100
-			}
-		}, false},
 		{"sparse rows", func(p *Problem) { p.Cons, p.Groups = consFromGroups(p.Groups), nil }, false},
 		{"gradient oracle", func(p *Problem) { p.Obj = fista.Func(p.Obj.Eval) }, false},
 	} {
@@ -758,7 +750,7 @@ func TestDualStepRefusesSingularSystem(t *testing.T) {
 			o.rc[i] = rng.Float64()
 			g.Rows = append(g.Rows, GroupRow{Kind: GroupCloudSumNeg, Index: i, RHS: -c})
 		}
-		p := &Problem{Obj: o, N: n, Lower: make([]float64, n), Groups: g}
+		p := &Problem{Obj: o, N: n, Groups: g}
 		warm := make([]float64, len(g.Rows))
 		for k := range warm {
 			warm[k] = 100

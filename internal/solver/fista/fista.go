@@ -1,6 +1,7 @@
 // Package fista implements the fast iterative shrinkage-thresholding
 // algorithm (FISTA, Beck & Teboulle 2009) for minimizing a smooth convex
-// function over a box, with backtracking line search and adaptive restart.
+// function over the nonnegative orthant x ≥ 0, with backtracking line
+// search and adaptive restart.
 //
 // It is the first-order inner solver of the augmented-Lagrangian method
 // (internal/solver/alm), for the programs that give it nothing but a
@@ -14,7 +15,6 @@ package fista
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 )
@@ -47,13 +47,6 @@ type Options struct {
 	// bounds how fast the objective is still falling, not how far the
 	// point is from stationary.
 	Tol float64
-	// InitStep is the initial step size tried by the backtracking search
-	// (default 1). The search also re-grows the step between iterations,
-	// so a bad guess costs only a few extra function evaluations.
-	InitStep float64
-	// Lower and Upper are optional elementwise bounds. A nil slice means
-	// unbounded on that side. Most callers pass Lower = zeros for x ≥ 0.
-	Lower, Upper []float64
 	// Workspace optionally supplies reusable scratch buffers so repeated
 	// solves of same-sized problems allocate nothing per call. When set,
 	// Result.X (and the Result itself) alias workspace memory and are
@@ -103,12 +96,7 @@ type Result struct {
 	// MaxIters. A run warm-started where steps are tiny — a steep penalty
 	// term, say — stagnates after StagnantLimit iterations wherever it is.
 	Converged bool
-	// FuncEvals counts objective evaluations including line-search trials.
-	FuncEvals int
 }
-
-// ErrDimension reports mismatched slice lengths in the inputs.
-var ErrDimension = errors.New("fista: dimension mismatch")
 
 const (
 	backtrackShrink = 0.5
@@ -126,18 +114,13 @@ const (
 	StagnantLimit = 5
 )
 
-// Minimize runs FISTA from x0 and returns the best point found. x0 is not
-// modified (it may alias Options.Workspace memory from a previous call;
-// the copy into the workspace handles that overlap). The error is non-nil
-// only for malformed input.
+// Minimize runs FISTA over x ≥ 0 from x0, projected onto x ≥ 0 first, and
+// returns the best point found. x0 is not modified (it may alias
+// Options.Workspace memory from a previous call; the copy into the
+// workspace handles that overlap). The error is non-nil only when
+// Options.Ctx fires.
 func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 	n := len(x0)
-	if opts.Lower != nil && len(opts.Lower) != n {
-		return nil, fmt.Errorf("%w: len(Lower)=%d, len(x0)=%d", ErrDimension, len(opts.Lower), n)
-	}
-	if opts.Upper != nil && len(opts.Upper) != n {
-		return nil, fmt.Errorf("%w: len(Upper)=%d, len(x0)=%d", ErrDimension, len(opts.Upper), n)
-	}
 	maxIters := opts.MaxIters
 	if maxIters <= 0 {
 		maxIters = 2000
@@ -145,21 +128,6 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 	tol := opts.Tol
 	if tol <= 0 {
 		tol = 1e-8
-	}
-	lower, upper := opts.Lower, opts.Upper
-	// lowerOnly marks the dominant caller shape (x ≥ lower, no upper
-	// bound): the hot loops below take fused single-pass branches for it,
-	// with the nil checks hoisted out of the element loops.
-	lowerOnly := lower != nil && upper == nil
-	clip := func(x []float64) {
-		for j := range x {
-			if lower != nil && x[j] < lower[j] {
-				x[j] = lower[j]
-			}
-			if upper != nil && x[j] > upper[j] {
-				x[j] = upper[j]
-			}
-		}
 	}
 
 	ws := opts.Workspace
@@ -169,13 +137,14 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 		ws = &Workspace{}
 	}
 	ws.ensure(n)
-	step := opts.InitStep
-	if step <= 0 {
-		step = 1
-	}
+	step := 1.0
 	x := ws.x
 	copy(x, x0) // no-op when x0 already aliases ws.x (warm restart)
-	clip(x)
+	for j, v := range x {
+		if v < 0 {
+			x[j] = 0
+		}
+	}
 	y := ws.y
 	copy(y, x)
 	xNew := ws.xNew
@@ -184,7 +153,6 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 	res := &ws.res
 	*res = Result{}
 	fx := obj.Eval(x, nil)
-	res.FuncEvals++
 	tMom := 1.0
 	stagnant := 0 // consecutive iterations with negligible objective change
 
@@ -196,45 +164,28 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 		}
 		res.Iters = it + 1
 		fy := obj.Eval(y, grad)
-		res.FuncEvals++
 
 		// Backtracking: find step s with sufficient decrease from y. The
 		// quadratic upper-bound terms of the FISTA condition are
 		// accumulated in the same pass that writes the projected trial
 		// point (they depend only on y, grad, and xNew, not on fNew), so a
-		// trial costs one fused O(n) sweep plus the objective evaluation;
-		// the element operations and their order match the generic branch
-		// exactly, so both produce identical bits.
+		// trial costs one fused O(n) sweep plus the objective evaluation.
 		var fNew float64
 		for {
 			q := fy
 			dd := 0.0
-			if lowerOnly {
-				lo := lower
-				for j, yj := range y {
-					v := yj - step*grad[j]
-					if v < lo[j] {
-						v = lo[j]
-					}
-					xNew[j] = v
-					d := v - yj
-					q += grad[j] * d
-					dd += d * d
+			for j, yj := range y {
+				v := yj - step*grad[j]
+				if v < 0 {
+					v = 0
 				}
-			} else {
-				for j := range xNew {
-					xNew[j] = y[j] - step*grad[j]
-				}
-				clip(xNew)
-				for j := range xNew {
-					d := xNew[j] - y[j]
-					q += grad[j] * d
-					dd += d * d
-				}
+				xNew[j] = v
+				d := v - yj
+				q += grad[j] * d
+				dd += d * d
 			}
 			q += dd / (2 * step)
 			fNew = obj.Eval(xNew, nil)
-			res.FuncEvals++
 			if fNew <= q+1e-12*(1+math.Abs(q)) {
 				break
 			}
@@ -270,20 +221,12 @@ func Minimize(obj Objective, x0 []float64, opts Options) (*Result, error) {
 
 		tNext := (1 + math.Sqrt(1+4*tMom*tMom)) / 2
 		beta := (tMom - 1) / tNext
-		if lowerOnly {
-			lo := lower
-			for j, v := range xNew {
-				m := v + beta*(v-x[j])
-				if m < lo[j] {
-					m = lo[j]
-				}
-				y[j] = m
+		for j, v := range xNew {
+			m := v + beta*(v-x[j])
+			if m < 0 {
+				m = 0
 			}
-		} else {
-			for j := range y {
-				y[j] = xNew[j] + beta*(xNew[j]-x[j])
-			}
-			clip(y)
+			y[j] = m
 		}
 		tMom = tNext
 		copy(x, xNew)

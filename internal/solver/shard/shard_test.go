@@ -265,7 +265,7 @@ func zReference(t *testing.T, obj *zObjective) (z, nu []float64) {
 		g.Rows[i] = alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -obj.cpl.Capacity[i]}
 		g.RowPtr[i+1] = i + 1
 	}
-	prob := &alm.Problem{Obj: obj, N: nI, Lower: make([]float64, nI), Groups: g}
+	prob := &alm.Problem{Obj: obj, N: nI, Groups: g}
 	opts := alm.Options{MaxOuter: 400, InnerIters: 20000, FeasTol: 1e-12, DualTol: 1e-11, ObjTol: 1e-15}
 	for _, growth := range []float64{0, 1.0001} {
 		opts.Penalty, opts.PenaltyGrowth = 1, growth
