@@ -126,8 +126,8 @@ func NewStatic() Algorithm { return &baseline.Static{} }
 
 // NewLookahead returns the model-predictive baseline that assumes the
 // next window slots are known, commits the first slot, and rolls forward
-// (window ≤ 0 selects the default 3). Window 1 behaves like greedy;
-// window T is offline-opt.
+// (window ≤ 0 selects the default 3). Window 1 is online-greedy (under
+// the lookahead's solver defaults); window T is offline-opt.
 func NewLookahead(window int) Algorithm { return &baseline.Lookahead{Window: window} }
 
 // NewProximal returns the quadratic-movement-penalty ablation of the
@@ -189,8 +189,9 @@ func ToyExampleA() *Instance { return model.ToyExampleA() }
 // 11.3 vs the optimal 9.5).
 func ToyExampleB() *Instance { return model.ToyExampleB() }
 
-// RatioBound returns the paper's parameterized competitive ratio
-// r = 1 + γ|I| of Theorem 2 for the given instance and ε parameters.
+// RatioBound returns Theorem 2's parameterized competitive ratio
+// r = 1 + γ|I| for the given instance and ε parameters, with the paper's
+// γ widened to cover workloads above every capacity (core.RatioBound).
 func RatioBound(in *Instance, eps1, eps2 float64) float64 {
 	return core.RatioBound(in, eps1, eps2)
 }

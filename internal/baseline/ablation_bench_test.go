@@ -111,3 +111,28 @@ func BenchmarkGreedySlot(b *testing.B) {
 		}
 	}
 }
+
+// slotConstraints is the generic sparse-row form of one slot block of
+// slotGroups.
+func slotConstraints(in *model.Instance) []alm.Constraint {
+	cons := make([]alm.Constraint, 0, in.J+in.I)
+	for j := 0; j < in.J; j++ {
+		idx := make([]int, in.I)
+		coef := make([]float64, in.I)
+		for i := 0; i < in.I; i++ {
+			idx[i] = i*in.J + j
+			coef[i] = 1
+		}
+		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: in.Workload[j]})
+	}
+	for i := 0; i < in.I; i++ {
+		idx := make([]int, in.J)
+		coef := make([]float64, in.J)
+		for j := 0; j < in.J; j++ {
+			idx[j] = i*in.J + j
+			coef[j] = -1
+		}
+		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: -in.Capacity[i]})
+	}
+	return cons
+}

@@ -10,6 +10,11 @@
 //   - offline-opt, which minimizes P0 with the whole future known — the
 //     impractical baseline every empirical competitive ratio is
 //     normalized by.
+//
+// Both, and the lookahead between them, are one program: offline-opt's
+// smoothed P0 over a window of slots, minimized by one continuation loop
+// (offline.go). Lookahead rolls a k-slot window over the horizon, and
+// online-greedy is its one-slot window.
 package baseline
 
 import (

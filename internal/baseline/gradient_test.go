@@ -36,31 +36,6 @@ func fdCheck(t *testing.T, eval func(x, grad []float64) float64, n int, seed int
 	}
 }
 
-func TestGreedySlotObjectiveGradient(t *testing.T) {
-	in, _, err := scenario.Rome(scenario.Config{Users: 4, Horizon: 3, Seed: 31})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := model.NewAlloc(in.I, in.J)
-	rng := rand.New(rand.NewSource(32))
-	for k := range prev.X {
-		prev.X[k] = rng.Float64()
-	}
-	obj := &greedySlotObjective{
-		nI:      in.I,
-		nJ:      in.J,
-		coef:    in.StaticCoeff(1),
-		prev:    prev.X,
-		prevTot: prev.CloudTotals(),
-		rc:      in.ReconfPrice,
-		bOut:    in.MigOutPrice,
-		bIn:     in.MigInPrice,
-		tot:     make([]float64, in.I),
-		mu:      0.05,
-	}
-	fdCheck(t, obj.Eval, in.I*in.J, 33)
-}
-
 // TestOfflineObjectiveGradient covers the cross-slot coupling terms: each
 // transition's hinge contributes to the gradients of two adjacent slots.
 func TestOfflineObjectiveGradient(t *testing.T) {
@@ -68,47 +43,34 @@ func TestOfflineObjectiveGradient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nIJ := in.I * in.J
-	obj := &offlineObjective{
-		in:    in,
-		nIJ:   nIJ,
-		init:  in.InitialAlloc(),
-		coefs: make([][]float64, in.T),
-		tot:   make([]float64, in.I*(in.T+1)),
-		mu:    0.07,
-	}
-	for t2 := 0; t2 < in.T; t2++ {
-		obj.coefs[t2] = in.StaticCoeff(t2)
-	}
-	fdCheck(t, obj.Eval, in.T*nIJ, 35)
+	obj := (&Offline{}).state(in).obj
+	obj.mu = 0.07
+	fdCheck(t, obj.Eval, len(obj.coef), 35)
 }
 
 // TestOfflineObjectiveGradientWithWarmInit repeats the check with a
-// nonzero pre-horizon allocation, covering the t == 0 branches.
+// nonzero pre-horizon allocation, covering the t == 0 branches, over the
+// whole horizon and over a one-slot window (online-greedy's program).
 func TestOfflineObjectiveGradientWithWarmInit(t *testing.T) {
-	in, _, err := scenario.Rome(scenario.Config{Users: 3, Horizon: 3, Seed: 36})
+	full, _, err := scenario.Rome(scenario.Config{Users: 3, Horizon: 3, Seed: 36})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(37))
-	init := model.NewAlloc(in.I, in.J)
+	init := model.NewAlloc(full.I, full.J)
 	for k := range init.X {
 		init.X[k] = rng.Float64()
 	}
-	in.Init = &init
-	nIJ := in.I * in.J
-	obj := &offlineObjective{
-		in:    in,
-		nIJ:   nIJ,
-		init:  in.InitialAlloc(),
-		coefs: make([][]float64, in.T),
-		tot:   make([]float64, in.I*(in.T+1)),
-		mu:    0.04,
+	full.Init = &init
+	slot, err := full.Window(1, 1, init)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for t2 := 0; t2 < in.T; t2++ {
-		obj.coefs[t2] = in.StaticCoeff(t2)
+	for n, in := range []*model.Instance{full, slot} {
+		obj := (&Offline{}).state(in).obj
+		obj.mu = 0.04
+		fdCheck(t, obj.Eval, len(obj.coef), int64(38+n))
 	}
-	fdCheck(t, obj.Eval, in.T*nIJ, 38)
 }
 
 // TestOfflineSmoothedObjectiveUpperBoundsTrue verifies the softplus
@@ -120,17 +82,8 @@ func TestOfflineSmoothedObjectiveUpperBoundsTrue(t *testing.T) {
 		t.Fatal(err)
 	}
 	nIJ := in.I * in.J
-	obj := &offlineObjective{
-		in:    in,
-		nIJ:   nIJ,
-		init:  in.InitialAlloc(),
-		coefs: make([][]float64, in.T),
-		tot:   make([]float64, in.I*(in.T+1)),
-		mu:    0.1,
-	}
-	for t2 := 0; t2 < in.T; t2++ {
-		obj.coefs[t2] = in.StaticCoeff(t2)
-	}
+	obj := (&Offline{}).state(in).obj
+	obj.mu = 0.1
 	rng := rand.New(rand.NewSource(40))
 	for trial := 0; trial < 20; trial++ {
 		x := make([]float64, in.T*nIJ)

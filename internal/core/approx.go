@@ -724,7 +724,7 @@ func feasibleWarmStart(in *model.Instance, t int) ([]float64, error) {
 	return warm, nil
 }
 
-// CompetitiveRatioBound returns Theorem 2's certified ratio r = 1 + γ|I|
+// CompetitiveRatioBound returns Theorem 2's certified ratio r = 1 + γ_λ|I|
 // for the bound instance under the run's ε parameters, or 0 when no
 // instance is bound yet. It implements the harness's RatioBounder
 // interface so the conformance oracle can check the achieved cost
@@ -736,9 +736,12 @@ func (o *OnlineApprox) CompetitiveRatioBound() float64 {
 	return RatioBound(o.inst, o.opts.Epsilon1, o.opts.Epsilon2)
 }
 
-// RatioBound returns the paper's parameterized competitive ratio
-// r = 1 + γ|I| with
-// γ = max_i{(C_i+ε₁)ln(1+C_i/ε₁), (C_i+ε₂)ln(1+C_i/ε₂)} (Theorem 2).
+// RatioBound returns Theorem 2's competitive ratio r = 1 + γ_λ|I| for the
+// certificate this package builds, whose β carries λ_j in its numerator
+// (DESIGN.md §3b finding 2): the paper's
+// γ = max_i{(C_i+ε₁)ln(1+C_i/ε₁), (C_i+ε₂)ln(1+C_i/ε₂)} widened to
+// γ_λ = max(γ, max_j (λ_j+ε₂)ln(1+λ_j/ε₂)), which differs from γ only
+// where some λ_j exceeds every C_i (DESIGN.md §3b finding 5).
 func RatioBound(in *model.Instance, eps1, eps2 float64) float64 {
 	gamma := 0.0
 	for _, c := range in.Capacity {
@@ -746,6 +749,11 @@ func RatioBound(in *model.Instance, eps1, eps2 float64) float64 {
 			gamma = v
 		}
 		if v := (c + eps2) * math.Log1p(c/eps2); v > gamma {
+			gamma = v
+		}
+	}
+	for _, l := range in.Workload {
+		if v := (l + eps2) * math.Log1p(l/eps2); v > gamma {
 			gamma = v
 		}
 	}

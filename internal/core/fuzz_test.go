@@ -63,6 +63,59 @@ func FuzzOnlineStep(f *testing.F) {
 	})
 }
 
+// TestRatioBoundCoversLambdaNumerator runs the FuzzOnlineStep input whose
+// one workload, λ = 0.2285, exceeds both capacities (0.179, 0.118). The run
+// leaves capacity slack, so Theorem 2's comparison applies, and its P1 cost
+// is 1.4027 times the certified bound. The paper's γ, built from the
+// capacities alone, gives r = 1.3882 below that; the γ_λ RatioBound takes
+// for a β with λ_j in its numerator gives r = 1.5057 above it.
+func TestRatioBoundCoversLambdaNumerator(t *testing.T) {
+	in := conform.GenInstance(conform.GenConfig{Seed: 221, I: 187, J: 1, T: 1, ZeroSq: true})
+	alg := NewOnlineApprox(in, Options{Solver: tightOpts()})
+	sched, err := alg.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, err := alg.Certificate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := in.EvaluateP1(sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratio := in.Total(b) / (cert.LowerBoundP1() + cert.NuCharge)
+	paper := 0.0
+	for _, c := range in.Capacity {
+		paper = max(paper, (c+1)*math.Log1p(c))
+	}
+	paper = 1 + paper*float64(in.I)
+	r := alg.CompetitiveRatioBound()
+	t.Logf("I=%d λ=%v C=%v: ALG/D = %.5f, r = %.5f (paper's γ: %.5f)", in.I, in.Workload, in.Capacity, ratio, r, paper)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{{"ALG/D", ratio, 1.4027}, {"r", r, 1.5057}, {"the paper's r", paper, 1.3882}} {
+		if math.Abs(c.got-c.want) > 1e-4 {
+			t.Errorf("%s = %.6f, want %.4f", c.name, c.got, c.want)
+		}
+	}
+	if !(ratio <= r) {
+		t.Errorf("ALG/D = %g exceeds r = %g", ratio, r)
+	}
+	diag := &conform.Diagnostics{
+		HasCertificate: true,
+		LowerBoundP0:   cert.LowerBoundP0(),
+		LowerBoundP1:   cert.LowerBoundP1(),
+		DualResidual:   cert.Feasibility.Max(),
+		NuCharge:       cert.NuCharge,
+		RatioBound:     r,
+	}
+	if rep := conform.Check(in, sched, diag, conform.Options{}); !rep.OK() {
+		t.Error(rep.Err())
+	}
+}
+
 // FuzzCandidateVsDense is the certified-equality property under fuzzed
 // regimes: with the candidate-set size the fuzzer picks (down to the
 // most aggressive K = 1), every slot-coupled reduced solve must match

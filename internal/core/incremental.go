@@ -44,12 +44,16 @@ import (
 //     (kktBase computes the per-cloud part), and the ≥-demand row admits
 //     a dual θ_j ≥ 0 with g_ij = θ_j on the support and g_ij ≥ θ_j off
 //     it exactly when every support pair sits at the column minimum
-//     min_i g_ij and that minimum is ≥ 0.
-//     The gate tests both at IncrementalTol (relative per pair, like
+//     min_i g_ij and that minimum is ≥ 0. Complementary slackness asks
+//     one thing more: θ_j > 0 only on a tight demand row. A carried
+//     column that over-serves, Σ_i x'_ij − λ_j > IncrementalTol·(1+λ_j),
+//     must take θ_j = 0, so its support pairs must also sit at g_ij ≈ 0.
+//     The gate tests all of it at IncrementalTol (relative per pair, like
 //     the pricing pass): violators are re-admitted to the active set
 //     with their carryover support seeded, the reduced program is
 //     rebuilt, and the solve resumes warm until a round changes
-//     nothing. Certified frozen users take θ_j = max(0, min_i g_ij).
+//     nothing. Certified frozen users take θ_j = max(0, min_i g_ij), or
+//     0 on an over-served column.
 //
 // Active sets only grow within a slot, so the loop terminates — in the
 // worst case (100% churn, or a gate round that thaws everyone) at the
@@ -146,18 +150,23 @@ type supportPair struct{ i, j int32 }
 // rounded differently). The entries the walk skips are ±0 — prev is
 // post-repair, or a restore validated it nonnegative — and adding ±0 to a
 // sum that starts at +0 changes no bit of it, so each sum is the full
-// masked one. Appended to frozenSupp are those users' support pairs, which
-// is all of prev the freeze gate reads.
+// masked one. Appended to frozenSupp are those users' support pairs, and
+// into frozenServed[j] goes each one's carried service Σ_i x'_ij: all of
+// prev the freeze gate reads.
 func (s *singleState) frozenFlow(prev []float64) {
 	nJ := len(s.active)
 	for j, a := range s.active {
 		if a {
 			continue
 		}
+		served := 0.0
 		for _, i := range s.support.of(j) {
-			s.frozenTot[i] += prev[int(i)*nJ+j]
+			v := prev[int(i)*nJ+j]
+			s.frozenTot[i] += v
+			served += v
 			s.frozenSupp = append(s.frozenSupp, supportPair{i, int32(j)})
 		}
+		s.frozenServed[j] = served
 	}
 }
 
@@ -226,7 +235,7 @@ func (x *supportIndex) refresh(g []float64, cols []int) {
 // an earlier round. It returns the number of users re-admitted.
 func (o *OnlineApprox) gateFrozen(t int) int {
 	s := o.single
-	o.obj.gateColumns(s.colMin, s.viol, s.frozenSupp, s.base, o.opts.IncrementalTol)
+	o.obj.gateColumns(s.colMin, s.viol, s.frozenSupp, s.frozenServed, o.inst.Workload, s.base, o.opts.IncrementalTol)
 	readmitted := 0
 	for j, act := range s.active {
 		if act {
@@ -246,17 +255,20 @@ func (o *OnlineApprox) gateFrozen(t int) int {
 // gateColumns is the freeze gate's per-column KKT test (see the file
 // comment) on every column of the dense slot data, with base from kktBase:
 // every support pair of a carried column must sit within tol (relative per
-// pair) of the column minimum min_i g_ij, and not below −tol. One streaming
-// pass over the rows leaves colMin[j] = min_i g_ij — a minimum is exact, so
-// the order the clouds are taken in cannot change it, and column j's demand
-// dual is max(0, colMin[j]) — instead of J walks down the grid's columns (at
-// stride J every load of a walk is a cache miss); the support pairs listed
-// in supp are then tested against it, and viol[j] is set where one fails.
-// supp must hold the support of every column whose verdict is read
-// (frozenFlow). It reads each coefficient as wa_i + sq_ij, the sum
+// pair) of the column minimum min_i g_ij, and not below −tol; where the
+// column over-serves, served[j] − lam[j] > tol·(1+lam[j]), also not above
+// tol. One streaming pass over the rows leaves colMin[j] = min_i g_ij — a
+// minimum is exact, so the order the clouds are taken in cannot change it —
+// instead of J walks down the grid's columns (at stride J every load of a
+// walk is a cache miss); the support pairs listed in supp are then tested
+// against it, and viol[j] is set where one fails. Last, an over-served
+// column's colMin[j] is set to 0, so that column j's demand dual is
+// max(0, colMin[j]) on every column the gate certifies. supp and served
+// must hold the support and carried service of every column whose verdict
+// is read (frozenFlow). It reads each coefficient as wa_i + sq_ij, the sum
 // bindStatic stores where a dense grid exists, so the pass streams the
 // service-quality grid.
-func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportPair, base []float64, tol float64) {
+func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportPair, served, lam, base []float64, tol float64) {
 	nJ := d.nJ
 	colMin = colMin[:nJ]
 	w, b := d.wa[0], base[0]
@@ -283,8 +295,18 @@ func (d *p2Objective) gateColumns(colMin []float64, viol []bool, supp []supportP
 		c := d.wa[e.i] + d.sq[int(e.i)*nJ+int(e.j)]
 		g := c + base[e.i]
 		sc := tol * (1 + math.Abs(c))
-		if g-colMin[e.j] > sc || g < -sc {
+		if g-colMin[e.j] > sc || g < -sc || g > sc && overServed(served[e.j], lam[e.j], tol) {
 			viol[e.j] = true
 		}
 	}
+	for _, e := range supp {
+		if overServed(served[e.j], lam[e.j], tol) {
+			colMin[e.j] = 0
+		}
+	}
 }
+
+// overServed reports whether a carried column serving served against the
+// demand lam leaves its demand row slack at the gate's tolerance, so that
+// complementary slackness pins its dual θ_j to 0.
+func overServed(served, lam, tol float64) bool { return served-lam > tol*(1+lam) }

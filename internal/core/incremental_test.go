@@ -191,6 +191,36 @@ func TestIncrementalForcedReadmission(t *testing.T) {
 	}
 }
 
+// TestGateRefusesSlackColumns runs three FuzzIncrementalVsFull inputs on
+// which the carried column of a frozen user over-serves its demand at slot
+// 2. Complementary slackness then pins θ_j to 0, so the gate may freeze the
+// column only where its support sits at g_ij ≈ 0; a gate that certified it
+// at θ_j = min_i g_ij > 0 left the incremental decision's P2 objective
+// above the full re-solve from the same carried decision by 0.294, 2.2e-2
+// and 1.2e-2 of 1+|f| (the first is 0.416 of the full optimum's). The
+// incremental run is not re-coupled: each slot is measured from its own
+// previous decision.
+func TestGateRefusesSlackColumns(t *testing.T) {
+	for _, c := range []struct {
+		seed                 int64
+		nI, nJ, nT, churnPct int
+	}{{235, -47, -40, 99, 51}, {20140277, 8, 8, 102, -32}, {-50, -22, -56, 87, 113}} {
+		in := conform.GenInstance(conform.GenConfig{
+			Seed: c.seed, I: span(c.nI, 2, 4), J: span(c.nJ, 1, 5), T: span(c.nT, 1, 3)})
+		withChurn(in, float64(span(c.churnPct, 0, 100))/100, rand.New(rand.NewSource(c.seed^0x5eed)))
+		gaps := coupledPathGaps(t, in, incrTightOpts(), Options{Solver: ultraTightOpts()})
+		if len(gaps) < 3 {
+			t.Fatalf("seed %d: %d slots, want the slot-2 solve", c.seed, len(gaps))
+		}
+		for tt, d := range gaps {
+			if d > 1e-8 {
+				t.Errorf("seed %d (I=%d J=%d) slot %d: incremental P2 objective rel gap %g > 1e-8",
+					c.seed, in.I, in.J, tt, d)
+			}
+		}
+	}
+}
+
 // TestIncrementalConformAcrossChurn closes the loop with the oracle: the
 // incremental path's full runs at every churn rate must pass the
 // conformance check, competitive-ratio certificate included — the

@@ -77,6 +77,10 @@ type singleState struct {
 	base       []float64      // per-cloud gradient term shared by gate and pricing
 	rows       []alm.GroupRow // active demand + capacity rows
 
+	// frozenServed[j] is frozen user j's carried service Σ_i x'_ij, summed
+	// by the same walk; the gate reads it to find over-served columns.
+	frozenServed []float64
+
 	// duals are the working multipliers in the full [θ | ν] layout:
 	// seeded from the committed duals, updated by every round (so an
 	// expansion or re-admission round resumes from the round before it),
@@ -125,6 +129,8 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		colMin:    make([]float64, in.J),
 		viol:      make([]bool, in.J),
 		grids:     gridPair{all: true, stale: make([]int, 0, in.J)},
+
+		frozenServed: make([]float64, in.J),
 	}
 	s.groups = alm.Groups{I: in.I, J: in.J}
 	for j := range s.active {

@@ -214,7 +214,8 @@ func TestSupportIndexMatchesGrid(t *testing.T) {
 				t.Fatalf("%s: user %d indexed on clouds %v, the grid has %v", where, j, got, want)
 			}
 		}
-		walk := &singleState{active: make([]bool, in.J), frozenTot: make([]float64, in.I), support: ref}
+		walk := &singleState{active: make([]bool, in.J), frozenTot: make([]float64, in.I),
+			frozenServed: make([]float64, in.J), support: ref}
 		for j := range walk.active {
 			walk.active[j] = rng.Intn(3) == 0
 		}
@@ -223,6 +224,15 @@ func TestSupportIndexMatchesGrid(t *testing.T) {
 		wantSupp := denseFrozenFlow(want, prev, walk.active, nil)
 		if k := sameBits(walk.frozenTot, want); k >= 0 {
 			t.Fatalf("%s: indexed frozen flow of cloud %d = %v, dense pass %v", where, k, walk.frozenTot[k], want[k])
+		}
+		for j, a := range walk.active {
+			served := 0.0
+			for i := 0; i < in.I; i++ {
+				served += prev[i*in.J+j]
+			}
+			if !a && math.Float64bits(walk.frozenServed[j]) != math.Float64bits(served) {
+				t.Fatalf("%s: indexed service of user %d = %v, column sum %v", where, j, walk.frozenServed[j], served)
+			}
 		}
 		sortPairs(walk.frozenSupp)
 		sortPairs(wantSupp)
@@ -300,13 +310,15 @@ func TestSupportIndexMatchesGrid(t *testing.T) {
 
 // gateCase is random slot data for the gate: coefficients, a carried
 // decision with one to three support pairs per column, per-cloud base
-// terms, and an activity mask. Some columns have a support pair placed at
-// the tolerance boundary of the column minimum — on it, one ulp inside and
-// one ulp outside — and some a minimum that is a zero of either sign. Half
+// terms, demands, and an activity mask. Some columns have a support pair
+// placed at the tolerance boundary of the column minimum — on it, one ulp
+// inside and one ulp outside — some a minimum that is a zero of either
+// sign, and some carry more than their demand, at g = 0 on their support
+// or anywhere. The other columns' demand is what they carry. Half
 // the cases split every coefficient c into a random price term wa_i and
 // sq_ij = c − wa_i; the other half keep wa = 0, so that wa_i + sq_ij is c
 // exactly and the boundary and zero cases land where they were placed.
-func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, active []bool) {
+func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base, lam []float64, active []bool) {
 	nI, nJ := 2+rng.Intn(9), 1+rng.Intn(40)
 	d = &p2Objective{nI: nI, nJ: nJ, wa: make([]float64, nI),
 		sq: make([]float64, nI*nJ), prev: make([]float64, nI*nJ)}
@@ -316,6 +328,7 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 		base[i] = 2*rng.Float64() - 0.5
 	}
 	active = make([]bool, nJ)
+	over := make([]bool, nJ)
 	for j := 0; j < nJ; j++ {
 		active[j] = rng.Intn(5) == 0
 		for i := 0; i < nI; i++ {
@@ -324,7 +337,7 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			d.prev[rng.Intn(nI)*nJ+j] = 0.1 + rng.Float64()
 		}
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			// A support pair at the boundary: the column minimum is 1, and
 			// the pair's g − 1 is tol·(1+|c|) moved by up to an ulp either
@@ -357,6 +370,27 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 			}
 			i := rng.Intn(nI)
 			coef[i*nJ+j] = math.Copysign(0, -1) - base[i]
+		case 2:
+			// Over-served at g = 0 on the support and above it off the
+			// support: θ_j = 0 certifies the column.
+			for i := 0; i < nI; i++ {
+				coef[i*nJ+j] = -base[i]
+				if d.prev[i*nJ+j] == 0 {
+					coef[i*nJ+j] += rng.Float64()
+				}
+			}
+			over[j] = true
+		case 3:
+			over[j] = rng.Intn(2) == 0
+		}
+	}
+	lam = make([]float64, nJ)
+	for j := range lam {
+		for i := 0; i < nI; i++ {
+			lam[j] += d.prev[i*nJ+j]
+		}
+		if over[j] {
+			lam[j] *= 0.1 + 0.8*rng.Float64()
 		}
 	}
 	if rng.Intn(2) == 0 {
@@ -367,7 +401,7 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 	for k, c := range coef {
 		d.sq[k] = c - d.wa[k/nJ]
 	}
-	return d, base, active
+	return d, base, lam, active
 }
 
 // TestGateColumnsMatchesGateColumn holds the streamed gate to the
@@ -375,10 +409,10 @@ func gateCase(rng *rand.Rand, tol float64) (d *p2Objective, base []float64, acti
 // bits of θ, and the same frozen flow as the plain masked sum.
 func TestGateColumnsMatchesGateColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(2402))
-	violations, certified := 0, 0
+	violations, certified, slack := 0, 0, 0
 	for trial := 0; trial < 400; trial++ {
 		tol := []float64{1e-9, 1e-3, 0.25}[trial%3]
-		d, base, active := gateCase(rng, tol)
+		d, base, lam, active := gateCase(rng, tol)
 		nI, nJ := d.nI, d.nJ
 
 		frozenTot := make([]float64, nI)
@@ -395,17 +429,23 @@ func TestGateColumnsMatchesGateColumn(t *testing.T) {
 			}
 		}
 
+		served := make([]float64, nJ)
+		for j := range served {
+			for i := 0; i < nI; i++ {
+				served[j] += d.prev[i*nJ+j]
+			}
+		}
 		colMin, viol := make([]float64, nJ), make([]bool, nJ)
 		// Stale scratch from an earlier round must not leak.
 		for j := range viol {
 			viol[j], colMin[j] = true, -1e300
 		}
-		d.gateColumns(colMin, viol, supp, base, tol)
+		d.gateColumns(colMin, viol, supp, served, lam, base, tol)
 		for j := 0; j < nJ; j++ {
 			if active[j] {
 				continue
 			}
-			wantTheta, wantViol := d.gateColumn(j, base, tol)
+			wantTheta, wantViol := d.gateColumn(j, lam, base, tol)
 			if viol[j] != wantViol {
 				t.Fatalf("trial %d user %d: streamed gate violated=%v, gateColumn %v", trial, j, viol[j], wantViol)
 			}
@@ -414,30 +454,38 @@ func TestGateColumnsMatchesGateColumn(t *testing.T) {
 				continue
 			}
 			certified++
+			if served[j]-lam[j] > tol*(1+lam[j]) {
+				slack++
+			}
 			theta := math.Max(0, colMin[j])
 			if math.Float64bits(theta) != math.Float64bits(wantTheta) {
 				t.Fatalf("trial %d user %d: θ = %v, gateColumn %v", trial, j, theta, wantTheta)
 			}
 		}
 	}
-	if violations < 100 || certified < 100 {
-		t.Errorf("%d violations and %d certified columns: one side of the gate went unexercised", violations, certified)
+	if violations < 100 || certified < 100 || slack < 50 {
+		t.Errorf("%d violations and %d certified columns, %d of them over-served: one side of the gate went unexercised",
+			violations, certified, slack)
 	}
 }
 
 // gateColumn is gateColumns' per-column reference: the freeze gate's KKT
 // test on user j's carried column of the dense slot data, with base from
 // kktBase. Every support pair must sit within tol (relative per pair) of
-// the column minimum min_i g_ij, and not below −tol. It returns the
-// column's embedded demand dual θ_j = max(0, min_i g_ij) and whether the
-// test failed.
-func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta float64, violated bool) {
-	aMin := math.Inf(1)
+// the column minimum min_i g_ij, and not below −tol; on a column carrying
+// more than tol·(1+λ_j) over its demand λ_j = lam[j], not above tol
+// either. It returns the column's embedded demand dual — 0 on such a
+// column, θ_j = max(0, min_i g_ij) on any other — and whether the test
+// failed.
+func (d *p2Objective) gateColumn(j int, lam, base []float64, tol float64) (theta float64, violated bool) {
+	aMin, served := math.Inf(1), 0.0
 	for i := 0; i < d.nI; i++ {
 		if g := d.wa[i] + d.sq[i*d.nJ+j] + base[i]; g < aMin {
 			aMin = g
 		}
+		served += d.prev[i*d.nJ+j]
 	}
+	over := served-lam[j] > tol*(1+lam[j])
 	for i := 0; i < d.nI; i++ {
 		k := i*d.nJ + j
 		if d.prev[k] <= 0 {
@@ -446,11 +494,11 @@ func (d *p2Objective) gateColumn(j int, base []float64, tol float64) (theta floa
 		c := d.wa[i] + d.sq[k]
 		g := c + base[i]
 		sc := tol * (1 + math.Abs(c))
-		if g-aMin > sc || g < -sc {
+		if g-aMin > sc || g < -sc || over && g > sc {
 			return 0, true
 		}
 	}
-	if aMin > 0 {
+	if aMin > 0 && !over {
 		return aMin, false
 	}
 	return 0, false

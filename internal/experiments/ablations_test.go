@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,5 +85,48 @@ func TestAblationByName(t *testing.T) {
 	if _, err := AblationByName("bogus", Params{}); err == nil ||
 		!strings.Contains(err.Error(), "unknown ablation") {
 		t.Errorf("AblationByName accepted bogus study (err=%v)", err)
+	}
+}
+
+// TestAblationTablesMatchRecord regenerates Ablations A and C at the scale
+// results_ablations.txt was recorded at (edgesim -ablation all -users 6
+// -horizon 5 -reps 1) and holds each table to the file's, line for line,
+// the elapsed-time line aside. It pins the lookahead windows' ratios
+// (window 1 is online-greedy) and Theorem 2's bound as RatioBound computes
+// it. The digits come out of float64 solves, so, like the schedule digests,
+// it runs on amd64 only.
+func TestAblationTablesMatchRecord(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the record is made on amd64; other targets fuse multiply-adds")
+	}
+	raw, err := os.ReadFile("../../results_ablations.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := map[string]string{}
+	for _, sec := range strings.Split(string(raw), "\n\n") {
+		var keep []string
+		for _, line := range strings.Split(strings.Trim(sec, "\n"), "\n") {
+			if !strings.HasPrefix(line, "   (Ablation ") {
+				keep = append(keep, line)
+			}
+		}
+		recorded[keep[0]] = strings.Join(keep, "\n")
+	}
+	p := Params{Users: 6, Horizon: 5, Reps: 1}
+	for _, name := range []string{"lookahead", "adversarial"} {
+		res, err := AblationByName(name, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		res.WriteTable(&b)
+		got := strings.TrimRight(b.String(), "\n")
+		head, _, _ := strings.Cut(got, "\n")
+		if want, ok := recorded[head]; !ok {
+			t.Errorf("%s: no table headed %q in the record", name, head)
+		} else if got != want {
+			t.Errorf("%s: table\n%s\nrecorded\n%s", name, got, want)
+		}
 	}
 }
