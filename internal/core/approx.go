@@ -497,7 +497,14 @@ func (o *OnlineApprox) StepCtx(ctx context.Context, t int) (model.Alloc, error) 
 		o.before = o.prev
 	}
 	o.prev = x
-	o.obj.carry(x)
+	if s != nil && s.support.fresh {
+		// The index lists the committed decision's nonzero entries: its
+		// totals are the grid's (supportIndex.cloudTotalsInto).
+		o.obj.prev = x.X
+		s.support.cloudTotalsInto(o.obj.prevTot)
+	} else {
+		o.obj.carry(x)
+	}
 	o.recordDuals(duals)
 	done := time.Now()
 

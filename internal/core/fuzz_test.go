@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"edgealloc/internal/conform"
+	"edgealloc/internal/model"
 )
 
 // This file holds the differential fuzz targets of the conformance
@@ -196,6 +197,62 @@ func FuzzIncrementalVsFull(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestIncrementalVsFullRegimes runs the incremental-vs-full comparison of
+// FuzzIncrementalVsFull, at its 1e-6 slot-gap bound, in the two generator
+// regimes that target's knobs never draw: WSq = 0, where every κ_j of the
+// freeze gate's candidate clouds is 0 and each attachment's lines are flat,
+// and Tight capacity, where binding capacity rows put ν > 0 into the gate's
+// per-cloud terms. Each regime runs 40 seeds, and each must gate frozen
+// users, under a binding row in the Tight regime.
+func TestIncrementalVsFullRegimes(t *testing.T) {
+	t.Parallel()
+	for _, r := range []struct {
+		name          string
+		zeroSq, tight bool
+	}{{"ZeroSq", true, false}, {"Tight", false, true}} {
+		gated, binding := 0, 0
+		for seed := int64(1); seed <= 40; seed++ {
+			in := conform.GenInstance(conform.GenConfig{Seed: 7919 * seed,
+				I: span(int(seed), 2, 4), J: span(int(seed/3), 1, 5), T: span(int(seed/2), 2, 3),
+				ZeroSq: r.zeroSq, Tight: r.tight})
+			churn := float64(span(int(37*seed), 0, 100)) / 100
+			withChurn(in, churn, rand.New(rand.NewSource(seed^0x5eed)))
+			full, incr := NewOnlineApprox(in, Options{Solver: ultraTightOpts()}), NewOnlineApprox(in, incrTightOpts())
+			for tt := 0; tt < in.T; tt++ {
+				prevX := append([]float64(nil), full.prev.X...)
+				xf, err := full.Step(tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				xi, err := incr.Step(tt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				obj := newP2Objective(in, tt, model.Alloc{I: in.I, J: in.J, X: prevX}, full.opts.Epsilon1, full.opts.Epsilon2)
+				ff, fi := obj.Eval(xf.X, nil), obj.Eval(xi.X, nil)
+				if d := math.Abs(fi-ff) / (1 + math.Abs(ff)); d > 1e-6 {
+					t.Errorf("%s seed %d slot %d (I=%d J=%d churn=%g): P2 objective rel gap %g > 1e-6",
+						r.name, seed, tt, in.I, in.J, churn, d)
+				}
+				if incr.LastStepDiag().FrozenUsers+incr.LastStepDiag().ReadmittedUsers > 0 {
+					gated++
+					for _, nu := range incr.duals[tt][in.J:] {
+						if nu > 0 {
+							binding++
+							break
+						}
+					}
+				}
+				recouple(incr, xf.X)
+			}
+		}
+		t.Logf("%s: %d gated slots, %d of them under a binding capacity row", r.name, gated, binding)
+		if gated < 20 || r.tight && binding < 10 {
+			t.Errorf("%s: %d gated slots, %d under a binding capacity row: the regime went unexercised", r.name, gated, binding)
+		}
+	}
 }
 
 // FuzzStructuredVsDenseRows pits the structured group-sum constraint

@@ -104,8 +104,9 @@ func smallRandomInstance(rng *rand.Rand) *model.Instance {
 // algorithms along one trajectory with it. Everything a commit derives from
 // the decision is derived again: the slot's log record (now the whole
 // copy, which the single program's spare grid must be levelled with in full),
-// the carried totals, and the columns the next touched-column repair still
-// owes a visit.
+// the carried totals, the columns the next touched-column repair still
+// owes a visit, and the incremental tier's support index, left stale for
+// the next slot that freezes users to rebuild.
 func recouple(alg *OnlineApprox, x []float64) {
 	in := alg.inst
 	alg.prev = model.Alloc{I: in.I, J: in.J, X: append([]float64(nil), x...)}
@@ -114,6 +115,7 @@ func recouple(alg *OnlineApprox, x []float64) {
 	alg.obj.carry(alg.prev)
 	if s := alg.single; s != nil {
 		s.grids.moved()
+		s.support.fresh = false
 		s.short = s.short[:0]
 		for j, served := range alg.prev.UserTotals() {
 			if in.Workload[j]-served > 0 {
