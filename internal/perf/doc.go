@@ -1,5 +1,7 @@
-// Package perf holds the micro-kernels: ten `go test -bench` benchmarks
-// (`make bench`; compare two runs with benchstat) and TestHotPathAllocs,
+// Package perf holds the micro-kernels: thirteen `go test -bench`
+// benchmarks (`make bench`; compare two runs with benchstat), three of
+// them FreezeGate's timings of the incremental tier's per-slot passes over
+// its frozen users one by one, and TestHotPathAllocs,
 // the tier-1 test that pins the allocs/op of every solver kernel but
 // ShardStep, whose parallel passes start goroutines, holds
 // IncrementalStep and ServeSlot — one slot through the serving daemon's
