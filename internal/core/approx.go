@@ -69,9 +69,9 @@ type Options struct {
 	// parameters (both default 1; Fig 4 sweeps them jointly).
 	Epsilon1, Epsilon2 float64
 	// Solver passes tolerances to the per-slot ALM solve. Zero values use
-	// the package defaults tuned for the experiments. Solver.Workers also
-	// bounds the intra-evaluation parallelism of P2's objective; results
-	// are byte-identical for any value.
+	// the package defaults tuned for the experiments. The single program
+	// evaluates serially; Solver.Workers is read only by the sharded slot
+	// (Shards), and results are byte-identical for any value.
 	Solver alm.Options
 	// denseRows switches P2's constraints to the generic sparse-row
 	// reference path (p2Constraints) instead of the structured group-sum
@@ -563,7 +563,6 @@ func (o *OnlineApprox) ensureInit(in *model.Instance) {
 		runtime.GC()
 	}
 	o.obj = newP2ObjectiveConst(in, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
-	o.obj.workers = o.opts.Solver.Workers
 	if o.opts.Shards > 0 {
 		o.initShard(in)
 	} else {

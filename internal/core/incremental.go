@@ -79,12 +79,13 @@ import (
 // gate's support test, and the commit's carried totals X'_i, which the
 // commit sums from the index after refreshing it on the columns the slot
 // wrote, O(J + support + I·written). The gate's column minima read a few
-// candidate clouds per user, listed once per round for each attachment in
-// use (candidateGate), O(J + I² + listed). The static coefficients are
-// bound as I price terms beside a per-pair service-quality term that only
-// re-attached columns recompute (p2Objective.bindStatic), and are read as
-// their sum where they are needed. No pass streams the I×J grid but the
-// index rebuild after a commit of every column or a restore. The decision
+// candidate clouds per user, listed at the top of each round for every
+// attachment (candidateGate), O(J + I² + listed). The static
+// coefficients are bound as I price terms beside a per-pair
+// service-quality term that only re-attached columns recompute
+// (p2Objective.bindStatic), and are read as their sum where they are
+// needed. No pass streams the I×J grid but the index rebuild after a
+// commit of every column or a restore. The decision
 // itself costs O(I·active): the slot assembles it in the spare of two
 // persistent grids after re-copying the columns the previous slot wrote
 // (gridPair.level), returns it as a view, and logs only the columns it
@@ -302,8 +303,8 @@ func (x *supportIndex) cloudTotalsInto(dst []float64) {
 // at a has g_ij = c_i + κ_j·d(a, i) up to rounding, with c_i = wa_i +
 // base_i and κ_j = WSq/λ_j, so its column minimum is the lower envelope of
 // I lines in one scalar evaluated at κ_j, and κ_j lies in [κLo, κHi], the
-// range over all users. Once per gate round and per attachment in use,
-// candidates lists the clouds whose line can come within the rounding
+// range over all users. At the top of each gate round, candidates lists
+// for every attachment the clouds whose line can come within the rounding
 // margin of that envelope anywhere on the range; min over the listed
 // clouds of the exact expression is then min over all I bit for bit,
 // since a minimum is exact and the order it is taken in cannot change it.
@@ -318,8 +319,6 @@ type candidateGate struct {
 
 	c     []float64 // the round's wa_i + base_i
 	scale float64   // the round's max_i |wa_i| + |base_i|
-	round int
-	stamp []int // round in which attachment a's list was built
 	// Attachment a's candidates are list[a·I : a·I+n[a]].
 	list []int32
 	n    []int
@@ -328,7 +327,7 @@ type candidateGate struct {
 func newCandidateGate(in *model.Instance) candidateGate {
 	g := candidateGate{wsq: in.WSq, lam: in.Workload, delay: in.InterDelay,
 		kappa: make([]float64, in.J), kLo: math.Inf(1), kHi: math.Inf(-1),
-		c: make([]float64, in.I), stamp: make([]int, in.I),
+		c:    make([]float64, in.I),
 		list: make([]int32, in.I*in.I), n: make([]int, in.I)}
 	for j, l := range in.Workload {
 		k := in.WSq / l
@@ -342,26 +341,22 @@ func newCandidateGate(in *model.Instance) candidateGate {
 	return g
 }
 
-// candidates lists the clouds of attachment a whose line can reach the
-// lower envelope on [κLo, κHi]. U = min(ℓ_lo, ℓ_hi) bounds the envelope
-// from above, ℓ_lo and ℓ_hi being the lowest lines at κLo and at κHi, and
-// cloud i is dropped when ℓ_i − U exceeds the margin M everywhere on the
-// range: then its g_ij exceeds g_lo,j or g_hi,j, which stay listed, at
-// every user's κ_j. ℓ_i − U = max(A, B) with A = ℓ_i − ℓ_lo and B = ℓ_i −
-// ℓ_hi linear in κ, and for every w in [0, 1] the line w·A + (1−w)·B lies
-// below it, so the smaller of its values at the two ends bounds max(A, B)
-// from below on the whole range. That bound needs only the lines' values
-// at κLo and κHi, and a w that is off costs tightness, never soundness; w
-// is taken where it is tight. M = 1e-9·(1 + max|wa_i|+|base_i| + max|κ|·
-// max d), some 10⁶ times the rounding of any of these sums; magnitudes
-// where it could not cover that list every cloud.
-func (g *candidateGate) candidates(a int) []int32 {
+// candidates lists into list[a·I : a·I+n[a]] the clouds of attachment a whose
+// line can reach the lower envelope on [κLo, κHi]. U = min(ℓ_lo, ℓ_hi) bounds
+// the envelope from above, ℓ_lo and ℓ_hi being the lowest lines at κLo and at
+// κHi, and cloud i is dropped when ℓ_i − U exceeds the margin M everywhere on
+// the range: then its g_ij exceeds g_lo,j or g_hi,j, which stay listed, at
+// every user's κ_j. ℓ_i − U = max(A, B) with A = ℓ_i − ℓ_lo and B = ℓ_i − ℓ_hi
+// linear in κ, and for every w in [0, 1] the line w·A + (1−w)·B lies below it,
+// so the smaller of its values at the two ends bounds max(A, B) from below on
+// the whole range. That bound needs only the lines' values at κLo and κHi, and
+// a w that is off costs tightness, never soundness; w is taken where it is
+// tight. M = 1e-9·(1 + max|wa_i|+|base_i| + max|κ|·max d), some 10⁶ times the
+// rounding of any of these sums; magnitudes where it could not cover that list
+// every cloud.
+func (g *candidateGate) candidates(a int) {
 	nI := len(g.c)
 	list := g.list[a*nI : a*nI : (a+1)*nI]
-	if g.stamp[a] == g.round {
-		return list[:g.n[a]]
-	}
-	g.stamp[a] = g.round
 	d := g.delay[a]
 	lo, hi, dMax := 0, 0, 0.0
 	pLo, qHi := g.c[0]+g.kLo*d[0], g.c[0]+g.kHi*d[0]
@@ -380,7 +375,7 @@ func (g *candidateGate) candidates(a int) []int32 {
 			list = append(list, int32(i))
 		}
 		g.n[a] = len(list)
-		return list
+		return
 	}
 	pHi, qLo := g.c[hi]+g.kLo*d[hi], g.c[lo]+g.kHi*d[lo]
 	span := (pHi - pLo) + (qLo - qHi)
@@ -399,7 +394,6 @@ func (g *candidateGate) candidates(a int) []int32 {
 		list = append(list, int32(i))
 	}
 	g.n[a] = len(list)
-	return list
 }
 
 // check is the freeze gate's per-column KKT test (see the file comment) on
@@ -414,11 +408,14 @@ func (g *candidateGate) candidates(a int) []int32 {
 // coefficient as wa_i + sq_ij, with sq_ij recomputed as attachSQ computes
 // it, for the attachment d.sqAttach[j] the bind left.
 func (g *candidateGate) check(d *p2Objective, x *supportIndex, active []bool, served, base []float64, tol float64, colMin []float64, viol []bool) {
-	g.round++
 	g.scale = 0
 	for i, w := range d.wa {
 		g.c[i] = w + base[i]
 		g.scale = max(g.scale, math.Abs(w)+math.Abs(base[i]))
+	}
+	nI := len(g.c)
+	for a := range nI {
+		g.candidates(a)
 	}
 	for j, act := range active {
 		if act {
@@ -432,7 +429,7 @@ func (g *candidateGate) check(d *p2Objective, x *supportIndex, active []bool, se
 				m = min(m, d.wa[i]+g.wsq*di/lam+base[i])
 			}
 		} else {
-			for _, i := range g.candidates(a) {
+			for _, i := range g.list[a*nI : a*nI+g.n[a]] {
 				m = min(m, d.wa[i]+g.wsq*dl[i]/lam+base[i])
 			}
 		}

@@ -258,13 +258,9 @@ func TestIncrementalConformAcrossChurn(t *testing.T) {
 }
 
 // TestIncrementalWorkersByteIdentical extends the determinism contract
-// to the incremental tier: with the gating grain forced down, the run
-// must be bitwise-identical for any Solver.Workers value.
+// to the incremental tier: the run must be bitwise-identical for any
+// Solver.Workers value.
 func TestIncrementalWorkersByteIdentical(t *testing.T) {
-	oldEval := evalParGrain
-	evalParGrain = 1
-	defer func() { evalParGrain = oldEval }()
-
 	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

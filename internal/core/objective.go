@@ -5,16 +5,7 @@ import (
 
 	"edgealloc/internal/model"
 	"edgealloc/internal/solver/alm"
-	"edgealloc/internal/solver/par"
 )
-
-// evalParGrain is the minimum number of variables per worker before
-// p2Objective.Eval goes parallel; tests shrink it to exercise the
-// parallel path on small instances. The objective costs several
-// transcendental calls per variable (log for the entropy terms, exp
-// inside the softplus), so a few thousand variables already amortize a
-// goroutine handoff.
-var evalParGrain = 4096
 
 // p2Objective is the one evaluator of P2's objective and gradient. Its
 // variables live in a cloud-major CSR layout: cloud i's variables occupy
@@ -40,10 +31,8 @@ var evalParGrain = 4096
 // consensus penalty (ρ/2)(X_i − target_i)² once a shard block's Solve has
 // set target.
 //
-// Cloud rows are independent, so Eval blocks them over a bounded worker
-// pool when workers > 1 and the program is large enough; per-row partial
-// values land in rowF and reduce in row order, keeping the result byte-
-// identical for any worker count.
+// Eval runs on the caller's goroutine and adds the cloud rows' values in
+// row order.
 type p2Objective struct {
 	nI, nJ int   // clouds, and users (columns) of the layout
 	rowPtr []int // len nI+1
@@ -77,9 +66,6 @@ type p2Objective struct {
 	target []float64
 
 	eps1, eps2 float64
-	workers    int
-
-	rowF []float64 // per-cloud partial objective values
 
 	// Fast-math tier (Options.FastMath): fast selects the batch-kernel
 	// evaluation path, invDen holds the reciprocals 1/(x'_{ij}+ε₂) and
@@ -95,10 +81,7 @@ var _ alm.Curvature = (*p2Objective)(nil)
 // newPackedObjective returns an objective awaiting a layout (gather, or
 // the fields of a BlockSpec followed by prepare).
 func newPackedObjective(nI int, eps1, eps2 float64, fast bool) p2Objective {
-	return p2Objective{
-		nI: nI, eps1: eps1, eps2: eps2, fast: fast,
-		rowF: make([]float64, nI),
-	}
+	return p2Objective{nI: nI, eps1: eps1, eps2: eps2, fast: fast}
 }
 
 // newP2ObjectiveConst builds the dense-layout objective and computes
@@ -283,27 +266,11 @@ func (o *p2Objective) addTotals(tot, x []float64) {
 
 // Eval implements fista.Objective.
 func (o *p2Objective) Eval(x, grad []float64) float64 {
-	if w := par.Bound(o.workers, len(x), evalParGrain); w <= 1 {
-		// Closure-free serial path: a closure handed to par.Ranges escapes
-		// (it may be launched on goroutines) and would cost one heap
-		// allocation per evaluation; TestHotPathAllocs pins a warm Step at
-		// the one decision it returns.
-		o.evalRows(x, grad, 0, o.nI)
-	} else {
-		par.Ranges(w, o.nI, func(lo, hi int) { o.evalRows(x, grad, lo, hi) })
-	}
 	f := 0.0
-	for _, v := range o.rowF {
-		f += v
+	for i := 0; i < o.nI; i++ {
+		f += o.evalRow(i, x, grad)
 	}
 	return f
-}
-
-// evalRows evaluates cloud rows [lo, hi) into rowF.
-func (o *p2Objective) evalRows(x, grad []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		o.rowF[i] = o.evalRow(i, x, grad)
-	}
 }
 
 // totalTerm returns cloud i's total term and its derivative at row sum s.

@@ -68,12 +68,11 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		base:      make([]float64, in.I),
 		restTot:   make([]float64, in.I),
 	}
-	sopts := o.opts.Solver
 	// Blocks solve serially inside: the parallelism is across blocks —
 	// their solves in the coordinator, and their slot preparation and
 	// pricing in solveShard — all dispatched by par.Each over
 	// Solver.Workers.
-	sopts.Workers = 0
+	sopts := o.opts.Solver
 	ifaces := make([]shard.Block, len(parts))
 	for si, rng := range parts {
 		nJ := rng.Len()

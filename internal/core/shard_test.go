@@ -80,8 +80,7 @@ func TestShardWithCandidatesMatchesDense(t *testing.T) {
 // dual feasibility, and every non-timing StepDiag counter must be
 // byte-identical for every Solver.Workers value (blocks write only their
 // own slots, reduced in shard index order afterwards) and, run to run,
-// for the same worker count. The block objectives solve with workers = 0,
-// so evalParGrain cannot reach this path and the test runs in parallel.
+// for the same worker count.
 func TestShardDeterministicForAnyWorkers(t *testing.T) {
 	t.Parallel()
 	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 6, Seed: 9})

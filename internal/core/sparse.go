@@ -137,7 +137,6 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 	}
 	s.buildRows(in, nil)
 	s.obj = newPackedObjective(in.I, o.opts.Epsilon1, o.opts.Epsilon2, o.opts.FastMath)
-	s.obj.workers = o.opts.Solver.Workers
 	s.obj.rcFac, s.obj.prevTot = o.obj.rcFac, o.obj.prevTot
 	s.grids.buf[0], s.grids.buf[1] = make([]float64, in.I*in.J), make([]float64, in.I*in.J)
 	if o.opts.Incremental {

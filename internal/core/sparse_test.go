@@ -318,13 +318,9 @@ func TestSparseForcedExpansion(t *testing.T) {
 }
 
 // TestSparseWorkersByteIdentical extends the determinism contract to the
-// ragged objective: with the gating grain forced down, the candidate-set
-// run must be bitwise-identical for any Solver.Workers value.
+// ragged objective: the candidate-set run must be bitwise-identical for
+// any Solver.Workers value.
 func TestSparseWorkersByteIdentical(t *testing.T) {
-	oldEval := evalParGrain
-	evalParGrain = 1
-	defer func() { evalParGrain = oldEval }()
-
 	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -119,15 +119,10 @@ func TestStructuredCertificateStillValid(t *testing.T) {
 	}
 }
 
-// TestStepWorkersByteIdentical pins the intra-evaluation parallelism
-// discipline at the algorithm level: with the gating grain forced down so
-// the objective rows actually fan out, the full online run must produce
+// TestStepWorkersByteIdentical pins that Solver.Workers reaches no bit
+// of the single program: the full online run must produce
 // bitwise-identical decisions and duals for any Solver.Workers value.
 func TestStepWorkersByteIdentical(t *testing.T) {
-	oldEval := evalParGrain
-	evalParGrain = 1
-	defer func() { evalParGrain = oldEval }()
-
 	in, _, err := scenario.Rome(scenario.Config{Users: 10, Horizon: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)

@@ -839,10 +839,8 @@ func TestCandidateGateMatchesGateColumn(t *testing.T) {
 			gate.check(d, &x, active, served, base, tol, colMin, viol)
 			d.gateColumns(wantMin, wantViol, supp, served, in.Workload, base, tol)
 			for a := 0; a < nI; a++ {
-				if gate.stamp[a] == gate.round {
-					kept += gate.n[a]
-					lists++
-				}
+				kept += gate.n[a]
+				lists++
 			}
 			for j := 0; j < nJ; j++ {
 				if active[j] {

@@ -88,13 +88,14 @@ func TestAblationByName(t *testing.T) {
 	}
 }
 
-// TestAblationTablesMatchRecord regenerates Ablations A and C at the scale
+// TestAblationTablesMatchRecord regenerates Ablations A, B and C at the scale
 // results_ablations.txt was recorded at (edgesim -ablation all -users 6
 // -horizon 5 -reps 1) and holds each table to the file's, line for line,
 // the elapsed-time line aside. It pins the lookahead windows' ratios
-// (window 1 is online-greedy) and Theorem 2's bound as RatioBound computes
-// it. The digits come out of float64 solves, so, like the schedule digests,
-// it runs on amd64 only.
+// (window 1 is online-greedy), the entropy and quadratic regularizers'
+// ratios and Theorem 2's bound as RatioBound computes it. The digits come
+// out of float64 solves, so, like the schedule digests, it runs on amd64
+// only.
 func TestAblationTablesMatchRecord(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the record is made on amd64; other targets fuse multiply-adds")
@@ -114,7 +115,7 @@ func TestAblationTablesMatchRecord(t *testing.T) {
 		recorded[keep[0]] = strings.Join(keep, "\n")
 	}
 	p := Params{Users: 6, Horizon: 5, Reps: 1}
-	for _, name := range []string{"lookahead", "adversarial"} {
+	for _, name := range []string{"lookahead", "regularizer", "adversarial"} {
 		res, err := AblationByName(name, p)
 		if err != nil {
 			t.Fatal(err)

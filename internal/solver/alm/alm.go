@@ -127,9 +127,9 @@ func (p *Problem) rowRHS(k int) float64 {
 // axInto writes every row activity A_k·x into ax. The sparse path
 // iterates nonzeros row by row (the reference semantics); the structured
 // path derives activities from once-per-call group totals.
-func (p *Problem) axInto(x, ax []float64, sc *groupScratch, workers int) {
+func (p *Problem) axInto(x, ax []float64, sc *groupScratch) {
 	if p.Groups != nil {
-		p.Groups.axInto(x, ax, sc, workers)
+		p.Groups.axInto(x, ax, sc)
 		return
 	}
 	for k, c := range p.Cons {
@@ -143,9 +143,9 @@ func (p *Problem) axInto(x, ax []float64, sc *groupScratch, workers int) {
 
 // addGrad writes grad = src − Σ_k mult[k]·A_k, skipping zero multipliers;
 // src may be grad itself.
-func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch, workers int) {
+func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch) {
 	if p.Groups != nil {
-		p.Groups.addGrad(mult, src, grad, sc, workers)
+		p.Groups.addGrad(mult, src, grad, sc)
 		return
 	}
 	copy(grad, src)
@@ -186,11 +186,9 @@ type Options struct {
 	WarmX []float64
 	// WarmDuals optionally seeds the multipliers (copied, not retained).
 	WarmDuals []float64
-	// Workers bounds the goroutines used inside a single Lagrangian
-	// evaluation when the problem supplies structured Groups rows (0 or 1
-	// = serial). Parallelism is threshold-gated on problem size, chunks
-	// are a pure function of the inputs, and partial results reduce in
-	// index order, so results are byte-identical for any value.
+	// Workers is not read by Solve, which evaluates serially. It rides
+	// along for core's sharded slot, which solves its blocks on up to
+	// Workers goroutines (core.Options.Shards).
 	Workers int
 	// Workspace optionally supplies reusable scratch buffers so repeated
 	// solves of same-shaped problems (the per-slot P2 programs of a
@@ -470,7 +468,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 
 	res := &ws.res
 	*res = Result{}
-	ws.lag = lagrangian{p: p, y: y, rho: rho, ws: ws, workers: opts.Workers}
+	ws.lag = lagrangian{p: p, y: y, rho: rho, ws: ws}
 	lag := &ws.lag
 	// The inner solver is a property of the program, not a setting: see
 	// the package comment and newton.go.
@@ -515,7 +513,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			x, moved = inner.X, inner.Iters > fista.StagnantLimit
 			// The point FISTA returns need not be the last one it evaluated.
 			res.Objective = p.Obj.Eval(x, nil)
-			p.axInto(x, ws.axI, &ws.gs, opts.Workers)
+			p.axInto(x, ws.axI, &ws.gs)
 		}
 
 		// Multiplier update with the three progress measures: the violation,
@@ -623,12 +621,11 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 // penalizes the iterate's kept values under the new y and ρ instead of
 // evaluating it again.
 type lagrangian struct {
-	p       *Problem
-	y       []float64
-	rho     float64
-	ws      *Workspace
-	workers int
-	obj     float64 // f(x) of the last evaluation, without the penalty terms
+	p   *Problem
+	y   []float64
+	rho float64
+	ws  *Workspace
+	obj float64 // f(x) of the last evaluation, without the penalty terms
 }
 
 var _ fista.Objective = (*lagrangian)(nil)
@@ -644,7 +641,7 @@ func (l *lagrangian) eval(x, src, grad []float64) float64 {
 	if grad != nil {
 		l.ws.res.Evals++
 	}
-	l.p.axInto(x, l.ws.ax, &l.ws.gs, l.workers)
+	l.p.axInto(x, l.ws.ax, &l.ws.gs)
 	return l.penalize(f, l.ws.ax, src, grad)
 }
 
@@ -665,7 +662,7 @@ func (l *lagrangian) penalize(f float64, ax, src, grad []float64) float64 {
 		}
 	}
 	if grad != nil {
-		l.p.addGrad(mult, src, grad, &l.ws.gs, l.workers)
+		l.p.addGrad(mult, src, grad, &l.ws.gs)
 	}
 	return f
 }

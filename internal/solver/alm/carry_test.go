@@ -31,8 +31,8 @@ func (c pollCtx) Err() error { return c.poll() }
 // point it was taken at, whose A·x the update read (nil otherwise). When
 // the multipliers did not move, the inner solve's gradient nt.g must be ∇L
 // at the iterate under y and ρ.
-func checkIterate(p *Problem, ws *Workspace, workers int, yPrev, from []float64) error {
-	fresh := lagrangian{p: p, y: ws.y, rho: ws.lag.rho, ws: workspaceFor(p), workers: workers}
+func checkIterate(p *Problem, ws *Workspace, yPrev, from []float64) error {
+	fresh := lagrangian{p: p, y: ws.y, rho: ws.lag.rho, ws: workspaceFor(p)}
 	src, grad := make([]float64, p.N), make([]float64, p.N)
 	fresh.eval(ws.x, src, grad)
 	if err := sameBits("kept f", []float64{ws.res.Objective}, []float64{fresh.obj}); err != nil {
@@ -48,7 +48,7 @@ func checkIterate(p *Problem, ws *Workspace, workers int, yPrev, from []float64)
 		second, read := from != nil, fresh.ws.ax
 		if second {
 			read = make([]float64, len(yPrev))
-			p.axInto(from, read, &fresh.ws.gs, workers)
+			p.axInto(from, read, &fresh.ws.gs)
 		}
 		want := make([]float64, len(yPrev))
 		for k, a := range read {
@@ -82,12 +82,8 @@ func sameBits(what string, got, want []float64) error {
 // unreachable stationarity, whose inner solves end on a failed fallback
 // arc — on some of them after evaluating a trial, so that the last
 // evaluation before a warm entry is not the iterate's; the test requires
-// that to happen. The kernels fan out (parGrain 1) at Workers 4.
+// that to happen.
 func TestNewtonCarriesTheIterate(t *testing.T) {
-	old := parGrain
-	parGrain = 1
-	defer func() { parGrain = old }()
-
 	type program struct {
 		name string
 		p    *Problem
@@ -117,47 +113,45 @@ func TestNewtonCarriesTheIterate(t *testing.T) {
 
 	checks, afterRejected := 0, 0
 	for _, pr := range programs {
-		for _, workers := range []int{1, 4} {
-			var ws Workspace
-			var bad error
-			var yPrev []float64
-			var stepsPrev int
-			last := &lastPoint{Curvature: pr.p.Obj.(Curvature)}
-			traced := *pr.p
-			traced.Obj = last
-			opts := pr.opts
-			opts.Workers, opts.Workspace = workers, &ws
-			opts.Ctx = pollCtx{context.Background(), func() error {
-				if bad != nil {
-					return nil
-				}
-				if ws.res.Outer > 0 { // the first evaluation is made
-					checks++
-					if sameBits("", ws.x, last.x) != nil {
-						afterRejected++
-					}
-					var from []float64
-					if ws.res.DualSteps > stepsPrev {
-						from = last.curv
-					}
-					bad = checkIterate(pr.p, &ws, workers, yPrev, from)
-				}
-				yPrev = append(yPrev[:0], ws.y...)
-				stepsPrev = ws.res.DualSteps
-				return nil
-			}}
-			res, err := Solve(&traced, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Newton {
-				t.Fatalf("%s: not solved by Newton", pr.name)
-			}
+		var ws Workspace
+		var bad error
+		var yPrev []float64
+		var stepsPrev int
+		last := &lastPoint{Curvature: pr.p.Obj.(Curvature)}
+		traced := *pr.p
+		traced.Obj = last
+		opts := pr.opts
+		opts.Workspace = &ws
+		opts.Ctx = pollCtx{context.Background(), func() error {
 			if bad != nil {
-				t.Fatalf("%s, Workers %d: %v", pr.name, workers, bad)
+				return nil
 			}
-			checkReadAtX(t, pr.name, pr.p, res)
+			if ws.res.Outer > 0 { // the first evaluation is made
+				checks++
+				if sameBits("", ws.x, last.x) != nil {
+					afterRejected++
+				}
+				var from []float64
+				if ws.res.DualSteps > stepsPrev {
+					from = last.curv
+				}
+				bad = checkIterate(pr.p, &ws, yPrev, from)
+			}
+			yPrev = append(yPrev[:0], ws.y...)
+			stepsPrev = ws.res.DualSteps
+			return nil
+		}}
+		res, err := Solve(&traced, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if !res.Newton {
+			t.Fatalf("%s: not solved by Newton", pr.name)
+		}
+		if bad != nil {
+			t.Fatalf("%s: %v", pr.name, bad)
+		}
+		checkReadAtX(t, pr.name, pr.p, res)
 	}
 	if afterRejected == 0 {
 		t.Errorf("%d checks, none after an inner solve ended on a rejected trial", checks)
@@ -201,12 +195,9 @@ func sameResult(got, want Result) error {
 
 // TestAddGradFromSource holds the gradient pass with ∇f in its own buffer
 // to the in-place pass bit for bit, signed zeros included, on full and
-// pruned grids, with and without demand rows, serial and fanned out: every
-// entry of grad is written, and by the operation the in-place pass makes.
+// pruned grids, with and without demand rows: every entry of grad is
+// written, and by the operation the in-place pass makes.
 func TestAddGradFromSource(t *testing.T) {
-	old := parGrain
-	parGrain = 1
-	defer func() { parGrain = old }()
 	rng := rand.New(rand.NewSource(61))
 	for trial := 0; trial < 100; trial++ {
 		g := randomGrid(rng, trial%2 == 1)
@@ -232,24 +223,22 @@ func TestAddGradFromSource(t *testing.T) {
 		for k := range mult {
 			mult[k] = 2 * rng.Float64() * float64(rng.Intn(2))
 		}
-		for _, workers := range []int{1, 4} {
-			p := &Problem{N: n, Groups: g}
-			ws := workspaceFor(p)
-			want := append([]float64(nil), src...)
-			g.addGrad(mult, want, want, &ws.gs, workers)
-			got := make([]float64, n)
-			for k := range got {
-				got[k] = math.NaN()
+		p := &Problem{N: n, Groups: g}
+		ws := workspaceFor(p)
+		want := append([]float64(nil), src...)
+		g.addGrad(mult, want, want, &ws.gs)
+		got := make([]float64, n)
+		for k := range got {
+			got[k] = math.NaN()
+		}
+		before := append([]float64(nil), src...)
+		g.addGrad(mult, src, got, &ws.gs)
+		for k := range want {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("trial %d: grad[%d] = %v from its own source, %v in place", trial, k, got[k], want[k])
 			}
-			before := append([]float64(nil), src...)
-			g.addGrad(mult, src, got, &ws.gs, workers)
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("trial %d, Workers %d: grad[%d] = %v from its own source, %v in place", trial, workers, k, got[k], want[k])
-				}
-				if math.Float64bits(src[k]) != math.Float64bits(before[k]) {
-					t.Fatalf("trial %d, Workers %d: src[%d] written", trial, workers, k)
-				}
+			if math.Float64bits(src[k]) != math.Float64bits(before[k]) {
+				t.Fatalf("trial %d: src[%d] written", trial, k)
 			}
 		}
 	}

@@ -109,7 +109,7 @@ func classifySteps(t *testing.T, p *Problem, opts Options) stepLog {
 			if lg.innerAtFirst < 0 {
 				lg.innerAtFirst = ws.res.InnerIters
 			}
-			p.axInto(last.curv, ax, &scratch.gs, 0)
+			p.axInto(last.curv, ax, &scratch.gs)
 			same := true
 			for k, a := range ax {
 				yFO := math.Max(0, yPrev[k]+ws.lag.rho*(p.rowRHS(k)-a))

@@ -1,7 +1,5 @@
 package alm
 
-import "edgealloc/internal/solver/par"
-
 // This file implements the structured group-sum constraint kernel. Every
 // constraint row the solvers build is a *group sum* over a cloud-major CSR
 // grid of (cloud row, user) pairs:
@@ -19,9 +17,8 @@ import "edgealloc/internal/solver/par"
 // rows is fused into a single O(nnz) pass using per-cloud and per-user
 // multiplier aggregates.
 //
-// The heavy passes are threshold-gated parallel (see internal/solver/par)
-// with per-slot result buffers reduced in index order, so results are
-// byte-identical for any Options.Workers value.
+// Both passes run serially on the caller's goroutine: the per-slot
+// programs stay far below the size at which a fan-out pays.
 
 // GroupKind enumerates the structured row shapes over the grid.
 type GroupKind uint8
@@ -75,8 +72,8 @@ type Groups struct {
 	RowPtr []int
 	Cols   []int
 
-	// hasUser is set during validation and skips the user-total pass when
-	// no demand row is present.
+	// hasUser is set during validation; addGrad skips the user
+	// multipliers when no demand row is present.
 	hasUser bool
 }
 
@@ -128,11 +125,6 @@ func (g *Groups) validate(n int) error {
 	return nil
 }
 
-// parGrain is the minimum number of grid variables per worker before the
-// structured kernels go parallel; below it goroutine startup dominates.
-// Overridable by tests to exercise the parallel paths on small problems.
-var parGrain = 16384
-
 // groupScratch holds the per-evaluation aggregates of the structured
 // kernel, sized once per workspace.
 type groupScratch struct {
@@ -155,53 +147,24 @@ func (sc *groupScratch) ensure(g *Groups) {
 	sc.userTot, sc.du = sc.userTot[:g.J], sc.du[:g.J]
 }
 
-// rowTotals fills sc.cloudTot for cloud rows [lo, hi). Named (not a
-// closure) so the serial path allocates nothing; the parallel path wraps
-// it in a closure whose one allocation is amortized by the fan-out.
-func (g *Groups) rowTotals(x []float64, sc *groupScratch, lo, hi int) {
-	for r := lo; r < hi; r++ {
+// axInto writes every row activity A_k·x into ax from once-per-call
+// totals: O(nnz) plus O(1) per row. The cloud and user totals read the
+// same variables, so one sweep per cloud row fills both; each user total
+// accumulates its column in ascending cloud-row order.
+func (g *Groups) axInto(x, ax []float64, sc *groupScratch) {
+	ut := sc.userTot
+	clear(ut)
+	for r := 0; r < g.I; r++ {
+		lo, hi := g.RowPtr[r], g.RowPtr[r+1]
+		cols, row := g.Cols[lo:hi], x[lo:hi]
+		row = row[:len(cols)]
 		s := 0.0
-		for _, v := range x[g.RowPtr[r]:g.RowPtr[r+1]] {
+		for k, j := range cols {
+			v := row[k]
 			s += v
+			ut[j] += v
 		}
 		sc.cloudTot[r] = s
-	}
-}
-
-// axInto writes every row activity A_k·x into ax from once-per-call
-// totals: O(nnz) plus O(1) per row. Each user total accumulates its
-// column in ascending cloud-row order on either branch, so the bits do not
-// depend on the worker count.
-func (g *Groups) axInto(x, ax []float64, sc *groupScratch, workers int) {
-	ut := sc.userTot
-	if w := par.Bound(workers, len(x), parGrain); w > 1 {
-		// Cloud rows fan out; the user scatter stays serial, because
-		// columns of different cloud rows collide.
-		par.Ranges(w, g.I, func(lo, hi int) { g.rowTotals(x, sc, lo, hi) })
-		if g.hasUser {
-			clear(ut)
-			for k, j := range g.Cols {
-				ut[j] += x[k]
-			}
-		}
-	} else if g.hasUser {
-		// Serial fused pass: the cloud and user totals read the same
-		// variables, so one sweep per cloud row fills both.
-		clear(ut)
-		for r := 0; r < g.I; r++ {
-			lo, hi := g.RowPtr[r], g.RowPtr[r+1]
-			cols, row := g.Cols[lo:hi], x[lo:hi]
-			row = row[:len(cols)]
-			s := 0.0
-			for k, j := range cols {
-				v := row[k]
-				s += v
-				ut[j] += v
-			}
-			sc.cloudTot[r] = s
-		}
-	} else {
-		g.rowTotals(x, sc, 0, g.I)
 	}
 	for k, r := range g.Rows {
 		if r.Kind == GroupUserSum {
@@ -215,7 +178,7 @@ func (g *Groups) axInto(x, ax []float64, sc *groupScratch, workers int) {
 // addGrad writes grad = src − Σ_k mult[k]·A_k in one fused O(nnz) pass:
 // packed variable k of cloud row i receives src[k] + dcap[i] − du[Cols[k]].
 // src may be grad itself.
-func (g *Groups) addGrad(mult, src, grad []float64, sc *groupScratch, workers int) {
+func (g *Groups) addGrad(mult, src, grad []float64, sc *groupScratch) {
 	clear(sc.du)
 	clear(sc.dcap)
 	for k, r := range g.Rows {
@@ -229,20 +192,10 @@ func (g *Groups) addGrad(mult, src, grad []float64, sc *groupScratch, workers in
 			sc.dcap[r.Index] += m
 		}
 	}
-	if w := par.Bound(workers, len(grad), parGrain); w <= 1 {
-		g.rowGrad(src, grad, sc, 0, g.I)
-	} else {
-		par.Ranges(w, g.I, func(lo, hi int) { g.rowGrad(src, grad, sc, lo, hi) })
-	}
-}
-
-// rowGrad applies the fused gradient pass to cloud rows [lo, hi); named
-// so the serial path allocates nothing. Each branch is the operation an
-// in-place update would make, so src = grad and src ≠ grad give the same
-// bits.
-func (g *Groups) rowGrad(src, grad []float64, sc *groupScratch, lo, hi int) {
+	// Each case below is the operation an in-place update would make, so
+	// src = grad and src ≠ grad give the same bits.
 	du := sc.du
-	for r := lo; r < hi; r++ {
+	for r := 0; r < g.I; r++ {
 		rowAdd := sc.dcap[r]
 		cols := g.Cols[g.RowPtr[r]:g.RowPtr[r+1]]
 		gi := grad[g.RowPtr[r]:g.RowPtr[r+1]]

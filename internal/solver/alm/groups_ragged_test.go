@@ -94,9 +94,9 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 		for k := range yBig {
 			yBig[k] = 1e6 * (1 + rng.Float64())
 		}
-		big.axInto(xBig, ws.ax, &ws.gs, 1)
+		big.axInto(xBig, ws.ax, &ws.gs)
 		gBig := make([]float64, nBig)
-		big.addGrad(yBig, gBig, gBig, &ws.gs, 1)
+		big.addGrad(yBig, gBig, gBig, &ws.gs)
 
 		wide, compact := sparseUsers(rng, randomGrid(rng, true))
 		n := wide.RowPtr[wide.I]
@@ -116,9 +116,9 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 			}
 			ws.ensure(n, len(g.Rows))
 			ws.gs.ensure(g)
-			g.axInto(x, ws.ax, &ws.gs, 1)
+			g.axInto(x, ws.ax, &ws.gs)
 			grad = make([]float64, n)
-			g.addGrad(mult, grad, grad, &ws.gs, 1)
+			g.addGrad(mult, grad, grad, &ws.gs)
 			return append([]float64(nil), ws.ax...), grad
 		}
 		axW, gradW := eval(wide)

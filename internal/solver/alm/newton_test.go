@@ -158,7 +158,7 @@ func checkReadAtX(t *testing.T, solver string, p *Problem, r *Result) {
 		t.Errorf("%s: Objective %.17g, f(X) = %.17g", solver, r.Objective, f)
 	}
 	ws := workspaceFor(p)
-	p.axInto(r.X, ws.ax, &ws.gs, 0)
+	p.axInto(r.X, ws.ax, &ws.gs)
 	viol := 0.0
 	for k, a := range ws.ax {
 		rhs := p.rowRHS(k)
@@ -296,7 +296,7 @@ func lagrangianAt(p *Problem, x, y []float64, rho float64) float64 {
 func kktResidual(p *Problem, r Result) float64 {
 	g := make([]float64, p.N)
 	p.Obj.Eval(r.X, g)
-	p.addGrad(r.Duals, g, g, &workspaceFor(p).gs, 0)
+	p.addGrad(r.Duals, g, g, &workspaceFor(p).gs)
 	res := 0.0
 	for k, v := range g {
 		if v > 0 {

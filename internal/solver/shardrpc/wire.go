@@ -35,9 +35,9 @@ import (
 
 // SolverOptions is the serializable subset of alm.Options a worker needs
 // to reproduce a block solve bit-for-bit: the scalar budget and
-// tolerances. Warm state travels separately (BlockSpec.Warm/Theta), and
-// Workers stays 0 on both sides — shard blocks always solve serially
-// inside, parallelism is across shards.
+// tolerances. Warm state travels separately (BlockSpec.Warm/Theta).
+// Workers does not travel: alm.Solve never reads it, and the parallelism
+// is across shards.
 type SolverOptions struct {
 	MaxOuter      int     `json:"maxOuter"`
 	InnerIters    int     `json:"innerIters"`
