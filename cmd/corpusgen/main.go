@@ -1,36 +1,27 @@
-// Command corpusgen regenerates the committed fuzz seed-corpus files, in
-// the `go test fuzz v1` corpus format: real encoded instances (toy,
-// generated, and Rome-derived) for FuzzInstanceDecode, the float64
-// boundary operands for the fast-math differential fuzz
-// FuzzFastMathVsStdlib, the decomposition boundary tuples for the
-// sharded-path differential fuzz FuzzShardVsDense, and genuine session
-// snapshots at several depths for FuzzSnapshotRoundTrip.
+// Command corpusgen regenerates committed fuzz seed-corpus files, in the
+// `go test fuzz v1` corpus format: the float64 boundary operands for the
+// fast-math differential fuzz FuzzFastMathVsStdlib, the decomposition
+// boundary tuples for the sharded-path differential fuzz FuzzShardVsDense,
+// the churn boundaries for FuzzIncrementalVsFull and the wire-codec
+// boundaries for FuzzShardRPCCodec. The instance and snapshot corpora are
+// regenerated and checked by the TestSeedCorpusCurrent tests of
+// internal/model and internal/serve.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"math"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 
-	"edgealloc/internal/conform"
-	"edgealloc/internal/model"
-	"edgealloc/internal/scenario"
-	"edgealloc/internal/serve"
 	"edgealloc/internal/solver/shardrpc"
 )
 
 func main() {
-	writeInstanceCorpus()
 	writeFastMathCorpus()
 	writeShardCorpus()
 	writeIncrementalCorpus()
-	writeSnapshotCorpus()
 	writeShardRPCCorpus()
 }
 
@@ -77,113 +68,6 @@ func writeShardRPCCorpus() {
 		"seed-truncated": []byte(`{"id":"x","ni":2,"nj":`),
 	}
 	for name, body := range seeds {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("corpus written to", dir)
-}
-
-// writeSnapshotCorpus pins the session-snapshot codec boundaries for
-// FuzzSnapshotRoundTrip: genuine snapshots taken from an in-process
-// daemon at depth 0 (created, never advanced: header only), mid-horizon
-// (records with warm duals and a partial dual record), and full horizon
-// (done; the last record carries the conformance summary), over both a
-// Rome-derived and a generator instance, plus near-valid documents that
-// must be rejected cleanly (a version-1 JSON document, a wrong version,
-// an id that escapes the directory, a torn last record and a flipped
-// checksum byte — both fatal in a request body).
-func writeSnapshotCorpus() {
-	dir := filepath.Join("internal", "serve", "testdata", "fuzz", "FuzzSnapshotRoundTrip")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	srv := serve.New(serve.Config{})
-	defer srv.Close()
-	call := func(path string, body []byte) []byte {
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
-		if rec.Code >= 300 {
-			log.Fatalf("POST %s: status %d: %s", path, rec.Code, rec.Body)
-		}
-		return rec.Body.Bytes()
-	}
-	rome, _, err := scenario.Rome(scenario.Config{Users: 3, Horizon: 3, Seed: 5})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gen := conform.GenInstance(conform.GenConfig{Seed: 21, I: 3, J: 4, T: 4})
-	seeds := map[string][]byte{}
-	for _, d := range []struct {
-		name  string
-		in    *model.Instance
-		slots int
-	}{
-		{"seed-rome-fresh", rome, 0},
-		{"seed-rome-mid", rome, 2},
-		{"seed-rome-done", rome, rome.T},
-		{"seed-gen-mid", gen, 3},
-	} {
-		var inst bytes.Buffer
-		if err := model.WriteInstance(&inst, d.in); err != nil {
-			log.Fatalf("%s: %v", d.name, err)
-		}
-		create, _ := json.Marshal(map[string]any{"id": d.name, "instance": json.RawMessage(inst.Bytes())})
-		call("/v1/sessions", create)
-		for t := 0; t < d.slots; t++ {
-			call("/v1/sessions/"+d.name+"/slots", []byte(`{}`))
-		}
-		seeds[d.name] = call("/v1/sessions/"+d.name+"/snapshot", nil)
-	}
-	mid := seeds["seed-rome-mid"]
-	flipped := bytes.Clone(mid)
-	flipped[len(flipped)-1] ^= 0x01
-	seeds["seed-torn-tail"] = mid[:len(mid)-7]
-	seeds["seed-bad-checksum"] = flipped
-	seeds["seed-v1-document"] = []byte(`{"version":1,"id":"x","instance":{"I":1,"J":1,"T":1},"state":{"slot":0,"schedule":[]}}`)
-	seeds["seed-bad-version"] = bytes.Replace(mid, []byte(`"version":3`), []byte(`"version":2`), 1)
-	seeds["seed-path-escape"] = bytes.Replace(mid, []byte(`"id":"seed-rome-mid"`), []byte(`"id":"../escape"`), 1)
-	for name, body := range seeds {
-		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("corpus written to", dir)
-}
-
-func writeInstanceCorpus() {
-	dir := filepath.Join("internal", "model", "testdata", "fuzz", "FuzzInstanceDecode")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	rome, _, err := scenario.Rome(scenario.Config{Users: 4, Horizon: 3, Seed: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	seeds := map[string]*model.Instance{
-		"seed-toy":       model.ToyExampleA(),
-		"seed-rome":      rome,
-		"seed-generated": conform.GenInstance(conform.GenConfig{Seed: 99, I: 4, J: 5, T: 3, Tight: true}),
-	}
-	for name, in := range seeds {
-		var buf bytes.Buffer
-		if err := model.WriteInstance(&buf, in); err != nil {
-			log.Fatalf("%s: %v", name, err)
-		}
-		body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", buf.String())
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	// Adversarial fragments: near-valid JSON that must be rejected cleanly.
-	adversarial := map[string]string{
-		"seed-unknown-field": `{"I":1,"J":1,"T":1,"Bogus":3}`,
-		"seed-huge-number":   `{"I":1,"J":1,"T":1,"Workload":[1e308],"Capacity":[1e308]}`,
-		"seed-negative-dims": `{"I":-1,"J":-1,"T":-1}`,
-	}
-	for name, body := range adversarial {
 		content := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", body)
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
 			log.Fatal(err)

@@ -2,7 +2,6 @@ package geo
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -86,42 +85,5 @@ func TestInterpolate(t *testing.T) {
 	}
 	if p := Interpolate(a, b, 9); p != b {
 		t.Errorf("clamped high = %+v, want b", p)
-	}
-}
-
-// TestSitesNearestMatchesScan requires the prepared search to return, bit
-// for bit, what a scan measuring every site in kilometres returns: the
-// first site strictly closest, over city-scale random points, points on a
-// site, and site lists with repeated and mirrored sites that tie.
-func TestSitesNearestMatchesScan(t *testing.T) {
-	scan := func(p Point, sites []Point) (int, float64) {
-		best, bestD := -1, math.Inf(1)
-		for i, s := range sites {
-			if d := DistanceKm(p, s); d < bestD {
-				best, bestD = i, d
-			}
-		}
-		return best, bestD
-	}
-	rng := rand.New(rand.NewSource(11))
-	near := func() Point {
-		return Point{Lat: 41.9 + 0.1*rng.NormFloat64(), Lon: 12.5 + 0.1*rng.NormFloat64()}
-	}
-	sites := make([]Point, 40)
-	for i := range sites {
-		sites[i] = near()
-	}
-	sites = append(sites, sites[3], sites[17], Point{Lat: 2*41.9 - sites[5].Lat, Lon: sites[5].Lon})
-	points := append([]Point{sites[3], sites[17], {Lat: 41.9, Lon: sites[5].Lon}, paris}, sites...)
-	for k := 0; k < 20000; k++ {
-		points = append(points, near())
-	}
-	prepared := NewSites(sites)
-	for _, p := range points {
-		i, d := prepared.Nearest(p)
-		wi, wd := scan(p, sites)
-		if i != wi || math.Float64bits(d) != math.Float64bits(wd) {
-			t.Fatalf("Nearest(%v) = (%d, %v), the scan finds (%d, %v)", p, i, d, wi, wd)
-		}
 	}
 }

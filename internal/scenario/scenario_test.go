@@ -126,3 +126,13 @@ func TestCapacityFollowsAttachmentFrequency(t *testing.T) {
 			in.Capacity[iMax], in.Capacity[iMin])
 	}
 }
+
+// BenchmarkRomeDay builds the benchmark's 1,024-slot Rome day: 60 taxis
+// attached each slot to the nearest of the 15 station clouds.
+func BenchmarkRomeDay(b *testing.B) {
+	for n := 0; n < b.N; n++ {
+		if _, _, err := Rome(Config{Users: 60, Horizon: 1024, Seed: 20140212}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

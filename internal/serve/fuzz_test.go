@@ -35,7 +35,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Cleanup(func() { _ = srv.Close() })
 
 	// Seed with real snapshots at several depths, including the
-	// never-advanced slot-0 edge (corpusgen commits richer variants
+	// never-advanced slot-0 edge (TestSeedCorpusCurrent pins richer variants
 	// under testdata/fuzz).
 	in, _, err := scenario.Rome(scenario.Config{Users: 3, Horizon: 3, Seed: 5})
 	if err != nil {
