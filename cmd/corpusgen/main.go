@@ -1,11 +1,11 @@
 // Command corpusgen regenerates committed fuzz seed-corpus files, in the
 // `go test fuzz v1` corpus format: the float64 boundary operands for the
 // fast-math differential fuzz FuzzFastMathVsStdlib, the decomposition
-// boundary tuples for the sharded-path differential fuzz FuzzShardVsDense,
-// the churn boundaries for FuzzIncrementalVsFull and the wire-codec
-// boundaries for FuzzShardRPCCodec. The instance and snapshot corpora are
-// regenerated and checked by the TestSeedCorpusCurrent tests of
-// internal/model and internal/serve.
+// boundary tuples for the sharded-path differential fuzz FuzzShardVsDense
+// and the wire-codec boundaries for FuzzShardRPCCodec. The instance,
+// snapshot and incremental-churn corpora are regenerated and checked by
+// the TestSeedCorpusCurrent tests of internal/model, internal/serve and
+// internal/core.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 func main() {
 	writeFastMathCorpus()
 	writeShardCorpus()
-	writeIncrementalCorpus()
 	writeShardRPCCorpus()
 }
 
@@ -94,36 +93,6 @@ func writeShardCorpus() {
 		"seed-single-user":    {97, 4, 1, 2, 2},
 		"seed-single-slot":    {7, 3, 5, 1, 3},
 		"seed-mid-split":      {20140212, 4, 5, 3, 2},
-	}
-	for name, v := range seeds {
-		body := fmt.Sprintf("go test fuzz v1\nint64(%d)\nint(%d)\nint(%d)\nint(%d)\nint(%d)\n",
-			v[0], v[1], v[2], v[3], v[4])
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-	fmt.Println("corpus written to", dir)
-}
-
-// writeIncrementalCorpus pins the churn boundaries of the incremental
-// tier's differential fuzz FuzzIncrementalVsFull: 0% churn (everyone
-// frozen — the soundness gate alone keeps the result honest under price
-// drift), 100% churn (nothing freezes; the tier must degenerate to the
-// plain candidate path), the single-user corner where one re-admission
-// flips the whole program, a mid-churn multi-slot instance, and the
-// tight-capacity regime where frozen flow dominates the residual RHS.
-// Each file is (seed, I, J, T, churn%) in the generator-clamp encoding.
-func writeIncrementalCorpus() {
-	dir := filepath.Join("internal", "core", "testdata", "fuzz", "FuzzIncrementalVsFull")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	seeds := map[string][5]int64{
-		"seed-zero-churn":  {41, 3, 4, 3, 0},
-		"seed-full-churn":  {11, 2, 5, 3, 100},
-		"seed-single-user": {97, 4, 1, 3, 50},
-		"seed-mid-churn":   {7, 3, 5, 3, 35},
-		"seed-tight-cap":   {20140212, 4, 5, 2, 20},
 	}
 	for name, v := range seeds {
 		body := fmt.Sprintf("go test fuzz v1\nint64(%d)\nint(%d)\nint(%d)\nint(%d)\nint(%d)\n",

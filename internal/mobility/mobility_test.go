@@ -2,8 +2,10 @@ package mobility
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"edgealloc/internal/geo"
@@ -161,6 +163,99 @@ func TestTaxiTraceProperties(t *testing.T) {
 	}
 	if nonzero < len(sites)/2 {
 		t.Errorf("only %d of %d clouds ever attached", nonzero, len(sites))
+	}
+}
+
+// taxiSerial is Taxi as one loop: each slot's walk and then its lookups,
+// user by user, on the calling goroutine. TestTaxiMatchesSerial holds the
+// pipelined Taxi to it.
+func taxiSerial(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) (*Trace, error) {
+	pos, advance, err := taxiWalk(cfg, sites, rng)
+	if err != nil {
+		return nil, err
+	}
+	near := geo.NewSites(sites)
+	tr := &Trace{T: cfg.Horizon, J: cfg.Users}
+	for t := 0; t < cfg.Horizon; t++ {
+		att := make([]int, cfg.Users)
+		acc := make([]float64, cfg.Users)
+		for j := 0; j < cfg.Users; j++ {
+			if t > 0 {
+				advance(j)
+			}
+			att[j], acc[j] = near.Nearest(pos[j])
+		}
+		tr.Attach = append(tr.Attach, att)
+		tr.AccessKm = append(tr.AccessKm, acc)
+	}
+	return tr, nil
+}
+
+// TestTaxiMatchesSerial requires Taxi's pipelined trace to be the serial
+// loop's bit for bit, and the random stream to be left where the serial
+// loop leaves it, on one P and on two: horizons on either side of every
+// chunk edge, the Rome stations and a single site, and a speed at which
+// every taxi reaches its waypoint every slot, so waypoint draws interleave
+// with the jitter draws.
+func TestTaxiMatchesSerial(t *testing.T) {
+	rome := StationPoints()
+	one := []geo.Point{rome[8]}
+	type sitesCase struct {
+		name   string
+		pts    []geo.Point
+		spread float64
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, sc := range []sitesCase{{"rome", rome, 0}, {"single", one, 3}} {
+				for _, users := range []int{1, 7, 60, 300} {
+					for _, horizon := range []int{1, taxiChunkSlots - 1, taxiChunkSlots, taxiChunkSlots + 1, 1024} {
+						for _, speed := range []float64{0, 100} {
+							for _, seed := range []int64{1, 20140212} {
+								if users*horizon > 60*1024 && (seed != 1 || speed != 0) {
+									continue
+								}
+								cfg := TaxiConfig{Users: users, Horizon: horizon, SpeedKmPerSlot: speed, SpreadKm: sc.spread}
+								name := fmt.Sprintf("procs=%d/%s/users=%d/horizon=%d/speed=%g/seed=%d",
+									procs, sc.name, users, horizon, speed, seed)
+								rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+								got, err := Taxi(cfg, sc.pts, rngA)
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								want, err := taxiSerial(cfg, sc.pts, rngB)
+								if err != nil {
+									t.Fatalf("%s: %v", name, err)
+								}
+								tracesEqual(t, name, got, want)
+								if a, b := rngA.Int63(), rngB.Int63(); a != b {
+									t.Errorf("%s: the random stream continues at %d, want %d", name, a, b)
+								}
+							}
+						}
+					}
+				}
+			}
+		}()
+	}
+}
+
+// tracesEqual reports the first entry where two traces differ in any bit.
+func tracesEqual(t *testing.T, name string, got, want *Trace) {
+	t.Helper()
+	if got.T != want.T || got.J != want.J || len(got.Attach) != want.T || len(got.AccessKm) != want.T {
+		t.Fatalf("%s: shape %dx%d (%d, %d rows), want %dx%d", name,
+			got.T, got.J, len(got.Attach), len(got.AccessKm), want.T, want.J)
+	}
+	for s := range want.Attach {
+		for j := range want.Attach[s] {
+			a, d := got.Attach[s][j], got.AccessKm[s][j]
+			if a != want.Attach[s][j] || math.Float64bits(d) != math.Float64bits(want.AccessKm[s][j]) {
+				t.Fatalf("%s: slot %d user %d attaches to %d at %v km, want %d at %v km", name,
+					s, j, a, d, want.Attach[s][j], want.AccessKm[s][j])
+			}
+		}
 	}
 }
 

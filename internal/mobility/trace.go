@@ -169,9 +169,121 @@ type TaxiConfig struct {
 // attaches to the nearest station. The churn this produces is moderate —
 // a few percent of taxis switch clouds per minute — which is the property
 // of the real dataset that drives the paper's dynamics (DESIGN.md §3).
+//
+// The walk (every random draw, the remaining-trip distance and the step)
+// runs on the calling goroutine in slot and user order. Every
+// taxiChunkSlots slots it hands that chunk's positions to one helper
+// goroutine, which looks up each position's nearest station and writes
+// Attach[t][j] and AccessKm[t][j]. When all taxiRing chunk buffers are in
+// flight the walker looks up a pending chunk itself instead of waiting,
+// and after the last slot both drain what is left. A lookup reads only
+// its own position and the immutable sites and writes only its own
+// entry, so the trace is the serial loop's bit for bit whoever performs
+// it and in whatever order. The ring bounds the positions held at once to
+// taxiRing·min(taxiChunkSlots, Horizon)·Users points, 16 bytes each.
 func Taxi(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) (*Trace, error) {
+	pos, advance, err := taxiWalk(cfg, sites, rng)
+	if err != nil {
+		return nil, err
+	}
+	near := geo.NewSites(sites)
+	users := cfg.Users
+	tr := &Trace{T: cfg.Horizon, J: users,
+		Attach: make([][]int, cfg.Horizon), AccessKm: make([][]float64, cfg.Horizon)}
+	look := func(c *taxiChunk) {
+		for k, att := range c.att {
+			acc := c.acc[k]
+			for j, p := range c.pos[k*users : (k+1)*users] {
+				att[j], acc[j] = near.Nearest(p)
+			}
+		}
+	}
+
+	// Each channel can hold every buffer there is, so no send blocks.
+	free, full := make(chan *taxiChunk, taxiRing), make(chan *taxiChunk, taxiRing)
+	done := make(chan struct{})
+	go func() {
+		for c := range full {
+			look(c)
+			free <- c
+		}
+		close(done)
+	}()
+	made := 0
+	take := func() *taxiChunk {
+		select {
+		case c := <-free:
+			return c
+		default:
+		}
+		if made < taxiRing {
+			made++
+			return &taxiChunk{pos: make([]geo.Point, 0, min(taxiChunkSlots, cfg.Horizon)*users)}
+		}
+		// Every buffer is in flight: look one up here rather than wait.
+		select {
+		case c := <-free:
+			return c
+		case c := <-full:
+			look(c)
+			return c
+		}
+	}
+
+	var c *taxiChunk
+	t0 := 0
+	for t := 0; t < cfg.Horizon; t++ {
+		if c == nil {
+			c, t0 = take(), t
+			c.pos = c.pos[:0]
+		}
+		if t > 0 {
+			for j := range users {
+				advance(j)
+			}
+		}
+		c.pos = append(c.pos, pos...)
+		if len(c.pos) < cap(c.pos) && t < cfg.Horizon-1 {
+			continue
+		}
+		for s := t0; s <= t; s++ {
+			tr.Attach[s] = make([]int, users)
+			tr.AccessKm[s] = make([]float64, users)
+		}
+		c.att, c.acc = tr.Attach[t0:t+1], tr.AccessKm[t0:t+1]
+		full <- c
+		c = nil
+	}
+	close(full)
+	for c := range full {
+		look(c)
+	}
+	<-done
+	return tr, nil
+}
+
+// The pipeline's constants: slots per hand-off and chunk buffers in
+// flight, one of them possibly the walker's own.
+const (
+	taxiChunkSlots = 32
+	taxiRing       = 4
+)
+
+// taxiChunk is one hand-off: the positions of consecutive slots, slot
+// major, and the rows their lookups fill.
+type taxiChunk struct {
+	pos []geo.Point
+	att [][]int
+	acc [][]float64
+}
+
+// taxiWalk validates cfg, frames the city around the sites and places
+// every taxi at its start with its first waypoint. It returns the taxis'
+// positions and advance, which moves taxi j through one slot; every draw
+// comes from rng.
+func taxiWalk(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) ([]geo.Point, func(j int), error) {
 	if cfg.Users <= 0 || cfg.Horizon <= 0 || len(sites) == 0 {
-		return nil, fmt.Errorf("%w: users=%d horizon=%d sites=%d",
+		return nil, nil, fmt.Errorf("%w: users=%d horizon=%d sites=%d",
 			ErrBadTraceConfig, cfg.Users, cfg.Horizon, len(sites))
 	}
 	speed := cfg.SpeedKmPerSlot
@@ -227,34 +339,21 @@ func Taxi(cfg TaxiConfig, sites []geo.Point, rng *rand.Rand) (*Trace, error) {
 		dst[j] = randomPoint()
 	}
 
-	near := geo.NewSites(sites)
-	tr := &Trace{T: cfg.Horizon, J: cfg.Users}
-	for t := 0; t < cfg.Horizon; t++ {
-		att := make([]int, cfg.Users)
-		acc := make([]float64, cfg.Users)
-		for j := 0; j < cfg.Users; j++ {
-			if t > 0 {
-				remain := geo.DistanceKm(pos[j], dst[j])
-				// Per-slot speed jitter: ±30%.
-				step := speed * (1 + 0.3*rng.NormFloat64())
-				if step < 0 {
-					step = 0
-				}
-				if remain <= step {
-					pos[j] = dst[j]
-					dst[j] = randomPoint()
-				} else {
-					pos[j] = geo.Interpolate(pos[j], dst[j], step/remain)
-				}
-			}
-			idx, d := near.Nearest(pos[j])
-			att[j] = idx
-			acc[j] = d
+	advance := func(j int) {
+		remain := geo.DistanceKm(pos[j], dst[j])
+		// Per-slot speed jitter: ±30%.
+		step := speed * (1 + 0.3*rng.NormFloat64())
+		if step < 0 {
+			step = 0
 		}
-		tr.Attach = append(tr.Attach, att)
-		tr.AccessKm = append(tr.AccessKm, acc)
+		if remain <= step {
+			pos[j] = dst[j]
+			dst[j] = randomPoint()
+		} else {
+			pos[j] = geo.Interpolate(pos[j], dst[j], step/remain)
+		}
 	}
-	return tr, nil
+	return pos, advance, nil
 }
 
 func cosDeg(deg float64) float64 {
