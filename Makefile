@@ -49,12 +49,9 @@ bench-module:
 # The experiment engine runs (case, rep, algorithm) units on a worker
 # pool; every test runs under the race detector to keep it honest. The
 # detector slows the solver-heavy packages 10-25x (internal/core takes
-# ~6 min on a 2-vCPU container — ~15 s plain — with its eleven slowest
-# tests under t.Parallel(); what is left is mostly the FISTA reference
-# runs the property tests compare against: the structured paths they check
-# solve with the Newton inner solver and finish in a fraction of that), so
-# give each package far more than the 10m default before go test declares
-# a hang.
+# ~8 min on a 2-vCPU container — ~20 s plain — with its eleven slowest
+# tests under t.Parallel()), so give each package far more than the 10m
+# default before go test declares a hang.
 race:
 	$(GO) test -race -timeout 60m ./...
 

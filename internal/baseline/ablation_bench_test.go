@@ -82,12 +82,9 @@ func BenchmarkAtomisticTransportVsALM(b *testing.B) {
 			}
 			return f
 		})
-		cons := slotConstraints(in)
+		g := slotGroups(in, 1)
 		for n := 0; n < b.N; n++ {
-			_, err := alm.Solve(&alm.Problem{
-				Obj: obj, N: in.I * in.J,
-				Cons: cons,
-			}, alm.Options{MaxOuter: 60, InnerIters: 600, FeasTol: 1e-6, Penalty: 2})
+			_, err := alm.Solve(&alm.Problem{Obj: obj, N: in.I * in.J, Groups: g}, alm.Options{MaxOuter: 60, InnerIters: 600, FeasTol: 1e-6, Penalty: 2})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -110,29 +107,4 @@ func BenchmarkGreedySlot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// slotConstraints is the generic sparse-row form of one slot block of
-// slotGroups.
-func slotConstraints(in *model.Instance) []alm.Constraint {
-	cons := make([]alm.Constraint, 0, in.J+in.I)
-	for j := 0; j < in.J; j++ {
-		idx := make([]int, in.I)
-		coef := make([]float64, in.I)
-		for i := 0; i < in.I; i++ {
-			idx[i] = i*in.J + j
-			coef[i] = 1
-		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: in.Workload[j]})
-	}
-	for i := 0; i < in.I; i++ {
-		idx := make([]int, in.J)
-		coef := make([]float64, in.J)
-		for j := 0; j < in.J; j++ {
-			idx[j] = i*in.J + j
-			coef[j] = -1
-		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: -in.Capacity[i]})
-	}
-	return cons
 }

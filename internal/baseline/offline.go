@@ -152,8 +152,7 @@ func (st *offlineState) solve(mus []float64, sopts alm.Options, duals []float64)
 // and the offline program over `slots` consecutive slot-major I×J
 // blocks: the full CSR grid of slots·I cloud rows over slots·J users,
 // and per slot its demand rows Σ_i x_ij ≥ λ_j then its capacity rows
-// Σ_j x_ij ≤ C_i (as −Σ_j x_ij ≥ −C_i for the GE-only ALM interface),
-// matching the benchmarks' sparse-row slotConstraints.
+// Σ_j x_ij ≤ C_i (as −Σ_j x_ij ≥ −C_i for the GE-only ALM interface).
 func slotGroups(in *model.Instance, slots int) *alm.Groups {
 	nI, nJ := slots*in.I, slots*in.J
 	g := &alm.Groups{I: nI, J: nJ, Rows: make([]alm.GroupRow, 0, nJ+nI),

@@ -33,10 +33,7 @@ func BenchmarkP2SlotWarmStart(b *testing.B) {
 	prev := alg.prev.Clone()
 	duals := append([]float64(nil), alg.duals[0]...)
 	obj := newP2Objective(in, 1, prev, 1, 1)
-	prob := &alm.Problem{
-		Obj: obj, N: in.I * in.J,
-		Cons: p2Constraints(in),
-	}
+	prob := &alm.Problem{Obj: obj, N: in.I * in.J, Groups: denseP2Groups(in)}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		res, err := alm.Solve(prob, alm.Options{
@@ -60,10 +57,7 @@ func BenchmarkP2SlotColdStart(b *testing.B) {
 	}
 	prev := alg.prev.Clone()
 	obj := newP2Objective(in, 1, prev, 1, 1)
-	prob := &alm.Problem{
-		Obj: obj, N: in.I * in.J,
-		Cons: p2Constraints(in),
-	}
+	prob := &alm.Problem{Obj: obj, N: in.I * in.J, Groups: denseP2Groups(in)}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		res, err := alm.Solve(prob, alm.Options{
@@ -90,6 +84,26 @@ func BenchmarkP2SlotEpsilon(b *testing.B) {
 			}
 		})
 	}
+}
+
+// denseP2Groups is P2's rows over the dense I×J grid: demand for every
+// user, then capacity for every cloud — the single program's rows
+// (singleState.buildRows) with every user active and every pair kept.
+func denseP2Groups(in *model.Instance) *alm.Groups {
+	g := &alm.Groups{I: in.I, J: in.J, RowPtr: make([]int, in.I+1), Cols: make([]int, 0, in.I*in.J)}
+	for i := 0; i < in.I; i++ {
+		for j := 0; j < in.J; j++ {
+			g.Cols = append(g.Cols, j)
+		}
+		g.RowPtr[i+1] = len(g.Cols)
+	}
+	for j, l := range in.Workload {
+		g.Rows = append(g.Rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: j, RHS: l})
+	}
+	for i, c := range in.Capacity {
+		g.Rows = append(g.Rows, alm.GroupRow{Kind: alm.GroupCloudSumNeg, Index: i, RHS: -c})
+	}
+	return g
 }
 
 func formatEps(eps float64) string {

@@ -18,14 +18,17 @@
 // (Theorem 2).
 //
 // The rows it is solved under are demand Σ_i x_ij ≥ λ_j and explicit
-// capacity Σ_j x_ij ≤ C_i (p2Constraints). The paper prints demand plus
-// the complement-capacity rows Σ_{k≠i} X_k ≥ (Λ − C_i)⁺ instead; those
-// alone do not keep the optimum within capacity (DESIGN.md §3b), and once
-// the capacity rows are present they are implied, so the single program
-// does not carry them. The ALM solver returns the multipliers θ', ν' of
-// the demand and capacity rows, and the dual record keeps them as
-// [θ | ν]: the paper's ρ' is zero, the point the certificate
-// (certificate.go) constructs as well.
+// capacity Σ_j x_ij ≤ C_i (singleState.buildRows). The paper prints demand
+// plus the complement-capacity rows Σ_{k≠i} X_k ≥ (Λ − C_i)⁺ instead;
+// those alone do not keep the optimum within capacity (DESIGN.md §3b:
+// when one cloud is much cheaper than the rest, the literal optimum
+// over-serves demand, parks the complement-row padding on other clouds
+// and pushes the cheap cloud beyond C_i), and once the capacity rows are
+// present they are implied (summing the demand rows and capacity row i
+// gives complement row i), so the single program does not carry them. The
+// ALM solver returns the multipliers θ', ν' of the demand and capacity
+// rows, and the dual record keeps them as [θ | ν]: the paper's ρ' is zero,
+// the point the certificate (certificate.go) constructs as well.
 //
 // P2 is one program and the package evaluates it through one type:
 // p2Objective (objective.go) over a cloud-major CSR layout, whose per-row
@@ -73,14 +76,6 @@ type Options struct {
 	// evaluates serially; Solver.Workers is read only by the sharded slot
 	// (Shards), and results are byte-identical for any value.
 	Solver alm.Options
-	// denseRows switches P2's constraints to the generic sparse-row
-	// reference path (p2Constraints) instead of the structured group-sum
-	// kernel (singleState.buildRows): O(I²·J) per Lagrangian evaluation
-	// versus O(I·J). Its rows index the full layout with every user
-	// active, so it is meaningful with Candidates, Incremental and Shards
-	// off only. Unexported: only this package's structured-vs-dense
-	// property tests set it.
-	denseRows bool
 	// Candidates > 0 enables the certified candidate-set solving path:
 	// each slot, user j's variables are restricted to its Candidates
 	// nearest clouds (by inter-cloud delay from the slot's attachment)
@@ -322,10 +317,10 @@ type StepDiag struct {
 	CertifySeconds float64 `json:",omitempty"`
 	CommitSeconds  float64 `json:",omitempty"`
 	// Outer and Inner are the ALM multiplier updates and inner-solver
-	// iterations (projected Newton steps; FISTA iterations on denseRows)
-	// spent on the slot, summed over candidate expansion rounds; on the
-	// sharded path they sum the block solves (the coordinator's consensus
-	// step is closed-form and iterates nothing).
+	// iterations (projected Newton steps) spent on the slot, summed over
+	// candidate expansion rounds; on the sharded path they sum the block
+	// solves (the coordinator's consensus step is closed-form and iterates
+	// nothing).
 	Outer, Inner int
 	// Evals counts the gradient evaluations of the same solves
 	// (alm.Result.Evals), summed the same way, except that a shard block
@@ -382,8 +377,7 @@ type StepDiag struct {
 	// at the returned point under the final multipliers, relative to 1+|L|
 	// (alm.Result.ProjGrad). A converged solve has it within the solver's
 	// FeasTol; at the outer or inner cap it says how far short the slot
-	// fell. Zero, and omitted from JSON, where Stop and Residual are, and on
-	// the sparse-row reference path, whose FISTA inner solve measures none.
+	// fell. Zero, and omitted from JSON, where Stop and Residual are.
 	Stationarity float64 `json:",omitempty"`
 }
 
@@ -632,45 +626,6 @@ func (o *OnlineApprox) Solve(in *model.Instance) (model.Schedule, error) {
 // one [θ (J) | ν (I)] row per slot. The returned slices alias
 // internal state and must not be modified.
 func (o *OnlineApprox) Duals() [][]float64 { return o.duals }
-
-// p2Constraints builds the rows the single program solves under: demand
-// Σ_i x_ij ≥ λ_j for every user, then explicit capacity Σ_j x_ij ≤ C_i for
-// every cloud. It is the generic sparse-row reference of
-// singleState.buildRows (Options.denseRows).
-//
-// The paper's P2 enforces capacity through the complement rows
-// Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ instead, and Theorem 1 claims they keep
-// the optimum within capacity. That claim has a gap — when one cloud is
-// much cheaper than the rest, the literal optimum over-serves demand,
-// parks the complement-row padding on other clouds, and pushes the cheap
-// cloud beyond C_i (DESIGN.md §3b). The explicit rows restore the
-// evidently intended feasibility, and with them the complement rows are
-// implied (summing the demand rows and capacity row i gives complement row
-// i), so the program carries demand + capacity only; the literal rows
-// survive as the test-only p2ComplementRows.
-func p2Constraints(in *model.Instance) []alm.Constraint {
-	nI, nJ := in.I, in.J
-	cons := make([]alm.Constraint, 0, nJ+nI)
-	for j := 0; j < nJ; j++ {
-		idx := make([]int, nI)
-		coef := make([]float64, nI)
-		for i := 0; i < nI; i++ {
-			idx[i] = i*nJ + j
-			coef[i] = 1
-		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: in.Workload[j]})
-	}
-	for i := 0; i < nI; i++ {
-		idx := make([]int, nJ)
-		coef := make([]float64, nJ)
-		for j := 0; j < nJ; j++ {
-			idx[j] = i*nJ + j
-			coef[j] = -1
-		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: -in.Capacity[i]})
-	}
-	return cons
-}
 
 // allZero reports whether every entry of v is zero.
 func allZero(v []float64) bool {

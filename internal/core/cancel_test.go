@@ -12,8 +12,7 @@ import (
 
 // countdownCtx is a context whose Err flips to context.Canceled after n
 // polls. alm.Solve polls Err once per outer and once per inner iteration
-// (a projected Newton step here; a FISTA iteration on the denseRows
-// reference), so the flip lands at an exact, reproducible point mid-solve —
+// (a projected Newton step here), so the flip lands at an exact, reproducible point mid-solve —
 // no timing races.
 type countdownCtx struct {
 	calls, n int

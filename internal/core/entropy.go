@@ -13,38 +13,25 @@ import (
 //
 // Two tiers:
 //
-//   - The exact tier (entropyRowValue / entropyRowGrad) is the default:
+//   - The exact tier (entropyRowGrad) is the default:
 //     one divide and one math.Log per variable, skipped where the iterate
 //     equals the previous decision (exact, and most pairs: see evalRow).
 //     The order of its floating-point operations is what the golden
 //     schedule digests record.
 //
 //   - The fast tier (entropyRatioPass + numkernel.LogBatch +
-//     entropyFastValue / entropyFastGrad, behind Options.FastMath)
+//     entropyFastGrad, behind Options.FastMath)
 //     replaces the per-element branch, divide and log call
 //     with two branch-free passes around one batch log: pass one fuses
 //     the row sum with gathering ratio[k] = (x_k+ε₂)·invDen[k] (invDen
 //     precomputed by p2Objective.prepare from the fixed x'), the batch kernel
 //     logs the whole row in place, and pass two accumulates the
-//     objective (and gradient) from the logs. Each operation is within
+//     objective and gradient from the logs. Each operation is within
 //     1e-12 relative of the exact tier; end-to-end cost agreement is
 //     pinned to 1e-8 by the property tests in fastmath_test.go.
-
-// entropyRowValue runs the value-only static+migration pass over one
-// cloud row, returning the row sum s and the accumulated objective terms f.
-func entropyRowValue(row, coef, prev, mgFac []float64, eps2 float64) (s, f float64) {
-	for j, v := range row {
-		s += v
-		f += coef[j] * v
-		num, den := v+eps2, prev[j]+eps2
-		var lg2 float64
-		if num != den {
-			lg2 = math.Log(num / den)
-		}
-		f += mgFac[j] * (num*lg2 - v)
-	}
-	return s, f
-}
+//
+// Every kernel writes the gradient: no solve asks P2 for a value alone, and
+// p2Objective.Eval serves such a request through these loops.
 
 // entropyRowGrad runs the gradient pass over one cloud row: f continues
 // the caller's accumulator (seeded with the total term, so the addition
@@ -76,16 +63,6 @@ func entropyRatioPass(row, invDen, ratio []float64, eps2 float64) float64 {
 		ratio[j] = (v + eps2) * invDen[j]
 	}
 	return s
-}
-
-// entropyFastValue accumulates the static and migration terms from the
-// batch-computed logs lg2.
-func entropyFastValue(row, coef, mgFac, lg2 []float64, eps2 float64) float64 {
-	f := 0.0
-	for j, v := range row {
-		f += coef[j]*v + mgFac[j]*((v+eps2)*lg2[j]-v)
-	}
-	return f
 }
 
 // entropyFastGrad accumulates the static and migration terms from the

@@ -33,11 +33,16 @@ func span(v, lo, hi int) int {
 // FuzzOnlineStep runs the full online algorithm on a generated instance
 // and holds the result to every guarantee the oracle knows: Theorem-1
 // feasibility, the Lemma-1 gap identity and bound, dual-certificate
-// validity (Lemma 2), weak duality, and the Theorem-2 ratio.
+// validity (Lemma 2), weak duality, and the Theorem-2 ratio — and every
+// slot to P2's own KKT system (checkKKT), which is what the structured row
+// kernel and the Newton solver must produce.
 func FuzzOnlineStep(f *testing.F) {
 	f.Add(int64(1), 3, 4, 3, false, false)
 	f.Add(int64(7), 2, 1, 1, true, false)
 	f.Add(int64(20140212), 6, 8, 4, false, true)
+	f.Add(int64(13), 3, 4, 2, false, false)
+	f.Add(int64(5), 2, 1, 3, false, false)
+	f.Add(int64(77), 4, 5, 1, false, false)
 	f.Fuzz(func(t *testing.T, seed int64, nI, nJ, nT int, tight, zeroSq bool) {
 		in := conform.GenInstance(conform.GenConfig{
 			Seed: seed, I: nI, J: nJ, T: nT, Tight: tight, ZeroSq: zeroSq})
@@ -46,6 +51,7 @@ func FuzzOnlineStep(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkKKT(t, "run", alg, sched)
 		cert, err := alg.Certificate()
 		if err != nil {
 			t.Fatal(err)
@@ -255,9 +261,11 @@ func TestIncrementalVsFullRegimes(t *testing.T) {
 	}
 }
 
-// FuzzStructuredVsDenseRows pits the structured group-sum constraint
-// kernel against the generic sparse-row reference path on the same
-// slot-coupled criterion (1e-6 under fuzzing, as above).
+// FuzzStructuredVsDenseRows holds the structured group-sum row kernel,
+// under the ultra-tight solver options, to P2's KKT system written out
+// over the instance's dense row sums (checkKKT) on every slot of a run.
+// FuzzOnlineStep runs the same inputs under the tests' tight options and
+// the full oracle.
 func FuzzStructuredVsDenseRows(f *testing.F) {
 	f.Add(int64(13), 3, 4, 2)
 	f.Add(int64(5), 2, 1, 3)
@@ -265,15 +273,12 @@ func FuzzStructuredVsDenseRows(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, nI, nJ, nT int) {
 		in := conform.GenInstance(conform.GenConfig{
 			Seed: seed, I: span(nI, 2, 4), J: span(nJ, 1, 5), T: span(nT, 1, 3)})
-		ultra := ultraTightOpts()
-		gaps := coupledPathGaps(t, in,
-			Options{denseRows: true, Solver: ultra}, Options{Solver: ultra})
-		for tt, d := range gaps {
-			if d > 1e-6 {
-				t.Errorf("slot %d (I=%d J=%d): P2 objective rel gap %g > 1e-6",
-					tt, in.I, in.J, d)
-			}
+		alg := NewOnlineApprox(in, Options{Solver: ultraTightOpts()})
+		sched, err := alg.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
+		checkKKT(t, fmt.Sprintf("I=%d J=%d T=%d", in.I, in.J, in.T), alg, sched)
 	})
 }
 

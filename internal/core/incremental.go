@@ -95,11 +95,10 @@ import (
 // buildRows recomputes the active list, the frozen per-cloud flow (from
 // the support index, rebuilt from the carried decision prev where stale),
 // and the program's structured rows from the
-// current activity flags: demand Σ_i x_ij ≥ λ_j for every active user and
-// capacity Σ_j x_ij ≤ C_i for every cloud (see p2Constraints, whose row
-// order this mirrors: the program's dual layout is θ' then ν', with frozen
-// demand rows deleted). Frozen flow moves to the right-hand sides; with
-// everyone active they are p2Constraints' exactly.
+// current activity flags: demand Σ_i x_ij ≥ λ_j for every active user,
+// then capacity Σ_j x_ij ≤ C_i for every cloud, so the program's dual
+// layout is θ' then ν' with frozen demand rows deleted. Frozen flow moves
+// to the right-hand sides.
 //
 // The paper's complement rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ are not
 // emitted: they are implied (DESIGN.md §3b finding 4). Summing the active

@@ -135,10 +135,10 @@ func coupledPathGaps(t *testing.T, in *model.Instance, ref, alt Options) []float
 	return gaps
 }
 
-// TestMetamorphicFastPathsAgree holds every fast path to the certified
-// 1e-8 slot-coupled agreement on *transformed* instances: aggressive
-// candidate pruning (Candidates = 1) against the dense solve, and the
-// structured group-sum kernel against the generic dense-row reference.
+// TestMetamorphicFastPathsAgree holds the fast paths on *transformed*
+// instances: aggressive candidate pruning (Candidates = 1) to the certified
+// 1e-8 slot-coupled agreement with the dense solve, and the structured
+// group-sum kernel's every slot to P2's KKT system (checkKKT).
 func TestMetamorphicFastPathsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(305))
 	base := smallRandomInstance(rng)
@@ -162,14 +162,12 @@ func TestMetamorphicFastPathsAgree(t *testing.T) {
 					t.Errorf("candidate path slot %d: P2 rel gap %g > 1e-8", tt, d)
 				}
 			}
-			ultra := ultraTightOpts()
-			gaps := coupledPathGaps(t, tr.in,
-				Options{denseRows: true, Solver: ultra}, Options{Solver: ultra})
-			for tt, d := range gaps {
-				if d > 1e-8 {
-					t.Errorf("structured kernel slot %d: P2 rel gap %g > 1e-8", tt, d)
-				}
+			alg := NewOnlineApprox(tr.in, Options{Solver: ultraTightOpts()})
+			sched, err := alg.Run()
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkKKT(t, "structured kernel", alg, sched)
 		})
 	}
 }

@@ -112,9 +112,8 @@ func TestP2CurvatureMatchesGradientDifferences(t *testing.T) {
 // TestStructuredPathsSolveWithNewton pins which inner solver every solve
 // path reaches: each OnlineApprox program over structured rows — default,
 // Candidates, Incremental, Shards in process and on shardrpc workers, exact
-// and FastMath — is solved by the projected Newton method, and FISTA is
-// left with the sparse-row reference (Options.denseRows). The selection is
-// alm.Solve's, from the program's structure; no option here chooses it.
+// and FastMath — is solved by the projected Newton method. The selection is
+// alm.Solve's, from the objective's curvature; no option here chooses it.
 func TestStructuredPathsSolveWithNewton(t *testing.T) {
 	in := goldenInstance(t)
 	host := NewShardHost()
@@ -126,7 +125,6 @@ func TestStructuredPathsSolveWithNewton(t *testing.T) {
 		newton bool
 	}{
 		{"default", Options{}, true},
-		{"DenseRows", Options{denseRows: true}, false},
 		{"Candidates", Options{Candidates: 3}, true},
 		{"FastMath", Options{FastMath: true}, true},
 		{"Incremental", Options{Incremental: true}, true},
@@ -188,8 +186,7 @@ func TestStructuredPathsSolveWithNewton(t *testing.T) {
 // P2's Hessian loses its diagonal — every migration price zero, so mgFac
 // is zero everywhere — and one cloud its reconfiguration term. The Newton
 // system is then singular but for its damping; the solves must still
-// converge, and land on the sparse-row FISTA reference's P2 optimum slot by
-// slot.
+// converge, and every slot must meet P2's KKT system (checkKKT).
 func TestNoMigrationCurvatureMatchesReference(t *testing.T) {
 	in, _, err := scenario.Rome(scenario.Config{Users: 12, Horizon: 4, Seed: 3})
 	if err != nil {
@@ -199,26 +196,14 @@ func TestNoMigrationCurvatureMatchesReference(t *testing.T) {
 		in.MigOutPrice[i], in.MigInPrice[i] = 0, 0
 	}
 	in.ReconfPrice[2] = 0
-	ref := NewOnlineApprox(in, Options{Solver: tightOpts(), denseRows: true})
 	alg := NewOnlineApprox(in, Options{Solver: tightOpts()})
 	for tt := 0; tt < in.T; tt++ {
-		prevX := append([]float64(nil), alg.prev.X...)
-		x, err := alg.Step(tt)
-		if err != nil {
+		if _, err := alg.Step(tt); err != nil {
 			t.Fatal(err)
 		}
 		if d := alg.LastStepDiag(); !d.Converged || d.Stationarity > 1e-9 {
 			t.Errorf("slot %d: converged %v (%v), stationarity %g", tt, d.Converged, d.Stop, d.Stationarity)
 		}
-		xr, err := ref.Step(tt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		obj := newP2Objective(in, tt, model.Alloc{I: in.I, J: in.J, X: prevX}, 1, 1)
-		f, fr := obj.Eval(x.X, nil), obj.Eval(xr.X, nil)
-		if math.Abs(f-fr) > 1e-7*(1+math.Abs(fr)) {
-			t.Errorf("slot %d: P2 objective %.12g, reference %.12g", tt, f, fr)
-		}
-		recouple(ref, x.X)
 	}
+	t.Logf("KKT residual %+v", checkKKT(t, "no migration", alg, alg.Schedule()))
 }

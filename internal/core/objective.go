@@ -14,8 +14,8 @@ import (
 // Every solve path is this type under a different layout:
 //
 //   - the dense layout (rowPtr[i] = i·J, no gather) holds the slot's data
-//     every other layout gathers from, and is evaluated only as the
-//     tests' reference (newP2Objective);
+//     every other layout gathers from, and is evaluated only by the tests
+//     (newP2Objective);
 //   - a ragged candidate layout over all users — every pair by default,
 //     each user's nearest clouds with Options.Candidates — or over a
 //     slot's active users only, is the single program;
@@ -74,6 +74,9 @@ type p2Objective struct {
 	fast   bool
 	invDen []float64
 	ratio  []float64
+
+	// valueGrad receives the gradient of an Eval asked for a value alone.
+	valueGrad []float64
 }
 
 var _ alm.Curvature = (*p2Objective)(nil)
@@ -264,8 +267,15 @@ func (o *p2Objective) addTotals(tot, x []float64) {
 	}
 }
 
-// Eval implements fista.Objective.
+// Eval implements fista.Objective. Asked for a value alone (grad nil) it
+// evaluates through the gradient kernels into a scratch buffer: no solve
+// does that (a Newton solve evaluates with a gradient only), so value-only
+// loops would serve the tests alone.
 func (o *p2Objective) Eval(x, grad []float64) float64 {
+	if grad == nil {
+		o.valueGrad = growFloats(o.valueGrad, len(x))
+		grad = o.valueGrad
+	}
 	f := 0.0
 	for i := 0; i < o.nI; i++ {
 		f += o.evalRow(i, x, grad)
@@ -314,12 +324,8 @@ func (o *p2Objective) Curv(x, diag, cloud []float64) {
 
 // evalRow computes cloud i's slice of the objective and gradient: the
 // total term plus the static and migration terms of the row's kept pairs.
-// Rows touch disjoint state. The element loops (entropy.go) are separate
-// for the gradient and value-only cases so neither pays the other's
-// per-element branch, with the row slices hoisted for bounds-check
-// elimination. The Newton solves evaluate with a gradient only; the
-// value-only loops serve FISTA's backtracking trials and its once-per-outer
-// objective reading on the denseRows reference path, and the tests.
+// Rows touch disjoint state. The element loops live in entropy.go, with the
+// row slices hoisted for bounds-check elimination.
 //
 // On the exact tier most variables sit where the iterate equals the
 // previous decision (typically both at the zero bound: a user is served
@@ -335,15 +341,6 @@ func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 	coef := o.coef[lo:hi]
 	mgFac := o.mgFac[lo:hi]
 	if !o.fast {
-		prev := o.prev[lo:hi]
-		if grad == nil {
-			// The row sum feeds only the total term, so it is accumulated
-			// alongside the element terms in a single pass and the total
-			// term is added at the end.
-			s, f := entropyRowValue(row, coef, prev, mgFac, o.eps2)
-			tv, _ := o.totalTerm(i, s)
-			return f + tv
-		}
 		s := 0.0
 		for _, v := range row {
 			s += v
@@ -351,15 +348,12 @@ func (o *p2Objective) evalRow(i int, x, grad []float64) float64 {
 		// The total term seeds the accumulator so the addition order is
 		// the same on every path.
 		tv, tg := o.totalTerm(i, s)
-		return entropyRowGrad(row, coef, prev, mgFac, grad[lo:hi], o.eps2, tv, tg)
+		return entropyRowGrad(row, coef, o.prev[lo:hi], mgFac, grad[lo:hi], o.eps2, tv, tg)
 	}
 	ratio := o.ratio[lo:hi]
 	s := entropyRatioPass(row, o.invDen[lo:hi], ratio, o.eps2)
 	logBatch(ratio, ratio)
 	tv, tg := o.totalTerm(i, s)
-	if grad == nil {
-		return entropyFastValue(row, coef, mgFac, ratio, o.eps2) + tv
-	}
 	return entropyFastGrad(row, coef, mgFac, ratio, grad[lo:hi], o.eps2, tv, tg)
 }
 

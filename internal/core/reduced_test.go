@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"edgealloc/internal/model"
@@ -11,44 +10,24 @@ import (
 	"edgealloc/internal/solver/alm"
 )
 
-// p2ComplementRows builds the paper's complement-capacity rows
-// Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺, one per cloud, over the dense grid. The
-// single program no longer carries them (they are implied by demand +
-// capacity, DESIGN.md §3b finding 4); they survive here as the reference
-// the implication and no-worse tests below, and the Theorem-1 gap test,
-// check against.
-func p2ComplementRows(in *model.Instance) []alm.Constraint {
-	nI, nJ := in.I, in.J
-	lambda := in.TotalWorkload()
-	cons := make([]alm.Constraint, 0, nI)
-	for i := 0; i < nI; i++ {
-		idx := make([]int, 0, (nI-1)*nJ)
-		coef := make([]float64, 0, (nI-1)*nJ)
-		for k := 0; k < nI; k++ {
-			if k == i {
-				continue
-			}
-			for j := 0; j < nJ; j++ {
-				idx = append(idx, k*nJ+j)
-				coef = append(coef, 1)
-			}
+// complementViolation is the largest violation of the paper's
+// complement-capacity rows Σ_{k≠i} Σ_j x_kj ≥ (Λ − C_i)⁺ at the dense point
+// x, one row per cloud, scaled by 1+|RHS| as alm scales its rows. The
+// single program no longer carries these rows (they are implied by demand
+// + capacity, DESIGN.md §3b finding 4); they survive here as the reference
+// the implication test below, and the Theorem-1 gap test, check against.
+func complementViolation(in *model.Instance, x []float64) float64 {
+	lambda, load, total := in.TotalWorkload(), make([]float64, in.I), 0.0
+	for i := range load {
+		for _, v := range x[i*in.J : (i+1)*in.J] {
+			load[i] += v
 		}
-		cons = append(cons, alm.Constraint{Idx: idx, Coeffs: coef, RHS: math.Max(0, lambda-in.Capacity[i])})
+		total += load[i]
 	}
-	return cons
-}
-
-// maxRowViolation is max_k (b_k − A_k·x)⁺ / (1+|b_k|), alm's row scaling.
-func maxRowViolation(cons []alm.Constraint, x []float64) float64 {
 	worst := 0.0
-	for _, c := range cons {
-		ax := 0.0
-		for t, k := range c.Idx {
-			ax += c.Coeffs[t] * x[k]
-		}
-		if v := (c.RHS - ax) / (1 + math.Abs(c.RHS)); v > worst {
-			worst = v
-		}
+	for i, c := range in.Capacity {
+		rhs := math.Max(0, lambda-c)
+		worst = max(worst, (rhs-(total-load[i]))/(1+rhs))
 	}
 	return worst
 }
@@ -94,7 +73,10 @@ func checkComplementImplied(t *testing.T, name string, in *model.Instance, rows 
 // TestDegenerateCornersAcrossTiers' corners (ΣC = Σλ, λ_j > max C_i, I = 1,
 // …) and on incremental states with frozen flow: by the certificate above
 // on the emitted rows of every slot, and by holding every committed
-// decision to p2ComplementRows directly. The sharded tiers, whose
+// decision to complementViolation directly. With every slot's KKT check
+// (checkKKT) this is also the quality half of dropping the rows: a KKT
+// point of the demand + capacity program that meets the complement rows is
+// optimal with them too, as they only shrink its feasible set. The sharded tiers, whose
 // coordinator carries capacity on the totals and whose blocks end in an
 // exact demand projection, emit no single row set and are held to the
 // literal rows alone.
@@ -134,7 +116,6 @@ func TestComplementRowsImplied(t *testing.T) {
 	frozenSlots := 0
 	for _, c := range cases {
 		alg := NewOnlineApprox(c.in, c.opts)
-		compl := p2ComplementRows(c.in)
 		for tt := 0; tt < c.in.T; tt++ {
 			x, err := alg.Step(tt)
 			if err != nil {
@@ -152,90 +133,13 @@ func TestComplementRowsImplied(t *testing.T) {
 			if alg.shrd != nil {
 				bar = 1e-12
 			}
-			if v := maxRowViolation(compl, x.X); v > bar {
+			if v := complementViolation(c.in, x.X); v > bar {
 				t.Errorf("%s slot %d: committed decision violates a complement row by %g", c.name, tt, v)
 			}
 		}
 	}
 	if frozenSlots == 0 {
 		t.Error("no case committed a slot with frozen users; the incremental bound went unexercised")
-	}
-}
-
-// withComplementRows is the program with the paper's complement rows
-// kept: p2Constraints, demand then capacity, followed by p2ComplementRows.
-func withComplementRows(in *model.Instance) []alm.Constraint {
-	return append(p2Constraints(in), p2ComplementRows(in)...)
-}
-
-// TestReducedProgramNoWorse is the quality half of dropping the complement
-// rows: from one exported state — the same previous decision, the same
-// warm multipliers, the same solver budget — the demand + capacity program
-// must reach a P2 objective no higher than the with-complement reference
-// (to 1e-7 relative) at no larger violation of the full row set, on a Rome
-// window and on a capacity-tight instance where the dropped rows bind.
-func TestReducedProgramNoWorse(t *testing.T) {
-	rome, _, err := scenario.Rome(scenario.Config{Users: 30, Horizon: 5, Seed: 20140212})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Capacity-tight: the same window with 3% total headroom, so several
-	// clouds run at capacity and Λ − C_i > 0 for every i.
-	tight := *rome
-	tight.Capacity = append([]float64(nil), rome.Capacity...)
-	totalCap := 0.0
-	for _, c := range rome.Capacity {
-		totalCap += c
-	}
-	for i := range tight.Capacity {
-		tight.Capacity[i] *= 1.03 * rome.TotalWorkload() / totalCap
-	}
-	if err := tight.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		in   *model.Instance
-	}{{"rome window", rome}, {"capacity-tight", &tight}} {
-		in := c.in
-		alg := NewOnlineApprox(in, Options{})
-		for tt := 0; tt < in.T-1; tt++ {
-			if _, err := alg.Step(tt); err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-		}
-		st := alg.ExportState()
-		tt, nI, nJ := st.Slot, in.I, in.J
-		prev := model.Alloc{I: nI, J: nJ, X: denseOf(nI*nJ, st.Schedule[tt-1])}
-		full := withComplementRows(in)
-		solve := func(cons []alm.Constraint, warmDuals []float64) *alm.Result {
-			sopts := alg.opts.Solver
-			sopts.WarmX, sopts.WarmDuals = prev.X, warmDuals
-			res, err := alm.Solve(&alm.Problem{
-				Obj: newP2Objective(in, tt, prev, alg.opts.Epsilon1, alg.opts.Epsilon2),
-				N:   nI * nJ, Cons: cons,
-			}, sopts)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			return res
-		}
-		// The exported record is [θ | ν], the reduced program's row layout;
-		// the reference starts its complement rows from zero.
-		duals := st.Duals[tt-1]
-		red := solve(p2Constraints(in), duals)
-		ref := solve(full, append(slices.Clone(duals), make([]float64, nI)...))
-
-		if slack := 1e-7 * (1 + math.Abs(ref.Objective)); red.Objective > ref.Objective+slack {
-			t.Errorf("%s: reduced objective %.10g above the with-complement reference %.10g",
-				c.name, red.Objective, ref.Objective)
-		}
-		rv, fv := maxRowViolation(full, red.X), maxRowViolation(full, ref.X)
-		if rv > math.Max(fv, alg.opts.Solver.FeasTol) {
-			t.Errorf("%s: reduced solution violates the full row set by %g, reference by %g", c.name, rv, fv)
-		}
-		t.Logf("%s: objective %.10g reduced vs %.10g reference (Δ %.3g), inner %d vs %d, violation %.3g vs %.3g",
-			c.name, red.Objective, ref.Objective, red.Objective-ref.Objective, red.InnerIters, ref.InnerIters, rv, fv)
 	}
 }
 

@@ -228,7 +228,6 @@ func TestStreamedCertificateMatchesBatch(t *testing.T) {
 		check     func(*Certificate) bool // the corner the case is there for
 	}{
 		{"default", golden, Options{}, -1, nil},
-		{"DenseRows", golden, Options{denseRows: true}, -1, nil},
 		{"Candidates", golden, Options{Candidates: 3}, -1, nil},
 		{"FastMath", golden, Options{FastMath: true}, -1, nil},
 		{"Shards", golden, Options{Shards: 2}, -1, nil},

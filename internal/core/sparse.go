@@ -54,7 +54,6 @@ type singleState struct {
 	// closest to cloud a by inter-cloud delay; users are seeded with
 	// nearest[l_{j,t}].
 	nearest [][]int
-	cons    []alm.Constraint // Options.denseRows reference rows
 
 	// active marks the users that re-solve this slot and actList lists
 	// them ascending; demand row p of the program is user actList[p].
@@ -143,9 +142,6 @@ func (o *OnlineApprox) initSingle(in *model.Instance) {
 		s.support = newSupportIndex(in.I, in.J)
 		s.gate = newCandidateGate(in)
 	}
-	if o.opts.denseRows {
-		s.cons = p2Constraints(in)
-	}
 	o.single = s
 }
 
@@ -230,10 +226,7 @@ func (o *OnlineApprox) solveSingle(ctx context.Context, t int, img []float64) ([
 				s.obj.totOff = s.frozenTot
 			}
 			sopts.WarmX = s.warm
-			o.prob = alm.Problem{Obj: &s.obj, N: nnz, Cons: s.cons}
-			if s.cons == nil {
-				o.prob.Groups = &s.groups
-			}
+			o.prob = alm.Problem{Obj: &s.obj, N: nnz, Groups: &s.groups}
 			// Program dual layout: active demand rows, then ν.
 			for p, j := range s.actList {
 				s.packed[p] = s.duals[j]

@@ -62,7 +62,6 @@ func TestRestoreMatchesUninterrupted(t *testing.T) {
 		cuts []int
 	}{
 		{"default", Options{}, 0, nil},
-		{"dense-rows", Options{denseRows: true}, 0, nil},
 		{"candidates", Options{Candidates: 2, Solver: ultra}, 0, nil},
 		{"incremental", Options{Incremental: true, IncrementalTol: 1e-9, Solver: ultra}, 0, nil},
 		{"churn", churnTierOpts(), 0, nil},

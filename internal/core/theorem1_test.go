@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"edgealloc/internal/model"
-	"edgealloc/internal/solver/alm"
 )
 
 // theorem1GapInstance separates the literal and the capacity-constrained
@@ -33,65 +32,51 @@ func theorem1GapInstance() *model.Instance {
 }
 
 // TestTheorem1GapWithoutCapacityRows documents the reproduction finding
-// recorded in DESIGN.md §3b: solving P2 exactly as printed in the paper —
-// demand rows plus complement-capacity rows only — can yield an optimum
-// that exceeds some cloud's capacity, contradicting Theorem 1's
-// feasibility claim. The test solves slot 0 of theorem1GapInstance both
-// ways and asserts (a) the literal P2 optimum is strictly cheaper than the
-// capacity-constrained one (so the violation is not a solver artifact)
-// and (b) it indeed breaches capacity.
+// recorded in DESIGN.md §3b: P2 exactly as printed in the paper — demand
+// rows plus complement-capacity rows only — can have an optimum that
+// exceeds some cloud's capacity, contradicting Theorem 1's feasibility
+// claim. It proves the gap on slot 0 of theorem1GapInstance without
+// solving the literal program: it solves the program the package solves
+// (demand + capacity), certifies that optimum by its KKT residual, and
+// exhibits a point that meets the demand and complement rows, overloads
+// cloud 0, and costs less. The literal optimum costs no more than that
+// point, so less than every point within capacity: it must breach
+// capacity.
 func TestTheorem1GapWithoutCapacityRows(t *testing.T) {
 	in := theorem1GapInstance()
 	if err := in.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	o := NewOnlineApprox(in, Options{})
-	obj := newP2Objective(in, 0, o.prev, o.opts.Epsilon1, o.opts.Epsilon2)
-	warm, err := feasibleWarmStart(in, 0)
+	alg := NewOnlineApprox(in, Options{Solver: tightOpts()})
+	sched, err := alg.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cappedRows := p2Constraints(in) // what the program solves: demand + capacity
-	// The paper's rows only: demand + complement.
-	literalRows := append(cappedRows[:in.J:in.J], p2ComplementRows(in)...)
+	checkKKT(t, "capped", alg, sched)
+	obj := newP2Objective(in, 0, in.InitialAlloc(), alg.opts.Epsilon1, alg.opts.Epsilon2)
+	capped := obj.Eval(sched[0].X, nil)
 
-	solve := func(cons []alm.Constraint) *alm.Result {
-		res, err := alm.Solve(&alm.Problem{
-			Obj: obj, N: in.I * in.J,
-			Cons: cons,
-		}, alm.Options{MaxOuter: 80, InnerIters: 1200, FeasTol: 1e-7, Penalty: 2, WarmX: warm})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.MaxViolation > 1e-5 {
-			t.Fatalf("solver left violation %g", res.MaxViolation)
-		}
-		return res
-	}
-
-	lit := solve(literalRows)
-	capped := solve(cappedRows)
-
-	if lit.Objective >= capped.Objective-1e-3 {
-		t.Fatalf("literal optimum %.6f not cheaper than capped %.6f: the instance no longer separates them",
-			lit.Objective, capped.Objective)
-	}
-
-	// The strictly cheaper literal optimum must be the capacity violator.
-	overload := 0.0
-	for i := 0; i < in.I; i++ {
-		load := 0.0
-		for j := 0; j < in.J; j++ {
-			load += lit.X[i*in.J+j]
-		}
-		if v := load - in.Capacity[i]; v > overload {
-			overload = v
+	// User 1's whole demand of 3 at its own cloud 0 (capacity 2), and the
+	// complement row's Λ − C_0 = 2 units on cloud 1 parked on user 0, who
+	// needs 1 there. Layout x_ij at i·J + j.
+	point := []float64{0, 3, 2, 0}
+	for j, l := range in.Workload {
+		if served := point[j] + point[in.J+j]; served < l {
+			t.Fatalf("point serves user %d %g < λ = %g", j, served, l)
 		}
 	}
-	if overload < 1e-3 {
-		t.Fatalf("literal P2 optimum cheaper by %g yet within capacity — unexpected",
-			capped.Objective-lit.Objective)
+	if v := complementViolation(in, point); v > 0 {
+		t.Fatalf("point violates a complement row by %g", v)
 	}
-	t.Logf("Theorem-1 gap reproduced: literal optimum %.4f < capped %.4f, worst overload %.4f",
-		lit.Objective, capped.Objective, overload)
+	overload := point[0] + point[1] - in.Capacity[0]
+	if overload <= 0 {
+		t.Fatalf("point within cloud 0's capacity")
+	}
+	literal := obj.Eval(point, nil)
+	if literal >= capped-1e-3 {
+		t.Fatalf("point costs %.6f, capped optimum %.6f: the instance no longer separates the programs",
+			literal, capped)
+	}
+	t.Logf("Theorem-1 gap reproduced: a literal-feasible point costs %.4f < capped optimum %.4f, overloading cloud 0 by %g",
+		literal, capped, overload)
 }

@@ -85,23 +85,24 @@ func fistaSolve(tb testing.TB) func() {
 }
 
 // almSolve is the ALMSolve kernel: a constrained solve of a quadratic
-// under demand-style GE rows, reusing one workspace and warm-starting
-// from the previous solution like the per-slot loops do.
+// under demand rows — a grid of n/rows clouds serving rows users, each
+// user's column summing to at least 2.5 per cloud — reusing one workspace
+// and warm-starting from the previous solution like the per-slot loops do.
 func almSolve(tb testing.TB) func() {
 	const n, rows = fistaDim, 40
 	q := newQuad(n)
-	cons := make([]alm.Constraint, rows)
 	per := n / rows
-	for r := 0; r < rows; r++ {
-		idx := make([]int, per)
-		coef := make([]float64, per)
-		for k := 0; k < per; k++ {
-			idx[k] = r*per + k
-			coef[k] = 1
+	g := &alm.Groups{I: per, J: rows, RowPtr: make([]int, per+1), Cols: make([]int, 0, n)}
+	for i := 0; i < per; i++ {
+		for r := 0; r < rows; r++ {
+			g.Cols = append(g.Cols, r)
 		}
-		cons[r] = alm.Constraint{Idx: idx, Coeffs: coef, RHS: float64(per) * 2.5}
+		g.RowPtr[i+1] = len(g.Cols)
 	}
-	prob := &alm.Problem{Obj: q, N: n, Cons: cons}
+	for r := 0; r < rows; r++ {
+		g.Rows = append(g.Rows, alm.GroupRow{Kind: alm.GroupUserSum, Index: r, RHS: float64(per) * 2.5})
+	}
+	prob := &alm.Problem{Obj: q, N: n, Groups: g}
 	var ws alm.Workspace
 	opts := alm.Options{MaxOuter: 20, InnerIters: 300, FeasTol: 1e-6, Workspace: &ws}
 	return func() {

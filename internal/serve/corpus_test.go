@@ -25,7 +25,8 @@ var update = flag.Bool("update", false, "rewrite the committed seed corpus from 
 // never advanced: header only), mid-horizon (records with warm duals and a
 // partial dual record) and full horizon (done; the last record carries the
 // conformance summary), over both a Rome-derived and a generator instance
-// and with the solves' timings zeroed, plus near-valid documents that must
+// (a record stores no timing, so the bytes are reproducible), plus
+// near-valid documents that must
 // be rejected cleanly (a version-1 JSON document, a wrong version, an id
 // that escapes the directory, a torn last record and a flipped checksum
 // byte — both fatal in a request body). `go test -run
@@ -69,17 +70,6 @@ func TestSeedCorpusCurrent(t *testing.T) {
 		for slot := 0; slot < d.slots; slot++ {
 			call("/v1/sessions/"+d.name+"/slots", []byte(`{}`))
 		}
-		// The records carry each solve's wall-clock seconds; the seeds
-		// store them as zero, so that the generator is deterministic.
-		srv.mu.Lock()
-		sess := srv.sessions[d.name]
-		srv.mu.Unlock()
-		sess.mu.Lock()
-		for k := range sess.meta {
-			dg := &sess.meta[k].Diag
-			dg.Seconds, dg.BindSeconds, dg.CertifySeconds, dg.CommitSeconds = 0, 0, 0, 0
-		}
-		sess.mu.Unlock()
 		seeds[d.name] = call("/v1/sessions/"+d.name+"/snapshot", nil)
 	}
 	mid := seeds["seed-rome-mid"]
@@ -91,6 +81,60 @@ func TestSeedCorpusCurrent(t *testing.T) {
 	seeds["seed-bad-version"] = bytes.Replace(mid, []byte(`"version":3`), []byte(`"version":2`), 1)
 	seeds["seed-path-escape"] = bytes.Replace(mid, []byte(`"id":"seed-rome-mid"`), []byte(`"id":"../escape"`), 1)
 	checkCorpus(t, filepath.Join("testdata", "fuzz", "FuzzSnapshotRoundTrip"), seeds)
+}
+
+// TestSnapshotStoresNoTiming feeds two daemons the same session, slot by
+// slot, and requires their snapshots to be byte-identical: the records
+// carry what the solves computed and no wall-clock time. The live replies
+// keep their timings: every slot reply and the status reply report a
+// positive solve time.
+func TestSnapshotStoresNoTiming(t *testing.T) {
+	in, _, err := scenario.Rome(scenario.Config{Users: 4, Horizon: 4, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inst bytes.Buffer
+	if err := model.WriteInstance(&inst, in); err != nil {
+		t.Fatal(err)
+	}
+	create, _ := json.Marshal(map[string]any{"id": "twin", "instance": json.RawMessage(inst.Bytes())})
+	var snaps [2][]byte
+	for k := range snaps {
+		srv := New(Config{})
+		call := func(method, path string, body []byte) []byte {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+			if rec.Code >= 300 {
+				t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		call(http.MethodPost, "/v1/sessions", create)
+		for slot := 0; slot < 3; slot++ {
+			var reply struct {
+				Solve solveDiag `json:"solve"`
+			}
+			if err := json.Unmarshal(call(http.MethodPost, "/v1/sessions/twin/slots", []byte(`{}`)), &reply); err != nil {
+				t.Fatal(err)
+			}
+			if !(reply.Solve.Seconds > 0) {
+				t.Errorf("daemon %d slot %d: reply solve seconds %g, want the measured time", k, slot, reply.Solve.Seconds)
+			}
+		}
+		var status statusResponse
+		if err := json.Unmarshal(call(http.MethodGet, "/v1/sessions/twin", nil), &status); err != nil {
+			t.Fatal(err)
+		}
+		if status.LastSolve == nil || !(status.LastSolve.Seconds > 0) {
+			t.Errorf("daemon %d: status lastSolve %+v, want the measured time", k, status.LastSolve)
+		}
+		snaps[k] = call(http.MethodPost, "/v1/sessions/twin/snapshot", nil)
+		srv.Close()
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Errorf("two sessions fed the same inputs snapshot to different documents (%d and %d bytes)",
+			len(snaps[0]), len(snaps[1]))
+	}
 }
 
 // checkCorpus compares each seed, in the `go test fuzz v1` corpus format,

@@ -227,7 +227,9 @@ type slotRequest struct {
 
 // solveDiag is core.StepDiag on the wire. Every slot carries the candidate
 // fields of its certified loop: one round over I·J pairs on the default
-// tier.
+// tier. The wall-clock fields (Seconds and the three phases) are what the
+// session measured; a snapshot record stores none, so a restored session
+// reports 0 for the slots it did not solve itself.
 type solveDiag struct {
 	Seconds         float64 `json:"seconds"`
 	OuterIterations int     `json:"outerIterations"`

@@ -11,13 +11,13 @@
 // dual variables of the constraints, which the competitive analysis of the
 // paper's algorithm consumes directly (the θ'_{j,t} and ρ'_{i,t} of its KKT
 // system). This package replaces the role of IPOPT in the paper's
-// evaluation pipeline. The inner minimization has two solvers, chosen by
-// the program's structure and by nothing a caller sets: the per-slot
-// programs of the online algorithm — Groups rows and an objective that
-// exposes its curvature — are solved by a projected Newton
-// method (newton.go), second-order like IPOPT; every other program —
-// generic gradient-oracle objectives such as the smoothed baselines', the
-// sparse-row reference form — by FISTA (internal/solver/fista).
+// evaluation pipeline. Every program's rows are structured group sums over
+// a CSR grid (groups.go). The inner minimization has two solvers, chosen by
+// whether the objective exposes its curvature (Curvature) and by nothing
+// else: the per-slot programs of the online algorithm do, and are solved
+// by a projected Newton method (newton.go), second-order like IPOPT;
+// generic gradient-oracle objectives, such as the smoothed baselines', by
+// FISTA (internal/solver/fista).
 //
 // What "converged" means here. With s_k = b_k − A_k·x and y the multipliers
 // the outer iteration started from, the loop tracks
@@ -82,82 +82,17 @@ import (
 	"edgealloc/internal/solver/fista"
 )
 
-// Constraint is one sparse inequality row Σ_k Coeffs[k]·x[Idx[k]] ≥ RHS.
-type Constraint struct {
-	Idx    []int
-	Coeffs []float64
-	RHS    float64
-}
-
-// Problem is a smooth convex program over x ≥ 0 with GE rows. Rows are
-// given either as generic sparse Cons or as structured group-sum Groups
-// over a CSR grid (see groups.go) — never both. The structured form is
-// the production path for the paper's programs; the sparse form is the
-// reference implementation the property tests compare against.
+// Problem is a smooth convex program over x ≥ 0 with GE rows, given in
+// structured group-sum form over a CSR grid (see groups.go): every program
+// of the paper is one.
 type Problem struct {
 	// Obj is the smooth convex objective (gradient oracle).
 	Obj fista.Objective
 	// N is the number of variables.
 	N int
-	// Cons are the inequality rows, all in A·x ≥ b form.
-	Cons []Constraint
-	// Groups optionally supplies the rows in structured group-sum form,
-	// dropping the per-evaluation constraint cost from O(nnz) to
-	// O(N + rows). Mutually exclusive with Cons. Groups.Rows[k] owns
-	// Result.Duals[k], exactly like Cons[k] would.
+	// Groups supplies the rows; Groups.Rows[k] owns Result.Duals[k]. It is
+	// required: a program without rows is a grid with no Rows.
 	Groups *Groups
-}
-
-// numRows returns the dual dimension of the constraint set.
-func (p *Problem) numRows() int {
-	if p.Groups != nil {
-		return p.Groups.NumRows()
-	}
-	return len(p.Cons)
-}
-
-// rowRHS returns b_k for row k.
-func (p *Problem) rowRHS(k int) float64 {
-	if p.Groups != nil {
-		return p.Groups.Rows[k].RHS
-	}
-	return p.Cons[k].RHS
-}
-
-// axInto writes every row activity A_k·x into ax. The sparse path
-// iterates nonzeros row by row (the reference semantics); the structured
-// path derives activities from once-per-call group totals.
-func (p *Problem) axInto(x, ax []float64, sc *groupScratch) {
-	if p.Groups != nil {
-		p.Groups.axInto(x, ax, sc)
-		return
-	}
-	for k, c := range p.Cons {
-		s := 0.0
-		for t, j := range c.Idx {
-			s += c.Coeffs[t] * x[j]
-		}
-		ax[k] = s
-	}
-}
-
-// addGrad writes grad = src − Σ_k mult[k]·A_k, skipping zero multipliers;
-// src may be grad itself.
-func (p *Problem) addGrad(mult, src, grad []float64, sc *groupScratch) {
-	if p.Groups != nil {
-		p.Groups.addGrad(mult, src, grad, sc)
-		return
-	}
-	copy(grad, src)
-	for k, c := range p.Cons {
-		m := mult[k]
-		if m == 0 {
-			continue
-		}
-		for t, j := range c.Idx {
-			grad[j] -= m * c.Coeffs[t]
-		}
-	}
 }
 
 // Options tunes the outer loop. Zero values select defaults; Solve
@@ -398,33 +333,18 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if p.N <= 0 {
 		return nil, fmt.Errorf("%w: N=%d", ErrBadProblem, p.N)
 	}
-	if p.Groups != nil {
-		if len(p.Cons) > 0 {
-			return nil, errf("both Cons (%d rows) and Groups (%d rows) set",
-				len(p.Cons), p.Groups.NumRows())
-		}
-		if err := p.Groups.validate(p.N); err != nil {
-			return nil, err
-		}
+	if p.Groups == nil {
+		return nil, errf("no Groups rows")
 	}
-	for k, c := range p.Cons {
-		if len(c.Idx) != len(c.Coeffs) {
-			return nil, fmt.Errorf("%w: row %d has %d indices, %d coefficients",
-				ErrBadProblem, k, len(c.Idx), len(c.Coeffs))
-		}
-		for _, j := range c.Idx {
-			if j < 0 || j >= p.N {
-				return nil, fmt.Errorf("%w: row %d references variable %d of %d",
-					ErrBadProblem, k, j, p.N)
-			}
-		}
+	if err := p.Groups.validate(p.N); err != nil {
+		return nil, err
 	}
 	if opts.WarmX != nil && len(opts.WarmX) != p.N {
 		return nil, fmt.Errorf("%w: len(WarmX)=%d, want %d", ErrBadProblem, len(opts.WarmX), p.N)
 	}
-	if opts.WarmDuals != nil && len(opts.WarmDuals) != p.numRows() {
+	if opts.WarmDuals != nil && len(opts.WarmDuals) != p.Groups.NumRows() {
 		return nil, fmt.Errorf("%w: len(WarmDuals)=%d, want %d",
-			ErrBadProblem, len(opts.WarmDuals), p.numRows())
+			ErrBadProblem, len(opts.WarmDuals), p.Groups.NumRows())
 	}
 
 	if err := opts.Validate(); err != nil {
@@ -440,10 +360,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// behaviour for one-shot callers; the result then owns its slices.
 		ws = &Workspace{}
 	}
-	ws.ensure(p.N, p.numRows())
-	if p.Groups != nil {
-		ws.gs.ensure(p.Groups)
-	}
+	ws.ensure(p.N, p.Groups.NumRows())
+	ws.gs.ensure(p.Groups)
 	x := ws.x
 	if opts.WarmX != nil {
 		copy(x, opts.WarmX) // no-op when WarmX aliases the workspace
@@ -473,10 +391,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	// The inner solver is a property of the program, not a setting: see
 	// the package comment and newton.go.
 	var cur Curvature
-	if g := p.Groups; g != nil {
-		if cur, res.Newton = p.Obj.(Curvature); res.Newton {
-			ws.nt.ensure(p.N, g.I, g.J)
-		}
+	if cur, res.Newton = p.Obj.(Curvature); res.Newton {
+		ws.nt.ensure(p.N, p.Groups.I, p.Groups.J)
 	}
 
 	prevObj := math.Inf(1)
@@ -513,7 +429,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			x, moved = inner.X, inner.Iters > fista.StagnantLimit
 			// The point FISTA returns need not be the last one it evaluated.
 			res.Objective = p.Obj.Eval(x, nil)
-			p.axInto(x, ws.axI, &ws.gs)
+			p.Groups.axInto(x, ws.axI, &ws.gs)
 		}
 
 		// Multiplier update with the three progress measures: the violation,
@@ -523,9 +439,9 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 		// settled: no row changed activity since the previous outer iteration
 		// (at the first, since the warm multipliers).
 		viol, sigma, dualMove := 0.0, 0.0, 0.0
-		settled := true
+		settled, rows := true, p.Groups.Rows
 		for k, a := range ws.axI {
-			rhs := p.rowRHS(k)
+			rhs := rows[k].RHS
 			s := rhs - a
 			yNew := math.Max(0, y[k]+rho*s)
 			settled = settled && (yNew > 0) == (y[k] > 0)
@@ -609,9 +525,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 // h_ρ(y, s) = (max(0, y+ρs)² − y²) / (2ρ),
 // whose x-gradient is ∇f(x) − Σ_k max(0, y_k+ρ s_k)·A_k.
 //
-// Row activities come from Problem.axInto and the gradient scatter from
-// Problem.addGrad, so the per-evaluation constraint cost is O(nnz) on the
-// sparse reference path and O(N + rows) on the structured Groups path.
+// Row activities come from Groups.axInto and the gradient scatter from
+// Groups.addGrad: O(N + rows) per evaluation.
 //
 // An evaluation is f, ∇f and A·x at x, then penalize; only penalize reads
 // y and ρ. FISTA's evaluations write ∇f into the gradient buffer and
@@ -641,7 +556,7 @@ func (l *lagrangian) eval(x, src, grad []float64) float64 {
 	if grad != nil {
 		l.ws.res.Evals++
 	}
-	l.p.axInto(x, l.ws.ax, &l.ws.gs)
+	l.p.Groups.axInto(x, l.ws.ax, &l.ws.gs)
 	return l.penalize(f, l.ws.ax, src, grad)
 }
 
@@ -649,9 +564,9 @@ func (l *lagrangian) eval(x, src, grad []float64) float64 {
 // the multiplier estimates into the workspace's mult and, unless grad is
 // nil, ∇L from ∇f = src into grad.
 func (l *lagrangian) penalize(f float64, ax, src, grad []float64) float64 {
-	mult := l.ws.mult
+	mult, rows := l.ws.mult, l.p.Groups.Rows
 	for k := range ax {
-		s := l.p.rowRHS(k) - ax[k]
+		s := rows[k].RHS - ax[k]
 		m := l.y[k] + l.rho*s
 		if m > 0 {
 			f += (m*m - l.y[k]*l.y[k]) / (2 * l.rho)
@@ -662,7 +577,7 @@ func (l *lagrangian) penalize(f float64, ax, src, grad []float64) float64 {
 		}
 	}
 	if grad != nil {
-		l.p.addGrad(mult, src, grad, &l.ws.gs)
+		l.p.Groups.addGrad(mult, src, grad, &l.ws.gs)
 	}
 	return f
 }

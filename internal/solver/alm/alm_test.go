@@ -1,6 +1,7 @@
 package alm
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -24,20 +25,23 @@ func linear(c []float64) fista.Func {
 	}
 }
 
-func denseRow(coeffs []float64, rhs float64) Constraint {
-	idx := make([]int, len(coeffs))
-	for j := range idx {
-		idx[j] = j
-	}
-	return Constraint{Idx: idx, Coeffs: coeffs, RHS: rhs}
+// column returns the grid of n clouds serving one user, x_k the k-th
+// cloud's share, with the one demand row Σ_k x_k ≥ rhs.
+func column(n int, rhs float64) *Groups {
+	g := gridGroups(1, n, 1, nil)
+	g.Rows = []GroupRow{{Kind: GroupUserSum, Index: 0, RHS: rhs}}
+	return g
 }
+
+// noRows returns the grid of one pair with no rows.
+func noRows() *Groups { return gridGroups(1, 1, 1, nil) }
 
 func TestSolveSimpleLP(t *testing.T) {
 	// min 2x + y s.t. x + y >= 3, x,y >= 0 → (0,3), objective 3.
 	p := &Problem{
-		Obj:  linear([]float64{2, 1}),
-		N:    2,
-		Cons: []Constraint{denseRow([]float64{1, 1}, 3)},
+		Obj:    linear([]float64{2, 1}),
+		N:      2,
+		Groups: column(2, 3),
 	}
 	res, err := Solve(p, Options{})
 	if err != nil {
@@ -74,9 +78,9 @@ func TestSolveProjectionQP(t *testing.T) {
 		return f
 	})
 	p := &Problem{
-		Obj:  obj,
-		N:    2,
-		Cons: []Constraint{denseRow([]float64{1, 1}, 5)},
+		Obj:    obj,
+		N:      2,
+		Groups: column(2, 5),
 	}
 	res, err := Solve(p, Options{})
 	if err != nil {
@@ -97,7 +101,7 @@ func TestSolveNoConstraints(t *testing.T) {
 		}
 		return x[0]*x[0] - 4*x[0]
 	})
-	res, err := Solve(&Problem{Obj: obj, N: 1}, Options{})
+	res, err := Solve(&Problem{Obj: obj, N: 1, Groups: noRows()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +112,9 @@ func TestSolveNoConstraints(t *testing.T) {
 
 func TestSolveWarmStartConsistency(t *testing.T) {
 	p := &Problem{
-		Obj:  linear([]float64{1, 3}),
-		N:    2,
-		Cons: []Constraint{denseRow([]float64{1, 1}, 2)},
+		Obj:    linear([]float64{1, 3}),
+		N:      2,
+		Groups: column(2, 2),
 	}
 	cold, err := Solve(p, Options{})
 	if err != nil {
@@ -131,64 +135,78 @@ func TestSolveWarmStartConsistency(t *testing.T) {
 
 func TestSolveInputValidation(t *testing.T) {
 	obj := linear([]float64{1})
+	badIndex := column(1, 0)
+	badIndex.Rows[0].Index = 5
+	lenMismatch := noRows()
+	lenMismatch.Cols = []int{0, 0}
 	tests := []struct {
 		name string
 		p    *Problem
 		opts Options
 	}{
-		{"zero N", &Problem{Obj: obj, N: 0}, Options{}},
-		{"bad index", &Problem{Obj: obj, N: 1,
-			Cons: []Constraint{{Idx: []int{5}, Coeffs: []float64{1}, RHS: 0}}}, Options{}},
-		{"len mismatch", &Problem{Obj: obj, N: 1,
-			Cons: []Constraint{{Idx: []int{0}, Coeffs: []float64{1, 2}, RHS: 0}}}, Options{}},
-		{"bad warm x", &Problem{Obj: obj, N: 1}, Options{WarmX: []float64{1, 2}}},
-		{"bad warm duals", &Problem{Obj: obj, N: 1,
-			Cons: []Constraint{{Idx: []int{0}, Coeffs: []float64{1}, RHS: 0}}},
+		{"zero N", &Problem{Obj: obj, N: 0, Groups: noRows()}, Options{}},
+		{"no groups", &Problem{Obj: obj, N: 1}, Options{}},
+		{"bad index", &Problem{Obj: obj, N: 1, Groups: badIndex}, Options{}},
+		{"len mismatch", &Problem{Obj: obj, N: 1, Groups: lenMismatch}, Options{}},
+		{"bad warm x", &Problem{Obj: obj, N: 1, Groups: noRows()}, Options{WarmX: []float64{1, 2}}},
+		{"bad warm duals", &Problem{Obj: obj, N: 1, Groups: column(1, 0)},
 			Options{WarmDuals: []float64{1, 2}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := Solve(tt.p, tt.opts); err == nil {
-				t.Error("Solve accepted malformed input")
+			if _, err := Solve(tt.p, tt.opts); !errors.Is(err, ErrBadProblem) {
+				t.Errorf("Solve = %v, want ErrBadProblem", err)
 			}
 		})
 	}
 }
 
 // TestSolveAgreesWithSimplex cross-checks the first-order solver against the
-// exact simplex LP solver on random feasible bounded LPs with GE rows.
+// exact simplex LP solver on random transportation LPs: I ≤ 4 clouds, J ≤ 4
+// users, random costs, demand rows Σ_i x_ij ≥ λ_j and capacity rows
+// Σ_j x_ij ≤ C_i with 30% spare capacity, so every LP is feasible and
+// bounded.
 func TestSolveAgreesWithSimplex(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(3))}
 	property := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(5)
-		m := 1 + rng.Intn(4)
-		c := make([]float64, n)
-		for j := range c {
-			c[j] = 0.05 + rng.Float64()
-		}
-		x0 := make([]float64, n)
-		for j := range x0 {
-			x0[j] = 3 * rng.Float64()
+		nI, nJ := 1+rng.Intn(4), 1+rng.Intn(4)
+		g := gridGroups(1, nI, nJ, nil)
+		c := make([]float64, nI*nJ)
+		for k := range c {
+			c[k] = 0.05 + rng.Float64()
 		}
 		lp := &simplex.Problem{C: c}
-		ap := &Problem{Obj: linear(c), N: n}
-		for k := 0; k < m; k++ {
-			row := make([]float64, n)
-			lhs := 0.0
-			for j := range row {
-				row[j] = rng.Float64() // nonnegative rows keep the LP bounded+feasible
-				lhs += row[j] * x0[j]
+		total := 0.0
+		for j := 0; j < nJ; j++ {
+			lambda := 0.2 + rng.Float64()
+			total += lambda
+			row := make([]float64, nI*nJ)
+			for i := 0; i < nI; i++ {
+				row[i*nJ+j] = 1
 			}
-			rhs := lhs * (0.5 + 0.5*rng.Float64())
-			lp.Cons = append(lp.Cons, simplex.Constraint{Coeffs: row, Sense: simplex.GE, RHS: rhs})
-			ap.Cons = append(ap.Cons, denseRow(row, rhs))
+			lp.Cons = append(lp.Cons, simplex.Constraint{Coeffs: row, Sense: simplex.GE, RHS: lambda})
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupUserSum, Index: j, RHS: lambda})
+		}
+		w, wSum := make([]float64, nI), 0.0
+		for i := range w {
+			w[i] = 0.2 + rng.Float64()
+			wSum += w[i]
+		}
+		for i, wi := range w {
+			capacity := 1.3 * total * wi / wSum
+			row := make([]float64, nI*nJ)
+			for j := 0; j < nJ; j++ {
+				row[i*nJ+j] = 1
+			}
+			lp.Cons = append(lp.Cons, simplex.Constraint{Coeffs: row, Sense: simplex.LE, RHS: capacity})
+			g.Rows = append(g.Rows, GroupRow{Kind: GroupCloudSumNeg, Index: i, RHS: -capacity})
 		}
 		exact, err := simplex.Solve(lp)
 		if err != nil || exact.Status != simplex.Optimal {
 			return false
 		}
-		res, err := Solve(ap, Options{MaxOuter: 120})
+		res, err := Solve(&Problem{Obj: linear(c), N: nI * nJ, Groups: g}, Options{MaxOuter: 120})
 		if err != nil {
 			return false
 		}
@@ -203,24 +221,34 @@ func TestSolveAgreesWithSimplex(t *testing.T) {
 }
 
 // TestSolveDualObjectiveMatches checks strong duality y·b == c·x on a
-// nondegenerate LP, validating that Duals really are the LP duals.
+// nondegenerate transportation LP, validating that Duals really are the LP
+// duals.
 func TestSolveDualObjectiveMatches(t *testing.T) {
-	// min x + 2y s.t. x + y >= 4, x + 3y >= 6, x,y >= 0.
-	p := &Problem{
-		Obj: linear([]float64{1, 2}),
-		N:   2,
-		Cons: []Constraint{
-			denseRow([]float64{1, 1}, 4),
-			denseRow([]float64{1, 3}, 6),
-		},
+	// Two clouds, two users: costs c_00 = 1, c_01 = 3, c_10 = 2, c_11 = 1,
+	// demands λ = (4, 2), capacities C = (3, 10). Cloud 0 fills to
+	// capacity with user 0, whose last unit goes to cloud 1: x = (3, 0; 1, 2),
+	// cost 7, θ = (2, 1), ν = (1, 0), and θ·λ − ν·C = 7.
+	g := gridGroups(1, 2, 2, nil)
+	g.Rows = []GroupRow{
+		{Kind: GroupUserSum, Index: 0, RHS: 4},
+		{Kind: GroupUserSum, Index: 1, RHS: 2},
+		{Kind: GroupCloudSumNeg, Index: 0, RHS: -3},
+		{Kind: GroupCloudSumNeg, Index: 1, RHS: -10},
 	}
+	p := &Problem{Obj: linear([]float64{1, 3, 2, 1}), N: 4, Groups: g}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dualObj := 4*res.Duals[0] + 6*res.Duals[1]
+	dualObj := 0.0
+	for k, r := range g.Rows {
+		dualObj += res.Duals[k] * r.RHS
+	}
 	if math.Abs(dualObj-res.Objective) > 1e-4*(1+math.Abs(res.Objective)) {
 		t.Errorf("dual objective %g != primal %g (duals %v)", dualObj, res.Objective, res.Duals)
+	}
+	if math.Abs(res.Objective-7) > 1e-4 {
+		t.Errorf("objective %g, want 7", res.Objective)
 	}
 }
 
@@ -238,7 +266,7 @@ func TestSlackRowMultiplierGrowsPenalty(t *testing.T) {
 		}
 		return (x[0] - 1) * (x[0] - 1)
 	})
-	p := &Problem{Obj: obj, N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)}}
+	p := &Problem{Obj: obj, N: 1, Groups: column(1, 0.5)}
 	res, err := Solve(p, Options{
 		Penalty: 1e-3, MaxOuter: 40,
 		WarmX: []float64{1}, WarmDuals: []float64{5},
@@ -262,9 +290,9 @@ func TestSlackRowMultiplierGrowsPenalty(t *testing.T) {
 // MaxOuter: the first failing test of feasibility, objective, dual.
 func TestStopReasonAtCap(t *testing.T) {
 	p := &Problem{
-		Obj:  linear([]float64{2, 1}),
-		N:    2,
-		Cons: []Constraint{denseRow([]float64{1, 1}, 3)},
+		Obj:    linear([]float64{2, 1}),
+		N:      2,
+		Groups: column(2, 3),
 	}
 	res, err := Solve(p, Options{MaxOuter: 1})
 	if err != nil {
@@ -279,7 +307,7 @@ func TestStopReasonAtCap(t *testing.T) {
 	// A row that never binds: the first outer iteration is feasible, and
 	// with no earlier objective to compare against the objective test is
 	// the one failing.
-	p.Cons[0].RHS = -1
+	p.Groups.Rows[0].RHS = -1
 	res, err = Solve(p, Options{MaxOuter: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +324,7 @@ func TestStopReasonAtCap(t *testing.T) {
 			}
 			return (x[0] - 1) * (x[0] - 1)
 		}),
-		N: 1, Cons: []Constraint{denseRow([]float64{1}, 0.5)},
+		N: 1, Groups: column(1, 0.5),
 	}
 	res, err = Solve(q, Options{Penalty: 1e-3, MaxOuter: 2, ObjTol: 1e-2,
 		WarmX: []float64{1}, WarmDuals: []float64{5}})
@@ -307,7 +335,7 @@ func TestStopReasonAtCap(t *testing.T) {
 		t.Errorf("multiplier on a slack row: stop %q converged %v Δy %g, want dual", res.Stop, res.Converged, res.DualMove)
 	}
 	// No rows at all: the outer loop converges once the objective settles.
-	res, err = Solve(&Problem{Obj: q.Obj, N: 1}, Options{})
+	res, err = Solve(&Problem{Obj: q.Obj, N: 1, Groups: noRows()}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,11 +48,11 @@ func checkIterate(p *Problem, ws *Workspace, yPrev, from []float64) error {
 		second, read := from != nil, fresh.ws.ax
 		if second {
 			read = make([]float64, len(yPrev))
-			p.axInto(from, read, &fresh.ws.gs)
+			p.Groups.axInto(from, read, &fresh.ws.gs)
 		}
 		want := make([]float64, len(yPrev))
 		for k, a := range read {
-			want[k] = math.Max(0, yPrev[k]+ws.lag.rho*(p.rowRHS(k)-a))
+			want[k] = math.Max(0, yPrev[k]+ws.lag.rho*(p.Groups.Rows[k].RHS-a))
 			if second && want[k] > 0 {
 				want[k] = ws.y[k]
 			}

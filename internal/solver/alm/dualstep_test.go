@@ -102,17 +102,17 @@ func classifySteps(t *testing.T, p *Problem, opts Options) stepLog {
 	traced.Obj = last
 	lg := stepLog{innerAtFirst: -1}
 	var yPrev []float64
-	ax, scratch := make([]float64, p.numRows()), workspaceFor(p)
+	ax, scratch := make([]float64, p.Groups.NumRows()), workspaceFor(p)
 	opts.Workspace = &ws
 	opts.Ctx = pollCtx{context.Background(), func() error {
 		if ws.res.DualSteps > lg.settled+lg.unsettled {
 			if lg.innerAtFirst < 0 {
 				lg.innerAtFirst = ws.res.InnerIters
 			}
-			p.axInto(last.curv, ax, &scratch.gs)
+			p.Groups.axInto(last.curv, ax, &scratch.gs)
 			same := true
 			for k, a := range ax {
-				yFO := math.Max(0, yPrev[k]+ws.lag.rho*(p.rowRHS(k)-a))
+				yFO := math.Max(0, yPrev[k]+ws.lag.rho*(p.Groups.Rows[k].RHS-a))
 				same = same && (yFO > 0) == (yPrev[k] > 0)
 			}
 			if same {

@@ -10,15 +10,10 @@ import (
 // the solver must not report convergence and must surface the residual
 // violation instead of silently returning a bogus "solution".
 func TestSolveInfeasibleReportsViolation(t *testing.T) {
-	// x <= 1 (as -x >= -1) and x >= 3 cannot both hold.
-	p := &Problem{
-		Obj: linear([]float64{1}),
-		N:   1,
-		Cons: []Constraint{
-			{Idx: []int{0}, Coeffs: []float64{-1}, RHS: -1},
-			{Idx: []int{0}, Coeffs: []float64{1}, RHS: 3},
-		},
-	}
+	// x <= 1 (capacity, as -x >= -1) and x >= 3 (demand) cannot both hold.
+	g := noRows()
+	g.Rows = []GroupRow{{Kind: GroupCloudSumNeg, Index: 0, RHS: -1}, {Kind: GroupUserSum, Index: 0, RHS: 3}}
+	p := &Problem{Obj: linear([]float64{1}), N: 1, Groups: g}
 	res, err := Solve(p, Options{MaxOuter: 30})
 	if err != nil {
 		t.Fatal(err)
@@ -31,18 +26,18 @@ func TestSolveInfeasibleReportsViolation(t *testing.T) {
 	}
 }
 
-// TestSolveTightEqualityViaOpposedRows encodes x0 + x1 == 2 as a pair of
-// opposing inequalities — the pattern the offline program uses for its
-// hinge linearizations — and checks both multipliers settle.
+// TestSolveTightEqualityViaOpposedRows encodes x0 + x1 == 2 as opposing
+// inequalities — one cloud of capacity 2 serving two users of demand 1
+// each, the ΣC = Σλ corner of P2, where the demand rows sum to the
+// capacity row — and checks the multipliers settle.
 func TestSolveTightEqualityViaOpposedRows(t *testing.T) {
-	p := &Problem{
-		Obj: linear([]float64{3, 1}),
-		N:   2,
-		Cons: []Constraint{
-			{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2},
-			{Idx: []int{0, 1}, Coeffs: []float64{-1, -1}, RHS: -2},
-		},
+	g := gridGroups(1, 1, 2, nil)
+	g.Rows = []GroupRow{
+		{Kind: GroupUserSum, Index: 0, RHS: 1},
+		{Kind: GroupUserSum, Index: 1, RHS: 1},
+		{Kind: GroupCloudSumNeg, Index: 0, RHS: -2},
 	}
+	p := &Problem{Obj: linear([]float64{3, 1}), N: 2, Groups: g}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
 		t.Fatal(err)
@@ -50,26 +45,21 @@ func TestSolveTightEqualityViaOpposedRows(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("did not converge: violation %g", res.MaxViolation)
 	}
-	if math.Abs(res.X[0]) > 1e-4 || math.Abs(res.X[1]-2) > 1e-4 {
-		t.Errorf("x = %v, want (0, 2)", res.X)
+	if math.Abs(res.X[0]-1) > 1e-4 || math.Abs(res.X[1]-1) > 1e-4 {
+		t.Errorf("x = %v, want (1, 1)", res.X)
 	}
-	if math.Abs(res.Objective-2) > 1e-4 {
-		t.Errorf("objective = %g, want 2", res.Objective)
+	if math.Abs(res.Objective-4) > 1e-4 {
+		t.Errorf("objective = %g, want 4", res.Objective)
 	}
 }
 
 // TestSolveHugeScaleDifference mixes rows whose right-hand sides differ by
-// four orders of magnitude, as the demand (λ≈1) and complement-capacity
-// (Λ−C≈10³) rows of P2 do at full scale.
+// four orders of magnitude, as a light user's demand (λ≈1) and a heavy
+// aggregate's (≈10³) do at full scale.
 func TestSolveHugeScaleDifference(t *testing.T) {
-	p := &Problem{
-		Obj: linear([]float64{1, 1}),
-		N:   2,
-		Cons: []Constraint{
-			{Idx: []int{0}, Coeffs: []float64{1}, RHS: 0.5},
-			{Idx: []int{1}, Coeffs: []float64{1}, RHS: 5000},
-		},
-	}
+	g := gridGroups(1, 1, 2, nil)
+	g.Rows = []GroupRow{{Kind: GroupUserSum, Index: 0, RHS: 0.5}, {Kind: GroupUserSum, Index: 1, RHS: 5000}}
+	p := &Problem{Obj: linear([]float64{1, 1}), N: 2, Groups: g}
 	res, err := Solve(p, Options{MaxOuter: 150})
 	if err != nil {
 		t.Fatal(err)
@@ -84,11 +74,7 @@ func TestSolveHugeScaleDifference(t *testing.T) {
 
 // TestSolveZeroObjective exercises the pure-feasibility case.
 func TestSolveZeroObjective(t *testing.T) {
-	p := &Problem{
-		Obj:  linear([]float64{0, 0}),
-		N:    2,
-		Cons: []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 1}},
-	}
+	p := &Problem{Obj: linear([]float64{0, 0}), N: 2, Groups: column(2, 1)}
 	res, err := Solve(p, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +88,7 @@ func TestSolveZeroObjective(t *testing.T) {
 // default, and a negative or NaN one, or a nonzero PenaltyGrowth not above
 // 1, is refused as ErrBadProblem instead of silently taking it.
 func TestSolveRejectsBadOptions(t *testing.T) {
-	p := &Problem{
-		Obj:  linear([]float64{3, 1}),
-		N:    2,
-		Cons: []Constraint{{Idx: []int{0, 1}, Coeffs: []float64{1, 1}, RHS: 2}},
-	}
+	p := &Problem{Obj: linear([]float64{3, 1}), N: 2, Groups: column(2, 2)}
 	for _, tc := range []struct {
 		name string
 		opts Options

@@ -8,11 +8,10 @@ package alm
 //   - capacity rows sum a cloud's row:       −Σ_j x_{ij} ≥ −C_i
 //
 // (The paper's complement rows Σ_{k≠i} Σ_j x_{kj} ≥ (Λ−C_i)⁺ are implied
-// by these two, DESIGN.md §3b, and no program carries them.) Materialized
-// as generic sparse rows (Constraint) each row costs its nonzeros per
-// augmented-Lagrangian evaluation and carries index and coefficient
-// slices. The structured form computes every cloud row's total and every
-// user's total once per evaluation — O(nnz) — and derives every row
+// by these two, DESIGN.md §3b, and no program carries them.) Rather than
+// summing each row's nonzeros per augmented-Lagrangian evaluation, the
+// kernel computes every cloud row's total and every user's total once per
+// evaluation — O(nnz) — and derives every row
 // activity from them in O(1); the transpose-gradient contribution of all
 // rows is fused into a single O(nnz) pass using per-cloud and per-user
 // multiplier aggregates.
@@ -49,8 +48,8 @@ type GroupRow struct {
 // Groups is a structured constraint set over a cloud-major CSR grid of I
 // cloud rows and J users: cloud row i's variables occupy
 // x[RowPtr[i]:RowPtr[i+1]], packed variable k belonging to user Cols[k].
-// The k-th row of Rows owns the k-th dual multiplier in Result.Duals,
-// exactly like Cons rows do. Rows must not be mutated during a Solve.
+// The k-th row of Rows owns the k-th dual multiplier in Result.Duals.
+// Rows must not be mutated during a Solve.
 //
 // Every program of the paper is such a grid. The per-slot P2 over all
 // pairs is the full grid (RowPtr[i] = i·J, Cols repeating 0…J−1); the

@@ -67,31 +67,46 @@ func randomGrid(rng *rand.Rand, pruned bool) *Groups {
 	return g
 }
 
-// consFromGroups materializes the generic sparse-row form of a structured
-// row set over the packed variables — the reference semantics the kernel
-// must match.
-func consFromGroups(g *Groups) []Constraint {
-	cons := make([]Constraint, 0, len(g.Rows))
+// denseRow is one structured row written out over the packed variables,
+// Σ_t coef[t]·x[idx[t]] ≥ rhs: the reference semantics the kernel must
+// match, evaluated nonzero by nonzero.
+type denseRow struct {
+	idx  []int
+	coef []float64
+	rhs  float64
+}
+
+// activity returns A_k·x, summed over the row's nonzeros.
+func (r denseRow) activity(x []float64) float64 {
+	s := 0.0
+	for t, k := range r.idx {
+		s += r.coef[t] * x[k]
+	}
+	return s
+}
+
+// denseRowsOf writes out every row of g.
+func denseRowsOf(g *Groups) []denseRow {
+	rows := make([]denseRow, 0, len(g.Rows))
 	for _, r := range g.Rows {
-		var idx []int
-		var coef []float64
+		d := denseRow{rhs: r.RHS}
 		switch r.Kind {
 		case GroupUserSum:
 			for k, j := range g.Cols {
 				if j == r.Index {
-					idx = append(idx, k)
-					coef = append(coef, 1)
+					d.idx = append(d.idx, k)
+					d.coef = append(d.coef, 1)
 				}
 			}
 		case GroupCloudSumNeg:
 			for k := g.RowPtr[r.Index]; k < g.RowPtr[r.Index+1]; k++ {
-				idx = append(idx, k)
-				coef = append(coef, -1)
+				d.idx = append(d.idx, k)
+				d.coef = append(d.coef, -1)
 			}
 		}
-		cons = append(cons, Constraint{Idx: idx, Coeffs: coef, RHS: r.RHS})
+		rows = append(rows, d)
 	}
-	return cons
+	return rows
 }
 
 // capacityOnly drops g's demand rows, leaving a row set with no user sum:
@@ -129,9 +144,9 @@ func quadObj(n int, rng *rand.Rand) objFunc {
 }
 
 // lagrangianMatchesDense draws a random primal and dual point for g and
-// requires the structured Lagrangian to agree with the sparse-row reference
-// (Problem.Cons) on the objective value, the full gradient, and every row
-// activity (slack) to 1e-10.
+// requires the structured Lagrangian to agree with the augmented Lagrangian
+// written out over g's dense rows (denseRowsOf) on the objective value, the
+// full gradient, and every row activity (slack) to 1e-10.
 func lagrangianMatchesDense(t *testing.T, trial int, rng *rand.Rand, g *Groups) {
 	t.Helper()
 	n := len(g.Cols)
@@ -151,25 +166,31 @@ func lagrangianMatchesDense(t *testing.T, trial int, rng *rand.Rand, g *Groups) 
 	rho := 0.5 + 4*rng.Float64()
 
 	pg := &Problem{Obj: obj, N: n, Groups: g}
-	pd := &Problem{Obj: obj, N: n, Cons: consFromGroups(g)}
-	wsg, wsd := workspaceFor(pg), workspaceFor(pd)
+	ws := workspaceFor(pg)
+	gradG := make([]float64, n)
+	fg := (&lagrangian{p: pg, y: y, rho: rho, ws: ws}).Eval(x, gradG)
 
-	// Row activities (slacks are RHS − ax; ax agreement implies both).
-	pg.axInto(x, wsg.ax, &wsg.gs)
-	pd.axInto(x, wsd.ax, &wsd.gs)
-	for k := range wsg.ax {
-		if d := math.Abs(wsg.ax[k] - wsd.ax[k]); d > 1e-10 {
+	// The reference: h_ρ(y_k, s_k) per row and ∇f − Σ_k max(0, y_k+ρs_k)·A_k,
+	// row by row over the written-out nonzeros.
+	gradD := make([]float64, n)
+	fd := obj.Eval(x, gradD)
+	for k, r := range denseRowsOf(g) {
+		// Row activities (slacks are RHS − ax; ax agreement implies both).
+		ax := r.activity(x)
+		if d := math.Abs(ws.ax[k] - ax); d > 1e-10 {
 			t.Fatalf("trial %d row %d (%+v): ax %g vs dense %g (diff %g)",
-				trial, k, g.Rows[k], wsg.ax[k], wsd.ax[k], d)
+				trial, k, g.Rows[k], ws.ax[k], ax, d)
+		}
+		mult := y[k] + rho*(r.rhs-ax)
+		if mult <= 0 {
+			fd -= y[k] * y[k] / (2 * rho)
+			continue
+		}
+		fd += (mult*mult - y[k]*y[k]) / (2 * rho)
+		for p, idx := range r.idx {
+			gradD[idx] -= mult * r.coef[p]
 		}
 	}
-
-	lg := &lagrangian{p: pg, y: y, rho: rho, ws: wsg}
-	ld := &lagrangian{p: pd, y: y, rho: rho, ws: wsd}
-	gradG := make([]float64, n)
-	gradD := make([]float64, n)
-	fg := lg.Eval(x, gradG)
-	fd := ld.Eval(x, gradD)
 	if d := math.Abs(fg-fd) / (1 + math.Abs(fd)); d > 1e-10 {
 		t.Fatalf("trial %d: Lagrangian value %g vs dense %g (rel diff %g)", trial, fg, fd, d)
 	}
@@ -277,53 +298,70 @@ func (f objFunc) Eval(x, grad []float64) float64 { return f(x, grad) }
 // test and its own cap.
 const slowTailTrial = 5
 
-// solveBothRows draws one random strongly convex program and, unless
-// maxOuter is 0 (draw only), runs the full augmented-Lagrangian loop on it
-// with both row representations, requires both to converge within
-// maxOuter, and holds the primal points and dual multipliers to each
-// other. It returns the two outer counts.
-func solveBothRows(t *testing.T, trial int, rng *rand.Rand, pruned bool, maxOuter int) (structured, dense int) {
+// denseKKT holds a point and multipliers of a program over g's rows to
+// the program's KKT system, written out over denseRowsOf(g) and so sharing
+// nothing with the structured kernel but the row definitions: the largest
+// row violation (b_k − A_k·x)⁺/(1+|b_k|), the largest complementarity
+// min(y_k, A_k·x − b_k)/(1+|b_k|) over rows with slack, and the largest
+// stationarity residual |min(x_k, g_k)| with g = ∇f − Σ_k y_k·A_k, relative
+// to 1+|∇f_k|. Multipliers are nonnegative by construction.
+func denseKKT(g *Groups, obj objFunc, x, y []float64) (viol, comp, stat float64) {
+	grad := make([]float64, len(x))
+	obj.Eval(x, grad)
+	g0 := append([]float64(nil), grad...)
+	for k, r := range denseRowsOf(g) {
+		s := r.activity(x) - r.rhs
+		scale := 1 + math.Abs(r.rhs)
+		viol = max(viol, -s/scale)
+		if s > 0 {
+			comp = max(comp, min(y[k], s)/scale)
+		}
+		for p, idx := range r.idx {
+			grad[idx] -= y[k] * r.coef[p]
+		}
+	}
+	for k, v := range x {
+		stat = max(stat, math.Abs(min(v, grad[k]))/(1+math.Abs(g0[k])))
+	}
+	return viol, comp, stat
+}
+
+// solveChecked draws one random strongly convex program and, unless
+// maxOuter is 0 (draw only), runs the full augmented-Lagrangian loop on it,
+// requires it to converge within maxOuter, and holds the primal point and
+// dual multipliers to the program's KKT system (denseKKT): violation and
+// complementarity within FeasTol, stationarity within 1e-4. These programs
+// give FISTA a bare gradient oracle, and FISTA stops on stagnation, not on
+// stationarity: over the 50 solves the worst is 1.7e-5 (violation 1.6e-8,
+// complementarity 2.1e-8), where a dropped multiplier aggregate leaves
+// O(1). It returns the outer count.
+func solveChecked(t *testing.T, trial int, rng *rand.Rand, pruned bool, maxOuter int) int {
 	t.Helper()
 	g := randomGrid(rng, pruned)
 	n := len(g.Cols)
 	obj := quadObj(n, rng)
 	if maxOuter == 0 {
-		return 0, 0
+		return 0
 	}
-	opts := Options{MaxOuter: maxOuter}
-
-	rg, err := Solve(&Problem{Obj: obj, N: n, Groups: g}, opts)
+	r, err := Solve(&Problem{Obj: obj, N: n, Groups: g}, Options{MaxOuter: maxOuter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rd, err := Solve(&Problem{Obj: obj, N: n, Cons: consFromGroups(g)}, opts)
-	if err != nil {
-		t.Fatal(err)
+	if !r.Converged {
+		t.Fatalf("trial %d: not converged (stop %q, viol %g)", trial, r.Stop, r.MaxViolation)
 	}
-	if !rg.Converged || !rd.Converged {
-		t.Fatalf("trial %d: converged structured=%v dense=%v (viol %g / %g)",
-			trial, rg.Converged, rd.Converged, rg.MaxViolation, rd.MaxViolation)
+	viol, comp, stat := denseKKT(g, obj, r.X, r.Duals)
+	if viol > 1e-7 || comp > 1e-7 || stat > 1e-4 {
+		t.Errorf("trial %d: KKT residual: violation %g, complementarity %g, stationarity %g",
+			trial, viol, comp, stat)
 	}
-	if d := math.Abs(rg.Objective-rd.Objective) / (1 + math.Abs(rd.Objective)); d > 1e-6 {
-		t.Errorf("trial %d: objective %g vs dense %g", trial, rg.Objective, rd.Objective)
-	}
-	for k := range rg.X {
-		if d := math.Abs(rg.X[k] - rd.X[k]); d > 1e-5 {
-			t.Errorf("trial %d: x[%d] = %g vs dense %g", trial, k, rg.X[k], rd.X[k])
-		}
-	}
-	for k := range rg.Duals {
-		if d := math.Abs(rg.Duals[k] - rd.Duals[k]); d > 1e-4*(1+math.Abs(rd.Duals[k])) {
-			t.Errorf("trial %d: dual[%d] = %g vs dense %g", trial, k, rg.Duals[k], rd.Duals[k])
-		}
-	}
-	return rg.Outer, rd.Outer
+	return r.Outer
 }
 
 // TestGroupsSolveDualsMatchDense runs the full augmented-Lagrangian loop
-// on randomized strongly convex programs over multi-slot grids with both
-// row representations and requires the converged primal points and dual
-// multipliers to agree.
+// on randomized strongly convex programs over multi-slot grids and holds
+// the converged primal point and dual multipliers to the KKT system written
+// out over the dense rows (solveChecked).
 func TestGroupsSolveDualsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -331,7 +369,7 @@ func TestGroupsSolveDualsMatchDense(t *testing.T) {
 		if trial == slowTailTrial {
 			maxOuter = 0 // TestGroupsSolveDualsSlowTail
 		}
-		solveBothRows(t, trial, rng, false, maxOuter)
+		solveChecked(t, trial, rng, false, maxOuter)
 	}
 }
 
@@ -340,24 +378,21 @@ func TestGroupsSolveDualsMatchDense(t *testing.T) {
 func TestRaggedSolveMatchesCons(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 25; trial++ {
-		solveBothRows(t, trial, rng, true, 200)
+		solveChecked(t, trial, rng, true, 200)
 	}
 }
 
 // TestGroupsSolveDualsSlowTail pins the instance the 200-iteration cap
-// no longer covers. With its complement rows (before PR 23) both
-// representations converged at outer 199; on demand + capacity rows the
-// structured solve converges at outer 164 and the sparse-row one at 211 —
-// same program, sums in a different order — because on this floor the
-// outer count is decided by which inner solve first leaves the point
-// bit-for-bit unmoved (ROADMAP 1(a)), not by a rate. The agreement bars
-// are the other trials'; the cap is this instance's measured count plus
-// room, so a stop-rule change that lengthens the wander shows up here.
+// no longer covers. With the complement rows the solve converged at outer
+// 199; on demand + capacity rows it converges at outer 164, because on
+// this floor the outer count is decided by which inner solve first leaves
+// the point bit-for-bit unmoved, not by a rate. The KKT bars are the other trials'; the cap is this instance's
+// measured count plus room, so a stop-rule change that lengthens the
+// wander shows up here.
 func TestGroupsSolveDualsSlowTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < slowTailTrial; trial++ {
-		solveBothRows(t, trial, rng, false, 0)
+		solveChecked(t, trial, rng, false, 0)
 	}
-	structured, dense := solveBothRows(t, slowTailTrial, rng, false, 250)
-	t.Logf("outer iterations: structured %d, dense %d", structured, dense)
+	t.Logf("outer iterations: %d", solveChecked(t, slowTailTrial, rng, false, 250))
 }

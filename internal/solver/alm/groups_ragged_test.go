@@ -123,16 +123,13 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 		}
 		axW, gradW := eval(wide)
 		axC, gradC := eval(compact)
-		for k, c := range consFromGroups(wide) {
-			want := 0.0
-			for p, idx := range c.Idx {
-				want += c.Coeffs[p] * x[idx]
-			}
+		for k, c := range denseRowsOf(wide) {
+			want := c.activity(x)
 			if math.Abs(axW[k]-want) > 1e-12*(1+math.Abs(want)) {
 				t.Fatalf("trial %d row %d (%+v): activity %g, sparse-row reference %g", trial, k, wide.Rows[k], axW[k], want)
 			}
-			for _, idx := range c.Idx {
-				gradW[idx] += mult[k] * c.Coeffs[0] // undo the row's share
+			for _, idx := range c.idx {
+				gradW[idx] += mult[k] * c.coef[0] // undo the row's share
 			}
 		}
 		for k, v := range gradW {
@@ -155,8 +152,8 @@ func TestRaggedSparseUsersAndStaleScratch(t *testing.T) {
 }
 
 // TestSolveRejectsMalformedGroups feeds Solve a small valid program on
-// either inner solver with one thing broken — the CSR geometry or a row —
-// and requires ErrBadProblem, never a panic: validation
+// either inner solver with one thing broken — the CSR geometry, a row, or
+// the rows missing altogether — and requires ErrBadProblem, never a panic: validation
 // indexes no slice it has not length-checked.
 func TestSolveRejectsMalformedGroups(t *testing.T) {
 	base := func() *Problem {
@@ -191,7 +188,7 @@ func TestSolveRejectsMalformedGroups(t *testing.T) {
 		{"row-user", func(p *Problem) { p.Groups.Rows[0].Index = 3 }},
 		{"row-cloud", func(p *Problem) { p.Groups.Rows[1].Index = 2 }},
 		{"row-kind", func(p *Problem) { p.Groups.Rows[0].Kind = 7 }},
-		{"cons-and-groups", func(p *Problem) { p.Cons = []Constraint{{RHS: 1}} }},
+		{"nil-groups", func(p *Problem) { p.Groups = nil }},
 	} {
 		p := base()
 		tc.mut(p)

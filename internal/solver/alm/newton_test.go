@@ -158,10 +158,10 @@ func checkReadAtX(t *testing.T, solver string, p *Problem, r *Result) {
 		t.Errorf("%s: Objective %.17g, f(X) = %.17g", solver, r.Objective, f)
 	}
 	ws := workspaceFor(p)
-	p.axInto(r.X, ws.ax, &ws.gs)
+	p.Groups.axInto(r.X, ws.ax, &ws.gs)
 	viol := 0.0
 	for k, a := range ws.ax {
-		rhs := p.rowRHS(k)
+		rhs := p.Groups.Rows[k].RHS
 		viol = max(viol, (rhs-a)/(1+math.Abs(rhs)))
 	}
 	if r.MaxViolation != viol {
@@ -187,8 +187,8 @@ func (c *countingObjective) Eval(x, grad []float64) float64 {
 // TestNewtonPathMakesNoValueOnlyEvaluation pins one evaluation per point:
 // on the Newton path every f Solve reports or tests was computed by the
 // gradient evaluation that produced the point, so the objective is never
-// asked for a value alone. The sparse-row form of the same programs keeps
-// FISTA's one reading per outer iteration, at the point it returns.
+// asked for a value alone. The same programs behind a bare gradient oracle
+// keep FISTA's one reading per outer iteration, at the point it returns.
 func TestNewtonPathMakesNoValueOnlyEvaluation(t *testing.T) {
 	rng := rand.New(rand.NewSource(2017))
 	for trial := 0; trial < 10; trial++ {
@@ -206,16 +206,16 @@ func TestNewtonPathMakesNoValueOnlyEvaluation(t *testing.T) {
 			t.Errorf("trial %d: %d value-only and %d gradient evaluations, want 0 and > 0", trial, obj.values, obj.grads)
 		}
 
-		sparse := *p
-		sparse.Cons, sparse.Groups = consFromGroups(p.Groups), nil
-		res, err = Solve(&sparse, Options{MaxOuter: 8})
+		oracle := *p
+		oracle.Obj = fista.Func(o.Eval)
+		res, err = Solve(&oracle, Options{MaxOuter: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Newton {
-			t.Fatalf("trial %d: sparse rows solved by Newton", trial)
+			t.Fatalf("trial %d: gradient oracle solved by Newton", trial)
 		}
-		checkReadAtX(t, "fista", &sparse, res)
+		checkReadAtX(t, "fista", &oracle, res)
 	}
 }
 
@@ -277,10 +277,8 @@ func TestNewtonPathEvaluatesNoPointTwice(t *testing.T) {
 // workspaceFor returns a workspace sized for p's kernels.
 func workspaceFor(p *Problem) *Workspace {
 	ws := &Workspace{}
-	ws.ensure(p.N, p.numRows())
-	if p.Groups != nil {
-		ws.gs.ensure(p.Groups)
-	}
+	ws.ensure(p.N, p.Groups.NumRows())
+	ws.gs.ensure(p.Groups)
 	return ws
 }
 
@@ -296,7 +294,7 @@ func lagrangianAt(p *Problem, x, y []float64, rho float64) float64 {
 func kktResidual(p *Problem, r Result) float64 {
 	g := make([]float64, p.N)
 	p.Obj.Eval(r.X, g)
-	p.addGrad(r.Duals, g, g, &workspaceFor(p).gs)
+	p.Groups.addGrad(r.Duals, g, g, &workspaceFor(p).gs)
 	res := 0.0
 	for k, v := range g {
 		if v > 0 {
@@ -597,8 +595,8 @@ func BenchmarkCholSolve(b *testing.B) {
 	}
 }
 
-// TestNewtonSelectedByStructure pins the dispatch: Newton needs Groups
-// rows and an objective with Curv; anything else is FISTA's.
+// TestNewtonSelectedByStructure pins the dispatch: Newton needs an
+// objective with Curv; a bare gradient oracle is FISTA's.
 func TestNewtonSelectedByStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	base, _ := curvProgram(rng, false, curved)
@@ -608,7 +606,6 @@ func TestNewtonSelectedByStructure(t *testing.T) {
 		newton bool
 	}{
 		{"structured", func(p *Problem) {}, true},
-		{"sparse rows", func(p *Problem) { p.Cons, p.Groups = consFromGroups(p.Groups), nil }, false},
 		{"gradient oracle", func(p *Problem) { p.Obj = fista.Func(p.Obj.Eval) }, false},
 	} {
 		p := *base
@@ -636,9 +633,9 @@ func TestNewtonWorkspaceReuse(t *testing.T) {
 	for len(small) < 6 || len(large) < 6 {
 		p, _ := curvProgram(rng, rng.Intn(3) == 1, curved)
 		switch {
-		case p.N <= 12 && p.numRows() <= 8 && len(small) < 6:
+		case p.N <= 12 && p.Groups.NumRows() <= 8 && len(small) < 6:
 			small = append(small, p)
-		case p.N >= 24 && p.numRows() >= 10 && len(large) < 6:
+		case p.N >= 24 && p.Groups.NumRows() >= 10 && len(large) < 6:
 			large = append(large, p)
 		}
 	}
@@ -674,7 +671,7 @@ func TestNewtonWorkspaceReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := sameResult(*got, *want); err != nil {
-			t.Fatalf("trial %d (N %d, %d rows) on the shared workspace: %v", trial, p.N, p.numRows(), err)
+			t.Fatalf("trial %d (N %d, %d rows) on the shared workspace: %v", trial, p.N, p.Groups.NumRows(), err)
 		}
 		again, err := Solve(p, Options{MaxOuter: 6, Workspace: &ws, WarmX: got.X, WarmDuals: got.Duals})
 		if err != nil {

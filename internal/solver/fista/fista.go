@@ -6,10 +6,9 @@
 // It is the first-order inner solver of the augmented-Lagrangian method
 // (internal/solver/alm), for the programs that give it nothing but a
 // gradient oracle: the baselines' and the offline program's generic
-// objectives, and the sparse-row reference form of P2 that the property
-// tests hold the production path against. The per-slot programs of the
-// online algorithm expose their curvature and are solved by alm's projected
-// Newton method instead, so on them this package is an independent solver
+// objectives. The per-slot programs of the online algorithm expose their
+// curvature and are solved by alm's projected Newton method instead; alm's
+// tests run this package on the same programs as an independent solver
 // cross-checking the one that ships.
 package fista
 

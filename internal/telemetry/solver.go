@@ -11,7 +11,7 @@ import "strconv"
 //	edgealloc_solver_steps_total               counter    slots solved
 //	edgealloc_solver_steps_nonconverged_total  counter    slots where ALM hit MaxOuter
 //	edgealloc_solver_alm_outer_iterations_total    counter  ALM multiplier updates
-//	edgealloc_solver_inner_iterations_total        counter  inner-solver iterations (Newton steps; FISTA on the sparse-row reference)
+//	edgealloc_solver_inner_iterations_total        counter  inner-solver iterations (projected Newton steps)
 //	edgealloc_solver_candidate_rounds_total        counter  certified solve rounds (≥1/slot)
 //	edgealloc_solver_candidate_expanded_pairs_total counter pairs re-admitted by pricing
 //	edgealloc_solver_candidate_nnz                 gauge    Σ_j|K_j| of the last certified solve
@@ -72,7 +72,7 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 		OuterIters: r.Counter("edgealloc_solver_alm_outer_iterations_total",
 			"ALM outer (multiplier-update) iterations."),
 		InnerIters: r.Counter("edgealloc_solver_inner_iterations_total",
-			"Inner-solver iterations across all subproblems (projected Newton steps; FISTA iterations on the sparse-row reference)."),
+			"Inner-solver iterations across all subproblems (projected Newton steps)."),
 		CandRounds: r.Counter("edgealloc_solver_candidate_rounds_total",
 			"Certified solve rounds, at least one per slot (rounds beyond one are pricing expansions, freeze-gate re-admissions, or on the sharded path further coordination rounds)."),
 		CandExpanded: r.Counter("edgealloc_solver_candidate_expanded_pairs_total",

@@ -3,8 +3,9 @@
 # CHANGE are checked out into two temporary git worktrees, and
 # `bash bench/run.sh --workload W --seed S --seconds N` runs in each, one
 # run per side per pair, for K pairs; the side that goes first alternates
-# from pair to pair. It then prints, for every end-to-end metric of
-# BENCHMARK.json, both sides' medians, the parent's interquartile range,
+# from pair to pair. Each run prints its value of every end-to-end metric
+# of BENCHMARK.json as it finishes, so both sides of every pair are on
+# screen. It then prints, for every end-to-end metric, both sides' medians, the parent's interquartile range,
 # and in how many pairs the change was better, and says whether the
 # deterministic metrics (cost_per_slot, certified_ratio) matched bit for
 # bit in every pair. Runs that report `correct false` or failed operations
@@ -55,7 +56,8 @@ trap cleanup EXIT INT TERM
 git worktree add -q --detach "$tmp/parent" "$parent_rev"
 git worktree add -q --detach "$tmp/change" "$change_rev"
 
-# run SIDE PAIR: one benchmark run, its last JSON line appended to SIDE.jsonl.
+# run SIDE PAIR: one benchmark run, its last JSON line appended to SIDE.jsonl
+# and its value of every end-to-end metric printed.
 run() {
     local out
     out="$(cd "$tmp/$1" && bash bench/run.sh --workload "$workload" --seed "$seed" --seconds "$secs" 2>&1)" || {
@@ -67,22 +69,30 @@ run() {
         echo "bench_ab: $1 run of pair $2 printed no result line" >&2
         exit 1
     }
-    printf '  pair %d %-6s slot_p50_ms %s\n' "$2" "$1" "$(value slot_p50_ms <"$tmp/$1.jsonl" | tail -n 1)"
+    local line name vals=""
+    line="$(tail -n 1 "$tmp/$1.jsonl")"
+    for name in $names; do vals="$vals $(printf '%14s' "$(value "$name" <<<"$line")")"; done
+    printf '  %4d %-6s%s\n' "$2" "$1" "$vals"
 }
 
 # value METRIC: the metric's value in each JSON line on stdin, as printed.
 value() { sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
-
-echo "== $workload seed $seed, ${secs} s, $pairs pairs: parent $(git rev-parse --short "$parent_rev"), change $(git rev-parse --short "$change_rev")"
-for ((p = 1; p <= pairs; p++)); do
-    if ((p % 2)); then run parent "$p"; run change "$p"; else run change "$p"; run parent "$p"; fi
-done
 
 # The end-to-end metrics and which way is better, from BENCHMARK.json.
 metrics="$(awk '/"end_to_end"/ { e = 1 }
     e && /"name"/ { gsub(/[",]/, "", $2); n = $2 }
     e && /"better"/ { gsub(/[",]/, "", $2); print n, $2 }
     e && /^[ \t]*\]/ { e = 0 }' "$tmp/change/BENCHMARK.json")"
+
+names="$(cut -d ' ' -f 1 <<<"$metrics")"
+
+echo "== $workload seed $seed, ${secs} s, $pairs pairs: parent $(git rev-parse --short "$parent_rev"), change $(git rev-parse --short "$change_rev")"
+printf '  %4s %-6s' pair side
+for name in $names; do printf ' %14s' "$name"; done
+echo
+for ((p = 1; p <= pairs; p++)); do
+    if ((p % 2)); then run parent "$p"; run change "$p"; else run change "$p"; run parent "$p"; fi
+done
 
 echo
 printf '%-18s %14s %14s %9s %12s %6s\n' metric parent change delta parent_IQR wins
