@@ -42,10 +42,10 @@ func newFlagSet(o *options, errw io.Writer) *flag.FlagSet {
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:8080", "listen address")
 	fs.IntVar(&o.cfg.Workers, "workers", 0, "max concurrent slot solves (0 = GOMAXPROCS)")
 	fs.IntVar(&o.cfg.QueueDepth, "queue", 0, "max solve requests waiting for a worker (0 = 4x workers)")
-	fs.IntVar(&o.cfg.SessionQueue, "session-queue", 4, "max solve requests queued on one session")
-	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 256, "max live sessions")
-	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", 15*time.Minute, "evict sessions idle this long")
-	fs.DurationVar(&o.cfg.StepTimeout, "step-timeout", 2*time.Minute, "per-slot solve deadline")
+	fs.IntVar(&o.cfg.SessionQueue, "session-queue", 0, "max solve requests queued on one session (0 = 4)")
+	fs.IntVar(&o.cfg.MaxSessions, "max-sessions", 0, "max live sessions (0 = 256)")
+	fs.DurationVar(&o.cfg.SessionTTL, "session-ttl", 0, "evict sessions idle this long (0 = 15m)")
+	fs.DurationVar(&o.cfg.StepTimeout, "step-timeout", 0, "per-slot solve deadline (0 = 2m)")
 	fs.DurationVar(&o.drainWait, "drain-wait", 30*time.Second, "shutdown grace for in-flight slots")
 	o.cfg.Defaults.BindFlags(fs)
 	fs.StringVar(&o.cfg.SnapshotDir, "snapshot-dir", "", "keep one append-only snapshot log per session here (a header plus one record per committed slot): TTL eviction saves warm state to disk and a restarted daemon recovers every session found (empty = no persistence)")

@@ -125,16 +125,16 @@ type Diagnostics struct {
 
 // Options tunes the oracle's tolerances. Zero values take defaults.
 type Options struct {
-	// FeasTol is the absolute feasibility tolerance, scaled by
-	// 1 + |constraint| per row (default 1e-4, the harness-wide tolerance
-	// the first-order solvers meet with two orders of margin).
-	FeasTol float64
 	// DualTol bounds the certificate's own feasibility residual
 	// (default 1e-5; the construction is exact up to float round-off).
 	DualTol float64
 }
 
 const (
+	// feasTol is the absolute feasibility tolerance, scaled by
+	// 1 + |constraint| per row: the harness-wide tolerance the
+	// first-order solvers meet with two orders of margin.
+	feasTol = 1e-4
 	// costTol is the relative tolerance on cost identities such as the
 	// Lemma-1 gap.
 	costTol = 1e-6
@@ -145,9 +145,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.FeasTol == 0 {
-		o.FeasTol = 1e-4
-	}
 	if o.DualTol == 0 {
 		o.DualTol = 1e-5
 	}
@@ -223,7 +220,7 @@ type checker struct {
 	rep  *Report
 	opts Options
 	// capacityTight records whether any cloud runs at capacity (within
-	// FeasTol) at the realized schedule. Where capacity binds, the
+	// feasTol) at the realized schedule. Where capacity binds, the
 	// explicit rows added to P2 (DESIGN.md finding 1: Theorem 1's
 	// feasibility claim has a gap) steer the solution away from the pure
 	// regularized program the paper's primal-dual chain analyzes, so the
@@ -328,7 +325,6 @@ func (c *checker) run(in *model.Instance, walk model.Walk, diag *Diagnostics) *R
 // grid checks every entry and sums both totals, into the scratch served
 // and used, each in the order UserTotalsInto and CloudTotalsInto sum it.
 func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, used []float64) {
-	tol := c.opts.FeasTol
 	clear(served)
 	for i := range used {
 		row := x.X[i*in.J : (i+1)*in.J]
@@ -336,7 +332,7 @@ func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, us
 		for j, v := range row {
 			served[j] += v
 			tot += v
-			if v >= -tol && v <= math.MaxFloat64 {
+			if v >= -feasTol && v <= math.MaxFloat64 {
 				continue // finite and not negative beyond tolerance
 			}
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -346,9 +342,9 @@ func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, us
 				}
 				continue
 			}
-			if v < -tol {
+			if v < -feasTol {
 				if !c.add(Violation{Kind: KindNegative, Slot: t, Index: i,
-					Got: v, Bound: -tol,
+					Got: v, Bound: -feasTol,
 					Detail: fmt.Sprintf("x[%d][%d] negative", i, j)}) {
 					return
 				}
@@ -357,7 +353,7 @@ func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, us
 		used[i] = tot
 	}
 	for j, got := range served {
-		if bound := in.Workload[j] - tol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
+		if bound := in.Workload[j] - feasTol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
 			if !c.add(Violation{Kind: KindDemand, Slot: t, Index: j,
 				Got: got, Bound: in.Workload[j],
 				Detail: "user served below workload (Theorem 1)"}) {
@@ -366,10 +362,10 @@ func (c *checker) checkSlot(in *model.Instance, t int, x model.Alloc, served, us
 		}
 	}
 	for i, got := range used {
-		if got >= in.Capacity[i]-tol*(1+in.Capacity[i]) {
+		if got >= in.Capacity[i]-feasTol*(1+in.Capacity[i]) {
 			c.capacityTight = true
 		}
-		if bound := in.Capacity[i] + tol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
+		if bound := in.Capacity[i] + feasTol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
 			if !c.add(Violation{Kind: KindCapacity, Slot: t, Index: i,
 				Got: got, Bound: in.Capacity[i],
 				Detail: "cloud loaded beyond capacity (Theorem 1)"}) {
@@ -420,7 +416,7 @@ func (c *checker) checkGap(in *model.Instance, b0, b1 model.Breakdown, last mode
 	sigma := in.WMg * in.Sigma()
 	// Feasible schedules keep |Σ_j x_{ij}| ≤ C_i, so the identity implies
 	// |gap| ≤ w_mg·σ; allow the feasibility tolerance on top.
-	if bound := sigma + c.opts.FeasTol*scale; math.Abs(gap) > bound {
+	if bound := sigma + feasTol*scale; math.Abs(gap) > bound {
 		c.add(Violation{Kind: KindGap, Slot: -1, Index: -1, Got: math.Abs(gap), Bound: sigma,
 			Detail: "|P1−P0| exceeds the Lemma-1 bound w_mg·σ"})
 	}

@@ -27,7 +27,6 @@ func referenceCheck(in *model.Instance, s model.Schedule, diag *Diagnostics, opt
 }
 
 func (c *checker) referenceSlots(in *model.Instance, s model.Schedule) {
-	tol := c.opts.FeasTol
 	served := make([]float64, in.J)
 	used := make([]float64, in.I)
 	for t, x := range s {
@@ -42,9 +41,9 @@ func (c *checker) referenceSlots(in *model.Instance, s model.Schedule) {
 				}
 				continue
 			}
-			if v < -tol {
+			if v < -feasTol {
 				if !c.add(Violation{Kind: KindNegative, Slot: t, Index: k / in.J,
-					Got: v, Bound: -tol,
+					Got: v, Bound: -feasTol,
 					Detail: fmt.Sprintf("x[%d][%d] negative", k/in.J, k%in.J)}) {
 					return
 				}
@@ -52,7 +51,7 @@ func (c *checker) referenceSlots(in *model.Instance, s model.Schedule) {
 		}
 		x.UserTotalsInto(served)
 		for j, got := range served {
-			if bound := in.Workload[j] - tol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
+			if bound := in.Workload[j] - feasTol*(1+in.Workload[j]); got < bound || math.IsNaN(got) {
 				if !c.add(Violation{Kind: KindDemand, Slot: t, Index: j,
 					Got: got, Bound: in.Workload[j],
 					Detail: "user served below workload (Theorem 1)"}) {
@@ -62,10 +61,10 @@ func (c *checker) referenceSlots(in *model.Instance, s model.Schedule) {
 		}
 		x.CloudTotalsInto(used)
 		for i, got := range used {
-			if got >= in.Capacity[i]-tol*(1+in.Capacity[i]) {
+			if got >= in.Capacity[i]-feasTol*(1+in.Capacity[i]) {
 				c.capacityTight = true
 			}
-			if bound := in.Capacity[i] + tol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
+			if bound := in.Capacity[i] + feasTol*(1+in.Capacity[i]); got > bound || math.IsNaN(got) {
 				if !c.add(Violation{Kind: KindCapacity, Slot: t, Index: i,
 					Got: got, Bound: in.Capacity[i],
 					Detail: "cloud loaded beyond capacity (Theorem 1)"}) {
@@ -121,7 +120,7 @@ func (c *checker) referenceGap(in *model.Instance, s model.Schedule) {
 	sigma := in.WMg * in.Sigma()
 	// Feasible schedules keep |Σ_j x_{ij}| ≤ C_i, so the identity implies
 	// |gap| ≤ w_mg·σ; allow the feasibility tolerance on top.
-	if bound := sigma + c.opts.FeasTol*scale; math.Abs(gap) > bound {
+	if bound := sigma + feasTol*scale; math.Abs(gap) > bound {
 		c.add(Violation{Kind: KindGap, Slot: -1, Index: -1, Got: math.Abs(gap), Bound: sigma,
 			Detail: "|P1−P0| exceeds the Lemma-1 bound w_mg·σ"})
 	}
@@ -246,12 +245,10 @@ func TestCheckMatchesReference(t *testing.T) {
 				s[tt] = x.Clone()
 			}
 			m.f(r.in, s)
-			for _, opts := range []Options{{}, {FeasTol: 1e-12}, {FeasTol: math.NaN()}} {
-				for _, diag := range []*Diagnostics{nil, r.diag} {
-					got, want := reportBits(Check(r.in, s, diag, opts)), reportBits(referenceCheck(r.in, s, diag, opts))
-					if got != want {
-						t.Errorf("%s, %s, %+v, certificate %v: report\n%s\nwant\n%s", r.name, m.name, opts, diag != nil, got, want)
-					}
+			for _, diag := range []*Diagnostics{nil, r.diag} {
+				got, want := reportBits(Check(r.in, s, diag, Options{})), reportBits(referenceCheck(r.in, s, diag, Options{}))
+				if got != want {
+					t.Errorf("%s, %s, certificate %v: report\n%s\nwant\n%s", r.name, m.name, diag != nil, got, want)
 				}
 			}
 		}

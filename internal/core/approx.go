@@ -120,12 +120,6 @@ type Options struct {
 	// equal to the in-process run. Empty (the default) keeps every solve
 	// in-process and the sharded path bitwise unchanged.
 	ShardWorkers []string
-	// ShardRPCTimeout bounds one worker HTTP attempt and ShardRPCRetries
-	// is the number of re-attempts after a retryable failure. Zero values
-	// take the shardrpc defaults (30s, 2); negative retries disable
-	// retrying. Only meaningful with ShardWorkers.
-	ShardRPCTimeout time.Duration
-	ShardRPCRetries int
 	// CandidateTol is the reduced-cost tolerance of the pricing pass,
 	// relative to 1 + |static coefficient| per pair (default 1e-7):
 	// pruned pairs priced below −CandidateTol·(1+|ā_ij|) rejoin the

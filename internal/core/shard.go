@@ -94,14 +94,9 @@ func (o *OnlineApprox) initShard(in *model.Instance) {
 		ifaces[si] = b
 	}
 	if workers := o.opts.ShardWorkers; len(workers) > 0 {
-		copts := shardrpc.ClientOptions{
-			Timeout: o.opts.ShardRPCTimeout,
-			Retries: o.opts.ShardRPCRetries,
-			Metrics: o.opts.Metrics,
-		}
 		clients := make([]*shardrpc.Client, len(workers))
 		for w, base := range workers {
-			clients[w] = shardrpc.NewClient(base, copts)
+			clients[w] = shardrpc.NewClient(base, shardrpc.ClientOptions{Metrics: o.opts.Metrics})
 		}
 		// Block IDs must be unique across every coordinator a worker may
 		// serve concurrently (several edged replicas, several harness
@@ -508,13 +503,12 @@ func (b *shardBlock) Spec(id string, slot, gen int) *shardrpc.BlockSpec {
 		Theta:    append([]float64(nil), b.theta...),
 		Demand:   append([]float64(nil), b.demand...),
 		Solver: shardrpc.SolverOptions{
-			MaxOuter:      b.sopts.MaxOuter,
-			InnerIters:    b.sopts.InnerIters,
-			Penalty:       b.sopts.Penalty,
-			PenaltyGrowth: b.sopts.PenaltyGrowth,
-			FeasTol:       b.sopts.FeasTol,
-			ObjTol:        b.sopts.ObjTol,
-			DualTol:       b.sopts.DualTol,
+			MaxOuter:   b.sopts.MaxOuter,
+			InnerIters: b.sopts.InnerIters,
+			Penalty:    b.sopts.Penalty,
+			FeasTol:    b.sopts.FeasTol,
+			ObjTol:     b.sopts.ObjTol,
+			DualTol:    b.sopts.DualTol,
 		},
 	}
 }

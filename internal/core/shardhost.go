@@ -170,12 +170,11 @@ func (b *hostedBlock) load(spec *shardrpc.BlockSpec, now time.Time) {
 	b.warm = append(b.warm[:0], spec.Warm...)
 	b.theta = append(b.theta[:0], spec.Theta...)
 	b.sopts = alm.Options{
-		MaxOuter:      spec.Solver.MaxOuter,
-		InnerIters:    spec.Solver.InnerIters,
-		Penalty:       spec.Solver.Penalty,
-		PenaltyGrowth: spec.Solver.PenaltyGrowth,
-		FeasTol:       spec.Solver.FeasTol,
-		ObjTol:        spec.Solver.ObjTol,
-		DualTol:       spec.Solver.DualTol,
+		MaxOuter:   spec.Solver.MaxOuter,
+		InnerIters: spec.Solver.InnerIters,
+		Penalty:    spec.Solver.Penalty,
+		FeasTol:    spec.Solver.FeasTol,
+		ObjTol:     spec.Solver.ObjTol,
+		DualTol:    spec.Solver.DualTol,
 	}
 }

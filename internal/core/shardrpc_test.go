@@ -162,7 +162,6 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 	t.Run("all workers dead", func(t *testing.T) {
 		dopts := opts
 		dopts.ShardWorkers = []string{dead.URL}
-		dopts.ShardRPCRetries = -1
 		dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
 		dist, err := NewOnlineApprox(in, dopts).Run()
 		if err != nil {
@@ -181,7 +180,6 @@ func TestDistributedDeadWorkersFoldToLocal(t *testing.T) {
 	t.Run("one dead one live", func(t *testing.T) {
 		dopts := opts
 		dopts.ShardWorkers = []string{dead.URL, newTestWorker(t).URL}
-		dopts.ShardRPCRetries = -1
 		dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
 		dist, err := NewOnlineApprox(in, dopts).Run()
 		if err != nil {
@@ -223,7 +221,6 @@ func TestDistSoak(t *testing.T) {
 
 	dopts := opts
 	dopts.ShardWorkers = workers
-	dopts.ShardRPCTimeout = 5 * time.Second
 	dopts.Metrics = telemetry.NewSolverMetrics(telemetry.NewRegistry())
 	start := time.Now()
 	dist, err := NewOnlineApprox(in, dopts).Run()

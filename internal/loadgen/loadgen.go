@@ -36,14 +36,10 @@ import (
 type Runner struct {
 	// Base is the target base URL (edged or edgerouter).
 	Base string
-	// Client performs the requests (default: 2-minute timeout).
-	Client *http.Client
 	// Sessions is the concurrent session population.
 	Sessions int
 	// Instance is the per-session replay template.
 	Instance *model.Instance
-	// IDPrefix namespaces the session ids (default "load").
-	IDPrefix string
 	// Resolve treats Base as an edgerouter front: each session's owning
 	// replica is looked up once via GET Base/admin/owner?session=<id>
 	// and all traffic for that session dials the owner directly, taking
@@ -87,19 +83,8 @@ type Step struct {
 	MaxNs  float64
 }
 
-func (r *Runner) client() *http.Client {
-	if r.Client != nil {
-		return r.Client
-	}
-	return &http.Client{Timeout: 2 * time.Minute}
-}
-
-func (r *Runner) prefix() string {
-	if r.IDPrefix != "" {
-		return r.IDPrefix
-	}
-	return "load"
-}
+// client performs every request a Runner makes.
+var client = &http.Client{Timeout: 2 * time.Minute}
 
 // baseFor is the base URL session traffic for population index k uses:
 // the resolved owner in Resolve mode, the configured target otherwise.
@@ -117,7 +102,7 @@ func (r *Runner) resolveOwner(ctx context.Context, id string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	resp, err := r.client().Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return "", fmt.Errorf("loadgen: resolving owner of %s: %w", id, err)
 	}
@@ -175,7 +160,7 @@ func (r *Runner) Teardown(ctx context.Context) {
 		if err != nil {
 			continue
 		}
-		if resp, err := r.client().Do(req); err == nil {
+		if resp, err := client.Do(req); err == nil {
 			resp.Body.Close()
 		}
 	}
@@ -183,7 +168,7 @@ func (r *Runner) Teardown(ctx context.Context) {
 
 // createSession registers population slot k under a fresh id.
 func (r *Runner) createSession(ctx context.Context, k int) error {
-	id := fmt.Sprintf("%s-%d-g%d", r.prefix(), k, r.gen[k])
+	id := fmt.Sprintf("load-%d-g%d", k, r.gen[k])
 	if r.Resolve {
 		owner, err := r.resolveOwner(ctx, id)
 		if err != nil {
@@ -201,7 +186,7 @@ func (r *Runner) createSession(ctx context.Context, k int) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := r.client().Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		return fmt.Errorf("loadgen: creating session %s: %w", id, err)
 	}
@@ -239,7 +224,7 @@ func (r *Runner) advance(ctx context.Context, k int, hist *Histogram, completed,
 	}
 	req.Header.Set("Content-Type", "application/json")
 	t0 := time.Now()
-	resp, err := r.client().Do(req)
+	resp, err := client.Do(req)
 	if err != nil {
 		errs.Add(1)
 		return

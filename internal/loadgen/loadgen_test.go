@@ -97,7 +97,7 @@ func TestRunnerOpenLoop(t *testing.T) {
 	t.Cleanup(ts.Close)
 	t.Cleanup(func() { _ = s.Close() })
 
-	r := &Runner{Base: ts.URL, Sessions: 4, Instance: in, IDPrefix: "t"}
+	r := &Runner{Base: ts.URL, Sessions: 4, Instance: in}
 	ctx := context.Background()
 	if err := r.Setup(ctx); err != nil {
 		t.Fatalf("setup: %v", err)
@@ -161,7 +161,7 @@ func TestRunnerResolveDirectDial(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 
-	r := &Runner{Base: front.URL, Sessions: 4, Instance: in, IDPrefix: "rv", Resolve: true}
+	r := &Runner{Base: front.URL, Sessions: 4, Instance: in, Resolve: true}
 	ctx := context.Background()
 	if err := r.Setup(ctx); err != nil {
 		t.Fatalf("setup: %v", err)

@@ -25,14 +25,11 @@ var ISPRates = [3]float64{2.49, 4.86, 1.25}
 const minPrice = 1e-3
 
 // OpPrices generates the T×I operation-price matrix. The base price of
-// cloud i is scale·mean(capacity)/capacity[i], and the slot price is
+// cloud i is mean(capacity)/capacity[i], and the slot price is
 // Gaussian(base, stdRatio·base) truncated below at a small positive
 // floor. The paper's setting is stdRatio = 0.5 (standard deviation half
 // the base), which a stdRatio of 0 selects.
-func OpPrices(capacity []float64, horizon int, scale, stdRatio float64, rng *rand.Rand) [][]float64 {
-	if scale <= 0 {
-		scale = 1
-	}
+func OpPrices(capacity []float64, horizon int, stdRatio float64, rng *rand.Rand) [][]float64 {
 	if stdRatio <= 0 {
 		stdRatio = 0.5
 	}
@@ -43,7 +40,7 @@ func OpPrices(capacity []float64, horizon int, scale, stdRatio float64, rng *ran
 	meanCap /= float64(len(capacity))
 	base := make([]float64, len(capacity))
 	for i, c := range capacity {
-		base[i] = scale * meanCap / c
+		base[i] = meanCap / c
 	}
 	prices := make([][]float64, horizon)
 	for t := range prices {

@@ -9,7 +9,7 @@ import (
 func TestOpPricesShapeAndPositivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	capacity := []float64{10, 20, 40}
-	p := OpPrices(capacity, 30, 1, 0, rng)
+	p := OpPrices(capacity, 30, 0, rng)
 	if len(p) != 30 {
 		t.Fatalf("len = %d, want 30", len(p))
 	}
@@ -28,7 +28,7 @@ func TestOpPricesShapeAndPositivity(t *testing.T) {
 func TestOpPricesInverselyProportionalToCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	capacity := []float64{10, 40} // 4x capacity -> ~1/4 base price
-	p := OpPrices(capacity, 4000, 1, 0, rng)
+	p := OpPrices(capacity, 4000, 0, rng)
 	var m0, m1 float64
 	for _, row := range p {
 		m0 += row[0]
@@ -42,7 +42,7 @@ func TestOpPricesInverselyProportionalToCapacity(t *testing.T) {
 
 func TestOpPricesVaryOverTime(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	p := OpPrices([]float64{10}, 50, 1, 0, rng)
+	p := OpPrices([]float64{10}, 50, 0, rng)
 	distinct := map[float64]bool{}
 	for _, row := range p {
 		distinct[row[0]] = true
@@ -112,8 +112,8 @@ func TestReconfPricesPositive(t *testing.T) {
 
 func TestDefaultsKickIn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	if p := OpPrices([]float64{5}, 1, 0, 0, rng); p[0][0] <= 0 {
-		t.Error("OpPrices default scale failed")
+	if p := OpPrices([]float64{5}, 1, 0, rng); p[0][0] <= 0 {
+		t.Error("OpPrices default stdRatio failed")
 	}
 	if out, _ := BandwidthPrices(2, 0, rng); out[0] <= 0 {
 		t.Error("BandwidthPrices default scale failed")

@@ -20,7 +20,9 @@ import (
 )
 
 // Config selects the scenario parameters. Zero values take the defaults
-// noted on each field.
+// noted on each field. §V-A's other settings are fixed: 80% utilization,
+// base operation prices mean(C)/C_i, and taxis at the mobility package's
+// urban speed.
 type Config struct {
 	// Users is the number of mobile users (default 40; the paper used
 	// ~300, which remains reachable via flags on the harness).
@@ -35,11 +37,6 @@ type Config struct {
 	// Mu is the weight of the dynamic costs relative to the static costs
 	// (the paper's μ, Fig 4). Default 1.
 	Mu float64
-	// Utilization is the target system utilization; capacity totals
-	// Λ/Utilization (default 0.8, i.e. capacity 1.25Λ).
-	Utilization float64
-	// OpScale scales operation prices (default 1).
-	OpScale float64
 	// MigScale scales the total (out+in) migration price mean (default 1).
 	MigScale float64
 	// ReconfMean is the mean reconfiguration price (default 1).
@@ -50,9 +47,6 @@ type Config struct {
 	// PriceVolatility is the per-slot operation-price standard deviation
 	// as a fraction of the base price (default 0.5, the paper's setting).
 	PriceVolatility float64
-	// TaxiSpeedKm is the taxi speed in km per slot for the Rome scenario
-	// (default 0.5 ≈ 30 km/h of urban progress).
-	TaxiSpeedKm float64
 }
 
 func (c Config) withDefaults() Config {
@@ -67,12 +61,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Mu == 0 {
 		c.Mu = 1
-	}
-	if c.Utilization == 0 {
-		c.Utilization = 0.8
-	}
-	if c.OpScale == 0 {
-		c.OpScale = 1
 	}
 	if c.MigScale == 0 {
 		c.MigScale = 1
@@ -92,11 +80,7 @@ func Rome(cfg Config) (*model.Instance, *mobility.Trace, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sites := mobility.StationPoints()
-	tr, err := mobility.Taxi(mobility.TaxiConfig{
-		Users:          cfg.Users,
-		Horizon:        cfg.Horizon,
-		SpeedKmPerSlot: cfg.TaxiSpeedKm,
-	}, sites, rng)
+	tr, err := mobility.Taxi(mobility.TaxiConfig{Users: cfg.Users, Horizon: cfg.Horizon}, sites, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("scenario: building taxi trace: %w", err)
 	}
@@ -124,6 +108,10 @@ func RandomWalkRome(cfg Config) (*model.Instance, *mobility.Trace, error) {
 	return in, tr, nil
 }
 
+// utilization is §V-A's target system utilization: capacity totals
+// Λ/utilization = 1.25Λ.
+const utilization = 0.8
+
 // assemble turns a mobility trace into a full instance per §V-A.
 func assemble(cfg Config, sites []geo.Point, tr *mobility.Trace, rng *rand.Rand) (*model.Instance, error) {
 	gen, err := workload.ByName(cfg.WorkloadDist)
@@ -136,7 +124,7 @@ func assemble(cfg Config, sites []geo.Point, tr *mobility.Trace, rng *rand.Rand)
 		total += l
 	}
 
-	// Capacity ∝ attachment frequency with a 1% floor, total = Λ/util.
+	// Capacity ∝ attachment frequency with a 1% floor, total = Λ/utilization.
 	nClouds := len(sites)
 	freq := tr.AttachFrequency(nClouds)
 	const floor = 0.01
@@ -147,7 +135,7 @@ func assemble(cfg Config, sites []geo.Point, tr *mobility.Trace, rng *rand.Rand)
 		}
 		weightSum += freq[i]
 	}
-	capTotal := total / cfg.Utilization
+	capTotal := total / utilization
 	capacity := make([]float64, nClouds)
 	for i := range capacity {
 		capacity[i] = capTotal * freq[i] / weightSum
@@ -177,7 +165,7 @@ func assemble(cfg Config, sites []geo.Point, tr *mobility.Trace, rng *rand.Rand)
 		Capacity:    capacity,
 		InterDelay:  inter,
 		Workload:    loads,
-		OpPrice:     pricing.OpPrices(capacity, cfg.Horizon, cfg.OpScale, cfg.PriceVolatility, rng),
+		OpPrice:     pricing.OpPrices(capacity, cfg.Horizon, cfg.PriceVolatility, rng),
 		ReconfPrice: pricing.ReconfPrices(nClouds, cfg.ReconfMean, cfg.ReconfMean/2, rng),
 		MigOutPrice: out,
 		MigInPrice:  inPrice,

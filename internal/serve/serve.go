@@ -43,7 +43,10 @@ import (
 	"edgealloc/internal/telemetry"
 )
 
-// Config tunes the daemon. Zero values take the documented defaults.
+// Config tunes the daemon. Zero values take the defaults documented on
+// each field, which are stated nowhere else: edged binds its flags at 0.
+// The metrics registry is not configured: New makes one, and
+// Server.Registry returns it.
 type Config struct {
 	// Workers bounds concurrently running slot solves across all sessions
 	// (default GOMAXPROCS).
@@ -84,9 +87,6 @@ type Config struct {
 	// committed slot, before the slot is acknowledged, so a crash loses at
 	// most the in-flight solve. Requires SnapshotDir.
 	Autosnapshot bool
-	// Registry receives the daemon's metrics; a private registry is
-	// created when nil.
-	Registry *telemetry.Registry
 	// Logger receives structured request/lifecycle logs (nil = silent).
 	Logger *slog.Logger
 
@@ -176,10 +176,7 @@ type Server struct {
 // Shutdown (or Close) it to stop the janitor.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	reg := cfg.Registry
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(discardHandler{})

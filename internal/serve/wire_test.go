@@ -21,8 +21,7 @@ import (
 // or named here; TestWireOptionsGolden fails until one of the two happens.
 var notClientSettable = []string{
 	"ShardRho", "ShardMaxIters", "ShardPrimalTol", "ShardDualTol",
-	"ShardWorkers", "ShardRPCTimeout", "ShardRPCRetries", "Metrics",
-	"PenaltyGrowth", "WarmX", "WarmDuals", "Workspace", "Ctx",
+	"ShardWorkers", "Metrics", "WarmX", "WarmDuals", "Workspace", "Ctx",
 }
 
 // TestWireOptionsGolden pins the HTTP/snapshot spelling of the solver

@@ -32,7 +32,7 @@
 // outer iteration (what f is read from: Result.Objective), or when the
 // violation alone is within FeasTol and both the objective and the
 // multipliers (DualTol, relative to 1+y_k) have settled. The penalty grows
-// ×PenaltyGrowth whenever the violation fails to fall 4× in an outer
+// ×penaltyGrowth whenever the violation fails to fall 4× in an outer
 // iteration, and, once no row is violated, whenever σ does — provided the
 // previous σ was above FeasTol too and, on the FISTA path, the inner solve
 // took more than fista.StagnantLimit iterations: the signs that the stall
@@ -105,8 +105,6 @@ type Options struct {
 	InnerIters int
 	// Penalty is the initial quadratic penalty ρ (default 1).
 	Penalty float64
-	// PenaltyGrowth multiplies ρ when feasibility stalls (default 4).
-	PenaltyGrowth float64
 	// FeasTol is the absolute constraint-violation tolerance, scaled by
 	// 1+|RHS| per row (default 1e-7).
 	FeasTol float64
@@ -145,16 +143,12 @@ type Options struct {
 	Ctx context.Context
 }
 
-// Validate reports a negative or NaN budget or tolerance, and a nonzero
-// PenaltyGrowth not above 1, as ErrBadProblem.
+// Validate reports a negative or NaN budget or tolerance as ErrBadProblem.
 func (o Options) Validate() error {
 	if o.MaxOuter < 0 || o.InnerIters < 0 || !(o.Penalty >= 0) ||
 		!(o.FeasTol >= 0) || !(o.ObjTol >= 0) || !(o.DualTol >= 0) {
 		return errf("MaxOuter=%d InnerIters=%d Penalty=%g FeasTol=%g ObjTol=%g DualTol=%g: want none negative",
 			o.MaxOuter, o.InnerIters, o.Penalty, o.FeasTol, o.ObjTol, o.DualTol)
-	}
-	if g := o.PenaltyGrowth; g != 0 && !(g > 1) {
-		return errf("PenaltyGrowth=%g, want above 1", g)
 	}
 	return nil
 }
@@ -166,7 +160,6 @@ func (o Options) Or(d Options) Options {
 	o.MaxOuter = cmp.Or(o.MaxOuter, d.MaxOuter)
 	o.InnerIters = cmp.Or(o.InnerIters, d.InnerIters)
 	o.Penalty = cmp.Or(o.Penalty, d.Penalty)
-	o.PenaltyGrowth = cmp.Or(o.PenaltyGrowth, d.PenaltyGrowth)
 	o.FeasTol = cmp.Or(o.FeasTol, d.FeasTol)
 	o.ObjTol = cmp.Or(o.ObjTol, d.ObjTol)
 	o.DualTol = cmp.Or(o.DualTol, d.DualTol)
@@ -321,7 +314,11 @@ func errf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadProblem, fmt.Sprintf(format, args...))
 }
 
-const maxPenalty = 1e9
+const (
+	// penaltyGrowth multiplies ρ when feasibility stalls.
+	penaltyGrowth = 4
+	maxPenalty    = 1e9
+)
 
 // firstOrderDuals, set by tests, makes every multiplier update the first-
 // order one.
@@ -350,8 +347,8 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.Or(Options{MaxOuter: 80, InnerIters: 1500, Penalty: 1, PenaltyGrowth: 4, FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6})
-	maxOuter, innerIters, rho, growth := opts.MaxOuter, opts.InnerIters, opts.Penalty, opts.PenaltyGrowth
+	opts = opts.Or(Options{MaxOuter: 80, InnerIters: 1500, Penalty: 1, FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6})
+	maxOuter, innerIters, rho := opts.MaxOuter, opts.InnerIters, opts.Penalty
 	feasTol, objTol, dualTol := opts.FeasTol, opts.ObjTol, opts.DualTol
 
 	ws := opts.Workspace
@@ -508,7 +505,7 @@ func Solve(p *Problem, opts Options) (*Result, error) {
 			stalled = sigma > feasTol && prevSigma > feasTol && sigma > 0.25*prevSigma && moved
 		}
 		if stalled && rho < maxPenalty {
-			rho *= growth
+			rho *= penaltyGrowth
 		}
 		prevViol, prevSigma = viol, sigma
 		if innerTol > 1e-10 {

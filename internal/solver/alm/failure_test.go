@@ -85,8 +85,8 @@ func TestSolveZeroObjective(t *testing.T) {
 }
 
 // TestSolveRejectsBadOptions: a zero budget or tolerance takes Solve's
-// default, and a negative or NaN one, or a nonzero PenaltyGrowth not above
-// 1, is refused as ErrBadProblem instead of silently taking it.
+// default, and a negative or NaN one is refused as ErrBadProblem instead
+// of silently taking it.
 func TestSolveRejectsBadOptions(t *testing.T) {
 	p := &Problem{Obj: linear([]float64{3, 1}), N: 2, Groups: column(2, 2)}
 	for _, tc := range []struct {
@@ -95,7 +95,6 @@ func TestSolveRejectsBadOptions(t *testing.T) {
 		bad  bool
 	}{
 		{"defaults", Options{}, false},
-		{"growth above 1", Options{PenaltyGrowth: 1.5}, false},
 		{"negative MaxOuter", Options{MaxOuter: -1}, true},
 		{"negative InnerIters", Options{InnerIters: -1}, true},
 		{"negative Penalty", Options{Penalty: -1}, true},
@@ -104,9 +103,6 @@ func TestSolveRejectsBadOptions(t *testing.T) {
 		{"negative ObjTol", Options{ObjTol: -1e-9}, true},
 		{"NaN DualTol", Options{DualTol: math.NaN()}, true},
 		{"negative DualTol", Options{DualTol: -1e-6}, true},
-		{"growth 1", Options{PenaltyGrowth: 1}, true},
-		{"growth below 1", Options{PenaltyGrowth: 0.5}, true},
-		{"negative growth", Options{PenaltyGrowth: -4}, true},
 	} {
 		_, err := Solve(p, tc.opts)
 		if got := errors.Is(err, ErrBadProblem); got != tc.bad {

@@ -251,11 +251,12 @@ func (o *zObjective) Eval(x, grad []float64) float64 {
 
 // zReference solves the z-program with the generic stack: zObjective over
 // Z ≥ 0 with one capacity row per cloud, through alm.Solve at a tight
-// budget. It returns Z and the capacity multipliers. The first solve pins
-// Z, but the penalty it grows on the way lets the stop rule's σ = |Δy|/ρ
-// pass with the multipliers still 1e-3 off; a second solve, warm from the
-// first at a fixed unit penalty, settles them.
-func zReference(t *testing.T, obj *zObjective) (z, nu []float64) {
+// budget, and returns Z. Each solve grows the penalty ×4 as it stalls, so
+// one leaves Z up to 3e-5 off; two restarts warm from the last point at the
+// unit penalty settle it. The multipliers stay up to 2e-2 off however often
+// it restarts — the stop rule's σ = |Δy|/ρ passes at the grown penalty —
+// so ν is held to the per-cloud KKT system alone (checkProxKKT).
+func zReference(t *testing.T, obj *zObjective) []float64 {
 	t.Helper()
 	nI := len(obj.v)
 	// An I×1 grid: cloud i's one variable is Z_i.
@@ -266,16 +267,15 @@ func zReference(t *testing.T, obj *zObjective) (z, nu []float64) {
 		g.RowPtr[i+1] = i + 1
 	}
 	prob := &alm.Problem{Obj: obj, N: nI, Groups: g}
-	opts := alm.Options{MaxOuter: 400, InnerIters: 20000, FeasTol: 1e-12, DualTol: 1e-11, ObjTol: 1e-15}
-	for _, growth := range []float64{0, 1.0001} {
-		opts.Penalty, opts.PenaltyGrowth = 1, growth
+	opts := alm.Options{MaxOuter: 400, InnerIters: 20000, Penalty: 1, FeasTol: 1e-12, DualTol: 1e-11, ObjTol: 1e-15}
+	for range 3 {
 		res, err := alm.Solve(prob, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		opts.WarmX, opts.WarmDuals = res.X, res.Duals
 	}
-	return opts.WarmX, opts.WarmDuals
+	return opts.WarmX
 }
 
 // checkProxKKT holds one prox result to the scalar KKT system, which the
@@ -307,15 +307,14 @@ func checkProxKKT(t *testing.T, name string, rcFac, prev, eps1, k, v, c, z, nu f
 // checkProxAgainstReference holds the closed form to its KKT system and to
 // the iterative solve. The accuracy claim rests on checkProxKKT (1e-12),
 // the objective comparison here, and the independent Newton root of
-// TestProxGrid (1e-10): the bars on Z and ν against the alm reference are
-// that reference's own noise floor (FISTA leaves on objective stagnation;
-// over 400 random couplings it sits up to 1.5e-7 and 3e-6 from the closed
-// form), so this comparison says the closed form solves the program the
-// coordinator used to pose, not how accurately.
+// TestProxGrid (1e-10): the bar on Z against the alm reference is that
+// reference's own noise floor (over 400 random couplings it sits up to
+// 7e-8 from the closed form), so this comparison says the closed form
+// solves the program the coordinator used to pose, not how accurately.
 func checkProxAgainstReference(t *testing.T, name string, cpl Coupling, k float64, v []float64) {
 	t.Helper()
 	obj := &zObjective{cpl: cpl, v: v, rhoOverS: k}
-	zRef, nuRef := zReference(t, obj)
+	zRef := zReference(t, obj)
 	zs := make([]float64, len(v))
 	for i := range v {
 		c := cpl.Capacity[i]
@@ -323,9 +322,6 @@ func checkProxAgainstReference(t *testing.T, name string, cpl Coupling, k float6
 		checkProxKKT(t, name, cpl.RcFac[i], cpl.PrevTot[i], cpl.Eps1, k, v[i], c, z, nu)
 		if d := math.Abs(z - zRef[i]); d > 1e-6*(1+math.Abs(z)) {
 			t.Errorf("%s cloud %d: Z = %.12g, reference %.12g", name, i, z, zRef[i])
-		}
-		if d := math.Abs(nu - nuRef[i]); d > 1e-5*(1+math.Abs(nu)) {
-			t.Errorf("%s cloud %d: ν = %.12g, reference %.12g", name, i, nu, nuRef[i])
 		}
 		zs[i] = z
 		zRef[i] = math.Min(zRef[i], c) // the reference is feasible to its FeasTol only

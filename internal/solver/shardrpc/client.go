@@ -41,10 +41,6 @@ type ClientOptions struct {
 	// Backoff is the exponential backoff base: attempt k (1-based retry)
 	// sleeps Backoff·2^(k−1) first.
 	Backoff time.Duration
-	// HTTPClient overrides the transport (nil uses http.DefaultClient,
-	// whose shared connection pool keeps per-call dials off the hot
-	// path).
-	HTTPClient *http.Client
 	// Metrics optionally records per-attempt telemetry; nil records
 	// nothing.
 	Metrics *telemetry.SolverMetrics
@@ -72,9 +68,6 @@ func NewClient(base string, opts ClientOptions) *Client {
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = DefaultBackoff
-	}
-	if opts.HTTPClient == nil {
-		opts.HTTPClient = http.DefaultClient
 	}
 	return &Client{base: strings.TrimRight(base, "/"), opts: opts}
 }
@@ -169,7 +162,9 @@ func (c *Client) attempt(ctx context.Context, url string, reqBody []byte, isRetr
 		return nil, false, fmt.Errorf("shardrpc: %w", err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.opts.HTTPClient.Do(req)
+	// http.DefaultClient's shared connection pool keeps per-call dials
+	// off the hot path.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		// Transport failure or deadline: the worker may be restarting.
 		return nil, true, fmt.Errorf("shardrpc: %s: %w", url, err)

@@ -32,7 +32,7 @@ func TestSeedCorpusCurrent(t *testing.T) {
 		Theta:    []float64{0, -1.5, math.Pi},
 		Demand:   []float64{1, 2, 0.75},
 		Solver: SolverOptions{MaxOuter: 4, InnerIters: 50, Penalty: 8,
-			PenaltyGrowth: 5, FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6},
+			FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6},
 	}
 	empty := &BlockSpec{
 		ID: "corpus-empty", NI: 2, NJ: 0, Eps2: 0.01,

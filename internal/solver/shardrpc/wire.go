@@ -39,13 +39,12 @@ import (
 // Workers does not travel: alm.Solve never reads it, and the parallelism
 // is across shards.
 type SolverOptions struct {
-	MaxOuter      int     `json:"maxOuter"`
-	InnerIters    int     `json:"innerIters"`
-	Penalty       float64 `json:"penalty"`
-	PenaltyGrowth float64 `json:"penaltyGrowth"`
-	FeasTol       float64 `json:"feasTol"`
-	ObjTol        float64 `json:"objTol"`
-	DualTol       float64 `json:"dualTol"`
+	MaxOuter   int     `json:"maxOuter"`
+	InnerIters int     `json:"innerIters"`
+	Penalty    float64 `json:"penalty"`
+	FeasTol    float64 `json:"feasTol"`
+	ObjTol     float64 `json:"objTol"`
+	DualTol    float64 `json:"dualTol"`
 }
 
 // BlockSpec is the complete state of one shard block at a slot (or
@@ -231,7 +230,7 @@ func (s *BlockSpec) Validate() error {
 	if !nonneg(s.Prev) || !nonneg(s.Warm) || !nonneg(s.Demand) {
 		return errf("spec %s: prev/warm/demand must be finite and >= 0", s.ID)
 	}
-	so := []float64{s.Solver.Penalty, s.Solver.PenaltyGrowth, s.Solver.FeasTol, s.Solver.ObjTol, s.Solver.DualTol}
+	so := []float64{s.Solver.Penalty, s.Solver.FeasTol, s.Solver.ObjTol, s.Solver.DualTol}
 	if !finite(so) {
 		return errf("spec %s: non-finite solver options", s.ID)
 	}

@@ -24,7 +24,7 @@ func validSpec() *BlockSpec {
 		Theta:  []float64{0.5, -0.25, 0},
 		Demand: []float64{1, 2, 3},
 		Solver: SolverOptions{
-			MaxOuter: 4, InnerIters: 50, Penalty: 8, PenaltyGrowth: 5,
+			MaxOuter: 4, InnerIters: 50, Penalty: 8,
 			FeasTol: 1e-7, ObjTol: 1e-9, DualTol: 1e-6,
 		},
 	}
