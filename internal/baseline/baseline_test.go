@@ -73,6 +73,12 @@ func TestGreedyReproducesFig1Traps(t *testing.T) {
 	}
 }
 
+// smoothedGap bounds how far above the exact LP optimum the smoothed
+// Offline may land, relative. Measured on amd64 the gaps are 2.4e-4 (toy
+// a), 1.4e-4 (toy b) and 1.5e-4 (smallRome(3, 4, 11)); a smoothing floor of
+// 1e-2 instead of the default 1e-3 lands 1.4e-3 to 2.4e-3 above.
+const smoothedGap = 1e-3
+
 func TestOfflineSmoothedMatchesExactOnToys(t *testing.T) {
 	for name, in := range map[string]*model.Instance{
 		"a": model.ToyExampleA(), "b": model.ToyExampleB(),
@@ -93,8 +99,8 @@ func TestOfflineSmoothedMatchesExactOnToys(t *testing.T) {
 		if got < exact-1e-6 {
 			t.Errorf("%s: smoothed offline %g beat the exact optimum %g", name, got, exact)
 		}
-		if got > exact*1.02 {
-			t.Errorf("%s: smoothed offline %g more than 2%% above exact %g", name, got, exact)
+		if got > exact*(1+smoothedGap) {
+			t.Errorf("%s: smoothed offline %g more than %g above exact %g", name, got, smoothedGap, exact)
 		}
 	}
 }
@@ -117,8 +123,8 @@ func TestOfflineSmoothedMatchesExactOnRandomSmall(t *testing.T) {
 	if got < exact-1e-6 {
 		t.Errorf("smoothed offline %g beat the exact optimum %g", got, exact)
 	}
-	if got > exact*1.03 {
-		t.Errorf("smoothed offline %g more than 3%% above exact %g", got, exact)
+	if got > exact*(1+smoothedGap) {
+		t.Errorf("smoothed offline %g more than %g above exact %g", got, smoothedGap, exact)
 	}
 }
 

@@ -519,11 +519,14 @@ func (in *Instance) CheckFeasible(s Schedule, tol float64) error {
 }
 
 // Repair clips negative round-off in a solver's slot decision and tops up
-// any marginally under-served user so that downstream feasibility checks
-// with tight tolerances pass. The adjustments are on the order of the
-// solver tolerance (≤1e-6 relative) and do not affect measured costs.
-// served is a length-J scratch buffer, so per-slot hot paths allocate
-// nothing here.
+// every under-served user's column to its demand, so that downstream
+// feasibility checks with tight tolerances pass. The top-up is as large as
+// the solve's shortfall: round-off after a converged solve, but a solve cut
+// short can leave a user far below demand — core's
+// TestCommitRepairsShortSolve commits a MaxOuter = 1 decision up to 44 %
+// short before the repair — and then the repair moves real mass and the
+// measured costs with it. served is a length-J scratch buffer, so per-slot
+// hot paths allocate nothing here.
 func (in *Instance) Repair(x Alloc, served []float64) {
 	for k, v := range x.X {
 		if v < 0 {

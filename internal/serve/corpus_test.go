@@ -85,9 +85,9 @@ func TestSeedCorpusCurrent(t *testing.T) {
 
 // TestSnapshotStoresNoTiming feeds two daemons the same session, slot by
 // slot, and requires their snapshots to be byte-identical: the records
-// carry what the solves computed and no wall-clock time. The live replies
-// keep their timings: every slot reply and the status reply report a
-// positive solve time.
+// carry what the solves computed and no wall-clock time, the sharded
+// path's slowest-block time included. The live replies keep their timings:
+// every slot reply and the status reply report a positive solve time.
 func TestSnapshotStoresNoTiming(t *testing.T) {
 	in, _, err := scenario.Rome(scenario.Config{Users: 4, Horizon: 4, Seed: 11})
 	if err != nil {
@@ -97,43 +97,45 @@ func TestSnapshotStoresNoTiming(t *testing.T) {
 	if err := model.WriteInstance(&inst, in); err != nil {
 		t.Fatal(err)
 	}
-	create, _ := json.Marshal(map[string]any{"id": "twin", "instance": json.RawMessage(inst.Bytes())})
-	var snaps [2][]byte
-	for k := range snaps {
-		srv := New(Config{})
-		call := func(method, path string, body []byte) []byte {
-			rec := httptest.NewRecorder()
-			srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
-			if rec.Code >= 300 {
-				t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+	for _, opts := range []solverOptions{{}, {Shards: 2}} {
+		create, _ := json.Marshal(map[string]any{"id": "twin", "instance": json.RawMessage(inst.Bytes()), "options": opts})
+		var snaps [2][]byte
+		for k := range snaps {
+			srv := New(Config{})
+			call := func(method, path string, body []byte) []byte {
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewReader(body)))
+				if rec.Code >= 300 {
+					t.Fatalf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+				}
+				return rec.Body.Bytes()
 			}
-			return rec.Body.Bytes()
-		}
-		call(http.MethodPost, "/v1/sessions", create)
-		for slot := 0; slot < 3; slot++ {
-			var reply struct {
-				Solve solveDiag `json:"solve"`
+			call(http.MethodPost, "/v1/sessions", create)
+			for slot := 0; slot < 3; slot++ {
+				var reply struct {
+					Solve solveDiag `json:"solve"`
+				}
+				if err := json.Unmarshal(call(http.MethodPost, "/v1/sessions/twin/slots", []byte(`{}`)), &reply); err != nil {
+					t.Fatal(err)
+				}
+				if !(reply.Solve.Seconds > 0) {
+					t.Errorf("shards %d: daemon %d slot %d: reply solve seconds %g, want the measured time", opts.Shards, k, slot, reply.Solve.Seconds)
+				}
 			}
-			if err := json.Unmarshal(call(http.MethodPost, "/v1/sessions/twin/slots", []byte(`{}`)), &reply); err != nil {
+			var status statusResponse
+			if err := json.Unmarshal(call(http.MethodGet, "/v1/sessions/twin", nil), &status); err != nil {
 				t.Fatal(err)
 			}
-			if !(reply.Solve.Seconds > 0) {
-				t.Errorf("daemon %d slot %d: reply solve seconds %g, want the measured time", k, slot, reply.Solve.Seconds)
+			if status.LastSolve == nil || !(status.LastSolve.Seconds > 0) {
+				t.Errorf("shards %d: daemon %d: status lastSolve %+v, want the measured time", opts.Shards, k, status.LastSolve)
 			}
+			snaps[k] = call(http.MethodPost, "/v1/sessions/twin/snapshot", nil)
+			srv.Close()
 		}
-		var status statusResponse
-		if err := json.Unmarshal(call(http.MethodGet, "/v1/sessions/twin", nil), &status); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(snaps[0], snaps[1]) {
+			t.Errorf("shards %d: two sessions fed the same inputs snapshot to different documents (%d and %d bytes)",
+				opts.Shards, len(snaps[0]), len(snaps[1]))
 		}
-		if status.LastSolve == nil || !(status.LastSolve.Seconds > 0) {
-			t.Errorf("daemon %d: status lastSolve %+v, want the measured time", k, status.LastSolve)
-		}
-		snaps[k] = call(http.MethodPost, "/v1/sessions/twin/snapshot", nil)
-		srv.Close()
-	}
-	if !bytes.Equal(snaps[0], snaps[1]) {
-		t.Errorf("two sessions fed the same inputs snapshot to different documents (%d and %d bytes)",
-			len(snaps[0]), len(snaps[1]))
 	}
 }
 

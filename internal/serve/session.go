@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -359,8 +360,13 @@ type costsResponse struct {
 // --- handlers -----------------------------------------------------------
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeJSON(w, http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeJSON decodes the JSON value body starts with into v, refusing
+// unknown fields; on failure it writes the 400.
+func decodeJSON(w http.ResponseWriter, body io.Reader, v any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
@@ -378,9 +384,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	var req createRequest
-	if !decodeBody(w, r, &req) {
+	inst, ok := decodeCreate(w, r, &req)
+	if !ok {
 		return
 	}
+	fast := inst != nil
 	if len(req.Instance) == 0 {
 		writeError(w, http.StatusBadRequest, "missing instance")
 		return
@@ -395,7 +403,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	inst, streaming, err := buildInstance(req.Instance, req.Horizon)
+	if !fast {
+		var err error
+		if inst, err = decodeInstance(req.Instance); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+	}
+	streaming, err := completeInstance(inst, req.Horizon)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -416,8 +431,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	header, err := encodeHeader(snapHeader{Version: snapshotVersion, ID: id,
-		Horizon: req.Horizon, Options: opts, Instance: req.Instance})
+	header, err := createHeader(snapHeader{Version: snapshotVersion, ID: id,
+		Horizon: req.Horizon, Options: opts, Instance: req.Instance}, fast)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -447,24 +462,31 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// buildInstance decodes the create payload's instance. A payload with
-// T present is replay mode and must validate as-is; a payload without T
-// is a streaming skeleton whose time-major arrays are zero-filled over
-// the given horizon.
-func buildInstance(raw json.RawMessage, horizon int) (*model.Instance, bool, error) {
-	var inst model.Instance
+// decodeInstance decodes a create payload's or snapshot header's instance
+// with encoding/json, the path of any instance model.ParseInstance does
+// not take.
+func decodeInstance(raw json.RawMessage) (*model.Instance, error) {
+	inst := new(model.Instance)
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&inst); err != nil {
-		return nil, false, fmt.Errorf("decoding instance: %w", err)
+	if err := dec.Decode(inst); err != nil {
+		return nil, fmt.Errorf("decoding instance: %w", err)
 	}
-	streaming := inst.T == 0
+	return inst, nil
+}
+
+// completeInstance readies a decoded instance for its session and
+// validates it. An instance with T present is replay mode and must
+// validate as-is; one without T is a streaming skeleton whose time-major
+// arrays are zero-filled over the given horizon.
+func completeInstance(inst *model.Instance, horizon int) (streaming bool, err error) {
+	streaming = inst.T == 0
 	if streaming {
 		if horizon <= 0 {
-			return nil, false, errors.New("streaming instance (no T) requires horizon > 0")
+			return false, errors.New("streaming instance (no T) requires horizon > 0")
 		}
 		if len(inst.OpPrice) != 0 || len(inst.Attach) != 0 || len(inst.AccessDelay) != 0 {
-			return nil, false, errors.New("streaming instance must omit opPrice/attach/accessDelay")
+			return false, errors.New("streaming instance must omit opPrice/attach/accessDelay")
 		}
 		inst.T = horizon
 		inst.OpPrice = make([][]float64, horizon)
@@ -476,12 +498,12 @@ func buildInstance(raw json.RawMessage, horizon int) (*model.Instance, bool, err
 			inst.AccessDelay[t] = make([]float64, inst.J)
 		}
 	} else if horizon != 0 && horizon != inst.T {
-		return nil, false, fmt.Errorf("horizon %d conflicts with instance T=%d", horizon, inst.T)
+		return false, fmt.Errorf("horizon %d conflicts with instance T=%d", horizon, inst.T)
 	}
 	if err := inst.Validate(); err != nil {
-		return nil, false, err
+		return false, err
 	}
-	return &inst, streaming, nil
+	return streaming, nil
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -73,9 +73,9 @@ func decodeSlot(w http.ResponseWriter, r *http.Request, req *slotRequest) (relea
 	return release, true
 }
 
-// Key bits of the fast path's at-most-once check.
+// Key numbers of the fast path's at-most-once check.
 const (
-	keySlot = 1 << iota
+	keySlot = iota
 	keyOpPrice
 	keyAttach
 	keyAccessDelay
@@ -86,50 +86,29 @@ const (
 // canonical; on false req holds a partial decode.
 func (d *slotDecoder) parse(body []byte, req *slotRequest) bool {
 	p := jsonscan.New(body)
-	if !p.Byte('{') {
-		return false
-	}
-	if p.Byte('}') {
-		return p.End()
-	}
-	seen := 0
-	for {
-		key, ok := p.Key()
-		if !ok || !p.Byte(':') {
-			return false
-		}
-		var bit int
+	return p.Object(func(key []byte) (n int, ok bool) {
 		switch string(key) {
 		case "slot":
-			bit = keySlot
 			if d.slot, ok = p.Int(); ok {
 				req.Slot = &d.slot
 			}
+			return keySlot, ok
 		case "opPrice":
-			bit = keyOpPrice
 			d.opPrice, ok = jsonscan.Array(&p, d.opPrice, p.Float)
 			req.OpPrice = d.opPrice
+			return keyOpPrice, ok
 		case "attach":
-			bit = keyAttach
 			d.attach, ok = jsonscan.Array(&p, d.attach, p.Int)
 			req.Attach = d.attach
+			return keyAttach, ok
 		case "accessDelay":
-			bit = keyAccessDelay
 			d.accessDelay, ok = jsonscan.Array(&p, d.accessDelay, p.Float)
 			req.AccessDelay = d.accessDelay
+			return keyAccessDelay, ok
 		case "includeAllocation":
-			bit = keyIncludeAllocation
 			req.IncludeAllocation, ok = p.Bool()
+			return keyIncludeAllocation, ok
 		}
-		if !ok || bit == 0 || seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		if p.Byte('}') {
-			return p.End()
-		}
-		if !p.Byte(',') {
-			return false
-		}
-	}
+		return 0, false
+	}) && p.End()
 }

@@ -23,8 +23,9 @@ const tmpPrefix = ".tmp-"
 // record views committed slot t, whose decision is x, as a snapshot
 // record aliasing the live instance, decision and dual record. The record
 // stores no wall-clock timing: its diagnostics' Seconds, BindSeconds,
-// CertifySeconds and CommitSeconds are zero, so two sessions that computed
-// the same bits snapshot to the same bytes. The caller must hold stepMu.
+// CertifySeconds, CommitSeconds and ShardMaxSeconds are zero, so two
+// sessions that computed the same bits snapshot to the same bytes. The
+// caller must hold stepMu.
 func (sess *session) record(t int, x []float64) slotRecord {
 	rec := slotRecord{
 		opPrice:     sess.inst.OpPrice[t],
@@ -35,7 +36,7 @@ func (sess *session) record(t int, x []float64) slotRecord {
 		slotMeta:    sess.meta[t],
 	}
 	d := &rec.Diag
-	d.Seconds, d.BindSeconds, d.CertifySeconds, d.CommitSeconds = 0, 0, 0, 0
+	d.Seconds, d.BindSeconds, d.CertifySeconds, d.CommitSeconds, d.ShardMaxSeconds = 0, 0, 0, 0, 0
 	if t == sess.inst.T-1 {
 		rec.Summary = sess.summary
 	}
